@@ -180,10 +180,20 @@ def _csort_prepare(sub: Any, job: Any, seed: int) -> None:
 
 
 def _csort_block_default(spec: Any) -> int:
-    """A stripe block satisfying columnsort's P*block <= r shape rule
-    (r = total/P² records per matrix column) with headroom."""
-    rpn = spec.params.get("records_per_node", 1024)
-    return max(8, rpn // (2 * spec.n_nodes * spec.n_nodes))
+    """The largest stripe block columnsort's shape rule P*block <= r
+    allows, for the r its own chooser picks.  An input the chooser rejects
+    gets a token block: the job then fails in ``run_csort`` with the
+    chooser's message instead of raising out of admission."""
+    from repro.errors import ColumnsortShapeError
+    from repro.sorting.columnsort.steps import plan_columnsort
+
+    P = spec.n_nodes
+    try:
+        plan = plan_columnsort(
+            spec.params.get("records_per_node", 1024) * P, P)
+    except ColumnsortShapeError:
+        return 8
+    return plan.r // P
 
 
 def _csort_runner(node: Any, comm: Any, job: Any, ctl: Any,

@@ -7,15 +7,25 @@ directly into an output array, and refills whichever run's head block
 empties.  The merger never blocks — pipeline flow control stays in the FG
 stage that owns it.
 
-Merging is vectorized by *galloping*: the run with the smallest head key
-copies every record strictly below the next competitor's head key in one
-slice, so the per-record Python overhead is amortized over long stretches
-(crucial when one run dominates, e.g. nearly-sorted inputs).
+Merging is block-wise (after TPIE's external merge sorter): one numpy
+pass per head block, not one Python iteration per record.  Each pass
+finds the *pivot* — the head whose last record comes first in the merged
+order, i.e. the first head that will run dry — cuts from every head the
+prefix that precedes that record (one ``searchsorted`` each), and merges
+the prefixes with one stable sort.
+
+* **Tie rule.**  Output order is ``(key, rank, position)``: equal keys
+  come out in the order of their runs' ``repr``, fixed at construction
+  (so run ``10`` precedes run ``2``), then in block order.
+* **Stop rule.**  ``merge_into`` returns when ``budget`` records are out,
+  when an *unfinished* run's head drains (its last record is the last one
+  emitted; feed or finish that run, then call again), or when every head
+  is gone.  A finished run's head draining does not stop the call.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Hashable
 
 import numpy as np
 
@@ -30,11 +40,13 @@ class BlockMerger:
 
     def __init__(self, schema: RecordSchema, run_ids):
         self.schema = schema
+        run_ids = list(run_ids)  # may be a one-shot iterable
         self._heads: dict[Hashable, tuple[np.ndarray, int]] = {}
         self._pending: set[Hashable] = set(run_ids)  # need a block
         self._finished: set[Hashable] = set()
-        if len(self._pending) != len(list(run_ids)):
+        if len(self._pending) != len(run_ids):
             raise SortError("duplicate run ids")
+        self._by_rank = sorted(run_ids, key=repr)  # tie order, see above
 
     # -- run feeding ---------------------------------------------------------
 
@@ -85,9 +97,9 @@ class BlockMerger:
     def merge_into(self, out: np.ndarray, start: int, budget: int) -> int:
         """Copy up to ``budget`` merged records into ``out[start:]``.
 
-        Returns the number of records copied.  Stops early when a run's
-        head block empties (feed it, then call again) or when all runs are
-        exhausted.  Requires :attr:`ready`.
+        Returns the number of records copied.  Stops early when an
+        unfinished run's head block empties (feed it, then call again) or
+        when all runs are exhausted.  Requires :attr:`ready`.
         """
         if not self.ready:
             raise SortError(
@@ -95,47 +107,37 @@ class BlockMerger:
                 "await blocks")
         copied = 0
         while copied < budget and self._heads:
-            run, records, pos = self._min_head()
-            keys = records["key"]
-            competitor = self._second_smallest_key(run)
-            if competitor is None:
-                take = len(records) - pos
-            else:
-                # all records strictly below the competitor can stream out;
-                # on a tie take one record to guarantee progress
-                take = int(np.searchsorted(keys[pos:], competitor,
-                                           side="left"))
-                take = max(take, 1)
-            take = min(take, budget - copied, len(records) - pos)
-            out[start + copied:start + copied + take] = \
-                records[pos:pos + take]
-            copied += take
-            pos += take
-            if pos == len(records):
+            heads = [(run, *self._heads[run]) for run in self._by_rank
+                     if run in self._heads]
+            # argmin takes the lowest rank among equal last keys
+            lasts = np.array([records["key"][-1] for _, records, _ in heads])
+            pivot = int(lasts.argmin())
+            parts = []
+            for rank, (_, records, pos) in enumerate(heads):
+                # equal keys of lower-ranked runs precede the pivot's last
+                # record, those of higher-ranked runs follow it
+                cut = records["key"][pos:].searchsorted(
+                    lasts[pivot], "right" if rank <= pivot else "left")
+                parts.append(records[pos:pos + cut])
+            # a copy, so no head view escapes; naming the dtype spares
+            # numpy a per-part promotion of the record fields
+            merged = np.concatenate(parts, dtype=out.dtype)
+            order = np.argsort(merged["key"], kind="stable")
+            taken = [len(part) for part in parts]
+            if len(merged) > budget - copied:
+                order = order[:budget - copied]
+                source = np.searchsorted(np.cumsum(taken), order, "right")
+                taken = np.bincount(source, minlength=len(parts)).tolist()
+            # indices are in range; any mode but "raise" skips a temporary
+            np.take(merged, order, mode="clip",
+                    out=out[start + copied:start + copied + len(order)])
+            copied += len(order)
+            for (run, records, pos), n in zip(heads, taken):
+                self._heads[run] = (records, pos + n)
+            run, records, pos = heads[pivot]
+            if pos + taken[pivot] == len(records):
                 del self._heads[run]
                 if run not in self._finished:
                     self._pending.add(run)
                     break  # caller must feed this run before continuing
-            else:
-                self._heads[run] = (records, pos)
         return copied
-
-    def _min_head(self) -> tuple[Hashable, np.ndarray, int]:
-        best = None
-        for run, (records, pos) in self._heads.items():
-            key = records["key"][pos]
-            cand = (key, repr(run), run, records, pos)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        assert best is not None
-        return best[2], best[3], best[4]
-
-    def _second_smallest_key(self, exclude) -> Optional[np.uint64]:
-        best = None
-        for run, (records, pos) in self._heads.items():
-            if run == exclude:
-                continue
-            key = records["key"][pos]
-            if best is None or key < best:
-                best = key
-        return best

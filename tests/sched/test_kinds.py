@@ -140,6 +140,36 @@ def test_csort_job_sorts():
     assert job.state is JobState.DONE, job.error
 
 
+@pytest.mark.parametrize("n_nodes", [1, 2])
+def test_csort_default_block_fits_columnsorts_own_shape(n_nodes):
+    """The default stripe block comes from columnsort's shape chooser: one
+    node (s = 8 columns, r = 128) used to get a 512-record block and fail
+    with ColumnsortShapeError; two nodes keep their 128."""
+    from repro.pdm.striped import StripedFile
+    from repro.sched.kinds import _csort_block_default
+
+    spec = JobSpec(tenant="t", kind="csort", n_nodes=n_nodes,
+                   params={"records_per_node": 1024})
+    assert _csort_block_default(spec) == 128
+    cluster, _, job = run_one(spec, n_nodes=n_nodes)
+    assert job.state is JobState.DONE, job.error
+    schema = RecordSchema(16)
+    given = np.concatenate([
+        RecordFile(cluster.nodes[p].disk, "j0-input", schema).read_all()
+        for p in job.alloc])
+    out = StripedFile(cluster, "j0-output", schema, block_records=128,
+                      owners=job.alloc).read_all()
+    np.testing.assert_array_equal(out["key"], np.sort(given["key"]))
+
+
+def test_csort_shape_without_a_legal_matrix_fails_the_job_not_admission():
+    spec = JobSpec(tenant="t", kind="csort", n_nodes=3,
+                   params={"records_per_node": 1024})
+    _, _, job = run_one(spec, n_nodes=3)
+    assert job.state is JobState.FAILED
+    assert "no legal columnsort shape" in job.error
+
+
 def test_demand_scales_with_spec():
     small = JobSpec(tenant="t", kind="blocks", n_nodes=1)
     big = JobSpec(tenant="t", kind="blocks", n_nodes=4,

@@ -1,5 +1,7 @@
 """Unit + property tests for the incremental k-way block merger."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import SortError
 from repro.pdm.records import RecordSchema
 from repro.sorting.merge import BlockMerger
+
+from ._reference_merge import ReferenceMerger
 
 SCHEMA = RecordSchema(8)
 
@@ -147,3 +151,147 @@ def test_property_merge_equals_sorted_concatenation(runs, block, budget):
     runs = [sorted(r) for r in runs]
     out = drive_merge(runs, block=block, budget=budget)
     assert out == sorted(sum(runs, []))
+
+
+# -- constructor: one-shot iterables and genuine duplicates -------------------
+
+
+def test_run_ids_may_be_a_one_shot_iterable():
+    for run_ids in ((i for i in range(3)), iter([0, 1, 2]),
+                    map(int, "012")):
+        assert BlockMerger(SCHEMA, run_ids).needs() == {0, 1, 2}
+
+
+def test_duplicate_run_ids_rejected():
+    with pytest.raises(SortError, match="duplicate run ids"):
+        BlockMerger(SCHEMA, [0, 1, 0])
+    with pytest.raises(SortError, match="duplicate run ids"):
+        BlockMerger(SCHEMA, (i % 2 for i in range(3)))
+
+
+# -- differential: block-wise merge_into vs the head-at-a-time loop ------------
+
+PAYLOAD = RecordSchema(16)
+
+
+def tagged(keys, first_tag):
+    """Sorted records whose payload is a serial number, so records with
+    equal keys stay distinguishable in the output bytes."""
+    records = PAYLOAD.empty(len(keys))
+    records["key"] = np.sort(np.asarray(keys, dtype=np.uint64))
+    records.view("<u8").reshape(-1, 2)[:, 1] = np.arange(
+        first_tag, first_tag + len(keys))
+    return records
+
+
+def assert_same_as_reference(run_ids, runs, block, budgets):
+    """Drive BlockMerger and the old loop in lockstep, checking after every
+    call: return value, emitted bytes, head_remaining of every run, needs().
+    ``budgets`` is cycled.  Returns everything emitted."""
+    mergers = (BlockMerger(PAYLOAD, iter(run_ids)),
+               ReferenceMerger(PAYLOAD, list(run_ids)))
+    fed = dict.fromkeys(run_ids, 0)
+    outs = [PAYLOAD.empty(max(budgets) + 1) for _ in mergers]
+    emitted = []
+    for call in itertools.count():
+        assert mergers[0].needs() == mergers[1].needs()
+        for run in sorted(mergers[0].needs(), key=repr):
+            nxt = runs[run][fed[run]:fed[run] + block]
+            fed[run] += block
+            for merger in mergers:
+                if len(nxt):
+                    merger.feed(run, nxt)
+                else:
+                    merger.finish_run(run)
+        assert mergers[0].ready and mergers[1].ready
+        assert mergers[0].exhausted == mergers[1].exhausted
+        if mergers[0].exhausted:
+            break
+        budget = budgets[call % len(budgets)]
+        got, want = (m.merge_into(o, 1, budget)
+                     for m, o in zip(mergers, outs))
+        assert got == want
+        assert outs[0][1:1 + got].tobytes() == outs[1][1:1 + got].tobytes()
+        for run in run_ids:
+            assert (mergers[0].head_remaining(run)
+                    == mergers[1].head_remaining(run))
+        emitted.append(outs[0][1:1 + got].copy())
+    return np.concatenate(emitted) if emitted else PAYLOAD.empty(0)
+
+
+def stable_sorted(run_ids, runs):
+    """The specification: a stable sort on (key, rank, position), rank
+    being the run's place in repr order."""
+    ranked = [runs[run] for run in sorted(run_ids, key=repr)]
+    everything = np.concatenate(ranked) if ranked else PAYLOAD.empty(0)
+    return PAYLOAD.sort(everything)
+
+
+RUN_IDS = st.one_of(
+    st.lists(st.integers(0, 40), unique=True, max_size=13),   # ids >= 10
+    st.lists(st.text("ab1", max_size=3), unique=True, max_size=8),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2)),
+             unique=True, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(RUN_IDS, st.data(), st.sampled_from([1, 3, 2 ** 64 - 1]),
+       st.integers(1, 8), st.lists(st.integers(0, 11), min_size=1,
+                                   max_size=4).filter(any))
+def test_differential_against_reference_loop(run_ids, data, max_key, block,
+                                             budgets):
+    runs, tag = {}, 0
+    for run in run_ids:  # heavy ties (max_key 1 or 3), empty runs allowed
+        keys = data.draw(st.lists(st.integers(0, max_key), max_size=20))
+        runs[run] = tagged(keys, tag)
+        tag += len(keys)
+    merged = assert_same_as_reference(run_ids, runs, block, budgets)
+    assert merged.tobytes() == stable_sorted(run_ids, runs).tobytes()
+
+
+def test_tie_order_is_repr_order_so_run_10_precedes_run_2():
+    """Golden digests depend on this order: pin it."""
+    run_ids = [2, 10, 1]
+    runs = {2: tagged([7, 7], 200), 10: tagged([7, 7], 1000),
+            1: tagged([7], 100)}
+    merged = assert_same_as_reference(run_ids, runs, block=8, budgets=[16])
+    assert merged.view("<u8").reshape(-1, 2)[:, 1].tolist() == [
+        100, 1000, 1001, 200, 201]
+
+
+def test_budget_smaller_than_one_pass_cuts_the_sorted_order():
+    """One pass would emit nine records; a budget of four emits the first
+    four of the merged order and advances each head by its share."""
+    run_ids = [0, 1, 2]
+    runs = {0: tagged([1, 4, 4, 9], 0), 1: tagged([2, 4, 5, 6], 10),
+            2: tagged([3, 4, 7, 8], 20)}
+    merger = BlockMerger(PAYLOAD, run_ids)
+    for run in run_ids:
+        merger.feed(run, runs[run])
+    out = PAYLOAD.empty(4)
+    assert merger.merge_into(out, 0, 4) == 4
+    assert out["key"].tolist() == [1, 2, 3, 4]
+    assert [merger.head_remaining(run) for run in run_ids] == [2, 3, 3]
+    assert merger.ready
+    merged = assert_same_as_reference(run_ids, runs, block=4, budgets=[4])
+    assert merged.tobytes() == stable_sorted(run_ids, runs).tobytes()
+
+
+def test_finished_runs_head_draining_does_not_stop_the_call():
+    """The old loop carried on when the head that drained belonged to a
+    finished run.  No public call sequence puts a run there (``feed`` and
+    ``finish_run`` both need the run pending), so mark it by hand, on the
+    merger and on the oracle, and pin the branch."""
+    mergers = (BlockMerger(PAYLOAD, "abc"), ReferenceMerger(PAYLOAD, "abc"))
+    outs = [PAYLOAD.empty(10) for _ in mergers]
+    for merger, out in zip(mergers, outs):
+        merger.feed("a", tagged([1, 2], 0))
+        merger.feed("b", tagged([3, 4, 5], 10))
+        merger.feed("c", tagged([2, 6], 20))
+        merger._finished.add("a")
+        # 'a' drains after two records, the call goes on to drain 'b'
+        assert merger.merge_into(out, 0, 10) == 6
+        assert out["key"][:6].tolist() == [1, 2, 2, 3, 4, 5]
+        assert merger.needs() == {"b"}
+        assert [merger.head_remaining(run) for run in "abc"] == [0, 0, 1]
+    assert outs[0].tobytes() == outs[1].tobytes()
