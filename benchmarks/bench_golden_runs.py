@@ -8,11 +8,12 @@ asserts byte-exact reproduction.  The records are saved under
 quoted number at a replayable artifact (``python -m repro replay
 benchmarks/results/golden_dsort.prov.json``).
 
-The records are replayed fresh each session rather than diffed against
-committed ones: the code fingerprint (and thus the digests, whenever
-behaviour shifts) legitimately changes between revisions — cross-revision
-comparison is exactly what ``repro replay`` is *for*, not what CI should
-hard-code.
+This benchmark replays what it just recorded (determinism within one
+revision).  Drift *between* revisions is caught elsewhere: tier-1
+``tests/prov/test_committed_golden.py`` and CI's ``golden-runs`` job
+replay the committed ``results/golden_*.prov.json`` before this file
+overwrites them, so a change that moves a timeline or a stage-graph
+fingerprint has to re-record them on purpose.
 """
 
 import os
