@@ -46,6 +46,7 @@ from __future__ import annotations
 import builtins
 import dataclasses
 import dis
+import functools
 import inspect
 import io
 import sys
@@ -68,6 +69,7 @@ __all__ = [
     "program_effects",
     "reachable_names",
     "shared_state_evidence",
+    "stage_effects",
     "unserializable_captures",
 ]
 
@@ -103,26 +105,85 @@ IMMUTABLE_TYPES = (type(None), bool, int, float, complex, str, bytes,
 _UNKNOWN = object()
 
 
-def _is_method_load(instr: dis.Instruction) -> bool:
+#: one decoded instruction: ``(opname, argval, arg)`` — the only three
+#: fields any scan here reads
+Instr = tuple[str, Any, Optional[int]]
+
+
+@functools.lru_cache(maxsize=1024)
+def instructions(code: types.CodeType) -> tuple[Instr, ...]:
+    """``code``'s instructions, decoded once per code object.
+
+    The one memo in this module: decoding is a function of the code
+    object alone, so every closure of one ``def`` and every ``start()``
+    share it (bounded, so dynamically compiled code is not pinned for
+    good).  *Resolution* — which object a name holds — is never memoised.
+    """
+    return tuple((i.opname, i.argval, i.arg)
+                 for i in dis.get_instructions(code))
+
+
+def _is_method_load(op: str, arg: Optional[int]) -> bool:
     """True when this instruction loads an attribute *as a callee* (the
     compiler's method-call form), as opposed to a plain attribute read.
     3.11 has a dedicated LOAD_METHOD; 3.12+ folds it into LOAD_ATTR with
     the low oparg bit set."""
-    if instr.opname == "LOAD_METHOD":
+    if op == "LOAD_METHOD":
         return True
-    if instr.opname == "LOAD_ATTR" and sys.version_info >= (3, 12):
-        return bool(instr.arg) and bool(instr.arg & 1)
+    if op == "LOAD_ATTR" and sys.version_info >= (3, 12):
+        return bool(arg) and bool(arg & 1)
     return False
 
 
-def _is_callee_global(instr: dis.Instruction) -> bool:
-    """True when a LOAD_GLOBAL is in callee position (the low oparg bit
-    asks for the NULL push that precedes a call, 3.11+)."""
-    return (instr.opname == "LOAD_GLOBAL"
-            and bool(instr.arg) and bool(instr.arg & 1))
-
-
 # -- the shared walk --------------------------------------------------------
+
+
+def _unbind(fn: Any) -> tuple[Any, int, list[str]]:
+    """Peel a stage callable that gets state *outside* closure cells
+    and globals — ``functools.partial`` arguments, a bound ``__self__``,
+    a callable instance — down to the function whose bytecode is read.
+
+    Returns ``(function, positional parameters already bound,
+    carriers)``.  A carrier names such a holder that is not an
+    ``IMMUTABLE_TYPES`` instance: the function sees it as a parameter,
+    which the scans treat as private, so it counts as an unresolved
+    write.
+    """
+    bound = 0
+    carriers: list[str] = []
+
+    def carry(value: Any, how: str) -> None:
+        if not isinstance(value, IMMUTABLE_TYPES):
+            carriers.append(f"{how} ({type(value).__name__})")
+
+    for _ in range(16):  # bounded: user code must not loop the scan
+        owner = getattr(fn, "__self__", None)
+        if isinstance(fn, functools.partial):
+            for i, value in enumerate(fn.args):
+                carry(value, f"partial argument {i}")
+            for key, value in fn.keywords.items():
+                carry(value, f"partial keyword {key!r}")
+            bound += len(fn.args)
+            fn = fn.func
+        elif owner is not None:
+            carry(owner, "__self__")
+            if not hasattr(fn, "__func__"):
+                break  # a builtin's method: no bytecode to read
+            bound += 1
+            fn = fn.__func__
+        elif hasattr(fn, "__wrapped__"):
+            fn = inspect.unwrap(fn)
+        elif (hasattr(fn, "__code__") or isinstance(fn, type)
+                or not callable(fn)):
+            break
+        else:
+            carry(fn, "callable instance")
+            call = type(fn).__call__
+            if not hasattr(call, "__code__"):
+                break  # implemented in C: no bytecode to read
+            bound += 1
+            fn = call
+    return fn, bound, carriers
 
 
 def iter_code_objects(fn: Callable[..., Any], *,
@@ -135,10 +196,11 @@ def iter_code_objects(fn: Callable[..., Any], *,
     closure cells holding functions and module-global functions the code
     references by name — the historical FG104/FG109/resource-class
     frontier.  Bounded by ``max_depth`` and a seen-set, so arbitrary
-    user code cannot loop the scan.
+    user code cannot loop the scan.  Only ``fn`` itself is unbound
+    (:func:`_unbind`); callables met on the way are followed as before.
     """
     seen: set[int] = set()
-    frontier: list[tuple[Any, int]] = [(fn, 0)]
+    frontier: list[tuple[Any, int]] = [(_unbind(fn)[0], 0)]
     while frontier:
         obj, depth = frontier.pop()
         func = inspect.unwrap(obj) if callable(obj) else obj
@@ -223,8 +285,9 @@ def shared_state_evidence(fn: Callable[..., Any]) -> list[str]:
     contract FG109 documents (it catches the idiomatic per-round
     accumulator, not adversarial code).
     """
-    globals_ns = getattr(inspect.unwrap(fn), "__globals__", {})
-    evidence: list[str] = []
+    fn, _bound, carriers = _unbind(fn)
+    globals_ns = getattr(fn, "__globals__", {})
+    evidence = [f"carries state in through {c}" for c in carriers]
 
     def shared_global(name: str) -> bool:
         value = globals_ns.get(name, getattr(builtins, name, _UNKNOWN))
@@ -241,20 +304,18 @@ def shared_state_evidence(fn: Callable[..., Any]) -> list[str]:
     for code in iter_code_objects(fn):
         base_shared = False
         base_name = ""
-        for instr in dis.get_instructions(code):
-            op = instr.opname
+        for op, argval, arg in instructions(code):
             if op in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
-                base_name = str(instr.argval)
+                base_name = str(argval)
                 base_shared = (base_name in code.co_freevars
                                and shared_free(base_name))
             elif op == "LOAD_GLOBAL":
-                base_name = str(instr.argval)
+                base_name = str(argval)
                 base_shared = shared_global(base_name)
             elif op in ("LOAD_METHOD", "LOAD_ATTR"):
-                if base_shared and instr.argval in MUTATING_METHODS:
+                if base_shared and argval in MUTATING_METHODS:
                     evidence.append(
-                        f"calls .{instr.argval}() on shared "
-                        f"{base_name!r}")
+                        f"calls .{argval}() on shared {base_name!r}")
                     base_shared = False
             elif op == "STORE_SUBSCR":
                 if base_shared:
@@ -264,19 +325,19 @@ def shared_state_evidence(fn: Callable[..., Any]) -> list[str]:
             elif op == "STORE_ATTR":
                 if base_shared:
                     evidence.append(
-                        f"sets .{instr.argval} on shared {base_name!r}")
+                        f"sets .{argval} on shared {base_name!r}")
                 base_shared = False
             elif op == "STORE_DEREF":
-                if instr.argval in code.co_freevars:
+                if argval in code.co_freevars:
                     evidence.append(
-                        f"rebinds closure variable {instr.argval!r}")
+                        f"rebinds closure variable {argval!r}")
                 base_shared = False
             elif op == "STORE_GLOBAL":
-                evidence.append(f"rebinds global {instr.argval!r}")
+                evidence.append(f"rebinds global {argval!r}")
                 base_shared = False
             elif op.startswith("LOAD_FAST"):
                 base_shared = False
-                base_name = str(instr.argval)
+                base_name = str(argval)
             elif op not in TRANSPARENT_OPS:
                 base_shared = False
     return evidence
@@ -359,7 +420,7 @@ class _EffectScan:
 
     def __init__(self, fn: Callable[..., Any],
                  buffer_param: Optional[str]) -> None:
-        self.fn = inspect.unwrap(fn)
+        self.fn, _bound, carriers = _unbind(fn)
         self.globals_ns: dict[str, Any] = getattr(
             self.fn, "__globals__", {})
         code0 = getattr(self.fn, "__code__", None)
@@ -370,7 +431,7 @@ class _EffectScan:
         self.buffer_param = buffer_param
         self.reads: set[Cell] = set()
         self.writes: set[Cell] = set()
-        self.unresolved_writes: set[str] = set()
+        self.unresolved_writes: set[str] = set(carriers)
         self.escapes: list[str] = []
 
     # -- cell construction ----------------------------------------------
@@ -438,10 +499,9 @@ class _EffectScan:
         pending: list[tuple[str, Optional[str]]] = []
         call_made_alias = False
 
-        for instr in dis.get_instructions(code):
-            op = instr.opname
+        for op, argval, arg in instructions(code):
             if op in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
-                name = str(instr.argval)
+                name = str(argval)
                 base_key = None
                 reg_alias = False
                 if name in self.own_free:
@@ -449,13 +509,15 @@ class _EffectScan:
                 else:
                     base = None  # interior (stage-private) variable
             elif op == "LOAD_GLOBAL":
-                base = self._global_base(str(instr.argval))
+                base = self._global_base(str(argval))
                 base_key = None
                 reg_alias = False
-                if _is_callee_global(instr):
+                # callee position (3.11+): the low oparg bit asks for
+                # the NULL push that precedes a call
+                if arg and arg & 1:
                     pending.append(("fn", None))
             elif op.startswith("LOAD_FAST"):
-                name = str(instr.argval)
+                name = str(argval)
                 base = None
                 base_key = None
                 reg_alias = name in alias_locals
@@ -463,12 +525,12 @@ class _EffectScan:
                     alias_pending = True
             elif op == "LOAD_CONST":
                 if base is not None and base.key is None \
-                        and isinstance(instr.argval, (str, int)):
-                    base_key = f"[{instr.argval!r}]"
+                        and isinstance(argval, (str, int)):
+                    base_key = f"[{argval!r}]"
                 # const loads never clobber the register (transparent)
             elif op in ("LOAD_METHOD", "LOAD_ATTR"):
-                attr = str(instr.argval)
-                is_method = _is_method_load(instr)
+                attr = str(argval)
+                is_method = _is_method_load(op, arg)
                 if base is not None:
                     if attr in MUTATING_METHODS and is_method:
                         cell = dataclasses.replace(
@@ -530,7 +592,7 @@ class _EffectScan:
                 reg_alias = False
             elif op == "STORE_ATTR":
                 if base is not None:
-                    attr = str(instr.argval)
+                    attr = str(argval)
                     cell = Cell(base.obj_id, f".{attr}",
                                 f"{base.label}.{attr}")
                     self._record_write(cell)
@@ -543,7 +605,7 @@ class _EffectScan:
                 alias_pending = False
                 reg_alias = False
             elif op == "STORE_DEREF":
-                name = str(instr.argval)
+                name = str(argval)
                 if name in self.own_free:
                     self._record_write(self._deref_write_cell(name))
                     if alias_pending or reg_alias:
@@ -555,7 +617,7 @@ class _EffectScan:
                 alias_pending = False
                 reg_alias = False
             elif op == "STORE_GLOBAL":
-                name = str(instr.argval)
+                name = str(argval)
                 self._record_write(
                     Cell(id(self.globals_ns), f"[{name!r}]",
                          f"global {name}"))
@@ -567,7 +629,7 @@ class _EffectScan:
                 alias_pending = False
                 reg_alias = False
             elif op.startswith("STORE_FAST"):
-                name = str(instr.argval)
+                name = str(argval)
                 if reg_alias or call_made_alias:
                     alias_locals.add(name)
                 else:
@@ -603,12 +665,9 @@ class _EffectScan:
 
     @staticmethod
     def _slot_label(base: Cell, base_key: Optional[str]) -> str:
-        key = base.key or base_key
-        if key is None:
+        if base.key is not None or base_key is None:
             return base.label
-        if base.key is not None:
-            return base.label
-        return f"{base.label}{key}"
+        return f"{base.label}{base_key}"
 
 
 def fn_effects(fn: Callable[..., Any], *,
@@ -623,37 +682,41 @@ def fn_effects(fn: Callable[..., Any], *,
     """
     parts = getattr(fn, "_fg_effect_parts", None)
     if parts:
-        reads: set[Cell] = set()
-        writes: set[Cell] = set()
-        unresolved: list[str] = []
-        escapes: list[str] = []
-        for part in parts:
-            eff = fn_effects(part, buffer_param=_buffer_param_of(part))
-            reads.update(eff.reads)
-            writes.update(eff.writes)
-            unresolved.extend(eff.unresolved_writes)
-            escapes.extend(eff.buffer_escapes)
-        return Effects(frozenset(reads), frozenset(writes),
-                       tuple(sorted(set(unresolved))), tuple(escapes))
+        effs = [fn_effects(part, buffer_param=_buffer_param_of(part))
+                for part in parts]
+        return Effects(
+            frozenset(c for e in effs for c in e.reads),
+            frozenset(c for e in effs for c in e.writes),
+            tuple(sorted({w for e in effs for w in e.unresolved_writes})),
+            tuple(esc for e in effs for esc in e.buffer_escapes))
     return _EffectScan(fn, buffer_param).run()
 
 
 def _buffer_param_of(fn: Callable[..., Any]) -> Optional[str]:
     """Name of the buffer parameter of a map-style ``fn(ctx, buf)``."""
-    code = getattr(inspect.unwrap(fn), "__code__", None)
-    if code is None or code.co_argcount < 2:
+    func, bound, _carriers = _unbind(fn)
+    code = getattr(func, "__code__", None)
+    if code is None or code.co_argcount < bound + 2:
         return None
-    return code.co_varnames[1]
+    return code.co_varnames[bound + 1]
+
+
+def stage_effects(fn: Optional[Callable[..., Any]],
+                  style: str = "map") -> Optional[Effects]:
+    """The effects of ``fn`` run as a ``style`` stage (only a map stage
+    has a buffer parameter); None when there is no function."""
+    if fn is None:
+        return None
+    buffer_param = _buffer_param_of(fn) if style == "map" else None
+    return fn_effects(fn, buffer_param=buffer_param)
 
 
 def classify_fn(fn: Optional[Callable[..., Any]], *,
                 style: str = "map") -> Optional[str]:
     """``pure`` / ``read_shared`` / ``write_shared`` for a stage
     function; None when there is no function to classify."""
-    if fn is None:
-        return None
-    buffer_param = _buffer_param_of(fn) if style == "map" else None
-    return fn_effects(fn, buffer_param=buffer_param).classification
+    effects = stage_effects(fn, style)
+    return None if effects is None else effects.classification
 
 
 # -- FG114: unserializable captures ----------------------------------------
@@ -679,7 +742,7 @@ def unserializable_captures(fn: Callable[..., Any]) -> list[str]:
     cluster node does) serializes via its own reduction, so transitive
     reachability would flag the entire runtime.
     """
-    fn = inspect.unwrap(fn)
+    fn = _unbind(fn)[0]
     bad = _UNSERIALIZABLE_TYPES
     found: list[str] = []
     code = getattr(fn, "__code__", None)
@@ -735,11 +798,9 @@ class ProgramEffects:
     """Per-stage effects + cross-stage conflict pairs for one program."""
 
     stages: list[StageEffects]
-    #: conflicts between stages that can run concurrently (same pipeline
-    #: or same intersecting-pipeline family) — FG110's scope
-    conflicts: list[Conflict]
     #: conflicts across the whole program regardless of pipeline
-    #: structure — the FGRace cross-check's prediction set
+    #: structure — FG110's scope and the FGRace cross-check's
+    #: prediction set
     all_conflicts: list[Conflict]
 
     def stage(self, name: str) -> Optional[StageEffects]:
@@ -757,65 +818,33 @@ class ProgramEffects:
                  c.cell.key) for c in self.all_conflicts}
 
 
-def _family_index(graph: Any) -> dict[int, int]:
-    """Union-find over intersecting pipelines: id(PipelineIR) -> family."""
-    index = {id(p): i for i, p in enumerate(graph.pipelines)}
-    parent = {i: i for i in index.values()}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _stage, pipes in graph.intersections():
-        roots = [find(index[id(p)]) for p in pipes]
-        for r in roots[1:]:
-            parent[r] = roots[0]
-    return {pid: find(i) for pid, i in index.items()}
-
-
 def program_effects(graph: Any) -> ProgramEffects:
-    """Analyze every stage of a :class:`repro.plan.ir.ProgramGraph`.
+    """The whole-program view of a :class:`repro.plan.ir.ProgramGraph`.
 
-    Duck-typed on the graph (pipelines / stages / intersections) so this
-    module imports nothing from :mod:`repro.plan` — the IR imports *us*
-    to stamp ``parallel_safety``.
+    Reads the per-stage :class:`Effects` the graph scanned when it was
+    built (``StageNode.effects``) — nothing is re-scanned here — and
+    intersects them.  Duck-typed on the graph (pipelines / stages) so
+    this module imports nothing from :mod:`repro.plan` — the IR imports
+    *us* for ``stage_effects``.
     """
     entries: list[StageEffects] = []
-    by_stage: dict[int, tuple[StageEffects, Any]] = {}
+    seen: set[int] = set()
     for p in graph.pipelines:
         for node in p.stages:
             s = node.stage
-            if id(s) in by_stage:
+            if id(s) in seen:
                 continue
-            fn = s.fn
-            if fn is None:
-                eff = Effects(frozenset(), frozenset())
-                cls: Optional[str] = None
-            else:
-                buffer_param = (_buffer_param_of(fn)
-                                if node.style == "map" else None)
-                eff = fn_effects(fn, buffer_param=buffer_param)
-                cls = eff.classification
-            entry = StageEffects(name=node.name, pipeline=p.name,
-                                 style=node.style, effects=eff,
-                                 classification=cls,
-                                 fn_id=0 if fn is None else id(fn))
-            entries.append(entry)
-            by_stage[id(s)] = (entry, p)
-    families = _family_index(graph)
-    scoped: list[Conflict] = []
-    everywhere: list[Conflict] = []
-    items = list(by_stage.values())
-    for i, (a, pa) in enumerate(items):
-        for b, pb in items[i + 1:]:
-            found = _pair_conflicts(a, b)
-            everywhere.extend(found)
-            if found and families[id(pa)] == families[id(pb)]:
-                scoped.extend(found)
-    return ProgramEffects(stages=entries, conflicts=scoped,
-                          all_conflicts=everywhere)
+            seen.add(id(s))
+            entries.append(StageEffects(
+                name=node.name, pipeline=p.name, style=node.style,
+                effects=node.effects or Effects(frozenset(), frozenset()),
+                classification=node.parallel_safety,
+                fn_id=0 if s.fn is None else id(s.fn)))
+    conflicts: list[Conflict] = []
+    for i, a in enumerate(entries):
+        for b in entries[i + 1:]:
+            conflicts.extend(_pair_conflicts(a, b))
+    return ProgramEffects(stages=entries, all_conflicts=conflicts)
 
 
 def _pair_conflicts(a: StageEffects, b: StageEffects) -> list[Conflict]:

@@ -577,14 +577,18 @@ _CHECKS = (
 
 
 def lint_program(prog: "FGProgram",
-                 ignore: Optional[Iterable[str]] = None) -> LintReport:
+                 ignore: Optional[Iterable[str]] = None, *,
+                 graph: Optional[ProgramGraph] = None) -> LintReport:
     """Run every lint rule over ``prog`` and return the report.
 
     The program does not need to be started; rules operate on the
-    declared structure (pipelines, stages, hooks).
+    declared structure (pipelines, stages, hooks).  ``graph`` is the
+    program's IR when the caller already built it (``FGProgram.start``
+    shares one with FGRace and the provenance fingerprint).
     """
     suppressed = ignored_rules(ignore)
-    graph = ProgramGraph.from_program(prog)
+    if graph is None:
+        graph = ProgramGraph.from_program(prog)
     report = LintReport()
     for check in _CHECKS:
         report.extend(f for f in check(prog, graph)

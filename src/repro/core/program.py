@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from repro.check.dataflow import program_effects
 from repro.check.linter import normalize_rule_ids
 from repro.check.races import race_from_env
 from repro.check.sanitizer import Sanitizer, sanitize_from_env
@@ -73,6 +74,7 @@ from repro.errors import (
     StageFailure,
 )
 from repro.obs.observer import ProgramObserver
+from repro.plan.ir import ProgramGraph
 from repro.sim.channel import Channel
 from repro.sim.kernel import Kernel, Process
 
@@ -828,18 +830,20 @@ class FGProgram:
 
     # -- execution ------------------------------------------------------------------------
 
-    def lint(self, ignore: Optional[Iterable[str]] = None) -> list[Any]:
+    def lint(self, ignore: Optional[Iterable[str]] = None, *,
+             graph: Optional[ProgramGraph] = None) -> list[Any]:
         """Run the static linter over this program's declared structure.
 
         Returns the findings (also stored on :attr:`lint_findings`).
-        Called automatically from :meth:`start` unless linting is
-        disabled; may also be called directly before starting.
+        Called automatically from :meth:`start` (which passes the
+        ``graph`` it built) unless linting is disabled; may also be
+        called directly before starting.
         """
         from repro.check import linter as _linter
         merged = set(self._lint_ignore)
         if ignore:
             merged.update(ignore)
-        report = _linter.lint_program(self, ignore=merged)
+        report = _linter.lint_program(self, ignore=merged, graph=graph)
         self.lint_findings = list(report)
         if _linter.COLLECTOR is not None:
             _linter.COLLECTOR.append((self.name, list(report)))
@@ -863,23 +867,25 @@ class FGProgram:
         plan = getattr(self.kernel, "plan", None)
         if plan is not None:
             plan.apply(self)
+        # the per-program analysis happens once: one graph of the
+        # *planned* program (post-fusion, matching the stages actually
+        # spawned), each stage function scanned once, shared by the
+        # linter, FGRace and the provenance fingerprint
+        race = getattr(self.kernel, "race", None)
+        graph = None
+        if (self._lint_enabled or race is not None
+                or getattr(self.kernel, "provenance", None) is not None):
+            graph = ProgramGraph.from_program(self)
         if self._lint_enabled:
-            findings = self.lint()
+            findings = self.lint(graph=graph)
             errors = [f for f in findings if f.is_error]
             if errors:
                 raise LintError(findings)
-        race = getattr(self.kernel, "race", None)
         if race is not None:
-            # FGRace consumes the *planned* graph (post-fusion), so the
-            # effect sets it replays match the stages actually spawned
-            from repro.check.dataflow import program_effects
-            from repro.plan.ir import ProgramGraph
-            race.register_program(
-                program_effects(ProgramGraph.from_program(self)))
+            race.register_program(program_effects(graph))
         self._assemble()
-        self.observer.program_started()
+        self.observer.program_started(graph)
         procs: list[Process] = []
-        spawned_sources: set[int] = set()
         for p in self.pipelines:
             family = self._family_of(p)
             if family is None:

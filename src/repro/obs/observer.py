@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.program import FGProgram
     from repro.core.stage import Stage
     from repro.obs.metrics import MetricsRegistry
+    from repro.plan.ir import ProgramGraph
 
 __all__ = ["ProgramObserver"]
 
@@ -53,18 +54,20 @@ class ProgramObserver:
 
     # -- program lifecycle --------------------------------------------------
 
-    def program_started(self) -> None:
+    def program_started(self, graph: Optional["ProgramGraph"]) -> None:
         """The program assembled and is about to spawn its processes.
 
-        Forwards the program to the kernel's provenance capture
-        (:class:`repro.prov.capture.ProvenanceCapture`) when one is
-        attached, so every FG program — dsort's passes, csort's, chaos
-        runs, tuned runs — reports its stage-graph fingerprint with zero
-        per-app code.
+        Forwards the program and ``graph`` — the IR ``start()`` built
+        for the linter, always present when a capture is attached — to
+        the kernel's provenance capture, so every FG program — dsort's
+        passes, csort's, chaos runs, tuned runs — reports its
+        stage-graph fingerprint with zero per-app code and no second
+        walk.
         """
         capture = getattr(self.kernel, "provenance", None)
         if capture is not None:
-            capture.on_program_start(self.program)
+            assert graph is not None
+            capture.on_program_start(self.program, graph)
 
     # -- stage lifecycle ----------------------------------------------------
 

@@ -35,6 +35,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.check.dataflow import Effects
     from repro.core.pipeline import Pipeline
     from repro.core.program import FGProgram
     from repro.core.stage import Stage
@@ -59,13 +60,20 @@ class StageNode:
     #: the underlying Stage object — identity for intersection analysis,
     #: ``fn`` for the linter's bytecode rules; never part of canonical()
     stage: Any = dataclasses.field(compare=False, repr=False)
-    #: parallel-safety verdict of the stage function —
-    #: ``"pure"`` / ``"read_shared"`` / ``"write_shared"``
-    #: (:func:`repro.check.dataflow.classify_fn`); None when the stage
-    #: has no function to classify.  Part of canonical(), so the
-    #: provenance fingerprint pins the verdict a parallel backend would
-    #: schedule by.
-    parallel_safety: Optional[str] = None
+    #: effect sets of the stage function
+    #: (:func:`repro.check.dataflow.stage_effects`), scanned once per
+    #: distinct stage object when the graph is built and read — not
+    #: re-scanned — by the effect rules and FGRace; None without a
+    #: function
+    effects: Optional["Effects"] = dataclasses.field(
+        default=None, repr=False)
+
+    @property
+    def parallel_safety(self) -> Optional[str]:
+        """``"pure"`` / ``"read_shared"`` / ``"write_shared"``, or None.
+        Part of canonical(), so the provenance fingerprint pins the
+        verdict a parallel backend would schedule by."""
+        return None if self.effects is None else self.effects.classification
 
     def canonical(self) -> dict[str, Any]:
         entry: dict[str, Any] = {"name": self.name, "style": self.style}
@@ -75,8 +83,8 @@ class StageNode:
             entry["replicas"] = self.replica_count
         if self.fused_from:
             entry["fused_from"] = list(self.fused_from)
-        if self.parallel_safety is not None:
-            entry["parallel_safety"] = self.parallel_safety
+        if self.effects is not None:
+            entry["parallel_safety"] = self.effects.classification
         return entry
 
 
@@ -203,8 +211,15 @@ class ProgramGraph:
         # lazy on purpose: dataflow lives in repro.check, which imports
         # this module — the verdict flows IR <- dataflow, rules flow
         # linter <- IR
-        from repro.check.dataflow import classify_fn
+        from repro.check.dataflow import stage_effects
 
+        # one scan per distinct stage object; id() keys live only for
+        # this call, while ``program`` keeps every stage alive
+        effects: dict[int, Optional["Effects"]] = {}
+        for p in program.pipelines:
+            for s in p.stages:
+                if id(s) not in effects:
+                    effects[id(s)] = stage_effects(s.fn, s.style)
         pipelines: list[PipelineIR] = []
         pool_deltas = getattr(program, "pool_deltas", None)
         for p in program.pipelines:
@@ -214,8 +229,7 @@ class ProgramGraph:
                 replicated=p.is_replicated(s),
                 replica_count=p.replica_count(s),
                 fused_from=tuple(getattr(s, "fused_from", ()) or ()),
-                stage=s,
-                parallel_safety=classify_fn(s.fn, style=s.style))
+                stage=s, effects=effects[id(s)])
                 for s in p.stages]
             grown, retired = (0, 0) if pool_deltas is None else pool_deltas(p)
             pipelines.append(PipelineIR(

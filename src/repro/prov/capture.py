@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.prov.fingerprint import stage_graph_fingerprint
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.program import FGProgram
+    from repro.plan.ir import ProgramGraph
     from repro.sim.kernel import Kernel
 
 __all__ = ["ProvenanceCapture"]
@@ -42,10 +41,13 @@ class ProvenanceCapture:
         self.program_starts = 0
         kernel.provenance = self
 
-    def on_program_start(self, program: "FGProgram") -> None:
-        """Called via ProgramObserver when a program assembles."""
+    def on_program_start(self, program: "FGProgram",
+                         graph: "ProgramGraph") -> None:
+        """Called via ProgramObserver when a program assembles, with the
+        graph ``start()`` built for the linter — the fingerprint is of
+        exactly what was linted, and costs no second walk."""
         self.program_starts += 1
-        self.stage_graphs[program.name] = stage_graph_fingerprint(program)
+        self.stage_graphs[program.name] = graph.fingerprint()
 
     def detach(self) -> None:
         """Stop capturing on this kernel."""

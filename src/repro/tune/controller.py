@@ -264,9 +264,6 @@ class TuneController:
         self.decisions: list[TuneDecision] = []
         self.samples: list[TuneSample] = []
         self._proc = None
-        #: parallel-safety verdicts by id(fn); the effect scan is pure,
-        #: so one verdict per stage function serves every window
-        self._safety_cache: dict[int, str] = {}
 
     def decision_log(self) -> list[dict]:
         """The applied/rejected decisions as JSON-able data.
@@ -357,14 +354,10 @@ class TuneController:
 
         stage = next((s for s in pipeline.stages
                       if s.name == stage_name), None)
+        # asked afresh each time: the scan is cheap (bytecode is decoded
+        # once per code object) and what the closure holds can change
         fn = getattr(stage, "fn", None)
-        if fn is None:
-            return False
-        cached = self._safety_cache.get(id(fn))
-        if cached is None:
-            cached = dataflow.classify_fn(fn)
-            self._safety_cache[id(fn)] = cached
-        return cached == dataflow.WRITE_SHARED
+        return dataflow.classify_fn(fn) == dataflow.WRITE_SHARED
 
     def apply(self, action: TuneAction) -> bool:
         """Apply one action; returns whether it took effect."""

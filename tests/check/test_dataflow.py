@@ -6,6 +6,7 @@ evidence scan and the planner's resource signatures now both ride
 their verdicts on the pre-refactor fixtures did not move.
 """
 
+import functools
 import threading
 
 import pytest
@@ -143,6 +144,118 @@ def test_variable_key_subscript_is_documented_false_negative():
     # documents.  Pinned so a future fix updates the docs too.
     eff = fn_effects(stage)
     assert eff.classification == PURE
+
+
+# -- state that arrives outside closure cells and globals -------------------
+#
+# A partial's arguments, a bound method's ``self`` and a callable
+# instance reach the function as ordinary parameters, which the scan
+# treats as private.  They used to classify ``pure`` — the one verdict
+# that unlocks replication and fusion.
+
+def _accumulate(acc, ctx, buf):
+    acc.append(buf.round)
+    return buf
+
+
+class _Counter:
+    def __init__(self):
+        self.n = 0
+
+    def __call__(self, ctx, buf):
+        self.n += 1
+        return buf
+
+    def bump(self, ctx, buf):
+        self.n += 1
+        return buf
+
+    @classmethod
+    def stateless(cls, ctx, buf):
+        return buf
+
+    @staticmethod
+    def plain(ctx, buf):
+        return buf
+
+
+def test_partial_carrying_mutable_state_is_write_shared():
+    stage = functools.partial(_accumulate, [])
+    assert classify_fn(stage) == WRITE_SHARED
+    assert fn_effects(stage).unresolved_writes == (
+        "partial argument 0 (list)",)
+    by_keyword = functools.partial(lambda ctx, buf, acc: buf, acc={})
+    assert fn_effects(by_keyword).unresolved_writes == (
+        "partial keyword 'acc' (dict)",)
+    nested = functools.partial(functools.partial(_accumulate), set())
+    assert classify_fn(nested) == WRITE_SHARED
+
+
+def test_partial_carrying_only_immutables_keeps_the_functions_verdict():
+    assert classify_fn(functools.partial(_accumulate, (1, 2))) == PURE
+    assert classify_fn(functools.partial(_accumulate, None)) == PURE
+    shared = {}
+
+    def reader(scale, ctx, buf):
+        return buf if shared["k"] else None
+
+    # the rest of the analysis runs on partial.func
+    stage = functools.partial(reader, 3)
+    assert classify_fn(stage) == READ_SHARED
+    assert [str(c) for c in fn_effects(stage).reads] == ["shared['k']"]
+
+
+def test_partial_shifts_the_buffer_parameter():
+    keep = []
+
+    def hoarder(scale, ctx, buf):
+        keep.append(buf)
+        return buf
+
+    stage = functools.partial(hoarder, 2)
+    eff = fn_effects(stage, buffer_param="buf")
+    assert eff.buffer_escapes
+    prog = fresh_prog("partial-escape")
+    prog.add_pipeline("p", [Stage.map("hoard", stage)], nbuffers=1,
+                      buffer_bytes=8, rounds=1)
+    node = ProgramGraph.from_program(prog).pipelines[0].stages[0]
+    assert node.effects.buffer_escapes == eff.buffer_escapes
+
+
+def test_bound_method_and_callable_instance_are_write_shared():
+    counter = _Counter()
+    assert classify_fn(counter.bump) == WRITE_SHARED
+    assert fn_effects(counter.bump).unresolved_writes == (
+        "__self__ (_Counter)",)
+    assert classify_fn(counter) == WRITE_SHARED
+    assert fn_effects(counter).unresolved_writes == (
+        "callable instance (_Counter)",)
+    # a builtin's bound method has no bytecode, but its owner is state
+    assert classify_fn([].append) == WRITE_SHARED
+
+
+def test_methods_without_instance_state_stay_pure():
+    # a classmethod's __self__ is the class, a staticmethod has none,
+    # a builtin function's is its module: none of them is mutable state
+    assert classify_fn(_Counter.stateless) == PURE
+    assert classify_fn(_Counter().plain) == PURE
+    assert classify_fn(len) == PURE
+
+
+def test_wrapped_stage_callables_are_seen_through_by_every_scan():
+    shared = []
+
+    def declarer(log, ctx, buf):
+        shared.append(1)
+        ctx.convey_caboose()
+
+    stage = functools.partial(declarer, ())
+    assert "convey_caboose" in reachable_names(stage)
+    assert shared_state_evidence(stage) == [
+        "calls .append() on shared 'shared'"]
+    assert shared_state_evidence(functools.partial(_accumulate, [])) == [
+        "carries state in through partial argument 0 (list)"]
+
 
 
 # -- cell conflict semantics ------------------------------------------------

@@ -271,6 +271,40 @@ def test_controller_refuses_to_replicate_a_shared_state_writer():
     assert kernel.metrics.counter("tune.add_replica.unsafe").value == 1
 
 
+def test_controller_refuses_to_replicate_a_partial_carrying_state():
+    # state handed in through functools.partial is invisible to the
+    # bytecode scan (the function sees a parameter); it used to classify
+    # ``pure`` and replicate.  The verdict is read afresh per action —
+    # the controller keeps no id()-keyed cache of it.
+    import functools
+
+    kernel = VirtualTimeKernel()
+    kernel.enable_metrics()
+    prog = FGProgram(kernel, name="partial-demo", lint_ignore={"FG109"})
+
+    def work(seen, ctx, buf):
+        seen.append(buf.round)
+        return buf
+
+    prog.add_pipeline("p", [Stage.map("work", functools.partial(work, []))],
+                      nbuffers=4, buffer_bytes=8, rounds=4,
+                      replicas={"work": 1})
+    results = []
+
+    def driver():
+        prog.start()
+        controller = TuneController(prog, 0.01)
+        assert not hasattr(controller, "_safety_cache")
+        results.append(controller.apply(TuneAction(
+            "add_replica", "p", stage="work", reason="backlog")))
+        prog.wait()
+
+    kernel.spawn(driver, name="driver")
+    kernel.run()
+    assert results == [False]
+    assert kernel.metrics.counter("tune.add_replica.unsafe").value == 1
+
+
 def test_controller_still_replicates_pure_stages():
     _, prog, controller = run_demo(controlled=True)
     assert any(d.action.kind == "add_replica" and d.applied
