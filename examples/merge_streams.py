@@ -95,6 +95,12 @@ def main(n_runs: int = 64) -> None:
             refill()
             emitted = 0
             while not merger.exhausted:
+                if not merger.ready:
+                    # only take an output buffer once a record is
+                    # available: a refill that exhausts the merger would
+                    # otherwise strand an accepted, empty buffer here
+                    refill()
+                    continue
                 out = ctx.accept(horizontal)
                 target = out.capacity // SCHEMA.record_bytes
                 records = out.data.view(SCHEMA.dtype)

@@ -100,10 +100,15 @@ class MemoryStorage(Storage):
         raw = self._as_bytes(data)
         self._check(offset, len(raw))
         buf = self._files.setdefault(name, bytearray())
-        end = offset + len(raw)
-        if end > len(buf):
-            buf.extend(b"\x00" * (end - len(buf)))
-        buf[offset:end] = raw.tobytes()
+        if offset > len(buf):
+            buf.extend(bytes(offset - len(buf)))
+        # one copy, straight from the array's buffer (``buf[a:b] = raw``
+        # builds a temporary bytearray first): overwrite, then append
+        inside = min(len(raw), len(buf) - offset)
+        if inside:
+            with memoryview(buf) as view:
+                view[offset:offset + inside] = raw[:inside]
+        buf.extend(raw[inside:])
 
     def size(self, name: str) -> int:
         return len(self._files.get(name, b""))
@@ -119,11 +124,13 @@ class MemoryStorage(Storage):
 
     def truncate(self, name: str, nbytes: int) -> None:
         self._check(0, nbytes)
-        buf = self._files.setdefault(name, bytearray())
-        if nbytes <= len(buf):
+        buf = self._files.get(name)
+        if buf is None:
+            self._files[name] = bytearray(nbytes)
+        elif nbytes <= len(buf):
             del buf[nbytes:]
         else:
-            buf.extend(b"\x00" * (nbytes - len(buf)))
+            buf.extend(bytes(nbytes - len(buf)))
 
 
 class FileStorage(Storage):
@@ -169,7 +176,7 @@ class FileStorage(Storage):
             if offset > size:
                 fh.write(b"\x00" * (offset - size))
             fh.seek(offset)
-            fh.write(raw.tobytes())
+            fh.write(raw)
 
     def size(self, name: str) -> int:
         path = self._path(name)

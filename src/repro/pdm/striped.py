@@ -107,17 +107,19 @@ class StripedFile:
     def read_all(self) -> np.ndarray:
         """Untimed read of all records in global (PDM) order."""
         total = self.total_records()
-        out = self.schema.empty(total)
-        pos = 0
-        block = 0
-        while pos < total:
-            node = self.node_of_block(block)
-            local = self.local_block(block) * self.block_records
-            count = min(self.block_records, total - pos)
-            out[pos:pos + count] = self.locals[node].peek(local, count)
-            pos += count
-            block += 1
-        return out
+        B, W = self.block_records, self.stripe_width
+        # grid[i, k] is global block i*W + k; owner k's file is column k,
+        # block after block, so each file is read once.  ``full`` whole
+        # rounds, then one more for the records that remain
+        full, rest = divmod(total, W * B)
+        grid = self.schema.empty((full + 1) * W * B).reshape(full + 1, W, B)
+        for k, rank in enumerate(self.owners):
+            count = full * B + min(max(rest - k * B, 0), B)
+            if count:
+                held = self.locals[rank].peek(0, count)
+                grid[:full, k] = held[:full * B].reshape(full, B)
+                grid[full, k, :count - full * B] = held[full * B:]
+        return grid.reshape(-1)[:total]
 
     def delete(self) -> None:
         for f in self.locals:

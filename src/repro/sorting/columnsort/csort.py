@@ -99,13 +99,6 @@ class CsortReport:
         return self.pass1_time + self.pass2_time + self.pass3_time
 
 
-def _chunk_for_dest(matrix_pieces: np.ndarray, dest: int, P: int,
-                    spp: int) -> np.ndarray:
-    """Group pieces for one destination node, ordered by its local round."""
-    # matrix_pieces has shape (s, frag) with row j = piece for column j
-    return np.ascontiguousarray(matrix_pieces[dest::P]).reshape(-1)
-
-
 def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
                         schema: RecordSchema, plan: ColumnsortPlan,
                         in_file: str, in_fragmented: bool, out_file: str,
@@ -119,6 +112,8 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
     rec_bytes = schema.record_bytes
     rf_in = RecordFile(node.disk, in_file, schema)
     rf_out = RecordFile(node.disk, out_file, schema)
+    # sized up front like the output, so each round's block lands in place
+    node.disk.storage.truncate(out_file, spp * r * rec_bytes)
     tag = 41 if routing == "transpose" else 42
 
     def read(ctx, buf):
@@ -127,7 +122,8 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
             # column j = t*P + rank, as s/P contiguous chunks
             parts = [rf_in.read(tp * r + t * (P * frag), P * frag)
                      for tp in range(spp)]
-            column = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            column = (np.concatenate(parts, dtype=schema.dtype)
+                      if len(parts) > 1 else parts[0])
         else:
             column = rf_in.read(t * r, r)
         buf.put(column)
@@ -143,25 +139,27 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
     def communicate(ctx, buf):
         records = buf.view(schema.dtype)
         column = buf.tags["column"]
+        # one gathering copy per destination, in its local round order
         if routing == "transpose":
             # row i -> column i % s: piece for column j is records[j::s]
-            pieces = np.ascontiguousarray(
-                records.reshape(r // s, s).T)        # (s, frag)
+            pieces = records.reshape(r // s, s).T    # (s, frag) view
+            chunks = [pieces[dest::P].flatten() for dest in range(P)]
         else:
             # row i -> column (i*s + c) // r: contiguous slices
             starts = [max(0, (j * r - column + s - 1) // s)
                       for j in range(s)] + [r]
-            pieces = np.stack([records[starts[j]:starts[j + 1]]
-                               for j in range(s)])   # (s, frag)
+            chunks = [np.concatenate(
+                [records[starts[j]:starts[j + 1]]
+                 for j in range(dest, s, P)], dtype=schema.dtype)
+                for dest in range(P)]
         node.compute_copy(records.nbytes)
-        chunks = [_chunk_for_dest(pieces, dest, P, spp)
-                  for dest in range(P)]
         received = comm.alltoall(chunks)
-        # assemble the round block: [my column j_local][sender n][frag]
-        stacked = np.stack([c.reshape(spp, frag) for c in received],
-                           axis=1)                   # (spp, P, frag)
+        # assemble the round block in place (every chunk is a copy, so
+        # the buffer is free): [my column j_local][sender n][frag]
+        block = records.reshape(spp, P, frag)
+        for sender, chunk in enumerate(received):
+            block[:, sender] = chunk.reshape(spp, frag)
         node.compute_copy(records.nbytes)
-        buf.put(stacked.reshape(-1))
         return buf
 
     def write(ctx, buf):
@@ -200,7 +198,8 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
             return buf
         parts = [rf_in.read(tp * r + t * (P * frag), P * frag)
                  for tp in range(spp)]
-        column = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        column = (np.concatenate(parts, dtype=schema.dtype)
+                  if len(parts) > 1 else parts[0])
         buf.put(column)
         buf.tags["column"] = t * P + comm.rank
         return buf
@@ -231,7 +230,7 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
                 continue
             column = buf.tags["column"]
             records = buf.view(schema.dtype)
-            top = records[:half].copy()
+            top = records[:half]   # stays in the buffer until the put
             bottom = records[half:].copy()
             if column + 1 < s:
                 comm.send((column + 1) % P, bottom, tag=TAG_SHIFT)
@@ -245,7 +244,8 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
                 _, prev_bottom = comm.recv(source=(column - 1) % P,
                                            tag=TAG_SHIFT)
                 node.compute_copy(prev_bottom.nbytes + top.nbytes)
-                buf.put(np.concatenate([prev_bottom, top]))
+                buf.put(np.concatenate([prev_bottom, top],
+                                       dtype=schema.dtype))
                 buf.tags["g0"] = column * r - half
             ctx.convey(buf)
 
@@ -290,8 +290,8 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
                     if metas[owner] is None:
                         metas[owner] = {"gb": gb, "off": lo - gb * B}
             for dest in range(P):
-                payload = (np.concatenate(groups[dest]) if groups[dest]
-                           else schema.empty(0))
+                payload = (np.concatenate(groups[dest], dtype=schema.dtype)
+                           if groups[dest] else schema.empty(0))
                 comm.send(dest, payload, tag=TAG_STRIPE, meta=metas[dest])
             buf.clear()
             placements = []

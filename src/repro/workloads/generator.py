@@ -64,7 +64,7 @@ def generate_input(cluster: Cluster, schema: RecordSchema, n_per_node: int,
         rf = RecordFile(node.disk, INPUT_FILE, schema)
         rf.delete()
         rf.poke(0, records)
-    sorted_keys = np.sort(np.concatenate(all_keys), kind="stable")
+    sorted_keys = np.sort(np.concatenate(all_keys))  # bare keys: no ties to order
     return DatasetManifest(distribution=distribution, schema=schema,
                            n_per_node=n_per_node, n_nodes=cluster.n_nodes,
                            seed=seed, sorted_keys=sorted_keys)

@@ -79,6 +79,28 @@ def test_groupby_single_key():
     assert sum(r.distinct_keys for r in reports) == 1
 
 
+def test_groupby_heavy_duplicates_with_serial_numbered_values():
+    """50 keys over 4 x 8192 records whose value is a global serial
+    number, so a record dropped for a copy of another one with the same
+    key moves that key's sum.  2048-record blocks reach the SIMD argsort
+    and its tie repair in sort_and_combine."""
+    cluster = Cluster(n_nodes=4, hardware=fast_hw())
+    rng = np.random.default_rng(13)
+    keys = rng.integers(0, 50, size=4 * 8192, dtype=np.uint64)
+    serials = np.arange(len(keys), dtype=np.uint64)
+    for rank, node in enumerate(cluster.nodes):
+        mine = slice(rank * 8192, (rank + 1) * 8192)
+        RecordFile(node.disk, "kv-input", SCHEMA).poke(
+            0, SCHEMA.make(keys[mine], serials[mine]))
+    cluster.run(run_groupby, GroupByConfig(
+        block_records=2048, vertical_block_records=256,
+        out_block_records=128))
+    sums = np.zeros(50, dtype=np.uint64)
+    np.add.at(sums, keys.astype(np.int64), serials)
+    assert read_groups(cluster) == {
+        k: int(v) for k, v in enumerate(sums) if (keys == k).any()}
+
+
 def test_groupby_single_node():
     run_case(n_nodes=1, per_node=3000, key_space=50)
 

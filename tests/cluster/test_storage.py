@@ -1,5 +1,7 @@
 """Unit tests for storage backends (memory and real files)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,65 @@ def test_empty_read_of_existing_file(storage):
     storage.write("f", 0, np.zeros(3, dtype=np.uint8))
     out = storage.read("f", 1, 0)
     assert out.size == 0
+
+
+# -- counts, not timings: how many bytes one MemoryStorage call allocates ----
+
+COPY_TEST_BYTES = 8 << 20
+
+
+def _peak_new_bytes(call) -> float:
+    """Peak of bytes allocated during ``call``, over COPY_TEST_BYTES."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return ((tracemalloc.get_traced_memory()[1] - before)
+                / COPY_TEST_BYTES)
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_write_allocates_each_byte_once():
+    """Append: the file's own growth and nothing else (3.0x before: a
+    zero filler, ``tobytes()`` and the slice-assignment's temporary).
+    In-place overwrite: nothing at all."""
+    store = MemoryStorage()
+    data = np.arange(COPY_TEST_BYTES // 8, dtype="<u8")
+    assert _peak_new_bytes(lambda: store.write("f", 0, data)) <= 1.1
+    assert _peak_new_bytes(lambda: store.write("f", 0, data[::-1])) <= 1.1
+    # (the reversed view is the non-contiguous case: one contiguous copy)
+    assert _peak_new_bytes(lambda: store.write("f", 0, data)) <= 0.01
+    # straddling the end: overwrite the tail in place, append the rest
+    # (no bound: tracemalloc books a growing realloc as old + new block)
+    half = COPY_TEST_BYTES // 2
+    store.write("f", half, data)
+    assert store.size("f") == half + COPY_TEST_BYTES
+    np.testing.assert_array_equal(
+        store.read("f", 0, half).view("<u8"), data[:half // 8])
+    np.testing.assert_array_equal(
+        store.read("f", half, COPY_TEST_BYTES).view("<u8"), data)
+
+
+def test_memory_fresh_truncate_allocates_each_byte_once():
+    """2.0x before: a zero filler, then the file extended by it."""
+    store = MemoryStorage()
+    assert _peak_new_bytes(
+        lambda: store.truncate("f", COPY_TEST_BYTES)) <= 1.1
+    assert store.size("f") == COPY_TEST_BYTES
+    assert not store.read("f", 0, COPY_TEST_BYTES).any()
+
+
+def test_write_of_a_non_contiguous_array_stores_its_bytes(storage):
+    records = np.zeros(64, dtype=[("key", "<u8"), ("serial", "<u8")])
+    records["key"] = np.arange(64)[::-1]
+    records["serial"] = np.arange(64)
+    for view in (records[::3], records[::-1], records["key"],
+                 records.reshape(8, 8).T):
+        assert not view.flags.c_contiguous
+        storage.write("f", 16, view)
+        expected = np.ascontiguousarray(view).tobytes()
+        assert storage.size("f") >= 16 + len(expected)
+        assert storage.read("f", 16, len(expected)).tobytes() == expected
+        assert not storage.read("f", 0, 16).any()

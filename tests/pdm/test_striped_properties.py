@@ -86,3 +86,43 @@ def test_property_partial_writes_compose(n_nodes, block, data):
     cluster.run(main)
     np.testing.assert_array_equal(
         striped.locals[striped.node_of_block(0)].peek(0, block), records)
+
+
+def read_all_block_by_block(striped):
+    """The reference: one ``peek`` per global block, in order (how
+    ``read_all`` was written before it read each owner's file once)."""
+    total = striped.total_records()
+    out = striped.schema.empty(total)
+    pos = block = 0
+    while pos < total:
+        node = striped.node_of_block(block)
+        local = striped.local_block(block) * striped.block_records
+        count = min(striped.block_records, total - pos)
+        out[pos:pos + count] = striped.locals[node].peek(local, count)
+        pos += count
+        block += 1
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=5),     # nodes
+       st.integers(min_value=1, max_value=7),     # block size
+       st.integers(min_value=0, max_value=120),   # total records
+       st.data())
+def test_property_read_all_equals_the_per_block_reference(n_nodes, block,
+                                                          total, data):
+    """Any stripe layout (all ranks, or survivors in any order), whole
+    and partial last rounds, empty and absent owner files."""
+    owners = data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=1,
+                                max_size=n_nodes, unique=True))
+    cluster, _ = make_striped(n_nodes, block)
+    striped = StripedFile(cluster, "f", SCHEMA, block, owners=owners)
+    records = SCHEMA.from_keys(np.arange(total, dtype=np.uint64))
+    for b in range(-(-total // block)):
+        striped.locals[striped.node_of_block(b)].poke(
+            striped.local_block(b) * block,
+            records[b * block:(b + 1) * block])
+    out = striped.read_all()
+    assert out.dtype == SCHEMA.dtype and out.flags.c_contiguous
+    np.testing.assert_array_equal(out, read_all_block_by_block(striped))
+    np.testing.assert_array_equal(out, records)
