@@ -12,6 +12,7 @@ The CLI exit code is 0 (clean), 1 (lint errors — or warnings under
 from __future__ import annotations
 
 import json
+import os
 import runpy
 import sys
 from typing import Callable, Optional, Sequence
@@ -77,6 +78,11 @@ def _run_one(path: str, *, effects: bool = False) -> tuple[
     # the file runs as __main__ and may parse sys.argv; hand it a clean
     # one so the repro CLI's own arguments don't leak into it
     sys.argv = [path]
+    # this is the *static* gate: the dynamic detectors' opt-in variables
+    # are masked while the file runs, or a RaceError/SanitizerError they
+    # raise would be reported as a non-lint crash (exit 2)
+    masked = {var: os.environ.pop(var) for var in
+              ("REPRO_RACE", "REPRO_SANITIZE") if var in os.environ}
     crash: Optional[BaseException] = None
     try:
         runpy.run_path(path, run_name="__main__")
@@ -90,6 +96,7 @@ def _run_one(path: str, *, effects: bool = False) -> tuple[
         linter.COLLECTOR = previous
         linter.EFFECTS = previous_effects
         sys.argv = previous_argv
+        os.environ.update(masked)
     findings = [f for _, report in collected for f in report]
     stage_effects = [(prog, pipeline, stage, safety)
                      for prog, rows in effect_rows

@@ -86,33 +86,22 @@ class StageContext:
         queue = self.program.in_queue(p, self.stage)
         t0 = self.kernel.now()
         buf = queue.get()
-        self.program.observer.accepted(self.stage,
-                                       self.kernel.now() - t0)
-        sanitizer = self.program.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_accept(self.stage, p, buf)
-        race = self.kernel.race
-        if race is not None and not buf.is_caboose:
-            # the stage fn never runs for the caboose — replaying its
-            # effect set for one would fabricate an end-of-stream race
-            race.on_stage_access(self.stage)
+        # the caboose counts as an accept here
+        self.program._accepted(self.stage, p, buf, self.kernel.now() - t0)
         return buf
 
     def convey(self, buffer: Buffer) -> None:
         """Convey ``buffer`` to this stage's successor in the buffer's
         own pipeline (buffers never jump pipelines)."""
         p = buffer.pipeline
-        sanitizer = self.program.sanitizer
+        program = self.program
         if not any(q is p for q in self.pipelines):
-            if sanitizer is not None:
-                sanitizer.on_foreign_convey(self.stage, buffer)
+            if program.sanitizer is not None:
+                program.sanitizer.on_foreign_convey(self.stage, buffer)
             raise StageError(
                 f"stage {self.stage.name!r} cannot convey a buffer tied to "
                 f"pipeline {p.name!r}, which it does not belong to")
-        if sanitizer is not None:
-            sanitizer.on_convey(self.stage, buffer)
-        self.program.out_queue(p, self.stage).put(buffer)
-        self.program.observer.conveyed(self.stage, buffer)
+        program._convey(self.stage, buffer, program.out_queue(p, self.stage))
 
     def convey_caboose(self, pipeline: Optional[Pipeline] = None) -> None:
         """Declare end-of-stream on a pipeline whose length was unknown.
@@ -123,9 +112,11 @@ class StageContext:
         upstream of the caller would otherwise never terminate.
         """
         p = self._resolve(pipeline)
-        self.program.mark_stage_eos(p, self.stage)
-        self.program.out_queue(p, self.stage).put(Buffer.caboose(p, self.program.sanitizer))
-        self.program.observer.conveyed(self.stage)
+        program = self.program
+        program.mark_stage_eos(p, self.stage)
+        # counted as a convey, though no pooled buffer moves
+        program._convey(self.stage, program._caboose(p),
+                        program.out_queue(p, self.stage))
 
     def forward(self, caboose: Buffer) -> None:
         """Pass a received caboose to the successor (map loops use this)."""

@@ -5,7 +5,8 @@ This module is FG's "framework generator": given pipeline descriptions, it
 1. detects **intersecting** pipelines (a stage object appearing in several
    pipelines gets one thread and per-pipeline queues),
 2. groups **virtual** stages (one thread + one shared queue per group) and
-   virtualizes the sources/sinks of their pipeline *families*,
+   the pipelines they link into *families* sharing one source and one sink
+   thread (any other pipeline is a family of one),
 3. materializes buffer pools, inter-stage queues, and the sink-to-source
    recycling channels, and
 4. spawns one kernel process per thread FG would create, runs them, and
@@ -36,19 +37,18 @@ Two runtime mechanisms back the ``repro.tune`` subsystem:
   *ticket*, and a synthetic sequencer process restores ticket order
   before the successor stage, so downstream observes exactly the
   single-copy order.  The caboose terminates replicas by a live-counter
-  relay: each replica that sees it decrements the live count and re-puts
-  it for its siblings; the last one forwards it to the sequencer (all
-  data tickets are already in the reorder channel by then, because each
-  replica conveys its buffer before it can accept the caboose).
-  :meth:`FGProgram.add_replica` grows a replica set mid-run.
+  relay (see ``_run_replica``).  :meth:`FGProgram.add_replica` grows a
+  replica set mid-run.
 
 * **dynamic buffer pools** — :meth:`FGProgram.add_buffers` materializes
   and circulates extra buffers while the program runs (the recycle
   channel is unbounded, so this never blocks);
   :meth:`FGProgram.retire_buffers` asks the source to take buffers out
-  of circulation as they come back around.  Both are sanitizer-aware:
-  grown buffers are tracked from birth, retired buffers move to a
-  terminal RETIRED state that flags any later use.
+  of circulation as they come back around.
+
+Every buffer-lifecycle event (emit, accept, convey, drop, ...) is
+announced to the observer, FGSan and FGRace from exactly one site here;
+DESIGN.md's "Buffer lifecycle events" table lists them.
 """
 
 from __future__ import annotations
@@ -81,26 +81,14 @@ from repro.sim.kernel import Kernel, Process
 __all__ = ["FGProgram", "ReplicaSet"]
 
 
-class _Skip:
-    """Reorder-channel token: a replica dropped the buffer of ``ticket``
-    (its map function returned None), so the sequencer must not wait for
-    that ticket."""
-
-    __slots__ = ("ticket",)
-
-    def __init__(self, ticket: int) -> None:
-        self.ticket = ticket
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Skip #{self.ticket}>"
-
-
 class _Seq:
-    """Reorder-channel envelope: ``buffer`` was accepted as ``ticket``."""
+    """Reorder-channel envelope: ``buffer`` was accepted as ``ticket``.
+    ``buffer`` is None when the replica dropped it (its map function
+    returned None), so the sequencer must not wait for that ticket."""
 
     __slots__ = ("ticket", "buffer")
 
-    def __init__(self, ticket: int, buffer: Buffer) -> None:
+    def __init__(self, ticket: int, buffer: Optional[Buffer]) -> None:
         self.ticket = ticket
         self.buffer = buffer
 
@@ -198,19 +186,17 @@ class FGProgram:
         self._flushed: set[int] = set()
         # materialized at assembly:
         self._in_q: dict[tuple[int, int], Channel] = {}
-        self._sink_q: dict[int, Channel] = {}
-        self._recycle: dict[int, Channel] = {}
         self._groups: dict[str, VirtualGroup] = {}
+        #: every pipeline belongs to exactly one family (of one, unless
+        #: virtual groups link it to others); in spawn order
         self._families: list[Family] = []
-        self._contexts: dict[int, StageContext] = {}
+        self._family_of: dict[int, Family] = {}
         self._stage_eos: set[tuple[int, int]] = set()
         self._buffers: dict[int, list[Buffer]] = {}
         #: replica sets keyed by (id(pipeline), id(stage))
         self._replica_sets: dict[tuple[int, int], ReplicaSet] = {}
         #: buffers the source still has to take out of circulation
         self._retire_pending: dict[int, int] = {}
-        #: next buffer index per pipeline (dynamic pool growth)
-        self._next_buf_index: dict[int, int] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -266,7 +252,7 @@ class FGProgram:
         if pos + 1 < len(pipeline.stages):
             nxt = pipeline.stages[pos + 1]
             return self._in_q[(id(pipeline), id(nxt))]
-        return self._sink_q[id(pipeline)]
+        return self._family_of[id(pipeline)].sink_queue
 
     def mark_stage_eos(self, pipeline: Pipeline, stage: Stage) -> None:
         """Record that ``stage`` declared end-of-stream on ``pipeline``
@@ -290,7 +276,6 @@ class FGProgram:
         return [p for p in self.pipelines if stage in p]
 
     def _validate_and_group(self) -> None:
-        self._groups = {}
         for p in self.pipelines:
             group_keys_here: set[str] = set()
             for s in p.stages:
@@ -319,7 +304,9 @@ class FGProgram:
                     "full-control (Stage.source_driven)")
 
     def _compute_families(self) -> None:
-        """Union-find over pipelines linked by virtual groups."""
+        """Union-find over pipelines linked by virtual groups; a
+        pipeline with no virtual stage is a family of one, labelled by
+        its own name."""
         parent: dict[int, int] = {id(p): id(p) for p in self.pipelines}
 
         def find(x: int) -> int:
@@ -340,45 +327,61 @@ class FGProgram:
         virtual_pids = {id(p) for g in self._groups.values()
                         for p in g.pipelines}
         roots: dict[int, Family] = {}
-        self._families = []
+        lone: list[Family] = []
+        shared: list[Family] = []
         # walk in pipeline-definition order: family numbering (and hence
         # channel names, thread names, traces) must not depend on id()
         # hashes
         for p in self.pipelines:
             if id(p) not in virtual_pids:
-                continue
-            root = find(id(p))
-            family = roots.get(root)
-            if family is None:
-                family = Family()
-                roots[root] = family
-                self._families.append(family)
+                family = Family(label=p.name, virtual=False)
+                lone.append(family)
+            else:
+                root = find(id(p))
+                family = roots.get(root)
+                if family is None:
+                    family = roots[root] = Family(
+                        label=f"family{len(shared)}", virtual=True)
+                    shared.append(family)
             family.pipelines.append(p)
+            self._family_of[id(p)] = family
+        # spawn order: the lone pipelines' source/sink pairs come first
+        self._families = lone + shared
 
-    def _family_of(self, pipeline: Pipeline) -> Optional[Family]:
-        for family in self._families:
-            if any(p is pipeline for p in family.pipelines):
-                return family
-        return None
+    def _plumb_family(self, family: Family) -> None:
+        """Create ``family``'s sink queue and recycle channel, named (and
+        for a lone pipeline, owned) as traces and deadlock reports expect."""
+        base = f"{self.name}.{family.label}"
+        family.sink_queue = Channel(
+            self.kernel,
+            name=f"{base}.sink" if family.virtual else f"{base}->sink")
+        family.recycle = Channel(self.kernel, name=f"{base}.recycle")
+        if not family.virtual:
+            family.sink_queue.owner = family.recycle.owner = base
+        family.sink_queue.consumers.add(f"{base}.sink")
+        family.recycle.producers.add(f"{base}.sink")
+        family.recycle.consumers.add(f"{base}.source")
 
     def _assemble(self) -> None:
         if not self.pipelines:
             raise PipelineStructureError("program has no pipelines")
         self._validate_and_group()
         self._compute_families()
-        # shared queues for virtual groups
+        # shared queue and per-member contexts for virtual groups
         for group in self._groups.values():
             group.shared_queue = Channel(
                 self.kernel, name=f"{self.name}.vgroup[{group.key}].in")
-        # per-family shared sink queue and recycle channel
-        for i, family in enumerate(self._families):
-            family.sink_queue = Channel(
-                self.kernel, name=f"{self.name}.family{i}.sink")
-            family.recycle = Channel(
-                self.kernel, name=f"{self.name}.family{i}.recycle")
+            for p, s in group.members:
+                group.contexts[id(p)] = StageContext(self, s, [p])
+        # channels are created in a fixed order (the Chrome trace's
+        # counter tracks follow it): shared families first, a lone
+        # pipeline's pair after its own stage queues
+        for family in self._families:
+            if family.virtual:
+                self._plumb_family(family)
         # per-pipeline plumbing
         for p in self.pipelines:
-            family = self._family_of(p)
+            family = self._family_of[id(p)]
             for s in p.stages:
                 if s.virtual:
                     queue = self._groups[s.virtual_group].shared_queue
@@ -388,23 +391,14 @@ class FGProgram:
                         name=f"{self.name}.{p.name}->{s.name}")
                     queue.owner = f"{self.name}.{p.name}"
                 self._in_q[(id(p), id(s))] = queue
-            if family is not None:
-                self._sink_q[id(p)] = family.sink_queue
-                self._recycle[id(p)] = family.recycle
-            else:
-                self._sink_q[id(p)] = Channel(
-                    self.kernel, name=f"{self.name}.{p.name}->sink")
-                self._sink_q[id(p)].owner = f"{self.name}.{p.name}"
-                self._recycle[id(p)] = Channel(
-                    self.kernel, name=f"{self.name}.{p.name}.recycle")
-                self._recycle[id(p)].owner = f"{self.name}.{p.name}"
+            if family.sink_queue is None:
+                self._plumb_family(family)
             pool = [Buffer(p, i, p.buffer_bytes, with_aux=p.aux_buffers)
                     for i in range(p.nbuffers)]
             self._buffers[id(p)] = pool
-            self._next_buf_index[id(p)] = p.nbuffers
             # Recycle channels are unbounded, so pre-filling never blocks.
             for buf in pool:
-                self._recycle[id(p)].put(buf)
+                family.recycle.put(buf)
             # replica sets: reorder channel + synthetic sequencer stage
             for s in p.stages:
                 if not p.is_replicated(s):
@@ -418,16 +412,6 @@ class FGProgram:
                 self._replica_sets[(id(p), id(s))] = rset
                 for _ in range(p.replica_count(s)):
                     self._new_replica_context(rset)
-        # contexts for non-virtual stages
-        for stage in self._unique_stages():
-            if stage.virtual:
-                continue
-            self._contexts[id(stage)] = StageContext(
-                self, stage, self._pipelines_of(stage))
-        # per-member contexts for virtual groups
-        for group in self._groups.values():
-            for p, s in group.members:
-                group.contexts[id(p)] = StageContext(self, s, [p])
         self._register_waitfor_labels()
         if self.sanitizer is not None:
             self.sanitizer.install()
@@ -445,37 +429,31 @@ class FGProgram:
         return f"{self.name}.{rset.stage.name}~seq"
 
     def _new_replica_context(self, rset: ReplicaSet) -> int:
-        """Allocate the context (and index) for one more replica."""
+        """Allocate the context (and index) for one more replica, and
+        label it on the channels it will use (wait-for analysis)."""
         idx = rset.total
         rset.total += 1
         rset.live += 1
         ctx = StageContext(self, rset.stage, [rset.pipeline])
         ctx.replica = idx
         rset.contexts.append(ctx)
+        name = self._replica_name(rset, idx)
+        self._in_q[(id(rset.pipeline), id(rset.stage))].consumers.add(name)
+        rset.reorder.producers.add(name)
         return idx
+
+    def _spawn_replica(self, rset: ReplicaSet, idx: int) -> Process:
+        return self.kernel.spawn(
+            self._run, [rset.stage], self._run_replica, rset, idx,
+            name=self._replica_name(rset, idx))
 
     def _register_waitfor_labels(self) -> None:
         """Tell every channel which process names produce into and
         consume from it, so a runtime deadlock report can extract the
         concrete wait-for cycle (see :mod:`repro.sim.waitfor`)."""
-        for i, family in enumerate(self._families):
-            src = f"{self.name}.family{i}.source"
-            snk = f"{self.name}.family{i}.sink"
-            family.sink_queue.consumers.add(snk)
-            family.recycle.producers.add(snk)
-            family.recycle.consumers.add(src)
         for p in self.pipelines:
-            family = self._family_of(p)
-            if family is not None:
-                i = self._families.index(family)
-                source = f"{self.name}.family{i}.source"
-            else:
-                source = f"{self.name}.{p.name}.source"
-                sink = f"{self.name}.{p.name}.sink"
-                self._sink_q[id(p)].consumers.add(sink)
-                self._recycle[id(p)].producers.add(sink)
-                self._recycle[id(p)].consumers.add(source)
-            producer = source
+            family = self._family_of[id(p)]
+            producer = f"{self.name}.{family.label}.source"
             for s in p.stages:
                 queue = self._in_q[(id(p), id(s))]
                 queue.producers.add(producer)
@@ -483,14 +461,48 @@ class FGProgram:
                 if rset is None:
                     queue.consumers.add(self._spawn_name(s))
                     producer = self._spawn_name(s)
-                else:
-                    for idx in range(rset.total):
-                        name = self._replica_name(rset, idx)
-                        queue.consumers.add(name)
-                        rset.reorder.producers.add(name)
+                else:  # the replicas labelled themselves
                     rset.reorder.consumers.add(self._seq_name(rset))
                     producer = self._seq_name(rset)
-            self._sink_q[id(p)].producers.add(producer)
+            family.sink_queue.producers.add(producer)
+
+    # -- buffer lifecycle events: one site each, listeners called by name --------------
+    # (observer, then FGSan, then FGRace; table in DESIGN.md.  emit,
+    # recycle, retire, drop and straggler have one caller, so those
+    # sites are inline in the loops below)
+
+    def _caboose(self, p: Pipeline) -> Buffer:
+        """Mint ``p``'s end-of-stream marker (FGSan reports writes to it)."""
+        return Buffer.caboose(p, self.sanitizer)
+
+    def _accepted(self, stage: Stage, p: Pipeline, buf: Optional[Buffer],
+                  wait: float) -> None:
+        """The accept site.  Who counts a caboose is the caller's choice,
+        pinned by the metrics digests: ``StageContext.accept`` does (map
+        and full-control stages show ``accepts == conveys + 1``);
+        replicas, the sequencer and virtual-group members return before
+        this call.  ``buf`` is None for the sequencer's skipped ticket:
+        an accept with nothing for the detectors to check."""
+        self.observer.accepted(stage, wait)
+        if buf is None:
+            return
+        if self.sanitizer is not None:
+            self.sanitizer.on_accept(stage, p, buf)
+        race = self.kernel.race
+        if race is not None and not buf.is_caboose:
+            # the stage fn never runs for the caboose — replaying its
+            # effect set for one would fabricate an end-of-stream race
+            race.on_stage_access(stage)
+
+    def _convey(self, stage: Stage, buf: Buffer, queue: Channel,
+                item: Any = None) -> None:
+        """The convey site: ``buf`` goes into ``queue``, as itself or in
+        ``item`` (a replica's ticketed envelope).  ``convey_caboose``'s
+        minted caboose comes here too: FGSan ignores it, the count doesn't."""
+        if self.sanitizer is not None:
+            self.sanitizer.on_convey(stage, buf)
+        queue.put(buf if item is None else item)
+        self.observer.conveyed(stage, buf)
 
     # -- graceful teardown --------------------------------------------------------------
 
@@ -507,10 +519,7 @@ class FGProgram:
         :class:`~repro.errors.PipelineFailed`.
         """
         for p in pipelines:
-            self._failures.append(StageFailure(p.name, stage.name, exc))
-            self._poisoned.add(id(p))
-            self.observer.poisoned(p)
-            self.out_queue(p, stage).put(Buffer.caboose(p, self.sanitizer))
+            self._poison(p, stage, exc, self.out_queue(p, stage))
         if self.on_pipeline_failure is not None:
             try:
                 self.on_pipeline_failure(stage, list(pipelines), exc)
@@ -519,13 +528,22 @@ class FGProgram:
             except BaseException:  # noqa: BLE001 - compensation is
                 pass                # best-effort; the root cause is kept
 
+    def _poison(self, p: Pipeline, stage: Stage, exc: BaseException,
+                queue: Channel) -> None:
+        """Record that ``stage`` failed ``p`` and put a caboose into
+        ``queue``, past the dead stage, so the rest of ``p`` drains."""
+        self._failures.append(StageFailure(p.name, stage.name, exc))
+        self._poisoned.add(id(p))
+        self.observer.poisoned(p)
+        queue.put(self._caboose(p))
+
     def _flush_poisoned_source(self, p: Pipeline) -> None:
         """Emit one caboose into a poisoned pipeline so stages upstream
         of the dead one (still blocked accepting) drain and exit.  Only
         fires when the source had not emitted its natural caboose yet."""
         if id(p) in self._poisoned and id(p) not in self._flushed:
             self._flushed.add(id(p))
-            self._in_q[(id(p), id(p.stages[0]))].put(Buffer.caboose(p, self.sanitizer))
+            self._in_q[(id(p), id(p.stages[0]))].put(self._caboose(p))
 
     # -- runner loops -------------------------------------------------------------------
 
@@ -544,49 +562,15 @@ class FGProgram:
         self.observer.pool_resized(p, -1, p.nbuffers)
         return True
 
-    def _run_source(self, p: Pipeline) -> None:
-        recycle = self._recycle[id(p)]
-        first = self._in_q[(id(p), id(p.stages[0]))]
-        emitted = 0
-        while p.rounds is None or emitted < p.rounds:
-            item = recycle.get()
-            if isinstance(item, Stop):
-                self._flush_poisoned_source(p)
-                return
-            if self._maybe_retire(p, item):
-                continue
-            item.clear()
-            if self.sanitizer is not None:
-                self.sanitizer.on_emit(p, item)
-            item.round = emitted
-            self.observer.emitted(p)
-            first.put(item)
-            emitted += 1
-        first.put(Buffer.caboose(p, self.sanitizer))
-
-    def _run_sink(self, p: Pipeline) -> None:
-        sink_q = self._sink_q[id(p)]
-        recycle = self._recycle[id(p)]
-        while True:
-            buf = sink_q.get()
-            if buf.is_caboose:
-                recycle.put(Stop(p))
-                return
-            if self.sanitizer is not None:
-                self.sanitizer.on_recycle(p, buf)
-            self.observer.recycled(p)
-            recycle.put(buf)
-
     def _run_source_group(self, family: Family) -> None:
-        recycle = family.recycle
         pending: dict[int, Pipeline] = {id(p): p for p in family.pipelines}
         emitted: dict[int, int] = {id(p): 0 for p in family.pipelines}
         for p in list(family.pipelines):
             if p.rounds == 0:
-                self._in_q[(id(p), id(p.stages[0]))].put(Buffer.caboose(p, self.sanitizer))
+                self._in_q[(id(p), id(p.stages[0]))].put(self._caboose(p))
                 pending.pop(id(p))
         while pending:
-            item = recycle.get()
+            item = family.recycle.get()
             if isinstance(item, Stop):
                 if id(item.pipeline) in pending:
                     self._flush_poisoned_source(item.pipeline)
@@ -607,7 +591,7 @@ class FGProgram:
             first.put(item)
             emitted[pid] += 1
             if p.rounds is not None and emitted[pid] == p.rounds:
-                first.put(Buffer.caboose(p, self.sanitizer))
+                first.put(self._caboose(p))
                 pending.pop(pid)
 
     def _run_sink_group(self, family: Family) -> None:
@@ -619,31 +603,64 @@ class FGProgram:
                 remaining.discard(id(buf.pipeline))
             else:
                 if self.sanitizer is not None:
-                    self.sanitizer.on_recycle(buf.pipeline, buf)
+                    # checked against a pipeline this sink serves, so a
+                    # buffer of any other is FGSan's cross_pipeline
+                    self.sanitizer.on_recycle(
+                        buf.pipeline if buf.pipeline in family.pipelines
+                        else family.pipelines[0], buf)
                 self.observer.recycled(buf.pipeline)
                 family.recycle.put(buf)
 
-    def _run_map_stage(self, stage: Stage, ctx: StageContext) -> None:
-        self.observer.stage_started(stage)
+    def _run(self, stages: Sequence[Stage], body: Callable[..., None],
+             *args: Any) -> None:
+        """What every stage process runs: ``body(*args)`` between the
+        start and finish stamps of the ``stages`` it serves."""
+        for s in stages:
+            self.observer.stage_started(s)
         try:
-            while True:
-                buf = ctx.accept()
-                if buf.is_caboose:
-                    ctx.forward(buf)
-                    return
-                try:
-                    out = stage.fn(ctx, buf)
-                except KernelShutdown:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - poison, not
-                    self._stage_failed(stage, ctx.pipelines, exc)  # abort
-                    return
-                if out is not None:
-                    ctx.convey(out)
-                elif self.sanitizer is not None:
-                    self.sanitizer.on_drop(stage, buf)
+            body(*args)
         finally:
-            self.observer.stage_finished(stage)
+            for s in stages:
+                self.observer.stage_finished(s)
+
+    def _apply(self, stage: Stage, ctx: StageContext,
+               buf: Optional[Buffer] = None,
+               ticket: Optional[int] = None) -> bool:
+        """Call ``stage.fn`` — the one place a stage function's exception
+        becomes a poisoned pipeline rather than a dead process (returns
+        False).  A full-control function (no ``buf``) is its own loop; a
+        map-style one is applied to an accepted ``buf``, and what it
+        returns is conveyed, or what it abandons dropped — with a
+        ``ticket`` (a replica), to the sequencer in an envelope."""
+        try:
+            out = stage.fn(ctx) if buf is None else stage.fn(ctx, buf)
+        except KernelShutdown:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - poison, not abort
+            self._stage_failed(stage, ctx.pipelines, exc)
+            return False
+        if buf is None:
+            return True
+        if out is None:
+            if self.sanitizer is not None:
+                self.sanitizer.on_drop(stage, buf)
+            if ticket is not None:
+                self.out_queue(buf.pipeline, stage).put(_Seq(ticket, None))
+        elif ticket is None:
+            ctx.convey(out)
+        else:
+            self._convey(stage, out, self.out_queue(buf.pipeline, stage),
+                         _Seq(ticket, out))
+        return True
+
+    def _run_map_stage(self, stage: Stage, ctx: StageContext) -> None:
+        while True:
+            buf = ctx.accept()
+            if buf.is_caboose:
+                ctx.forward(buf)
+                return
+            if not self._apply(stage, ctx, buf):
+                return
 
     def _run_replica(self, rset: ReplicaSet, idx: int) -> None:
         """One copy of a replicated stage: a map loop that tickets every
@@ -654,53 +671,28 @@ class FGProgram:
         exactly the order a single copy would have processed the buffers.
         """
         stage, p = rset.stage, rset.pipeline
-        ctx = rset.contexts[idx]
         in_q = self._in_q[(id(p), id(stage))]
-        reorder = rset.reorder
-        self.observer.stage_started(stage)
-        try:
-            while True:
-                t0 = self.kernel.now()
-                buf = in_q.get()
-                wait = self.kernel.now() - t0
-                if buf.is_caboose:
-                    # caboose relay: every sibling must see it once; the
-                    # last live replica forwards it to the sequencer (all
-                    # data envelopes are already in the reorder channel,
-                    # since each sibling conveyed before re-accepting)
-                    rset.live -= 1
-                    if rset.live > 0:
-                        in_q.put(buf)
-                    else:
-                        reorder.put(buf)
-                    return
-                ticket = rset.next_ticket
-                rset.next_ticket += 1
-                self.observer.accepted(stage, wait)
-                if self.sanitizer is not None:
-                    self.sanitizer.on_accept(stage, p, buf)
-                race = self.kernel.race
-                if race is not None:
-                    race.on_stage_access(stage)
-                try:
-                    out = stage.fn(ctx, buf)
-                except KernelShutdown:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - poison
-                    self._stage_failed(stage, [p], exc)
-                    rset.live -= 1
-                    return
-                if out is None:
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_drop(stage, buf)
-                    reorder.put(_Skip(ticket))
+        while True:
+            t0 = self.kernel.now()
+            buf = in_q.get()
+            wait = self.kernel.now() - t0
+            if buf.is_caboose:
+                # caboose relay: every sibling must see it once; the
+                # last live replica forwards it to the sequencer (all
+                # data envelopes are already in the reorder channel,
+                # since each sibling conveyed before re-accepting)
+                rset.live -= 1
+                if rset.live > 0:
+                    in_q.put(buf)
                 else:
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_convey(stage, out)
-                    reorder.put(_Seq(ticket, out))
-                    self.observer.conveyed(stage, out)
-        finally:
-            self.observer.stage_finished(stage)
+                    rset.reorder.put(buf)
+                return
+            ticket = rset.next_ticket
+            rset.next_ticket += 1
+            self._accepted(stage, p, buf, wait)
+            if not self._apply(stage, rset.contexts[idx], buf, ticket):
+                rset.live -= 1
+                return
 
     def _run_sequencer(self, rset: ReplicaSet) -> None:
         """Restore ticket order downstream of a replica set.
@@ -711,26 +703,19 @@ class FGProgram:
         the set: any still-held envelopes are flushed in ticket order
         first, so a poisoned teardown cannot strand buffers here.
         """
-        stage, p = rset.stage, rset.pipeline
-        seq = rset.seq_stage
+        stage, p, seq = rset.stage, rset.pipeline, rset.seq_stage
         out_q = self._successor_queue(p, stage)
-        reorder = rset.reorder
-        self.observer.stage_started(seq)
+        next_ticket = 0
+        held: dict[int, Optional[Buffer]] = {}  # None = skipped
+
+        def release(entry: Optional[Buffer]) -> None:
+            if entry is not None:
+                self._convey(seq, entry, out_q)
+
         try:
-            next_ticket = 0
-            held: dict[int, Optional[Buffer]] = {}  # None = skipped
-
-            def release(entry: Optional[Buffer]) -> None:
-                if entry is None:
-                    return
-                if self.sanitizer is not None:
-                    self.sanitizer.on_convey(seq, entry)
-                out_q.put(entry)
-                self.observer.conveyed(seq, entry)
-
             while True:
                 t0 = self.kernel.now()
-                item = reorder.get()
+                item = rset.reorder.get()
                 wait = self.kernel.now() - t0
                 if isinstance(item, Buffer):
                     if not item.is_caboose:
@@ -744,13 +729,8 @@ class FGProgram:
                     rset.finished = True
                     out_q.put(item)
                     return
-                self.observer.accepted(seq, wait)
-                if isinstance(item, _Skip):
-                    held[item.ticket] = None
-                else:
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_accept(seq, p, item.buffer)
-                    held[item.ticket] = item.buffer
+                self._accepted(seq, p, item.buffer, wait)
+                held[item.ticket] = item.buffer
                 while next_ticket in held:
                     release(held.pop(next_ticket))
                     next_ticket += 1
@@ -758,75 +738,33 @@ class FGProgram:
             raise
         except BaseException as exc:  # noqa: BLE001 - poison, not abort
             rset.finished = True
-            self._failures.append(
-                StageFailure(p.name, seq.name, exc))
-            self._poisoned.add(id(p))
-            self.observer.poisoned(p)
-            out_q.put(Buffer.caboose(p, self.sanitizer))
-        finally:
-            self.observer.stage_finished(seq)
-
-    def _run_full_stage(self, stage: Stage, ctx: StageContext) -> None:
-        self.observer.stage_started(stage)
-        try:
-            try:
-                stage.fn(ctx)
-            except KernelShutdown:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - poison, not abort
-                self._stage_failed(stage, ctx.pipelines, exc)
-        finally:
-            self.observer.stage_finished(stage)
+            self._poison(p, seq, exc, out_q)
 
     def _run_virtual_group(self, group: VirtualGroup) -> None:
         live = {id(p) for p in group.pipelines}
-        for _, s in group.members:
-            self.observer.stage_started(s)
-        try:
-            while live:
-                t0 = self.kernel.now()
-                buf = group.shared_queue.get()
-                wait = self.kernel.now() - t0
-                pid = id(buf.pipeline)
-                if pid not in live:
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_straggler(buf)
-                    continue  # buffer raced past this pipeline's shutdown
-                stage = group.member_stage(pid)
-                ctx = group.contexts[pid]
-                if buf.is_caboose:
-                    self.out_queue(buf.pipeline, stage).put(buf)
-                    live.discard(pid)
-                    continue
-                if (pid, id(stage)) in self._stage_eos:
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_straggler(buf)
-                    continue  # member declared EOS itself; drop stragglers
-                # shared-queue wait is attributed to the member whose
-                # buffer ended it — the best available approximation
-                self.observer.accepted(stage, wait)
+        while live:
+            # shared-queue wait is attributed to the member whose
+            # buffer ended it — the best available approximation
+            t0 = self.kernel.now()
+            buf = group.shared_queue.get()
+            wait = self.kernel.now() - t0
+            pid = id(buf.pipeline)
+            stage = group.member_stage(pid)
+            declared_eos = (pid, id(stage)) in self._stage_eos
+            if pid not in live or (declared_eos and not buf.is_caboose):
+                # the buffer raced past its pipeline's shutdown, or
+                # past the member's own end-of-stream: dropped
                 if self.sanitizer is not None:
-                    self.sanitizer.on_accept(stage, buf.pipeline, buf)
-                race = self.kernel.race
-                if race is not None:
-                    race.on_stage_access(stage)
-                try:
-                    out = stage.fn(ctx, buf)
-                except KernelShutdown:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - poison only
-                    self._stage_failed(stage, [buf.pipeline], exc)  # member
-                    live.discard(pid)
-                    continue
-                if out is not None:
-                    ctx.convey(out)
-                elif self.sanitizer is not None:
-                    self.sanitizer.on_drop(stage, buf)
-                if (pid, id(stage)) in self._stage_eos:
-                    live.discard(pid)
-        finally:
-            for _, s in group.members:
-                self.observer.stage_finished(s)
+                    self.sanitizer.on_straggler(buf)
+                continue
+            if buf.is_caboose:
+                self.out_queue(buf.pipeline, stage).put(buf)
+                live.discard(pid)
+                continue
+            self._accepted(stage, buf.pipeline, buf, wait)
+            if (not self._apply(stage, group.contexts[pid], buf)
+                    or (pid, id(stage)) in self._stage_eos):
+                live.discard(pid)
 
     # -- execution ------------------------------------------------------------------------
 
@@ -864,17 +802,16 @@ class FGProgram:
         # plan.install(kernel)) fuses fusable stage runs and stamps
         # this program, so the lint pass and the structural fingerprint
         # both see the *planned* graph
-        plan = getattr(self.kernel, "plan", None)
-        if plan is not None:
-            plan.apply(self)
+        if self.kernel.plan is not None:
+            self.kernel.plan.apply(self)
         # the per-program analysis happens once: one graph of the
         # *planned* program (post-fusion, matching the stages actually
         # spawned), each stage function scanned once, shared by the
         # linter, FGRace and the provenance fingerprint
-        race = getattr(self.kernel, "race", None)
+        race = self.kernel.race
         graph = None
         if (self._lint_enabled or race is not None
-                or getattr(self.kernel, "provenance", None) is not None):
+                or self.kernel.provenance is not None):
             graph = ProgramGraph.from_program(self)
         if self._lint_enabled:
             findings = self.lint(graph=graph)
@@ -886,41 +823,34 @@ class FGProgram:
         self._assemble()
         self.observer.program_started(graph)
         procs: list[Process] = []
-        for p in self.pipelines:
-            family = self._family_of(p)
-            if family is None:
-                procs.append(self.kernel.spawn(
-                    self._run_source, p, name=f"{self.name}.{p.name}.source"))
-                procs.append(self.kernel.spawn(
-                    self._run_sink, p, name=f"{self.name}.{p.name}.sink"))
-        for i, family in enumerate(self._families):
+        for family in self._families:
             procs.append(self.kernel.spawn(
                 self._run_source_group, family,
-                name=f"{self.name}.family{i}.source"))
+                name=f"{self.name}.{family.label}.source"))
             procs.append(self.kernel.spawn(
                 self._run_sink_group, family,
-                name=f"{self.name}.family{i}.sink"))
+                name=f"{self.name}.{family.label}.sink"))
         for group in self._groups.values():
             procs.append(self.kernel.spawn(
+                self._run, [s for _, s in group.members],
                 self._run_virtual_group, group,
                 name=f"{self.name}.vgroup[{group.key}]"))
         replicated: set[int] = set()
         for rset in self._replica_sets.values():
             replicated.add(id(rset.stage))
             for idx in range(rset.total):
-                procs.append(self.kernel.spawn(
-                    self._run_replica, rset, idx,
-                    name=self._replica_name(rset, idx)))
+                procs.append(self._spawn_replica(rset, idx))
             procs.append(self.kernel.spawn(
-                self._run_sequencer, rset, name=self._seq_name(rset)))
+                self._run, [rset.seq_stage], self._run_sequencer, rset,
+                name=self._seq_name(rset)))
         for stage in self._unique_stages():
             if stage.virtual or id(stage) in replicated:
                 continue
-            ctx = self._contexts[id(stage)]
-            runner = (self._run_map_stage if stage.style == "map"
-                      else self._run_full_stage)
+            ctx = StageContext(self, stage, self._pipelines_of(stage))
+            body = self._run_map_stage if stage.style == "map" else self._apply
             procs.append(self.kernel.spawn(
-                runner, stage, ctx, name=f"{self.name}.{stage.name}"))
+                self._run, [stage], body, stage, ctx,
+                name=f"{self.name}.{stage.name}"))
         self._procs = procs
         return procs
 
@@ -941,9 +871,8 @@ class FGProgram:
             # leak check only on clean runs: poisoned pipelines park
             # their buffers through _drain_poisoned instead
             self.sanitizer.check_teardown()
-        race = getattr(self.kernel, "race", None)
-        if race is not None:
-            race.check_teardown()
+        if self.kernel.race is not None:
+            self.kernel.race.check_teardown()
 
     def _drain_poisoned(self) -> None:
         """Return buffers stranded in poisoned pipelines' queues to their
@@ -958,7 +887,7 @@ class FGProgram:
             queues.extend(rset.reorder
                           for (pid, _), rset in self._replica_sets.items()
                           if pid == id(p))
-            queues.append(self._sink_q[id(p)])
+            queues.append(self._family_of[id(p)].sink_queue)
             for q in queues:
                 if id(q) in seen:
                     continue
@@ -971,7 +900,7 @@ class FGProgram:
                         item = item.buffer
                     if isinstance(item, Buffer) and not item.is_caboose:
                         owner = item.pipeline
-                        self._recycle[id(owner)].put(item)
+                        self._family_of[id(owner)].recycle.put(item)
                         drained[id(owner)] = drained.get(id(owner), 0) + 1
         for p in self.pipelines:
             count = drained.get(id(p), 0)
@@ -1021,15 +950,19 @@ class FGProgram:
         rset = self.replica_set(pipeline, stage)
         if rset.finished or rset.live == 0:
             return False
-        idx = self._new_replica_context(rset)
-        name = self._replica_name(rset, idx)
-        in_q = self._in_q[(id(rset.pipeline), id(rset.stage))]
-        in_q.consumers.add(name)
-        rset.reorder.producers.add(name)
-        proc = self.kernel.spawn(self._run_replica, rset, idx, name=name)
-        self._procs.append(proc)
+        self._procs.append(
+            self._spawn_replica(rset, self._new_replica_context(rset)))
         self.observer.replica_added(rset.stage, rset.live)
         return True
+
+    def _check_pool_resize(self, what: str, count: int) -> None:
+        if count < 1:
+            raise PipelineStructureError(
+                f"{what}: count must be >= 1, got {count}")
+        if not self._started:
+            raise PipelineStructureError(
+                f"{what} needs a started program; size the pool with "
+                "nbuffers before start instead")
 
     def add_buffers(self, pipeline: Pipeline, count: int = 1) -> int:
         """Grow a started pipeline's buffer pool by ``count`` buffers.
@@ -1039,19 +972,12 @@ class FGProgram:
         blocks); the source picks them up on its next round.  Returns the
         new pool size.
         """
-        if count < 1:
-            raise PipelineStructureError(
-                f"add_buffers: count must be >= 1, got {count}")
-        if not self._started:
-            raise PipelineStructureError(
-                "add_buffers needs a started program; size the pool with "
-                "nbuffers before start instead")
+        self._check_pool_resize("add_buffers", count)
         pool = self._buffers[id(pipeline)]
-        recycle = self._recycle[id(pipeline)]
+        recycle = self._family_of[id(pipeline)].recycle
         for _ in range(count):
-            idx = self._next_buf_index[id(pipeline)]
-            self._next_buf_index[id(pipeline)] = idx + 1
-            buf = Buffer(pipeline, idx, pipeline.buffer_bytes,
+            # retired buffers stay in ``pool``, so indices never repeat
+            buf = Buffer(pipeline, len(pool), pipeline.buffer_bytes,
                          with_aux=pipeline.aux_buffers)
             if self.sanitizer is not None:
                 self.sanitizer.track(buf)
@@ -1072,13 +998,7 @@ class FGProgram:
         always stays in circulation.  Returns how many retirements were
         actually scheduled.
         """
-        if count < 1:
-            raise PipelineStructureError(
-                f"retire_buffers: count must be >= 1, got {count}")
-        if not self._started:
-            raise PipelineStructureError(
-                "retire_buffers needs a started program; size the pool "
-                "with nbuffers before start instead")
+        self._check_pool_resize("retire_buffers", count)
         pending = self._retire_pending.get(id(pipeline), 0)
         headroom = pipeline.nbuffers - pending - 1
         granted = max(0, min(count, headroom))

@@ -68,10 +68,16 @@ class VirtualGroup:
         raise KeyError(pipeline_id)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Family:
-    """A connected set of pipelines sharing virtualized plumbing."""
+    """A connected set of pipelines sharing virtualized plumbing: those
+    the virtual groups link (``virtual``, labelled ``family<i>``), or one
+    pipeline with no virtual stage, labelled by its own name — so one
+    source loop and one sink loop serve every pipeline."""
 
+    #: names the family's processes and channels
+    label: str
+    virtual: bool
     pipelines: list[Pipeline] = dataclasses.field(default_factory=list)
     sink_queue: Optional["Channel"] = None
     recycle: Optional["Channel"] = None

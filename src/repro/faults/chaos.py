@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.errors import FaultError
 from repro.faults.injector import FaultEvent
@@ -99,15 +99,19 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _chaos_cluster(n_nodes: int, plan: "FaultPlan",
+def _chaos_cluster(n_nodes: int, records_per_node: int, seed: int,
+                   distribution: str, plan: "FaultPlan",
                    retry: Optional[Any], hardware: Optional[Any],
                    trace: bool,
                    mailbox_capacity_bytes: Optional[int] = None):
-    """Kernel + capture + cluster shared by both chaos harnesses."""
+    """Capture, faulted cluster (on a fresh traced, metered kernel) and
+    generated input, shared by both chaos harnesses."""
     from repro.cluster.cluster import Cluster
+    from repro.pdm.records import RecordSchema
     from repro.prov import ProvenanceCapture
     from repro.sim.trace import Tracer
     from repro.sim.virtual import VirtualTimeKernel
+    from repro.workloads.generator import generate_input
 
     kernel = VirtualTimeKernel(tracer=Tracer() if trace else None)
     kernel.enable_metrics()
@@ -119,7 +123,88 @@ def _chaos_cluster(n_nodes: int, plan: "FaultPlan",
     cluster = Cluster(n_nodes=n_nodes, hardware=hardware, kernel=kernel,
                       fault_plan=plan, retry_policy=retry,
                       mailbox_capacity_bytes=mailbox_capacity_bytes)
-    return kernel, capture, cluster
+    manifest = generate_input(cluster, RecordSchema.paper_16(),
+                              records_per_node, distribution, seed=seed)
+    return capture, cluster, manifest
+
+
+def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
+                  manifest: Any, config: Any, plan: FaultPlan, *,
+                  seed: int, args: dict, seeds: dict,
+                  rank_times: list, owners: Optional[Any] = None,
+                  pass_restarts: int = 0, recovery_decisions: Sequence = (),
+                  verify: bool, trace: bool,
+                  trace_path: Optional[str]) -> ChaosReport:
+    """Everything after ``cluster.run`` — verify, digest, provenance
+    record, report — for both harnesses; the arguments are what differs
+    between them."""
+    # Imports are local so that ``import repro.faults`` stays light and
+    # free of cycles (the cluster layer itself imports repro.faults).
+    from repro.pdm.striped import StripedFile
+    from repro.prov import (
+        ProvenanceRecord,
+        metrics_digest,
+        recovery_decision_log,
+        trace_digest,
+        tune_decision_log,
+        version_info,
+    )
+    from repro.sorting.verify import verify_striped_output
+
+    kernel = cluster.kernel
+    if verify:
+        verify_striped_output(cluster, manifest, config.output_file,
+                              config.out_block_records, owners=owners)
+    out = StripedFile(cluster, config.output_file, manifest.schema,
+                      config.out_block_records, owners=owners).read_all()
+    output_digest = hashlib.sha256(out.tobytes()).hexdigest()
+
+    run_trace_digest = ""
+    if trace:
+        run_trace_digest = trace_digest(kernel.tracer)
+        if trace_path is not None:
+            from repro.obs.chrome_trace import write_chrome_trace
+            write_chrome_trace(trace_path, kernel.tracer,
+                               metrics=kernel.metrics)
+
+    snapshot = kernel.metrics.snapshot()
+    run_metrics_digest = metrics_digest(snapshot)
+
+    provenance = None
+    if capture is not None:
+        provenance = ProvenanceRecord(
+            kind=f"chaos_{sorter}",
+            args=args,
+            # backoff jitter draws from the injector's per-site Philox
+            # streams, all derived from the plan seed
+            seeds={**seeds, "fault_plan": plan.seed,
+                   "retry_jitter": plan.seed},
+            fault_plan=plan.to_json(),
+            tune_decisions=tune_decision_log(kernel.tracer),
+            recovery_decisions=recovery_decision_log(kernel.tracer),
+            stage_graphs=dict(capture.stage_graphs),
+            digests={"output": output_digest,
+                     "metrics": run_metrics_digest,
+                     "trace": run_trace_digest},
+            **version_info())
+
+    return ChaosReport(
+        seed=seed, n_nodes=cluster.n_nodes,
+        total_records=manifest.total_records,
+        elapsed=kernel.now(),  # fixed once cluster.run returned
+        pass_restarts=pass_restarts,
+        verified=verify,
+        output_digest=output_digest,
+        trace_digest=run_trace_digest,
+        # a chaos cluster always has a plan, hence an injector
+        fault_events=list(cluster.injector.events),
+        fault_summary=cluster.injector.summary(),
+        metrics=snapshot,
+        metrics_digest=run_metrics_digest,
+        provenance=provenance,
+        sorter=sorter,
+        recovery_decisions=list(recovery_decisions),
+        rank_times=rank_times)
 
 
 def run_chaos_dsort(n_nodes: int = 3, records_per_node: int = 2000,
@@ -149,127 +234,54 @@ def run_chaos_dsort(n_nodes: int = 3, records_per_node: int = 2000,
     optionally writes a Chrome-trace JSON (with fault markers) next to
     the run.  Deterministic: same arguments, same report.
     """
-    # Imports are local so that ``import repro.faults`` stays light and
-    # free of cycles (the cluster layer itself imports repro.faults).
-    from repro.pdm.records import RecordSchema
-    from repro.pdm.striped import StripedFile
+    # a local import, for the reason given in _chaos_report
     from repro.sorting.dsort import DsortConfig, run_dsort
-    from repro.sorting.verify import verify_striped_output
-    from repro.workloads.generator import generate_input
-
-    from repro.prov import (
-        ProvenanceRecord,
-        metrics_digest,
-        recovery_decision_log,
-        trace_digest,
-        tune_decision_log,
-        version_info,
-    )
 
     if plan is None:
         plan = chaos_plan(seed, n_nodes)
-    kernel, capture, cluster = _chaos_cluster(
-        n_nodes, plan, retry, hardware, trace,
-        mailbox_capacity_bytes=mailbox_capacity_bytes)
-    schema = RecordSchema.paper_16()
-    manifest = generate_input(cluster, schema, records_per_node,
-                              distribution, seed=seed)
+    capture, cluster, manifest = _chaos_cluster(
+        n_nodes, records_per_node, seed, distribution, plan, retry,
+        hardware, trace, mailbox_capacity_bytes=mailbox_capacity_bytes)
     config = DsortConfig(block_records=block_records,
                          vertical_block_records=vertical_block_records,
                          out_block_records=out_block_records,
                          oversample=oversample, seed=seed,
                          pass_retries=pass_retries)
     manager = None
-    owners = None
     if recover is not None:
         from repro.recover import RecoveryManager
 
         manager = RecoveryManager(cluster, recover)
         manager.start()
-        reports = cluster.run(run_dsort, schema, config, manager)
-        owners = manager.output_owners()
-    else:
-        reports = cluster.run(run_dsort, schema, config)
-    elapsed = kernel.now()
-
-    verified = False
-    if verify:
-        verify_striped_output(cluster, manifest, config.output_file,
-                              out_block_records, owners=owners)
-        verified = True
-    out = StripedFile(cluster, config.output_file, schema,
-                      out_block_records, owners=owners).read_all()
-    output_digest = hashlib.sha256(out.tobytes()).hexdigest()
-
-    run_trace_digest = ""
-    if trace:
-        run_trace_digest = trace_digest(kernel.tracer)
-        if trace_path is not None:
-            from repro.obs.chrome_trace import write_chrome_trace
-            write_chrome_trace(trace_path, kernel.tracer,
-                               metrics=kernel.metrics)
-
-    snapshot = kernel.metrics.snapshot()
-    run_metrics_digest = metrics_digest(snapshot)
-
-    provenance = None
-    if capture is not None:
-        provenance = ProvenanceRecord(
-            kind="chaos_dsort",
-            args={"n_nodes": n_nodes,
-                  "records_per_node": records_per_node,
-                  "seed": seed,
-                  "retry": (dataclasses.asdict(retry)
-                            if retry is not None else None),
-                  "pass_retries": pass_retries,
-                  "distribution": distribution,
-                  "block_records": block_records,
-                  "vertical_block_records": vertical_block_records,
-                  "out_block_records": out_block_records,
-                  "oversample": oversample,
-                  "recover": (recover.to_json()
-                              if recover is not None else None),
-                  "mailbox_capacity_bytes": mailbox_capacity_bytes,
-                  "verify": verify},
-            seeds={"workload": seed, "config": config.seed,
-                   "fault_plan": plan.seed,
-                   # backoff jitter draws from the injector's per-site
-                   # Philox streams, all derived from the plan seed
-                   "retry_jitter": plan.seed},
-            fault_plan=plan.to_json(),
-            tune_decisions=tune_decision_log(kernel.tracer),
-            recovery_decisions=recovery_decision_log(kernel.tracer),
-            stage_graphs=dict(capture.stage_graphs),
-            digests={"output": output_digest,
-                     "metrics": run_metrics_digest,
-                     "trace": run_trace_digest},
-            **version_info())
-
-    injector = cluster.injector
-    pass_restarts = max(
-        (r.pass_restarts for r in reports
-         if not getattr(r, "dead", False)), default=0)
-    return ChaosReport(
-        seed=seed, n_nodes=n_nodes,
-        total_records=manifest.total_records,
-        elapsed=elapsed,
-        pass_restarts=pass_restarts,
-        verified=verified,
-        output_digest=output_digest,
-        trace_digest=run_trace_digest,
-        fault_events=list(injector.events) if injector is not None else [],
-        fault_summary=(injector.summary() if injector is not None
-                       else {"total": 0, "by_kind": {}}),
-        metrics=snapshot,
-        metrics_digest=run_metrics_digest,
-        provenance=provenance,
-        sorter="dsort",
-        recovery_decisions=(manager.decision_log()
-                            if manager is not None else []),
+    reports = cluster.run(run_dsort, manifest.schema, config, manager)
+    return _chaos_report(
+        "dsort", cluster, capture, manifest, config, plan, seed=seed,
+        args={"n_nodes": n_nodes,
+              "records_per_node": records_per_node,
+              "seed": seed,
+              "retry": (dataclasses.asdict(retry)
+                        if retry is not None else None),
+              "pass_retries": pass_retries,
+              "distribution": distribution,
+              "block_records": block_records,
+              "vertical_block_records": vertical_block_records,
+              "out_block_records": out_block_records,
+              "oversample": oversample,
+              "recover": (recover.to_json()
+                          if recover is not None else None),
+              "mailbox_capacity_bytes": mailbox_capacity_bytes,
+              "verify": verify},
+        seeds={"workload": seed, "config": config.seed},
+        owners=manager.output_owners() if manager is not None else None,
+        pass_restarts=max((r.pass_restarts for r in reports
+                           if not getattr(r, "dead", False)), default=0),
         rank_times=[{"rank": r.rank, "sampling": r.sampling_time,
                      "pass1": r.pass1_time, "pass2": r.pass2_time,
                      "dead": getattr(r, "dead", False)}
-                    for r in reports])
+                    for r in reports],
+        recovery_decisions=(manager.decision_log()
+                            if manager is not None else []),
+        verify=verify, trace=trace, trace_path=trace_path)
 
 
 def run_chaos_csort(n_nodes: int = 3, records_per_node: int = 1728,
@@ -293,19 +305,7 @@ def run_chaos_csort(n_nodes: int = 3, records_per_node: int = 1728,
     chaos-scale N with a legal columnsort plan whose r admits a
     128-record output stripe.
     """
-    from repro.pdm.records import RecordSchema
-    from repro.pdm.striped import StripedFile
     from repro.sorting.columnsort import CsortConfig, run_csort
-    from repro.sorting.verify import verify_striped_output
-    from repro.workloads.generator import generate_input
-
-    from repro.prov import (
-        ProvenanceRecord,
-        metrics_digest,
-        trace_digest,
-        tune_decision_log,
-        version_info,
-    )
 
     if plan is None:
         plan = chaos_plan(seed, n_nodes)
@@ -313,75 +313,25 @@ def run_chaos_csort(n_nodes: int = 3, records_per_node: int = 1728,
         raise FaultError(
             "csort has no node-crash recovery; use run_chaos_dsort with "
             "a RecoverPolicy for crash chaos")
-    kernel, capture, cluster = _chaos_cluster(n_nodes, plan, retry,
-                                              hardware, trace)
-    schema = RecordSchema.paper_16()
-    manifest = generate_input(cluster, schema, records_per_node,
-                              distribution, seed=seed)
+    capture, cluster, manifest = _chaos_cluster(
+        n_nodes, records_per_node, seed, distribution, plan, retry,
+        hardware, trace)
     config = CsortConfig(out_block_records=out_block_records,
                          s_override=s_override)
-    reports = cluster.run(run_csort, schema, config)
-    elapsed = kernel.now()
-
-    verified = False
-    if verify:
-        verify_striped_output(cluster, manifest, config.output_file,
-                              out_block_records)
-        verified = True
-    out = StripedFile(cluster, config.output_file, schema,
-                      out_block_records).read_all()
-    output_digest = hashlib.sha256(out.tobytes()).hexdigest()
-
-    run_trace_digest = ""
-    if trace:
-        run_trace_digest = trace_digest(kernel.tracer)
-        if trace_path is not None:
-            from repro.obs.chrome_trace import write_chrome_trace
-            write_chrome_trace(trace_path, kernel.tracer,
-                               metrics=kernel.metrics)
-
-    snapshot = kernel.metrics.snapshot()
-    run_metrics_digest = metrics_digest(snapshot)
-
-    provenance = None
-    if capture is not None:
-        provenance = ProvenanceRecord(
-            kind="chaos_csort",
-            args={"n_nodes": n_nodes,
-                  "records_per_node": records_per_node,
-                  "seed": seed,
-                  "retry": (dataclasses.asdict(retry)
-                            if retry is not None else None),
-                  "distribution": distribution,
-                  "out_block_records": out_block_records,
-                  "s_override": s_override,
-                  "verify": verify},
-            seeds={"workload": seed, "fault_plan": plan.seed,
-                   "retry_jitter": plan.seed},
-            fault_plan=plan.to_json(),
-            tune_decisions=tune_decision_log(kernel.tracer),
-            stage_graphs=dict(capture.stage_graphs),
-            digests={"output": output_digest,
-                     "metrics": run_metrics_digest,
-                     "trace": run_trace_digest},
-            **version_info())
-
-    injector = cluster.injector
-    return ChaosReport(
-        seed=seed, n_nodes=n_nodes,
-        total_records=manifest.total_records,
-        elapsed=elapsed,
-        pass_restarts=0,
-        verified=verified,
-        output_digest=output_digest,
-        trace_digest=run_trace_digest,
-        fault_events=list(injector.events) if injector is not None else [],
-        fault_summary=(injector.summary() if injector is not None
-                       else {"total": 0, "by_kind": {}}),
-        metrics=snapshot,
-        metrics_digest=run_metrics_digest,
-        provenance=provenance,
-        sorter="csort",
+    reports = cluster.run(run_csort, manifest.schema, config)
+    return _chaos_report(
+        "csort", cluster, capture, manifest, config, plan, seed=seed,
+        args={"n_nodes": n_nodes,
+              "records_per_node": records_per_node,
+              "seed": seed,
+              "retry": (dataclasses.asdict(retry)
+                        if retry is not None else None),
+              "distribution": distribution,
+              "out_block_records": out_block_records,
+              "s_override": s_override,
+              "verify": verify},
+        seeds={"workload": seed},
         rank_times=[{"rank": r.rank, "pass1": r.pass1_time,
                      "pass2": r.pass2_time, "pass3": r.pass3_time}
-                    for r in reports])
+                    for r in reports],
+        verify=verify, trace=trace, trace_path=trace_path)

@@ -1,12 +1,12 @@
 """ProgramObserver: the single event path for FG stage bookkeeping.
 
-Before ``repro.obs`` existed, per-stage statistics were mutated from three
-places (the stage context, the map-stage runner, and the virtual-group
-dispatcher).  Every stage lifecycle event now flows through one
-:class:`ProgramObserver` owned by the :class:`~repro.core.program.FGProgram`:
-the observer keeps the legacy :class:`~repro.core.stage.StageStats` view up
-to date *and* mirrors each event into the kernel's metrics registry when
-one is enabled (see :meth:`~repro.sim.kernel.Kernel.enable_metrics`).
+Every stage lifecycle event flows through the one :class:`ProgramObserver`
+owned by the :class:`~repro.core.program.FGProgram`, called from that
+event's single site in ``repro.core`` (DESIGN.md, "Buffer lifecycle
+events"): the observer keeps the :class:`~repro.core.stage.StageStats`
+view up to date *and* mirrors each event into the kernel's metrics
+registry when one is enabled (see
+:meth:`~repro.sim.kernel.Kernel.enable_metrics`).
 
 Metric names, all prefixed with the program name::
 
@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.pipeline import Pipeline
     from repro.core.program import FGProgram
     from repro.core.stage import Stage
-    from repro.obs.metrics import MetricsRegistry
     from repro.plan.ir import ProgramGraph
 
 __all__ = ["ProgramObserver"]
@@ -43,11 +42,6 @@ class ProgramObserver:
     def __init__(self, program: "FGProgram"):
         self.program = program
         self.kernel = program.kernel
-
-    @property
-    def registry(self) -> Optional["MetricsRegistry"]:
-        """The kernel's registry, or None when metrics are disabled."""
-        return self.kernel.metrics
 
     def _prefix(self, stage: "Stage") -> str:
         return f"fg.{self.program.name}.stage.{stage.name}"
@@ -64,7 +58,7 @@ class ProgramObserver:
         stage-graph fingerprint with zero per-app code and no second
         walk.
         """
-        capture = getattr(self.kernel, "provenance", None)
+        capture = self.kernel.provenance
         if capture is not None:
             assert graph is not None
             capture.on_program_start(self.program, graph)
@@ -82,7 +76,7 @@ class ProgramObserver:
         stats = stage.stats
         stats.accepts += 1
         stats.accept_wait += wait_seconds
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is not None:
             prefix = self._prefix(stage)
             # sampled, so tuning policies and repro.obs.timeseries can
@@ -96,7 +90,7 @@ class ProgramObserver:
                  buffer: Optional["Buffer"] = None) -> None:
         """One buffer conveyed downstream (None for synthesized cabooses)."""
         stage.stats.conveys += 1
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is not None:
             prefix = self._prefix(stage)
             registry.counter(f"{prefix}.conveys").inc()
@@ -109,7 +103,7 @@ class ProgramObserver:
     # -- buffer-pool circulation -------------------------------------------
 
     def _in_flight(self, pipeline: "Pipeline"):
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is None:
             return None
         return registry.gauge(
@@ -134,7 +128,7 @@ class ProgramObserver:
     def pool_resized(self, pipeline: "Pipeline", delta: int,
                      size: int) -> None:
         """add_buffers / retire_buffers changed the circulating pool."""
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is not None:
             prefix = f"fg.{self.program.name}.pipeline.{pipeline.name}"
             registry.gauge(f"{prefix}.pool_size",
@@ -145,7 +139,7 @@ class ProgramObserver:
     def replica_added(self, stage: "Stage", live: int) -> None:
         """add_replica spawned one more copy of ``stage`` mid-run."""
         stage.stats.replicas += 1
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is not None:
             registry.gauge(f"{self._prefix(stage)}.replicas",
                            record_samples=True).set(live)
@@ -156,7 +150,7 @@ class ProgramObserver:
         """FGSan detected ``count`` ownership violations of ``kind``
         (use_after_convey, double_convey, cross_pipeline, caboose_write,
         stale_round, leak, ...); counted under ``sanitizer.<kind>``."""
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is not None:
             registry.counter(f"sanitizer.{kind}").inc(count)
 
@@ -164,7 +158,7 @@ class ProgramObserver:
 
     def poisoned(self, pipeline: "Pipeline") -> None:
         """A stage failure poisoned this pipeline (teardown started)."""
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is not None:
             registry.counter(
                 f"fg.{self.program.name}.pipeline.{pipeline.name}"
@@ -172,7 +166,7 @@ class ProgramObserver:
 
     def drained(self, pipeline: "Pipeline", count: int) -> None:
         """``count`` stranded buffers were drained back to the pool."""
-        registry = self.registry
+        registry = self.kernel.metrics
         if registry is not None:
             registry.counter(
                 f"fg.{self.program.name}.pipeline.{pipeline.name}"

@@ -51,5 +51,5 @@ class ProvenanceCapture:
 
     def detach(self) -> None:
         """Stop capturing on this kernel."""
-        if getattr(self.kernel, "provenance", None) is self:
+        if self.kernel.provenance is self:
             self.kernel.provenance = None

@@ -27,6 +27,8 @@ T = TypeVar("T")
 
 _ITEM = "item"
 _CLOSED = "closed"
+#: what ``_take`` returns when a ``try_get`` found nothing
+_NOTHING = object()
 
 
 class Channel(Generic[T]):
@@ -69,17 +71,6 @@ class Channel(Generic[T]):
             self._m_occupancy = None
             self._m_delivered = None
 
-    # -- instrumentation helpers (call with the kernel mutex held) ---------
-
-    def _note_delivered_locked(self) -> None:
-        self.delivered += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc()
-
-    def _note_occupancy_locked(self) -> None:
-        if self._m_occupancy is not None:
-            self._m_occupancy.set(len(self._buf))
-
     def _wait_info(self) -> str:
         """Deadlock-report detail: live occupancy, capacity, and owner."""
         cap = "inf" if self.capacity is None else self.capacity
@@ -95,33 +86,60 @@ class Channel(Generic[T]):
     def closed(self) -> bool:
         return self._closed
 
-    # -- blocking operations -------------------------------------------------
+    # -- put / get ----------------------------------------------------------------
 
     def put(self, item: T) -> None:
         """Append ``item``, blocking while the channel is full."""
+        self._offer(item, True)
+
+    def try_put(self, item: T) -> bool:
+        """Append ``item`` if it would not block; return success."""
+        return self._offer(item, False)
+
+    def get(self) -> T:
+        """Remove and return the oldest item, blocking while empty."""
+        return self._take(True)
+
+    def try_get(self) -> tuple[bool, Optional[T]]:
+        """Return ``(True, item)`` if an item was available, else ``(False, None)``."""
+        item = self._take(False)
+        return (False, None) if item is _NOTHING else (True, item)
+
+    def _offer(self, item: T, block: bool) -> bool:
+        """``put`` (``block``) / ``try_put``: True once ``item`` is in."""
         kernel = self.kernel
         kernel.mutex.acquire()
         if self._closed:
             kernel.mutex.release()
             raise ChannelClosed(f"put on closed channel {self.name!r}")
+        room = self.capacity is None or len(self._buf) < self.capacity
+        if not (block or room or self._getq):
+            kernel.mutex.release()
+            return False
         race = kernel.race
         if race is not None:
             # happens-before edge: deliveries follow put order, so the
-            # detector keeps a FIFO of sender clock snapshots per channel
+            # detector keeps a FIFO of sender clock snapshots per channel.
+            # A blocking put records its send now, before it parks (the
+            # snapshot must be the putter's); a try_put that would block
+            # has returned above and records none.
             race.on_send(self)
         if self._getq:
             getter = self._getq.popleft()
-            self._note_delivered_locked()
+            self.delivered += 1
+            if self._m_delivered is not None:
+                self._m_delivered.inc()
             if race is not None:
                 race.on_handoff(self, getter.pid)
             kernel.make_ready(getter, (_ITEM, item))
             kernel.mutex.release()
-            return
-        if self.capacity is None or len(self._buf) < self.capacity:
+            return True
+        if room:
             self._buf.append(item)
-            self._note_occupancy_locked()
+            if self._m_occupancy is not None:
+                self._m_occupancy.set(len(self._buf))
             kernel.mutex.release()
-            return
+            return True
         me = kernel.current_process()
         self._putq.append((me, item))
         me.wait_info = self._wait_info
@@ -131,32 +149,35 @@ class Channel(Generic[T]):
         me.waiting_channel = None
         if outcome == _CLOSED:
             raise ChannelClosed(f"channel {self.name!r} closed while putting")
+        return True
 
-    def get(self) -> T:
-        """Remove and return the oldest item, blocking while empty."""
+    def _take(self, block: bool) -> T:
+        """``get`` (``block``) / ``try_get``: the item, or ``_NOTHING``."""
         kernel = self.kernel
         kernel.mutex.acquire()
         race = kernel.race
-        if self._buf:
-            item = self._buf.popleft()
-            self._note_delivered_locked()
+        if self._buf or self._putq:
+            self.delivered += 1
+            if self._m_delivered is not None:
+                self._m_delivered.inc()
             if race is not None:
                 race.on_receive(self)
-            if self._putq:
-                putter, pending = self._putq.popleft()
-                self._buf.append(pending)
+            if self._buf:
+                item = self._buf.popleft()
+                if self._putq:  # a parked putter's item takes the free slot
+                    putter, pending = self._putq.popleft()
+                    self._buf.append(pending)
+                    kernel.make_ready(putter, _ITEM)
+                if self._m_occupancy is not None:
+                    self._m_occupancy.set(len(self._buf))
+            else:  # capacity == 0 rendezvous
+                putter, item = self._putq.popleft()
                 kernel.make_ready(putter, _ITEM)
-            self._note_occupancy_locked()
             kernel.mutex.release()
             return item
-        if self._putq:  # capacity == 0 rendezvous
-            putter, pending = self._putq.popleft()
-            self._note_delivered_locked()
-            if race is not None:
-                race.on_receive(self)
-            kernel.make_ready(putter, _ITEM)
+        if not block:
             kernel.mutex.release()
-            return pending
+            return _NOTHING
         if self._closed:
             kernel.mutex.release()
             raise ChannelClosed(f"get on closed, empty channel {self.name!r}")
@@ -173,63 +194,6 @@ class Channel(Generic[T]):
             # the putter handed us its clock snapshot via on_handoff
             race.on_resume()
         return payload
-
-    # -- non-blocking operations ------------------------------------------------
-
-    def try_get(self) -> tuple[bool, Optional[T]]:
-        """Return ``(True, item)`` if an item was available, else ``(False, None)``."""
-        kernel = self.kernel
-        kernel.mutex.acquire()
-        race = kernel.race
-        if self._buf:
-            item = self._buf.popleft()
-            self._note_delivered_locked()
-            if race is not None:
-                race.on_receive(self)
-            if self._putq:
-                putter, pending = self._putq.popleft()
-                self._buf.append(pending)
-                kernel.make_ready(putter, _ITEM)
-            self._note_occupancy_locked()
-            kernel.mutex.release()
-            return True, item
-        if self._putq:
-            putter, pending = self._putq.popleft()
-            self._note_delivered_locked()
-            if race is not None:
-                race.on_receive(self)
-            kernel.make_ready(putter, _ITEM)
-            kernel.mutex.release()
-            return True, pending
-        kernel.mutex.release()
-        return False, None
-
-    def try_put(self, item: T) -> bool:
-        """Append ``item`` if it would not block; return success."""
-        kernel = self.kernel
-        kernel.mutex.acquire()
-        if self._closed:
-            kernel.mutex.release()
-            raise ChannelClosed(f"put on closed channel {self.name!r}")
-        race = kernel.race
-        if self._getq:
-            getter = self._getq.popleft()
-            self._note_delivered_locked()
-            if race is not None:
-                race.on_send(self)
-                race.on_handoff(self, getter.pid)
-            kernel.make_ready(getter, (_ITEM, item))
-            kernel.mutex.release()
-            return True
-        if self.capacity is None or len(self._buf) < self.capacity:
-            if race is not None:
-                race.on_send(self)
-            self._buf.append(item)
-            self._note_occupancy_locked()
-            kernel.mutex.release()
-            return True
-        kernel.mutex.release()
-        return False
 
     # -- shutdown ------------------------------------------------------------------
 

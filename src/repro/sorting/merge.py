@@ -17,10 +17,11 @@ the prefixes with one stable sort.
 * **Tie rule.**  Output order is ``(key, rank, position)``: equal keys
   come out in the order of their runs' ``repr``, fixed at construction
   (so run ``10`` precedes run ``2``), then in block order.
-* **Stop rule.**  ``merge_into`` returns when ``budget`` records are out,
-  when an *unfinished* run's head drains (its last record is the last one
-  emitted; feed or finish that run, then call again), or when every head
-  is gone.  A finished run's head draining does not stop the call.
+* **Stop rule.**  ``merge_into`` makes one pass: it returns when
+  ``budget`` records are out or when the pivot's head drains (its last
+  record is the last one emitted; feed or finish that run, then call
+  again) — whichever comes first.  A run can only be finished while it
+  has no head, so a draining head always belongs to an unfinished run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class BlockMerger:
         run_ids = list(run_ids)  # may be a one-shot iterable
         self._heads: dict[Hashable, tuple[np.ndarray, int]] = {}
         self._pending: set[Hashable] = set(run_ids)  # need a block
-        self._finished: set[Hashable] = set()
         if len(self._pending) != len(run_ids):
             raise SortError("duplicate run ids")
         self._by_rank = sorted(run_ids, key=repr)  # tie order, see above
@@ -65,7 +65,6 @@ class BlockMerger:
             raise SortError(
                 f"run {run!r} cannot finish while it has an unconsumed head")
         self._pending.discard(run)
-        self._finished.add(run)
 
     # -- state queries ------------------------------------------------------------
 
@@ -97,47 +96,45 @@ class BlockMerger:
     def merge_into(self, out: np.ndarray, start: int, budget: int) -> int:
         """Copy up to ``budget`` merged records into ``out[start:]``.
 
-        Returns the number of records copied.  Stops early when an
-        unfinished run's head block empties (feed it, then call again) or
-        when all runs are exhausted.  Requires :attr:`ready`.
+        Returns the number of records copied.  Stops early when a run's
+        head block empties (feed or finish it, then call again); returns
+        0 when all runs are exhausted.  Requires :attr:`ready`.
         """
         if not self.ready:
             raise SortError(
                 f"merge_into while runs {sorted(map(repr, self._pending))} "
                 "await blocks")
-        copied = 0
-        while copied < budget and self._heads:
-            heads = [(run, *self._heads[run]) for run in self._by_rank
-                     if run in self._heads]
-            # argmin takes the lowest rank among equal last keys
-            lasts = np.array([records["key"][-1] for _, records, _ in heads])
-            pivot = int(lasts.argmin())
-            parts = []
-            for rank, (_, records, pos) in enumerate(heads):
-                # equal keys of lower-ranked runs precede the pivot's last
-                # record, those of higher-ranked runs follow it
-                cut = records["key"][pos:].searchsorted(
-                    lasts[pivot], "right" if rank <= pivot else "left")
-                parts.append(records[pos:pos + cut])
-            # a copy, so no head view escapes; naming the dtype spares
-            # numpy a per-part promotion of the record fields
-            merged = np.concatenate(parts, dtype=out.dtype)
-            order = np.argsort(merged["key"], kind="stable")
-            taken = [len(part) for part in parts]
-            if len(merged) > budget - copied:
-                order = order[:budget - copied]
-                source = np.searchsorted(np.cumsum(taken), order, "right")
-                taken = np.bincount(source, minlength=len(parts)).tolist()
-            # indices are in range; any mode but "raise" skips a temporary
-            np.take(merged, order, mode="clip",
-                    out=out[start + copied:start + copied + len(order)])
-            copied += len(order)
-            for (run, records, pos), n in zip(heads, taken):
-                self._heads[run] = (records, pos + n)
-            run, records, pos = heads[pivot]
-            if pos + taken[pivot] == len(records):
-                del self._heads[run]
-                if run not in self._finished:
-                    self._pending.add(run)
-                    break  # caller must feed this run before continuing
-        return copied
+        if budget <= 0 or not self._heads:
+            return 0
+        heads = [(run, *self._heads[run]) for run in self._by_rank
+                 if run in self._heads]
+        # argmin takes the lowest rank among equal last keys
+        lasts = np.array([records["key"][-1] for _, records, _ in heads])
+        pivot = int(lasts.argmin())
+        parts = []
+        for rank, (_, records, pos) in enumerate(heads):
+            # equal keys of lower-ranked runs precede the pivot's last
+            # record, those of higher-ranked runs follow it
+            cut = records["key"][pos:].searchsorted(
+                lasts[pivot], "right" if rank <= pivot else "left")
+            parts.append(records[pos:pos + cut])
+        # a copy, so no head view escapes; naming the dtype spares
+        # numpy a per-part promotion of the record fields
+        merged = np.concatenate(parts, dtype=out.dtype)
+        order = np.argsort(merged["key"], kind="stable")
+        taken = [len(part) for part in parts]
+        if len(merged) > budget:
+            order = order[:budget]
+            source = np.searchsorted(np.cumsum(taken), order, "right")
+            taken = np.bincount(source, minlength=len(parts)).tolist()
+        # indices are in range; any mode but "raise" skips a temporary
+        np.take(merged, order, mode="clip",
+                out=out[start:start + len(order)])
+        for (run, records, pos), n in zip(heads, taken):
+            self._heads[run] = (records, pos + n)
+        run, records, pos = heads[pivot]
+        if pos + taken[pivot] == len(records):
+            # the caller must feed or finish this run before continuing
+            del self._heads[run]
+            self._pending.add(run)
+        return len(order)

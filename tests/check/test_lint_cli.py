@@ -85,6 +85,22 @@ def test_race_defect_fixture_fails_strict():
     assert "FG110" in output
 
 
+def test_race_defect_fixture_is_linted_statically_under_repro_race(
+        monkeypatch):
+    """``repro lint`` is the static gate: with the dynamic detectors'
+    opt-in variables set, FGRace's RaceError on the fixture must not
+    turn FG110's exit code (0, or 1 under --strict) into a crash (2)."""
+    monkeypatch.setenv("REPRO_RACE", "1")
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    code, output = run_lint([RACE_DEFECT])
+    assert (code, "FG110" in output) == (0, True)
+    assert "non-lint failure" not in output
+    code, output = run_lint([RACE_DEFECT], strict=True)
+    assert (code, "FG110" in output) == (1, True)
+    # masked only while the file ran
+    assert os.environ["REPRO_RACE"] == os.environ["REPRO_SANITIZE"] == "1"
+
+
 def test_list_rules_prints_the_full_catalog():
     from repro.check.runner import rules_table
     lines = rules_table()

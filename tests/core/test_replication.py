@@ -20,9 +20,10 @@ from repro.sim import VirtualTimeKernel
 
 
 def build_replicated(kernel, *, replicas, rounds, work_fn, lint_ignore=None,
-                     nbuffers=None):
+                     nbuffers=None, race_detect=None):
     """[work (replicated) -> collect] with ``collect`` recording rounds."""
-    prog = FGProgram(kernel, name="rep", lint_ignore=lint_ignore)
+    prog = FGProgram(kernel, name="rep", lint_ignore=lint_ignore,
+                     race_detect=race_detect)
     order = []
 
     def collect(ctx, buf):
@@ -49,9 +50,12 @@ def test_sequencer_restores_order_under_adversarial_timing():
         return buf
 
     # FG109 rightly flags the completions-list instrumentation; it is
-    # test-only bookkeeping, so suppress the rule for this program
+    # test-only bookkeeping, so suppress the rule for this program — and
+    # FGRace (race_detect=False), whose cell model rightly sees the
+    # replicas append to one list: the measuring instrument, not a bug
     prog, order = build_replicated(kernel, replicas=3, rounds=rounds,
-                                   work_fn=work, lint_ignore={"FG109"})
+                                   work_fn=work, lint_ignore={"FG109"},
+                                   race_detect=False)
     kernel.spawn(prog.run, name="driver")
     kernel.run()
     # downstream saw every round, in emission order

@@ -249,3 +249,55 @@ def test_unfed_channel_deadlocks_with_diagnostics():
     with pytest.raises(DeadlockError) as exc_info:
         kernel.run()
     assert "starved" in str(exc_info.value)
+
+
+# -- FGRace attached: one send/handoff/receive site in the channel -----------
+
+
+def test_failed_try_put_records_no_send_under_fgrace():
+    """The detector keeps one sender-clock snapshot per undelivered item;
+    a try_put that would block delivers nothing and must add none."""
+    kernel = VirtualTimeKernel()
+    race = kernel.enable_race_detection()
+    ch = Channel(kernel, capacity=1)
+    snapshots = []
+
+    def main():
+        assert ch.try_put("a")
+        snapshots.append(len(race._chan[id(ch)]))
+        assert not ch.try_put("b")  # full
+        snapshots.append(len(race._chan[id(ch)]))
+        assert ch.try_get() == (True, "a")
+        snapshots.append(len(race._chan[id(ch)]))
+
+    kernel.spawn(main, name="main")
+    kernel.run()
+    assert snapshots == [1, 1, 0]
+
+
+@pytest.mark.parametrize("getter_first", [False, True])
+def test_rendezvous_get_joins_the_putters_clock(getter_first):
+    """capacity=0: whichever side parks first, the getter leaves knowing
+    everything the putter did before its put (the send tick included)."""
+    kernel = VirtualTimeKernel()
+    race = kernel.enable_race_detection()
+    ch = Channel(kernel, capacity=0)
+    seen = {}
+
+    def putter():
+        if getter_first:
+            kernel.sleep(1.0)
+        seen["putter"] = kernel.current_process().pid
+        ch.put("x")
+
+    def getter():
+        if not getter_first:
+            kernel.sleep(1.0)
+        assert ch.get() == "x"
+        seen["clock"] = dict(race._clocks[kernel.current_process().pid])
+
+    kernel.spawn(putter, name="putter")
+    kernel.spawn(getter, name="getter")
+    kernel.run()
+    assert seen["clock"][seen["putter"]] == 1
+    assert not race._chan[id(ch)]  # the snapshot was consumed

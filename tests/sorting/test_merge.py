@@ -275,23 +275,3 @@ def test_budget_smaller_than_one_pass_cuts_the_sorted_order():
     assert merger.ready
     merged = assert_same_as_reference(run_ids, runs, block=4, budgets=[4])
     assert merged.tobytes() == stable_sorted(run_ids, runs).tobytes()
-
-
-def test_finished_runs_head_draining_does_not_stop_the_call():
-    """The old loop carried on when the head that drained belonged to a
-    finished run.  No public call sequence puts a run there (``feed`` and
-    ``finish_run`` both need the run pending), so mark it by hand, on the
-    merger and on the oracle, and pin the branch."""
-    mergers = (BlockMerger(PAYLOAD, "abc"), ReferenceMerger(PAYLOAD, "abc"))
-    outs = [PAYLOAD.empty(10) for _ in mergers]
-    for merger, out in zip(mergers, outs):
-        merger.feed("a", tagged([1, 2], 0))
-        merger.feed("b", tagged([3, 4, 5], 10))
-        merger.feed("c", tagged([2, 6], 20))
-        merger._finished.add("a")
-        # 'a' drains after two records, the call goes on to drain 'b'
-        assert merger.merge_into(out, 0, 10) == 6
-        assert out["key"][:6].tolist() == [1, 2, 2, 3, 4, 5]
-        assert merger.needs() == {"b"}
-        assert [merger.head_remaining(run) for run in "abc"] == [0, 0, 1]
-    assert outs[0].tobytes() == outs[1].tobytes()
