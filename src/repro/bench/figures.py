@@ -216,7 +216,9 @@ def overlap_experiment(n_blocks: int = 32,
 def virtual_stage_experiment(ks: Sequence[int] = (4, 32, 256)) -> \
         dict[int, dict[str, int]]:
     """Figure 5(b): thread count for k pipelines, with and without
-    virtual stages."""
+    virtual stages — counted (``plain``/``virtual``: FG threads, i.e.
+    processes the program spawned) and measured (``*_os_threads``: OS
+    threads the kernel started, driver process included)."""
     from repro.sim import VirtualTimeKernel
 
     out: dict[int, dict[str, int]] = {}
@@ -232,6 +234,8 @@ def virtual_stage_experiment(ks: Sequence[int] = (4, 32, 256)) -> \
                                   buffer_bytes=16, rounds=2)
             kernel.spawn(prog.run, name="driver")
             kernel.run()
-            counts["virtual" if virtual else "plain"] = prog.thread_count
+            mode = "virtual" if virtual else "plain"
+            counts[mode] = prog.thread_count
+            counts[f"{mode}_os_threads"] = kernel.threads_started
         out[k] = counts
     return out

@@ -66,6 +66,15 @@ class ChaosReport:
     #: per-rank phase timings (one dict per rank; keys depend on the
     #: sorter) — lets callers aim fault windows at a specific pass
     rank_times: list = dataclasses.field(default_factory=list)
+    #: OS threads that carried the run's processes
+    #: (``Kernel.threads_started``); repeats exactly
+    threads_started: int = 0
+
+    @property
+    def processes(self) -> int:
+        """Kernel processes spawned (``kernel.processes_spawned``)."""
+        return int(self.metrics["counters"]["kernel.processes_spawned"]
+                   ["value"])
 
     def describe(self) -> str:
         """Multi-line human summary (used by ``repro chaos``)."""
@@ -73,6 +82,8 @@ class ChaosReport:
             f"chaos {self.sorter}: seed={self.seed} nodes={self.n_nodes} "
             f"records={self.total_records}",
             f"  elapsed          {self.elapsed:.3f} simulated s",
+            f"  processes        {self.processes} on "
+            f"{self.threads_started} OS threads",
             f"  verified         {self.verified}",
             f"  pass restarts    {self.pass_restarts}",
             f"  faults fired     {self.fault_summary.get('total', 0)} "
@@ -204,7 +215,8 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
         provenance=provenance,
         sorter=sorter,
         recovery_decisions=list(recovery_decisions),
-        rank_times=rank_times)
+        rank_times=rank_times,
+        threads_started=kernel.threads_started)
 
 
 def run_chaos_dsort(n_nodes: int = 3, records_per_node: int = 2000,

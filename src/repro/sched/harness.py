@@ -53,6 +53,15 @@ class SchedReport:
     decision_digest: str
     metrics: dict
     provenance: Optional[Any] = None
+    #: OS threads that carried the run's processes
+    #: (``Kernel.threads_started``); repeats exactly
+    threads_started: int = 0
+
+    @property
+    def processes(self) -> int:
+        """Kernel processes spawned (``kernel.processes_spawned``)."""
+        return int(self.metrics["counters"]["kernel.processes_spawned"]
+                   ["value"])
 
     @property
     def done(self) -> int:
@@ -71,6 +80,8 @@ class SchedReport:
             f"utilization {self.utilization:.1%}",
             f"  decisions    {len(self.decisions)} "
             f"(sha256 {self.decision_digest[:16]}…)",
+            f"  processes    {self.processes} on "
+            f"{self.threads_started} OS threads",
         ]
         for tenant in sorted(self.tenants):
             st = self.tenants[tenant]
@@ -207,4 +218,5 @@ def run_schedule(trace: ArrivalTrace, *,
         decision_digest=sched.decision_digest(),
         metrics=metrics,
         provenance=record,
+        threads_started=kernel.threads_started,
     )

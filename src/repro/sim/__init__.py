@@ -6,7 +6,8 @@ is written as plain blocking Python — exactly the programming model the FG
 paper describes — and runs unmodified on either kernel:
 
 * :class:`~repro.sim.virtual.VirtualTimeKernel` — a deterministic
-  cooperative scheduler.  Every process is a real thread, but only one runs
+  cooperative scheduler.  Every process runs on a real thread (borrowed
+  from the kernel's pool of reusable carrier threads), but only one runs
   at a time; blocking primitives hand control to the scheduler, which
   advances a simulated clock to the earliest pending event.  All reported
   times are exact consequences of the hardware cost model, independent of

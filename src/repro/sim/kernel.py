@@ -1,8 +1,8 @@
 """Abstract execution kernel: processes, parking, and the scheduling contract.
 
 A :class:`Kernel` runs a set of :class:`Process` objects, each of which wraps
-a plain Python callable executing in its own OS thread.  Processes interact
-with the kernel only through blocking primitives:
+a plain Python callable written in blocking style.  Processes interact with
+the kernel only through blocking primitives:
 
 * :meth:`Kernel.sleep` — consume (simulated or real) time;
 * :meth:`Kernel.block_current` / :meth:`Kernel.make_ready` — park the calling
@@ -20,6 +20,24 @@ kernel state does so while holding :attr:`Kernel.mutex`.  Synchronization
 objects acquire the mutex themselves and call ``block_current(locked=True)``
 while holding it; the kernel releases the mutex while the process is parked
 and re-acquires nothing on resume (wakers transfer any data before waking).
+
+Carriers: a process does not own an OS thread.  Each kernel keeps a pool of
+*carrier* threads, every one parked on its own :class:`threading.Event`.
+Starting a process binds it to an idle carrier (most recently idled first,
+a new thread only when none is idle) and lends it the carrier's event as
+``Process._resume_event``; the wake that admits the process is the wake
+that starts the carrier, so a reused carrier costs no thread start and no
+extra OS wake-up.  When the process finishes, its carrier clears the event
+and goes back to the idle list; when :meth:`Kernel.run` returns or raises,
+every idle carrier is woken with no job, exits and is joined, so no kernel
+thread outlives ``run()``.  The invariant that makes lending an event safe:
+every ``_resume_event.set()`` happens while the process is still bound
+(wakers only ever name live processes, and a live process cannot retire
+before it is woken), and clear-and-release happens under the mutex, before
+the retiring process hands the run token on — so no ``set()`` meant for a
+finished process can reach the carrier's next one.  Release also resets
+``Process._resume_event`` to None: a stale wake raises instead of waking a
+stranger.  :attr:`Kernel.threads_started` counts the OS threads created.
 """
 
 from __future__ import annotations
@@ -44,7 +62,7 @@ __all__ = ["Kernel", "Process", "ProcessState"]
 class ProcessState(enum.Enum):
     """Lifecycle states of a kernel process."""
 
-    NEW = "new"          #: created, thread not started yet
+    NEW = "new"          #: created, not bound to a carrier yet
     READY = "ready"      #: eligible to run (virtual-time kernel only)
     RUNNING = "running"  #: currently executing user code
     BLOCKED = "blocked"  #: parked on a wait queue or timed event
@@ -52,8 +70,34 @@ class ProcessState(enum.Enum):
     FAILED = "failed"    #: target raised
 
 
+class _Carrier(threading.Thread):
+    """A reusable OS thread (see the module docstring, "Carriers").
+
+    Parked on :attr:`event` whenever it is idle; woken either with a
+    process bound to :attr:`proc`, which it runs to completion, or with
+    none, which tells it to exit.  While bound it is named after its
+    process so thread dumps say which stage hung.
+    """
+
+    IDLE_NAME = "repro-carrier"
+
+    def __init__(self) -> None:
+        super().__init__(name=self.IDLE_NAME, daemon=True)
+        self.event = threading.Event()
+        self.proc: Optional[Process] = None
+
+    def run(self) -> None:
+        # no local outlives an iteration: a parked carrier must not pin
+        # its last process (or, through it, the kernel and its cluster)
+        while True:
+            self.event.wait()
+            if self.proc is None:
+                return
+            self.proc.kernel._bootstrap(self.proc)
+
+
 class Process:
-    """A schedulable unit: one user callable running in one thread.
+    """A schedulable unit: one user callable running on one carrier thread.
 
     Processes are created with :meth:`Kernel.spawn`; user code never
     instantiates this class directly.  After the kernel finishes,
@@ -88,9 +132,10 @@ class Process:
         #: one-slot mailbox used by wakers to hand data to a parked process
         #: (e.g. a channel item) before making it ready.
         self.wake_value: Any = None
-        self._resume_event = threading.Event()
+        #: the wake primitive of the carrier this process is bound to;
+        #: None before it starts and after it retires
+        self._resume_event: Optional[threading.Event] = None
         self._joiners: list[Process] = []
-        self._thread: Optional[threading.Thread] = None
 
     # -- introspection ----------------------------------------------------
 
@@ -141,6 +186,13 @@ class Kernel:
         self._aborting = False
         self._failure: Optional[ProcessFailed] = None
         self._tls = threading.local()
+        self._idle: list[_Carrier] = []
+        #: OS threads this kernel created.  Carriers are bound under the
+        #: mutex and reused most-recently-idled first, so this equals the
+        #: peak number of simultaneously started, unfinished processes
+        #: and repeats exactly under the virtual-time kernel.  A plain
+        #: attribute like ``switches``, never a metric.
+        self.threads_started = 0
         #: optional metrics registry recording in this kernel's time;
         #: see :meth:`enable_metrics`.  Channels and FG programs
         #: instrument themselves when it is non-None.
@@ -276,20 +328,62 @@ class Kernel:
     # -- shared helpers for subclasses ---------------------------------------
 
     def _start_process_locked(self, proc: Process) -> None:
-        """Start the OS thread backing ``proc``.  Mutex held by caller."""
-        thread = threading.Thread(target=self._bootstrap, args=(proc,),
-                                  name=f"repro-{proc.name}", daemon=True)
-        proc._thread = thread
+        """Bind ``proc`` to a parked carrier.  Mutex held by caller.
+
+        The carrier stays parked: the first ``proc._resume_event.set()``
+        (the scheduler's, or :meth:`_prepare_new_process_locked`'s) is
+        what starts the process.
+        """
+        if self._idle:
+            carrier = self._idle.pop()
+        else:
+            carrier = _Carrier()
+            carrier.start()
+            self.threads_started += 1
+        carrier.proc = proc
+        carrier.name = f"repro-{proc.name}"
+        proc._resume_event = carrier.event
         self._prepare_new_process_locked(proc)
-        thread.start()
 
     def _prepare_new_process_locked(self, proc: Process) -> None:
-        """Hook: subclass bookkeeping before a process thread starts."""
+        """Hook: subclass bookkeeping once a process is bound."""
+
+    def _release_carrier_locked(self, proc: Process) -> None:
+        """Unbind the calling carrier from ``proc``, which has finished.
+
+        Called by :meth:`_retire` with the mutex held, before the run
+        token moves on (module docstring, "Carriers").
+        """
+        carrier = threading.current_thread()
+        assert isinstance(carrier, _Carrier) and carrier.proc is proc
+        carrier.proc = None
+        carrier.name = carrier.IDLE_NAME
+        proc._resume_event = None
+        if self._finished:
+            # a process that outlived the watchdog's grace: run() has
+            # already drained the pool, so this carrier exits too
+            carrier.event.set()
+        else:
+            carrier.event.clear()
+            self._idle.append(carrier)
+
+    def _finish(self) -> None:
+        """End of :meth:`run`, on every exit path: close the kernel and
+        wake, with no job, and join every idle carrier."""
+        with self.mutex:
+            self._finished = True
+            idle, self._idle = self._idle, []
+        for carrier in idle:
+            carrier.event.set()
+        for carrier in idle:
+            carrier.join()
 
     def _bootstrap(self, proc: Process) -> None:
-        """Thread entry point: bind TLS, wait for admission, run target."""
+        """Run ``proc`` on the calling carrier, which has just been woken."""
         self._tls.process = proc
         try:
+            if self._aborting:
+                raise KernelShutdown()
             self._admit(proc)
             proc.state = ProcessState.RUNNING
             proc.result = proc.target(*proc.args, **proc.kwargs)
@@ -304,10 +398,11 @@ class Kernel:
             self._retire(proc)
 
     def _admit(self, proc: Process) -> None:
-        """Hook: block until the scheduler admits this new process."""
+        """Hook: the scheduler has admitted this new process."""
 
     def _retire(self, proc: Process) -> None:
-        """Hook: bookkeeping when a process finishes; wake joiners, pick next."""
+        """Hook: bookkeeping when a process finishes; release its carrier,
+        wake joiners, pick next."""
         raise NotImplementedError
 
     def _wake_joiners_locked(self, proc: Process) -> None:

@@ -1,8 +1,10 @@
 """Real-time kernel: free-running threads, wall-clock time.
 
 This kernel implements the same contract as
-:class:`~repro.sim.virtual.VirtualTimeKernel` but lets process threads run
-concurrently under the OS scheduler.  It exists for two reasons:
+:class:`~repro.sim.virtual.VirtualTimeKernel` but lets processes run
+concurrently under the OS scheduler: binding a process to a carrier thread
+(:mod:`repro.sim.kernel`) wakes the carrier at once.  It exists for two
+reasons:
 
 * correctness runs — the same FG programs execute on it unmodified, which
   checks that nothing in the library depends on cooperative scheduling; and
@@ -92,15 +94,15 @@ class RealTimeKernel(Kernel):
 
     # -- process lifecycle ---------------------------------------------------------
 
-    def _admit(self, proc: Process) -> None:
+    def _prepare_new_process_locked(self, proc: Process) -> None:
         # Real-time processes start running immediately.
-        if self._aborting:
-            raise KernelShutdown()
+        proc._resume_event.set()
 
     def _retire(self, proc: Process) -> None:
         with self.mutex:
             self._live -= 1
             self._record_failure_locked(proc)
+            self._release_carrier_locked(proc)
             self._wake_joiners_locked(proc)
             if proc.exception is not None and not self._aborting:
                 self._begin_abort_locked()
@@ -127,20 +129,21 @@ class RealTimeKernel(Kernel):
         if self.in_process():
             raise KernelStateError("run() may not be called from a process")
         self._started = True
-        with self.mutex:
-            for proc in self._processes:
-                if proc.state is ProcessState.NEW:
-                    self._start_process_locked(proc)
-            finished = self._done.wait_for(lambda: self._live == 0,
-                                           timeout=timeout)
-            if not finished:
-                blocked = [p for p in self._processes if p.alive]
-                self._begin_abort_locked()
-                self._done.wait_for(lambda: self._live == 0, timeout=5.0)
-                self._finished = True
-                raise KernelStateError(
-                    "real-time kernel watchdog expired; live processes:\n"
-                    + self._describe_blocked(blocked))
-        self._finished = True
-        if self._failure is not None:
-            raise self._failure
+        try:
+            with self.mutex:
+                for proc in self._processes:
+                    if proc.state is ProcessState.NEW:
+                        self._start_process_locked(proc)
+                finished = self._done.wait_for(lambda: self._live == 0,
+                                               timeout=timeout)
+                if not finished:
+                    blocked = [p for p in self._processes if p.alive]
+                    self._begin_abort_locked()
+                    self._done.wait_for(lambda: self._live == 0, timeout=5.0)
+                    raise KernelStateError(
+                        "real-time kernel watchdog expired; live processes:\n"
+                        + self._describe_blocked(blocked))
+            if self._failure is not None:
+                raise self._failure
+        finally:
+            self._finish()

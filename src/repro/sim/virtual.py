@@ -4,12 +4,16 @@ The central idea (see DESIGN.md): FG stages must be writable as plain
 blocking Python functions — that is the programming model the paper sells —
 yet a pure-Python reproduction cannot measure latency overlap with real
 threads because of the GIL.  This kernel squares that circle by running each
-process in a real OS thread while enforcing **cooperative, token-passing
-scheduling**: exactly one thread executes at any moment, every blocking
-primitive hands the "run token" to the scheduler, and the scheduler advances
-a simulated clock to the earliest pending timed event.  Reported times are
-therefore exact consequences of the configured cost models; the GIL only
-affects how long the simulation takes to execute, never what it reports.
+process on a real OS thread — a *carrier* borrowed from the kernel's pool for
+the life of the process (:mod:`repro.sim.kernel`), so a blocking call simply
+blocks — while enforcing **cooperative, token-passing scheduling**: exactly
+one thread executes at any moment, every blocking primitive hands the "run
+token" to the scheduler, and the scheduler advances a simulated clock to the
+earliest pending timed event.  Reported times are therefore exact
+consequences of the configured cost models; the GIL only affects how long
+the simulation takes to execute, never what it reports.  Which carrier runs
+which process is invisible in simulated time: a thousand short processes
+cost as many OS threads as are ever alive at once.
 
 Determinism: the ready queue is FIFO, timed events are ordered by
 ``(time, sequence-number)``, wakers never signal threads directly (they move
@@ -155,17 +159,14 @@ class VirtualTimeKernel(Kernel):
     # -- process lifecycle hooks ------------------------------------------------
 
     def _prepare_new_process_locked(self, proc: Process) -> None:
-        # Newly spawned processes join the ready queue; their thread parks
-        # in _admit until the scheduler grants them the token.
+        # Newly spawned processes join the ready queue; their carrier stays
+        # parked until the scheduler grants them the token.
         proc.state = ProcessState.READY
         self._ready.append(proc)
         if self.tracer is not None:
             self.tracer.record(self._now, proc.name, SPAWN)
 
     def _admit(self, proc: Process) -> None:
-        proc._resume_event.wait()
-        if self._aborting:
-            raise KernelShutdown()
         if self.tracer is not None:
             self.tracer.record(self._now, proc.name, RESUME)
 
@@ -176,6 +177,7 @@ class VirtualTimeKernel(Kernel):
         self._live -= 1
         live = self._live
         self._record_failure_locked(proc)
+        self._release_carrier_locked(proc)
         if self._aborting:
             # Abort in progress: the main thread owns scheduling; just
             # report death and exit.
@@ -200,6 +202,13 @@ class VirtualTimeKernel(Kernel):
         if self.in_process():
             raise KernelStateError("run() may not be called from a process")
         self._started = True
+        try:
+            self._schedule()
+        finally:
+            self._finish()
+
+    def _schedule(self) -> None:
+        """The main thread's side of the token: start, idle, abort."""
         with self.mutex:
             for proc in self._processes:
                 if proc.state is ProcessState.NEW:
@@ -208,11 +217,9 @@ class VirtualTimeKernel(Kernel):
             self.mutex.acquire()
             if self._failure is not None:
                 self._abort_locked()  # releases mutex
-                self._finished = True
                 raise self._failure
             if self._live == 0:
                 self.mutex.release()
-                self._finished = True
                 if self.metrics is not None:
                     self.metrics.counter("kernel.context_switches").inc(
                         self.switches)
@@ -230,7 +237,6 @@ class VirtualTimeKernel(Kernel):
                 if cycle is not None:
                     message += f"\n  wait-for cycle: {cycle}"
                 self._abort_locked()  # releases mutex
-                self._finished = True
                 raise DeadlockError(message)
             self.mutex.release()
             nxt._resume_event.set()
@@ -241,15 +247,14 @@ class VirtualTimeKernel(Kernel):
         self._aborting = True
         if self._live == 0:
             self._all_dead.set()
-        parked = [p for p in self._processes
-                  if p.alive and p._thread is not None]
+        # every live process is parked and bound: it cannot retire (and
+        # give its event back) before the set() below reaches it
+        parked = [p._resume_event for p in self._processes if p.alive]
         self.mutex.release()
-        for proc in parked:
-            proc._resume_event.set()
+        for event in parked:
+            event.set()
         # Parked processes raise KernelShutdown, unwind, and _retire; the
-        # last one sets _all_dead.
+        # last one sets _all_dead, by which time every carrier is idle
+        # and _finish() reaps them.
         if parked:
             self._all_dead.wait()
-        for proc in parked:
-            if proc._thread is not None:
-                proc._thread.join()

@@ -36,5 +36,8 @@ def test_pool_size_experiment_tiny():
 
 def test_virtual_stage_experiment_tiny():
     results = virtual_stage_experiment((2, 5))
-    assert results[2] == {"plain": 6, "virtual": 3}
-    assert results[5] == {"plain": 15, "virtual": 3}
+    # OS threads: every stage process is alive at once, plus the driver
+    assert results[2] == {"plain": 6, "virtual": 3,
+                          "plain_os_threads": 7, "virtual_os_threads": 4}
+    assert results[5] == {"plain": 15, "virtual": 3,
+                          "plain_os_threads": 16, "virtual_os_threads": 4}

@@ -152,6 +152,8 @@ def test_cli_sched_smoke(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "policy=fair" in out and "utilization" in out
+    # exact: carriers are reused, so 35 processes never need more
+    assert "processes    35 on 5 OS threads" in out
     assert prov.exists() and decisions.exists()
     lines = decisions.read_text().splitlines()
     entries = [json.loads(line) for line in lines]

@@ -151,6 +151,7 @@ def test_chaos_command_reports_and_verifies(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "verified         True" in out
+    assert "processes        44 on 23 OS threads" in out  # exact count
     assert "faults fired" in out
     assert "output sha256" in out
 
