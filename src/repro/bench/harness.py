@@ -315,7 +315,6 @@ def _provenance_record(cluster, capture, schema: RecordSchema, *,
     from repro.prov import (
         ProvenanceRecord,
         metrics_digest,
-        output_digest,
         trace_digest,
         tune_decision_log,
         version_info,
@@ -324,9 +323,8 @@ def _provenance_record(cluster, capture, schema: RecordSchema, *,
     kernel = cluster.kernel
     out_sha = ""
     if out_block is not None:
-        out = StripedFile(cluster, output_file, schema,
-                          out_block).read_all()
-        out_sha = output_digest(out.tobytes())
+        out_sha = StripedFile(cluster, output_file, schema,
+                              out_block).sha256()
     return ProvenanceRecord(
         kind="sort",
         args={"sorter": sorter, "distribution": distribution,

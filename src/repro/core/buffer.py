@@ -38,7 +38,7 @@ class Buffer:
 
     Attributes:
         data: the backing byte array (``capacity`` bytes, dtype uint8);
-            ``None`` for cabooses.
+            ``None`` for cabooses and for a released buffer.
         size: number of valid bytes currently in the buffer; stages set it
             when they fill the buffer.
         round: emission index assigned by the source (0, 1, 2, ...);
@@ -47,19 +47,25 @@ class Buffer:
             (e.g. which column of the matrix this block holds).
         aux: optional auxiliary scratch array of equal capacity — the
             "auxiliary buffer" feature the paper's permute stage uses so
-            permutations need not be in place.
+            permutations need not be in place.  Allocated when a stage
+            first touches it; ``None`` without ``with_aux``.
+
+    A pool buffer lives as long as its program: :meth:`release`, called
+    for every pool buffer when ``FGProgram.wait()`` returns or raises,
+    drops ``data`` and ``aux``, so the pool's bytes go back at once
+    rather than when the collector next finds the program's cycles.
     """
 
-    __slots__ = ("pipeline", "index", "_data", "aux", "size", "round",
-                 "tags", "is_caboose", "_san")
+    __slots__ = ("pipeline", "index", "_data", "_aux", "_with_aux", "size",
+                 "round", "tags", "is_caboose", "_san")
 
     def __init__(self, pipeline: "Pipeline", index: int, capacity: int,
                  with_aux: bool = False) -> None:
         self.pipeline = pipeline
         self.index = index
         self._data: Optional[np.ndarray] = np.zeros(capacity, dtype=np.uint8)
-        self.aux: Optional[np.ndarray] = (
-            np.zeros(capacity, dtype=np.uint8) if with_aux else None)
+        self._aux: Optional[np.ndarray] = None
+        self._with_aux = with_aux
         self.size = 0
         self.round = -1
         self.tags: dict[str, Any] = {}
@@ -78,7 +84,8 @@ class Buffer:
         buf.pipeline = pipeline
         buf.index = -1
         buf._data = None
-        buf.aux = None
+        buf._aux = None
+        buf._with_aux = False
         buf.size = 0
         buf.round = -1
         buf.tags = {}
@@ -96,8 +103,15 @@ class Buffer:
         return self._data
 
     @property
+    def aux(self) -> Optional[np.ndarray]:
+        """The auxiliary scratch array, zero-filled on first use."""
+        if self._aux is None and self._with_aux and self._data is not None:
+            self._aux = np.zeros(len(self._data), dtype=np.uint8)
+        return self._aux
+
+    @property
     def capacity(self) -> int:
-        """Backing capacity in bytes (0 for cabooses)."""
+        """Backing capacity in bytes (0 for cabooses and once released)."""
         return 0 if self._data is None else len(self._data)
 
     @property
@@ -154,9 +168,19 @@ class Buffer:
         self.round = -1
         self.tags.clear()
 
+    def release(self) -> None:
+        """Drop the backing arrays: the owning program has finished."""
+        self._data = None
+        self._aux = None
+
     def _check_data(self, op: str) -> None:
         if self._data is None:
-            raise StageError(f"cannot {op} on a caboose buffer")
+            if self.is_caboose:
+                raise StageError(f"cannot {op} on a caboose buffer")
+            raise StageError(
+                f"cannot {op} on released buffer {self.pipeline.name}"
+                f"#{self.index}: its program finished (pools are given "
+                "back at wait())")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         if self.is_caboose:

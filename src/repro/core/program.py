@@ -861,18 +861,29 @@ class FGProgram:
         completion; then stranded buffers are drained back to their
         pools and :class:`~repro.errors.PipelineFailed` is raised with
         the stage-level causal chain.
+
+        Either way the buffer pools end here: once every process has
+        joined nothing can read a buffer again, so each one drops its
+        arrays (:meth:`Buffer.release`) and the pool's bytes are free
+        when this returns or raises, while the program object — its
+        declarations, stats and :meth:`report` — stays usable.
         """
         for proc in self._procs:
             proc.join()
-        if self._failures:
-            self._drain_poisoned()
-            raise PipelineFailed(list(self._failures))
-        if self.sanitizer is not None:
-            # leak check only on clean runs: poisoned pipelines park
-            # their buffers through _drain_poisoned instead
-            self.sanitizer.check_teardown()
-        if self.kernel.race is not None:
-            self.kernel.race.check_teardown()
+        try:
+            if self._failures:
+                self._drain_poisoned()
+                raise PipelineFailed(list(self._failures))
+            if self.sanitizer is not None:
+                # leak check only on clean runs: poisoned pipelines park
+                # their buffers through _drain_poisoned instead
+                self.sanitizer.check_teardown()
+            if self.kernel.race is not None:
+                self.kernel.race.check_teardown()
+        finally:
+            for pool in self._buffers.values():
+                for buf in pool:
+                    buf.release()
 
     def _drain_poisoned(self) -> None:
         """Return buffers stranded in poisoned pipelines' queues to their

@@ -21,7 +21,6 @@ the disk/NIC retry layer — so ``run_chaos_csort`` takes no ``recover``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Any, Optional, Sequence
 
 from repro.errors import FaultError
@@ -166,9 +165,9 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
     if verify:
         verify_striped_output(cluster, manifest, config.output_file,
                               config.out_block_records, owners=owners)
-    out = StripedFile(cluster, config.output_file, manifest.schema,
-                      config.out_block_records, owners=owners).read_all()
-    output_digest = hashlib.sha256(out.tobytes()).hexdigest()
+    output_digest = StripedFile(
+        cluster, config.output_file, manifest.schema,
+        config.out_block_records, owners=owners).sha256()
 
     run_trace_digest = ""
     if trace:

@@ -9,7 +9,8 @@ outputs byte-comparable and lets one verifier check both.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import hashlib
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +20,10 @@ from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
 
 __all__ = ["StripedFile"]
+
+#: bytes per chunk of :meth:`StripedFile.iter_chunks`, rounded down to
+#: whole stripe rounds
+CHUNK_BYTES = 1 << 20
 
 
 class StripedFile:
@@ -104,22 +109,51 @@ class StripedFile:
         return sum(self.locals[rank].n_records
                    for rank in sorted(set(self.owners)))
 
+    def _read_rounds(self, lo: int, hi: int, total: int) -> np.ndarray:
+        """Records of stripe rounds ``[lo, hi)`` of a ``total``-record
+        file, in global order (round i is global blocks i*W .. i*W+W-1)."""
+        B, W = self.block_records, self.stripe_width
+        full, rest = divmod(total, W * B)
+        # grid[i, k] is global block (lo+i)*W + k; owner k's file is
+        # column k, block after block, so its part of the range is one
+        # read — whole blocks, then what a ragged last round leaves it
+        grid = self.schema.empty((hi - lo) * W * B).reshape(hi - lo, W, B)
+        for k, rank in enumerate(self.owners):
+            held_total = full * B + min(max(rest - k * B, 0), B)
+            count = min(hi * B, held_total) - lo * B
+            if count > 0:
+                held = self.locals[rank].peek(lo * B, count)
+                whole = count // B
+                grid[:whole, k] = held[:whole * B].reshape(whole, B)
+                if count > whole * B:
+                    grid[whole, k, :count - whole * B] = held[whole * B:]
+        return grid.reshape(-1)[:min(hi * W * B, total) - lo * W * B]
+
+    def iter_chunks(self) -> Iterator[np.ndarray]:
+        """Untimed read in global (PDM) order, about ``CHUNK_BYTES`` at a
+        time: whole stripe rounds per chunk (at least one), the last
+        chunk ending with the file.  What verification and the output
+        digests walk, so checking a file never holds a copy of it."""
+        total = self.total_records()
+        round_records = self.stripe_width * self.block_records
+        rounds = -(-total // round_records)
+        step = max(1, CHUNK_BYTES // self.schema.nbytes(round_records))
+        for lo in range(0, rounds, step):
+            yield self._read_rounds(lo, min(lo + step, rounds), total)
+
     def read_all(self) -> np.ndarray:
         """Untimed read of all records in global (PDM) order."""
         total = self.total_records()
-        B, W = self.block_records, self.stripe_width
-        # grid[i, k] is global block i*W + k; owner k's file is column k,
-        # block after block, so each file is read once.  ``full`` whole
-        # rounds, then one more for the records that remain
-        full, rest = divmod(total, W * B)
-        grid = self.schema.empty((full + 1) * W * B).reshape(full + 1, W, B)
-        for k, rank in enumerate(self.owners):
-            count = full * B + min(max(rest - k * B, 0), B)
-            if count:
-                held = self.locals[rank].peek(0, count)
-                grid[:full, k] = held[:full * B].reshape(full, B)
-                grid[full, k, :count - full * B] = held[full * B:]
-        return grid.reshape(-1)[:total]
+        rounds = -(-total // (self.stripe_width * self.block_records))
+        return self._read_rounds(0, rounds, total)
+
+    def sha256(self) -> str:
+        """Hex sha256 over the raw record bytes in global order — equal
+        to ``hashlib.sha256(read_all().tobytes())``, fed chunk by chunk."""
+        digest = hashlib.sha256()
+        for chunk in self.iter_chunks():
+            digest.update(chunk.view(np.uint8))
+        return digest.hexdigest()
 
     def delete(self) -> None:
         for f in self.locals:

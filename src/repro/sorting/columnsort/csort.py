@@ -331,6 +331,17 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
         buffer_bytes=2 * r * rec_bytes, rounds=spp + 1)
 
 
+def _size_output(node: Node, comm: Comm, schema: RecordSchema,
+                 config: CsortConfig, n_total: int) -> None:
+    """Size this node's striped share of the output, so the last pass's
+    blocks land in place (untimed; call just before that pass)."""
+    B = config.out_block_records
+    my_records = sum(min(B, n_total - b * B)
+                     for b in range(comm.rank, -(-n_total // B), comm.size))
+    node.disk.storage.truncate(config.output_file,
+                               my_records * schema.record_bytes)
+
+
 def run_csort(node: Node, comm: Comm, schema: RecordSchema,
               config: Optional[CsortConfig] = None) -> CsortReport:
     """Sort the cluster's ``input`` files into striped ``output`` (SPMD)."""
@@ -363,15 +374,9 @@ def run_csort(node: Node, comm: Comm, schema: RecordSchema,
             f"P*block <= r = {plan.r} so each round's exchange stays "
             "single-group per owner")
 
-    # size the output file up front (every node's striped share)
-    my_blocks = [b for b in range(-(-n_total // config.out_block_records))
-                 if b % P == comm.rank]
-    my_records = sum(min(config.out_block_records,
-                         n_total - b * config.out_block_records)
-                     for b in my_blocks)
+    # each file lives only while a pass reads or writes it: a stale
+    # output goes now, the new one is sized just before pass 3 fills it
     RecordFile(node.disk, config.output_file, schema).delete()
-    node.disk.storage.truncate(config.output_file,
-                               my_records * schema.record_bytes)
 
     comm.barrier()
     t0 = kernel.now()
@@ -397,6 +402,10 @@ def run_csort(node: Node, comm: Comm, schema: RecordSchema,
     prog2.run()
     comm.barrier()
     t2 = kernel.now()
+    # every node is past pass 2's last read of the first temporary
+    if config.cleanup_temps:
+        node.disk.delete(config.temp1_file)
+    _size_output(node, comm, schema, config, n_total)
 
     prog3 = FGProgram(kernel, env={"node": node, "comm": comm},
                       name=f"{config.name_prefix}-p3@{comm.rank}")
@@ -409,7 +418,6 @@ def run_csort(node: Node, comm: Comm, schema: RecordSchema,
     t3 = kernel.now()
 
     if config.cleanup_temps:
-        node.disk.delete(config.temp1_file)
         node.disk.delete(config.temp2_file)
 
     return CsortReport(rank=comm.rank, pass1_time=t1 - t0,

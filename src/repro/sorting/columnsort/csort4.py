@@ -32,6 +32,7 @@ from repro.pdm.records import RecordSchema
 from repro.sorting.columnsort.csort import (
     CsortConfig,
     _build_permute_pass,
+    _size_output,
 )
 from repro.sorting.columnsort.steps import (
     ColumnsortPlan,
@@ -270,14 +271,9 @@ def run_csort4(node: Node, comm: Comm, schema: RecordSchema,
             f"stripe block of {config.out_block_records} records needs "
             f"P*block <= r = {plan.r}")
 
-    my_blocks = [b for b in range(-(-n_total // config.out_block_records))
-                 if b % P == comm.rank]
-    my_records = sum(min(config.out_block_records,
-                         n_total - b * config.out_block_records)
-                     for b in my_blocks)
+    # file lifetimes as in run_csort: each temporary goes after the
+    # barrier of the pass that last reads it, the output is sized last
     RecordFile(node.disk, config.output_file, schema).delete()
-    node.disk.storage.truncate(config.output_file,
-                               my_records * schema.record_bytes)
     temp3 = config.temp2_file + "-shifted"
 
     times = []
@@ -305,6 +301,8 @@ def run_csort4(node: Node, comm: Comm, schema: RecordSchema,
     comm.barrier()
     times.append(kernel.now() - last)
     last = kernel.now()
+    if config.cleanup_temps:
+        node.disk.delete(config.temp1_file)
 
     prog3 = FGProgram(kernel, env={"node": node, "comm": comm},
                       name=f"csort4-p3@{comm.rank}")
@@ -315,6 +313,9 @@ def run_csort4(node: Node, comm: Comm, schema: RecordSchema,
     comm.barrier()
     times.append(kernel.now() - last)
     last = kernel.now()
+    if config.cleanup_temps:
+        node.disk.delete(config.temp2_file)
+    _size_output(node, comm, schema, config, n_total)
 
     prog4 = FGProgram(kernel, env={"node": node, "comm": comm},
                       name=f"csort4-p4@{comm.rank}")
@@ -327,8 +328,6 @@ def run_csort4(node: Node, comm: Comm, schema: RecordSchema,
     times.append(kernel.now() - last)
 
     if config.cleanup_temps:
-        node.disk.delete(config.temp1_file)
-        node.disk.delete(config.temp2_file)
         node.disk.delete(temp3)
 
     return Csort4Report(rank=comm.rank, pass_times=times, plan=plan)

@@ -21,43 +21,66 @@ __all__ = ["verify_striped_output", "verify_partitioned_output",
            "verify_records_sorted"]
 
 
-def verify_records_sorted(records: np.ndarray, what: str = "output") -> None:
-    """Raise unless ``records`` is non-decreasing by key."""
+def verify_records_sorted(records: np.ndarray, what: str = "output",
+                          start: int = 0,
+                          before: "np.uint64 | None" = None) -> None:
+    """Raise unless ``records`` is non-decreasing by key.
+
+    For a file checked piece by piece, ``start`` is the position of
+    ``records[0]`` in the whole (positions in the message are global)
+    and ``before`` the key just ahead of it, so the pair that straddles
+    two pieces is checked too.
+    """
     keys = records["key"]
+    if before is not None and len(keys) and before > keys[0]:
+        raise VerificationError(
+            f"{what} not sorted: key[{start - 1}]={before} > "
+            f"key[{start}]={keys[0]}")
     if len(keys) > 1:
         bad = np.nonzero(keys[:-1] > keys[1:])[0]
         if len(bad):
             i = int(bad[0])
             raise VerificationError(
-                f"{what} not sorted: key[{i}]={keys[i]} > "
-                f"key[{i + 1}]={keys[i + 1]}")
+                f"{what} not sorted: key[{start + i}]={keys[i]} > "
+                f"key[{start + i + 1}]={keys[i + 1]}")
 
 
 def verify_partitioned_output(cluster: Cluster, manifest: DatasetManifest,
                               output_name: str) -> None:
     """Check a *non-striped* sorted output (NOW-Sort style): node i's
     local file is sorted, keys on node i precede keys on node i+1, and
-    the concatenation is the sorted input multiset."""
+    the concatenation is the sorted input multiset.
+
+    One node's file is held at a time, compared with its slice of
+    ``manifest.sorted_keys``; diagnoses keep their order of precedence
+    (any unsorted file, then partition order, then count, then multiset).
+    """
     from repro.pdm.blockfile import RecordFile
 
     schema = manifest.schema
-    parts = []
+    disorder = None
+    is_multiset = True
+    seen = 0
+    last = None  # the previous node's last key; None if it holds nothing
     for rank, node in enumerate(cluster.nodes):
         local = RecordFile(node.disk, output_name, schema).read_all()
         verify_records_sorted(local, what=f"node {rank} output")
-        parts.append(local)
-    for rank in range(len(parts) - 1):
-        left, right = parts[rank], parts[rank + 1]
-        if len(left) and len(right) and left["key"][-1] > right["key"][0]:
-            raise VerificationError(
-                f"partition order violated between nodes {rank} and "
-                f"{rank + 1}: {left['key'][-1]} > {right['key'][0]}")
-    merged = np.concatenate(parts)
-    if len(merged) != manifest.total_records:
+        keys = local["key"]
+        if (disorder is None and last is not None and len(keys)
+                and last > keys[0]):
+            disorder = (f"partition order violated between nodes "
+                        f"{rank - 1} and {rank}: {last} > {keys[0]}")
+        is_multiset = is_multiset and np.array_equal(
+            keys, manifest.sorted_keys[seen:seen + len(keys)])
+        seen += len(keys)
+        last = keys[-1] if len(keys) else None
+    if disorder is not None:
+        raise VerificationError(disorder)
+    if seen != manifest.total_records:
         raise VerificationError(
-            f"output has {len(merged)} records, expected "
+            f"output has {seen} records, expected "
             f"{manifest.total_records}")
-    if not np.array_equal(merged["key"], manifest.sorted_keys):
+    if not is_multiset:
         raise VerificationError(
             "concatenated local outputs are not the sorted input multiset")
 
@@ -70,6 +93,12 @@ def verify_striped_output(cluster: Cluster, manifest: DatasetManifest,
     ``owners`` names the ranks the file is striped over (stripe order);
     defaults to all ranks.  After partition re-assignment the recovery
     manager passes the survivor layout here.
+
+    The file is walked in :meth:`StripedFile.iter_chunks` pieces, never
+    held whole.  Diagnoses keep their order of precedence — layout,
+    count, the first unsorted pair anywhere, then the first key that is
+    not the manifest's, then the first lost payload — so the later two
+    are noted when met and raised once the walk found no unsorted pair.
     """
     schema = manifest.schema
     striped = StripedFile(cluster, output_name, schema, block_records,
@@ -91,27 +120,35 @@ def verify_striped_output(cluster: Cluster, manifest: DatasetManifest,
                 f"node {rank} holds {local.n_records} output records, "
                 f"expected {expected_records} under PDM striping")
 
-    out = striped.read_all()
-    if len(out) != manifest.total_records:
+    total = striped.total_records()
+    if total != manifest.total_records:
         raise VerificationError(
-            f"output has {len(out)} records, expected "
+            f"output has {total} records, expected "
             f"{manifest.total_records}")
 
-    verify_records_sorted(out)
-
-    if not np.array_equal(out["key"], manifest.sorted_keys):
-        diff = np.nonzero(out["key"] != manifest.sorted_keys)[0]
-        i = int(diff[0])
+    has_payload = "payload" in schema.dtype.names
+    mismatch = lost = before = None
+    start = 0
+    for chunk in striped.iter_chunks():
+        keys = chunk["key"]
+        verify_records_sorted(chunk, start=start, before=before)
+        expected = manifest.sorted_keys[start:start + len(chunk)]
+        if mismatch is None and not np.array_equal(keys, expected):
+            i = int(np.nonzero(keys != expected)[0][0])
+            mismatch = (
+                f"output keys are not the sorted input multiset: first "
+                f"mismatch at global position {start + i}: got "
+                f"{keys[i]}, expected {expected[i]}")
+        if has_payload and lost is None:
+            stamps = keys ^ np.uint64(0x9E3779B97F4A7C15)
+            tags = schema.payload_tags(chunk)
+            if not np.array_equal(tags, stamps):
+                lost = start + int(np.nonzero(tags != stamps)[0][0])
+        before = keys[-1]
+        start += len(chunk)
+    if mismatch is not None:
+        raise VerificationError(mismatch)
+    if lost is not None:
         raise VerificationError(
-            f"output keys are not the sorted input multiset: first "
-            f"mismatch at global position {i}: got {out['key'][i]}, "
-            f"expected {manifest.sorted_keys[i]}")
-
-    if "payload" in schema.dtype.names:
-        tags = schema.payload_tags(out)
-        expected = out["key"] ^ np.uint64(0x9E3779B97F4A7C15)
-        if not np.array_equal(tags, expected):
-            bad = int(np.nonzero(tags != expected)[0][0])
-            raise VerificationError(
-                f"record at global position {bad} lost its payload "
-                "(key and payload stamp disagree)")
+            f"record at global position {lost} lost its payload "
+            "(key and payload stamp disagree)")

@@ -56,15 +56,16 @@ def generate_input(cluster: Cluster, schema: RecordSchema, n_per_node: int,
     if n_per_node < 1:
         raise SortError(f"n_per_node must be >= 1, got {n_per_node}")
     rng = np.random.default_rng(seed)
-    all_keys = []
-    for node in cluster.nodes:
-        keys = generate_keys(distribution, n_per_node, rng)
-        all_keys.append(keys)
-        records = schema.from_keys(keys)
+    # each node's draw lands in its slice of the one array that, sorted
+    # in place, is the manifest's ground truth
+    sorted_keys = np.empty(n_per_node * cluster.n_nodes, dtype=np.uint64)
+    for rank, node in enumerate(cluster.nodes):
+        keys = sorted_keys[rank * n_per_node:(rank + 1) * n_per_node]
+        keys[:] = generate_keys(distribution, n_per_node, rng)
         rf = RecordFile(node.disk, INPUT_FILE, schema)
         rf.delete()
-        rf.poke(0, records)
-    sorted_keys = np.sort(np.concatenate(all_keys))  # bare keys: no ties to order
+        rf.poke(0, schema.from_keys(keys))
+    sorted_keys.sort()  # bare keys: no ties to order
     return DatasetManifest(distribution=distribution, schema=schema,
                            n_per_node=n_per_node, n_nodes=cluster.n_nodes,
                            seed=seed, sorted_keys=sorted_keys)

@@ -74,3 +74,14 @@ def test_run_sort_is_deterministic():
             for _ in range(2)]
     assert runs[0].phase_times == runs[1].phase_times
     assert runs[0].bytes_io == runs[1].bytes_io
+
+
+@pytest.mark.parametrize("sorter", ["dsort", "csort"])
+def test_provenance_output_digest_is_pinned(sorter):
+    """Recorded when the digest hashed ``read_all().tobytes()`` in one
+    piece; both sorters produce the same striped bytes."""
+    run = run_sort(sorter, "uniform", SCHEMA, n_nodes=2, n_per_node=2048,
+                   seed=7, provenance=True)
+    assert run.provenance.digests["output"] == (
+        "c63e8a62445b84edb1fd510d8d6dc815"
+        "db4eb45a40561b2bbc06b178c79a3f2e")

@@ -267,6 +267,55 @@ def test_aux_buffers_allocated_when_requested():
     run_program(build)
 
 
+def test_released_buffer_says_its_program_finished():
+    """After wait() a pool buffer is an empty shell: touching it names
+    the buffer as released (not "caboose", which would send a reader to
+    the end-of-stream logic), and describing it still works."""
+    from repro.errors import StageError
+
+    def build(kernel):
+        prog = FGProgram(kernel, name="done")
+        prog.add_pipeline("p", [Stage.map("s", lambda ctx, b: b)],
+                          nbuffers=2, buffer_bytes=32, rounds=3,
+                          aux_buffers=True)
+        return prog
+
+    _, prog = run_program(build)
+    for buf in prog.buffers_of(prog.pipelines[0]):
+        assert buf.data is None and buf.aux is None
+        assert buf.capacity == 0 and buf.fill_fraction == 0.0
+        assert not buf.is_caboose
+        assert repr(buf).startswith(f"<Buffer p#{buf.index} ")
+        assert repr(buf).endswith("size=0/0>")
+        for touch in (lambda: buf.view(np.uint8),
+                      lambda: buf.put(np.zeros(1, dtype=np.uint8))):
+            with pytest.raises(StageError) as exc_info:
+                touch()
+            message = str(exc_info.value)
+            assert f"released buffer p#{buf.index}" in message
+            assert "its program finished" in message
+            assert "caboose" not in message
+
+
+def test_pool_resize_on_a_finished_program_is_what_it_was():
+    """Releasing the pools changed nothing here: as before, a finished
+    program still grants a grow (nothing will ever emit the buffer) and
+    a retirement, and counts them in its pool deltas."""
+    def build(kernel):
+        prog = FGProgram(kernel)
+        prog.add_pipeline("p", [Stage.map("s", lambda ctx, b: b)],
+                          nbuffers=2, buffer_bytes=32, rounds=3)
+        return prog
+
+    _, prog = run_program(build)
+    p = prog.pipelines[0]
+    assert prog.pool_deltas(p) == (0, 0)
+    assert prog.add_buffers(p, 1) == 3
+    assert prog.retire_buffers(p, 1) == 1
+    assert prog.pool_deltas(p) == (1, 0)
+    assert prog.total_buffer_bytes == 96
+
+
 def test_empty_program_rejected():
     kernel = VirtualTimeKernel()
     prog = FGProgram(kernel)

@@ -37,6 +37,10 @@ def test_same_seed_runs_are_byte_identical():
     assert first.fault_events == second.fault_events
     assert first.trace_digest == second.trace_digest
     assert first.output_digest == second.output_digest
+    # recorded when the digest hashed read_all().tobytes() in one piece
+    assert first.output_digest == (
+        "9c0d98f54d504d245f6878ad10c34cc7"
+        "6d0530ce5a7ae606c1c63f92df9220ed")
     assert first.metrics == second.metrics
     assert first.elapsed == second.elapsed
     assert dataclasses.asdict(first) == dataclasses.asdict(second)

@@ -1,11 +1,15 @@
 """Property tests for the PDM striped-file layer."""
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, HardwareModel
+from repro.pdm import striped as striped_module
 from repro.pdm.records import RecordSchema
 from repro.pdm.striped import StripedFile
 
@@ -112,9 +116,12 @@ def read_all_block_by_block(striped):
 def test_property_read_all_equals_the_per_block_reference(n_nodes, block,
                                                           total, data):
     """Any stripe layout (all ranks, or survivors in any order), whole
-    and partial last rounds, empty and absent owner files."""
+    and partial last rounds, empty and absent owner files — and any
+    chunk size: the chunks concatenate to ``read_all``, and the chunked
+    digest is the digest of the whole."""
     owners = data.draw(st.lists(st.integers(0, n_nodes - 1), min_size=1,
                                 max_size=n_nodes, unique=True))
+    chunk_bytes = data.draw(st.integers(1, 200 * SCHEMA.record_bytes))
     cluster, _ = make_striped(n_nodes, block)
     striped = StripedFile(cluster, "f", SCHEMA, block, owners=owners)
     records = SCHEMA.from_keys(np.arange(total, dtype=np.uint64))
@@ -126,3 +133,13 @@ def test_property_read_all_equals_the_per_block_reference(n_nodes, block,
     assert out.dtype == SCHEMA.dtype and out.flags.c_contiguous
     np.testing.assert_array_equal(out, read_all_block_by_block(striped))
     np.testing.assert_array_equal(out, records)
+    with mock.patch.object(striped_module, "CHUNK_BYTES", chunk_bytes):
+        chunks = list(striped.iter_chunks())
+        digest = striped.sha256()
+    # no empty chunk; all but the last are whole stripe rounds, one size
+    sizes = [len(chunk) for chunk in chunks]
+    assert all(sizes) and len(set(sizes[:-1])) <= 1
+    assert all(size % (len(owners) * block) == 0 for size in sizes[:-1])
+    np.testing.assert_array_equal(
+        np.concatenate(chunks) if chunks else SCHEMA.empty(0), out)
+    assert digest == hashlib.sha256(out.tobytes()).hexdigest()

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import Cluster, HardwareModel
 from repro.errors import ColumnsortShapeError, ProcessFailed
 from repro.pdm.records import RecordSchema
-from repro.sorting.columnsort import CsortConfig, run_csort
+from repro.sorting.columnsort import CsortConfig, run_csort, run_csort4
 from repro.sorting.verify import verify_striped_output
 from repro.workloads.distributions import PAPER_DISTRIBUTIONS
 from repro.workloads.generator import generate_input
@@ -119,6 +119,30 @@ def test_csort_cleanup_removes_temps():
     for node in cluster.nodes:
         assert not node.disk.exists(config.temp1_file)
         assert not node.disk.exists(config.temp2_file)
+
+
+@pytest.mark.parametrize("cleanup", [True, False])
+@pytest.mark.parametrize("main, n_temps", [(run_csort, 2), (run_csort4, 3)])
+def test_temporaries_go_with_their_pass_unless_kept(main, n_temps, cleanup):
+    """Each temporary is deleted after the pass that last reads it, so
+    none is left when the sort returns; ``cleanup_temps=False`` keeps
+    every one, whole, for both sorters."""
+    schema = RecordSchema.paper_16()
+    config = CsortConfig(out_block_records=128, cleanup_temps=cleanup)
+    cluster = Cluster(n_nodes=4, hardware=fast_hw())
+    manifest = generate_input(cluster, schema, 2048, "uniform")
+    cluster.run(main, schema, config)
+    verify_striped_output(cluster, manifest, config.output_file,
+                          config.out_block_records)
+    for node in cluster.nodes:
+        temps = [name for name in node.disk.names()
+                 if name.startswith("csort-L")]
+        if cleanup:
+            assert temps == []
+        else:
+            assert len(temps) == n_temps
+            assert all(node.disk.size(name) >= 2048 * schema.record_bytes
+                       for name in temps)
 
 
 def test_csort_communication_volume_near_balanced():
