@@ -10,6 +10,12 @@ Merges many small sorted runs on one node into a single sorted stream:
 * the horizontal pipeline's buffers are larger than the vertical ones,
   exactly as the paper suggests.
 
+The reader pipelines and the merge protocol (refill a drained head, send
+its spent buffer home, take an output buffer only once a record is
+ready) come from the stage library, ``repro.sorting.stages`` — the same
+two entries dsort's pass 2 is built from; what is written here is what
+is this program's own.
+
 Run:  python examples/merge_streams.py [n_runs]
 """
 
@@ -21,7 +27,7 @@ from repro.cluster import Cluster, HardwareModel
 from repro.core import FGProgram, Stage
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
-from repro.sorting.merge import BlockMerger
+from repro.sorting.stages import RunMerge, add_run_readers
 
 SCHEMA = RecordSchema.paper_16()
 RUN_RECORDS = 4096
@@ -36,36 +42,24 @@ def main(n_runs: int = 64) -> None:
     rng = np.random.default_rng(3)
 
     # set up n_runs sorted runs on disk
-    run_files = []
     all_keys = []
     for i in range(n_runs):
         keys = np.sort(rng.integers(0, 2**63, size=RUN_RECORDS,
                                     dtype=np.uint64))
         all_keys.append(keys)
-        rf = RecordFile(node.disk, f"run.{i}", SCHEMA)
-        rf.poke(0, SCHEMA.from_keys(keys))
-        run_files.append(rf)
+        RecordFile(node.disk, f"run.{i}", SCHEMA).poke(
+            0, SCHEMA.from_keys(keys))
     out_file = RecordFile(node.disk, "merged", SCHEMA)
 
     def node_main(node, comm):
         prog = FGProgram(node.kernel, env={"node": node})
         merge_stage = Stage.source_driven("merge", None)
-        verticals = []
-        for i, rf in enumerate(run_files):
-            def make_read(rf):
-                def read(ctx, buf):
-                    buf.put(rf.read(buf.round * VERTICAL_BLOCK,
-                                    VERTICAL_BLOCK))
-                    return buf
-                return read
-
-            stage = Stage.map(f"read{i}", make_read(rf), virtual=True,
-                              virtual_group="read")
-            pipeline = prog.add_pipeline(
-                f"v{i}", [stage, merge_stage], nbuffers=2,
-                buffer_bytes=VERTICAL_BLOCK * SCHEMA.record_bytes,
-                rounds=RUN_RECORDS // VERTICAL_BLOCK)
-            verticals.append(pipeline)
+        # vertical pipelines v0..v63 = read{i} -> merge, over the whole
+        # of each run file
+        verticals = add_run_readers(
+            prog, node, SCHEMA,
+            [(f"run.{i}", 0, RUN_RECORDS) for i in range(n_runs)],
+            merge_stage, VERTICAL_BLOCK)
 
         def write(ctx, buf):
             out_file.write(buf.tags["start"], buf.view(SCHEMA.dtype))
@@ -77,46 +71,15 @@ def main(n_runs: int = 64) -> None:
             rounds=None)
 
         def merge(ctx):
-            merger = BlockMerger(SCHEMA, range(n_runs))
-            head_buf = {}
-
-            def refill():
-                for i in sorted(merger.needs()):
-                    if i in head_buf:
-                        ctx.convey(head_buf.pop(i))
-                    nxt = ctx.accept(verticals[i])
-                    if nxt.is_caboose:
-                        ctx.forward(nxt)
-                        merger.finish_run(i)
-                    else:
-                        merger.feed(i, nxt.view(SCHEMA.dtype))
-                        head_buf[i] = nxt
-
-            refill()
+            merging = RunMerge(ctx, node, SCHEMA, verticals)
             emitted = 0
-            while not merger.exhausted:
-                if not merger.ready:
-                    # only take an output buffer once a record is
-                    # available: a refill that exhausts the merger would
-                    # otherwise strand an accepted, empty buffer here
-                    refill()
-                    continue
-                out = ctx.accept(horizontal)
-                target = out.capacity // SCHEMA.record_bytes
-                records = out.data.view(SCHEMA.dtype)
-                filled = 0
-                while filled < target and not merger.exhausted:
-                    if not merger.ready:
-                        refill()
-                        continue
-                    n = merger.merge_into(records, filled, target - filled)
-                    node.compute_merge(n)
-                    filled += n
-                if filled:
-                    out.size = filled * SCHEMA.record_bytes
-                    out.tags["start"] = emitted
-                    ctx.convey(out)
-                    emitted += filled
+            while (out := merging.next_output(horizontal)) is not None:
+                filled = merging.fill(out.data.view(SCHEMA.dtype),
+                                      HORIZONTAL_BLOCK)
+                out.size = filled * SCHEMA.record_bytes
+                out.tags["start"] = emitted
+                ctx.convey(out)
+                emitted += filled
             ctx.convey_caboose(horizontal)
 
         merge_stage.fn = merge

@@ -31,7 +31,16 @@ from repro.core import FGProgram, Stage
 from repro.errors import SortError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
-from repro.sorting.merge import BlockMerger
+from repro.sorting.stages import (
+    EndMarkers,
+    RunMerge,
+    add_run_readers,
+    group_by_partition,
+    packing_receive_stage,
+    run_pass,
+    scatter,
+    write_run_stage,
+)
 
 __all__ = ["KeyValueSchema", "GroupByReport", "run_groupby",
            "GroupByConfig"]
@@ -120,25 +129,21 @@ def run_groupby(node: Node, comm: Comm,
     P = comm.size
     B = config.block_records
     rec_bytes = schema.record_bytes
-    kernel = node.kernel
-    hw = node.hardware
     rf_in = RecordFile(node.disk, config.input_file, schema)
     n_local = rf_in.n_records
-    n_blocks = math.ceil(n_local / B)
     state: dict = {"runs": [], "next_run": 0}
 
     comm.barrier()
-    t0 = kernel.now()
+    t0 = node.kernel.now()
 
     # -- pass 1: hash-partition + pre-aggregate into sorted runs ------------
-
-    prog1 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"{config.name_prefix}-p1@{comm.rank}")
 
     def read(ctx, buf):
         start = buf.round * B
         buf.put(rf_in.read(start, min(B, n_local - start)))
         return buf
+
+    markers = EndMarkers(comm, schema, TAG_GROUPBY)
 
     def route(ctx):
         while True:
@@ -146,59 +151,13 @@ def run_groupby(node: Node, comm: Comm,
             if buf.is_caboose:
                 break
             records = buf.view(schema.dtype)
-            part = _hash_keys(records["key"], P)
-            order = np.argsort(part, kind="stable")
-            node.compute(hw.sort_cost_per_key_log * len(records)
-                         * max(1.0, math.log2(P))
-                         + hw.copy_time(records.nbytes))
-            routed = records[order]
-            counts = np.bincount(part, minlength=P)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            for dest in range(P):
-                lo, hi = int(offsets[dest]), int(offsets[dest + 1])
-                if hi > lo:
-                    comm.send(dest, routed[lo:hi].copy(), tag=TAG_GROUPBY)
+            routed, counts = group_by_partition(
+                node, records, _hash_keys(records["key"], P), P)
+            scatter(comm, routed, counts, TAG_GROUPBY)
             ctx.convey(buf)
-        for dest in range(P):
-            comm.send(dest, schema.empty(0), tag=TAG_GROUPBY)
+        markers.send()
+        state["ends_sent"] = True
         ctx.forward(buf)
-
-    prog1.add_pipeline(
-        "send", [Stage.map("read", read),
-                 Stage.source_driven("route", route)],
-        nbuffers=config.nbuffers, buffer_bytes=B * rec_bytes,
-        rounds=n_blocks)
-
-    def receive(ctx):
-        pipeline = ctx.pipelines[0]
-        ends = 0
-        leftover = None
-        while True:
-            parts = []
-            have = 0
-            if leftover is not None:
-                parts.append(leftover)
-                have = len(leftover)
-                leftover = None
-            while have < B and ends < P:
-                _, payload = comm.recv(tag=TAG_GROUPBY)
-                if len(payload) == 0:
-                    ends += 1
-                    continue
-                parts.append(payload)
-                have += len(payload)
-            if have == 0:
-                break
-            records = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            take = min(B, len(records))
-            leftover = records[take:] if take < len(records) else None
-            buf = ctx.accept()
-            node.compute_copy(take * rec_bytes)
-            buf.put(records[:take])
-            ctx.convey(buf)
-            if ends == P and leftover is None:
-                break
-        ctx.convey_caboose(pipeline)
 
     def sort_and_combine(ctx, buf):
         records = buf.view(schema.dtype)
@@ -208,51 +167,33 @@ def run_groupby(node: Node, comm: Comm,
         buf.put(combined)
         return buf
 
-    def write_run(ctx, buf):
-        records = buf.view(schema.dtype)
-        run_name = f"{config.run_prefix}.{state['next_run']}"
-        state["next_run"] += 1
-        RecordFile(node.disk, run_name, schema).write(0, records)
-        state["runs"].append((run_name, len(records)))
-        return buf
+    def build_pass1(prog: FGProgram) -> None:
+        prog.on_pipeline_failure = markers.on_failure("route", state,
+                                                      "ends_sent")
+        prog.add_pipeline(
+            "send", [Stage.map("read", read),
+                     Stage.source_driven("route", route)],
+            nbuffers=config.nbuffers, buffer_bytes=B * rec_bytes,
+            rounds=math.ceil(n_local / B))
+        prog.add_pipeline(
+            "recv", [packing_receive_stage(node, comm, schema, TAG_GROUPBY,
+                                           B),
+                     Stage.map("combine", sort_and_combine),
+                     write_run_stage(node, schema, config.run_prefix,
+                                     state)],
+            nbuffers=config.nbuffers, buffer_bytes=B * rec_bytes,
+            rounds=None)
 
-    prog1.add_pipeline(
-        "recv", [Stage.source_driven("receive", receive),
-                 Stage.map("combine", sort_and_combine),
-                 Stage.map("write", write_run)],
-        nbuffers=config.nbuffers, buffer_bytes=B * rec_bytes, rounds=None)
-    prog1.run()
-    comm.barrier()
-    t1 = kernel.now()
+    t1 = run_pass(node, comm, f"{config.name_prefix}-p1@{comm.rank}",
+                  build_pass1)
 
     # -- pass 2: combining k-way merge of the runs ----------------------------
 
     runs = state["runs"]
-    vB = config.vertical_block_records
     outB = config.out_block_records
     out_file = RecordFile(node.disk, config.output_file, schema)
     out_file.delete()
     distinct = {"count": 0}
-
-    prog2 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"{config.name_prefix}-p2@{comm.rank}")
-    merge_stage = Stage.source_driven("merge", None)
-    verticals = []
-    for i, (run_name, n_run) in enumerate(runs):
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, n_run):
-            def read_run(ctx, buf):
-                start = buf.round * vB
-                buf.put(run_file.read(start, min(vB, n_run - start)))
-                return buf
-            return read_run
-
-        stage = Stage.map(f"read{i}", make_read(run_file, n_run),
-                          virtual=True, virtual_group="read")
-        verticals.append(prog2.add_pipeline(
-            f"v{i}", [stage, merge_stage], nbuffers=2,
-            buffer_bytes=vB * rec_bytes, rounds=math.ceil(n_run / vB)))
 
     def write_out(ctx, buf):
         records = buf.view(schema.dtype)
@@ -260,66 +201,57 @@ def run_groupby(node: Node, comm: Comm,
         distinct["count"] += len(records)
         return buf
 
-    horizontal = prog2.add_pipeline(
-        "out", [merge_stage, Stage.map("write", write_out)],
-        nbuffers=config.nbuffers, buffer_bytes=(outB + 1) * rec_bytes,
-        rounds=None)
+    def build_pass2(prog: FGProgram) -> None:
+        merge_stage = Stage.source_driven("merge", None)
+        verticals = add_run_readers(
+            prog, node, schema, [(name, 0, n) for name, n in runs],
+            merge_stage, config.vertical_block_records)
+        horizontal = prog.add_pipeline(
+            "out", [merge_stage, Stage.map("write", write_out)],
+            nbuffers=config.nbuffers, buffer_bytes=(outB + 1) * rec_bytes,
+            rounds=None)
 
-    def merge(ctx):
-        merger = BlockMerger(schema, range(len(verticals)))
-        head_buf = {}
+        def merge(ctx):
+            merging = RunMerge(ctx, node, schema, verticals)
+            merger = merging.merger
+            emitted = 0
+            carry = None  # last combined record; next chunk may extend it
+            # the buffer is taken before the merge is asked for a record:
+            # safe here (and only here) because a pending carry always
+            # has a record to put into it
+            while not merger.exhausted or carry is not None:
+                out = merging.take(horizontal)
+                records = out.data.view(schema.dtype)
+                filled = 0
+                if carry is not None:
+                    records[0] = carry
+                    filled = 1
+                    carry = None
+                while filled <= outB:
+                    n = merging.merge_some(records, filled,
+                                           outB + 1 - filled)
+                    if n == 0:
+                        break
+                    combined = combine_sorted(records[:filled + n])
+                    node.compute_copy((filled + n) * rec_bytes)
+                    records[:len(combined)] = combined
+                    filled = len(combined)
+                # hold back the last record: the next merged chunk may
+                # carry more values of the same key
+                if not merger.exhausted and filled > 0:
+                    carry = records[filled - 1].copy()
+                    filled -= 1
+                if filled:
+                    out.size = filled * rec_bytes
+                    out.tags["start"] = emitted
+                    ctx.convey(out)
+                    emitted += filled
+            ctx.convey_caboose(horizontal)
 
-        def refill():
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    merger.finish_run(i)
-                else:
-                    merger.feed(i, nxt.view(schema.dtype))
-                    head_buf[i] = nxt
+        merge_stage.fn = merge
 
-        refill()
-        emitted = 0
-        carry = None  # last combined record; next chunk may extend it
-        while not merger.exhausted or carry is not None:
-            out = ctx.accept(horizontal)
-            records = out.data.view(schema.dtype)
-            filled = 0
-            if carry is not None:
-                records[0] = carry
-                filled = 1
-                carry = None
-            while filled <= outB and not merger.exhausted:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(records, filled, outB + 1 - filled)
-                node.compute_merge(n)
-                if n == 0:
-                    continue
-                combined = combine_sorted(records[:filled + n])
-                node.compute_copy((filled + n) * rec_bytes)
-                records[:len(combined)] = combined
-                filled = len(combined)
-            # hold back the last record: the next merged chunk may carry
-            # more values of the same key
-            if not merger.exhausted and filled > 0:
-                carry = records[filled - 1].copy()
-                filled -= 1
-            if filled:
-                out.size = filled * rec_bytes
-                out.tags["start"] = emitted
-                ctx.convey(out)
-                emitted += filled
-        ctx.convey_caboose(horizontal)
-
-    merge_stage.fn = merge
-    prog2.run()
-    comm.barrier()
-    t2 = kernel.now()
+    t2 = run_pass(node, comm, f"{config.name_prefix}-p2@{comm.rank}",
+                  build_pass2)
 
     if config.cleanup_runs:
         for run_name, _ in runs:

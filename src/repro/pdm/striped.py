@@ -19,11 +19,28 @@ from repro.errors import SortError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
 
-__all__ = ["StripedFile"]
+__all__ = ["StripedFile", "local_record", "striped_share"]
 
 #: bytes per chunk of :meth:`StripedFile.iter_chunks`, rounded down to
 #: whole stripe rounds
 CHUNK_BYTES = 1 << 20
+
+
+def striped_share(total_records: int, block_records: int, width: int,
+                  position: int) -> int:
+    """Records the ``position``-th of ``width`` owners holds of a
+    ``total_records``-record striped file: its block of every full
+    stripe round, plus what a ragged last round leaves it."""
+    full, rest = divmod(total_records, width * block_records)
+    return (full * block_records
+            + min(max(rest - position * block_records, 0), block_records))
+
+
+def local_record(global_block: int, offset: int, block_records: int,
+                 width: int) -> int:
+    """Position, in its owner's local file, of record ``offset`` of
+    ``global_block`` under a stripe ``width`` owners wide."""
+    return (global_block // width) * block_records + offset
 
 
 class StripedFile:
@@ -76,9 +93,9 @@ class StripedFile:
     def locate(self, global_record: int) -> tuple[int, int]:
         """(node, local record index) of a global record position."""
         block = self.block_of_record(global_record)
-        within = global_record % self.block_records
         return (self.node_of_block(block),
-                self.local_block(block) * self.block_records + within)
+                local_record(block, global_record % self.block_records,
+                             self.block_records, self.stripe_width))
 
     # -- timed I/O -----------------------------------------------------------------
 
@@ -91,15 +108,16 @@ class StripedFile:
                 f"write of {len(records)} records at offset "
                 f"{offset_records} overflows block of {self.block_records}")
         node = self.node_of_block(global_block)
-        local = (self.local_block(global_block) * self.block_records
-                 + offset_records)
-        self.locals[node].write(local, records)
+        self.locals[node].write(
+            local_record(global_block, offset_records, self.block_records,
+                         self.stripe_width), records)
 
     def read_block(self, global_block: int) -> np.ndarray:
         """Read one whole block (timed)."""
         node = self.node_of_block(global_block)
-        local = self.local_block(global_block) * self.block_records
-        return self.locals[node].read(local, self.block_records)
+        return self.locals[node].read(
+            local_record(global_block, 0, self.block_records,
+                         self.stripe_width), self.block_records)
 
     # -- untimed verification helpers ---------------------------------------------------
 
@@ -113,14 +131,12 @@ class StripedFile:
         """Records of stripe rounds ``[lo, hi)`` of a ``total``-record
         file, in global order (round i is global blocks i*W .. i*W+W-1)."""
         B, W = self.block_records, self.stripe_width
-        full, rest = divmod(total, W * B)
         # grid[i, k] is global block (lo+i)*W + k; owner k's file is
         # column k, block after block, so its part of the range is one
         # read — whole blocks, then what a ragged last round leaves it
         grid = self.schema.empty((hi - lo) * W * B).reshape(hi - lo, W, B)
         for k, rank in enumerate(self.owners):
-            held_total = full * B + min(max(rest - k * B, 0), B)
-            count = min(hi * B, held_total) - lo * B
+            count = min(hi * B, striped_share(total, B, W, k)) - lo * B
             if count > 0:
                 held = self.locals[rank].peek(lo * B, count)
                 whole = count // B

@@ -155,6 +155,12 @@ def plan_sort(sorter: str, n_nodes: int, n_per_node: int,
     if sorter in ("dsort", "dsort-linear"):
         config, decisions = plan_dsort_geometry(
             n_nodes, n_per_node, record_bytes, hardware)
+        if sorter == "dsort-linear":
+            # the ablation runs one copy of its sort stage by definition
+            # (run_dsort_linear refuses sort_replicas > 1)
+            del config["sort_replicas"]
+            decisions = [d for d in decisions
+                         if d["target"] != "sort_replicas"]
     elif sorter == "csort":
         config, decisions = plan_csort_geometry(
             n_nodes, n_per_node, record_bytes, hardware)

@@ -43,7 +43,6 @@ from repro.prov.record import (
     RECORD_VERSION,
     ProvenanceRecord,
     metrics_digest,
-    output_digest,
     recovery_decision_log,
     sched_decision_log,
     trace_digest,
@@ -61,7 +60,6 @@ __all__ = [
     "digest_json",
     "emit_script",
     "metrics_digest",
-    "output_digest",
     "program_graph",
     "recovery_decision_log",
     "replay",

@@ -43,7 +43,6 @@ __all__ = [
     "RECORD_VERSION",
     "ProvenanceRecord",
     "metrics_digest",
-    "output_digest",
     "recovery_decision_log",
     "sched_decision_log",
     "trace_digest",
@@ -52,11 +51,6 @@ __all__ = [
 
 #: bump when the record format changes incompatibly
 RECORD_VERSION = 1
-
-
-def output_digest(data: bytes) -> str:
-    """sha256 over the raw output record bytes, in global order."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def metrics_digest(snapshot: dict) -> str:

@@ -40,11 +40,13 @@ from repro.core import FGProgram, Stage
 from repro.errors import ColumnsortShapeError, SortError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
+from repro.pdm.striped import local_record, striped_share
 from repro.sorting.columnsort.steps import (
     ColumnsortPlan,
     plan_columnsort,
     validate_shape,
 )
+from repro.sorting.stages import run_pass, sort_stage
 
 __all__ = ["CsortConfig", "CsortReport", "run_csort"]
 
@@ -114,26 +116,12 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
     rf_out = RecordFile(node.disk, out_file, schema)
     # sized up front like the output, so each round's block lands in place
     node.disk.storage.truncate(out_file, spp * r * rec_bytes)
-    tag = 41 if routing == "transpose" else 42
 
     def read(ctx, buf):
         t = buf.round
-        if in_fragmented:
-            # column j = t*P + rank, as s/P contiguous chunks
-            parts = [rf_in.read(tp * r + t * (P * frag), P * frag)
-                     for tp in range(spp)]
-            column = (np.concatenate(parts, dtype=schema.dtype)
-                      if len(parts) > 1 else parts[0])
-        else:
-            column = rf_in.read(t * r, r)
-        buf.put(column)
+        buf.put(_read_column(rf_in, plan, t, schema) if in_fragmented
+                else rf_in.read(t * r, r))
         buf.tags["column"] = t * P + comm.rank
-        return buf
-
-    def sort(ctx, buf):
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
         return buf
 
     def communicate(ctx, buf):
@@ -168,11 +156,124 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
 
     prog.add_pipeline(
         name,
-        [Stage.map("read", read), Stage.map("sort", sort),
+        [Stage.map("read", read), sort_stage(node, schema),
          Stage.map("communicate", communicate), Stage.map("write", write)],
         nbuffers=nbuffers, buffer_bytes=r * rec_bytes, rounds=spp,
         aux_buffers=True,
         replicas={"sort": sort_replicas} if sort_replicas > 1 else None)
+
+
+def _read_column(rf_in: RecordFile, plan: ColumnsortPlan, t: int,
+                 schema: RecordSchema) -> np.ndarray:
+    """This node's round-``t`` column of a fragmented file: s/P
+    contiguous chunks, one per round block."""
+    span = plan.n_nodes * plan.frag_records
+    parts = [rf_in.read(tp * plan.r + t * span, span)
+             for tp in range(plan.cols_per_node)]
+    return (np.concatenate(parts, dtype=schema.dtype)
+            if len(parts) > 1 else parts[0])
+
+
+def _column_read_stage(node: Node, comm: Comm, schema: RecordSchema,
+                       plan: ColumnsortPlan, in_file: str) -> Stage:
+    """``read`` of the shift passes: one fragmented column per round,
+    then one empty ``final`` buffer for the extra round in which the
+    pending bottom half-column drains."""
+    rf_in = RecordFile(node.disk, in_file, schema)
+
+    def read(ctx, buf):
+        t = buf.round
+        if t == plan.cols_per_node:
+            buf.clear()
+            buf.tags["final"] = True
+            return buf
+        buf.put(_read_column(rf_in, plan, t, schema))
+        buf.tags["column"] = t * comm.size + comm.rank
+        return buf
+
+    return Stage.map("read", read)
+
+
+def _stripe_stage(node: Node, comm: Comm, schema: RecordSchema,
+                  block_records: int, tag: int) -> Stage:
+    """Balanced exchange dealing sorted segments into striped blocks.
+
+    A buffer holds the sorted records of final positions
+    ``[tags['g0'], tags['g0'] + len)``.  Every node sends exactly one
+    (possibly empty) message to every node per round and receives
+    exactly P, so the stage stays balanced and deterministic even though
+    block ownership is round-robin.  Leaves what this node owns in the
+    buffer, with ``tags['placements']`` for :func:`_write_placements_stage`.
+    """
+    P = comm.size
+    B = block_records
+    rec_bytes = schema.record_bytes
+
+    def stripe(ctx):
+        while True:
+            buf = ctx.accept()
+            if buf.is_caboose:
+                ctx.forward(buf)
+                return
+            records = (buf.view(schema.dtype) if buf.size else
+                       schema.empty(0))
+            g0 = buf.tags.get("g0", 0)
+            length = len(records)
+            # split [g0, g0+length) into per-owner block-aligned groups;
+            # an owner's blocks are every P-th, so its group is contiguous
+            # in its local file
+            groups: list[list] = [[] for _ in range(P)]
+            metas: list[Optional[dict]] = [None] * P
+            if length:
+                first_block = g0 // B
+                last_block = (g0 + length - 1) // B
+                for gb in range(first_block, last_block + 1):
+                    lo = max(gb * B, g0)
+                    hi = min((gb + 1) * B, g0 + length)
+                    owner = gb % P
+                    groups[owner].append(records[lo - g0:hi - g0])
+                    if metas[owner] is None:
+                        metas[owner] = {"gb": gb, "off": lo - gb * B}
+            for dest in range(P):
+                payload = (np.concatenate(groups[dest], dtype=schema.dtype)
+                           if groups[dest] else schema.empty(0))
+                comm.send(dest, payload, tag=tag, meta=metas[dest])
+            buf.clear()
+            placements = []
+            fill = 0
+            target = buf.data[:].view(schema.dtype)
+            for _ in range(P):
+                msg = comm.recv_msg(tag=tag)
+                if len(msg.payload) == 0:
+                    continue
+                node.compute_copy(msg.payload.nbytes)
+                target[fill:fill + len(msg.payload)] = msg.payload
+                placements.append((msg.meta["gb"], msg.meta["off"],
+                                   fill, len(msg.payload)))
+                fill += len(msg.payload)
+            buf.size = fill * rec_bytes
+            buf.tags["placements"] = placements
+            ctx.convey(buf)
+
+    return Stage.source_driven("stripe", stripe)
+
+
+def _write_placements_stage(node: Node, comm: Comm, schema: RecordSchema,
+                         out_file: str, block_records: int) -> Stage:
+    """``write`` behind :func:`_stripe_stage`: each placement goes to its
+    block's place in this node's share of the striped output."""
+    out_local = RecordFile(node.disk, out_file, schema)
+
+    def write(ctx, buf):
+        if buf.size == 0:
+            return buf
+        records = buf.view(schema.dtype)
+        for gb, off, start, count in buf.tags["placements"]:
+            out_local.write(local_record(gb, off, block_records, comm.size),
+                            records[start:start + count])
+        return buf
+
+    return Stage.map("write", write)
 
 
 def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
@@ -181,36 +282,8 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
     """Steps 5-8 plus striping, in one linear pipeline."""
     P = comm.size
     r, s = plan.r, plan.s
-    spp = plan.cols_per_node
-    frag = plan.frag_records
     half = r // 2
-    B = block_records
-    rec_bytes = schema.record_bytes
-    rf_in = RecordFile(node.disk, in_file, schema)
-    out_local = RecordFile(node.disk, out_file, schema)
     state: dict = {}
-
-    def read(ctx, buf):
-        t = buf.round
-        if t == spp:
-            buf.clear()
-            buf.tags["final"] = True
-            return buf
-        parts = [rf_in.read(tp * r + t * (P * frag), P * frag)
-                 for tp in range(spp)]
-        column = (np.concatenate(parts, dtype=schema.dtype)
-                  if len(parts) > 1 else parts[0])
-        buf.put(column)
-        buf.tags["column"] = t * P + comm.rank
-        return buf
-
-    def sort5(ctx, buf):
-        if buf.tags.get("final"):
-            return buf
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
-        return buf
 
     def shift(ctx):
         """Step 6: form shifted column c from bottom(c-1) + top(c)."""
@@ -249,110 +322,40 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
                 buf.tags["g0"] = column * r - half
             ctx.convey(buf)
 
-    def sort7(ctx, buf):
-        if buf.size == 0:
-            return buf
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
-        return buf
-
-    def stripe(ctx):
-        """Balanced exchange dealing sorted segments into striped blocks.
-
-        Every node sends exactly one (possibly empty) message to every
-        node per round and receives exactly P, so the stage stays
-        balanced and deterministic even though block ownership is
-        round-robin.
-        """
-        while True:
-            buf = ctx.accept()
-            if buf.is_caboose:
-                ctx.forward(buf)
-                return
-            records = (buf.view(schema.dtype) if buf.size else
-                       schema.empty(0))
-            g0 = buf.tags.get("g0", 0)
-            length = len(records)
-            # split [g0, g0+length) into per-owner block-aligned groups;
-            # an owner's blocks are every P-th, so its group is contiguous
-            # in its local file
-            groups: list[list] = [[] for _ in range(P)]
-            metas: list[Optional[dict]] = [None] * P
-            if length:
-                first_block = g0 // B
-                last_block = (g0 + length - 1) // B
-                for gb in range(first_block, last_block + 1):
-                    lo = max(gb * B, g0)
-                    hi = min((gb + 1) * B, g0 + length)
-                    owner = gb % P
-                    groups[owner].append(records[lo - g0:hi - g0])
-                    if metas[owner] is None:
-                        metas[owner] = {"gb": gb, "off": lo - gb * B}
-            for dest in range(P):
-                payload = (np.concatenate(groups[dest], dtype=schema.dtype)
-                           if groups[dest] else schema.empty(0))
-                comm.send(dest, payload, tag=TAG_STRIPE, meta=metas[dest])
-            buf.clear()
-            placements = []
-            fill = 0
-            target = buf.data[:].view(schema.dtype)
-            for _ in range(P):
-                msg = comm.recv_msg(tag=TAG_STRIPE)
-                if len(msg.payload) == 0:
-                    continue
-                node.compute_copy(msg.payload.nbytes)
-                target[fill:fill + len(msg.payload)] = msg.payload
-                placements.append((msg.meta["gb"], msg.meta["off"],
-                                   fill, len(msg.payload)))
-                fill += len(msg.payload)
-            buf.size = fill * rec_bytes
-            buf.tags["placements"] = placements
-            ctx.convey(buf)
-
-    def write(ctx, buf):
-        if buf.size == 0:
-            return buf
-        records = buf.view(schema.dtype)
-        for gb, off, start, count in buf.tags["placements"]:
-            local_start = (gb // P) * B + off
-            out_local.write(local_start, records[start:start + count])
-        return buf
-
-    stages = [Stage.map("read", read), Stage.map("sort5", sort5),
+    stages = [_column_read_stage(node, comm, schema, plan, in_file),
+              sort_stage(node, schema, "sort5"),
               Stage.source_driven("shift", shift),
-              Stage.map("sort7", sort7),
-              Stage.source_driven("stripe", stripe),
-              Stage.map("write", write)]
+              sort_stage(node, schema, "sort7"),
+              _stripe_stage(node, comm, schema, block_records, TAG_STRIPE),
+              _write_placements_stage(node, comm, schema, out_file,
+                                   block_records)]
     # pass 3 is deeper than the permute passes: floor the pool at the
     # pipeline depth so every stage can hold a buffer at once (FG101)
     prog.add_pipeline(
         "pass3", stages, nbuffers=max(nbuffers, len(stages)),
-        buffer_bytes=2 * r * rec_bytes, rounds=spp + 1)
+        buffer_bytes=2 * r * schema.record_bytes,
+        rounds=plan.cols_per_node + 1)
 
 
 def _size_output(node: Node, comm: Comm, schema: RecordSchema,
                  config: CsortConfig, n_total: int) -> None:
     """Size this node's striped share of the output, so the last pass's
     blocks land in place (untimed; call just before that pass)."""
-    B = config.out_block_records
-    my_records = sum(min(B, n_total - b * B)
-                     for b in range(comm.rank, -(-n_total // B), comm.size))
+    my_records = striped_share(n_total, config.out_block_records,
+                               comm.size, comm.rank)
     node.disk.storage.truncate(config.output_file,
                                my_records * schema.record_bytes)
 
 
-def run_csort(node: Node, comm: Comm, schema: RecordSchema,
-              config: Optional[CsortConfig] = None) -> CsortReport:
-    """Sort the cluster's ``input`` files into striped ``output`` (SPMD)."""
-    if config is None:
-        config = CsortConfig()
-    kernel = node.kernel
+def _plan_run(node: Node, comm: Comm, schema: RecordSchema,
+              config: CsortConfig) -> ColumnsortPlan:
+    """Agree on this run's matrix shape (collective): the input must be
+    evenly distributed, the column count is the planner's unless
+    ``s_override`` forces one, and the stripe block must let the last
+    pass deal each round in single groups."""
     P = comm.size
-
-    rf_in = RecordFile(node.disk, config.input_file, schema)
-    n_local = rf_in.n_records
-    totals = comm.allgather(n_local)
+    totals = comm.allgather(
+        RecordFile(node.disk, config.input_file, schema).n_records)
     if len(set(totals)) != 1:
         raise ColumnsortShapeError(
             f"csort needs evenly distributed input; per-node sizes "
@@ -373,49 +376,48 @@ def run_csort(node: Node, comm: Comm, schema: RecordSchema,
             f"stripe block of {config.out_block_records} records needs "
             f"P*block <= r = {plan.r} so each round's exchange stays "
             "single-group per owner")
+    return plan
+
+
+def run_csort(node: Node, comm: Comm, schema: RecordSchema,
+              config: Optional[CsortConfig] = None) -> CsortReport:
+    """Sort the cluster's ``input`` files into striped ``output`` (SPMD)."""
+    if config is None:
+        config = CsortConfig()
+    plan = _plan_run(node, comm, schema, config)
 
     # each file lives only while a pass reads or writes it: a stale
     # output goes now, the new one is sized just before pass 3 fills it
     RecordFile(node.disk, config.output_file, schema).delete()
 
-    comm.barrier()
-    t0 = kernel.now()
+    def program(k: int) -> str:
+        return f"{config.name_prefix}-p{k}@{comm.rank}"
 
-    prog1 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"{config.name_prefix}-p1@{comm.rank}")
-    _build_permute_pass(prog1, node, comm, schema, plan,
-                        in_file=config.input_file, in_fragmented=False,
-                        out_file=config.temp1_file, routing="transpose",
-                        nbuffers=config.nbuffers, name="pass1",
-                        sort_replicas=config.sort_replicas)
-    prog1.run()
     comm.barrier()
-    t1 = kernel.now()
+    t0 = node.kernel.now()
 
-    prog2 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"{config.name_prefix}-p2@{comm.rank}")
-    _build_permute_pass(prog2, node, comm, schema, plan,
-                        in_file=config.temp1_file, in_fragmented=True,
-                        out_file=config.temp2_file, routing="untranspose",
-                        nbuffers=config.nbuffers, name="pass2",
-                        sort_replicas=config.sort_replicas)
-    prog2.run()
-    comm.barrier()
-    t2 = kernel.now()
+    t1 = run_pass(node, comm, program(1), lambda prog: _build_permute_pass(
+        prog, node, comm, schema, plan,
+        in_file=config.input_file, in_fragmented=False,
+        out_file=config.temp1_file, routing="transpose",
+        nbuffers=config.nbuffers, name="pass1",
+        sort_replicas=config.sort_replicas))
+
+    t2 = run_pass(node, comm, program(2), lambda prog: _build_permute_pass(
+        prog, node, comm, schema, plan,
+        in_file=config.temp1_file, in_fragmented=True,
+        out_file=config.temp2_file, routing="untranspose",
+        nbuffers=config.nbuffers, name="pass2",
+        sort_replicas=config.sort_replicas))
     # every node is past pass 2's last read of the first temporary
     if config.cleanup_temps:
         node.disk.delete(config.temp1_file)
-    _size_output(node, comm, schema, config, n_total)
+    _size_output(node, comm, schema, config, plan.n_records)
 
-    prog3 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"{config.name_prefix}-p3@{comm.rank}")
-    _build_pass3(prog3, node, comm, schema, plan,
-                 in_file=config.temp2_file, out_file=config.output_file,
-                 block_records=config.out_block_records,
-                 nbuffers=config.nbuffers)
-    prog3.run()
-    comm.barrier()
-    t3 = kernel.now()
+    t3 = run_pass(node, comm, program(3), lambda prog: _build_pass3(
+        prog, node, comm, schema, plan,
+        in_file=config.temp2_file, out_file=config.output_file,
+        block_records=config.out_block_records, nbuffers=config.nbuffers))
 
     if config.cleanup_temps:
         node.disk.delete(config.temp2_file)

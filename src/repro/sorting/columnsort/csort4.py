@@ -26,19 +26,19 @@ import numpy as np
 from repro.cluster.mpi import Comm
 from repro.cluster.node import Node
 from repro.core import FGProgram, Stage
-from repro.errors import ColumnsortShapeError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
 from repro.sorting.columnsort.csort import (
     CsortConfig,
     _build_permute_pass,
+    _column_read_stage,
+    _plan_run,
     _size_output,
+    _stripe_stage,
+    _write_placements_stage,
 )
-from repro.sorting.columnsort.steps import (
-    ColumnsortPlan,
-    plan_columnsort,
-    validate_shape,
-)
+from repro.sorting.columnsort.steps import ColumnsortPlan
+from repro.sorting.stages import run_pass, sort_stage
 
 __all__ = ["Csort4Report", "run_csort4"]
 
@@ -73,32 +73,9 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
     P = comm.size
     r, s = plan.r, plan.s
     spp = plan.cols_per_node
-    frag = plan.frag_records
     half = r // 2
-    rec_bytes = schema.record_bytes
-    rf_in = RecordFile(node.disk, in_file, schema)
     rf_out = RecordFile(node.disk, out_file, schema)
     state: dict = {}
-
-    def read(ctx, buf):
-        t = buf.round
-        if t == spp:
-            buf.clear()
-            buf.tags["final"] = True
-            return buf
-        parts = [rf_in.read(tp * r + t * (P * frag), P * frag)
-                 for tp in range(spp)]
-        buf.put(np.concatenate(parts) if len(parts) > 1 else parts[0])
-        buf.tags["column"] = t * P + comm.rank
-        return buf
-
-    def sort5(ctx, buf):
-        if buf.tags.get("final"):
-            return buf
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
-        return buf
 
     def shift(ctx):
         while True:
@@ -140,9 +117,11 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
 
     prog.add_pipeline(
         "pass3",
-        [Stage.map("read", read), Stage.map("sort5", sort5),
+        [_column_read_stage(node, comm, schema, plan, in_file),
+         sort_stage(node, schema, "sort5"),
          Stage.source_driven("shift", shift), Stage.map("write", write)],
-        nbuffers=nbuffers, buffer_bytes=r * rec_bytes, rounds=spp + 1)
+        nbuffers=nbuffers, buffer_bytes=r * schema.record_bytes,
+        rounds=spp + 1)
 
 
 def _build_pass4_unshift(prog: FGProgram, node: Node, comm: Comm,
@@ -154,10 +133,7 @@ def _build_pass4_unshift(prog: FGProgram, node: Node, comm: Comm,
     r, s = plan.r, plan.s
     spp = plan.cols_per_node
     half = r // 2
-    B = block_records
-    rec_bytes = schema.record_bytes
     rf_in = RecordFile(node.disk, in_file, schema)
-    out_local = RecordFile(node.disk, out_file, schema)
 
     def read(ctx, buf):
         t = buf.round
@@ -169,79 +145,18 @@ def _build_pass4_unshift(prog: FGProgram, node: Node, comm: Comm,
             m = s  # node P-1's extra shifted column
         count = _shifted_len(m, s, half, r)
         buf.put(rf_in.read(t * r, count))
-        buf.tags["m"] = m
-        return buf
-
-    def sort7(ctx, buf):
-        if buf.size == 0:
-            return buf
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
-        # step 8: the sorted shifted column m occupies the contiguous
+        # step 8: once sorted, shifted column m occupies the contiguous
         # final positions [m*r - half, m*r - half + len)
-        m = buf.tags["m"]
         buf.tags["g0"] = 0 if m == 0 else m * r - half
-        return buf
-
-    def stripe(ctx):
-        while True:
-            buf = ctx.accept()
-            if buf.is_caboose:
-                ctx.forward(buf)
-                return
-            records = (buf.view(schema.dtype) if buf.size
-                       else schema.empty(0))
-            g0 = buf.tags.get("g0", 0)
-            length = len(records)
-            groups: list[list] = [[] for _ in range(P)]
-            metas: list[Optional[dict]] = [None] * P
-            if length:
-                first_block = g0 // B
-                last_block = (g0 + length - 1) // B
-                for gb in range(first_block, last_block + 1):
-                    lo = max(gb * B, g0)
-                    hi = min((gb + 1) * B, g0 + length)
-                    owner = gb % P
-                    groups[owner].append(records[lo - g0:hi - g0])
-                    if metas[owner] is None:
-                        metas[owner] = {"gb": gb, "off": lo - gb * B}
-            for dest in range(P):
-                payload = (np.concatenate(groups[dest]) if groups[dest]
-                           else schema.empty(0))
-                comm.send(dest, payload, tag=TAG_STRIPE4,
-                          meta=metas[dest])
-            buf.clear()
-            placements = []
-            fill = 0
-            target = buf.data[:].view(schema.dtype)
-            for _ in range(P):
-                msg = comm.recv_msg(tag=TAG_STRIPE4)
-                if len(msg.payload) == 0:
-                    continue
-                node.compute_copy(msg.payload.nbytes)
-                target[fill:fill + len(msg.payload)] = msg.payload
-                placements.append((msg.meta["gb"], msg.meta["off"],
-                                   fill, len(msg.payload)))
-                fill += len(msg.payload)
-            buf.size = fill * rec_bytes
-            buf.tags["placements"] = placements
-            ctx.convey(buf)
-
-    def write(ctx, buf):
-        if buf.size == 0:
-            return buf
-        records = buf.view(schema.dtype)
-        for gb, off, start, count in buf.tags["placements"]:
-            out_local.write((gb // P) * B + off,
-                            records[start:start + count])
         return buf
 
     prog.add_pipeline(
         "pass4",
-        [Stage.map("read", read), Stage.map("sort7", sort7),
-         Stage.source_driven("stripe", stripe), Stage.map("write", write)],
-        nbuffers=nbuffers, buffer_bytes=2 * r * rec_bytes, rounds=spp + 1)
+        [Stage.map("read", read), sort_stage(node, schema, "sort7"),
+         _stripe_stage(node, comm, schema, block_records, TAG_STRIPE4),
+         _write_placements_stage(node, comm, schema, out_file, block_records)],
+        nbuffers=nbuffers, buffer_bytes=2 * r * schema.record_bytes,
+        rounds=spp + 1)
 
 
 def run_csort4(node: Node, comm: Comm, schema: RecordSchema,
@@ -249,85 +164,55 @@ def run_csort4(node: Node, comm: Comm, schema: RecordSchema,
     """Four-pass csort SPMD main (same config type as the 3-pass)."""
     if config is None:
         config = CsortConfig()
-    kernel = node.kernel
-    P = comm.size
-
-    rf_in = RecordFile(node.disk, config.input_file, schema)
-    totals = comm.allgather(rf_in.n_records)
-    if len(set(totals)) != 1:
-        raise ColumnsortShapeError(
-            f"csort needs evenly distributed input; per-node sizes "
-            f"{totals}")
-    n_total = sum(totals)
-    if config.s_override is not None:
-        s = config.s_override
-        r = n_total // s
-        validate_shape(n_total, r, s, P)
-        plan = ColumnsortPlan(n_total, r, s, P)
-    else:
-        plan = plan_columnsort(n_total, P)
-    if config.out_block_records * P > plan.r:
-        raise ColumnsortShapeError(
-            f"stripe block of {config.out_block_records} records needs "
-            f"P*block <= r = {plan.r}")
+    plan = _plan_run(node, comm, schema, config)
 
     # file lifetimes as in run_csort: each temporary goes after the
     # barrier of the pass that last reads it, the output is sized last
     RecordFile(node.disk, config.output_file, schema).delete()
     temp3 = config.temp2_file + "-shifted"
 
-    times = []
     comm.barrier()
-    last = kernel.now()
+    times = [node.kernel.now()]
 
-    prog1 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"csort4-p1@{comm.rank}")
-    _build_permute_pass(prog1, node, comm, schema, plan,
-                        in_file=config.input_file, in_fragmented=False,
-                        out_file=config.temp1_file, routing="transpose",
-                        nbuffers=config.nbuffers, name="pass1")
-    prog1.run()
-    comm.barrier()
-    times.append(kernel.now() - last)
-    last = kernel.now()
+    times.append(run_pass(
+        node, comm, f"csort4-p1@{comm.rank}",
+        lambda prog: _build_permute_pass(
+            prog, node, comm, schema, plan,
+            in_file=config.input_file, in_fragmented=False,
+            out_file=config.temp1_file, routing="transpose",
+            nbuffers=config.nbuffers, name="pass1",
+            sort_replicas=config.sort_replicas)))
 
-    prog2 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"csort4-p2@{comm.rank}")
-    _build_permute_pass(prog2, node, comm, schema, plan,
-                        in_file=config.temp1_file, in_fragmented=True,
-                        out_file=config.temp2_file, routing="untranspose",
-                        nbuffers=config.nbuffers, name="pass2")
-    prog2.run()
-    comm.barrier()
-    times.append(kernel.now() - last)
-    last = kernel.now()
+    times.append(run_pass(
+        node, comm, f"csort4-p2@{comm.rank}",
+        lambda prog: _build_permute_pass(
+            prog, node, comm, schema, plan,
+            in_file=config.temp1_file, in_fragmented=True,
+            out_file=config.temp2_file, routing="untranspose",
+            nbuffers=config.nbuffers, name="pass2",
+            sort_replicas=config.sort_replicas)))
     if config.cleanup_temps:
         node.disk.delete(config.temp1_file)
 
-    prog3 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"csort4-p3@{comm.rank}")
-    _build_pass3_shift(prog3, node, comm, schema, plan,
-                       in_file=config.temp2_file, out_file=temp3,
-                       nbuffers=config.nbuffers)
-    prog3.run()
-    comm.barrier()
-    times.append(kernel.now() - last)
-    last = kernel.now()
+    times.append(run_pass(
+        node, comm, f"csort4-p3@{comm.rank}",
+        lambda prog: _build_pass3_shift(
+            prog, node, comm, schema, plan, in_file=config.temp2_file,
+            out_file=temp3, nbuffers=config.nbuffers)))
     if config.cleanup_temps:
         node.disk.delete(config.temp2_file)
-    _size_output(node, comm, schema, config, n_total)
+    _size_output(node, comm, schema, config, plan.n_records)
 
-    prog4 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"csort4-p4@{comm.rank}")
-    _build_pass4_unshift(prog4, node, comm, schema, plan,
-                         in_file=temp3, out_file=config.output_file,
-                         block_records=config.out_block_records,
-                         nbuffers=config.nbuffers)
-    prog4.run()
-    comm.barrier()
-    times.append(kernel.now() - last)
+    times.append(run_pass(
+        node, comm, f"csort4-p4@{comm.rank}",
+        lambda prog: _build_pass4_unshift(
+            prog, node, comm, schema, plan, in_file=temp3,
+            out_file=config.output_file,
+            block_records=config.out_block_records,
+            nbuffers=config.nbuffers)))
 
     if config.cleanup_temps:
         node.disk.delete(temp3)
 
-    return Csort4Report(rank=comm.rank, pass_times=times, plan=plan)
+    return Csort4Report(rank=comm.rank, plan=plan, pass_times=[
+        end - start for start, end in zip(times, times[1:])])

@@ -17,7 +17,6 @@ docs/ROBUSTNESS.md.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional
 
 from repro.cluster.mpi import Comm
@@ -27,6 +26,7 @@ from repro.errors import PipelineFailed, SortError, SpeculationLost
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.journal import Journal
 from repro.pdm.records import RecordSchema
+from repro.pdm.striped import striped_share
 from repro.sorting.dsort.pass1 import (TAG_PASS1, build_pass1,
                                        build_pass1_recover)
 from repro.sorting.dsort.pass2 import (TAG_PASS2, build_pass2,
@@ -171,13 +171,11 @@ def run_dsort(node: Node, comm: Comm, schema: RecordSchema,
     local_total = sum(n for _, n in runs)
     totals = comm.allgather(local_total)
     start_global = sum(totals[:comm.rank])
-    my_records = _striped_share(sum(totals), config.out_block_records,
-                                comm.size, comm.rank)
+    my_records = striped_share(sum(totals), config.out_block_records,
+                               comm.size, comm.rank)
     out_rf = RecordFile(node.disk, config.output_file, schema)
-    p2_state: dict = {}
 
     def run_pass2(attempt: int) -> None:
-        p2_state.clear()
         # (re)create the output file at its exact final local size; the
         # striped writes are idempotent, so a retried pass overwrites any
         # partial stripes from the failed attempt
@@ -191,7 +189,7 @@ def run_dsort(node: Node, comm: Comm, schema: RecordSchema,
                     output_file=config.output_file,
                     vertical_block_records=config.vertical_block_records,
                     out_block_records=config.out_block_records,
-                    nbuffers=config.nbuffers, state=p2_state)
+                    nbuffers=config.nbuffers)
         prog2.run()
 
     def reset_pass2() -> None:
@@ -270,16 +268,6 @@ def _drain_stale(comm: Comm, tag: int) -> None:
     """
     while comm.iprobe(tag=tag):
         comm.recv(tag=tag)
-
-
-def _striped_share(total_records: int, block_records: int, n_nodes: int,
-                   rank: int) -> int:
-    """Records node ``rank`` holds of a PDM-striped file."""
-    total_blocks = math.ceil(total_records / block_records)
-    share = 0
-    for block in range(rank, total_blocks, n_nodes):
-        share += min(block_records, total_records - block * block_records)
-    return share
 
 
 # -- fine-grained recovery path ----------------------------------------------
@@ -425,9 +413,9 @@ def _run_dsort_recover(node: Node, comm: Comm, schema: RecordSchema,
             epoch = mgr.epoch
             owners = mgr.output_owners() or list(range(P))
             S = len(owners)
-            my_records = _striped_share(total_records,
-                                        config.out_block_records, S,
-                                        owners.index(rank))
+            my_records = striped_share(total_records,
+                                       config.out_block_records, S,
+                                       owners.index(rank))
             # epoch-keyed piece journal: output stripes from a previous
             # epoch were laid out under a striping that no longer exists
             jname = f"{config.output_file}.p2log.e{epoch}"

@@ -35,15 +35,23 @@ import numpy as np
 from repro.cluster.mpi import Comm
 from repro.cluster.node import Node
 from repro.core import FGProgram, Stage
+from repro.errors import SortError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
-from repro.sorting.dsort.dsort import (
-    DsortConfig,
-    DsortReport,
-    _striped_share,
-)
-from repro.sorting.dsort.sampling import partition_ids, select_splitters
+from repro.pdm.striped import striped_share
+from repro.sorting.dsort.dsort import DsortConfig, DsortReport
+from repro.sorting.dsort.pass1 import splitter_partition
+from repro.sorting.dsort.sampling import select_splitters
 from repro.sorting.merge import BlockMerger
+from repro.sorting.stages import (
+    EndMarkers,
+    permute_stage,
+    run_pass,
+    scatter,
+    sort_stage,
+    write_run_stage,
+    write_striped_stage,
+)
 
 __all__ = ["run_dsort_linear"]
 
@@ -60,7 +68,6 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
     rf_in = RecordFile(node.disk, input_file, schema)
     n_local = rf_in.n_records
     n_blocks = math.ceil(n_local / block_records)
-    hw = node.hardware
     state.setdefault("runs", [])
     state.setdefault("next_run", 0)
     flags = {"exchange_done": False}
@@ -83,32 +90,14 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
             ctx.convey(buf)
         ctx.convey_caboose(pipeline)
 
-    def permute(ctx, buf):
-        if buf.tags.get("drain"):
-            return buf
-        records = buf.view(schema.dtype)
-        start = buf.tags["start"]
-        positions = np.arange(start, start + len(records), dtype=np.int64)
-        part = partition_ids(records["key"], comm.rank, positions,
-                             splitters)
-        order = np.argsort(part, kind="stable")
-        node.compute(hw.sort_cost_per_key_log * len(records)
-                     * max(1.0, math.log2(P))
-                     + hw.copy_time(records.nbytes))
-        buf.put(records[order])
-        buf.tags["counts"] = np.bincount(part, minlength=P)
-        return buf
-
     def exchange(ctx):
         overflow: deque = deque()
+        markers = EndMarkers(comm, schema, TAG_L1)
         ends = 0
-        sent_ends = False
         blocks_sent = 0
         if n_blocks == 0:
             # no local input: our end markers are due immediately
-            for dest in range(P):
-                comm.send(dest, schema.empty(0), tag=TAG_L1)
-            sent_ends = True
+            markers.send()
 
         def drain_nonblocking():
             nonlocal ends
@@ -142,18 +131,11 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
                 ctx.forward(buf)
                 return
             if not buf.tags.get("drain"):
-                records = buf.view(schema.dtype)
-                counts = buf.tags["counts"]
-                offsets = np.concatenate(([0], np.cumsum(counts)))
-                for dest in range(P):
-                    lo, hi = int(offsets[dest]), int(offsets[dest + 1])
-                    if hi > lo:
-                        comm.send(dest, records[lo:hi].copy(), tag=TAG_L1)
+                scatter(comm, buf.view(schema.dtype), buf.tags["counts"],
+                        TAG_L1)
                 blocks_sent += 1
-                if blocks_sent == n_blocks and not sent_ends:
-                    for dest in range(P):
-                        comm.send(dest, schema.empty(0), tag=TAG_L1)
-                    sent_ends = True
+                if blocks_sent == n_blocks:
+                    markers.send()
                 drain_nonblocking()
             else:
                 # our sends are complete; safe to block for the rest
@@ -173,29 +155,13 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
                 flags["exchange_done"] = True
             ctx.convey(buf)
 
-    def sort(ctx, buf):
-        if buf.size == 0:
-            return buf
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
-        return buf
-
-    def write(ctx, buf):
-        if buf.size == 0:
-            return buf
-        records = buf.view(schema.dtype)
-        run_name = f"{run_prefix}.{state['next_run']}"
-        state["next_run"] += 1
-        RecordFile(node.disk, run_name, schema).write(0, records)
-        state["runs"].append((run_name, len(records)))
-        return buf
-
     prog.add_pipeline(
         "linear1",
-        [Stage.source_driven("read", read), Stage.map("permute", permute),
+        [Stage.source_driven("read", read),
+         permute_stage(node, schema, P, splitter_partition(comm, splitters)),
          Stage.source_driven("exchange", exchange),
-         Stage.map("sort", sort), Stage.map("write", write)],
+         sort_stage(node, schema),
+         write_run_stage(node, schema, run_prefix, state)],
         nbuffers=nbuffers, buffer_bytes=block_records * rec_bytes,
         rounds=None)
 
@@ -272,6 +238,7 @@ def _build_linear_pass2(prog: FGProgram, node: Node, comm: Comm,
     def exchange(ctx):
         ends = 0
         sent_ends = False
+        markers = EndMarkers(comm, schema, TAG_L2)
         overflow: deque = deque()
 
         def drain_nonblocking():
@@ -297,8 +264,7 @@ def _build_linear_pass2(prog: FGProgram, node: Node, comm: Comm,
                 drain_nonblocking()
             else:
                 if not sent_ends:
-                    for dest in range(P):
-                        comm.send(dest, schema.empty(0), tag=TAG_L2)
+                    markers.send()
                     sent_ends = True
                 if ends < P and not overflow:
                     msg = comm.recv_msg(tag=TAG_L2)
@@ -317,22 +283,11 @@ def _build_linear_pass2(prog: FGProgram, node: Node, comm: Comm,
                 flags["merge_done"] = True
             ctx.convey(buf)
 
-    out_local = RecordFile(node.disk, output_file, schema)
-
-    def write(ctx, buf):
-        if buf.size == 0:
-            return buf
-        records = buf.view(schema.dtype)
-        local_start = ((buf.tags["global_block"] // P) * outB
-                       + buf.tags["offset"])
-        out_local.write(local_start, records)
-        return buf
-
     prog.add_pipeline(
         "linear2",
         [Stage.source_driven("merge", merge),
          Stage.source_driven("exchange", exchange),
-         Stage.map("write", write)],
+         write_striped_stage(node, schema, output_file, outB, P)],
         nbuffers=nbuffers, buffer_bytes=outB * rec_bytes, rounds=None)
 
 
@@ -341,6 +296,14 @@ def run_dsort_linear(node: Node, comm: Comm, schema: RecordSchema,
     """dsort with single linear pipelines per node per pass (SPMD main)."""
     if config is None:
         config = DsortConfig()
+    if config.sort_replicas > 1:
+        # the sort stage sits behind the stateful exchange stage;
+        # replicating inside the ablation would change what "linear vs
+        # multi" measures
+        raise SortError(
+            "dsort-linear does not support sort_replicas > 1 (got "
+            f"{config.sort_replicas}): its pipelines are the single-linear "
+            "ablation")
     kernel = node.kernel
 
     comm.barrier()
@@ -352,36 +315,31 @@ def run_dsort_linear(node: Node, comm: Comm, schema: RecordSchema,
     t1 = kernel.now()
 
     state: dict = {}
-    prog1 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"dsortL-p1@{comm.rank}")
-    _build_linear_pass1(prog1, node, comm, schema, splitters,
-                        input_file=config.input_file,
-                        run_prefix=config.run_prefix,
-                        block_records=config.block_records,
-                        nbuffers=config.nbuffers, state=state)
-    prog1.run()
-    comm.barrier()
-    t2 = kernel.now()
+    t2 = run_pass(
+        node, comm, f"dsortL-p1@{comm.rank}",
+        lambda prog: _build_linear_pass1(
+            prog, node, comm, schema, splitters,
+            input_file=config.input_file, run_prefix=config.run_prefix,
+            block_records=config.block_records, nbuffers=config.nbuffers,
+            state=state))
 
     runs = state.get("runs", [])
     local_total = sum(n for _, n in runs)
     totals = comm.allgather(local_total)
     start_global = sum(totals[:comm.rank])
-    my_records = _striped_share(sum(totals), config.out_block_records,
-                                comm.size, comm.rank)
+    my_records = striped_share(sum(totals), config.out_block_records,
+                               comm.size, comm.rank)
     RecordFile(node.disk, config.output_file, schema).delete()
     node.disk.storage.truncate(config.output_file,
                                my_records * schema.record_bytes)
-    prog2 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"dsortL-p2@{comm.rank}")
-    _build_linear_pass2(prog2, node, comm, schema, runs, start_global,
-                        output_file=config.output_file,
-                        vertical_block_records=config.vertical_block_records,
-                        out_block_records=config.out_block_records,
-                        nbuffers=config.nbuffers)
-    prog2.run()
-    comm.barrier()
-    t3 = kernel.now()
+    t3 = run_pass(
+        node, comm, f"dsortL-p2@{comm.rank}",
+        lambda prog: _build_linear_pass2(
+            prog, node, comm, schema, runs, start_global,
+            output_file=config.output_file,
+            vertical_block_records=config.vertical_block_records,
+            out_block_records=config.out_block_records,
+            nbuffers=config.nbuffers))
 
     if config.cleanup_runs:
         for run_name, _ in runs:

@@ -22,7 +22,6 @@ most loaded disk sets the pace.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.pdm.records import RecordSchema
 from repro.sorting.dsort.dsort import DsortConfig
 from repro.sorting.dsort.pass1 import build_pass1
 from repro.sorting.dsort.sampling import Splitters
-from repro.sorting.merge import BlockMerger
+from repro.sorting.stages import RunMerge, add_run_readers, run_pass
 
 __all__ = ["NowSortReport", "run_nowsort", "uniform_splitters"]
 
@@ -74,26 +73,12 @@ def _build_local_merge_pass(prog: FGProgram, node: Node,
                             out_block_records: int, nbuffers: int) -> None:
     """Pass 2 without striping: merge straight to a local sorted file."""
     rec_bytes = schema.record_bytes
-    vB = vertical_block_records
     outB = out_block_records
 
     merge_stage = Stage.source_driven("merge", None)
-    verticals = []
-    for i, (run_name, n_run) in enumerate(runs):
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, n_run):
-            def read(ctx, buf):
-                start = buf.round * vB
-                buf.put(run_file.read(start, min(vB, n_run - start)))
-                return buf
-            return read
-
-        stage = Stage.map(f"read{i}", make_read(run_file, n_run),
-                          virtual=True, virtual_group="read")
-        verticals.append(prog.add_pipeline(
-            f"v{i}", [stage, merge_stage], nbuffers=2,
-            buffer_bytes=vB * rec_bytes, rounds=math.ceil(n_run / vB)))
+    verticals = add_run_readers(
+        prog, node, schema, [(name, 0, n) for name, n in runs],
+        merge_stage, vertical_block_records)
 
     out_file = RecordFile(node.disk, output_file, schema)
 
@@ -106,39 +91,14 @@ def _build_local_merge_pass(prog: FGProgram, node: Node,
         nbuffers=nbuffers, buffer_bytes=outB * rec_bytes, rounds=None)
 
     def merge(ctx):
-        merger = BlockMerger(schema, range(len(verticals)))
-        head_buf = {}
-
-        def refill():
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    merger.finish_run(i)
-                else:
-                    merger.feed(i, nxt.view(schema.dtype))
-                    head_buf[i] = nxt
-
-        refill()
+        merging = RunMerge(ctx, node, schema, verticals)
         emitted = 0
-        while not merger.exhausted:
-            out = ctx.accept(horizontal)
-            records = out.data.view(schema.dtype)
-            filled = 0
-            while filled < outB and not merger.exhausted:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(records, filled, outB - filled)
-                node.compute_merge(n)
-                filled += n
-            if filled:
-                out.size = filled * rec_bytes
-                out.tags["start"] = emitted
-                ctx.convey(out)
-                emitted += filled
+        while (out := merging.next_output(horizontal)) is not None:
+            filled = merging.fill(out.data.view(schema.dtype), outB)
+            out.size = filled * rec_bytes
+            out.tags["start"] = emitted
+            ctx.convey(out)
+            emitted += filled
         ctx.convey_caboose(horizontal)
 
     merge_stage.fn = merge
@@ -161,33 +121,26 @@ def run_nowsort(node: Node, comm: Comm, schema: RecordSchema,
     if splitters.n_partitions != comm.size:
         raise SortError(
             f"need {comm.size} partitions, got {splitters.n_partitions}")
-    kernel = node.kernel
-
     comm.barrier()
-    t0 = kernel.now()
+    t0 = node.kernel.now()
     state: dict = {}
-    prog1 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"nowsort-p1@{comm.rank}")
-    build_pass1(prog1, node, comm, schema, splitters,
-                input_file=config.input_file, run_prefix=config.run_prefix,
-                block_records=config.block_records,
-                nbuffers=config.nbuffers, state=state)
-    prog1.run()
-    comm.barrier()
-    t1 = kernel.now()
+    t1 = run_pass(
+        node, comm, f"nowsort-p1@{comm.rank}",
+        lambda prog: build_pass1(
+            prog, node, comm, schema, splitters,
+            input_file=config.input_file, run_prefix=config.run_prefix,
+            block_records=config.block_records, nbuffers=config.nbuffers,
+            state=state, sort_replicas=config.sort_replicas))
 
     runs = state.get("runs", [])
     RecordFile(node.disk, config.output_file, schema).delete()
-    prog2 = FGProgram(kernel, env={"node": node, "comm": comm},
-                      name=f"nowsort-p2@{comm.rank}")
-    _build_local_merge_pass(
-        prog2, node, schema, runs, output_file=config.output_file,
-        vertical_block_records=config.vertical_block_records,
-        out_block_records=config.out_block_records,
-        nbuffers=config.nbuffers)
-    prog2.run()
-    comm.barrier()
-    t2 = kernel.now()
+    t2 = run_pass(
+        node, comm, f"nowsort-p2@{comm.rank}",
+        lambda prog: _build_local_merge_pass(
+            prog, node, schema, runs, output_file=config.output_file,
+            vertical_block_records=config.vertical_block_records,
+            out_block_records=config.out_block_records,
+            nbuffers=config.nbuffers))
 
     if config.cleanup_runs:
         for run_name, _ in runs:

@@ -23,6 +23,10 @@ forever for this node's end markers, so the program's failure hook sends
 them on the dead stage's behalf (``state['p1_ends_sent']`` guards against
 double-sending).  A receive stage that accepts a caboose — its pipeline
 was poisoned by a downstream failure — forwards it and bows out.
+
+The stages themselves (``permute``, ``receive``, ``sort``, ``write``, the
+per-destination dole-out) come from :mod:`repro.sorting.stages`; what is
+written here is the wiring, and what recovery weaves into its variant.
 """
 
 from __future__ import annotations
@@ -37,6 +41,15 @@ from repro.core import FGProgram, Stage
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
 from repro.sorting.dsort.sampling import Splitters, partition_ids
+from repro.sorting.stages import (
+    EndMarkers,
+    packing_receive_stage,
+    partition_slices,
+    permute_stage,
+    scatter,
+    sort_stage,
+    write_run_stage,
+)
 
 __all__ = ["build_pass1", "build_pass1_recover", "TAG_PASS1"]
 
@@ -63,7 +76,6 @@ def build_pass1(prog: FGProgram, node: Node, comm: Comm,
     rf_in = RecordFile(node.disk, input_file, schema)
     n_local = rf_in.n_records
     n_blocks = math.ceil(n_local / block_records)
-    hw = node.hardware
     state.setdefault("runs", [])
     state.setdefault("next_run", 0)
 
@@ -76,114 +88,49 @@ def build_pass1(prog: FGProgram, node: Node, comm: Comm,
         buf.tags["start"] = start
         return buf
 
-    def permute(ctx, buf):
-        records = buf.view(schema.dtype)
-        start = buf.tags["start"]
-        positions = np.arange(start, start + len(records), dtype=np.int64)
-        part = partition_ids(records["key"], comm.rank, positions,
-                             splitters)
-        order = np.argsort(part, kind="stable")
-        # partitioning ~ binary search per record + out-of-place permute
-        node.compute(hw.sort_cost_per_key_log * len(records)
-                     * max(1.0, math.log2(P))
-                     + hw.copy_time(records.nbytes))
-        buf.put(records[order])
-        buf.tags["counts"] = np.bincount(part, minlength=P)
-        return buf
+    markers = EndMarkers(comm, schema, TAG_PASS1)
 
     def send(ctx):
         while True:
             buf = ctx.accept()
             if buf.is_caboose:
                 break
-            records = buf.view(schema.dtype)
-            counts = buf.tags["counts"]
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            for dest in range(P):
-                lo, hi = int(offsets[dest]), int(offsets[dest + 1])
-                if hi > lo:
-                    comm.send(dest, records[lo:hi].copy(), tag=TAG_PASS1)
+            scatter(comm, buf.view(schema.dtype), buf.tags["counts"],
+                    TAG_PASS1)
             ctx.convey(buf)
-        for dest in range(P):
-            comm.send(dest, schema.empty(0), tag=TAG_PASS1)  # end marker
+        markers.send()
         state["p1_ends_sent"] = True
         ctx.forward(buf)
 
-    def on_failure(stage, pipelines, exc):
-        # Any other stage's failure still reaches `send` as a caboose and
-        # the markers go out on the normal path; only a dead send stage
-        # leaves peers hanging.
-        if stage.name == "send" and not state.get("p1_ends_sent"):
-            state["p1_ends_sent"] = True
-            for dest in range(P):
-                comm.send(dest, schema.empty(0), tag=TAG_PASS1)
-
-    prog.on_pipeline_failure = on_failure
+    prog.on_pipeline_failure = markers.on_failure("send", state,
+                                                  "p1_ends_sent")
 
     prog.add_pipeline(
         "send",
-        [Stage.map("read", read), Stage.map("permute", permute),
+        [Stage.map("read", read),
+         permute_stage(node, schema, P, splitter_partition(comm, splitters)),
          Stage.source_driven("send", send)],
         nbuffers=nbuffers, buffer_bytes=block_records * rec_bytes,
         rounds=n_blocks, aux_buffers=True)
 
     # -- receive pipeline ---------------------------------------------------------
 
-    def receive(ctx):
-        pipeline = ctx.pipelines[0]
-        ends = 0
-        leftover = None
-        while True:
-            parts = []
-            have = 0
-            if leftover is not None:
-                parts.append(leftover)
-                have = len(leftover)
-                leftover = None
-            while have < block_records and ends < P:
-                _, payload = comm.recv(tag=TAG_PASS1)
-                if len(payload) == 0:
-                    ends += 1
-                    continue
-                parts.append(payload)
-                have += len(payload)
-            if have == 0:
-                break
-            records = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            take = min(block_records, len(records))
-            leftover = records[take:] if take < len(records) else None
-            buf = ctx.accept()
-            if buf.is_caboose:  # pipeline poisoned by a downstream failure
-                ctx.forward(buf)
-                return
-            node.compute_copy(take * rec_bytes)  # pack into pipeline buffer
-            buf.put(records[:take])
-            ctx.convey(buf)
-            if ends == P and leftover is None:
-                break
-        ctx.convey_caboose(pipeline)
-
-    def sort(ctx, buf):
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
-        return buf
-
-    def write(ctx, buf):
-        records = buf.view(schema.dtype)
-        run_name = f"{run_prefix}.{state['next_run']}"
-        state["next_run"] += 1
-        RecordFile(node.disk, run_name, schema).write(0, records)
-        state["runs"].append((run_name, len(records)))
-        return buf
-
     prog.add_pipeline(
         "recv",
-        [Stage.source_driven("receive", receive), Stage.map("sort", sort),
-         Stage.map("write", write)],
+        [packing_receive_stage(node, comm, schema, TAG_PASS1, block_records),
+         sort_stage(node, schema),
+         write_run_stage(node, schema, run_prefix, state)],
         nbuffers=nbuffers, buffer_bytes=block_records * rec_bytes,
         rounds=None, aux_buffers=True,
         replicas={"sort": sort_replicas} if sort_replicas > 1 else None)
+
+
+def splitter_partition(comm: Comm, splitters: Splitters):
+    """``partition_of(keys, positions)`` for blocks of this rank's input,
+    by extended-key comparison against ``splitters``."""
+    def partition_of(keys, positions):
+        return partition_ids(keys, comm.rank, positions, splitters)
+    return partition_of
 
 
 def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
@@ -224,7 +171,6 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
     rf_in = RecordFile(node.disk, input_file, schema)
     n_local = rf_in.n_records
     n_blocks = math.ceil(n_local / block_records)
-    hw = node.hardware
     state.setdefault("runs", [])
     state.setdefault("next_run", 0)
     rank = comm.rank
@@ -250,21 +196,8 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
         buf.tags["start"] = start
         return buf
 
-    def permute(ctx, buf):
-        if buf.tags.get("skip"):
-            return buf
-        records = buf.view(schema.dtype)
-        start = buf.tags["start"]
-        positions = np.arange(start, start + len(records), dtype=np.int64)
-        part = partition_ids(records["key"], comm.rank, positions,
-                             splitters)
-        order = np.argsort(part, kind="stable")
-        node.compute(hw.sort_cost_per_key_log * len(records)
-                     * max(1.0, math.log2(P))
-                     + hw.copy_time(records.nbytes))
-        buf.put(records[order])
-        buf.tags["counts"] = np.bincount(part, minlength=P)
-        return buf
+    markers = EndMarkers(comm, schema, TAG_PASS1, producer=f"p{rank}",
+                         skip=manager.is_dead)
 
     def send(ctx):
         pending: list = []
@@ -277,19 +210,14 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
                 ctx.convey(buf)
                 continue
             b = buf.tags["block"]
-            records = buf.view(schema.dtype)
-            counts = buf.tags["counts"]
-            offsets = np.concatenate(([0], np.cumsum(counts)))
             dsts = []
-            for dest in range(P):
-                lo, hi = int(offsets[dest]), int(offsets[dest + 1])
-                if hi <= lo:
-                    continue
+            for dest, part in partition_slices(buf.view(schema.dtype),
+                                               buf.tags["counts"]):
                 dsts.append(dest)
                 if (manager.is_dead(dest)
                         or (rank, b) in manager.durable_frags(dest)):
                     continue  # durable there already, or nobody home
-                comm.send(dest, records[lo:hi].copy(), tag=TAG_PASS1,
+                comm.send(dest, part.copy(), tag=TAG_PASS1,
                           meta={"block": b})
             if sendlog is not None and b not in logged:
                 logged.add(b)
@@ -300,28 +228,17 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
             ctx.convey(buf)
         if pending:
             sendlog.append({"blocks": pending})
-        for dest in range(P):
-            if manager.is_dead(dest):
-                continue
-            comm.send(dest, schema.empty(0), tag=TAG_PASS1,
-                      meta={"producer": f"p{rank}"})
+        markers.send()
         state["p1_ends_sent"] = True
         ctx.forward(buf)
 
-    def on_failure(stage, pipelines, exc):
-        if stage.name == "send" and not state.get("p1_ends_sent"):
-            state["p1_ends_sent"] = True
-            for dest in range(P):
-                if manager.is_dead(dest):
-                    continue
-                comm.send(dest, schema.empty(0), tag=TAG_PASS1,
-                          meta={"producer": f"p{rank}"})
-
-    prog.on_pipeline_failure = on_failure
+    prog.on_pipeline_failure = markers.on_failure("send", state,
+                                                  "p1_ends_sent")
 
     prog.add_pipeline(
         "send",
-        [Stage.map("read", read), Stage.map("permute", permute),
+        [Stage.map("read", read),
+         permute_stage(node, schema, P, splitter_partition(comm, splitters)),
          Stage.source_driven("send", send)],
         nbuffers=nbuffers, buffer_bytes=block_records * rec_bytes,
         rounds=n_blocks, aux_buffers=True)
@@ -379,12 +296,6 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
             return
         ctx.convey_caboose(pipeline)
 
-    def sort(ctx, buf):
-        records = buf.view(schema.dtype)
-        node.compute_sort(len(records))
-        buf.put(schema.sort(records))
-        return buf
-
     pending_runs: list = []
     pending_bak: list = []
 
@@ -435,7 +346,7 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
 
     prog.add_pipeline(
         "recv",
-        [Stage.source_driven("receive", receive), Stage.map("sort", sort),
+        [Stage.source_driven("receive", receive), sort_stage(node, schema),
          Stage.map("write", write)],
         nbuffers=nbuffers, buffer_bytes=block_records * rec_bytes,
         rounds=None, aux_buffers=True,

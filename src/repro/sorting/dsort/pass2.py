@@ -22,16 +22,19 @@ sizes were.
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 from repro.cluster.mpi import Comm
 from repro.cluster.node import Node
 from repro.core import FGProgram, Stage
 from repro.errors import SortError
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
-from repro.sorting.merge import BlockMerger
+from repro.pdm.striped import local_record
+from repro.sorting.stages import (
+    EndMarkers,
+    RunMerge,
+    add_run_readers,
+    write_striped_stage,
+)
 
 __all__ = ["build_pass2", "TAG_PASS2"]
 
@@ -43,48 +46,33 @@ def build_pass2(prog: FGProgram, node: Node, comm: Comm,
                 schema: RecordSchema, runs: list[tuple[str, int]],
                 start_global: int, output_file: str,
                 vertical_block_records: int, out_block_records: int,
-                nbuffers: int, state: Optional[dict] = None) -> None:
+                nbuffers: int) -> None:
     """Add pass-2's vertical, horizontal, and receive pipelines to ``prog``.
 
     ``runs`` lists this node's sorted runs from pass 1; ``start_global``
     is the global rank of this node's smallest record (exclusive prefix
-    sum of per-node totals).  ``state`` (if given) records
-    ``state['p2_ends_sent']`` so the failure hook can tell whether peers
-    still need this node's end markers.
+    sum of per-node totals).  A dead send stage can no longer deliver end
+    markers, and every peer's receive stage counts on them, so the
+    failure hook sends them in its stead.
     """
-    if state is None:
-        state = {}
     P = comm.size
     rec_bytes = schema.record_bytes
-    vB = vertical_block_records
     outB = out_block_records
+    state: dict = {}  # 'p2_ends_sent': the failure hook's guard
 
     # -- vertical pipelines (virtual read stages) ---------------------------
 
-    merge_stage = Stage.source_driven("merge", None)  # fn bound below
-    verticals = []
-    for i, (run_name, n_run) in enumerate(runs):
+    for run_name, n_run in runs:
         if n_run <= 0:
             raise SortError(f"run {run_name!r} is empty")
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, n_run):
-            def read(ctx, buf):
-                start = buf.round * vB
-                count = min(vB, n_run - start)
-                buf.put(run_file.read(start, count))
-                return buf
-            return read
-
-        stage = Stage.map(f"read{i}", make_read(run_file, n_run),
-                          virtual=True, virtual_group="read")
-        pipeline = prog.add_pipeline(
-            f"v{i}", [stage, merge_stage],
-            nbuffers=2, buffer_bytes=vB * rec_bytes,
-            rounds=math.ceil(n_run / vB))
-        verticals.append(pipeline)
+    merge_stage = Stage.source_driven("merge", None)  # fn bound below
+    verticals = add_run_readers(
+        prog, node, schema, [(name, 0, n) for name, n in runs],
+        merge_stage, vertical_block_records)
 
     # -- horizontal pipeline: merge -> send ------------------------------------
+
+    markers = EndMarkers(comm, schema, TAG_PASS2)
 
     def send(ctx):
         while True:
@@ -97,85 +85,37 @@ def build_pass2(prog: FGProgram, node: Node, comm: Comm,
                       meta={"global_block": block,
                             "offset": buf.tags["offset"]})
             ctx.convey(buf)
-        for dest in range(P):
-            comm.send(dest, schema.empty(0), tag=TAG_PASS2)  # end marker
+        markers.send()
         state["p2_ends_sent"] = True
         ctx.forward(buf)
 
-    def on_failure(stage, pipelines, exc):
-        # A dead send stage can no longer deliver end markers, and every
-        # peer's receive stage counts on them; send in its stead.  Other
-        # stage failures reach `send` as a caboose and take the normal path.
-        if stage.name == "send" and not state.get("p2_ends_sent"):
-            state["p2_ends_sent"] = True
-            for dest in range(P):
-                comm.send(dest, schema.empty(0), tag=TAG_PASS2)
-
-    prog.on_pipeline_failure = on_failure
+    prog.on_pipeline_failure = markers.on_failure("send", state,
+                                                  "p2_ends_sent")
 
     horizontal = prog.add_pipeline(
         "merge-out", [merge_stage, Stage.source_driven("send", send)],
         nbuffers=nbuffers, buffer_bytes=outB * rec_bytes, rounds=None)
 
     def merge(ctx):
-        merger = BlockMerger(schema, range(len(verticals)))
-        head_buf = {}
-
-        def refill():
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))  # spent buffer goes home
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    merger.finish_run(i)
-                else:
-                    merger.feed(i, nxt.view(schema.dtype))
-                    head_buf[i] = nxt
-
-        refill()  # prime one block per run
+        merging = RunMerge(ctx, node, schema, verticals)
         emitted = 0
-        while not merger.exhausted:
-            if not merger.ready:
-                # only take an output buffer once a record is available,
-                # so the last buffer accepted is never abandoned unfilled
-                refill()
-                continue
-            out = ctx.accept(horizontal)
-            if out.is_caboose:
-                # The horizontal pipeline was poisoned below us (send
-                # failed) and its source flushed this caboose.  Raising
-                # poisons the verticals too, so their sources wind down.
-                raise SortError(
-                    "pass-2 output pipeline failed underneath merge")
-            position = start_global + emitted
-            block = position // outB
-            offset = position % outB
+        while (out := merging.next_output(horizontal)) is not None:
+            block, offset = divmod(start_global + emitted, outB)
             # fill exactly to the stripe-block boundary so each conveyed
             # buffer maps to one global block
             target = outB - offset
-            out_records = out.data[:target * rec_bytes].view(schema.dtype)
-            filled = 0
-            while filled < target and not merger.exhausted:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(out_records, filled, target - filled)
-                node.compute_merge(n)
-                filled += n
-            if filled:
-                out.size = filled * rec_bytes
-                out.tags["global_block"] = block
-                out.tags["offset"] = offset
-                ctx.convey(out)
-                emitted += filled
+            filled = merging.fill(
+                out.data[:target * rec_bytes].view(schema.dtype), target)
+            out.size = filled * rec_bytes
+            out.tags["global_block"] = block
+            out.tags["offset"] = offset
+            ctx.convey(out)
+            emitted += filled
         ctx.convey_caboose(horizontal)
 
     merge_stage.fn = merge
 
     # -- receive pipeline: accept owned blocks, write them striped ---------------
-
-    out_local = RecordFile(node.disk, output_file, schema)
 
     def receive(ctx):
         pipeline = ctx.pipelines[0]
@@ -200,16 +140,9 @@ def build_pass2(prog: FGProgram, node: Node, comm: Comm,
             ctx.convey(buf)
         ctx.convey_caboose(pipeline)
 
-    def write(ctx, buf):
-        records = buf.view(schema.dtype)
-        local_start = ((buf.tags["global_block"] // P) * outB
-                       + buf.tags["offset"])
-        out_local.write(local_start, records)
-        return buf
-
     prog.add_pipeline(
         "recv", [Stage.source_driven("receive", receive),
-                 Stage.map("write", write)],
+                 write_striped_stage(node, schema, output_file, outB, P)],
         nbuffers=nbuffers, buffer_bytes=outB * rec_bytes, rounds=None)
 
 
@@ -258,10 +191,8 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
     """
     from repro.errors import SpeculationLost
 
-    P = comm.size
     S = len(owners)
     rec_bytes = schema.record_bytes
-    rank = comm.rank
     ends_key = f"ends:{pid}"
     journal_every = manager.policy.journal_every
 
@@ -294,34 +225,22 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
 
     # -- verticals (skip runs the checkpoint already consumed) ------------
 
+    def before_read() -> None:
+        if gated:
+            gate_check()  # no disk touched before the race opens
+        check_defeat()
+
     merge_stage = Stage.source_driven(f"{label}merge", None)
-    verticals: dict[int, object] = {}
-    for i, (run_name, r0, n_run) in enumerate(runs):
-        p0 = positions[i]
-        if p0 >= n_run:
-            continue
-        run_file = RecordFile(node.disk, run_name, schema)
-
-        def make_read(run_file, r0, n_run, p0):
-            def read(ctx, buf):
-                if gated:
-                    gate_check()  # no disk touched before the race opens
-                check_defeat()
-                start = p0 + buf.round * vB
-                count = min(vB, n_run - start)
-                buf.put(run_file.read(r0 + start, count))
-                return buf
-            return read
-
-        stage = Stage.map(f"{label}read{i}",
-                          make_read(run_file, r0, n_run, p0),
-                          virtual=True, virtual_group=f"{label}read")
-        verticals[i] = prog.add_pipeline(
-            f"{label}v{i}", [stage, merge_stage],
-            nbuffers=2, buffer_bytes=vB * rec_bytes,
-            rounds=math.ceil((n_run - p0) / vB), role=role)
+    verticals = add_run_readers(
+        prog, node, schema,
+        [(name, r0 + p0, n_run - p0)
+         for (name, r0, n_run), p0 in zip(runs, positions)],
+        merge_stage, vB, label=label, role=role, before_read=before_read)
 
     # -- horizontal: merge -> send ----------------------------------------
+
+    markers = EndMarkers(comm, schema, TAG_PASS2, producer=pid,
+                         skip=manager.is_dead)
 
     def send(ctx):
         while True:
@@ -337,11 +256,7 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
                 comm.send(dest, records.copy(), tag=TAG_PASS2,
                           meta={"global_block": blk, "offset": off})
             ctx.convey(buf)
-        for dest in range(P):
-            if manager.is_dead(dest):
-                continue
-            comm.send(dest, schema.empty(0), tag=TAG_PASS2,
-                      meta={"producer": pid})
+        markers.send()
         state[ends_key] = True
         ctx.forward(buf)
 
@@ -350,7 +265,8 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
         [merge_stage, Stage.source_driven(f"{label}send", send)],
         nbuffers=nbuffers, buffer_bytes=outB * rec_bytes, rounds=None,
         role=role)
-    state.setdefault("send_stages", {})[f"{label}send"] = pid
+    state.setdefault("send_hooks", {})[f"{label}send"] = (
+        markers.on_failure(f"{label}send", state, ends_key))
 
     metrics = getattr(node.kernel, "metrics", None)
     gauge = (metrics.gauge(gauge_name,
@@ -360,58 +276,32 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
     def merge(ctx):
         if gated:
             gate_check()
-        active = sorted(verticals)
-        merger = BlockMerger(schema, active)
-        head_buf: dict[int, object] = {}
-        fed = {i: positions[i] for i in active}
 
-        def refill():
-            check_defeat()
-            for i in sorted(merger.needs()):
-                if i in head_buf:
-                    ctx.convey(head_buf.pop(i))  # spent buffer goes home
-                nxt = ctx.accept(verticals[i])
-                if nxt.is_caboose:
-                    ctx.forward(nxt)
-                    # a poisoned vertical (its read stage died) flushes a
-                    # caboose too; honoring it as end-of-run would merge
-                    # the surviving runs into wrong-but-sorted pieces —
-                    # which checkpointing would then make durable.  Only
-                    # a fully-delivered run may retire.
-                    if fed[i] != runs[i][2]:
-                        check_defeat()
-                        raise SortError(
-                            f"pass-2 vertical {i} died after {fed[i]} of "
-                            f"{runs[i][2]} records")
-                    merger.finish_run(i)
-                else:
-                    block = nxt.view(schema.dtype)
-                    merger.feed(i, block)
-                    fed[i] += len(block)
-                    head_buf[i] = nxt
+        def run_ended(i, fed):
+            # a poisoned vertical (its read stage died) flushes a
+            # caboose too; honoring it as end-of-run would merge the
+            # surviving runs into wrong-but-sorted pieces — which
+            # checkpointing would then make durable.  Only a
+            # fully-delivered run may retire.
+            if positions[i] + fed != runs[i][2]:
+                check_defeat()
+                raise SortError(
+                    f"pass-2 vertical {i} died after {positions[i] + fed} "
+                    f"of {runs[i][2]} records")
 
-        refill()
+        merging = RunMerge(ctx, node, schema, verticals,
+                           before_refill=check_defeat, run_ended=run_ended)
+        merger = merging.merger
         emitted = emitted0
         for idx in range(start_piece, len(pieces)):
             check_defeat()
             blk, off, cnt = pieces[idx]
-            out = ctx.accept(horizontal)
-            if out.is_caboose:
-                raise SortError(
-                    "pass-2 output pipeline failed underneath merge")
+            out = merging.take(horizontal)
             out_records = out.data[:cnt * rec_bytes].view(schema.dtype)
-            filled = 0
-            while filled < cnt:
-                if not merger.ready:
-                    refill()
-                    continue
-                n = merger.merge_into(out_records, filled, cnt - filled)
-                if n == 0 and merger.exhausted:
-                    check_defeat()
-                    raise SortError(
-                        "pass-2 merge ran dry before its range completed")
-                node.compute_merge(n)
-                filled += n
+            if merging.fill(out_records, cnt) < cnt:
+                check_defeat()
+                raise SortError(
+                    "pass-2 merge ran dry before its range completed")
             out.size = cnt * rec_bytes
             out.tags["global_block"] = blk
             out.tags["offset"] = off
@@ -422,8 +312,9 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
             if mlog is not None and (idx == len(pieces) - 1
                                      or (idx + 1 - start_piece)
                                      % journal_every == 0):
-                consumed = [fed[i] - merger.head_remaining(i)
-                            if i in fed else positions[i]
+                consumed = [positions[i] + merging.fed[i]
+                            - merger.head_remaining(i)
+                            if i in verticals else positions[i]
                             for i in range(len(runs))]
                 mlog.append({"k": idx, "e": emitted, "pos": consumed})
         # totals are exact, so past the last piece only cabooses remain;
@@ -432,7 +323,7 @@ def _add_merge_chain(prog: FGProgram, node: Node, comm: Comm,
             if not merger.needs():
                 raise SortError(
                     "pass-2 merge has records beyond its range")
-            refill()
+            merging.refill()
         ctx.convey_caboose(horizontal)
         if contender is not None:
             manager.range_complete(gate_rank, contender)
@@ -465,7 +356,6 @@ def build_pass2_recover(prog: FGProgram, node: Node, comm: Comm,
     """
     from repro.errors import FaultError
 
-    P = comm.size
     S = len(owners)
     rank = comm.rank
     rec_bytes = schema.record_bytes
@@ -477,16 +367,11 @@ def build_pass2_recover(prog: FGProgram, node: Node, comm: Comm,
         # a dead send stage can no longer deliver its chain's end
         # markers; send them in its stead (unless this whole node died
         # — then the watchdog compensates out-of-band)
-        pid = state.get("send_stages", {}).get(stage.name)
-        if pid is None or state.get(f"ends:{pid}"):
+        hook = state.get("send_hooks", {}).get(stage.name)
+        if hook is None:
             return
-        state[f"ends:{pid}"] = True
         try:
-            for dest in range(P):
-                if manager.is_dead(dest):
-                    continue
-                comm.send(dest, schema.empty(0), tag=TAG_PASS2,
-                          meta={"producer": pid})
+            hook(stage, pipelines, exc)
         except FaultError:
             pass  # this node is dying too; the watchdog takes over
 
@@ -599,8 +484,8 @@ def build_pass2_recover(prog: FGProgram, node: Node, comm: Comm,
         records = buf.view(schema.dtype)
         if len(records):
             blk = buf.tags["global_block"]
-            local_start = (blk // S) * outB + buf.tags["offset"]
-            out_local.write(local_start, records)
+            out_local.write(local_record(blk, buf.tags["offset"], outB, S),
+                            records)
             if jrn2 is not None:
                 pending_pieces.append([int(blk),
                                        int(buf.tags["offset"])])

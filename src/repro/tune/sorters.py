@@ -83,8 +83,14 @@ def csort_space(n_nodes: int, n_per_node: int) -> TuneSpace:
 
 
 def _space_for(sorter: str, n_nodes: int, n_per_node: int) -> TuneSpace:
-    if sorter in ("dsort", "dsort-linear"):
+    if sorter == "dsort":
         return dsort_space(n_nodes, n_per_node)
+    if sorter == "dsort-linear":
+        # the ablation runs one copy of its sort stage by definition
+        # (run_dsort_linear refuses sort_replicas > 1): not an axis
+        return TuneSpace([
+            axis for axis in dsort_space(n_nodes, n_per_node).axes
+            if axis.name != "sort_replicas"])
     if sorter == "csort":
         return csort_space(n_nodes, n_per_node)
     raise ReproError(f"no tune space for sorter {sorter!r}; expected "
@@ -276,7 +282,7 @@ def adaptive_tune_sort(sorter: str, distribution: str = "uniform",
     improved = True
     while improved and runs < max_runs:
         improved = False
-        ordered = sorted(diagnosis, key=lambda n: (-diagnosis[n], n))
+        ordered = sorted(axes_by_name, key=lambda n: (-diagnosis[n], n))
         for name in ordered:
             axis = axes_by_name[name]
             i = axis.index_of(current[name])

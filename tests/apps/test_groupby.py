@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import groupby as groupby_module
 from repro.apps.groupby import (
     GroupByConfig,
     KeyValueSchema,
@@ -14,7 +15,10 @@ from repro.apps.groupby import (
     run_groupby,
 )
 from repro.cluster import Cluster, HardwareModel
+from repro.cluster.storage import MemoryStorage
+from repro.errors import PipelineFailed, ProcessFailed, StorageError
 from repro.pdm.blockfile import RecordFile
+from tests.sorting.test_failure_injection import FailingStorage
 
 SCHEMA = KeyValueSchema()
 
@@ -154,3 +158,66 @@ def test_property_groupby_end_to_end(n_nodes, key_space, seed):
              config=GroupByConfig(block_records=64,
                                   vertical_block_records=32,
                                   out_block_records=48))
+
+
+# -- failure paths: groupby's pass 1 fails the way dsort's does -----------
+
+
+SMALL = GroupByConfig(block_records=64, vertical_block_records=32,
+                      out_block_records=48)
+
+
+def test_failing_run_write_reports_only_the_injected_failure():
+    """A dead ``write`` poisons the receive pipeline; ``receive`` must
+    forward the caboose it then accepts and bow out — it used to ``put``
+    into it, adding a second, misleading failure to the report."""
+    failing = FailingStorage(fail_at_write=3)
+    cluster = Cluster(n_nodes=2, hardware=fast_hw(),
+                      storages=[MemoryStorage(), failing])
+    setup_kv_input(cluster, per_node=1000, key_space=2**40)
+    failing.armed = True
+    with pytest.raises(ProcessFailed) as exc_info:
+        cluster.run(run_groupby, SMALL)
+    failed = exc_info.value.original
+    assert isinstance(failed, PipelineFailed)
+    assert [(f.stage, type(f.cause)) for f in failed.failures] \
+        == [("write", StorageError)], str(failed)
+    assert all(not proc.alive for proc in cluster.kernel.processes)
+
+
+def test_failing_route_still_delivers_its_end_markers(monkeypatch):
+    """A dead ``route`` can no longer send its end markers, and every
+    receive stage counts on them: the failure hook sends them in its
+    stead, so the failing rank reports PipelineFailed and its peer runs
+    to the end.  Without the hook the cluster deadlocked."""
+    cluster = Cluster(n_nodes=2, hardware=fast_hw())
+    setup_kv_input(cluster, per_node=1000, key_space=2**40)
+    real_hash = groupby_module._hash_keys
+    calls = {"rank1": 0}
+
+    def failing_hash(keys, buckets):
+        if cluster.kernel.current_process().name.endswith("@1.route"):
+            calls["rank1"] += 1
+            if calls["rank1"] == 3:
+                raise RuntimeError("injected route failure")
+        return real_hash(keys, buckets)
+
+    monkeypatch.setattr(groupby_module, "_hash_keys", failing_hash)
+
+    def main(node, comm):
+        try:
+            return run_groupby(node, comm, SMALL)
+        except PipelineFailed as exc:
+            # stand in at the two pass barriers the dead run never
+            # reached, so the peer's run can end
+            comm.barrier()
+            comm.barrier()
+            return exc
+
+    peer, failed = cluster.run(main)
+    assert isinstance(failed, PipelineFailed)
+    assert [(f.stage, str(f.cause)) for f in failed.failures] \
+        == [("route", "injected route failure")], str(failed)
+    assert peer.pass1_time > 0 and peer.pass2_time > 0
+    assert RecordFile(cluster.node(0).disk, "kv-groups", SCHEMA).n_records \
+        == peer.distinct_keys > 0

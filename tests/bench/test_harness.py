@@ -9,7 +9,7 @@ from repro.bench.harness import (
     stripe_block_records,
 )
 from repro.cluster import HardwareModel
-from repro.errors import ReproError
+from repro.errors import ProcessFailed, ReproError, SortError
 from repro.pdm.records import RecordSchema
 
 SCHEMA = RecordSchema.paper_16()
@@ -85,3 +85,34 @@ def test_provenance_output_digest_is_pinned(sorter):
     assert run.provenance.digests["output"] == (
         "c63e8a62445b84edb1fd510d8d6dc815"
         "db4eb45a40561b2bbc06b178c79a3f2e")
+
+
+def _processes(run) -> int:
+    return int(run.metrics.snapshot()["counters"]
+               ["kernel.processes_spawned"]["value"])
+
+
+@pytest.mark.parametrize("sorter", ["dsort", "csort", "csort4",
+                                    "dsort-linear", "nowsort"])
+def test_no_sorter_swallows_sort_replicas(sorter):
+    """``run_sort`` promises "tuners cannot silently search a no-op
+    axis": a sorter handed ``sort_replicas`` either runs a different
+    program (more processes, other stage graphs) or refuses by name."""
+    def run(tune=None):
+        return run_sort(sorter, "uniform", SCHEMA, n_nodes=2,
+                        n_per_node=2048, tune=tune, provenance=True)
+
+    if sorter == "dsort-linear":
+        with pytest.raises(ProcessFailed) as exc_info:
+            run({"sort_replicas": 2})
+        assert isinstance(exc_info.value.original, SortError)
+        assert "sort_replicas" in str(exc_info.value.original)
+        return
+    default, replicated = run(), run({"sort_replicas": 2})
+    assert _processes(replicated) > _processes(default)
+    graphs, default_graphs = (replicated.provenance.stage_graphs,
+                              default.provenance.stage_graphs)
+    assert graphs.keys() == default_graphs.keys()
+    assert any(graphs[name] != default_graphs[name] for name in graphs)
+    assert replicated.provenance.digests["output"] \
+        == default.provenance.digests["output"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, HardwareModel
 from repro.pdm import striped as striped_module
 from repro.pdm.records import RecordSchema
-from repro.pdm.striped import StripedFile
+from repro.pdm.striped import StripedFile, striped_share
 
 SCHEMA = RecordSchema(8)
 
@@ -42,6 +42,22 @@ def test_property_block_writes_reassemble_global_order(n_nodes, block,
     out = striped.read_all()
     np.testing.assert_array_equal(out["key"],
                                   np.arange(total, dtype=np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=300))
+def test_property_striped_share_counts_the_owners_blocks(width, block,
+                                                         total):
+    """The closed form against the block-by-block walk it replaced (the
+    sorters used to size their outputs with this loop)."""
+    for position in range(width):
+        walked = sum(min(block, total - b * block)
+                     for b in range(position, -(-total // block), width))
+        assert striped_share(total, block, width, position) == walked
+    assert sum(striped_share(total, block, width, k)
+               for k in range(width)) == total
 
 
 @settings(max_examples=50, deadline=None)

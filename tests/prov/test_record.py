@@ -9,7 +9,6 @@ from repro.prov import (
     RECORD_VERSION,
     ProvenanceRecord,
     metrics_digest,
-    output_digest,
     trace_digest,
     tune_decision_log,
 )
@@ -76,12 +75,6 @@ def test_from_json_ignores_unknown_fields():
     doc = sample_record().to_json()
     doc["some_future_extension"] = {"x": 1}
     assert ProvenanceRecord.from_json(doc) == sample_record()
-
-
-def test_output_digest_is_plain_sha256():
-    import hashlib
-
-    assert output_digest(b"abc") == hashlib.sha256(b"abc").hexdigest()
 
 
 def test_metrics_digest_tracks_snapshot_content():

@@ -102,3 +102,27 @@ def test_verify_partitioned_output_catches_order_violation():
         seed=0)
     with pytest.raises(VerificationError):
         verify_partitioned_output(cluster, manifest, "output")
+
+
+@pytest.mark.parametrize("n_nodes, n_per_node, out_block", [
+    (1, 4096, 1024),  # one node holds everything: 4 output blocks
+    (3, 1024, 512),   # tiny keys all land on node 0: 6 output blocks
+])
+def test_partition_of_whole_output_blocks_strands_no_buffer(
+        monkeypatch, n_nodes, n_per_node, out_block):
+    """A partition that is an exact multiple of ``out_block_records``:
+    the last refill finds every run finished, and a merge stage that had
+    already taken its next output buffer was left holding it empty —
+    FGSan's leak check at teardown.  The shared run-merge only takes an
+    output buffer once a record is ready for it."""
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    keys = np.arange(1, n_nodes, dtype=np.uint64) * 1000
+    zeros = np.zeros(n_nodes - 1, dtype=np.int64)
+    splitters = Splitters(keys=keys, nodes=zeros, indices=zeros)
+    cluster = Cluster(n_nodes=n_nodes, hardware=fast_hw())
+    manifest = generate_input(cluster, SCHEMA, n_per_node, "poisson")
+    config = DsortConfig(block_records=256, vertical_block_records=64,
+                         out_block_records=out_block)
+    reports = cluster.run(run_nowsort, SCHEMA, config, splitters)
+    assert reports[0].partition_records == n_nodes * n_per_node
+    verify_partitioned_output(cluster, manifest, config.output_file)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.harness import run_sort
+from repro.check.races import race_from_env
 from repro.errors import ReproError
 from repro.pdm.records import RecordSchema
 from repro.tune import (
@@ -38,6 +39,25 @@ def test_csort_space_only_offers_valid_column_counts():
     for s in s_axis.values:
         validate_shape(n_total, n_total // s, s, 4)  # must not raise
     assert len(s_axis.values) >= 2   # there is something to search
+
+
+def test_linear_dsort_space_has_no_replica_axis():
+    """run_dsort_linear refuses sort_replicas > 1 (the ablation runs one
+    copy of its sort stage), so its space must not offer the axis."""
+    from repro.tune.sorters import _space_for
+
+    names = [a.name for a in _space_for("dsort-linear", 2, 1024).axes]
+    assert names == ["block_records", "nbuffers"]
+
+
+@pytest.mark.skipif(bool(race_from_env()),
+                    reason="linear dsort's exchange_done race (ROADMAP 4(0))")
+def test_adaptive_tuner_copes_with_a_space_missing_an_axis():
+    """It ranks axes by diagnosis, and the diagnosis always names
+    ``sort_replicas``."""
+    result = adaptive_tune_sort("dsort-linear", n_nodes=2, n_per_node=1024,
+                                max_runs=3)
+    assert "sort_replicas" not in result.best
 
 
 def test_unknown_sorter_has_no_space():
