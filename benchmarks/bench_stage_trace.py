@@ -14,10 +14,9 @@ that EXPERIMENTS.md's observability section points at.
 from conftest import save_observability, save_result
 
 from repro.bench.harness import benchmark_hardware
-from repro.cluster import Cluster
 from repro.obs import analyze_bottleneck
 from repro.pdm.records import RecordSchema
-from repro.sim import Tracer, VirtualTimeKernel
+from repro.prov import observed_cluster
 from repro.sorting.dsort import DsortConfig, run_dsort
 from repro.sorting.verify import verify_striped_output
 from repro.workloads.generator import generate_input
@@ -25,28 +24,23 @@ from repro.workloads.generator import generate_input
 
 def test_dsort_stage_trace(once):
     def experiment():
-        tracer = Tracer()
-        kernel = VirtualTimeKernel(tracer=tracer)
-        kernel.enable_metrics()
-        cluster = Cluster(n_nodes=2, hardware=benchmark_hardware(),
-                          kernel=kernel)
+        cluster, _ = observed_cluster(2, hardware=benchmark_hardware())
         schema = RecordSchema.paper_16()
         manifest = generate_input(cluster, schema, 16384, "uniform",
                                   seed=6)
+        # run_sort's geometry at this shape except oversample (64
+        # there): the committed stage_trace.* artifacts are of this run
         config = DsortConfig(block_records=2048,
                              vertical_block_records=1024,
                              out_block_records=1024, oversample=32)
         cluster.run(run_dsort, schema, config)
         verify_striped_output(cluster, manifest, config.output_file,
                               config.out_block_records)
-        return tracer, kernel
+        return cluster.kernel.tracer, cluster.kernel
 
     tracer, kernel = once(experiment)
     elapsed = kernel.now()
-    node0_stages = [n for n in tracer.process_names()
-                    if "@0" in n and ".source" not in n
-                    and ".sink" not in n and "family" not in n
-                    and not n.startswith("main")]
+    node0_stages = tracer.node0_stage_names()
     chart = tracer.gantt(width=100, processes=node0_stages)
     save_result("stage_trace",
                 f"dsort on 2 nodes — node 0 stage threads "

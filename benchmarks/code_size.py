@@ -9,8 +9,10 @@ the docstrings, ``tokenize`` the tokens).  Blank lines, comment-only
 lines and docstrings do not count, so documenting a function never makes
 the program "bigger".
 
-Run:  python benchmarks/code_size.py [REV]
-      (REV: also count each file as of that git revision, e.g. HEAD~1)
+Run:  python benchmarks/code_size.py [REV [FILE ...]]
+      (REV: also count each file as of that git revision, e.g. HEAD~1;
+      FILE ...: count these instead of the paper's programs — how a
+      simplicity PR reports the files it folds, by the same rule)
 """
 
 import ast
@@ -60,9 +62,9 @@ def at_revision(rev: str, path: str) -> str:
     return shown.stdout if shown.returncode == 0 else ""  # not there yet
 
 
-def main(rev=None) -> None:
+def main(rev=None, *paths) -> None:
     totals = [0, 0]
-    for path in FILES:
+    for path in paths or FILES:
         with open(path) as fh:
             now = code_lines(fh.read())
         then = code_lines(at_revision(rev, path)) if rev else now
@@ -73,4 +75,4 @@ def main(rev=None) -> None:
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:2])
+    main(*sys.argv[1:])

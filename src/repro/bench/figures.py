@@ -24,6 +24,7 @@ __all__ = [
     "unbalanced_experiment",
     "buffer_sweep_experiment",
     "pool_size_experiment",
+    "run_block_pipeline",
     "ablation_linear_experiment",
     "overlap_experiment",
     "virtual_stage_experiment",
@@ -87,6 +88,64 @@ def buffer_sweep_experiment(block_sizes: Sequence[int] = (512, 1024,
             for block in block_sizes}
 
 
+def _seeded_block_files(cluster: Cluster, n_blocks: int,
+                        block_records: int,
+                        seed: int) -> tuple[RecordFile, RecordFile]:
+    """Node 0's ``in`` file, holding ``n_blocks`` blocks of seeded random
+    keys, and its (still empty) ``out`` file."""
+    schema = RecordSchema.paper_16()
+    disk = cluster.node(0).disk
+    keys = np.random.default_rng(seed).integers(
+        0, 2**63, size=n_blocks * block_records, dtype=np.uint64)
+    rf_in = RecordFile(disk, "in", schema)
+    rf_in.poke(0, schema.from_keys(keys))
+    return rf_in, RecordFile(disk, "out", schema)
+
+
+def run_block_pipeline(cluster: Cluster, *, nbuffers: int, n_blocks: int,
+                       block_records: int, compute_reads: float = 1.0,
+                       seed: int = 0, name: str = "fg",
+                       pipeline: str = "p") -> None:
+    """The read -> compute -> write program of Figures 1-2, on a one-node
+    ``cluster``: a 3-stage FG pipeline over ``nbuffers`` buffers reads a
+    seeded ``in`` file block by block, computes on each block for the
+    modeled time of ``compute_reads`` block reads (and really sorts it —
+    host work, no simulated time), and writes it to ``out``.  ``name``
+    and ``pipeline`` name the program's threads in traces and metrics."""
+    schema = RecordSchema.paper_16()
+    rf_in, rf_out = _seeded_block_files(cluster, n_blocks, block_records,
+                                        seed)
+    compute_seconds = compute_reads * cluster.hardware.disk_time(
+        block_records * schema.record_bytes)
+
+    def main(node, comm):
+        prog = FGProgram(node.kernel, env={"node": node}, name=name)
+
+        def read(ctx, buf):
+            buf.put(rf_in.read(buf.round * block_records, block_records))
+            return buf
+
+        def compute(ctx, buf):
+            node.compute(compute_seconds)
+            buf.put(schema.sort(buf.view(schema.dtype)))
+            return buf
+
+        def write(ctx, buf):
+            rf_out.write(buf.round * block_records, buf.view(schema.dtype))
+            return buf
+
+        prog.add_pipeline(
+            pipeline, [Stage.map("read", read),
+                       Stage.map("compute", compute),
+                       Stage.map("write", write)],
+            nbuffers=nbuffers,
+            buffer_bytes=block_records * schema.record_bytes,
+            rounds=n_blocks)
+        prog.run()
+
+    cluster.run(main)
+
+
 def pool_size_experiment(pool_sizes: Sequence[int] = (1, 2, 3, 4, 8),
                          n_blocks: int = 32,
                          block_records: int = 4096) -> dict[int, float]:
@@ -94,46 +153,11 @@ def pool_size_experiment(pool_sizes: Sequence[int] = (1, 2, 3, 4, 8),
     buffers needs to be allocated": sweep the pool size of a 3-stage
     pipeline.  One buffer serializes the stages; a handful restores full
     overlap; beyond that, more memory buys nothing."""
-    schema = RecordSchema.paper_16()
     results: dict[int, float] = {}
     for nbuffers in pool_sizes:
         cluster = Cluster(n_nodes=1, hardware=benchmark_hardware())
-        node = cluster.node(0)
-        rf_in = RecordFile(node.disk, "in", schema)
-        rf_out = RecordFile(node.disk, "out", schema)
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 2**63, size=n_blocks * block_records,
-                            dtype=np.uint64)
-        rf_in.poke(0, schema.from_keys(keys))
-        block_bytes = block_records * schema.record_bytes
-        compute_seconds = node.hardware.disk_time(block_bytes)
-
-        def main(node, comm, nbuffers=nbuffers):
-            prog = FGProgram(node.kernel, env={"node": node})
-
-            def read(ctx, buf):
-                buf.put(rf_in.read(buf.round * block_records,
-                                   block_records))
-                return buf
-
-            def compute(ctx, buf):
-                node.compute(compute_seconds)
-                return buf
-
-            def write(ctx, buf):
-                rf_out.write(buf.round * block_records,
-                             buf.view(schema.dtype))
-                return buf
-
-            prog.add_pipeline(
-                "p", [Stage.map("read", read),
-                      Stage.map("compute", compute),
-                      Stage.map("write", write)],
-                nbuffers=nbuffers, buffer_bytes=block_bytes,
-                rounds=n_blocks)
-            prog.run()
-
-        cluster.run(main)
+        run_block_pipeline(cluster, nbuffers=nbuffers, n_blocks=n_blocks,
+                           block_records=block_records)
         results[nbuffers] = cluster.kernel.now()
     return results
 
@@ -160,55 +184,25 @@ def overlap_experiment(n_blocks: int = 32,
     than the sum of stages.
 
     One node reads a block, computes on it for one block-read-equivalent,
-    and writes it back — serially, then as a 3-stage FG pipeline.
+    and writes it back — serially, then as a 3-stage FG pipeline (the
+    pool-size sweep's program at four buffers).
     """
-    schema = RecordSchema.paper_16()
-    results: dict[str, float] = {}
-    for mode in ("serial", "pipeline"):
-        cluster = Cluster(n_nodes=1, hardware=benchmark_hardware())
-        node = cluster.node(0)
-        rf_in = RecordFile(node.disk, "in", schema)
-        rf_out = RecordFile(node.disk, "out", schema)
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 2**63, size=n_blocks * block_records,
-                            dtype=np.uint64)
-        rf_in.poke(0, schema.from_keys(keys))
-        block_bytes = block_records * schema.record_bytes
-        compute_seconds = node.hardware.disk_time(block_bytes)
+    cluster = Cluster(n_nodes=1, hardware=benchmark_hardware())
+    rf_in, rf_out = _seeded_block_files(cluster, n_blocks, block_records,
+                                        seed=0)
+    compute_seconds = cluster.hardware.disk_time(
+        block_records * rf_in.schema.record_bytes)
 
-        def serial_main(node, comm):
-            for b in range(n_blocks):
-                records = rf_in.read(b * block_records, block_records)
-                node.compute(compute_seconds)
-                rf_out.write(b * block_records, records)
+    def serial_main(node, comm):
+        for b in range(n_blocks):
+            records = rf_in.read(b * block_records, block_records)
+            node.compute(compute_seconds)
+            rf_out.write(b * block_records, records)
 
-        def pipeline_main(node, comm):
-            prog = FGProgram(node.kernel, env={"node": node})
-
-            def read(ctx, buf):
-                buf.put(rf_in.read(buf.round * block_records,
-                                   block_records))
-                return buf
-
-            def compute(ctx, buf):
-                node.compute(compute_seconds)
-                return buf
-
-            def write(ctx, buf):
-                rf_out.write(buf.round * block_records,
-                             buf.view(schema.dtype))
-                return buf
-
-            prog.add_pipeline(
-                "p", [Stage.map("read", read),
-                      Stage.map("compute", compute),
-                      Stage.map("write", write)],
-                nbuffers=4, buffer_bytes=block_bytes, rounds=n_blocks)
-            prog.run()
-
-        main = serial_main if mode == "serial" else pipeline_main
-        cluster.run(main)
-        results[mode] = cluster.kernel.now()
+    cluster.run(serial_main)
+    results = {"serial": cluster.kernel.now(),
+               "pipeline": pool_size_experiment(
+                   (4,), n_blocks, block_records)[4]}
     results["speedup"] = results["serial"] / results["pipeline"]
     return results
 

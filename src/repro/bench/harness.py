@@ -10,13 +10,13 @@ reports plus resource accounting.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.cluster import Cluster, HardwareModel
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.pdm.records import RecordSchema
-from repro.sim import Tracer, VirtualTimeKernel
+from repro.sim import Tracer
 from repro.sorting.columnsort import (
     CsortConfig,
     plan_columnsort,
@@ -41,6 +41,7 @@ __all__ = [
     "default_dsort_config",
     "default_csort_config",
     "run_sort",
+    "SORTERS",
     "PAPER_NODES",
     "BENCH_RECORDS_16B",
 ]
@@ -84,6 +85,52 @@ def default_dsort_config(n_total: int, n_nodes: int,
 def default_csort_config(n_total: int, n_nodes: int) -> CsortConfig:
     return CsortConfig(out_block_records=stripe_block_records(n_total,
                                                               n_nodes))
+
+
+class _Sorter(NamedTuple):
+    """What :func:`run_sort` needs to know about one sorting program."""
+
+    #: SPMD entry point, ``main(node, comm, schema, config) -> report``
+    main: Callable[..., Any]
+    #: ``(n_total, n_nodes, block_records) -> config`` at benchmark scale
+    default_config: Callable[[int, int, Optional[int]], Any]
+    #: one rank's report -> {phase name: seconds}, in execution order
+    phases: Callable[[Any], dict[str, float]]
+    #: output layout: one file striped over the cluster (True), or one
+    #: sorted partition per node, in rank order (False)
+    striped: bool
+
+
+def _phases(*names: str) -> Callable[[Any], dict[str, float]]:
+    """Phases a report carries as ``<name>_time`` attributes."""
+    return lambda report: {name: getattr(report, f"{name}_time")
+                           for name in names}
+
+
+def _csort_config(n_total: int, n_nodes: int,
+                  block_records: Optional[int]) -> CsortConfig:
+    # csort's geometry is its column count; a pass-1 block size means
+    # nothing to it
+    return default_csort_config(n_total, n_nodes)
+
+
+_SORTERS: dict[str, _Sorter] = {
+    "dsort": _Sorter(run_dsort, default_dsort_config,
+                     _phases("sampling", "pass1", "pass2"), True),
+    "dsort-linear": _Sorter(run_dsort_linear, default_dsort_config,
+                            _phases("sampling", "pass1", "pass2"), True),
+    "csort": _Sorter(run_csort, _csort_config,
+                     _phases("pass1", "pass2", "pass3"), True),
+    "csort4": _Sorter(run_csort4, _csort_config,
+                      lambda report: {f"pass{i + 1}": t for i, t
+                                      in enumerate(report.pass_times)},
+                      True),
+    "nowsort": _Sorter(run_nowsort, default_dsort_config,
+                       _phases("pass1", "pass2"), False),
+}
+
+#: every sorter :func:`run_sort` runs (``repro sort --sorter`` choices)
+SORTERS = tuple(_SORTERS)
 
 
 @dataclasses.dataclass
@@ -183,6 +230,10 @@ def run_sort(sorter: str, distribution: str, schema: RecordSchema,
     benchmark hardware is recordable (the record stores no hardware
     model).
     """
+    if sorter not in _SORTERS:
+        raise ReproError(f"unknown sorter {sorter!r}; expected one of "
+                         + ", ".join(map(repr, _SORTERS)))
+    spec = _SORTERS[sorter]
     if provenance:
         if hardware is not None:
             raise ReproError(
@@ -214,129 +265,60 @@ def run_sort(sorter: str, distribution: str, schema: RecordSchema,
                 "plan does not match this run: "
                 + "; ".join(mismatches)
                 + " — compile a plan for the shape being run")
-    kernel = None
-    tracer = None
     capture = None
     if observe:
-        tracer = Tracer()
-        kernel = VirtualTimeKernel(tracer=tracer)
-        kernel.enable_metrics()
-        if provenance:
-            from repro.prov import ProvenanceCapture
-            capture = ProvenanceCapture(kernel)
-    cluster = Cluster(n_nodes=n_nodes, hardware=hardware, kernel=kernel)
+        from repro.prov import observed_cluster
+        cluster, capture = observed_cluster(n_nodes, capture=provenance,
+                                            hardware=hardware)
+    else:
+        cluster = Cluster(n_nodes=n_nodes, hardware=hardware)
+    kernel = cluster.kernel
     if plan_obj is not None:
         # every FGProgram.start() on this kernel now compiles through
         # the plan; geometry overrides layer UNDER any explicit tune
         # dict so a tuner can still probe around the planned point
-        plan_obj.install(cluster.kernel)
+        plan_obj.install(kernel)
         tune = {**plan_obj.config, **(tune or {})}
     manifest = generate_input(cluster, schema, n_per_node, distribution,
                               seed=seed)
+    config = _apply_tune(
+        spec.default_config(n_total, n_nodes, block_records), tune)
+    reports = cluster.run(spec.main, schema, config)
     imbalance: Optional[float] = None
-
-    if sorter in ("dsort", "dsort-linear"):
-        config = _apply_tune(default_dsort_config(
-            n_total, n_nodes, block_records=block_records), tune)
-        main = run_dsort if sorter == "dsort" else run_dsort_linear
-        reports = cluster.run(main, schema, config)
-        rep = reports[0]
-        phases = {"sampling": rep.sampling_time,
-                  "pass1": rep.pass1_time,
-                  "pass2": rep.pass2_time}
+    if hasattr(reports[0], "partition_records"):
         sizes = [r.partition_records for r in reports]
         imbalance = max(sizes) / (sum(sizes) / len(sizes))
-        out_block = config.out_block_records
-        output_file = config.output_file
-    elif sorter == "csort":
-        config = _apply_tune(default_csort_config(n_total, n_nodes), tune)
-        reports = cluster.run(run_csort, schema, config)
-        rep = reports[0]
-        phases = {"pass1": rep.pass1_time,
-                  "pass2": rep.pass2_time,
-                  "pass3": rep.pass3_time}
-        out_block = config.out_block_records
-        output_file = config.output_file
-    elif sorter == "csort4":
-        config = _apply_tune(default_csort_config(n_total, n_nodes), tune)
-        reports = cluster.run(run_csort4, schema, config)
-        rep = reports[0]
-        phases = {f"pass{i + 1}": t
-                  for i, t in enumerate(rep.pass_times)}
-        out_block = config.out_block_records
-        output_file = config.output_file
-    elif sorter == "nowsort":
-        config = _apply_tune(default_dsort_config(
-            n_total, n_nodes, block_records=block_records), tune)
-        reports = cluster.run(run_nowsort, schema, config)
-        rep = reports[0]
-        phases = {"pass1": rep.pass1_time, "pass2": rep.pass2_time}
-        sizes = [r.partition_records for r in reports]
-        imbalance = max(sizes) / (sum(sizes) / len(sizes))
-        out_block = None
-        output_file = config.output_file
+    if spec.striped:
+        verify_striped_output(cluster, manifest, config.output_file,
+                              config.out_block_records)
     else:
-        raise ReproError(f"unknown sorter {sorter!r}; expected 'dsort', "
-                         "'csort', 'csort4', 'dsort-linear', or 'nowsort'")
-
-    if out_block is None:
-        verify_partitioned_output(cluster, manifest, output_file)
-    else:
-        verify_striped_output(cluster, manifest, output_file, out_block)
+        verify_partitioned_output(cluster, manifest, config.output_file)
 
     record = None
     if capture is not None:
-        record = _provenance_record(
-            cluster, capture, schema, sorter=sorter,
-            distribution=distribution, n_nodes=n_nodes,
-            n_per_node=n_per_node, block_records=block_records, seed=seed,
-            tune=tune, plan=plan_obj, config=config, out_block=out_block,
-            output_file=output_file)
+        from repro.pdm.striped import StripedFile
+
+        # a partitioned output has no one global byte order to digest
+        out_sha = StripedFile(
+            cluster, config.output_file, schema,
+            config.out_block_records).sha256() if spec.striped else ""
+        record = capture.record(
+            "sort",
+            {"sorter": sorter, "distribution": distribution,
+             "record_bytes": schema.record_bytes, "n_nodes": n_nodes,
+             "n_per_node": n_per_node, "block_records": block_records,
+             "seed": seed, "tune": dict(tune) if tune else None,
+             "plan": plan_obj.to_json() if plan_obj is not None else None},
+            {"workload": seed, "config": getattr(config, "seed", None)},
+            output=out_sha)
 
     return SortRun(sorter=sorter, distribution=distribution,
                    record_bytes=schema.record_bytes, n_nodes=n_nodes,
-                   n_per_node=n_per_node, phase_times=phases,
+                   n_per_node=n_per_node,
+                   phase_times=spec.phases(reports[0]),
                    verified=True, partition_imbalance=imbalance,
                    bytes_io=cluster.total_bytes_io(),
                    bytes_wire=cluster.total_bytes_sent(),
                    max_disk_busy=cluster.max_disk_busy(),
-                   tracer=tracer, metrics=cluster.kernel.metrics,
+                   tracer=kernel.tracer, metrics=kernel.metrics,
                    provenance=record)
-
-
-def _provenance_record(cluster, capture, schema: RecordSchema, *,
-                       sorter: str, distribution: str, n_nodes: int,
-                       n_per_node: int, block_records: Optional[int],
-                       seed: int, tune: Optional[dict], plan,
-                       config, out_block: Optional[int],
-                       output_file: str):
-    """Build the ProvenanceRecord of a finished run_sort execution."""
-    from repro.pdm.striped import StripedFile
-    from repro.prov import (
-        ProvenanceRecord,
-        metrics_digest,
-        trace_digest,
-        tune_decision_log,
-        version_info,
-    )
-
-    kernel = cluster.kernel
-    out_sha = ""
-    if out_block is not None:
-        out_sha = StripedFile(cluster, output_file, schema,
-                              out_block).sha256()
-    return ProvenanceRecord(
-        kind="sort",
-        args={"sorter": sorter, "distribution": distribution,
-              "record_bytes": schema.record_bytes, "n_nodes": n_nodes,
-              "n_per_node": n_per_node, "block_records": block_records,
-              "seed": seed, "tune": dict(tune) if tune else None,
-              "plan": plan.to_json() if plan is not None else None},
-        seeds={"workload": seed, "config": getattr(config, "seed", None)},
-        fault_plan=None,
-        tune_decisions=tune_decision_log(kernel.tracer),
-        stage_graphs=dict(capture.stage_graphs),
-        digests={"output": out_sha,
-                 "metrics": metrics_digest(kernel.metrics.snapshot()),
-                 "trace": trace_digest(kernel.tracer)},
-        **version_info())

@@ -29,6 +29,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench.harness import SORTERS
+    from repro.tune.sorters import TUNE_SPACES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="FG programming environment — experiment runner")
@@ -38,8 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sort = sub.add_parser(
         "sort", help="run one sorting experiment and print its breakdown")
-    p_sort.add_argument("--sorter", default="dsort",
-                        choices=["dsort", "csort", "dsort-linear"])
+    p_sort.add_argument("--sorter", default="dsort", choices=SORTERS)
     p_sort.add_argument("--distribution", default="uniform")
     p_sort.add_argument("--nodes", type=int, default=16)
     p_sort.add_argument("--records-per-node", type=int, default=16384)
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="pass-1 block size in records")
     p_chaos.add_argument("--check-determinism", action="store_true",
                          help="run twice and assert identical outputs, "
-                              "fault timelines, and event traces")
+                              "fault timelines, metrics, and event traces")
     p_chaos.add_argument("--trace-out", metavar="PATH",
                          help="write a Chrome-trace JSON with fault "
                               "markers")
@@ -157,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tune", help="auto-tune a sorting benchmark: offline search "
                      "(hill/grid) or run-by-run adaptive feedback")
     p_tune.add_argument("--sorter", default="dsort",
-                        choices=["dsort", "csort"])
+                        choices=[s for s in SORTERS if s in TUNE_SPACES])
     p_tune.add_argument("--method", default="hill",
                         choices=["hill", "grid", "adaptive"])
     p_tune.add_argument("--distribution", default="uniform")
@@ -349,51 +351,33 @@ def _cmd_distributions(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.bench.harness import benchmark_hardware, default_dsort_config
-    from repro.cluster import Cluster
+    from repro.bench.harness import run_sort
     from repro.pdm.records import RecordSchema
-    from repro.sim import Tracer, VirtualTimeKernel
-    from repro.sorting.dsort import run_dsort
-    from repro.sorting.verify import verify_striped_output
-    from repro.workloads.generator import generate_input
 
-    schema = RecordSchema.paper_16()
-    tracer = Tracer()
-    kernel = VirtualTimeKernel(tracer=tracer)
-    kernel.enable_metrics()
-    cluster = Cluster(n_nodes=args.nodes, hardware=benchmark_hardware(),
-                      kernel=kernel)
-    manifest = generate_input(cluster, schema, args.records_per_node,
-                              args.distribution, seed=args.seed)
-    config = default_dsort_config(args.nodes * args.records_per_node,
-                                  args.nodes)
-    cluster.run(run_dsort, schema, config)
-    verify_striped_output(cluster, manifest, config.output_file,
-                          config.out_block_records)
-    stage_rows = [n for n in tracer.process_names()
-                  if "@0" in n and ".source" not in n
-                  and ".sink" not in n and "family" not in n
-                  and not n.startswith("main")]
+    run = run_sort("dsort", args.distribution, RecordSchema.paper_16(),
+                   n_nodes=args.nodes, n_per_node=args.records_per_node,
+                   seed=args.seed, observe=True)
+    stage_rows = run.tracer.node0_stage_names()
     print(f"dsort on {args.nodes} nodes, {args.distribution}: "
-          f"{kernel.now() * 1e3:.2f} ms simulated; node-0 stage threads:\n")
-    print(tracer.gantt(width=args.width, processes=stage_rows))
-    _write_artifacts(args, tracer, kernel, processes=stage_rows)
+          f"{run.metrics.clock() * 1e3:.2f} ms simulated; "
+          "node-0 stage threads:\n")
+    print(run.tracer.gantt(width=args.width, processes=stage_rows))
+    _write_artifacts(args, run.tracer, run.metrics, processes=stage_rows)
     return 0
 
 
-def _write_artifacts(args, tracer, kernel, processes=None) -> None:
+def _write_artifacts(args, tracer, metrics, processes=None) -> None:
     """Write --trace-out / --metrics-out artifacts if requested."""
     from repro.obs import write_chrome_trace, write_metrics_json
 
     if getattr(args, "trace_out", None):
-        doc = write_chrome_trace(args.trace_out, tracer,
-                                 metrics=kernel.metrics,
+        doc = write_chrome_trace(args.trace_out, tracer, metrics=metrics,
                                  processes=processes)
         print(f"\nwrote Chrome trace: {args.trace_out} "
               f"({len(doc['traceEvents'])} events; open in "
               "chrome://tracing or https://ui.perfetto.dev)")
     if getattr(args, "metrics_out", None):
-        write_metrics_json(args.metrics_out, kernel.metrics)
+        write_metrics_json(args.metrics_out, metrics)
         print(f"wrote metrics snapshot: {args.metrics_out}")
 
 
@@ -445,29 +429,45 @@ def _cmd_apps(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.obs import analyze_bottleneck
-    from repro.sim import Tracer, VirtualTimeKernel
-
-    tracer = Tracer()
-    kernel = VirtualTimeKernel(tracer=tracer)
-    kernel.enable_metrics()
 
     if args.workload == "quickstart":
-        stage_rows = _run_quickstart_workload(kernel, args)
+        from repro.bench.figures import run_block_pipeline
+        from repro.bench.harness import benchmark_hardware
+        from repro.prov import observed_cluster
+
+        cluster, _ = observed_cluster(1, hardware=benchmark_hardware())
+        # 1.5x a block-read so the compute stage is the unambiguous
+        # bottleneck — the report should *name* it, not leave a tie
+        run_block_pipeline(cluster, nbuffers=args.nbuffers,
+                           n_blocks=args.rounds, block_records=4096,
+                           compute_reads=1.5, seed=args.seed,
+                           name="quickstart", pipeline="work")
+        tracer, metrics = cluster.kernel.tracer, cluster.kernel.metrics
+        stage_rows = [n for n in tracer.process_names()
+                      if n.startswith("quickstart.")]
         title = (f"quickstart read->compute->write pipeline "
                  f"({args.rounds} blocks, {args.nbuffers} buffers)")
     else:
-        stage_rows = _run_dsort_workload(kernel, args)
+        from repro.bench.harness import run_sort
+        from repro.pdm.records import RecordSchema
+
+        run = run_sort("dsort", "uniform", RecordSchema.paper_16(),
+                       n_nodes=args.nodes,
+                       n_per_node=args.records_per_node, seed=args.seed,
+                       observe=True)
+        tracer, metrics = run.tracer, run.metrics
+        stage_rows = tracer.node0_stage_names()
         title = f"dsort on {args.nodes} nodes (node-0 stage threads)"
 
-    print(f"{title}: {kernel.now() * 1e3:.2f} ms simulated\n")
+    print(f"{title}: {metrics.clock() * 1e3:.2f} ms simulated\n")
     report = analyze_bottleneck(tracer, processes=stage_rows)
     print(report.render())
-    _print_wait_profiles(kernel)
-    _write_artifacts(args, tracer, kernel, processes=None)
+    _print_wait_profiles(metrics)
+    _write_artifacts(args, tracer, metrics, processes=None)
     return 0
 
 
-def _print_wait_profiles(kernel) -> None:
+def _print_wait_profiles(metrics) -> None:
     """Per-stage queue-wait time series for every instrumented program
     on node 0 (multi-node workloads assemble one program per rank; rank
     0 is representative and keeps the report readable)."""
@@ -477,93 +477,14 @@ def _print_wait_profiles(kernel) -> None:
         stage_series,
     )
 
-    programs = instrumented_programs(kernel.metrics)
+    programs = instrumented_programs(metrics)
     node0 = [p for p in programs if "@" not in p or "@0" in p]
     for program in node0 or programs:
-        series = stage_series(kernel.metrics, program, bins=24)
+        series = stage_series(metrics, program, bins=24)
         if not series:
             continue
         print(f"\n{program} — when each stage waited for input:")
         print(render_stage_series(series))
-
-
-def _run_quickstart_workload(kernel, args) -> list:
-    """The README/quickstart pipeline under full observability."""
-    import numpy as np
-
-    from repro.bench.harness import benchmark_hardware
-    from repro.cluster import Cluster
-    from repro.core import FGProgram, Stage
-    from repro.pdm.blockfile import RecordFile
-    from repro.pdm.records import RecordSchema
-
-    schema = RecordSchema.paper_16()
-    block_records = 4096
-    cluster = Cluster(n_nodes=1, hardware=benchmark_hardware(),
-                      kernel=kernel)
-    node = cluster.node(0)
-    rng = np.random.default_rng(args.seed)
-    keys = rng.integers(0, 2**63, size=args.rounds * block_records,
-                        dtype=np.uint64)
-    rf_in = RecordFile(node.disk, "in", schema)
-    rf_out = RecordFile(node.disk, "out", schema)
-    rf_in.poke(0, schema.from_keys(keys))
-    # 1.5x a block-read so the compute stage is the unambiguous
-    # bottleneck — the report should *name* it, not leave a tie
-    compute_cost = 1.5 * node.hardware.disk_time(block_records
-                                                 * schema.record_bytes)
-
-    def node_main(node, comm):
-        prog = FGProgram(node.kernel, env={"node": node}, name="quickstart")
-
-        def read(ctx, buf):
-            buf.put(rf_in.read(buf.round * block_records, block_records))
-            return buf
-
-        def compute(ctx, buf):
-            node.compute(compute_cost)
-            buf.put(schema.sort(buf.view(schema.dtype)))
-            return buf
-
-        def write(ctx, buf):
-            rf_out.write(buf.round * block_records, buf.view(schema.dtype))
-            return buf
-
-        prog.add_pipeline(
-            "work", [Stage.map("read", read),
-                     Stage.map("compute", compute),
-                     Stage.map("write", write)],
-            nbuffers=args.nbuffers,
-            buffer_bytes=block_records * schema.record_bytes,
-            rounds=args.rounds)
-        prog.run()
-
-    cluster.run(node_main)
-    return [n for n in kernel.tracer.process_names()
-            if n.startswith("quickstart.")]
-
-
-def _run_dsort_workload(kernel, args) -> list:
-    from repro.bench.harness import benchmark_hardware, default_dsort_config
-    from repro.cluster import Cluster
-    from repro.pdm.records import RecordSchema
-    from repro.sorting.dsort import run_dsort
-    from repro.sorting.verify import verify_striped_output
-    from repro.workloads.generator import generate_input
-
-    schema = RecordSchema.paper_16()
-    cluster = Cluster(n_nodes=args.nodes, hardware=benchmark_hardware(),
-                      kernel=kernel)
-    manifest = generate_input(cluster, schema, args.records_per_node,
-                              "uniform", seed=args.seed)
-    config = default_dsort_config(args.nodes * args.records_per_node,
-                                  args.nodes)
-    cluster.run(run_dsort, schema, config)
-    verify_striped_output(cluster, manifest, config.output_file,
-                          config.out_block_records)
-    return [n for n in kernel.tracer.process_names()
-            if "@0" in n and ".source" not in n and ".sink" not in n
-            and "family" not in n and not n.startswith("main")]
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -625,10 +546,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         again = run()
         identical = (report.output_digest == again.output_digest
                      and report.trace_digest == again.trace_digest
+                     and report.metrics_digest == again.metrics_digest
                      and report.fault_events == again.fault_events)
         print("determinism check: "
-              + ("PASS (outputs, fault timelines, and event traces "
-                 "identical)" if identical else "FAIL"))
+              + ("PASS (outputs, fault timelines, metrics, and event "
+                 "traces identical)" if identical else "FAIL"))
         if not identical:
             return 1
     return 0
@@ -745,6 +667,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sched(args: argparse.Namespace) -> int:
+    from repro.prov import canonical_json
     from repro.sched import Quota, run_schedule, synthetic_trace
     from repro.sched.workload import ArrivalTrace
 
@@ -771,11 +694,8 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     print(report.describe())
     if args.decisions_out:
         with open(args.decisions_out, "w") as fh:
-            import json as _json
-
             for entry in report.decisions:
-                fh.write(_json.dumps(entry, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
+                fh.write(canonical_json(entry) + "\n")
         print(f"decision log written to {args.decisions_out}")
     if args.trace_out:
         print(f"chrome trace written to {args.trace_out}")

@@ -116,23 +116,17 @@ def _chaos_cluster(n_nodes: int, records_per_node: int, seed: int,
                    mailbox_capacity_bytes: Optional[int] = None):
     """Capture, faulted cluster (on a fresh traced, metered kernel) and
     generated input, shared by both chaos harnesses."""
-    from repro.cluster.cluster import Cluster
     from repro.pdm.records import RecordSchema
-    from repro.prov import ProvenanceCapture
-    from repro.sim.trace import Tracer
-    from repro.sim.virtual import VirtualTimeKernel
+    from repro.prov import observed_cluster
     from repro.workloads.generator import generate_input
 
-    kernel = VirtualTimeKernel(tracer=Tracer() if trace else None)
-    kernel.enable_metrics()
     # provenance is only meaningful when the run is fully describable:
     # default hardware (the record stores no hardware model) and tracing
     # on (the trace digest is part of the record's identity)
-    capture = (ProvenanceCapture(kernel)
-               if trace and hardware is None else None)
-    cluster = Cluster(n_nodes=n_nodes, hardware=hardware, kernel=kernel,
-                      fault_plan=plan, retry_policy=retry,
-                      mailbox_capacity_bytes=mailbox_capacity_bytes)
+    cluster, capture = observed_cluster(
+        n_nodes, trace=trace, capture=trace and hardware is None,
+        hardware=hardware, fault_plan=plan, retry_policy=retry,
+        mailbox_capacity_bytes=mailbox_capacity_bytes)
     manifest = generate_input(cluster, RecordSchema.paper_16(),
                               records_per_node, distribution, seed=seed)
     return capture, cluster, manifest
@@ -150,15 +144,8 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
     between them."""
     # Imports are local so that ``import repro.faults`` stays light and
     # free of cycles (the cluster layer itself imports repro.faults).
+    from repro import prov
     from repro.pdm.striped import StripedFile
-    from repro.prov import (
-        ProvenanceRecord,
-        metrics_digest,
-        recovery_decision_log,
-        trace_digest,
-        tune_decision_log,
-        version_info,
-    )
     from repro.sorting.verify import verify_striped_output
 
     kernel = cluster.kernel
@@ -168,35 +155,28 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
     output_digest = StripedFile(
         cluster, config.output_file, manifest.schema,
         config.out_block_records, owners=owners).sha256()
+    if trace and trace_path is not None:
+        from repro.obs.chrome_trace import write_chrome_trace
+        write_chrome_trace(trace_path, kernel.tracer,
+                           metrics=kernel.metrics)
 
-    run_trace_digest = ""
-    if trace:
-        run_trace_digest = trace_digest(kernel.tracer)
-        if trace_path is not None:
-            from repro.obs.chrome_trace import write_chrome_trace
-            write_chrome_trace(trace_path, kernel.tracer,
-                               metrics=kernel.metrics)
-
+    # one metrics snapshot and one trace digest per run: the report's
+    # digests are the record's when there is a record
     snapshot = kernel.metrics.snapshot()
-    run_metrics_digest = metrics_digest(snapshot)
-
     provenance = None
     if capture is not None:
-        provenance = ProvenanceRecord(
-            kind=f"chaos_{sorter}",
-            args=args,
+        provenance = capture.record(
+            f"chaos_{sorter}", args,
             # backoff jitter draws from the injector's per-site Philox
             # streams, all derived from the plan seed
-            seeds={**seeds, "fault_plan": plan.seed,
-                   "retry_jitter": plan.seed},
-            fault_plan=plan.to_json(),
-            tune_decisions=tune_decision_log(kernel.tracer),
-            recovery_decisions=recovery_decision_log(kernel.tracer),
-            stage_graphs=dict(capture.stage_graphs),
-            digests={"output": output_digest,
-                     "metrics": run_metrics_digest,
-                     "trace": run_trace_digest},
-            **version_info())
+            {**seeds, "fault_plan": plan.seed, "retry_jitter": plan.seed},
+            fault_plan=plan.to_json(), snapshot=snapshot,
+            output=output_digest)
+        digests = provenance.digests
+    else:
+        digests = {"metrics": prov.metrics_digest(snapshot),
+                   "trace": prov.trace_digest(kernel.tracer)
+                   if trace else ""}
 
     return ChaosReport(
         seed=seed, n_nodes=cluster.n_nodes,
@@ -205,12 +185,12 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
         pass_restarts=pass_restarts,
         verified=verify,
         output_digest=output_digest,
-        trace_digest=run_trace_digest,
+        trace_digest=digests["trace"],
         # a chaos cluster always has a plan, hence an injector
         fault_events=list(cluster.injector.events),
         fault_summary=cluster.injector.summary(),
         metrics=snapshot,
-        metrics_digest=run_metrics_digest,
+        metrics_digest=digests["metrics"],
         provenance=provenance,
         sorter=sorter,
         recovery_decisions=list(recovery_decisions),

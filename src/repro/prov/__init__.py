@@ -30,7 +30,7 @@ docs/PROVENANCE.md.  The CI golden-run gate records and replays dsort,
 csort, and a chaos run on every push.
 """
 
-from repro.prov.capture import ProvenanceCapture
+from repro.prov.capture import ProvenanceCapture, observed_cluster
 from repro.prov.fingerprint import (
     canonical_json,
     code_fingerprint,
@@ -42,11 +42,9 @@ from repro.prov.fingerprint import (
 from repro.prov.record import (
     RECORD_VERSION,
     ProvenanceRecord,
+    decision_log,
     metrics_digest,
-    recovery_decision_log,
-    sched_decision_log,
     trace_digest,
-    tune_decision_log,
 )
 from repro.prov.replay import ReplayResult, emit_script, replay
 
@@ -57,15 +55,14 @@ __all__ = [
     "ReplayResult",
     "canonical_json",
     "code_fingerprint",
+    "decision_log",
     "digest_json",
     "emit_script",
     "metrics_digest",
+    "observed_cluster",
     "program_graph",
-    "recovery_decision_log",
     "replay",
-    "sched_decision_log",
     "stage_graph_fingerprint",
     "trace_digest",
-    "tune_decision_log",
     "version_info",
 ]

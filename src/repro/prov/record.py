@@ -6,19 +6,24 @@ later re-execution *did* reproduce it:
 
 * ``kind`` + ``args`` — which harness entry point to call and with what
   arguments (``"sort"`` → :func:`repro.bench.harness.run_sort`,
-  ``"chaos_dsort"`` → :func:`repro.faults.chaos.run_chaos_dsort`);
+  ``"chaos_dsort"`` → :func:`repro.faults.chaos.run_chaos_dsort`,
+  ``"chaos_csort"`` → :func:`repro.faults.chaos.run_chaos_csort`,
+  ``"sched"`` → :func:`repro.sched.harness.run_schedule`);
 * ``seeds`` — every seed the run consumed (workload generator, sorter
-  config, fault plan);
+  config, fault plan, scheduler);
 * ``fault_plan`` — the serialized :class:`~repro.faults.plan.FaultPlan`
   (``None`` for fault-free runs), round-trippable via
   :meth:`FaultPlan.to_json` / :meth:`FaultPlan.from_json`;
-* ``tune_decisions`` — the in-run tuner decision log, harvested from the
-  kernel trace's ``tune`` instants (zero per-app code);
+* ``tune_decisions`` / ``recovery_decisions`` / ``sched_decisions`` —
+  the in-run tuner, recovery-manager and scheduler decision trails,
+  harvested from the kernel trace's ``tune`` / ``recover`` / ``sched``
+  instants by :func:`decision_log` (zero per-app code);
 * ``stage_graphs`` — fingerprint per assembled FG program, captured
   through the :class:`~repro.obs.observer.ProgramObserver` event path;
 * ``repro_version`` / ``code_fingerprint`` — which source tree ran;
-* ``digests`` — sha256 of the sorted output bytes, the metrics snapshot,
-  and the scheduler event trace.
+* ``digests`` — sha256 of the sorted output bytes (``sched`` records: of
+  the scheduler's decision log), the metrics snapshot, and the kernel
+  event trace.
 
 Everything except ``created`` (an optional wall-clock stamp, for humans)
 is deterministic: recording the same run twice yields byte-identical
@@ -42,11 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "RECORD_VERSION",
     "ProvenanceRecord",
+    "decision_log",
     "metrics_digest",
-    "recovery_decision_log",
-    "sched_decision_log",
     "trace_digest",
-    "tune_decision_log",
 ]
 
 #: bump when the record format changes incompatibly
@@ -71,42 +74,20 @@ def trace_digest(tracer: "Tracer") -> str:
     return h.hexdigest()
 
 
-def tune_decision_log(tracer: Optional["Tracer"]) -> list[dict]:
-    """Every tuner decision the run recorded, from the trace's ``tune``
-    instants — the zero-per-app-code capture path for
-    :class:`~repro.tune.controller.TuneController` activity."""
+def decision_log(tracer: Optional["Tracer"], kind: str) -> list[dict]:
+    """Every decision of one ``kind`` the run recorded, from the trace's
+    instants of that kind — the zero-per-app-code capture path for
+    :class:`~repro.tune.controller.TuneController` activity
+    (:data:`~repro.sim.trace.TUNE`), for
+    :class:`~repro.recover.RecoveryManager` activity (``RECOVER``:
+    checkpoint resume, speculation, partition re-assignment) and for
+    :class:`~repro.sched.Scheduler` activity (``SCHED``: admission,
+    placement, preemption, speculation grants).  A kind nobody emitted
+    is ``[]``."""
     if tracer is None:
         return []
-    from repro.sim.trace import TUNE
-
     return [{"time": ev.time, "process": ev.process, "detail": ev.detail}
-            for ev in tracer.events if ev.kind == TUNE]
-
-
-def recovery_decision_log(tracer: Optional["Tracer"]) -> list[dict]:
-    """Every recovery decision the run recorded, from the trace's
-    ``recover`` instants — the zero-per-app-code capture path for
-    :class:`~repro.recover.RecoveryManager` activity (checkpoint resume,
-    speculation, partition re-assignment)."""
-    if tracer is None:
-        return []
-    from repro.sim.trace import RECOVER
-
-    return [{"time": ev.time, "process": ev.process, "detail": ev.detail}
-            for ev in tracer.events if ev.kind == RECOVER]
-
-
-def sched_decision_log(tracer: Optional["Tracer"]) -> list[dict]:
-    """Every multi-tenant scheduler decision the run recorded, from the
-    trace's ``sched`` instants — the zero-per-app-code capture path for
-    :class:`~repro.sched.Scheduler` activity (admission, placement,
-    preemption, speculation grants)."""
-    if tracer is None:
-        return []
-    from repro.sim.trace import SCHED
-
-    return [{"time": ev.time, "process": ev.process, "detail": ev.detail}
-            for ev in tracer.events if ev.kind == SCHED]
+            for ev in tracer.events if ev.kind == kind]
 
 
 @dataclasses.dataclass

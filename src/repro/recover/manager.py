@@ -131,11 +131,11 @@ class RecoveryManager:
         """Record one recovery decision (counter + trace instant + log)."""
         t = self.kernel.now()
         self.decisions.append(RecoveryDecision(t, kind, rank, detail))
-        metrics = getattr(self.kernel, "metrics", None)
+        metrics = self.kernel.metrics
         if metrics is not None:
             metrics.counter(f"recovery.{kind}",
                             help="recovery decisions by kind").inc()
-        tracer = getattr(self.kernel, "tracer", None)
+        tracer = self.kernel.tracer
         if tracer is not None:
             text = f"{kind} rank={rank}" + (f": {detail}" if detail else "")
             tracer.record(t, "recover.manager", RECOVER, text)

@@ -112,16 +112,12 @@ def run_schedule(trace: ArrivalTrace, *,
     fully describable runs — default hardware — matching the chaos
     harness's rule.
     """
-    from repro.cluster.cluster import Cluster
-    from repro.prov import ProvenanceCapture
-    from repro.sim.trace import Tracer
-    from repro.sim.virtual import VirtualTimeKernel
+    from repro.prov import observed_cluster
 
-    kernel = VirtualTimeKernel(tracer=Tracer())
-    kernel.enable_metrics()
-    capture = (ProvenanceCapture(kernel)
-               if provenance and hardware is None else None)
-    cluster = Cluster(n_nodes=n_nodes, hardware=hardware, kernel=kernel)
+    cluster, capture = observed_cluster(
+        n_nodes, capture=provenance and hardware is None,
+        hardware=hardware)
+    kernel = cluster.kernel
     sched = Scheduler(cluster, quotas, policy, preempt=preempt,
                       speculation_slots=speculation_slots,
                       tag_stride=tag_stride, seed=seed)
@@ -162,6 +158,7 @@ def run_schedule(trace: ArrivalTrace, *,
 
     assert kernel.metrics is not None
     metrics = kernel.metrics.snapshot()
+    decision_digest = sched.decision_digest()
 
     if trace_path is not None:
         from repro.obs.chrome_trace import write_chrome_trace
@@ -171,40 +168,19 @@ def run_schedule(trace: ArrivalTrace, *,
 
     record = None
     if capture is not None:
-        from repro.prov import (
-            ProvenanceRecord,
-            metrics_digest,
-            recovery_decision_log,
-            sched_decision_log,
-            trace_digest,
-            tune_decision_log,
-            version_info,
-        )
-
-        record = ProvenanceRecord(
-            kind="sched",
-            args={
-                "trace": trace.to_json(),
-                "n_nodes": n_nodes,
-                "quotas": {t: q.to_json()
-                           for t, q in sorted(sched.quotas.items())},
-                "policy": sched.policy.name,
-                "seed": seed,
-                "preempt": preempt,
-                "speculation_slots": speculation_slots,
-                "tag_stride": tag_stride,
-            },
-            seeds={"scheduler": seed},
-            tune_decisions=tune_decision_log(kernel.tracer),
-            recovery_decisions=recovery_decision_log(kernel.tracer),
-            sched_decisions=sched_decision_log(kernel.tracer),
-            stage_graphs=dict(capture.stage_graphs),
-            digests={
-                "decisions": sched.decision_digest(),
-                "metrics": metrics_digest(metrics),
-                "trace": trace_digest(kernel.tracer),
-            },
-            **version_info())
+        record = capture.record(
+            "sched",
+            {"trace": trace.to_json(),
+             "n_nodes": n_nodes,
+             "quotas": {t: q.to_json()
+                        for t, q in sorted(sched.quotas.items())},
+             "policy": sched.policy.name,
+             "seed": seed,
+             "preempt": preempt,
+             "speculation_slots": speculation_slots,
+             "tag_stride": tag_stride},
+            {"scheduler": seed},
+            snapshot=metrics, decisions=decision_digest)
         capture.detach()
 
     return SchedReport(
@@ -215,7 +191,7 @@ def run_schedule(trace: ArrivalTrace, *,
         tenants=tenants,
         jobs=[sched.jobs[i] for i in sorted(sched.jobs)],
         decisions=list(sched.decisions),
-        decision_digest=sched.decision_digest(),
+        decision_digest=decision_digest,
         metrics=metrics,
         provenance=record,
         threads_started=kernel.threads_started,

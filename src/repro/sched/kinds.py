@@ -78,17 +78,19 @@ def _job_rng(job: Any, seed: int, rank: int) -> np.random.Generator:
     return np.random.default_rng([seed, job.id, rank])
 
 
-def _poke_keys(sub: Any, job: Any, seed: int, input_name: str,
-               records_per_node: int, record_bytes: int) -> None:
+def _sort_prepare(sub: Any, job: Any, seed: int) -> None:
+    """Seeded random keys in ``<prefix>-input`` on every allocated node:
+    the dataset of a dsort or a csort job."""
     from repro.pdm.blockfile import RecordFile
     from repro.pdm.records import RecordSchema
 
-    schema = RecordSchema(record_bytes)
+    p = job.spec.params
+    schema = RecordSchema(p.get("record_bytes", 16))
     for rank, node in enumerate(sub.nodes):
         keys = _job_rng(job, seed, rank).integers(
-            0, np.iinfo(np.uint64).max, size=records_per_node,
-            dtype=np.uint64)
-        rf = RecordFile(node.disk, input_name, schema)
+            0, np.iinfo(np.uint64).max,
+            size=p.get("records_per_node", 1024), dtype=np.uint64)
+        rf = RecordFile(node.disk, f"{job.prefix}-input", schema)
         rf.delete()
         rf.poke(0, schema.from_keys(keys))
 
@@ -115,12 +117,6 @@ def _dsort_config(job: Any) -> Any:
         seed=p.get("seed", 0),
         name_prefix=f"{prefix}.dsort",
     )
-
-
-def _dsort_prepare(sub: Any, job: Any, seed: int) -> None:
-    _poke_keys(sub, job, seed, f"{job.prefix}-input",
-               job.spec.params.get("records_per_node", 1024),
-               job.spec.params.get("record_bytes", 16))
 
 
 def _dsort_setup(sub: Any, job: Any, ctl: Any) -> Any:
@@ -171,12 +167,6 @@ def _dsort_demand(spec: Any) -> int:
 # ---------------------------------------------------------------------------
 # csort
 # ---------------------------------------------------------------------------
-
-
-def _csort_prepare(sub: Any, job: Any, seed: int) -> None:
-    _poke_keys(sub, job, seed, f"{job.prefix}-input",
-               job.spec.params.get("records_per_node", 1024),
-               job.spec.params.get("record_bytes", 16))
 
 
 def _csort_block_default(spec: Any) -> int:
@@ -333,10 +323,10 @@ def _blocks_demand(spec: Any) -> int:
 
 
 register_kind(JobKind(name="dsort", runner=_dsort_runner,
-                      demand=_dsort_demand, prepare=_dsort_prepare,
+                      demand=_dsort_demand, prepare=_sort_prepare,
                       setup=_dsort_setup))
 register_kind(JobKind(name="csort", runner=_csort_runner,
-                      demand=_csort_demand, prepare=_csort_prepare))
+                      demand=_csort_demand, prepare=_sort_prepare))
 register_kind(JobKind(name="groupby", runner=_groupby_runner,
                       demand=_groupby_demand, prepare=_groupby_prepare))
 register_kind(JobKind(name="blocks", runner=_blocks_runner,

@@ -33,10 +33,10 @@ Design points that the tests pin down:
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.errors import AdmissionError, JobPreempted, SchedError
+from repro.prov.fingerprint import canonical_json
 from repro.sched.job import Job, JobSpec, JobState, Quota
 from repro.sched.kinds import JobKind, get_kind
 from repro.sched.policy import PlacementPolicy, make_policy
@@ -255,17 +255,15 @@ class Scheduler:
         }
         self._seq += 1
         self.decisions.append(entry)
-        tracer = getattr(self.kernel, "tracer", None)
+        tracer = self.kernel.tracer
         if tracer is not None:
             tracer.record(entry["time"], "scheduler", SCHED,
-                          json.dumps(entry, sort_keys=True,
-                                     separators=(",", ":")))
+                          canonical_json(entry))
 
     def decision_log_text(self) -> str:
         """The canonical decision log: one JSON object per line."""
         return "".join(
-            json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
-            for entry in self.decisions)
+            canonical_json(entry) + "\n" for entry in self.decisions)
 
     def decision_digest(self) -> str:
         return hashlib.sha256(

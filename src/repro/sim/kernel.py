@@ -55,6 +55,7 @@ from repro.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
+    from repro.sim.trace import Tracer
 
 __all__ = ["Kernel", "Process", "ProcessState"]
 
@@ -193,6 +194,10 @@ class Kernel:
         #: and repeats exactly under the virtual-time kernel.  A plain
         #: attribute like ``switches``, never a metric.
         self.threads_started = 0
+        #: optional execution tracer (repro.sim.trace.Tracer).  Only the
+        #: virtual-time kernel records into one; every kernel carries the
+        #: attribute so decision sites read it plainly, like ``metrics``.
+        self.tracer: Optional["Tracer"] = None
         #: optional metrics registry recording in this kernel's time;
         #: see :meth:`enable_metrics`.  Channels and FG programs
         #: instrument themselves when it is non-None.

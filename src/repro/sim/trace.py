@@ -110,6 +110,16 @@ class Tracer:
             seen.setdefault(ev.process, None)
         return list(seen)
 
+    def node0_stage_names(self) -> list[str]:
+        """Node 0's FG stage threads, in order of first appearance: the
+        rows of the Gantt charts and bottleneck reports (SPMD programs
+        assemble the same pipelines on every rank, so rank 0 is
+        representative; sources, sinks, family drivers and the ranks'
+        ``main`` processes do no stage work)."""
+        return [n for n in self.process_names()
+                if "@0" in n and ".source" not in n and ".sink" not in n
+                and "family" not in n and not n.startswith("main")]
+
     def intervals(self, process: str) -> list[Interval]:
         """State intervals of one process, in time order."""
         out: list[Interval] = []

@@ -269,7 +269,7 @@ class TuneController:
         """The applied/rejected decisions as JSON-able data.
 
         This is the structured form of the ``tune`` trace instants that
-        :func:`repro.prov.tune_decision_log` harvests into provenance
+        :func:`repro.prov.decision_log` harvests into provenance
         records; use it for direct inspection of a controller you own.
         """
         return [{"time": d.time, "kind": d.action.kind,
@@ -383,7 +383,7 @@ class TuneController:
         registry.counter("tune.decisions").inc()
         registry.counter(f"tune.{action.kind}"
                          + ("" if applied else ".rejected")).inc()
-        tracer = getattr(self.kernel, "tracer", None)
+        tracer = self.kernel.tracer
         if tracer is not None:
             target = action.stage or action.pipeline
             tracer.record(now, f"{prog.name}.tuner", TUNE,

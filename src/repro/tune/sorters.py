@@ -32,8 +32,9 @@ from repro.tune.search import (
     hill_climb,
 )
 
-__all__ = ["AdaptiveResult", "adaptive_tune_sort", "csort_space",
-           "dsort_space", "record_best_run", "sort_evaluator", "tune_sort"]
+__all__ = ["AdaptiveResult", "TUNE_SPACES", "adaptive_tune_sort",
+           "csort_space", "dsort_space", "record_best_run",
+           "sort_evaluator", "tune_sort"]
 
 #: pool sizes worth trying (the seed default is 4)
 _NBUFFERS = (2, 3, 4, 6, 8)
@@ -82,19 +83,26 @@ def csort_space(n_nodes: int, n_per_node: int) -> TuneSpace:
     ])
 
 
+def _dsort_linear_space(n_nodes: int, n_per_node: int) -> TuneSpace:
+    # the ablation runs one copy of its sort stage by definition
+    # (run_dsort_linear refuses sort_replicas > 1): not an axis
+    return TuneSpace([
+        axis for axis in dsort_space(n_nodes, n_per_node).axes
+        if axis.name != "sort_replicas"])
+
+
+#: sorter -> ``(n_nodes, n_per_node) -> TuneSpace``; the sorters
+#: ``repro tune --sorter`` offers are the harness's that have a row here
+TUNE_SPACES = {"dsort": dsort_space,
+               "dsort-linear": _dsort_linear_space,
+               "csort": csort_space}
+
+
 def _space_for(sorter: str, n_nodes: int, n_per_node: int) -> TuneSpace:
-    if sorter == "dsort":
-        return dsort_space(n_nodes, n_per_node)
-    if sorter == "dsort-linear":
-        # the ablation runs one copy of its sort stage by definition
-        # (run_dsort_linear refuses sort_replicas > 1): not an axis
-        return TuneSpace([
-            axis for axis in dsort_space(n_nodes, n_per_node).axes
-            if axis.name != "sort_replicas"])
-    if sorter == "csort":
-        return csort_space(n_nodes, n_per_node)
-    raise ReproError(f"no tune space for sorter {sorter!r}; expected "
-                     "'dsort', 'dsort-linear', or 'csort'")
+    if sorter not in TUNE_SPACES:
+        raise ReproError(f"no tune space for sorter {sorter!r}; expected "
+                         "one of " + ", ".join(map(repr, TUNE_SPACES)))
+    return TUNE_SPACES[sorter](n_nodes, n_per_node)
 
 
 def sort_evaluator(sorter: str, distribution: str = "uniform",

@@ -8,12 +8,12 @@ from repro.errors import ReproError
 from repro.prov import (
     RECORD_VERSION,
     ProvenanceRecord,
+    decision_log,
     metrics_digest,
     trace_digest,
-    tune_decision_log,
 )
 from repro.sim import Tracer, VirtualTimeKernel
-from repro.sim.trace import TUNE
+from repro.sim.trace import PARK, RECOVER, SCHED, TUNE
 
 
 def sample_record(**overrides):
@@ -100,10 +100,24 @@ def test_trace_and_tune_capture():
     kernel.run()
     digest = trace_digest(tracer)
     assert len(digest) == 64 and digest == trace_digest(tracer)
-    log = tune_decision_log(tracer)
+    log = decision_log(tracer, TUNE)
     assert log == [{"time": 1.0, "process": "tuner",
                     "detail": "grow p.pool +1"}]
-    assert tune_decision_log(None) == []
+
+
+@pytest.mark.parametrize("kind", [TUNE, RECOVER, SCHED])
+def test_decision_log_harvests_exactly_one_kind(kind):
+    tracer = Tracer()
+    for t, other in enumerate([PARK, TUNE, RECOVER, SCHED, TUNE, SCHED]):
+        tracer.record(float(t), f"emitter.{other}", other, f"{other} #{t}")
+    log = decision_log(tracer, kind)
+    assert log == [{"time": ev.time, "process": f"emitter.{kind}",
+                    "detail": ev.detail}
+                   for ev in tracer.events if ev.kind == kind]
+    assert len(log) == (1 if kind == RECOVER else 2)
+    # a kind nobody emitted, and an untraced run, are empty trails
+    assert decision_log(tracer, "no-such-kind") == []
+    assert decision_log(None, kind) == []
 
 
 def test_describe_mentions_the_essentials():

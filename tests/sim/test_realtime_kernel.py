@@ -121,3 +121,18 @@ def test_join_across_threads():
 def test_negative_time_scale_rejected():
     with pytest.raises(ValueError):
         RealTimeKernel(time_scale=-1.0)
+
+
+def test_decision_sites_read_tracer_and_metrics_plainly():
+    """Only the virtual-time kernel records a trace, but every kernel
+    carries ``tracer`` (like ``metrics``): the recovery manager, the
+    scheduler and the tune controller read both as plain attributes."""
+    from repro.cluster import Cluster
+    from repro.recover import RecoverPolicy, RecoveryManager
+
+    kernel = RealTimeKernel(time_scale=0.0)
+    assert kernel.tracer is None and kernel.metrics is None
+    manager = RecoveryManager(Cluster(n_nodes=2, kernel=kernel),
+                              RecoverPolicy())
+    manager.decide("resume", 0, "from block 3")
+    assert [d["kind"] for d in manager.decision_log()] == ["resume"]

@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.bench.harness import SORTERS, run_sort
+from repro.check.races import race_from_env
 from repro.cli import build_parser, main
+from repro.pdm.records import RecordSchema
+from repro.prov import metrics_digest
 
 
 def test_version_flag(capsys):
@@ -52,6 +57,39 @@ def test_sort_rejects_unknown_sorter():
         main(["sort", "--sorter", "quicksort"])
 
 
+#: linear dsort's ``flags['exchange_done']`` is a known FGRace finding
+#: (ROADMAP 4(0)); its suites are red under REPRO_RACE until that is
+#: settled, and these tests must not add to them
+KNOWN_RACE = pytest.mark.skipif(
+    bool(race_from_env()), reason="linear dsort's exchange_done race")
+
+
+@pytest.mark.parametrize("sorter", [
+    pytest.param(s, marks=KNOWN_RACE) if s == "dsort-linear" else s
+    for s in SORTERS])
+def test_sort_reaches_every_sorter_the_harness_runs(sorter, capsys):
+    """``--sorter``'s choices are the harness's table: csort4 (paper
+    Section III) and nowsort (Section VII) were unreachable from any
+    verb while the CLI kept its own list."""
+    assert main(["sort", "--sorter", sorter, "--nodes", "2",
+                 "--records-per-node", "2048"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{sorter} on uniform")
+    assert "output verified: True" in out
+
+
+@KNOWN_RACE
+def test_tune_reaches_the_linear_dsort_space(capsys):
+    """``tune.sorters`` has carried a space for the linear ablation
+    since PR 19; the verb refused to name it."""
+    assert main(["tune", "--sorter", "dsort-linear", "--method",
+                 "adaptive", "--nodes", "2",
+                 "--records-per-node", "1024"]) == 0
+    out = capsys.readouterr().out
+    assert "dsort-linear on uniform" in out
+    assert "sort_replicas" not in out  # not an axis of this space
+
+
 def test_sweep_small(capsys):
     code = main(["sweep", "--nodes", "2", "--blocks", "128,256"])
     assert code == 0
@@ -88,6 +126,22 @@ def test_trace_command_writes_artifacts(tmp_path, capsys):
     assert snap["counters"]
     out = capsys.readouterr().out
     assert str(trace_out) in out
+
+
+def test_trace_command_is_run_sort_observed(tmp_path, capsys):
+    """``repro trace`` no longer spells the run out; what it reads off
+    ``run_sort(observe=True)`` is what its own copy used to produce."""
+    metrics_out = tmp_path / "m.json"
+    assert main(["trace", "--nodes", "2", "--records-per-node", "2048",
+                 "--distribution", "poisson", "--seed", "3",
+                 "--metrics-out", str(metrics_out)]) == 0
+    run = run_sort("dsort", "poisson", RecordSchema.paper_16(), n_nodes=2,
+                   n_per_node=2048, seed=3, observe=True)
+    snap = json.loads(metrics_out.read_text())
+    del snap["meta"]  # the file wraps the snapshot with a code stamp
+    assert metrics_digest(snap) == metrics_digest(run.metrics.snapshot())
+    assert (f"{run.metrics.clock() * 1e3:.2f} ms simulated"
+            in capsys.readouterr().out)
 
 
 def test_analyze_quickstart(tmp_path, capsys):
@@ -166,6 +220,34 @@ def test_chaos_command_determinism_check(tmp_path, capsys):
     assert "determinism check: PASS" in out
     doc = json.loads(trace_out.read_text())
     assert any(ev.get("cat") == "fault" for ev in doc["traceEvents"])
+
+
+def test_chaos_determinism_check_compares_metrics(monkeypatch, capsys):
+    """A run whose metrics alone wobble must fail the gate: the report
+    digests them, and the harness promises byte-identical reports."""
+    import repro.faults
+
+    real = repro.faults.run_chaos_dsort
+    calls = []
+
+    def wobbling(**kwargs):
+        report = real(**kwargs)
+        calls.append(report)
+        if len(calls) == 2:
+            report = dataclasses.replace(report, metrics_digest="0" * 64)
+        return report
+
+    monkeypatch.setattr(repro.faults, "run_chaos_dsort", wobbling)
+    code = main(["chaos", "--nodes", "2", "--records-per-node", "360",
+                 "--seed", "5", "--block-records", "64",
+                 "--check-determinism"])
+    assert len(calls) == 2
+    # everything the gate compared before this check still agrees
+    assert calls[0].output_digest == calls[1].output_digest
+    assert calls[0].trace_digest == calls[1].trace_digest
+    assert calls[0].fault_events == calls[1].fault_events
+    assert code == 1
+    assert "determinism check: FAIL" in capsys.readouterr().out
 
 
 def test_chaos_command_pass_restart(capsys):
