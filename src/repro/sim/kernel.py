@@ -22,22 +22,35 @@ while holding it; the kernel releases the mutex while the process is parked
 and re-acquires nothing on resume (wakers transfer any data before waking).
 
 Carriers: a process does not own an OS thread.  Each kernel keeps a pool of
-*carrier* threads, every one parked on its own :class:`threading.Event`.
-Starting a process binds it to an idle carrier (most recently idled first,
-a new thread only when none is idle) and lends it the carrier's event as
-``Process._resume_event``; the wake that admits the process is the wake
-that starts the carrier, so a reused carrier costs no thread start and no
-extra OS wake-up.  When the process finishes, its carrier clears the event
-and goes back to the idle list; when :meth:`Kernel.run` returns or raises,
-every idle carrier is woken with no job, exits and is joined, so no kernel
-thread outlives ``run()``.  The invariant that makes lending an event safe:
-every ``_resume_event.set()`` happens while the process is still bound
-(wakers only ever name live processes, and a live process cannot retire
-before it is woken), and clear-and-release happens under the mutex, before
-the retiring process hands the run token on — so no ``set()`` meant for a
-finished process can reach the carrier's next one.  Release also resets
+*carrier* threads, every one parked on its own :class:`_Wake` — a binary
+flag on one raw lock allocated with the carrier, so a wake is one
+``release()`` and a park one ``acquire()``: what the OS charges for a
+thread hand-off and nothing more (no ``Condition``, no lock allocated per
+wait).  Starting a process binds it to an idle carrier (most recently
+idled first, a new thread only when none is idle) and lends it the
+carrier's wake as ``Process._resume_event``; the wake that admits the
+process is the wake that starts the carrier, so a reused carrier costs no
+thread start and no extra OS wake-up.  When the process finishes, its
+carrier clears the wake and goes back to the idle list; when
+:meth:`Kernel.run` returns or raises, every idle carrier is woken with no
+job, exits and is joined, so no kernel thread outlives ``run()``.  The
+invariant that makes lending a wake safe: every ``_resume_event.set()``
+happens while the process is still bound (wakers only ever name live
+processes, and a live process cannot retire before it is woken), and
+clear-and-release happens under the mutex, before the retiring process
+hands the run token on — so no ``set()`` meant for a finished process can
+reach the carrier's next one.  Release also resets
 ``Process._resume_event`` to None: a stale wake raises instead of waking a
 stranger.  :attr:`Kernel.threads_started` counts the OS threads created.
+
+Self hand-off: under the virtual-time kernel a parking process that is
+itself the scheduler's next pick (a sleeper alone on the timeline) keeps
+the run token and touches no wake at all.  Simulated time cannot tell:
+the pick advanced the clock, the switch is counted and traced, and only
+the two OS-level operations that would have woken the thread already
+running are skipped.  :attr:`VirtualTimeKernel.handoffs
+<repro.sim.virtual.VirtualTimeKernel.handoffs>` counts the switches that
+did wake another thread.
 """
 
 from __future__ import annotations
@@ -45,7 +58,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 from repro.errors import (
     KernelShutdown,
@@ -71,6 +84,33 @@ class ProcessState(enum.Enum):
     FAILED = "failed"    #: target raised
 
 
+class _Wake:
+    """A binary wake flag on one pre-allocated raw lock.
+
+    The lock held means *clear*, free means *set*.  :meth:`wait` blocks
+    until the flag is set and consumes it — the flag reads clear again
+    when ``wait`` returns, so a parker need not clear before it waits.
+    ``set`` before ``wait`` is remembered, and ``set`` on a set flag does
+    nothing, whichever of two racing setters gets there second.
+    """
+
+    __slots__ = ("_lock", "wait")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self.wait = self._lock.acquire
+
+    def set(self) -> None:
+        try:
+            self._lock.release()
+        except RuntimeError:  # already set
+            pass
+
+    def clear(self) -> None:
+        self._lock.acquire(False)
+
+
 class _Carrier(threading.Thread):
     """A reusable OS thread (see the module docstring, "Carriers").
 
@@ -84,7 +124,7 @@ class _Carrier(threading.Thread):
 
     def __init__(self) -> None:
         super().__init__(name=self.IDLE_NAME, daemon=True)
-        self.event = threading.Event()
+        self.event = _Wake()
         self.proc: Optional[Process] = None
 
     def run(self) -> None:
@@ -119,9 +159,10 @@ class Process:
         self.state = ProcessState.NEW
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        #: human-readable description of what the process is blocked on;
-        #: surfaced in deadlock reports.
-        self.waiting_on: Optional[str] = None
+        #: what the process is blocked on: a reason string, or the
+        #: simulated deadline of a sleep, which :attr:`waiting_on` spells
+        #: out only when somebody reads it
+        self._waiting_on: Union[str, float, None] = None
         #: optional zero-arg callable set by the synchronization object the
         #: process is parked on; resolved at deadlock-report time to append
         #: live detail (channel occupancy/capacity, owning pipeline, ...).
@@ -135,10 +176,19 @@ class Process:
         self.wake_value: Any = None
         #: the wake primitive of the carrier this process is bound to;
         #: None before it starts and after it retires
-        self._resume_event: Optional[threading.Event] = None
+        self._resume_event: Optional[_Wake] = None
         self._joiners: list[Process] = []
 
     # -- introspection ----------------------------------------------------
+
+    @property
+    def waiting_on(self) -> Optional[str]:
+        """Human-readable description of what the process is blocked on;
+        surfaced in traces and deadlock reports."""
+        what = self._waiting_on
+        if what is None or isinstance(what, str):
+            return what
+        return f"sleep until t={what:.9g}"
 
     @property
     def alive(self) -> bool:

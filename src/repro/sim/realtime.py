@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
+from math import inf
 from typing import Any, Optional
 
 from repro.errors import KernelShutdown, KernelStateError
@@ -49,8 +50,9 @@ class RealTimeKernel(Kernel):
 
     def sleep(self, duration: float) -> None:
         """Sleep ``duration * time_scale`` real seconds (yield if zero)."""
-        if duration < 0:
-            raise ValueError(f"negative sleep duration: {duration}")
+        if not 0 <= duration < inf:  # also false for NaN
+            raise ValueError(
+                f"sleep duration must be finite and >= 0: {duration}")
         if self._aborting:
             raise KernelShutdown()
         scaled = duration * self.time_scale
@@ -67,18 +69,18 @@ class RealTimeKernel(Kernel):
         me = self.current_process()
         if self._aborting:
             # the abort may have fired before we parked; clearing our
-            # resume event below would wipe its wakeup, so bail out now
+            # wake below would wipe its wakeup, so bail out now
             self.mutex.release()
             raise KernelShutdown()
         me.state = ProcessState.BLOCKED
-        me.waiting_on = reason
+        me._waiting_on = reason
         me._resume_event.clear()
         self.mutex.release()
         me._resume_event.wait()
         if self._aborting:
             raise KernelShutdown()
         me.state = ProcessState.RUNNING
-        me.waiting_on = None
+        me._waiting_on = None
         me.wait_info = None
         value, me.wake_value = me.wake_value, None
         return value
@@ -88,7 +90,7 @@ class RealTimeKernel(Kernel):
             return  # see VirtualTimeKernel.make_ready: abort-unwind race
         proc.wake_value = wake_value
         proc.state = ProcessState.READY
-        proc.waiting_on = None
+        proc._waiting_on = None
         proc.wait_info = None
         proc._resume_event.set()
 

@@ -20,9 +20,7 @@ material for the per-pass analyses in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import contextlib
 from collections import deque
-from typing import Iterator
 
 from repro.sim.kernel import Kernel, Process
 
@@ -119,11 +117,23 @@ class Resource:
             kernel.make_ready(proc)
         kernel.mutex.release()
 
-    @contextlib.contextmanager
-    def request(self, units: int = 1) -> Iterator[None]:
+    def request(self, units: int = 1) -> "_Request":
         """``with resource.request(): ...`` — acquire/release bracket."""
-        self.acquire(units)
-        try:
-            yield
-        finally:
-            self.release(units)
+        return _Request(self, units)
+
+
+class _Request:
+    """The bracket :meth:`Resource.request` returns: acquire on entry,
+    release on exit, whatever the body raised."""
+
+    __slots__ = ("_resource", "_units")
+
+    def __init__(self, resource: Resource, units: int) -> None:
+        self._resource = resource
+        self._units = units
+
+    def __enter__(self) -> None:
+        self._resource.acquire(self._units)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._resource.release(self._units)

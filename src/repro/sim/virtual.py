@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from collections import deque
+from math import inf
 from typing import Any, Optional
 
 from repro.errors import DeadlockError, KernelShutdown, KernelStateError
-from repro.sim.kernel import Kernel, Process, ProcessState
+from repro.sim.kernel import Kernel, Process, ProcessState, _Wake
 from repro.sim.trace import FINISH, PARK, RESUME, SPAWN, Tracer
 from repro.sim.waitfor import runtime_wait_cycle
 
@@ -56,10 +56,15 @@ class VirtualTimeKernel(Kernel):
         self._ready: deque[Process] = deque()
         self._heap: list[tuple[float, int, Process]] = []
         self._seq = itertools.count()
-        self._main_event = threading.Event()
-        self._all_dead = threading.Event()
+        self._main_event = _Wake()
+        self._all_dead = _Wake()
         #: number of context switches performed (exposed for tests/stats)
         self.switches = 0
+        #: switches that woke a different thread; the other ``switches -
+        #: handoffs`` kept the run token where it was (see
+        #: :mod:`repro.sim.kernel`, "Self hand-off").  Exact and
+        #: repeatable, a plain attribute like ``switches``, never a metric.
+        self.handoffs = 0
         #: optional execution tracer (see :mod:`repro.sim.trace`)
         self.tracer = tracer
 
@@ -77,13 +82,17 @@ class VirtualTimeKernel(Kernel):
         overlap happens.  ``duration`` may be zero (yields the token while
         keeping the process at the front of the timeline).
         """
-        if duration < 0:
-            raise ValueError(f"negative sleep duration: {duration}")
+        if not 0 <= duration < inf:  # also false for NaN
+            raise ValueError(
+                f"sleep duration must be finite and >= 0: {duration}")
         me = self.current_process()
         self.mutex.acquire()
         me.state = ProcessState.BLOCKED
-        me.waiting_on = f"sleep until t={self._now + duration:.9g}"
-        heapq.heappush(self._heap, (self._now + duration, next(self._seq), me))
+        # the deadline, not a string: Process.waiting_on formats it for
+        # whoever asks (a tracer, a deadlock report), and most parks are
+        # sleeps nobody asks about
+        me._waiting_on = until = self._now + duration
+        heapq.heappush(self._heap, (until, next(self._seq), me))
         self._park_and_handoff_locked(me)
 
     def block_current(self, *, locked: bool, reason: str = "") -> Any:
@@ -91,7 +100,7 @@ class VirtualTimeKernel(Kernel):
             raise KernelStateError("block_current requires the kernel mutex")
         me = self.current_process()
         me.state = ProcessState.BLOCKED
-        me.waiting_on = reason
+        me._waiting_on = reason
         self._park_and_handoff_locked(me)
         value, me.wake_value = me.wake_value, None
         return value
@@ -104,7 +113,7 @@ class VirtualTimeKernel(Kernel):
             return
         proc.wake_value = wake_value
         proc.state = ProcessState.READY
-        proc.waiting_on = None
+        proc._waiting_on = None
         proc.wait_info = None
         self._ready.append(proc)
 
@@ -126,23 +135,27 @@ class VirtualTimeKernel(Kernel):
 
         Caller holds the mutex and has already registered ``me`` wherever it
         waits (event heap, a channel wait queue, ...).  Releases the mutex.
+
+        When the next pick is ``me`` itself — a sleeper alone on the
+        timeline — the token stays put and no wake is touched: the same
+        switch as far as the clock, the counter and the trace can tell.
+        ``me``'s own wake needs no clearing first: the last ``wait()``
+        consumed it, and only the token holder or an abort ever sets it.
         """
-        me._resume_event.clear()
         self.switches += 1
         if self.tracer is not None:
             self.tracer.record(self._now, me.name, PARK,
                                me.waiting_on or "")
         nxt = self._pick_locked()
         self.mutex.release()
-        if nxt is None:
-            self._main_event.set()
-        else:
-            nxt._resume_event.set()
-        me._resume_event.wait()
+        if nxt is not me:
+            self.handoffs += 1  # still serialised: we hold the run token
+            (self._main_event if nxt is None else nxt._resume_event).set()
+            me._resume_event.wait()
         if self._aborting:
             raise KernelShutdown()
         me.state = ProcessState.RUNNING
-        me.waiting_on = None
+        me._waiting_on = None
         me.wait_info = None
         if self.tracer is not None:
             self.tracer.record(self._now, me.name, RESUME)
@@ -151,10 +164,7 @@ class VirtualTimeKernel(Kernel):
         """Hand the token onward without waiting (terminating process)."""
         nxt = self._pick_locked()
         self.mutex.release()
-        if nxt is None:
-            self._main_event.set()
-        else:
-            nxt._resume_event.set()
+        (self._main_event if nxt is None else nxt._resume_event).set()
 
     # -- process lifecycle hooks ------------------------------------------------
 

@@ -206,13 +206,38 @@ def test_dynamic_spawn_and_join_of_a_finished_process(make_kernel):
 def test_a_process_holds_an_event_only_while_bound(make_kernel):
     # ... so a stale wake raises instead of waking the carrier's next job
     kernel = make_kernel()
-    held = []
-    proc = kernel.spawn(
-        lambda: held.append(kernel.current_process()._resume_event))
-    assert proc._resume_event is None
+    gate = Channel(kernel, name="gate")
+    held = {}
+
+    def first():
+        held["a"] = kernel.current_process()._resume_event
+
+    def second():
+        held["b"] = kernel.current_process()._resume_event
+        return gate.get()
+
+    a = kernel.spawn(first, name="a")
+    assert a._resume_event is None
+
+    def root():
+        a.join()
+        kernel.sleep(0.001)  # a's carrier is idle again
+        b = kernel.spawn(second, name="b")
+        kernel.sleep(0.001)  # b is parked on the gate
+        with pytest.raises(AttributeError):
+            a._resume_event.set()
+        assert b.alive
+        gate.put("go")
+        return b.join(), b
+
+    proc = kernel.spawn(root, name="root")
     _run(kernel)
-    assert isinstance(held[0], threading.Event)
-    assert proc._resume_event is None
+    woken_with, b = proc.result
+    assert woken_with == "go"
+    assert held["a"] is not None and held["b"] is not None
+    assert a._resume_event is None and b._resume_event is None
+    if isinstance(kernel, VirtualTimeKernel):
+        assert held["b"] is held["a"]  # b ran on the carrier a gave back
 
 
 # -- no thread outlives run(), on any exit path --------------------------

@@ -4,6 +4,7 @@ channel occupancy/capacity and owning pipeline, resource usage/queue."""
 import pytest
 
 from repro.errors import DeadlockError
+from repro.cluster.network import Mailbox
 from repro.sim import Channel, Resource, VirtualTimeKernel
 
 
@@ -74,3 +75,63 @@ def test_report_lists_every_blocked_process():
     message = str(exc_info.value)
     assert "first" in message and "qa" in message
     assert "second" in message and "qb" in message
+
+
+def _one_of_each_park(kernel, reports):
+    """One process parked in each of sleep, get, put, acquire, join and
+    recv, and a monitor that describes them all at t=1."""
+    empty = Channel(kernel, capacity=2, name="empty")
+    full = Channel(kernel, capacity=1, name="full")
+    full.owner = "pass1.send"
+    arm = Resource(kernel, capacity=1, name="disk-arm")
+    mailbox = Mailbox(kernel, "mbox[0]")
+
+    def putter():
+        full.put(1)
+        full.put(2)
+
+    def hog(sleeper):
+        arm.acquire()  # never released
+        sleeper.join()
+
+    def monitor():
+        kernel.sleep(1.0)
+        me = kernel.current_process()
+        reports.append(kernel._describe_blocked(
+            p for p in kernel.processes if p is not me))
+
+    sleeper = kernel.spawn(kernel.sleep, 2.5, name="sleeper")
+    kernel.spawn(empty.get, name="getter")
+    kernel.spawn(putter, name="putter")
+    kernel.spawn(hog, sleeper, name="hog")
+    kernel.spawn(arm.acquire, name="waiter")
+    kernel.spawn(mailbox.receive, 1, 7, name="receiver")
+    kernel.spawn(monitor, name="monitor")
+
+
+#: the report's lines as the parent commit (sleep reasons formatted at
+#: park time, every wake on a threading.Event) printed them
+PARKED_REPORT = """\
+  - sleeper: waiting on sleep until t=2.5
+  - getter: waiting on get <- empty (occupancy 0/2)
+  - putter: waiting on put -> full (occupancy 1/1, pipeline pass1.send)
+  - hog: waiting on join(sleeper)
+  - waiter: waiting on acquire 1x disk-arm (in use 1/1, 1 queued)
+  - receiver: waiting on recv(src=1, tag=7) <- mbox[0] \
+(0 pending, 0/inf B buffered)"""
+
+
+def test_report_text_for_every_kind_of_park_is_unchanged():
+    kernel = VirtualTimeKernel()
+    reports = []
+    _one_of_each_park(kernel, reports)
+    with pytest.raises(DeadlockError) as exc_info:
+        kernel.run()
+    assert reports == [PARKED_REPORT]
+    # the sleeper and its joiner have finished by the time the rest wedge
+    stuck = [line for line in PARKED_REPORT.splitlines()
+             if "sleeper" not in line]
+    assert str(exc_info.value) == (
+        "deadlock: all live processes are blocked and no timed event is "
+        "pending\n" + "\n".join(stuck))
+    assert kernel.now() == 2.5

@@ -1,9 +1,11 @@
 """Unit tests for the virtual-time kernel: clock, scheduling, determinism."""
 
+import math
+
 import pytest
 
 from repro.errors import DeadlockError, KernelStateError, ProcessFailed
-from repro.sim import Channel, VirtualTimeKernel
+from repro.sim import Channel, RealTimeKernel, VirtualTimeKernel
 
 
 def test_empty_kernel_runs_and_finishes():
@@ -184,6 +186,28 @@ def test_negative_sleep_rejected():
     with pytest.raises(ProcessFailed) as exc_info:
         kernel.run()
     assert isinstance(exc_info.value.original, ValueError)
+
+
+@pytest.mark.parametrize("make_kernel", [
+    VirtualTimeKernel, lambda: RealTimeKernel(time_scale=0.0)],
+    ids=["virtual", "realtime"])
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_non_finite_sleep_rejected(make_kernel, duration):
+    # a NaN key would silently corrupt the event heap's order and the clock
+    kernel = make_kernel()
+    seen = []
+
+    def proc():
+        try:
+            kernel.sleep(duration)
+        finally:
+            seen.append(kernel.now())
+
+    kernel.spawn(proc)
+    with pytest.raises(ProcessFailed) as exc_info:
+        kernel.run()
+    assert isinstance(exc_info.value.original, ValueError)
+    assert math.isfinite(seen[0])
 
 
 def test_blocking_primitive_outside_process_rejected():
