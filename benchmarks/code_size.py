@@ -65,8 +65,11 @@ def at_revision(rev: str, path: str) -> str:
 def main(rev=None, *paths) -> None:
     totals = [0, 0]
     for path in paths or FILES:
-        with open(path) as fh:
-            now = code_lines(fh.read())
+        try:
+            with open(path) as fh:
+                now = code_lines(fh.read())
+        except FileNotFoundError:  # deleted since REV
+            now = 0
         then = code_lines(at_revision(rev, path)) if rev else now
         totals[0] += then
         totals[1] += now

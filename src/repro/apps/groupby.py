@@ -95,7 +95,6 @@ class GroupByConfig:
     input_file: str = "kv-input"
     output_file: str = "kv-groups"
     run_prefix: str = "groupby-run"
-    cleanup_runs: bool = True
     #: prefix for FGProgram names; the multi-tenant scheduler sets a
     #: per-job prefix so concurrent jobs stay distinguishable
     name_prefix: str = "groupby"
@@ -253,9 +252,8 @@ def run_groupby(node: Node, comm: Comm,
     t2 = run_pass(node, comm, f"{config.name_prefix}-p2@{comm.rank}",
                   build_pass2)
 
-    if config.cleanup_runs:
-        for run_name, _ in runs:
-            node.disk.delete(run_name)
+    for run_name, _ in runs:
+        node.disk.delete(run_name)
 
     return GroupByReport(rank=comm.rank, pass1_time=t1 - t0,
                          pass2_time=t2 - t1, input_records=n_local,

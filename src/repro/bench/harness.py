@@ -217,9 +217,10 @@ def run_sort(sorter: str, distribution: str, schema: RecordSchema,
     ``plan`` applies a compiled execution plan
     (:class:`repro.plan.Plan`): its geometry overrides are layered
     under any explicit ``tune`` dict, and the plan is installed on the
-    run's kernel so every program compiles through it at ``start()``
-    (stage fusion + structural stamp).  Pass ``plan=True`` to compile
-    one on the spot with :func:`repro.plan.plan_sort`.  The plan must
+    run's kernel so every program's structural fingerprint carries its
+    digest from ``start()`` on — a planned run is its ``tune``
+    equivalent plus that stamp.  Pass ``plan=True`` to compile one on
+    the spot with :func:`repro.plan.plan_sort`.  The plan must
     match the run's sorter and shape.
 
     ``provenance=True`` (implies ``observe=True``) additionally captures
@@ -274,7 +275,7 @@ def run_sort(sorter: str, distribution: str, schema: RecordSchema,
         cluster = Cluster(n_nodes=n_nodes, hardware=hardware)
     kernel = cluster.kernel
     if plan_obj is not None:
-        # every FGProgram.start() on this kernel now compiles through
+        # every FGProgram.start() on this kernel is now stamped with
         # the plan; geometry overrides layer UNDER any explicit tune
         # dict so a tuner can still probe around the planned point
         plan_obj.install(kernel)

@@ -1,19 +1,18 @@
 """FGPar: static parallel-safety effect analysis over stage bytecode.
 
 This module is the *one* bytecode walker behind every static analysis in
-the repo.  Before it existed there were two independent walks — FG109's
-provenance scan in :mod:`repro.check.linter` and ``resource_classes`` in
-:mod:`repro.plan.fuse` — that drifted whenever either learned a new
-opcode.  Both now delegate here, and on top of the shared walk this
-module adds what the true-parallel backend (ROADMAP item 2) needs:
-per-stage *effect sets* and a ``parallel_safety`` classification.
+the repo: the linter's EOS scan and FG109 provenance scan
+(:mod:`repro.check.linter`) delegate here, so a newly learned opcode is
+learned once.  On top of the shared walk this module adds what the
+true-parallel backend (ROADMAP item 2) needs: per-stage *effect sets*
+and a ``parallel_safety`` classification.
 
 Three layers, bottom to top:
 
 * :func:`iter_code_objects` — the walk itself.  ``follow_callables=True``
   reproduces the historical closure-/global-following frontier (used by
-  the EOS scan, FG109 evidence, and resource signatures, which must see
-  helper functions a stage calls); ``follow_callables=False`` restricts
+  the EOS scan and FG109 evidence, which must see helper functions a
+  stage calls); ``follow_callables=False`` restricts
   the walk to the function's own code plus nested code constants, which
   is the right scope for *effects*: a sibling closure shared between two
   stage functions acts on behalf of whichever stage calls it, and
@@ -67,7 +66,6 @@ __all__ = [
     "fn_effects",
     "iter_code_objects",
     "program_effects",
-    "reachable_names",
     "shared_state_evidence",
     "stage_effects",
     "unserializable_captures",
@@ -194,10 +192,10 @@ def iter_code_objects(fn: Callable[..., Any], *,
     Always recurses through nested code constants (inner functions and
     comprehensions).  With ``follow_callables`` it additionally follows
     closure cells holding functions and module-global functions the code
-    references by name — the historical FG104/FG109/resource-class
-    frontier.  Bounded by ``max_depth`` and a seen-set, so arbitrary
-    user code cannot loop the scan.  Only ``fn`` itself is unbound
-    (:func:`_unbind`); callables met on the way are followed as before.
+    references by name — the historical FG104/FG109 frontier.  Bounded
+    by ``max_depth`` and a seen-set, so arbitrary user code cannot loop
+    the scan.  Only ``fn`` itself is unbound (:func:`_unbind`); callables
+    met on the way are followed as before.
     """
     seen: set[int] = set()
     frontier: list[tuple[Any, int]] = [(_unbind(fn)[0], 0)]
@@ -229,15 +227,6 @@ def iter_code_objects(fn: Callable[..., Any], *,
             value = globals_ns.get(name)
             if isinstance(value, types.FunctionType):
                 frontier.append((value, depth + 1))
-
-
-def reachable_names(fn: Callable[..., Any]) -> frozenset[str]:
-    """Every ``co_names`` entry reachable from ``fn`` under the full
-    closure-following walk — the input to resource-class signatures."""
-    names: set[str] = set()
-    for code in iter_code_objects(fn):
-        names.update(code.co_names)
-    return frozenset(names)
 
 
 def _closure_cell(fn: Callable[..., Any], name: str) -> Any:
@@ -675,20 +664,8 @@ def fn_effects(fn: Callable[..., Any], *,
     """Infer the shared-state effect sets of one stage function.
 
     Walks the function's own code and nested code constants only (see
-    the module docstring for why sibling closures are excluded), except
-    that a *fused* stage (``repro.plan.fuse``) stamps its constituent
-    functions on the composed one as ``_fg_effect_parts`` and the
-    composition's effects are the union of its parts'.
+    the module docstring for why sibling closures are excluded).
     """
-    parts = getattr(fn, "_fg_effect_parts", None)
-    if parts:
-        effs = [fn_effects(part, buffer_param=_buffer_param_of(part))
-                for part in parts]
-        return Effects(
-            frozenset(c for e in effs for c in e.reads),
-            frozenset(c for e in effs for c in e.writes),
-            tuple(sorted({w for e in effs for w in e.unresolved_writes})),
-            tuple(esc for e in effs for esc in e.buffer_escapes))
     return _EffectScan(fn, buffer_param).run()
 
 

@@ -1,8 +1,8 @@
 """The FG static linter: rule-based analysis of an assembled program.
 
 Run automatically from :meth:`~repro.core.program.FGProgram.start`
-(disable with ``FGProgram(lint=False)`` or ``REPRO_LINT=0``) and
-standalone via ``repro lint``.  Error-severity findings abort ``start()``
+(disable with ``FGProgram(lint=False)``) and standalone via
+``repro lint``.  Error-severity findings abort ``start()``
 with :class:`~repro.errors.LintError` *before* any process is spawned —
 turning what today surfaces as a mid-run ``DeadlockError`` into a fast,
 located diagnostic.
@@ -33,8 +33,6 @@ FG110     warning   two concurrently-runnable stages (same or
                     intersecting pipelines) write the same shared cell
 FG111     warning   an alias of an accepted buffer's data escapes the
                     stage and outlives the convey
-FG112     error     a fused stage composes two or more write-carrying
-                    stage functions
 FG113     warning   the end-of-stream declarer writes shared state
                     other stages of its pipeline also use
 FG114     warning   a stage closes over a kernel/channel/lock/open
@@ -47,9 +45,9 @@ Suppress individual rules per program with
 
 Every rule reads the program through the shared graph IR
 (:class:`repro.plan.ir.ProgramGraph`) — the same structural view the
-planner compiles and the provenance fingerprints hash — so structural
-features added to the runtime (replication, dynamic pools, fusion) only
-need to be modelled once.  FG110–FG114 additionally read the per-stage
+planner reads and the provenance fingerprints hash — so structural
+features added to the runtime (replication, dynamic pools) only need to
+be modelled once.  FG110–FG114 additionally read the per-stage
 effect sets inferred by :mod:`repro.check.dataflow`, the same analysis
 that stamps ``parallel_safety`` onto every :class:`StageNode`.
 """
@@ -127,11 +125,6 @@ RULES: dict[str, Rule] = {r.rule_id: r for r in [
          "a stage stores an alias of its accepted buffer's data where "
          "it outlives the convey; the next owner's writes stay visible "
          "through the stale alias (FGSan only catches this at runtime)"),
-    Rule("FG112", "impure-fused-run", Severity.ERROR,
-         "a fused stage composes two or more write-carrying stage "
-         "functions; fusion must keep at most one shared-state writer "
-         "per run or the write interleaving changes under the fused "
-         "schedule"),
     Rule("FG113", "caboose-shared-state", Severity.WARNING,
          "the end-of-stream declarer writes shared state that other "
          "stages of the same pipeline also use; teardown order between "
@@ -154,7 +147,7 @@ def normalize_rule_ids(ids: Iterable[str], *,
         if not rule_id:
             continue
         if rule_id not in RULES:
-            known = f"FG101..FG{100 + len(RULES)}"
+            known = f"{min(RULES)}..{max(RULES)}"
             warnings.warn(
                 f"{source}: unknown lint rule id {rule_id!r} "
                 f"(known rules: {known})",
@@ -514,34 +507,6 @@ def _check_effects(prog: "FGProgram",
                     program=prog.name, pipeline=p.name, stage=node.name)
 
 
-def _check_fused_purity(prog: "FGProgram",
-                        graph: ProgramGraph) -> Iterator[Finding]:
-    """FG112: a fused stage must compose at most one shared-state
-    writer (the planner's purity guard enforces this; the rule catches
-    hand-built compositions)."""
-    reported: set[int] = set()
-    for p in graph.pipelines:
-        for node in p.stages:
-            s = node.stage
-            if not node.fused_from or s.fn is None or id(s) in reported:
-                continue
-            parts = getattr(s.fn, "_fg_effect_parts", None)
-            if not parts:
-                continue
-            writers = [
-                part for part in parts
-                if _dataflow.classify_fn(part) == _dataflow.WRITE_SHARED]
-            if len(writers) >= 2:
-                reported.add(id(s))
-                yield Finding(
-                    "FG112", Severity.ERROR,
-                    f"fused stage {s.name!r} composes "
-                    f"{len(writers)} write-carrying stage functions "
-                    f"(of {len(parts)} fused); at most one per run is "
-                    "sound — split the run or make the parts pure",
-                    program=prog.name, pipeline=p.name, stage=s.name)
-
-
 def _check_unserializable(prog: "FGProgram",
                           graph: ProgramGraph) -> Iterator[Finding]:
     """FG114: direct captures that cannot cross a process boundary."""
@@ -571,7 +536,6 @@ _CHECKS = (
     _check_bounded_chains,
     _check_replicated_state,
     _check_effects,
-    _check_fused_purity,
     _check_unserializable,
 )
 

@@ -180,16 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan", help="compile a static execution plan for a sorting "
-                     "benchmark: fusion + geometry inferred from the "
-                     "hardware cost model, no cluster runs")
+                     "benchmark: geometry inferred from the hardware "
+                     "cost model, no cluster runs")
     p_plan.add_argument("--sorter", default="dsort",
                         choices=["dsort", "csort"])
     p_plan.add_argument("--nodes", type=int, default=4)
     p_plan.add_argument("--records-per-node", type=int, default=4096)
     p_plan.add_argument("--record-bytes", type=int, default=16)
-    p_plan.add_argument("--no-fuse", action="store_true",
-                        help="plan geometry only; skip stage fusion "
-                             "when the plan is applied")
     p_plan.add_argument("--explain", action="store_true",
                         help="print every planning decision with its "
                              "reason")
@@ -629,8 +626,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.plan import plan_sort
 
     plan = plan_sort(args.sorter, args.nodes, args.records_per_node,
-                     record_bytes=args.record_bytes,
-                     fuse=not args.no_fuse)
+                     record_bytes=args.record_bytes)
     doc = plan.to_json()
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -53,7 +53,6 @@ DESIGN.md's "Buffer lifecycle events" table lists them.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.check.dataflow import program_effects
@@ -128,7 +127,7 @@ class FGProgram:
 
     def __init__(self, kernel: Kernel, env: Optional[dict[str, Any]] = None,
                  name: str = "fg", *,
-                 lint: Optional[bool] = None,
+                 lint: bool = True,
                  lint_ignore: Optional[Iterable[str]] = None,
                  sanitize: Optional[bool] = None,
                  race_detect: Optional[Union[bool, str]] = None) -> None:
@@ -139,11 +138,8 @@ class FGProgram:
         #: the single event path for stage stats and metrics (repro.obs)
         self.observer = ProgramObserver(self)
         # static lint gate: runs in start() unless disabled per program
-        # (lint=False) or globally (REPRO_LINT=0); suppress individual
-        # rules with lint_ignore={"FG101", ...} or REPRO_LINT_IGNORE
-        if lint is None:
-            lint = os.environ.get("REPRO_LINT", "1").lower() not in (
-                "0", "false", "off", "no")
+        # (lint=False); suppress individual rules with
+        # lint_ignore={"FG101", ...} or REPRO_LINT_IGNORE
         self._lint_enabled = lint
         self._lint_ignore = (normalize_rule_ids(
             lint_ignore, source="FGProgram(lint_ignore=...)")
@@ -797,17 +793,15 @@ class FGProgram:
         if self._started:
             raise PipelineStructureError("program already started")
         self._started = True
-        # the pipeline compiler runs between declaration and lint: a
-        # Plan installed on the kernel (run_sort(plan=...), or
-        # plan.install(kernel)) fuses fusable stage runs and stamps
-        # this program, so the lint pass and the structural fingerprint
-        # both see the *planned* graph
+        # a Plan installed on the kernel (run_sort(plan=...), or
+        # plan.install(kernel)) stamps this program, so its structural
+        # fingerprint carries the plan's digest; the stages stay as
+        # declared (a plan's geometry arrives through the sorter config)
         if self.kernel.plan is not None:
             self.kernel.plan.apply(self)
         # the per-program analysis happens once: one graph of the
-        # *planned* program (post-fusion, matching the stages actually
-        # spawned), each stage function scanned once, shared by the
-        # linter, FGRace and the provenance fingerprint
+        # declared program, each stage function scanned once, shared by
+        # the linter, FGRace and the provenance fingerprint
         race = self.kernel.race
         graph = None
         if (self._lint_enabled or race is not None

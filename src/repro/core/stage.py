@@ -82,11 +82,6 @@ class Stage:
         self.virtual = virtual
         self.virtual_group = (virtual_group if virtual_group is not None
                               else name) if virtual else None
-        #: original stage names when this stage was produced by planner
-        #: fusion (repro.plan.fuse); empty for hand-written stages.  Part
-        #: of the structural fingerprint: a fused program must not be
-        #: provenance-identical to the unfused one.
-        self.fused_from: tuple[str, ...] = ()
         self.stats = StageStats()
 
     # -- constructors ----------------------------------------------------------

@@ -1,10 +1,8 @@
-"""repro.plan: the static pipeline-graph compiler.
+"""repro.plan: the static pipeline-graph planner.
 
-Runs between :class:`~repro.core.program.FGProgram` declaration and
-``start()``: a shared graph IR (:mod:`repro.plan.ir`) that linter,
-fingerprints, and tuner all consume; stage fusion
-(:mod:`repro.plan.fuse`); geometry inference from the hardware cost
-model (:mod:`repro.plan.geometry`); and serializable plan emission
+A shared graph IR (:mod:`repro.plan.ir`) that linter, fingerprints, and
+tuner all consume; geometry inference from the hardware cost model
+(:mod:`repro.plan.geometry`); and serializable plan emission
 (:mod:`repro.plan.plan`).  See docs/PLANNER.md.
 
 This package is an import leaf: nothing here imports other ``repro``
@@ -12,7 +10,6 @@ modules at import time, so ``repro.check``, ``repro.prov``, and
 ``repro.tune`` can all depend on the IR without cycles.
 """
 
-from repro.plan.fuse import fusable_runs, fuse_program
 from repro.plan.geometry import (
     csort_s_candidates,
     dsort_block_candidates,
@@ -31,8 +28,6 @@ __all__ = [
     "csort_s_candidates",
     "dsort_block_candidates",
     "dsort_pass_estimate",
-    "fusable_runs",
-    "fuse_program",
     "infer_pool_size",
     "plan_sort",
 ]

@@ -55,8 +55,6 @@ class StageNode:
     #: it still wires the sequencer and the unbounded reorder channel)
     replicated: bool
     replica_count: int
-    #: original stage names this stage was fused from (planner output)
-    fused_from: tuple[str, ...]
     #: the underlying Stage object — identity for intersection analysis,
     #: ``fn`` for the linter's bytecode rules; never part of canonical()
     stage: Any = dataclasses.field(compare=False, repr=False)
@@ -81,8 +79,6 @@ class StageNode:
             entry["virtual_group"] = self.virtual_group
         if self.replicated:
             entry["replicas"] = self.replica_count
-        if self.fused_from:
-            entry["fused_from"] = list(self.fused_from)
         if self.effects is not None:
             entry["parallel_safety"] = self.effects.classification
         return entry
@@ -228,7 +224,6 @@ class ProgramGraph:
                 virtual_group=s.virtual_group,
                 replicated=p.is_replicated(s),
                 replica_count=p.replica_count(s),
-                fused_from=tuple(getattr(s, "fused_from", ()) or ()),
                 stage=s, effects=effects[id(s)])
                 for s in p.stages]
             grown, retired = (0, 0) if pool_deltas is None else pool_deltas(p)

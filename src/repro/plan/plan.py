@@ -1,4 +1,4 @@
-"""Plan emission: the serializable output of the pipeline compiler.
+"""Plan emission: the serializable output of the planner.
 
 :func:`plan_sort` runs geometry inference (:mod:`repro.plan.geometry`)
 for one sorting benchmark and wraps the result in a :class:`Plan` — a
@@ -6,15 +6,15 @@ frozen, JSON-round-trippable value that travels three ways:
 
 * ``run_sort(plan=...)`` applies its config overrides to the sorter's
   defaults and installs it on the run's kernel, where
-  ``FGProgram.start()`` picks it up to fuse stages and stamp the program
-  (so the structural fingerprint records *planned* structure);
+  ``FGProgram.start()`` picks it up to stamp the program (so the
+  structural fingerprint records which plan the run was under);
 * ``tune_sort(warm_start=plan)`` seeds the offline hill climb at the
   planned config instead of the hand-tuned default;
 * the provenance record stores ``plan.to_json()``, so ``repro replay``
   re-applies the identical plan and planned runs replay byte-exactly.
 
 :meth:`Plan.digest` hashes only the decision *outcome* (sorter, shape,
-config, fuse flag) — not the prose reasons — so two planners that agree
+config) — not the prose reasons — so two planners that agree
 on what to do produce the same digest.
 """
 
@@ -53,8 +53,6 @@ class Plan:
     record_bytes: int
     #: config overrides in ``run_sort(tune=...)`` field-name form
     config: dict[str, Any]
-    #: fuse adjacent cheap map stages at ``FGProgram.start()``
-    fuse: bool = True
     decisions: tuple[PlanDecision, ...] = ()
 
     def digest(self) -> str:
@@ -66,7 +64,6 @@ class Plan:
             "n_per_node": self.n_per_node,
             "record_bytes": self.record_bytes,
             "config": dict(sorted(self.config.items())),
-            "fuse": self.fuse,
         })
 
     def to_json(self) -> dict[str, Any]:
@@ -76,25 +73,33 @@ class Plan:
             "n_per_node": self.n_per_node,
             "record_bytes": self.record_bytes,
             "config": dict(sorted(self.config.items())),
-            "fuse": self.fuse,
             "decisions": [d.to_json() for d in self.decisions],
             "digest": self.digest(),
         }
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Plan":
+        """Rebuild a plan serialized by :meth:`to_json`; a document with
+        a field this version does not know, or whose digest no longer
+        matches its content, is refused."""
+        from repro.errors import ReproError
+
+        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)} - {
+            "digest"}
+        if unknown:
+            raise ReproError(
+                f"unknown plan field(s) {sorted(unknown)} — the document "
+                "was not emitted by this version's Plan.to_json()")
         plan = cls(
             sorter=doc["sorter"], n_nodes=doc["n_nodes"],
             n_per_node=doc["n_per_node"],
             record_bytes=doc["record_bytes"],
-            config=dict(doc["config"]), fuse=doc.get("fuse", True),
+            config=dict(doc["config"]),
             decisions=tuple(
                 PlanDecision(d["target"], d["value"], d["reason"])
                 for d in doc.get("decisions", ())))
         want = doc.get("digest")
         if want is not None and want != plan.digest():
-            from repro.errors import ReproError
-
             raise ReproError(
                 f"plan digest mismatch: document says {want}, "
                 f"reconstructed plan hashes to {plan.digest()} — the "
@@ -106,8 +111,7 @@ class Plan:
         head = (f"plan for {self.sorter} on {self.n_nodes} nodes x "
                 f"{self.n_per_node} records/node "
                 f"({self.record_bytes} B records)")
-        lines = [head, f"  digest {self.digest()[:16]}…",
-                 f"  stage fusion: {'on' if self.fuse else 'off'}"]
+        lines = [head, f"  digest {self.digest()[:16]}…"]
         for d in self.decisions:
             lines.append(f"  {d.target} = {d.value}")
             lines.append(f"      {d.reason}")
@@ -121,20 +125,15 @@ class Plan:
         kernel.plan = self
 
     def apply(self, program: "FGProgram") -> None:
-        """Compile one declared program: fuse its fusable stage runs (if
-        enabled) and stamp it so its structural fingerprint carries this
-        plan's digest.  Idempotent."""
-        if self.fuse:
-            from repro.plan.fuse import fuse_program
-
-            fuse_program(program)
+        """Stamp one declared program so its structural fingerprint
+        carries this plan's digest.  The plan's geometry reaches the
+        program through the sorter config, not through here."""
         program.applied_plan = self
 
 
 def plan_sort(sorter: str, n_nodes: int, n_per_node: int,
               record_bytes: int = 16,
-              hardware: Optional["HardwareModel"] = None,
-              fuse: bool = True) -> Plan:
+              hardware: Optional["HardwareModel"] = None) -> Plan:
     """Compile a plan for one sorting benchmark shape.
 
     Pure static analysis over the hardware cost model — no cluster run,
@@ -168,7 +167,7 @@ def plan_sort(sorter: str, n_nodes: int, n_per_node: int,
         raise ReproError(f"no planner for sorter {sorter!r}; expected "
                          "'dsort', 'dsort-linear', or 'csort'")
     return Plan(sorter=sorter, n_nodes=n_nodes, n_per_node=n_per_node,
-                record_bytes=record_bytes, config=config, fuse=fuse,
+                record_bytes=record_bytes, config=config,
                 decisions=tuple(PlanDecision(d["target"], d["value"],
                                              d["reason"])
                                 for d in decisions))

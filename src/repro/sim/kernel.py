@@ -257,8 +257,8 @@ class Kernel:
         #: reports its stage-graph fingerprint through its observer.
         self.provenance: Optional[Any] = None
         #: optional execution plan (repro.plan.Plan); when non-None,
-        #: every FG program that starts on this kernel is compiled by
-        #: it (stage fusion + plan stamp) before the lint gate runs.
+        #: every FG program that starts on this kernel is stamped with
+        #: its digest (the plan's geometry travels in the sorter config).
         self.plan: Optional[Any] = None
         #: optional happens-before race detector
         #: (repro.check.races.RaceDetector); when non-None, channels and

@@ -54,8 +54,6 @@ class DsortConfig:
     output_file: str = "output"
     #: prefix for intermediate run files
     run_prefix: str = "dsort-run"
-    #: delete run files after pass 2 (untimed cleanup)
-    cleanup_runs: bool = True
     seed: int = 0
     #: cluster-wide restarts allowed per pass (0 = fail fast); each pass
     #: is a checkpoint, so a retried pass 2 restarts from the sorted runs
@@ -200,9 +198,9 @@ def run_dsort(node: Node, comm: Comm, schema: RecordSchema,
     comm.barrier()
     t3 = kernel.now()
 
-    if config.cleanup_runs:
-        for run_name, _ in runs:
-            node.disk.delete(run_name)
+    # untimed cleanup: the run files are dead once pass 2 has merged them
+    for run_name, _ in runs:
+        node.disk.delete(run_name)
 
     return DsortReport(rank=comm.rank,
                        sampling_time=t1 - t0,
@@ -514,12 +512,11 @@ def _run_dsort_recover(node: Node, comm: Comm, schema: RecordSchema,
             reset_pass2, on_retry_p2, data_tag=TAG_PASS2)
         t3 = kernel.now()
 
-        if config.cleanup_runs:
-            prefix = config.run_prefix + "."
-            p2log_prefix = f"{config.output_file}.p2log."
-            for name in list(node.disk.names()):
-                if name.startswith(prefix) or name.startswith(p2log_prefix):
-                    node.disk.delete(name)
+        prefix = config.run_prefix + "."
+        p2log_prefix = f"{config.output_file}.p2log."
+        for name in list(node.disk.names()):
+            if name.startswith(prefix) or name.startswith(p2log_prefix):
+                node.disk.delete(name)
     except NodeDied:
         return DsortReport(rank=rank, sampling_time=t1 - t0,
                            pass1_time=t2 - t1, pass2_time=t3 - t2,

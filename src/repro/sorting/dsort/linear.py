@@ -341,9 +341,8 @@ def run_dsort_linear(node: Node, comm: Comm, schema: RecordSchema,
             out_block_records=config.out_block_records,
             nbuffers=config.nbuffers))
 
-    if config.cleanup_runs:
-        for run_name, _ in runs:
-            node.disk.delete(run_name)
+    for run_name, _ in runs:
+        node.disk.delete(run_name)
 
     return DsortReport(rank=comm.rank, sampling_time=t1 - t0,
                        pass1_time=t2 - t1, pass2_time=t3 - t2,

@@ -142,9 +142,8 @@ def run_nowsort(node: Node, comm: Comm, schema: RecordSchema,
             out_block_records=config.out_block_records,
             nbuffers=config.nbuffers))
 
-    if config.cleanup_runs:
-        for run_name, _ in runs:
-            node.disk.delete(run_name)
+    for run_name, _ in runs:
+        node.disk.delete(run_name)
 
     local_total = sum(n for _, n in runs)
     return NowSortReport(rank=comm.rank, pass1_time=t1 - t0,

@@ -1,7 +1,7 @@
 """FGPar effect analysis: cells, classifications, conflicts, aliases.
 
 Also the satellite regressions for the shared-walker refactor: FG109's
-evidence scan and the planner's resource signatures now both ride
+evidence scan and the linter's EOS scan both ride
 :func:`repro.check.dataflow.iter_code_objects`, and these tests pin that
 their verdicts on the pre-refactor fixtures did not move.
 """
@@ -9,8 +9,7 @@ their verdicts on the pre-refactor fixtures did not move.
 import functools
 import threading
 
-import pytest
-
+from repro.check import lint_program
 from repro.check.dataflow import (
     PURE,
     READ_SHARED,
@@ -20,12 +19,10 @@ from repro.check.dataflow import (
     classify_fn,
     fn_effects,
     program_effects,
-    reachable_names,
     shared_state_evidence,
     unserializable_captures,
 )
 from repro.core import FGProgram, Stage
-from repro.plan.fuse import resource_classes
 from repro.plan.ir import ProgramGraph
 from repro.sim import VirtualTimeKernel
 
@@ -151,7 +148,7 @@ def test_variable_key_subscript_is_documented_false_negative():
 # A partial's arguments, a bound method's ``self`` and a callable
 # instance reach the function as ordinary parameters, which the scan
 # treats as private.  They used to classify ``pure`` — the one verdict
-# that unlocks replication and fusion.
+# that unlocks replication.
 
 def _accumulate(acc, ctx, buf):
     acc.append(buf.round)
@@ -250,7 +247,11 @@ def test_wrapped_stage_callables_are_seen_through_by_every_scan():
         ctx.convey_caboose()
 
     stage = functools.partial(declarer, ())
-    assert "convey_caboose" in reachable_names(stage)
+    # the linter's EOS scan finds the declarer behind the partial
+    prog = fresh_prog()
+    prog.add_pipeline("p", [Stage.map("declare", stage)],
+                      nbuffers=1, buffer_bytes=8, rounds=None)
+    assert "FG104" not in {f.rule_id for f in lint_program(prog)}
     assert shared_state_evidence(stage) == [
         "calls .append() on shared 'shared'"]
     assert shared_state_evidence(functools.partial(_accumulate, [])) == [
@@ -344,27 +345,6 @@ def test_storing_alias_into_shared_subscript_escapes():
 
     eff = fn_effects(stage, buffer_param="buf")
     assert any("buffer alias" in e for e in eff.buffer_escapes)
-
-
-# -- fused compositions -----------------------------------------------------
-
-def test_fused_parts_union_their_effects():
-    tally = {"n": 0}
-
-    def counts(ctx, buf):
-        tally["n"] += 1
-        return buf
-
-    def plain(ctx, buf):
-        return buf
-
-    def fused(ctx, buf):
-        return plain(ctx, counts(ctx, buf))
-
-    fused._fg_effect_parts = (counts, plain)
-    eff = fn_effects(fused)
-    assert eff.classification == WRITE_SHARED
-    assert [str(c) for c in eff.writes] == ["tally['n']"]
 
 
 # -- whole-program view -----------------------------------------------------
@@ -514,27 +494,3 @@ def test_fg109_evidence_follows_helper_closures():
     assert any("assigns into shared 'state'" in e
                for e in shared_state_evidence(stage))
     assert classify_fn(stage) == PURE  # own-code scope: no attribution
-
-
-def test_resource_classes_still_follow_closures():
-    class Disk:
-        def read(self, n):
-            return n
-
-    disk = Disk()
-
-    def fetch(n):
-        return disk.read(n)
-
-    def stage(ctx, buf):
-        return fetch(1) and buf
-
-    assert "disk" in resource_classes(stage)
-    assert reachable_names(stage) >= {"read"}
-
-
-def test_pure_stage_has_empty_resource_signature():
-    def stage(ctx, buf):
-        return buf
-
-    assert resource_classes(stage) == frozenset()

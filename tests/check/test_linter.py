@@ -40,7 +40,7 @@ def declares(ctx):
 def test_rule_catalog_is_complete():
     assert sorted(RULES) == [
         "FG101", "FG102", "FG103", "FG104", "FG105", "FG106", "FG107",
-        "FG108", "FG109", "FG110", "FG111", "FG112", "FG113", "FG114",
+        "FG108", "FG109", "FG110", "FG111", "FG113", "FG114",
     ]
     for rule_id, rule in RULES.items():
         assert rule.rule_id == rule_id
@@ -366,15 +366,6 @@ def test_lint_false_disables_the_gate():
     assert prog.lint_findings == []
 
 
-def test_env_kill_switch_disables_the_gate(monkeypatch):
-    monkeypatch.setenv("REPRO_LINT", "0")
-    prog = fresh_prog()
-    prog.add_pipeline("p", [Stage.map("m", ok_map)],
-                      nbuffers=1, buffer_bytes=8, rounds=None)
-    prog.start()
-    assert prog.lint_findings == []
-
-
 # -- FG109 replicated stage with per-round mutable state --------------------
 
 def replicated_prog(fn, *, replicas=2, extra_stage=True):
@@ -579,52 +570,6 @@ def test_fg111_clean_when_the_stage_copies():
     prog.add_pipeline("p", [Stage.map("copier", copier)],
                       nbuffers=2, buffer_bytes=16, rounds=4)
     assert findings_for(prog, "FG111") == []
-
-
-def test_fg112_fused_stage_with_two_writers_is_an_error():
-    a_state = {"n": 0}
-    b_state = {"n": 0}
-
-    def wa(ctx, buf):
-        a_state["n"] += 1
-        return buf
-
-    def wb(ctx, buf):
-        b_state["n"] += 1
-        return buf
-
-    def fused(ctx, buf):
-        return wb(ctx, wa(ctx, buf))
-
-    fused._fg_effect_parts = (wa, wb)
-    s = Stage.map("wa+wb", fused)
-    s.fused_from = ("wa", "wb")
-    prog = fresh_prog()
-    prog.add_pipeline("p", [s], nbuffers=2, buffer_bytes=16, rounds=4)
-    found = findings_for(prog, "FG112")
-    assert found and found[0].severity == Severity.ERROR
-    assert "2 write-carrying" in found[0].message
-
-
-def test_fg112_single_writer_composition_is_fine():
-    a_state = {"n": 0}
-
-    def wa(ctx, buf):
-        a_state["n"] += 1
-        return buf
-
-    def pure(ctx, buf):
-        return buf
-
-    def fused(ctx, buf):
-        return pure(ctx, wa(ctx, buf))
-
-    fused._fg_effect_parts = (wa, pure)
-    s = Stage.map("wa+pure", fused)
-    s.fused_from = ("wa", "pure")
-    prog = fresh_prog()
-    prog.add_pipeline("p", [s], nbuffers=2, buffer_bytes=16, rounds=4)
-    assert findings_for(prog, "FG112") == []
 
 
 def test_fg113_flags_eos_declarer_touching_peer_state():

@@ -1,6 +1,8 @@
 """Plan application tests: serialization round-trips, the run_sort(plan=)
 path, warm-started tuning, and byte-exact replay of planned runs."""
 
+import re
+
 import pytest
 
 from repro.errors import ReproError
@@ -23,6 +25,16 @@ def test_tampered_plan_json_is_rejected():
     doc = plan_sort("dsort", 4, 4096).to_json()
     doc["config"]["block_records"] = 64  # digest no longer matches
     with pytest.raises(ReproError):
+        Plan.from_json(doc)
+
+
+def test_plan_json_with_an_unknown_field_is_rejected_by_name():
+    # the shape an earlier version emitted (benchmarks/results/
+    # planner_dsort.json carried a "fuse" flag): refused for the field,
+    # not later for a digest that no longer covers it
+    doc = plan_sort("dsort", 4, 4096).to_json()
+    doc["fuse"] = True
+    with pytest.raises(ReproError, match=r"unknown plan field.*'fuse'"):
         Plan.from_json(doc)
 
 
@@ -101,6 +113,42 @@ def test_applied_plan_changes_the_stage_graph_identity():
     # provenance identity must distinguish them
     assert plain.provenance is not None and planned.provenance is not None
     assert plain.provenance.stage_graphs != planned.provenance.stage_graphs
+
+
+def _stage_names(run):
+    """{program name: {stage names}} as the run's metrics saw them."""
+    names: dict[str, set[str]] = {}
+    for name in run.metrics.names():
+        m = re.fullmatch(r"fg\.(.+)\.stage\.(.+)\.accepts", name)
+        if m:
+            names.setdefault(m.group(1), set()).add(m.group(2))
+    return names
+
+
+@pytest.mark.parametrize("sorter", ["dsort", "dsort-linear", "csort"])
+def test_a_plan_is_its_geometry_plus_a_stamp(sorter):
+    """What a plan *is*: running under it equals running its config as
+    ``tune`` overrides — same simulated behaviour, same stages — except
+    that every program's structural fingerprint carries the plan."""
+    from repro.bench.harness import run_sort
+
+    schema = RecordSchema.paper_16()
+    plan = plan_sort(sorter, 2, 1024)
+    planned = run_sort(sorter, "uniform", schema, n_nodes=2,
+                       n_per_node=1024, seed=0, provenance=True,
+                       plan=plan)
+    tuned = run_sort(sorter, "uniform", schema, n_nodes=2,
+                     n_per_node=1024, seed=0, provenance=True,
+                     tune=plan.config)
+    assert planned.phase_times == tuned.phase_times
+    assert planned.bytes_io == tuned.bytes_io
+    assert planned.provenance.digests == tuned.provenance.digests
+    names = _stage_names(planned)
+    assert names and names == _stage_names(tuned)
+    stamped, plain = (planned.provenance.stage_graphs,
+                      tuned.provenance.stage_graphs)
+    assert stamped.keys() == plain.keys()
+    assert all(stamped[name] != plain[name] for name in stamped)
 
 
 def test_warm_started_hill_climb_is_no_worse_and_no_slower():
