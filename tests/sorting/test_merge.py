@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.errors import SortError
 from repro.pdm.records import RecordSchema
@@ -128,6 +135,51 @@ def test_errors_on_misuse():
     out = SCHEMA.empty(1)
     with pytest.raises(SortError):
         merger2.merge_into(out, 0, 1)     # run 1 still pending
+    with pytest.raises(SortError, match="not of the merger's"):
+        merger2.feed(1, RecordSchema(16).empty(1))  # another record size
+    # a run that goes backwards: the merged order up to key 6 is already out
+    merger3 = BlockMerger(SCHEMA, [7])
+    merger3.feed(7, recs(5, 6))
+    out = SCHEMA.empty(2)
+    assert merger3.merge_into(out, 0, 2) == 2
+    with pytest.raises(SortError, match=r"run 7 goes backwards.* 1 .* 6"):
+        merger3.feed(7, recs(1, 2))
+    assert merger3.needs() == {7}         # rejected: still wants its block
+    merger3.feed(7, recs(6, 9))           # an equal key is in order
+    assert merger3.merge_into(out, 0, 2) == 2
+    assert out["key"].tolist() == [6, 9]
+
+
+def test_rejected_merge_into_leaves_the_merger_where_it_was():
+    """No room for ``budget`` records, or an ``out`` of another record
+    size, fails before a pass is cut — with and without a kept pass."""
+    run_ids = [0, 1]
+    runs = {0: tagged([1, 4, 6, 9], 0), 1: tagged([2, 4, 5, 7], 10)}
+    merger = BlockMerger(PAYLOAD, run_ids)
+    for run in run_ids:
+        merger.feed(run, runs[run])
+    out = PAYLOAD.empty(8)
+
+    def rejected():
+        before = [merger.head_remaining(run) for run in run_ids]
+        with pytest.raises(SortError, match="no room for 3 records at 6"):
+            merger.merge_into(out, 6, 3)
+        with pytest.raises(SortError, match="no room for 9 records at 0"):
+            merger.merge_into(out, 0, 9)
+        with pytest.raises(SortError, match="no room for 1 records at -1"):
+            merger.merge_into(out, -1, 1)
+        with pytest.raises(SortError, match="not of the merger's"):
+            merger.merge_into(RecordSchema(64).empty(8), 0, 2)
+        assert merger.ready and merger.needs() == set()
+        assert [merger.head_remaining(run) for run in run_ids] == before
+
+    rejected()                            # before the first pass
+    assert merger.merge_into(out, 0, 3) == 3
+    rejected()                            # with a pass half emitted
+    assert merger.merge_into(out, 3, 5) == 4   # run 1 drains at key 7
+    assert out["key"][:7].tolist() == [1, 2, 4, 4, 5, 6, 7]
+    assert out[:7].tobytes() == stable_sorted(run_ids, runs)[:7].tobytes()
+    assert merger.needs() == {1}
 
 
 def test_galloping_takes_long_stretches():
@@ -275,3 +327,94 @@ def test_budget_smaller_than_one_pass_cuts_the_sorted_order():
     assert merger.ready
     merged = assert_same_as_reference(run_ids, runs, block=4, budgets=[4])
     assert merged.tobytes() == stable_sorted(run_ids, runs).tobytes()
+
+
+# -- state machine: any protocol, budget changing under a kept pass ----------
+
+
+class MergerMachine(RuleBasedStateMachine):
+    """BlockMerger and the reference loop, driven side by side through
+    any legal sequence of feed / finish_run / merge_into, with block size
+    and budget drawn per call — so the budget changes while a pass is half
+    emitted — and every query compared after every step."""
+
+    @initialize(run_ids=RUN_IDS, data=st.data(),
+                max_key=st.sampled_from([1, 3, 2 ** 64 - 1]))
+    def runs_to_merge(self, run_ids, data, max_key):
+        self.run_ids = run_ids
+        self.runs, tag = {}, 0
+        for run in run_ids:
+            keys = data.draw(st.lists(st.integers(0, max_key), max_size=20))
+            self.runs[run] = tagged(keys, tag)
+            tag += len(keys)
+        self.mergers = (BlockMerger(PAYLOAD, iter(run_ids)),
+                        ReferenceMerger(PAYLOAD, list(run_ids)))
+        self.fed = dict.fromkeys(run_ids, 0)
+        self.emitted = PAYLOAD.empty(0)
+
+    def pending(self):
+        return st.sampled_from(sorted(self.mergers[0].needs(), key=repr))
+
+    @precondition(lambda self: self.mergers[0].needs())
+    @rule(data=st.data(), block=st.integers(1, 8))
+    def feed_or_finish(self, data, block):
+        run = data.draw(self.pending(), label="run")
+        nxt = self.runs[run][self.fed[run]:self.fed[run] + block]
+        self.fed[run] += len(nxt)
+        for merger in self.mergers:
+            if len(nxt):
+                merger.feed(run, nxt)
+            else:
+                merger.finish_run(run)
+
+    @precondition(lambda self: self.mergers[0].needs())
+    @rule(data=st.data())
+    def finish_early(self, data):
+        """A run may end before its data does: the rest is never seen."""
+        run = data.draw(self.pending(), label="run")
+        self.runs[run] = self.runs[run][:self.fed[run]]
+        for merger in self.mergers:
+            merger.finish_run(run)
+
+    @precondition(lambda self: self.mergers[0].ready)
+    @rule(budget=st.integers(0, 11), start=st.integers(0, 2))
+    def merge_into(self, budget, start):
+        outs = [PAYLOAD.empty(start + budget) for _ in self.mergers]
+        got, want = (merger.merge_into(out, start, budget)
+                     for merger, out in zip(self.mergers, outs))
+        assert got == want
+        assert (outs[0][start:start + got].tobytes()
+                == outs[1][start:start + got].tobytes())
+        self.emitted = np.concatenate([self.emitted,
+                                       outs[0][start:start + got]])
+
+    @precondition(lambda self: self.mergers[0].ready)
+    @rule(budget=st.integers(1, 11), short=st.integers(1, 3))
+    def merge_into_without_room(self, budget, short):
+        with pytest.raises(SortError, match="no room"):
+            self.mergers[0].merge_into(
+                PAYLOAD.empty(max(budget - short, 0)), 0, budget)
+
+    @invariant()
+    def same_state_as_the_reference(self):
+        merger, reference = self.mergers
+        assert merger.needs() == reference.needs()
+        assert merger.ready == reference.ready
+        assert merger.exhausted == reference.exhausted
+        remaining = [merger.head_remaining(run) for run in self.run_ids]
+        assert remaining == [reference.head_remaining(run)
+                             for run in self.run_ids]
+        # what the recovery merge log journals as durable positions
+        assert sum(self.fed.values()) - sum(remaining) == len(self.emitted)
+        assert all(type(n) is int for n in remaining)
+
+    @invariant()
+    def emitted_is_a_prefix_of_the_specification(self):
+        if self.mergers[0].exhausted:
+            assert (self.emitted.tobytes()
+                    == stable_sorted(self.run_ids, self.runs).tobytes())
+
+
+TestMergerMachine = MergerMachine.TestCase
+TestMergerMachine.settings = settings(derandomize=True, max_examples=150,
+                                      stateful_step_count=40, deadline=None)
