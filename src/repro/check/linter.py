@@ -55,7 +55,6 @@ that stamps ``parallel_safety`` onto every :class:`StageNode`.
 from __future__ import annotations
 
 import inspect
-import os
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
@@ -65,6 +64,7 @@ from repro.check.dataflow import (
     shared_state_evidence as _shared_state_evidence,
 )
 from repro.check.findings import Finding, LintReport, Rule, Severity
+from repro.env import lint_ignore_from_env
 from repro.plan.ir import ProgramGraph
 from repro.sim.waitfor import WaitForGraph
 
@@ -158,9 +158,8 @@ def normalize_rule_ids(ids: Iterable[str], *,
 
 def ignored_rules(extra: Optional[Iterable[str]] = None) -> set[str]:
     """Rule IDs suppressed via ``REPRO_LINT_IGNORE`` plus ``extra``."""
-    ignored = normalize_rule_ids(
-        os.environ.get("REPRO_LINT_IGNORE", "").split(","),
-        source="REPRO_LINT_IGNORE")
+    ignored = normalize_rule_ids(lint_ignore_from_env(),
+                                 source="REPRO_LINT_IGNORE")
     if extra:
         ignored |= normalize_rule_ids(extra)
     return ignored

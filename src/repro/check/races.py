@@ -41,30 +41,15 @@ benchmark gates it at <= 2x virtual-time runtime.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 from collections import deque
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.check.dataflow import Cell, ProgramEffects, cells_conflict
+from repro.env import race_from_env
 from repro.errors import KernelStateError, RaceError
 
 __all__ = ["RaceDetector", "RaceFinding", "race_from_env"]
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def race_from_env() -> Union[bool, str]:
-    """Race-detection mode requested via ``REPRO_RACE``.
-
-    ``1``/``true``/``yes``/``on`` enable collection mode, ``strict``
-    enables the static-coverage cross-check, anything else disables.
-    """
-    value = os.environ.get("REPRO_RACE", "").strip().lower()
-    if value == "strict":
-        return "strict"
-    return value in _TRUTHY
-
 
 @dataclasses.dataclass(frozen=True)
 class RaceFinding:

@@ -12,13 +12,13 @@ The CLI exit code is 0 (clean), 1 (lint errors — or warnings under
 from __future__ import annotations
 
 import json
-import os
 import runpy
 import sys
 from typing import Callable, Optional, Sequence
 
 from repro.check import linter
 from repro.check.findings import Finding, LintReport
+from repro.env import detectors_masked
 from repro.errors import LintError
 
 __all__ = ["lint_paths", "rules_table"]
@@ -78,14 +78,14 @@ def _run_one(path: str, *, effects: bool = False) -> tuple[
     # the file runs as __main__ and may parse sys.argv; hand it a clean
     # one so the repro CLI's own arguments don't leak into it
     sys.argv = [path]
-    # this is the *static* gate: the dynamic detectors' opt-in variables
-    # are masked while the file runs, or a RaceError/SanitizerError they
-    # raise would be reported as a non-lint crash (exit 2)
-    masked = {var: os.environ.pop(var) for var in
-              ("REPRO_RACE", "REPRO_SANITIZE") if var in os.environ}
     crash: Optional[BaseException] = None
     try:
-        runpy.run_path(path, run_name="__main__")
+        # this is the *static* gate: the dynamic detectors' opt-in
+        # variables are masked while the file runs, or a RaceError/
+        # SanitizerError they raise would be reported as a non-lint
+        # crash (exit 2)
+        with detectors_masked():
+            runpy.run_path(path, run_name="__main__")
     except SystemExit as exc:
         if exc.code not in (None, 0):
             crash = exc
@@ -96,7 +96,6 @@ def _run_one(path: str, *, effects: bool = False) -> tuple[
         linter.COLLECTOR = previous
         linter.EFFECTS = previous_effects
         sys.argv = previous_argv
-        os.environ.update(masked)
     findings = [f for _, report in collected for f in report]
     stage_effects = [(prog, pipeline, stage, safety)
                      for prog, rows in effect_rows

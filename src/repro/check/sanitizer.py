@@ -34,9 +34,9 @@ operation that broke the discipline and are counted under
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
+from repro.env import sanitize_from_env
 from repro.errors import SanitizerError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,14 +52,6 @@ IN_FLIGHT = "in-flight"
 HELD = "held"
 DROPPED = "dropped"
 RETIRED = "retired"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def sanitize_from_env() -> bool:
-    """True when ``REPRO_SANITIZE`` requests sanitizing."""
-    return os.environ.get("REPRO_SANITIZE", "").lower() in _TRUTHY
-
 
 class _Track:
     """Ownership record for one buffer."""

@@ -20,10 +20,12 @@ same tables the benchmark suite saves under ``benchmarks/results/``.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
 from repro._version import __version__
+from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -554,8 +556,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.jsondoc import write_json
     from repro.tune import adaptive_tune_sort, tune_sort
 
     common = dict(distribution=args.distribution, n_nodes=args.nodes,
@@ -582,9 +583,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           + " ".join(f"{k}={v}" for k, v in doc["best"].items()))
     print(f"improvement: {doc['improvement']:.1%}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(doc, args.out)
         print(f"wrote {args.out}")
     if args.prov_out:
         from repro.tune import record_best_run
@@ -602,8 +601,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.jsondoc import write_json
     from repro.prov import ProvenanceRecord, emit_script, replay
 
     record = ProvenanceRecord.load(args.record)
@@ -614,22 +612,21 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 0
     result = replay(record)
     if args.json:
-        print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+        write_json(result.to_json(), sys.stdout)
     else:
         print(result.describe())
     return 0 if result.ok else 1
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    import json
-
+    from repro.jsondoc import write_json
     from repro.plan import plan_sort
 
     plan = plan_sort(args.sorter, args.nodes, args.records_per_node,
                      record_bytes=args.record_bytes)
     doc = plan.to_json()
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        write_json(doc, sys.stdout)
     elif args.explain:
         print(plan.explain())
     else:
@@ -640,9 +637,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
               f"(apply with run_sort(plan=...), or `repro plan --explain` "
               f"for the reasoning)")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(doc, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -663,14 +658,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sched(args: argparse.Namespace) -> int:
+    from repro.jsondoc import read_json
     from repro.prov import canonical_json
-    from repro.sched import Quota, run_schedule, synthetic_trace
-    from repro.sched.workload import ArrivalTrace
+    from repro.sched import ArrivalTrace, Quota, run_schedule, synthetic_trace
 
     tenants = [t for t in args.tenants.split(",") if t]
     if args.trace_in:
-        with open(args.trace_in) as fh:
-            trace = ArrivalTrace.loads(fh.read())
+        trace = ArrivalTrace.from_json(read_json(args.trace_in))
         tenants = trace.tenants
     else:
         trace = synthetic_trace(
@@ -723,7 +717,14 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ReproError, OSError, json.JSONDecodeError) as exc:
+        # a refused document or an unreadable path is the user's to fix:
+        # one line and argparse's own status; anything else is a bug and
+        # keeps its traceback
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

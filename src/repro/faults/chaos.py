@@ -26,6 +26,7 @@ from typing import Any, Optional, Sequence
 from repro.errors import FaultError
 from repro.faults.injector import FaultEvent
 from repro.faults.plan import FaultPlan, chaos_plan
+from repro.jsondoc import to_doc
 
 __all__ = ["ChaosReport", "run_chaos_csort", "run_chaos_dsort"]
 
@@ -250,16 +251,14 @@ def run_chaos_dsort(n_nodes: int = 3, records_per_node: int = 2000,
         args={"n_nodes": n_nodes,
               "records_per_node": records_per_node,
               "seed": seed,
-              "retry": (dataclasses.asdict(retry)
-                        if retry is not None else None),
+              "retry": to_doc(retry),
               "pass_retries": pass_retries,
               "distribution": distribution,
               "block_records": block_records,
               "vertical_block_records": vertical_block_records,
               "out_block_records": out_block_records,
               "oversample": oversample,
-              "recover": (recover.to_json()
-                          if recover is not None else None),
+              "recover": to_doc(recover),
               "mailbox_capacity_bytes": mailbox_capacity_bytes,
               "verify": verify},
         seeds={"workload": seed, "config": config.seed},
@@ -315,8 +314,7 @@ def run_chaos_csort(n_nodes: int = 3, records_per_node: int = 1728,
         args={"n_nodes": n_nodes,
               "records_per_node": records_per_node,
               "seed": seed,
-              "retry": (dataclasses.asdict(retry)
-                        if retry is not None else None),
+              "retry": to_doc(retry),
               "distribution": distribution,
               "out_block_records": out_block_records,
               "s_override": s_override,

@@ -33,6 +33,7 @@ import dataclasses
 from typing import Optional
 
 from repro.errors import FaultError
+from repro.jsondoc import Document, to_doc
 
 __all__ = [
     "DiskFaults",
@@ -161,21 +162,27 @@ class NodeCrash:
             raise FaultError(f"crash time must be >= 0, got {self.at}")
 
 
-class FaultPlan:
+@dataclasses.dataclass(eq=False)
+class FaultPlan(Document):
     """A seed plus an ordered list of fault specifications.
 
     Immutable in spirit: the ``with_*`` builders return ``self`` for
     chaining but must be called before the plan is handed to an injector.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = int(seed)
-        self.disk_faults: list[DiskFaults] = []
-        self.disk_fault_ats: list[DiskFaultAt] = []
-        self.message_drops: list[MessageDrops] = []
-        self.nic_degradations: list[NicDegradation] = []
-        self.stragglers: list[Straggler] = []
-        self.node_crashes: list[NodeCrash] = []
+    _doc_error = FaultError
+
+    seed: int = 0
+    disk_faults: list[DiskFaults] = dataclasses.field(default_factory=list)
+    disk_fault_ats: list[DiskFaultAt] = dataclasses.field(default_factory=list)
+    message_drops: list[MessageDrops] = dataclasses.field(default_factory=list)
+    nic_degradations: list[NicDegradation] = dataclasses.field(
+        default_factory=list)
+    stragglers: list[Straggler] = dataclasses.field(default_factory=list)
+    node_crashes: list[NodeCrash] = dataclasses.field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.seed = int(self.seed)
 
     # -- builders -----------------------------------------------------------
 
@@ -217,48 +224,16 @@ class FaultPlan:
 
     # -- serialization ------------------------------------------------------
 
-    #: JSON field name -> (attribute, spec class); the round-trip contract
-    #: provenance records rely on (see repro.prov)
-    _SPEC_FIELDS = (
-        ("disk_faults", DiskFaults),
-        ("disk_fault_ats", DiskFaultAt),
-        ("message_drops", MessageDrops),
-        ("nic_degradations", NicDegradation),
-        ("stragglers", Straggler),
-        ("node_crashes", NodeCrash),
-    )
-
     def to_json(self) -> dict:
-        """The plan as pure JSON-able data; inverse of :meth:`from_json`.
+        """The plan as pure JSON-able data (spec kinds it has none of
+        left out); inverse of :meth:`from_json`.
 
         Round-trip exact: ``FaultPlan.from_json(plan.to_json())`` drives
         an injector to the identical fault timeline, which is what lets
         a provenance record re-create a chaos run byte-exactly.
         """
-        doc: dict = {"seed": self.seed}
-        for field, _ in self._SPEC_FIELDS:
-            specs = getattr(self, field)
-            if specs:
-                doc[field] = [dataclasses.asdict(s) for s in specs]
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FaultPlan":
-        """Rebuild a plan serialized by :meth:`to_json` (validating every
-        spec through the normal constructors)."""
-        if not isinstance(doc, dict):
-            raise FaultError(
-                f"fault-plan document must be a dict, got "
-                f"{type(doc).__name__}")
-        plan = cls(seed=doc.get("seed", 0))
-        for field, spec_cls in cls._SPEC_FIELDS:
-            for entry in doc.get(field, []):
-                getattr(plan, field).append(spec_cls(**entry))
-        unknown = set(doc) - {"seed"} - {f for f, _ in cls._SPEC_FIELDS}
-        if unknown:
-            raise FaultError(
-                f"unknown fault-plan field(s) {sorted(unknown)}")
-        return plan
+        return {field: value for field, value in to_doc(self).items()
+                if value or field == "seed"}
 
     # -- introspection ------------------------------------------------------
 

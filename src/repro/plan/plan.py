@@ -23,6 +23,9 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.errors import ReproError
+from repro.jsondoc import from_doc, to_doc
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.hardware import HardwareModel
     from repro.core.program import FGProgram
@@ -37,10 +40,6 @@ class PlanDecision:
     target: str
     value: Any
     reason: str
-
-    def to_json(self) -> dict[str, Any]:
-        return {"target": self.target, "value": self.value,
-                "reason": self.reason}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,45 +58,19 @@ class Plan:
         """sha256 over the decision outcome (reasons excluded)."""
         from repro.prov.fingerprint import digest_json
 
-        return digest_json({
-            "sorter": self.sorter, "n_nodes": self.n_nodes,
-            "n_per_node": self.n_per_node,
-            "record_bytes": self.record_bytes,
-            "config": dict(sorted(self.config.items())),
-        })
+        return digest_json({f.name: getattr(self, f.name)
+                            for f in dataclasses.fields(self)
+                            if f.name != "decisions"})
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "sorter": self.sorter,
-            "n_nodes": self.n_nodes,
-            "n_per_node": self.n_per_node,
-            "record_bytes": self.record_bytes,
-            "config": dict(sorted(self.config.items())),
-            "decisions": [d.to_json() for d in self.decisions],
-            "digest": self.digest(),
-        }
+        return {**to_doc(self), "digest": self.digest()}
 
     @classmethod
     def from_json(cls, doc: dict[str, Any]) -> "Plan":
-        """Rebuild a plan serialized by :meth:`to_json`; a document with
-        a field this version does not know, or whose digest no longer
-        matches its content, is refused."""
-        from repro.errors import ReproError
-
-        unknown = set(doc) - {f.name for f in dataclasses.fields(cls)} - {
-            "digest"}
-        if unknown:
-            raise ReproError(
-                f"unknown plan field(s) {sorted(unknown)} — the document "
-                "was not emitted by this version's Plan.to_json()")
-        plan = cls(
-            sorter=doc["sorter"], n_nodes=doc["n_nodes"],
-            n_per_node=doc["n_per_node"],
-            record_bytes=doc["record_bytes"],
-            config=dict(doc["config"]),
-            decisions=tuple(
-                PlanDecision(d["target"], d["value"], d["reason"])
-                for d in doc.get("decisions", ())))
+        """Rebuild a plan serialized by :meth:`to_json`; on top of the
+        document rule (:mod:`repro.jsondoc`), a document whose digest
+        no longer matches its content is refused."""
+        plan = from_doc(cls, doc, derived=("digest",))
         want = doc.get("digest")
         if want is not None and want != plan.digest():
             raise ReproError(
@@ -141,7 +114,6 @@ def plan_sort(sorter: str, n_nodes: int, n_per_node: int,
     (:func:`repro.bench.harness.benchmark_hardware`), matching what
     ``run_sort`` will charge.
     """
-    from repro.errors import ReproError
     from repro.plan.geometry import (
         plan_csort_geometry,
         plan_dsort_geometry,
@@ -168,6 +140,4 @@ def plan_sort(sorter: str, n_nodes: int, n_per_node: int,
                          "'dsort', 'dsort-linear', or 'csort'")
     return Plan(sorter=sorter, n_nodes=n_nodes, n_per_node=n_per_node,
                 record_bytes=record_bytes, config=config,
-                decisions=tuple(PlanDecision(d["target"], d["value"],
-                                             d["reason"])
-                                for d in decisions))
+                decisions=tuple(PlanDecision(**d) for d in decisions))

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from typing import IO, TYPE_CHECKING, Optional, Union
 
 from repro.errors import ReproError
+from repro.jsondoc import Document, read_json, write_json
 from repro.prov.fingerprint import canonical_json, digest_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,7 +91,7 @@ def decision_log(tracer: Optional["Tracer"], kind: str) -> list[dict]:
 
 
 @dataclasses.dataclass
-class ProvenanceRecord:
+class ProvenanceRecord(Document):
     """One run's identity; see the module docstring for field semantics."""
 
     kind: str
@@ -124,42 +124,29 @@ class ProvenanceRecord:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_json(cls, doc: dict) -> "ProvenanceRecord":
+        """On top of the document rule (:mod:`repro.jsondoc`): junk is
+        named as such, and a newer writer's record is refused for its
+        version, not for whichever field that version added."""
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ReproError(
                 "not a provenance record: expected a JSON object with a "
                 f"'kind' field, got {type(doc).__name__}")
         version = doc.get("record_version", RECORD_VERSION)
-        if version > RECORD_VERSION:
+        if isinstance(version, int) and version > RECORD_VERSION:
             raise ReproError(
                 f"provenance record version {version} is newer than this "
                 f"code understands ({RECORD_VERSION}); upgrade repro")
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in known})
+        return super().from_json(doc)
 
     def save(self, path_or_file: Union[str, IO[str]]) -> None:
         """Write the record as pretty-printed JSON (stable key order)."""
-        doc = self.to_json()
-        if isinstance(path_or_file, str):
-            with open(path_or_file, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        else:
-            json.dump(doc, path_or_file, indent=2, sort_keys=True)
-            path_or_file.write("\n")
+        write_json(self.to_json(), path_or_file)
 
     @classmethod
     def load(cls, path_or_file: Union[str, IO[str]]) -> "ProvenanceRecord":
-        if isinstance(path_or_file, str):
-            with open(path_or_file) as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.load(path_or_file)
-        return cls.from_json(doc)
+        return cls.from_json(read_json(path_or_file))
 
     # -- reporting ----------------------------------------------------------
 

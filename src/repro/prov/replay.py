@@ -22,16 +22,14 @@ the chaos run and verifies the digests).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+import inspect
+from typing import Any, Callable, Optional
 
-from repro.errors import ReproError
+from repro.errors import FaultError, ReproError, SchedError
+from repro.jsondoc import check_object, from_doc
 from repro.prov.record import ProvenanceRecord
 
 __all__ = ["ReplayResult", "emit_script", "replay"]
-
-#: record kinds replay knows how to re-execute
-REPLAYABLE_KINDS = ("sort", "chaos_dsort", "chaos_csort", "sched")
-
 
 @dataclasses.dataclass
 class ReplayResult:
@@ -88,81 +86,85 @@ class ReplayResult:
         return "\n".join(lines)
 
 
-def _replay_sort(record: ProvenanceRecord) -> ProvenanceRecord:
+def _call(harness: Callable[..., Any], args: dict,
+          readers: dict[str, tuple[str, Callable[[Any], Any]]],
+          **fixed: Any) -> Any:
+    """``harness(**fixed, **args)``, each ``readers`` key (record key ->
+    (parameter it fills, reader of its document)) decoded first — after
+    the document rule (:mod:`repro.jsondoc`) has refused, before the
+    run starts, any key the harness does not take."""
+    params = inspect.signature(harness).parameters
+    key_of = {param: key for key, (param, _) in readers.items()}
+    check_object(
+        args, "ProvenanceRecord.args",
+        [key_of.get(name, name) for name in params if name not in fixed],
+        [key_of.get(name, name) for name, param in params.items()
+         if param.default is param.empty and name not in fixed])
+    for key, value in args.items():
+        name, read = readers.get(key, (key, None))
+        fixed[name] = value if read is None or value is None else read(value)
+    return harness(**fixed)
+
+
+def _replay_sort(record: ProvenanceRecord) -> Any:
     from repro.bench.harness import run_sort
     from repro.pdm.records import RecordSchema
+    from repro.plan import Plan
 
-    a = dict(record.args)
-    schema = RecordSchema(a.pop("record_bytes"))
-    plan_doc = a.pop("plan", None)
-    if plan_doc is not None:
-        from repro.plan import Plan
-
-        a["plan"] = Plan.from_json(plan_doc)
-    run = run_sort(a.pop("sorter"), a.pop("distribution"), schema,
-                   provenance=True, **a)
-    assert run.provenance is not None
-    return run.provenance
+    return _call(run_sort, record.args,
+                 {"record_bytes": ("schema", RecordSchema),
+                  "plan": ("plan", Plan.from_json)},
+                 provenance=True)
 
 
-def _replay_chaos(record: ProvenanceRecord) -> ProvenanceRecord:
+def _replay_chaos(record: ProvenanceRecord) -> Any:
     from repro.faults.chaos import run_chaos_csort, run_chaos_dsort
     from repro.faults.plan import FaultPlan
     from repro.faults.retry import RetryPolicy
+    from repro.recover import RecoverPolicy
 
-    a = dict(record.args)
-    retry = a.pop("retry", None)
-    plan = (FaultPlan.from_json(record.fault_plan)
-            if record.fault_plan is not None else None)
-    if record.kind == "chaos_csort":
-        report = run_chaos_csort(
-            plan=plan,
-            retry=RetryPolicy(**retry) if retry is not None else None,
-            **a)
-    else:
-        recover = a.pop("recover", None)
-        if recover is not None:
-            from repro.recover import RecoverPolicy
-
-            recover = RecoverPolicy.from_json(recover)
-        report = run_chaos_dsort(
-            plan=plan,
-            retry=RetryPolicy(**retry) if retry is not None else None,
-            recover=recover,
-            **a)
-    if report.provenance is None:
-        raise ReproError("chaos replay did not capture provenance "
-                         "(tracing disabled?)")
-    return report.provenance
+    # run_chaos_csort takes no ``recover``: a csort record carrying one
+    # is refused by _call like any other key its harness does not take
+    return _call(
+        run_chaos_csort if record.kind == "chaos_csort" else run_chaos_dsort,
+        record.args,
+        {"retry": ("retry", lambda doc: from_doc(RetryPolicy, doc,
+                                                 error=FaultError)),
+         "recover": ("recover", RecoverPolicy.from_json)},
+        plan=(FaultPlan.from_json(record.fault_plan)
+              if record.fault_plan is not None else None))
 
 
-def _replay_sched(record: ProvenanceRecord) -> ProvenanceRecord:
+def _replay_sched(record: ProvenanceRecord) -> Any:
     from repro.sched import ArrivalTrace, Quota, run_schedule
 
-    a = dict(record.args)
-    report = run_schedule(
-        ArrivalTrace.from_json(a.pop("trace")),
-        quotas={tenant: Quota.from_json(doc)
-                for tenant, doc in a.pop("quotas").items()},
-        provenance=True,
-        **a)
-    if report.provenance is None:
-        raise ReproError("sched replay did not capture provenance")
-    return report.provenance
+    return _call(
+        run_schedule, record.args,
+        {"trace": ("trace", ArrivalTrace.from_json),
+         "quotas": ("quotas", lambda doc: from_doc(
+             dict[str, Quota], doc, error=SchedError,
+             path="ProvenanceRecord.args.quotas"))},
+        provenance=True)
+
+
+#: record kind -> how to re-execute it (returns the harness's report)
+_REPLAYERS = {"sort": _replay_sort, "chaos_dsort": _replay_chaos,
+              "chaos_csort": _replay_chaos, "sched": _replay_sched}
+
+#: record kinds replay knows how to re-execute
+REPLAYABLE_KINDS = tuple(_REPLAYERS)
 
 
 def replay(record: ProvenanceRecord) -> ReplayResult:
     """Re-execute ``record`` and compare every captured digest."""
-    if record.kind == "sort":
-        fresh = _replay_sort(record)
-    elif record.kind in ("chaos_dsort", "chaos_csort"):
-        fresh = _replay_chaos(record)
-    elif record.kind == "sched":
-        fresh = _replay_sched(record)
-    else:
+    if record.kind not in _REPLAYERS:
         raise ReproError(
             f"cannot replay record kind {record.kind!r}; replayable "
             f"kinds: {', '.join(REPLAYABLE_KINDS)}")
+    fresh = _REPLAYERS[record.kind](record).provenance
+    if fresh is None:
+        raise ReproError(f"{record.kind} replay did not capture "
+                         "provenance (tracing disabled?)")
     matches = {name: bool(value) and fresh.digests.get(name) == value
                for name, value in record.digests.items() if value}
     return ReplayResult(

@@ -43,6 +43,7 @@ import dataclasses
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError, SortError
+from repro.jsondoc import to_doc
 from repro.recover.policy import RecoverPolicy
 from repro.sim.trace import RECOVER
 
@@ -65,9 +66,6 @@ class RecoveryDecision:
     kind: str
     rank: int
     detail: str = ""
-
-    def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 class RecoveryManager:
@@ -141,7 +139,7 @@ class RecoveryManager:
             tracer.record(t, "recover.manager", RECOVER, text)
 
     def decision_log(self) -> list[dict[str, Any]]:
-        return [d.to_json() for d in self.decisions]
+        return to_doc(self.decisions)
 
     # -- dead-tolerant synchronization ---------------------------------------
 

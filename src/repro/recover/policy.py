@@ -27,15 +27,16 @@ the byte-exact replay contract.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import FaultError
+from repro.jsondoc import Document
 
 __all__ = ["RecoverPolicy", "SpeculationPolicy"]
 
 
 @dataclasses.dataclass(frozen=True)
-class SpeculationPolicy:
+class SpeculationPolicy(Document):
     """When to launch a backup merge for a straggling rank.
 
     The manager samples every rank's ``recovery.progress.<rank>`` gauge
@@ -47,6 +48,8 @@ class SpeculationPolicy:
     rank's speculation gate and the backup merge parked on its buddy
     starts racing it; first contender to finish the range wins.
     """
+
+    _doc_error = FaultError
 
     #: kernel seconds between progress samples
     interval: float = 0.05
@@ -67,17 +70,12 @@ class SpeculationPolicy:
         if not 0 <= self.min_progress < 1:
             raise FaultError("speculation min_progress must be in [0, 1)")
 
-    def to_json(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "SpeculationPolicy":
-        return cls(**doc)
-
 
 @dataclasses.dataclass(frozen=True)
-class RecoverPolicy:
+class RecoverPolicy(Document):
     """Which recovery mechanisms a run may use (all off by default)."""
+
+    _doc_error = FaultError
 
     #: journal runs / output pieces and resume retried passes from them
     checkpoint: bool = True
@@ -109,16 +107,3 @@ class RecoverPolicy:
             raise FaultError(
                 "speculation needs backup_runs: the backup merge reads "
                 "the straggler's runs from its buddy's disk")
-
-    def to_json(self) -> dict[str, Any]:
-        doc = dataclasses.asdict(self)
-        doc["speculation"] = (self.speculation.to_json()
-                              if self.speculation is not None else None)
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "RecoverPolicy":
-        doc = dict(doc)
-        spec = doc.pop("speculation", None)
-        return cls(speculation=SpeculationPolicy.from_json(spec)
-                   if spec is not None else None, **doc)

@@ -15,7 +15,7 @@ Layers:
 * :mod:`repro.sched.subcluster` — a rank- and tag-translating window
   onto the shared cluster, so unmodified SPMD mains run on a subset of
   nodes without seeing other tenants' traffic;
-* :mod:`repro.sched.kinds` — the registry of schedulable job kinds;
+* :mod:`repro.sched.kinds` — the table of schedulable job kinds;
 * :mod:`repro.sched.policy` — pluggable placement policies (FIFO,
   priority, weighted fair-share over virtual runtime);
 * :mod:`repro.sched.scheduler` — the control-plane process: admission
@@ -30,7 +30,7 @@ Layers:
 
 from repro.sched.harness import SchedReport, run_schedule
 from repro.sched.job import Job, JobSpec, JobState, Quota
-from repro.sched.kinds import JobKind, get_kind, kind_names, register_kind
+from repro.sched.kinds import JobKind, get_kind, kind_names
 from repro.sched.policy import (
     FairSharePolicy,
     FifoPolicy,
@@ -62,7 +62,6 @@ __all__ = [
     "get_kind",
     "kind_names",
     "make_policy",
-    "register_kind",
     "run_schedule",
     "synthetic_trace",
 ]

@@ -25,6 +25,7 @@ import enum
 from typing import Any, Optional
 
 from repro.errors import SchedError
+from repro.jsondoc import Document
 
 __all__ = ["Job", "JobSpec", "JobState", "Quota"]
 
@@ -45,13 +46,15 @@ class JobState(enum.Enum):
 
 
 @dataclasses.dataclass(frozen=True)
-class Quota:
+class Quota(Document):
     """One tenant's concurrent-footprint bounds (checked at admission).
 
     ``weight`` is not a bound: it is the tenant's fair-share weight — a
     tenant with weight 2 accrues virtual runtime at half the rate per
     node-second, so the fair-share policy schedules it twice as often.
     """
+
+    _doc_error = SchedError
 
     #: max nodes allocated to the tenant's running jobs at once
     max_nodes: int = 4
@@ -72,17 +75,9 @@ class Quota:
         if self.weight <= 0:
             raise SchedError("quota weight must be > 0")
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Quota":
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in known})
-
 
 @dataclasses.dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Document):
     """An immutable job submission.
 
     ``params`` is kind-specific configuration (record counts, block
@@ -90,6 +85,8 @@ class JobSpec:
     JSON-able because specs ride along in arrival traces and provenance
     records.
     """
+
+    _doc_error = SchedError
 
     tenant: str
     kind: str
@@ -106,18 +103,6 @@ class JobSpec:
             raise SchedError("job spec needs a kind name")
         if self.n_nodes < 1:
             raise SchedError("job spec n_nodes must be >= 1")
-
-    def to_json(self) -> dict:
-        return {"tenant": self.tenant, "kind": self.kind,
-                "n_nodes": self.n_nodes, "params": dict(self.params),
-                "priority": self.priority}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "JobSpec":
-        return cls(tenant=doc["tenant"], kind=doc["kind"],
-                   n_nodes=doc.get("n_nodes", 1),
-                   params=dict(doc.get("params", {})),
-                   priority=doc.get("priority", 0))
 
 
 @dataclasses.dataclass

@@ -1,4 +1,4 @@
-"""The registry of schedulable job kinds.
+"""The table of schedulable job kinds.
 
 A :class:`JobKind` adapts one SPMD program to the scheduler's contract:
 
@@ -32,27 +32,18 @@ import numpy as np
 
 from repro.errors import JobPreempted, SchedError
 
-__all__ = ["JobKind", "get_kind", "kind_names", "register_kind"]
+__all__ = ["JobKind", "get_kind", "kind_names"]
 
 
 @dataclasses.dataclass(frozen=True)
 class JobKind:
-    """One schedulable program, as registered with the scheduler."""
+    """One schedulable program, as the scheduler sees it."""
 
     name: str
     runner: Callable[..., Any]
     demand: Callable[..., int]
     prepare: Optional[Callable[..., None]] = None
     setup: Optional[Callable[..., Any]] = None
-
-
-_KINDS: dict[str, JobKind] = {}
-
-
-def register_kind(kind: JobKind) -> JobKind:
-    """Register (or replace) a job kind under its name."""
-    _KINDS[kind.name] = kind
-    return kind
 
 
 def get_kind(name: str) -> JobKind:
@@ -322,12 +313,12 @@ def _blocks_demand(spec: Any) -> int:
     return spec.n_nodes * 2 * spec.params.get("block_bytes", 1 << 14)
 
 
-register_kind(JobKind(name="dsort", runner=_dsort_runner,
-                      demand=_dsort_demand, prepare=_sort_prepare,
-                      setup=_dsort_setup))
-register_kind(JobKind(name="csort", runner=_csort_runner,
-                      demand=_csort_demand, prepare=_sort_prepare))
-register_kind(JobKind(name="groupby", runner=_groupby_runner,
-                      demand=_groupby_demand, prepare=_groupby_prepare))
-register_kind(JobKind(name="blocks", runner=_blocks_runner,
-                      demand=_blocks_demand))
+_KINDS: dict[str, JobKind] = {kind.name: kind for kind in (
+    JobKind(name="dsort", runner=_dsort_runner, demand=_dsort_demand,
+            prepare=_sort_prepare, setup=_dsort_setup),
+    JobKind(name="csort", runner=_csort_runner, demand=_csort_demand,
+            prepare=_sort_prepare),
+    JobKind(name="groupby", runner=_groupby_runner,
+            demand=_groupby_demand, prepare=_groupby_prepare),
+    JobKind(name="blocks", runner=_blocks_runner, demand=_blocks_demand),
+)}

@@ -19,6 +19,7 @@ import random
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.errors import SchedError
+from repro.jsondoc import Document
 from repro.sched.job import JobSpec
 
 __all__ = ["Arrival", "ArrivalTrace", "synthetic_trace"]
@@ -37,8 +38,10 @@ class Arrival:
 
 
 @dataclasses.dataclass(frozen=True)
-class ArrivalTrace:
+class ArrivalTrace(Document):
     """An ordered stream of arrivals (sorted by time, then input order)."""
+
+    _doc_error = SchedError
 
     arrivals: tuple[Arrival, ...]
 
@@ -60,18 +63,6 @@ class ArrivalTrace:
         for arrival in self.arrivals:
             seen.setdefault(arrival.spec.tenant, None)
         return list(seen)
-
-    def to_json(self) -> dict:
-        return {"arrivals": [
-            {"time": arrival.time, "spec": arrival.spec.to_json()}
-            for arrival in self.arrivals]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ArrivalTrace":
-        return cls(arrivals=tuple(
-            Arrival(time=entry["time"],
-                    spec=JobSpec.from_json(entry["spec"]))
-            for entry in doc["arrivals"]))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)

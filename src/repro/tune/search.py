@@ -109,15 +109,13 @@ class Trial:
 
 
 @dataclasses.dataclass
-class TuneResult:
-    """Outcome of one search."""
+class _Scored:
+    """What every search outcome knows: best vs baseline."""
 
-    method: str
     best: dict
     best_score: float
     baseline: dict
     baseline_score: float
-    trials: list[Trial]
     evaluations: int      #: actual evaluator calls (cache misses)
 
     @property
@@ -127,20 +125,32 @@ class TuneResult:
             return 0.0
         return 1.0 - self.best_score / self.baseline_score
 
-    def to_json(self) -> dict:
-        """A JSON-able document with deterministic key order."""
+    def _summary(self, method: str) -> dict:
+        """The keys every result document starts with, in order."""
         return {
-            "method": self.method,
+            "method": method,
             "best": dict(sorted(self.best.items())),
             "best_score": self.best_score,
             "baseline": dict(sorted(self.baseline.items())),
             "baseline_score": self.baseline_score,
             "improvement": self.improvement,
             "evaluations": self.evaluations,
-            "trials": [{"config": dict(sorted(t.config.items())),
-                        "score": t.score} for t in self.trials
-                       if not t.cached],
         }
+
+
+@dataclasses.dataclass
+class TuneResult(_Scored):
+    """Outcome of one search."""
+
+    method: str
+    trials: list[Trial]
+
+    def to_json(self) -> dict:
+        """A JSON-able document with deterministic key order."""
+        return {**self._summary(self.method),
+                "trials": [{"config": dict(sorted(t.config.items())),
+                            "score": t.score} for t in self.trials
+                           if not t.cached]}
 
 
 def _key(config: dict) -> tuple:
@@ -177,8 +187,9 @@ def grid_search(evaluate: Evaluator, space: TuneSpace) -> TuneResult:
         score = cached(config)
         if score < best_score:
             best, best_score = config, score
-    return TuneResult("grid", best, best_score, baseline, baseline_score,
-                      cached.trials, cached.evaluations)
+    return TuneResult(method="grid", best=best, best_score=best_score,
+                      baseline=baseline, baseline_score=baseline_score,
+                      trials=cached.trials, evaluations=cached.evaluations)
 
 
 def hill_climb(evaluate: Evaluator, space: TuneSpace,
@@ -212,5 +223,6 @@ def hill_climb(evaluate: Evaluator, space: TuneSpace,
         if best_move is None:
             break
         current, current_score = best_move, best_move_score
-    return TuneResult("hill", current, current_score, baseline,
-                      baseline_score, cached.trials, cached.evaluations)
+    return TuneResult(method="hill", best=current, best_score=current_score,
+                      baseline=baseline, baseline_score=baseline_score,
+                      trials=cached.trials, evaluations=cached.evaluations)

@@ -28,6 +28,7 @@ from repro.tune.search import (
     Axis,
     TuneResult,
     TuneSpace,
+    _Scored,
     grid_search,
     hill_climb,
 )
@@ -183,36 +184,17 @@ def tune_sort(sorter: str, distribution: str = "uniform", schema=None,
 
 
 @dataclasses.dataclass
-class AdaptiveResult:
+class AdaptiveResult(_Scored):
     """Outcome of one adaptive tuning session."""
 
-    best: dict
-    best_score: float
-    baseline: dict
-    baseline_score: float
     #: every run: (config, score, the axis priorities that drove it)
     history: list[tuple[dict, float, dict]]
-    evaluations: int
-
-    @property
-    def improvement(self) -> float:
-        if self.baseline_score <= 0:
-            return 0.0
-        return 1.0 - self.best_score / self.baseline_score
 
     def to_json(self) -> dict:
-        return {
-            "method": "adaptive",
-            "best": dict(sorted(self.best.items())),
-            "best_score": self.best_score,
-            "baseline": dict(sorted(self.baseline.items())),
-            "baseline_score": self.baseline_score,
-            "improvement": self.improvement,
-            "evaluations": self.evaluations,
-            "history": [{"config": dict(sorted(c.items())), "score": s,
-                         "signals": dict(sorted(d.items()))}
-                        for c, s, d in self.history],
-        }
+        return {**self._summary("adaptive"),
+                "history": [{"config": dict(sorted(c.items())), "score": s,
+                             "signals": dict(sorted(d.items()))}
+                            for c, s, d in self.history]}
 
 
 def _diagnose(run, geometry_axis: str) -> dict:

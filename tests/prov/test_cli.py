@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 from repro.prov import ProvenanceRecord
 
@@ -67,8 +65,8 @@ def test_chaos_prov_out(tmp_path, capsys):
     assert record.fault_plan is not None
 
 
-def test_replay_rejects_non_record_files(tmp_path):
+def test_replay_rejects_non_record_files(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text('{"hello": "world"}\n')
-    with pytest.raises(Exception, match="not a provenance record"):
-        main(["replay", str(path)])
+    assert main(["replay", str(path)]) == 2
+    assert "not a provenance record" in capsys.readouterr().err

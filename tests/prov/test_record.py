@@ -71,10 +71,16 @@ def test_from_json_rejects_newer_versions_and_junk():
         ProvenanceRecord.from_json([1, 2, 3])
 
 
-def test_from_json_ignores_unknown_fields():
+def test_from_json_refuses_unknown_fields():
+    # a field this version does not declare would be dropped from
+    # record_digest() and from the next save(): a writer that adds one
+    # bumps RECORD_VERSION instead (and is then refused as "newer")
     doc = sample_record().to_json()
     doc["some_future_extension"] = {"x": 1}
-    assert ProvenanceRecord.from_json(doc) == sample_record()
+    with pytest.raises(
+            ReproError,
+            match=r"unknown field\(s\) \['some_future_extension'\]"):
+        ProvenanceRecord.from_json(doc)
 
 
 def test_metrics_digest_tracks_snapshot_content():

@@ -15,8 +15,10 @@ import pytest
 from repro.bench.harness import run_sort
 from repro.errors import ReproError
 from repro.faults import chaos_plan, run_chaos_dsort
+from repro.faults.retry import RetryPolicy
 from repro.pdm.records import RecordSchema
 from repro.prov import ProvenanceRecord, emit_script, replay
+from repro.recover import RecoverPolicy, SpeculationPolicy
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -52,6 +54,20 @@ def test_chaos_run_replays_byte_exactly():
     assert result.matches == {"output": True, "metrics": True,
                               "trace": True}
     assert "REPRODUCED" in result.describe()
+
+
+def test_recovering_chaos_run_replays_byte_exactly():
+    # args nest RecoverPolicy -> SpeculationPolicy and a RetryPolicy
+    report = run_chaos_dsort(
+        n_nodes=2, records_per_node=400, seed=7, block_records=64,
+        vertical_block_records=32, out_block_records=64,
+        retry=RetryPolicy(max_attempts=5),
+        recover=RecoverPolicy(backup_runs=True,
+                              speculation=SpeculationPolicy(patience=3)))
+    record = ProvenanceRecord.from_json(report.provenance.to_json())
+    assert record.args["recover"]["speculation"]["patience"] == 3
+    assert record.args["retry"]["max_attempts"] == 5
+    assert replay(record).ok
 
 
 def test_tuned_csort_run_replays_byte_exactly():

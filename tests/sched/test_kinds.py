@@ -15,8 +15,8 @@ from repro.sched import (
     Scheduler,
     get_kind,
     kind_names,
-    register_kind,
 )
+from repro.sched.kinds import _KINDS
 from repro.sim.trace import Tracer
 from repro.sim.virtual import VirtualTimeKernel
 
@@ -39,25 +39,21 @@ def test_registry_has_builtins():
         get_kind("nope")
 
 
-def test_register_custom_kind():
+def test_register_custom_kind(monkeypatch):
     ran = []
 
     def runner(node, comm, job, ctl, shared):
         ran.append(comm.rank)
         return "hi"
 
-    register_kind(JobKind(name="custom-test", runner=runner,
-                          demand=lambda spec: 1))
-    try:
-        _, _, job = run_one(JobSpec(tenant="t", kind="custom-test",
-                                    n_nodes=2))
-        assert job.state is JobState.DONE
-        assert sorted(ran) == [0, 1]
-        assert job.result == ["hi", "hi"]
-    finally:
-        from repro.sched.kinds import _KINDS
-
-        del _KINDS["custom-test"]
+    monkeypatch.setitem(_KINDS, "custom-test",
+                        JobKind(name="custom-test", runner=runner,
+                                demand=lambda spec: 1))
+    _, _, job = run_one(JobSpec(tenant="t", kind="custom-test",
+                                n_nodes=2))
+    assert job.state is JobState.DONE
+    assert sorted(ran) == [0, 1]
+    assert job.result == ["hi", "hi"]
 
 
 def test_dsort_job_produces_sorted_output():
