@@ -22,7 +22,9 @@ Three layers, bottom to top:
   attribute/const-key-subscript slots of objects reached through them) a
   stage function reads and writes.  Names defined inside the stage
   function (cellvars of its own nested functions) are invocation-local
-  and never shared.
+  and never shared.  The scan is memoised per code object and the
+  *class* of what each name holds; which *object* a name holds is
+  resolved per call (see :func:`fn_effects`).
 * :func:`classify_fn` / :func:`program_effects` — the verdicts: every
   stage is ``pure`` (touches no shared mutable state), ``read_shared``,
   or ``write_shared``; :class:`ProgramEffects` intersects the per-stage
@@ -51,7 +53,7 @@ import io
 import sys
 import threading
 import types
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 __all__ = [
     "PURE",
@@ -101,6 +103,7 @@ IMMUTABLE_TYPES = (type(None), bool, int, float, complex, str, bytes,
                    types.BuiltinFunctionType, types.ModuleType, type)
 
 _UNKNOWN = object()
+_BUILTINS: dict[str, Any] = vars(builtins)
 
 
 #: one decoded instruction: ``(opname, argval, arg)`` — the only three
@@ -112,13 +115,19 @@ Instr = tuple[str, Any, Optional[int]]
 def instructions(code: types.CodeType) -> tuple[Instr, ...]:
     """``code``'s instructions, decoded once per code object.
 
-    The one memo in this module: decoding is a function of the code
-    object alone, so every closure of one ``def`` and every ``start()``
-    share it (bounded, so dynamically compiled code is not pinned for
-    good).  *Resolution* — which object a name holds — is never memoised.
+    Decoding is a function of the code object alone, so every closure
+    of one ``def`` and every ``start()`` share it (bounded, so
+    dynamically compiled code is not pinned for good).  *Resolution* —
+    which object a name holds — is never memoised.
     """
     return tuple((i.opname, i.argval, i.arg)
                  for i in dis.get_instructions(code))
+
+
+@functools.lru_cache(maxsize=1024)
+def _sorted_names(code: types.CodeType) -> tuple[str, ...]:
+    """``sorted(set(code.co_names))``, once per code object."""
+    return tuple(sorted(set(code.co_names)))
 
 
 def _is_method_load(op: str, arg: Optional[int]) -> bool:
@@ -184,7 +193,7 @@ def _unbind(fn: Any) -> tuple[Any, int, list[str]]:
     return fn, bound, carriers
 
 
-def iter_code_objects(fn: Callable[..., Any], *,
+def iter_code_objects(fn: Callable[..., Any] | types.CodeType, *,
                       follow_callables: bool = True,
                       max_depth: int = 4) -> Iterator[types.CodeType]:
     """Yield ``fn``'s code object and those reachable from it.
@@ -195,7 +204,8 @@ def iter_code_objects(fn: Callable[..., Any], *,
     references by name — the historical FG104/FG109 frontier.  Bounded
     by ``max_depth`` and a seen-set, so arbitrary user code cannot loop
     the scan.  Only ``fn`` itself is unbound (:func:`_unbind`); callables
-    met on the way are followed as before.
+    met on the way are followed as before.  ``fn`` may be a code object,
+    whose walk is then a function of the code alone.
     """
     seen: set[int] = set()
     frontier: list[tuple[Any, int]] = [(_unbind(fn)[0], 0)]
@@ -229,27 +239,23 @@ def iter_code_objects(fn: Callable[..., Any], *,
                 frontier.append((value, depth + 1))
 
 
-def _closure_cell(fn: Callable[..., Any], name: str) -> Any:
-    """The cell object binding free variable ``name`` of ``fn``, or
-    ``_UNKNOWN``."""
-    code = getattr(fn, "__code__", None)
-    closure = getattr(fn, "__closure__", None)
-    if code is None or closure is None:
-        return _UNKNOWN
+def _cell_contents(cell: Any) -> Any:
+    """What a closure cell holds, or ``_UNKNOWN`` for an empty one."""
     try:
-        return closure[code.co_freevars.index(name)]
-    except (ValueError, IndexError):
+        return cell.cell_contents
+    except ValueError:
         return _UNKNOWN
 
 
 def _closure_value(fn: Callable[..., Any], name: str) -> Any:
     """The object a free variable of ``fn`` is bound to, or ``_UNKNOWN``."""
-    cell = _closure_cell(fn, name)
-    if cell is _UNKNOWN:
+    code = getattr(fn, "__code__", None)
+    closure = getattr(fn, "__closure__", None)
+    if code is None or closure is None:
         return _UNKNOWN
     try:
-        return cell.cell_contents
-    except ValueError:  # pragma: no cover - empty cell
+        return _cell_contents(closure[code.co_freevars.index(name)])
+    except (ValueError, IndexError):
         return _UNKNOWN
 
 
@@ -404,72 +410,96 @@ class Effects:
         return PURE
 
 
-class _EffectScan:
-    """One abstract-interpretation pass over a stage function."""
+#: a name through which the scan reaches shared state, resolved per
+#: closure by :func:`fn_effects`: ``("free", n)`` is the object free
+#: variable ``n`` holds, ``("cell", n)`` the closure cell binding it,
+#: ``("global", n)`` the object global ``n`` holds and ``("globals", "")``
+#: the globals dict itself
+Symbol = tuple[str, str]
 
-    def __init__(self, fn: Callable[..., Any],
-                 buffer_param: Optional[str]) -> None:
-        self.fn, _bound, carriers = _unbind(fn)
-        self.globals_ns: dict[str, Any] = getattr(
-            self.fn, "__globals__", {})
-        code0 = getattr(self.fn, "__code__", None)
+#: what the scan is a function of: the code object, the buffer
+#: parameter, and the class (:func:`_value_class`) of what each of
+#: ``co_freevars`` and each global the scope loads holds
+ScanKey = tuple[types.CodeType, Optional[str], tuple[str, ...],
+                tuple[str, ...]]
+
+
+class _Ref(NamedTuple):
+    """A cell as the scan sees it: reached through a symbol, before the
+    symbol is resolved to an object."""
+
+    sym: Symbol
+    key: Optional[str]
+    label: str
+
+
+class _Events(NamedTuple):
+    """What one scan records; a function of its :data:`ScanKey` alone."""
+
+    #: ``(is_write, cell)`` for every distinct cell event, in the order
+    #: the scan met them
+    cells: tuple[tuple[bool, _Ref], ...]
+    buffer_escapes: tuple[str, ...]
+
+
+def _value_class(value: Any) -> str:
+    """The one thing the scan reads of the value a name holds."""
+    if value is _UNKNOWN:
+        return "unknown"
+    return "immutable" if isinstance(value, IMMUTABLE_TYPES) else "object"
+
+
+@functools.lru_cache(maxsize=1024)
+def _scope(code: types.CodeType) -> tuple[tuple[types.CodeType, ...],
+                                          tuple[str, ...]]:
+    """The effect scan's scope — ``code`` and its nested code constants
+    — and the ``LOAD_GLOBAL`` names read there, in order of first use."""
+    codes = tuple(iter_code_objects(code, follow_callables=False))
+    loads = dict.fromkeys(str(argval) for c in codes
+                          for op, argval, _arg in instructions(c)
+                          if op == "LOAD_GLOBAL")
+    return codes, tuple(loads)
+
+
+class _EffectScan:
+    """One abstract-interpretation pass over a stage function's code,
+    knowing of each name only whether it can hold shared state."""
+
+    def __init__(self, code: types.CodeType, buffer_param: Optional[str],
+                 shared: frozenset[Symbol]) -> None:
         #: free variables of the stage function itself — the only names
         #: that can reach state shared with other stages
-        self.own_free: frozenset[str] = frozenset(
-            code0.co_freevars) if code0 is not None else frozenset()
+        self.own_free = frozenset(code.co_freevars)
         self.buffer_param = buffer_param
-        self.reads: set[Cell] = set()
-        self.writes: set[Cell] = set()
-        self.unresolved_writes: set[str] = set(carriers)
+        #: the ``free`` / ``global`` symbols whose value is not immutable
+        self.shared = shared
+        #: ``(is_write, cell)`` in first-seen order (a dict as an
+        #: ordered set: replaying a repeat would change nothing)
+        self.cells: dict[tuple[bool, _Ref], None] = {}
         self.escapes: list[str] = []
 
-    # -- cell construction ----------------------------------------------
-
-    def _free_base(self, name: str) -> Optional[Cell]:
-        """Cell for the object a shared free variable holds, or None
-        when the value is immutable (nothing to race on)."""
-        value = _closure_value(self.fn, name)
-        if value is _UNKNOWN:
-            return Cell(0, None, name)
-        if isinstance(value, IMMUTABLE_TYPES):
-            return None
-        return Cell(id(value), None, name)
-
-    def _global_base(self, name: str) -> Optional[Cell]:
-        value = self.globals_ns.get(
-            name, getattr(builtins, name, _UNKNOWN))
-        if value is _UNKNOWN or isinstance(value, IMMUTABLE_TYPES):
-            return None
-        return Cell(id(value), None, name)
-
-    def _deref_write_cell(self, name: str) -> Cell:
-        """The cell a ``nonlocal``-style rebind writes: the closure cell
-        object itself (shared by every function capturing the variable)."""
-        cell = _closure_cell(self.fn, name)
-        if cell is _UNKNOWN:
-            return Cell(0, None, name)
-        return Cell(id(cell), None, name)
+    def _base(self, sym: Symbol) -> Optional[_Ref]:
+        """The object ``sym`` holds, or None when it is immutable
+        (nothing to race on)."""
+        return _Ref(sym, None, sym[1]) if sym in self.shared else None
 
     # -- the walk -------------------------------------------------------
 
-    def run(self) -> Effects:
-        for code in iter_code_objects(self.fn, follow_callables=False):
+    def run(self, codes: tuple[types.CodeType, ...]) -> _Events:
+        for code in codes:
             self._scan_code(code)
-        return Effects(
-            reads=frozenset(self.reads), writes=frozenset(self.writes),
-            unresolved_writes=tuple(sorted(self.unresolved_writes)),
-            buffer_escapes=tuple(self.escapes))
+        return _Events(tuple(self.cells), tuple(self.escapes))
 
-    def _record_write(self, cell: Cell) -> None:
-        if cell.resolved:
-            self.writes.add(cell)
-        else:
-            self.unresolved_writes.add(cell.label)
+    def _read(self, ref: _Ref) -> None:
+        self.cells.setdefault((False, ref), None)
+
+    def _record_write(self, ref: _Ref) -> None:
+        self.cells.setdefault((True, ref), None)
 
     def _scan_code(self, code: types.CodeType) -> None:
         # provenance register: the shared cell (if any) of the value
         # most recently constructed, plus the alias flags FG111 needs
-        base: Optional[Cell] = None
+        base: Optional[_Ref] = None
         base_key: Optional[str] = None  # const key loaded after base
         reg_alias = False               # register holds a buffer alias
         alias_pending = False           # an alias was loaded and not yet
@@ -494,11 +524,11 @@ class _EffectScan:
                 base_key = None
                 reg_alias = False
                 if name in self.own_free:
-                    base = self._free_base(name)
+                    base = self._base(("free", name))
                 else:
                     base = None  # interior (stage-private) variable
             elif op == "LOAD_GLOBAL":
-                base = self._global_base(str(argval))
+                base = self._base(("global", str(argval)))
                 base_key = None
                 reg_alias = False
                 # callee position (3.11+): the low oparg bit asks for
@@ -522,17 +552,16 @@ class _EffectScan:
                 is_method = _is_method_load(op, arg)
                 if base is not None:
                     if attr in MUTATING_METHODS and is_method:
-                        cell = dataclasses.replace(
-                            base, key=base.key or base_key,
+                        cell = base._replace(
+                            key=base.key or base_key,
                             label=self._slot_label(base, base_key))
                         self._record_write(cell)
                         pending.append(("mut", cell.label))
                         base = None
                     else:
-                        slot = Cell(base.obj_id, f".{attr}",
+                        slot = _Ref(base.sym, f".{attr}",
                                     f"{base.label}.{attr}")
-                        self.reads.add(slot if base.key is None
-                                       else base)
+                        self._read(slot if base.key is None else base)
                         base = slot
                         if is_method:
                             pending.append(("fn", None))
@@ -553,11 +582,10 @@ class _EffectScan:
                     pending.append(("fn", None))
             elif op == "BINARY_SUBSCR":
                 if base is not None:
-                    key = base.key or base_key
-                    cell = dataclasses.replace(
-                        base, key=key, label=self._slot_label(
-                            base, base_key))
-                    self.reads.add(cell)
+                    cell = base._replace(
+                        key=base.key or base_key,
+                        label=self._slot_label(base, base_key))
+                    self._read(cell)
                     base = cell
                     base_key = None
                 # subscripting an alias keeps the alias (a slice of the
@@ -566,9 +594,8 @@ class _EffectScan:
                 base_key = None
             elif op == "STORE_SUBSCR":
                 if base is not None:
-                    key = base.key or base_key
-                    cell = dataclasses.replace(
-                        base, key=key,
+                    cell = base._replace(
+                        key=base.key or base_key,
                         label=self._slot_label(base, base_key))
                     self._record_write(cell)
                     if alias_pending:
@@ -582,7 +609,7 @@ class _EffectScan:
             elif op == "STORE_ATTR":
                 if base is not None:
                     attr = str(argval)
-                    cell = Cell(base.obj_id, f".{attr}",
+                    cell = _Ref(base.sym, f".{attr}",
                                 f"{base.label}.{attr}")
                     self._record_write(cell)
                     if alias_pending:
@@ -596,7 +623,9 @@ class _EffectScan:
             elif op == "STORE_DEREF":
                 name = str(argval)
                 if name in self.own_free:
-                    self._record_write(self._deref_write_cell(name))
+                    # a ``nonlocal`` rebind writes the closure cell
+                    # itself, shared by every function capturing it
+                    self._record_write(_Ref(("cell", name), None, name))
                     if alias_pending or reg_alias:
                         self.escapes.append(
                             f"stows a buffer alias in closure variable "
@@ -608,8 +637,7 @@ class _EffectScan:
             elif op == "STORE_GLOBAL":
                 name = str(argval)
                 self._record_write(
-                    Cell(id(self.globals_ns), f"[{name!r}]",
-                         f"global {name}"))
+                    _Ref(("globals", ""), f"[{name!r}]", f"global {name}"))
                 if alias_pending or reg_alias:
                     self.escapes.append(
                         f"stows a buffer alias in global {name!r}")
@@ -653,10 +681,46 @@ class _EffectScan:
                 reg_alias = False
 
     @staticmethod
-    def _slot_label(base: Cell, base_key: Optional[str]) -> str:
+    def _slot_label(base: _Ref, base_key: Optional[str]) -> str:
         if base.key is not None or base_key is None:
             return base.label
         return f"{base.label}{base_key}"
+
+
+@functools.lru_cache(maxsize=1024)
+def _effect_events(code: types.CodeType, buffer_param: Optional[str],
+                   free_classes: tuple[str, ...],
+                   global_classes: tuple[str, ...]) -> _Events:
+    """The scan, run once per :data:`ScanKey` (bounded, like
+    :func:`instructions`; it holds code objects and strings only)."""
+    codes, loads = _scope(code)
+    shared = frozenset(
+        [("free", name) for name, cls in zip(code.co_freevars, free_classes)
+         if cls != "immutable"]
+        + [("global", name) for name, cls in zip(loads, global_classes)
+           if cls == "object"])
+    return _EffectScan(code, buffer_param, shared).run(codes)
+
+
+def _bind(fn: Any, buffer_param: Optional[str]) -> Optional[
+        tuple[ScanKey, dict[str, dict[str, Any]]]]:
+    """The scan key of an unbound stage function, and what it holds now
+    — ``held[kind][name]`` for each :data:`Symbol` ``(kind, name)``;
+    None when it has no bytecode."""
+    code = getattr(fn, "__code__", None)
+    if not isinstance(code, types.CodeType):
+        return None
+    globals_ns = getattr(fn, "__globals__", {})
+    cells = dict(zip(code.co_freevars,
+                     getattr(fn, "__closure__", None) or ()))
+    free = {name: _cell_contents(cells[name]) if name in cells
+            else _UNKNOWN for name in code.co_freevars}
+    loaded = {name: globals_ns.get(name, _BUILTINS.get(name, _UNKNOWN))
+              for name in _scope(code)[1]}
+    key = (code, buffer_param, tuple(map(_value_class, free.values())),
+           tuple(map(_value_class, loaded.values())))
+    return key, {"free": free, "cell": cells, "global": loaded,
+                 "globals": {"": globals_ns}}
 
 
 def fn_effects(fn: Callable[..., Any], *,
@@ -664,9 +728,38 @@ def fn_effects(fn: Callable[..., Any], *,
     """Infer the shared-state effect sets of one stage function.
 
     Walks the function's own code and nested code constants only (see
-    the module docstring for why sibling closures are excluded).
+    the module docstring for why sibling closures are excluded), in two
+    steps.  The scan runs once per :data:`ScanKey`: no branch of it
+    reads more of a name than its class (unknown, immutable, an
+    object), so it records cells by *symbol*.  The bind runs per call:
+    it resolves each symbol to the ``id()`` of what this closure holds
+    now and replays the scan's events into fresh sets in their recorded
+    order, so two names aliasing one object collapse — same first
+    label, same iteration order — as they would in a scan of this
+    closure alone.
     """
-    return _EffectScan(fn, buffer_param).run()
+    fn, _bound, carriers = _unbind(fn)
+    reads: set[Cell] = set()
+    writes: set[Cell] = set()
+    unresolved = set(carriers)
+    escapes: tuple[str, ...] = ()
+    bound = _bind(fn, buffer_param)
+    if bound is not None:
+        key, held = bound
+        events = _effect_events(*key)
+        for write, ((kind, name), slot, label) in events.cells:
+            obj = held[kind].get(name, _UNKNOWN)
+            cell = Cell(0 if obj is _UNKNOWN else id(obj), slot, label)
+            if not write:
+                reads.add(cell)
+            elif cell.resolved:
+                writes.add(cell)
+            else:
+                unresolved.add(label)
+        escapes = events.buffer_escapes
+    return Effects(reads=frozenset(reads), writes=frozenset(writes),
+                   unresolved_writes=tuple(sorted(unresolved)),
+                   buffer_escapes=escapes)
 
 
 def _buffer_param_of(fn: Callable[..., Any]) -> Optional[str]:
@@ -732,7 +825,7 @@ def unserializable_captures(fn: Callable[..., Any]) -> list[str]:
                 f"closure variable {name!r} holds a "
                 f"{type(value).__name__}")
     globals_ns = getattr(fn, "__globals__", {})
-    for name in sorted(set(code.co_names)):
+    for name in _sorted_names(code):
         value = globals_ns.get(name, _UNKNOWN)
         if value is not _UNKNOWN and isinstance(value, bad):
             found.append(f"global {name!r} holds a "

@@ -55,6 +55,7 @@ that stamps ``parallel_safety`` onto every :class:`StageNode`.
 from __future__ import annotations
 
 import inspect
+import types
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
@@ -70,7 +71,6 @@ from repro.sim.waitfor import WaitForGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.program import FGProgram
-    from repro.core.stage import Stage
 
 __all__ = ["RULES", "COLLECTOR", "EFFECTS", "lint_program",
            "ignored_rules", "normalize_rule_ids"]
@@ -171,12 +171,23 @@ def ignored_rules(extra: Optional[Iterable[str]] = None) -> set[str]:
 def _positional_bounds(fn: Callable[..., Any]) -> Optional[tuple[int, float]]:
     """(min, max) positional arguments ``fn`` accepts, or None if
     unknown (builtins and other signature-less callables are skipped)."""
+    if type(fn) is types.FunctionType and not fn.__dict__:
+        # a plain function — no __wrapped__, __signature__ or
+        # partialmethod marker for inspect.signature to follow — says it
+        # in its code object; partials, bound methods and callable
+        # instances take the inspect path
+        code = fn.__code__
+        minimum = code.co_argcount - len(fn.__defaults__ or ())
+        maximum: float = code.co_argcount
+        if code.co_flags & inspect.CO_VARARGS:
+            maximum = float("inf")
+        return minimum, maximum
     try:
         sig = inspect.signature(fn)
     except (TypeError, ValueError):
         return None
     minimum = 0
-    maximum: float = 0
+    maximum = 0
     for param in sig.parameters.values():
         if param.kind in (param.POSITIONAL_ONLY,
                           param.POSITIONAL_OR_KEYWORD):
@@ -188,23 +199,23 @@ def _positional_bounds(fn: Callable[..., Any]) -> Optional[tuple[int, float]]:
     return minimum, maximum
 
 
-def _references_convey_caboose(fn: Optional[Callable[..., Any]]) -> bool:
-    """Best-effort static test: can ``fn`` reach a convey_caboose call?"""
-    if fn is None:
-        return False
-    return any("convey_caboose" in code.co_names
-               for code in _iter_code_objects(fn))
-
-
-def _stage_declares_eos(stage: "Stage") -> bool:
-    return _references_convey_caboose(stage.fn)
+def _eos_declarers(graph: ProgramGraph) -> set[int]:
+    """``id()`` of every stage of ``graph`` whose function can reach a
+    ``convey_caboose`` call (best effort, static).  One scan per distinct
+    stage per lint pass — FG104/105 and FG113 both ask — and never kept
+    across passes: the walk follows closures and globals."""
+    stages = {id(node.stage): node.stage
+              for p in graph.pipelines for node in p.stages}
+    return {sid for sid, s in stages.items() if s.fn is not None
+            and any("convey_caboose" in code.co_names
+                    for code in _iter_code_objects(s.fn))}
 
 
 # -- rule implementations ---------------------------------------------------
 
 
-def _check_pool_depth(prog: "FGProgram",
-                      graph: ProgramGraph) -> Iterator[Finding]:
+def _check_pool_depth(prog: "FGProgram", graph: ProgramGraph,
+                      eos: set[int]) -> Iterator[Finding]:
     for p in graph.pipelines:
         depth = p.effective_depth
         if p.nbuffers >= depth:
@@ -224,8 +235,8 @@ def _check_pool_depth(prog: "FGProgram",
             program=prog.name, pipeline=p.name)
 
 
-def _check_stage_order_cycle(prog: "FGProgram",
-                             graph: ProgramGraph) -> Iterator[Finding]:
+def _check_stage_order_cycle(prog: "FGProgram", graph: ProgramGraph,
+                             eos: set[int]) -> Iterator[Finding]:
     edges: dict[int, set[int]] = {}
     names: dict[int, str] = {}
     edge_pipelines: dict[tuple[int, int], str] = {}
@@ -260,8 +271,8 @@ def _check_stage_order_cycle(prog: "FGProgram",
         stage=display[0])
 
 
-def _check_stage_contract(prog: "FGProgram",
-                          graph: ProgramGraph) -> Iterator[Finding]:
+def _check_stage_contract(prog: "FGProgram", graph: ProgramGraph,
+                          eos: set[int]) -> Iterator[Finding]:
     reported: set[int] = set()
     for p in graph.pipelines:
         for node in p.stages:
@@ -293,13 +304,13 @@ def _check_stage_contract(prog: "FGProgram",
                     program=prog.name, pipeline=p.name, stage=s.name)
 
 
-def _check_eos_declarers(prog: "FGProgram",
-                         graph: ProgramGraph) -> Iterator[Finding]:
+def _check_eos_declarers(prog: "FGProgram", graph: ProgramGraph,
+                         eos: set[int]) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.rounds is not None:
             continue
         declarers = [i for i, node in enumerate(p.stages)
-                     if _stage_declares_eos(node.stage)]
+                     if id(node.stage) in eos]
         if not declarers:
             if any(node.style == "full" for node in p.stages):
                 # a full-control loop could still declare EOS through
@@ -313,7 +324,7 @@ def _check_eos_declarers(prog: "FGProgram",
                 program=prog.name, pipeline=p.name)
             continue
         first = min(declarers)
-        if first > 0 and not any(_stage_declares_eos(node.stage)
+        if first > 0 and not any(id(node.stage) in eos
                                  or node.style == "full"
                                  for node in p.stages[:first]):
             blind = ", ".join(node.name for node in p.stages[:first])
@@ -327,8 +338,8 @@ def _check_eos_declarers(prog: "FGProgram",
                 stage=p.stages[first].name)
 
 
-def _check_zero_rounds(prog: "FGProgram",
-                       graph: ProgramGraph) -> Iterator[Finding]:
+def _check_zero_rounds(prog: "FGProgram", graph: ProgramGraph,
+                       eos: set[int]) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.rounds == 0:
             yield Finding(
@@ -338,8 +349,8 @@ def _check_zero_rounds(prog: "FGProgram",
                 program=prog.name, pipeline=p.name)
 
 
-def _check_failure_hook(prog: "FGProgram",
-                        graph: ProgramGraph) -> Iterator[Finding]:
+def _check_failure_hook(prog: "FGProgram", graph: ProgramGraph,
+                        eos: set[int]) -> Iterator[Finding]:
     hook = prog.on_pipeline_failure
     if hook is None:
         return
@@ -363,8 +374,8 @@ def _check_failure_hook(prog: "FGProgram",
             program=prog.name)
 
 
-def _check_bounded_chains(prog: "FGProgram",
-                          graph: ProgramGraph) -> Iterator[Finding]:
+def _check_bounded_chains(prog: "FGProgram", graph: ProgramGraph,
+                          eos: set[int]) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.channel_capacity is None:
             continue  # every edge unbounded: nothing to bound
@@ -411,8 +422,8 @@ def _check_bounded_chains(prog: "FGProgram",
                         program=prog.name, pipeline=p.name, stage=s.name)
 
 
-def _check_replicated_state(prog: "FGProgram",
-                            graph: ProgramGraph) -> Iterator[Finding]:
+def _check_replicated_state(prog: "FGProgram", graph: ProgramGraph,
+                            eos: set[int]) -> Iterator[Finding]:
     for p in graph.pipelines:
         for node in p.stages:
             s = node.stage
@@ -439,8 +450,8 @@ def _check_replicated_state(prog: "FGProgram",
                     program=prog.name, pipeline=p.name, stage=s.name)
 
 
-def _check_effects(prog: "FGProgram",
-                   graph: ProgramGraph) -> Iterator[Finding]:
+def _check_effects(prog: "FGProgram", graph: ProgramGraph,
+                   eos: set[int]) -> Iterator[Finding]:
     """FG110/FG111/FG113: the effect-analysis rules, sharing one
     :func:`repro.check.dataflow.program_effects` pass."""
     effects = _dataflow.program_effects(graph)
@@ -477,7 +488,7 @@ def _check_effects(prog: "FGProgram",
     # FG113: the EOS declarer's shared writes overlap its pipeline peers
     for p in graph.pipelines:
         for node in p.stages:
-            if node.stage.fn is None or not _stage_declares_eos(node.stage):
+            if node.stage.fn is None or id(node.stage) not in eos:
                 continue
             entry = effects.stage(node.name)
             if entry is None:
@@ -506,8 +517,8 @@ def _check_effects(prog: "FGProgram",
                     program=prog.name, pipeline=p.name, stage=node.name)
 
 
-def _check_unserializable(prog: "FGProgram",
-                          graph: ProgramGraph) -> Iterator[Finding]:
+def _check_unserializable(prog: "FGProgram", graph: ProgramGraph,
+                          eos: set[int]) -> Iterator[Finding]:
     """FG114: direct captures that cannot cross a process boundary."""
     reported: set[int] = set()
     for p in graph.pipelines:
@@ -525,6 +536,8 @@ def _check_unserializable(prog: "FGProgram",
                     program=prog.name, pipeline=p.name, stage=s.name)
 
 
+#: every rule, in report order: ``check(prog, graph, eos)`` yields its
+#: findings; ``eos`` is :func:`_eos_declarers` of the pass
 _CHECKS = (
     _check_pool_depth,
     _check_stage_order_cycle,
@@ -553,8 +566,9 @@ def lint_program(prog: "FGProgram",
     if graph is None:
         graph = ProgramGraph.from_program(prog)
     report = LintReport()
+    eos = _eos_declarers(graph)
     for check in _CHECKS:
-        report.extend(f for f in check(prog, graph)
+        report.extend(f for f in check(prog, graph, eos)
                       if f.rule_id not in suppressed)
     if EFFECTS is not None:
         EFFECTS.append((prog.name, [
