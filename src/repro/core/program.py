@@ -188,6 +188,9 @@ class FGProgram:
         self._families: list[Family] = []
         self._family_of: dict[int, Family] = {}
         self._stage_eos: set[tuple[int, int]] = set()
+        #: stage id -> (stage, the pipelines it serves), both in
+        #: pipeline-definition order (spawn order follows it)
+        self._owners: dict[int, tuple[Stage, list[Pipeline]]] = {}
         self._buffers: dict[int, list[Buffer]] = {}
         #: replica sets keyed by (id(pipeline), id(stage))
         self._replica_sets: dict[tuple[int, int], ReplicaSet] = {}
@@ -268,13 +271,14 @@ class FGProgram:
                 seen.setdefault(id(s), s)
         return list(seen.values())
 
-    def _pipelines_of(self, stage: Stage) -> list[Pipeline]:
-        return [p for p in self.pipelines if stage in p]
-
     def _validate_and_group(self) -> None:
+        owners: dict[int, tuple[Stage, list[Pipeline]]] = {}
         for p in self.pipelines:
             group_keys_here: set[str] = set()
             for s in p.stages:
+                _, pipes = owners.setdefault(id(s), (s, []))
+                if not pipes or pipes[-1] is not p:
+                    pipes.append(p)
                 if not s.virtual:
                     continue
                 if s.virtual_group in group_keys_here:
@@ -285,19 +289,19 @@ class FGProgram:
                 group = self._groups.setdefault(
                     s.virtual_group, VirtualGroup(key=s.virtual_group))
                 group.members.append((p, s))
-        for stage in self._unique_stages():
-            owners = self._pipelines_of(stage)
-            if stage.virtual and len(owners) > 1:
+        for stage, pipes in owners.values():
+            if stage.virtual and len(pipes) > 1:
                 raise PipelineStructureError(
                     f"virtual stage {stage.name!r} appears in several "
                     "pipelines; create one member instance per pipeline "
                     "with the same virtual_group instead")
             if (not stage.virtual and stage.style == "map"
-                    and len(owners) > 1):
+                    and len(pipes) > 1):
                 raise PipelineStructureError(
                     f"map-style stage {stage.name!r} is shared by "
-                    f"{len(owners)} pipelines; intersecting stages must be "
+                    f"{len(pipes)} pipelines; intersecting stages must be "
                     "full-control (Stage.source_driven)")
+        self._owners = owners
 
     def _compute_families(self) -> None:
         """Union-find over pipelines linked by virtual groups; a
@@ -837,10 +841,10 @@ class FGProgram:
             procs.append(self.kernel.spawn(
                 self._run, [rset.seq_stage], self._run_sequencer, rset,
                 name=self._seq_name(rset)))
-        for stage in self._unique_stages():
+        for stage, pipes in self._owners.values():
             if stage.virtual or id(stage) in replicated:
                 continue
-            ctx = StageContext(self, stage, self._pipelines_of(stage))
+            ctx = StageContext(self, stage, pipes)
             body = self._run_map_stage if stage.style == "map" else self._apply
             procs.append(self.kernel.spawn(
                 self._run, [stage], body, stage, ctx,

@@ -30,6 +30,7 @@ Instruments are get-or-create by dotted name::
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -179,8 +180,10 @@ class Gauge(Metric):
             self._levels.observe(self.value, weight=elapsed)
         self.value = value
         self._last_change = now
-        self.max = max(self.max, value)
-        self.min = min(self.min, value)
+        if value > self.max:
+            self.max = value
+        if value < self.min:
+            self.min = value
         if self.samples is not None:
             self.samples.append((now, value))
 
@@ -246,7 +249,8 @@ class Histogram(Metric):
         super().__init__(name, clock, unit, help)
         self.bounds: tuple[float, ...] = tuple(
             bounds if bounds is not None else DEFAULT_LEVEL_BOUNDS)
-        if list(self.bounds) != sorted(self.bounds):
+        if (list(self.bounds) != sorted(self.bounds)
+                or any(b != b for b in self.bounds)):
             raise ValueError(f"histogram bounds must ascend: {self.bounds}")
         self.weights: list[float] = [0.0] * (len(self.bounds) + 1)
         self.count = 0
@@ -258,17 +262,17 @@ class Histogram(Metric):
     def observe(self, value: float, weight: float = 1.0) -> None:
         if weight < 0:
             raise ValueError(f"negative histogram weight: {weight}")
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
+        # the first bound >= value; NaN is <= no bound, so it overflows
+        idx = (bisect_left(self.bounds, value) if value == value
+               else len(self.bounds))
         self.weights[idx] += weight
         self.count += 1
         self.total_weight += weight
         self.weighted_sum += value * weight
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def mean(self) -> float:
         """Weighted mean of observed values (0 when empty)."""

@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.pipeline import Pipeline
     from repro.core.program import FGProgram
     from repro.core.stage import Stage
+    from repro.obs.metrics import Counter, Gauge, Histogram
     from repro.plan.ir import ProgramGraph
 
 __all__ = ["ProgramObserver"]
@@ -36,15 +37,41 @@ __all__ = ["ProgramObserver"]
 FILL_BOUNDS = (0.25, 0.5, 0.75, 0.9, 1.0)
 
 
+class _Probes:
+    """One stage's or pipeline's instruments.  Each slot is filled at
+    the first event that records into it, through the registry's
+    get-or-create lookup by name: an instrument's existence and a
+    gauge's creation instant both enter ``metrics_digest``, so a stage
+    that never accepts must still register no ``accepts`` counter."""
+
+    __slots__ = ("accepts", "accept_wait", "conveys", "fill", "in_flight")
+
+    def __init__(self) -> None:
+        self.accepts: Optional["Counter"] = None
+        self.accept_wait: Optional["Counter"] = None
+        self.conveys: Optional["Counter"] = None
+        self.fill: Optional["Histogram"] = None
+        self.in_flight: Optional["Gauge"] = None
+
+
 class ProgramObserver:
     """Routes stage/pipeline lifecycle events to stats and metrics."""
 
     def __init__(self, program: "FGProgram"):
         self.program = program
         self.kernel = program.kernel
+        #: stage or pipeline -> its instruments, so an event formats and
+        #: looks up each metric name once per program, not once per event
+        self._probes: dict[object, _Probes] = {}
 
     def _prefix(self, stage: "Stage") -> str:
         return f"fg.{self.program.name}.stage.{stage.name}"
+
+    def _probes_of(self, key: object) -> _Probes:
+        probes = self._probes.get(key)
+        if probes is None:
+            probes = self._probes[key] = _Probes()
+        return probes
 
     # -- program lifecycle --------------------------------------------------
 
@@ -78,13 +105,19 @@ class ProgramObserver:
         stats.accept_wait += wait_seconds
         registry = self.kernel.metrics
         if registry is not None:
-            prefix = self._prefix(stage)
-            # sampled, so tuning policies and repro.obs.timeseries can
-            # read windowed deltas, not just run-wide aggregates
-            registry.counter(f"{prefix}.accepts",
-                             record_samples=True).inc()
-            registry.counter(f"{prefix}.accept_wait_seconds", unit="s",
-                             record_samples=True).inc(wait_seconds)
+            probes = self._probes_of(stage)
+            accepts, waits = probes.accepts, probes.accept_wait
+            if accepts is None or waits is None:
+                prefix = self._prefix(stage)
+                # sampled, so tuning policies and repro.obs.timeseries
+                # can read windowed deltas, not just run-wide aggregates
+                accepts = probes.accepts = registry.counter(
+                    f"{prefix}.accepts", record_samples=True)
+                waits = probes.accept_wait = registry.counter(
+                    f"{prefix}.accept_wait_seconds", unit="s",
+                    record_samples=True)
+            accepts.inc()
+            waits.inc(wait_seconds)
 
     def conveyed(self, stage: "Stage",
                  buffer: Optional["Buffer"] = None) -> None:
@@ -92,24 +125,34 @@ class ProgramObserver:
         stage.stats.conveys += 1
         registry = self.kernel.metrics
         if registry is not None:
-            prefix = self._prefix(stage)
-            registry.counter(f"{prefix}.conveys").inc()
+            probes = self._probes_of(stage)
+            conveys = probes.conveys
+            if conveys is None:
+                conveys = probes.conveys = registry.counter(
+                    f"{self._prefix(stage)}.conveys")
+            conveys.inc()
             if (buffer is not None and not buffer.is_caboose
                     and buffer.capacity):
-                registry.histogram(f"{prefix}.fill",
-                                   bounds=FILL_BOUNDS).observe(
-                    buffer.fill_fraction)
+                fill = probes.fill
+                if fill is None:
+                    fill = probes.fill = registry.histogram(
+                        f"{self._prefix(stage)}.fill", bounds=FILL_BOUNDS)
+                fill.observe(buffer.fill_fraction)
 
     # -- buffer-pool circulation -------------------------------------------
 
-    def _in_flight(self, pipeline: "Pipeline"):
+    def _in_flight(self, pipeline: "Pipeline") -> Optional["Gauge"]:
         registry = self.kernel.metrics
         if registry is None:
             return None
-        return registry.gauge(
-            f"fg.{self.program.name}.pipeline.{pipeline.name}"
-            ".buffers_in_flight",
-            record_samples=True)
+        probes = self._probes_of(pipeline)
+        gauge = probes.in_flight
+        if gauge is None:
+            gauge = probes.in_flight = registry.gauge(
+                f"fg.{self.program.name}.pipeline.{pipeline.name}"
+                ".buffers_in_flight",
+                record_samples=True)
+        return gauge
 
     def emitted(self, pipeline: "Pipeline") -> None:
         """The source put one recycled buffer into circulation."""

@@ -55,6 +55,10 @@ __all__ = [
 #: bump when the record format changes incompatibly
 RECORD_VERSION = 1
 
+#: trace lines hashed per sha256 update (one join of a whole trace costs
+#: megabytes of peak memory on a chaos run)
+_DIGEST_CHUNK = 1024
+
 
 def metrics_digest(snapshot: dict) -> str:
     """sha256 over a metrics-registry snapshot in canonical JSON."""
@@ -66,11 +70,25 @@ def trace_digest(tracer: "Tracer") -> str:
 
     The line format matches what the chaos harness has always hashed, so
     pre-provenance trace digests stay comparable.
+
+    Consecutive events mostly share one instant (a PARK and the RESUME
+    it hands off to carry the same float), so a time stamp is formatted
+    once per run of identical floats.  The reuse test is ``is``, not
+    ``==``: ``-0.0 == 0.0`` but the two format differently.  Lines reach
+    sha256 in chunks, which bounds the joined string's memory.
     """
     h = hashlib.sha256()
-    for ev in tracer.events:
-        h.update(f"{ev.time:.9e}|{ev.process}|{ev.kind}|"
-                 f"{ev.detail}\n".encode())
+    lines: list[str] = []
+    last: object = None
+    stamp = ""
+    for t, process, kind, detail in tracer.events:
+        if t is not last:
+            last, stamp = t, f"{t:.9e}"
+        lines.append(f"{stamp}|{process}|{kind}|{detail}\n")
+        if len(lines) == _DIGEST_CHUNK:
+            h.update("".join(lines).encode())
+            lines.clear()
+    h.update("".join(lines).encode())
     return h.hexdigest()
 
 

@@ -78,8 +78,15 @@ class FairSharePolicy(PlacementPolicy):
     name = "fair"
 
     def order(self, queued: Sequence[Job], sched: "Scheduler") -> list[Job]:
+        # one instant, no mutation between reads: each tenant's charge
+        # is computed once per call, not once per queued job
+        vruntime: dict[str, float] = {}
+        for job in queued:
+            tenant = job.spec.tenant
+            if tenant not in vruntime:
+                vruntime[tenant] = sched.effective_vruntime(tenant)
         return sorted(queued, key=lambda job: (
-            sched.effective_vruntime(job.spec.tenant), job.id))
+            vruntime[job.spec.tenant], job.id))
 
 
 _POLICIES = {

@@ -147,6 +147,7 @@ class Scheduler:
 
         #: the ordered, deterministic decision log
         self.decisions: list[dict] = []
+        self._decision_lines: list[str] = []
         self._seq = 0
 
         registry = self.kernel.metrics
@@ -255,15 +256,17 @@ class Scheduler:
         }
         self._seq += 1
         self.decisions.append(entry)
+        # nothing writes to an entry after this point, so its canonical
+        # line is serialised once, for the trace and the log alike
+        line = canonical_json(entry)
+        self._decision_lines.append(line)
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.record(entry["time"], "scheduler", SCHED,
-                          canonical_json(entry))
+            tracer.record(entry["time"], "scheduler", SCHED, line)
 
     def decision_log_text(self) -> str:
         """The canonical decision log: one JSON object per line."""
-        return "".join(
-            canonical_json(entry) + "\n" for entry in self.decisions)
+        return "".join(line + "\n" for line in self._decision_lines)
 
     def decision_digest(self) -> str:
         return hashlib.sha256(

@@ -67,7 +67,7 @@ from repro.errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import Counter, MetricsRegistry
     from repro.sim.trace import Tracer
 
 __all__ = ["Kernel", "Process", "ProcessState"]
@@ -252,6 +252,7 @@ class Kernel:
         #: see :meth:`enable_metrics`.  Channels and FG programs
         #: instrument themselves when it is non-None.
         self.metrics: Optional["MetricsRegistry"] = None
+        self._spawned: Optional["Counter"] = None
         #: optional provenance capture (repro.prov.ProvenanceCapture);
         #: when non-None, every FG program that starts on this kernel
         #: reports its stage-graph fingerprint through its observer.
@@ -324,7 +325,11 @@ class Kernel:
             # point (no-op for root spawns from outside the kernel)
             self.race.on_spawn(proc.pid)
         if self.metrics is not None:
-            self.metrics.counter("kernel.processes_spawned").inc()
+            spawned = self._spawned
+            if spawned is None:  # registered at the first spawn only
+                spawned = self._spawned = self.metrics.counter(
+                    "kernel.processes_spawned")
+            spawned.inc()
         return proc
 
     def current_process(self) -> Process:

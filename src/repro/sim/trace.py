@@ -18,7 +18,7 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -46,9 +46,13 @@ RECOVER = "recover"
 SCHED = "sched"
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceEvent:
-    """One state transition of one process."""
+class TraceEvent(NamedTuple):
+    """One state transition of one process.
+
+    A tuple because an observed run records one on each side of every
+    switch: :meth:`Tracer.record` builds it with ``tuple.__new__``, and
+    it carries no per-instance ``__dict__``.
+    """
 
     time: float
     process: str
@@ -99,7 +103,9 @@ class Tracer:
 
     def record(self, time: float, process: str, kind: str,
                detail: str = "") -> None:
-        self.events.append(TraceEvent(time, process, kind, detail))
+        # tuple.__new__ skips the generated __new__'s argument parsing
+        self.events.append(
+            tuple.__new__(TraceEvent, (time, process, kind, detail)))
 
     # -- analysis ------------------------------------------------------------
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.errors import AdmissionError
+from repro.prov.fingerprint import canonical_json
 from repro.sched import JobSpec, JobState, Quota, Scheduler
-from repro.sim.trace import Tracer
+from repro.sim.trace import SCHED, Tracer
 from repro.sim.virtual import VirtualTimeKernel
 
 
@@ -186,6 +187,17 @@ def test_fair_share_weights_bias_placement():
     kernel.run()
     # light's only job must not wait behind heavy's whole backlog
     assert light.end_time < heavy[-1].end_time
+
+
+def test_decision_log_is_the_entries_and_the_trace_instants():
+    kernel, sched = make_sched(
+        n_nodes=2, policy="fair",
+        quotas={"a": Quota(weight=1.0), "b": Quota(weight=2.0)})
+    run_all(kernel, sched, [blocks(tenant=t, blocks=3) for t in "abbab"])
+    lines = sched.decision_log_text().splitlines()
+    assert lines == [canonical_json(entry) for entry in sched.decisions]
+    assert lines == [ev.detail for ev in kernel.tracer.events
+                     if ev.kind == SCHED]
 
 
 # -- preemption --------------------------------------------------------------
