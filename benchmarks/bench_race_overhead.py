@@ -1,14 +1,17 @@
-"""FGRace overhead: host wall-clock cost of the race detector.
+"""FGSan and FGRace overhead: host wall-clock cost of both detectors.
 
-FGRace consumes no virtual time by design — vector-clock joins and
-effect replays happen between blocking points — so the *simulated*
-elapsed time of a race-detected run is identical to the plain run,
-asserted below.  What it costs is host CPU: a clock snapshot/join on
-every channel operation plus one effect-cell replay per stage access.
+Neither detector consumes virtual time by design — FGSan's ownership
+checks and FGRace's vector-clock joins and effect replays happen between
+blocking points — so the *simulated* elapsed time of a checked run is
+identical to the plain run, asserted below for each.  What they cost is
+host CPU: FGSan an ownership check on every ``Buffer.data`` access and a
+state transition on every lifecycle event, FGRace a clock snapshot/join
+on every channel operation plus one effect-cell replay per stage access.
 This benchmark races three arms over a full dsort run — plain, FGSan
 (`REPRO_SANITIZE=1`), and FGRace (`REPRO_RACE=1`) — interleaving
 repetitions so machine drift hits all arms equally.  The acceptance
-bound (CI-gated): FGRace stays within 2x of the plain run.
+bounds (CI-gated): FGRace stays within 2x of the plain run, FGSan within
+an order of magnitude.
 """
 
 import os
@@ -80,14 +83,17 @@ def test_race_overhead(once):
             for arm in ARMS]
     save_result(
         "race_overhead",
-        f"FGRace overhead on dsort ({NODES} nodes, "
+        f"FGSan and FGRace overhead on dsort ({NODES} nodes, "
         f"{NODES * RECORDS} records, median of {REPS} interleaved reps)\n"
         + render_table(
             ["mode", "host wall s", "vs plain", "simulated s"], rows))
 
     # the headline guarantee: detection never changes the simulation
     assert all(run.verified for run in runs.values())
+    assert runs["REPRO_SANITIZE=1"].total_time == runs["plain"].total_time
     assert runs["REPRO_RACE=1"].total_time == runs["plain"].total_time
+    # FGSan's bound is loose on purpose: host timing on shared CI is noisy
+    assert medians["REPRO_SANITIZE=1"] / plain_wall < 10.0
     # the acceptance bound: happens-before tracking rides existing
     # channel operations, so it must stay cheap
     assert medians["REPRO_RACE=1"] / plain_wall <= 2.0

@@ -158,27 +158,22 @@ def build_parser() -> argparse.ArgumentParser:
                              "exit")
 
     p_tune = sub.add_parser(
-        "tune", help="auto-tune a sorting benchmark: offline search "
-                     "(hill/grid) or run-by-run adaptive feedback")
+        "tune", help="grid-search a sorting benchmark's geometry, pool "
+                     "size and sort copies, and report the compiled "
+                     "plan's gap to the optimum")
     p_tune.add_argument("--sorter", default="dsort",
                         choices=[s for s in SORTERS if s in TUNE_SPACES])
-    p_tune.add_argument("--method", default="hill",
-                        choices=["hill", "grid", "adaptive"])
     p_tune.add_argument("--distribution", default="uniform")
     p_tune.add_argument("--nodes", type=int, default=4)
     p_tune.add_argument("--records-per-node", type=int, default=4096)
     p_tune.add_argument("--seed", type=int, default=0)
     p_tune.add_argument("--out", metavar="PATH",
                         help="write the result (best config, baseline, "
-                             "trial log) as JSON")
+                             "plan gap, trial log) as JSON")
     p_tune.add_argument("--prov-out", metavar="PATH",
                         help="re-run the winning config with provenance "
                              "capture and write its record (replayable "
                              "with `repro replay`)")
-    p_tune.add_argument("--warm-start", action="store_true",
-                        help="seed the hill climb at the compiled plan's "
-                             "config instead of the hand-tuned default "
-                             "(hill method only)")
 
     p_plan = sub.add_parser(
         "plan", help="compile a static execution plan for a sorting "
@@ -557,31 +552,33 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.jsondoc import write_json
-    from repro.tune import adaptive_tune_sort, tune_sort
+    from repro.plan import plan_sort
+    from repro.tune import tune_sort
 
-    common = dict(distribution=args.distribution, n_nodes=args.nodes,
-                  n_per_node=args.records_per_node, seed=args.seed)
-    if args.method == "adaptive":
-        result = adaptive_tune_sort(args.sorter, **common)
-    else:
-        result = tune_sort(args.sorter, method=args.method,
-                           warm_start=args.warm_start or None, **common)
+    result = tune_sort(args.sorter, distribution=args.distribution,
+                       n_nodes=args.nodes, n_per_node=args.records_per_node,
+                       seed=args.seed)
+    # tune runs 16-byte records, plan_sort's default record width
+    plan = plan_sort(args.sorter, args.nodes, args.records_per_node)
+    plan_score = result.score_of(plan.config)
     doc = result.to_json()
+    doc["plan_gap"] = plan_score / result.best_score - 1.0
+
+    def knobs(config: dict) -> str:
+        return " ".join(f"{k}={v}" for k, v in sorted(config.items()))
 
     print(f"{args.sorter} on {args.distribution}, {args.nodes} nodes x "
-          f"{args.records_per_node} records ({doc['method']} search, "
+          f"{args.records_per_node} records (grid search, "
           f"{doc['evaluations']} evaluated runs):")
-    trials = doc.get("trials") or [
-        {"config": h["config"], "score": h["score"]}
-        for h in doc.get("history", [])]
-    for t in trials:
-        knobs = " ".join(f"{k}={v}" for k, v in t["config"].items())
-        print(f"  {t['score'] * 1e3:9.3f} ms  {knobs}")
+    for t in doc["trials"]:
+        print(f"  {t['score'] * 1e3:9.3f} ms  {knobs(t['config'])}")
     print(f"baseline: {doc['baseline_score'] * 1e3:.3f} ms  "
-          + " ".join(f"{k}={v}" for k, v in doc["baseline"].items()))
+          + knobs(doc["baseline"]))
     print(f"best:     {doc['best_score'] * 1e3:.3f} ms  "
-          + " ".join(f"{k}={v}" for k, v in doc["best"].items()))
+          + knobs(doc["best"]))
     print(f"improvement: {doc['improvement']:.1%}")
+    print(f"plan:     {plan_score * 1e3:.3f} ms  {knobs(plan.config)}  "
+          f"(gap {doc['plan_gap']:.2%} vs optimum)")
     if args.out:
         write_json(doc, args.out)
         print(f"wrote {args.out}")

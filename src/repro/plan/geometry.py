@@ -47,6 +47,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.errors import ColumnsortShapeError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.hardware import HardwareModel
 
@@ -116,7 +118,7 @@ def csort_s_candidates(n_nodes: int, n_per_node: int) -> tuple[int, ...]:
             r = n_total // s
             try:
                 validate_shape(n_total, r, s, n_nodes)
-            except Exception:
+            except ColumnsortShapeError:
                 pass
             else:
                 if default.out_block_records * n_nodes <= r:

@@ -2,16 +2,17 @@
 
 :func:`plan_sort` runs geometry inference (:mod:`repro.plan.geometry`)
 for one sorting benchmark and wraps the result in a :class:`Plan` — a
-frozen, JSON-round-trippable value that travels three ways:
+frozen, JSON-round-trippable value that travels two ways:
 
 * ``run_sort(plan=...)`` applies its config overrides to the sorter's
   defaults and installs it on the run's kernel, where
   ``FGProgram.start()`` picks it up to stamp the program (so the
   structural fingerprint records which plan the run was under);
-* ``tune_sort(warm_start=plan)`` seeds the offline hill climb at the
-  planned config instead of the hand-tuned default;
 * the provenance record stores ``plan.to_json()``, so ``repro replay``
   re-applies the identical plan and planned runs replay byte-exactly.
+
+Its config is always a point of the matching ``repro.tune`` grid, which
+is how ``repro tune`` reports the plan's gap to the optimum.
 
 :meth:`Plan.digest` hashes only the decision *outcome* (sorter, shape,
 config) — not the prose reasons — so two planners that agree

@@ -1,8 +1,8 @@
-"""repro.tune: adaptive auto-tuning for FG programs.
+"""repro.tune: auto-tuning for FG programs.
 
 FG's performance knobs — buffers per pool, copies per stage, how much
 each pipeline round moves — have always been hand-tuned.  This package
-closes the loop three ways, all deterministic under the virtual-time
+closes the loop two ways, both deterministic under the virtual-time
 kernel:
 
 * :mod:`repro.tune.controller` — an **in-run feedback controller**: a
@@ -13,15 +13,14 @@ kernel:
   :meth:`~repro.core.program.FGProgram.add_buffers`,
   :meth:`~repro.core.program.FGProgram.retire_buffers`), with hysteresis
   and caps;
-* :mod:`repro.tune.search` — **offline search**: deterministic hill
-  climb / grid over a :class:`TuneSpace` of axes, each evaluation one
-  fresh simulated run;
-* :mod:`repro.tune.sorters` — both applied to the paper's sorting
-  benchmarks, including :func:`adaptive_tune_sort`, the run-by-run
-  feedback scheduler that reads each run's signals to decide which axis
-  to move next.
+* :mod:`repro.tune.search` — **offline search**: the exhaustive grid
+  over a :class:`TuneSpace` of axes, each evaluation one fresh simulated
+  run;
+* :mod:`repro.tune.sorters` — the grid applied to the paper's sorting
+  benchmarks, where it is the oracle for the planner's geometry.
 
-Surfaced as ``python -m repro tune``; the guide is docs/TUNING.md.
+Surfaced as ``python -m repro tune``, which also reports the compiled
+plan's gap to the grid optimum; the guide is docs/TUNING.md.
 """
 
 from repro.tune.controller import (
@@ -40,11 +39,8 @@ from repro.tune.search import (
     TuneResult,
     TuneSpace,
     grid_search,
-    hill_climb,
 )
 from repro.tune.sorters import (
-    AdaptiveResult,
-    adaptive_tune_sort,
     csort_space,
     dsort_space,
     record_best_run,
@@ -66,12 +62,9 @@ __all__ = [
     "Trial",
     "TuneResult",
     "grid_search",
-    "hill_climb",
-    "AdaptiveResult",
     "dsort_space",
     "csort_space",
     "sort_evaluator",
     "tune_sort",
-    "adaptive_tune_sort",
     "record_best_run",
 ]

@@ -1,11 +1,13 @@
-"""Deterministic offline configuration search: grid and hill climb.
+"""Deterministic offline configuration search: the exhaustive grid.
 
 The simulated clock makes configuration search *exact*: evaluating a
 candidate config runs a fresh virtual-time cluster, and the same config
 always scores the same makespan, byte for byte.  So the search needs no
-repetitions, no noise handling, and no randomness — a plain coordinate-
-descent hill climb with a deterministic tie-break and an evaluation
-cache, or an exhaustive grid when the space is small.
+repetitions, no noise handling, and no randomness — and since the spaces
+are small (a few axes of a few values each), it needs no heuristic
+either: the grid evaluates every config once and is the optimum by
+construction.  That makes it the oracle the planner (:mod:`repro.plan`)
+is checked against.
 
 Vocabulary:
 
@@ -24,12 +26,11 @@ Vocabulary:
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ReproError
 
-__all__ = ["Axis", "Trial", "TuneResult", "TuneSpace", "grid_search",
-           "hill_climb"]
+__all__ = ["Axis", "Trial", "TuneResult", "TuneSpace", "grid_search"]
 
 Evaluator = Callable[[dict], float]
 
@@ -54,9 +55,6 @@ class Axis:
                 f"axis {self.name!r}: default {self.default!r} is not "
                 f"among its values {self.values}")
 
-    def index_of(self, value) -> int:
-        return self.values.index(value)
-
 
 class TuneSpace:
     """An ordered set of axes; iteration order is the search order."""
@@ -72,12 +70,6 @@ class TuneSpace:
     def default_config(self) -> dict:
         return {a.name: a.default for a in self.axes}
 
-    def size(self) -> int:
-        n = 1
-        for a in self.axes:
-            n *= len(a.values)
-        return n
-
     def grid(self) -> list[dict]:
         """Every config, in lexicographic axis order (deterministic)."""
         configs = [{}]
@@ -86,37 +78,29 @@ class TuneSpace:
                        for c in configs for v in axis.values]
         return configs
 
-    def neighbors(self, config: dict) -> list[dict]:
-        """Configs one step along one axis (coordinate moves), in axis
-        order, minus-step before plus-step — a fixed order so the climb
-        is deterministic."""
-        out = []
-        for axis in self.axes:
-            i = axis.index_of(config[axis.name])
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(axis.values):
-                    out.append(dict(config, **{axis.name: axis.values[j]}))
-        return out
-
 
 @dataclasses.dataclass(frozen=True)
 class Trial:
-    """One evaluated config (``cached`` marks a cache hit, not a run)."""
+    """One evaluated config."""
 
     config: dict
     score: float
-    cached: bool = False
 
 
 @dataclasses.dataclass
-class _Scored:
-    """What every search outcome knows: best vs baseline."""
+class TuneResult:
+    """Outcome of one search: best vs baseline, and every trial."""
 
     best: dict
     best_score: float
     baseline: dict
     baseline_score: float
-    evaluations: int      #: actual evaluator calls (cache misses)
+    trials: list[Trial]
+
+    @property
+    def evaluations(self) -> int:
+        """Evaluator calls made: one per trial."""
+        return len(self.trials)
 
     @property
     def improvement(self) -> float:
@@ -125,104 +109,44 @@ class _Scored:
             return 0.0
         return 1.0 - self.best_score / self.baseline_score
 
-    def _summary(self, method: str) -> dict:
-        """The keys every result document starts with, in order."""
+    def score_of(self, config: dict) -> float:
+        """The score the search recorded for ``config`` — a lookup in
+        the trial log, never a new run."""
+        for trial in self.trials:
+            if trial.config == config:
+                return trial.score
+        raise ReproError(f"config {dict(sorted(config.items()))} was not "
+                         "evaluated by this search")
+
+    def to_json(self) -> dict:
+        """A JSON-able document with deterministic key order."""
         return {
-            "method": method,
             "best": dict(sorted(self.best.items())),
             "best_score": self.best_score,
             "baseline": dict(sorted(self.baseline.items())),
             "baseline_score": self.baseline_score,
             "improvement": self.improvement,
             "evaluations": self.evaluations,
+            "trials": [{"config": dict(sorted(t.config.items())),
+                        "score": t.score} for t in self.trials],
         }
 
 
-@dataclasses.dataclass
-class TuneResult(_Scored):
-    """Outcome of one search."""
-
-    method: str
-    trials: list[Trial]
-
-    def to_json(self) -> dict:
-        """A JSON-able document with deterministic key order."""
-        return {**self._summary(self.method),
-                "trials": [{"config": dict(sorted(t.config.items())),
-                            "score": t.score} for t in self.trials
-                           if not t.cached]}
-
-
-def _key(config: dict) -> tuple:
-    return tuple(sorted(config.items()))
-
-
-class _CachedEvaluator:
-    """Memoizes the evaluator and logs every lookup as a Trial."""
-
-    def __init__(self, evaluate: Evaluator):
-        self._evaluate = evaluate
-        self._cache: dict[tuple, float] = {}
-        self.trials: list[Trial] = []
-        self.evaluations = 0
-
-    def __call__(self, config: dict) -> float:
-        key = _key(config)
-        hit = key in self._cache
-        if not hit:
-            self._cache[key] = self._evaluate(config)
-            self.evaluations += 1
-        score = self._cache[key]
-        self.trials.append(Trial(dict(config), score, cached=hit))
-        return score
-
-
 def grid_search(evaluate: Evaluator, space: TuneSpace) -> TuneResult:
-    """Evaluate every config; exact but exponential in axis count."""
-    cached = _CachedEvaluator(evaluate)
-    baseline = space.default_config()
-    baseline_score = cached(baseline)
-    best, best_score = baseline, baseline_score
-    for config in space.grid():
-        score = cached(config)
-        if score < best_score:
-            best, best_score = config, score
-    return TuneResult(method="grid", best=best, best_score=best_score,
-                      baseline=baseline, baseline_score=baseline_score,
-                      trials=cached.trials, evaluations=cached.evaluations)
+    """Evaluate every config once, in :meth:`TuneSpace.grid` order;
+    exact but exponential in axis count.
 
-
-def hill_climb(evaluate: Evaluator, space: TuneSpace,
-               start: Optional[dict] = None,
-               max_steps: int = 64) -> TuneResult:
-    """Deterministic coordinate-descent from the default config.
-
-    Each step evaluates every one-axis neighbor of the incumbent and
-    moves to the best strictly-improving one (first in neighbor order on
-    ties); stops at a local optimum or after ``max_steps`` moves.  With
-    a deterministic evaluator this needs no restarts to be reproducible
-    — though like any local search it can stop short of the global
-    optimum on non-convex landscapes (use :func:`grid_search` to check,
-    when the space is small enough).
+    The baseline (all defaults) is a grid point, since every axis's
+    default is among its values.  It wins ties: a later config replaces
+    the incumbent only when it scores strictly lower, so a space whose
+    default is optimal reports an improvement of exactly 0.
     """
-    cached = _CachedEvaluator(evaluate)
+    trials = [Trial(config, evaluate(config)) for config in space.grid()]
     baseline = space.default_config()
-    baseline_score = cached(baseline)
-    current = dict(start) if start is not None else dict(baseline)
-    if start is not None:
-        unknown = sorted(set(current) - {a.name for a in space.axes})
-        if unknown:
-            raise ReproError(f"start config has non-axis key(s): {unknown}")
-    current_score = cached(current)
-    for _ in range(max_steps):
-        best_move, best_move_score = None, current_score
-        for candidate in space.neighbors(current):
-            score = cached(candidate)
-            if score < best_move_score:
-                best_move, best_move_score = candidate, score
-        if best_move is None:
-            break
-        current, current_score = best_move, best_move_score
-    return TuneResult(method="hill", best=current, best_score=current_score,
-                      baseline=baseline, baseline_score=baseline_score,
-                      trials=cached.trials, evaluations=cached.evaluations)
+    baseline_score = next(t.score for t in trials if t.config == baseline)
+    best, best_score = baseline, baseline_score
+    for trial in trials:
+        if trial.score < best_score:
+            best, best_score = trial.config, trial.score
+    return TuneResult(best=best, best_score=best_score, baseline=baseline,
+                      baseline_score=baseline_score, trials=trials)

@@ -52,6 +52,26 @@ def test_csort_candidates_are_legal_column_counts():
         assert 2 * (s - 1) ** 2 <= r  # columnsort's height requirement
 
 
+def test_csort_candidates_let_a_non_shape_error_propagate(monkeypatch):
+    # the ladder is the grid's whole search space: only an illegal shape
+    # may drop a column count, never a bug inside the validator.  The
+    # default shape is pinned first, so the broken validator is reached
+    # only through the ladder's own loop
+    from repro.bench import harness
+    from repro.sorting.columnsort import steps
+
+    shape = steps.plan_columnsort(4 * 4096, 4)
+    for module in (steps, harness):
+        monkeypatch.setattr(module, "plan_columnsort", lambda n, p: shape)
+
+    def broken(*args):
+        raise TypeError("validator bug")
+
+    monkeypatch.setattr(steps, "validate_shape", broken)
+    with pytest.raises(TypeError, match="validator bug"):
+        csort_s_candidates(4, 4096)
+
+
 def test_infer_pool_size_caps_at_resource_classes():
     # one buffer per overlappable resource class + one reserve, never
     # more: stages beyond the third share a class with an earlier one

@@ -1,5 +1,5 @@
 """Plan application tests: serialization round-trips, the run_sort(plan=)
-path, warm-started tuning, and byte-exact replay of planned runs."""
+path, and byte-exact replay of planned runs."""
 
 import re
 
@@ -150,12 +150,3 @@ def test_a_plan_is_its_geometry_plus_a_stamp(sorter):
     assert stamped.keys() == plain.keys()
     assert all(stamped[name] != plain[name] for name in stamped)
 
-
-def test_warm_started_hill_climb_is_no_worse_and_no_slower():
-    from repro.tune import tune_sort
-
-    cold = tune_sort("dsort", n_nodes=2, n_per_node=512, seed=0)
-    warm = tune_sort("dsort", n_nodes=2, n_per_node=512, seed=0,
-                     warm_start=True)
-    assert warm.best_score <= cold.best_score
-    assert warm.evaluations <= cold.evaluations

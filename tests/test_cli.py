@@ -82,12 +82,14 @@ def test_sort_reaches_every_sorter_the_harness_runs(sorter, capsys):
 def test_tune_reaches_the_linear_dsort_space(capsys):
     """``tune.sorters`` has carried a space for the linear ablation
     since PR 19; the verb refused to name it."""
-    assert main(["tune", "--sorter", "dsort-linear", "--method",
-                 "adaptive", "--nodes", "2",
+    assert main(["tune", "--sorter", "dsort-linear", "--nodes", "2",
                  "--records-per-node", "1024"]) == 0
     out = capsys.readouterr().out
     assert "dsort-linear on uniform" in out
     assert "sort_replicas" not in out  # not an axis of this space
+    (plan_line,) = [line for line in out.splitlines()
+                    if line.startswith("plan:")]
+    assert "block_records=" in plan_line and "vs optimum)" in plan_line
 
 
 def test_sweep_small(capsys):

@@ -1,9 +1,9 @@
-"""Offline search tests: axes, spaces, grid, hill climb, determinism."""
+"""Offline search tests: axes, spaces, the grid, determinism."""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.tune import Axis, TuneSpace, grid_search, hill_climb
+from repro.tune import Axis, TuneSpace, grid_search
 
 
 def quadratic_evaluator(optimum):
@@ -48,24 +48,14 @@ def test_space_rejects_duplicate_axis_names():
 
 
 def test_space_size_and_grid_are_lexicographic():
-    space = small_space()
-    assert space.size() == 15
-    grid = space.grid()
+    grid = small_space().grid()
     assert len(grid) == 15
     assert grid[0] == {"x": 0, "y": 0}
     assert grid[1] == {"x": 0, "y": 1}   # last axis varies fastest
     assert grid[-1] == {"x": 4, "y": 2}
 
 
-def test_neighbors_are_coordinate_moves_in_fixed_order():
-    space = small_space()
-    assert space.neighbors({"x": 1, "y": 0}) == [
-        {"x": 0, "y": 0}, {"x": 2, "y": 0},   # x minus then plus
-        {"x": 1, "y": 1},                      # y has no minus neighbor
-    ]
-
-
-# -- searches ----------------------------------------------------------------
+# -- the grid ----------------------------------------------------------------
 
 def test_grid_search_finds_the_global_optimum():
     evaluate = quadratic_evaluator({"x": 3, "y": 1})
@@ -74,47 +64,75 @@ def test_grid_search_finds_the_global_optimum():
     assert result.best_score == 0.0
     assert result.baseline == {"x": 0, "y": 0}
     assert result.baseline_score == 10.0
-    assert result.method == "grid"
-    # baseline evaluated once, then served from cache during the sweep
-    assert result.evaluations == 15
-
-
-def test_hill_climb_descends_to_the_optimum_on_convex_landscape():
-    evaluate = quadratic_evaluator({"x": 3, "y": 1})
-    result = hill_climb(evaluate, small_space())
-    assert result.best == {"x": 3, "y": 1}
-    assert result.best_score == 0.0
-    assert 0 < result.evaluations < 15    # cheaper than the grid
     assert result.improvement == 1.0
 
 
-def test_hill_climb_stops_at_baseline_when_nothing_improves():
-    evaluate = quadratic_evaluator({"x": 0, "y": 0})
-    result = hill_climb(evaluate, small_space())
+def test_grid_search_descends_to_the_optimum_on_convex_landscape():
+    # a convex landscape whose axes are coupled, with its minimum at (3, 2)
+    def evaluate(config):
+        return float((config["x"] - config["y"] - 1) ** 2
+                     + (config["y"] - 2) ** 2)
+
+    result = grid_search(evaluate, small_space())
+    assert result.best == {"x": 3, "y": 2}
+    assert result.best_score == 0.0
+    assert result.baseline_score == 5.0
+    assert result.improvement == 1.0
+    # an optimum off the grid: the best grid point closes part of the gap
+    result = grid_search(quadratic_evaluator({"x": 6, "y": 1}), small_space())
+    assert result.best == {"x": 4, "y": 1}
+    assert result.improvement == 1.0 - 4.0 / 37.0
+
+
+def test_grid_search_evaluates_each_config_once_in_grid_order():
+    evaluate = quadratic_evaluator({"x": 3, "y": 1})
+    result = grid_search(evaluate, small_space())
+    assert evaluate.calls == small_space().grid()
+    assert [t.config for t in result.trials] == evaluate.calls
+    assert result.evaluations == 15
+
+
+def test_grid_search_baseline_wins_ties():
+    # flat along y: every (0, y) ties the baseline (0, 0), and a later
+    # config replaces the incumbent only on a strictly lower score
+    evaluate = quadratic_evaluator({"x": 0})
+    result = grid_search(evaluate, small_space())
     assert result.best == {"x": 0, "y": 0}
     assert result.improvement == 0.0
+    # off the baseline, the first of several tied optima in grid order
+    result = grid_search(quadratic_evaluator({"x": 2}), small_space())
+    assert result.best == {"x": 2, "y": 0}
 
 
-def test_hill_climb_rejects_foreign_start_keys():
-    evaluate = quadratic_evaluator({"x": 0, "y": 0})
-    with pytest.raises(ReproError, match="non-axis"):
-        hill_climb(evaluate, small_space(), start={"x": 0, "z": 1})
+def test_score_of_looks_up_a_trial_without_running():
+    evaluate = quadratic_evaluator({"x": 3, "y": 1})
+    result = grid_search(evaluate, small_space())
+    calls = len(evaluate.calls)
+    assert result.score_of({"y": 2, "x": 4}) == 2.0   # key order is free
+    assert len(evaluate.calls) == calls
+    with pytest.raises(ReproError, match="not evaluated"):
+        result.score_of({"x": 9, "y": 0})
 
 
 def test_searches_are_deterministic():
     def run():
         evaluate = quadratic_evaluator({"x": 2, "y": 2})
-        result = hill_climb(evaluate, small_space())
+        result = grid_search(evaluate, small_space())
         return (result.best, result.best_score,
-                [(t.config, t.score, t.cached) for t in result.trials])
+                [(t.config, t.score) for t in result.trials])
 
     assert run() == run()
 
 
 def test_to_json_is_sorted_and_excludes_cache_hits():
+    # the trial log lists real runs only: each config once, even the
+    # baseline, which the grid visits as one of its points
     evaluate = quadratic_evaluator({"x": 1, "y": 1})
-    result = hill_climb(evaluate, small_space())
+    space = TuneSpace([Axis("y", (0, 1, 2)), Axis("x", (0, 1, 2, 3, 4))])
+    result = grid_search(evaluate, space)
     doc = result.to_json()
-    assert list(doc["best"]) == sorted(doc["best"])
-    assert len(doc["trials"]) == result.evaluations
+    assert list(doc["best"]) == ["x", "y"]
+    assert all(list(t["config"]) == ["x", "y"] for t in doc["trials"])
+    configs = [tuple(t["config"].items()) for t in doc["trials"]]
+    assert len(set(configs)) == len(configs) == doc["evaluations"] == 15
     assert doc["improvement"] == result.improvement
