@@ -35,6 +35,16 @@ Everything the manager does is deterministic: polls advance in fixed
 ticks of virtual time, state transitions depend only on virtual time and
 on the order rank processes reach their own deterministic code, and the
 kernel serializes all of it.
+
+The waits are :meth:`Kernel.poll <repro.sim.kernel.Kernel.poll>` calls
+— :meth:`backup_wait`, :meth:`sync_point` without a ``drain``, and the
+watchdog between ticks that have work (:meth:`_has_work`) — so under the
+virtual-time kernel the *scheduler* evaluates their predicates and a tick
+that finds nothing wakes no thread.  A predicate therefore only reads:
+manager state, the crash oracle (``injector.crashed``, which reads
+``kernel.now()``) and the cluster's size.  It takes no lock, blocks on
+nothing, calls no ``current_process()`` and records no decision, trace
+event or metric (:mod:`repro.sim.kernel`, "Polls").
 """
 
 from __future__ import annotations
@@ -165,10 +175,16 @@ class RecoveryManager:
         """
         slot = self._sync.setdefault(name, {})
         slot[rank] = value
-        while not all(r in slot for r in self.alive if not self.is_dead(r)):
-            if drain is not None:
+
+        def complete() -> bool:
+            return all(r in slot for r in self.alive if not self.is_dead(r))
+
+        if drain is None:
+            self.kernel.poll(complete, self.policy.tick)
+        else:  # a draining rank has work on every tick: no poll
+            while not complete():
                 drain()
-            self.kernel.sleep(self.policy.tick)
+                self.kernel.sleep(self.policy.tick)
         return dict(slot)
 
     def barrier(self, name: str, rank: int) -> None:
@@ -199,12 +215,29 @@ class RecoveryManager:
 
     def _run(self) -> None:
         n = self.cluster.n_nodes
+        tick = self.policy.tick
         while len(self._done) < n:
             if self._active is not None:
                 self._compensate_deaths()
                 if self._active is not None and self._active["speculative"]:
                     self._watch_stragglers()
-            self.kernel.sleep(self.policy.tick)
+            self.kernel.sleep(tick)
+            self.kernel.poll(self._has_work, tick)
+
+    def _has_work(self) -> bool:
+        """True at every tick where :meth:`_run`'s body would act (and at
+        some where it would not): every rank done, a death the active
+        pass has not compensated, or a speculative pass's sample due.
+        The watchdog's poll predicate, so read-only."""
+        if len(self._done) >= self.cluster.n_nodes:
+            return True
+        act = self._active
+        if act is None:
+            return False
+        if act["speculative"] and self.kernel.now() >= self._next_watch:
+            return True
+        return any((act["id"], d) not in self._compensated
+                   for d in self.dead_ranks())
 
     def pass_begin(self, pass_id: str, tag: int, producers: dict[str, int],
                    schema, speculative: bool = False) -> None:
@@ -301,12 +334,12 @@ class RecoveryManager:
         the epoch restart merges from the same backups with a clean
         survivor striping).
         """
-        while True:
-            if rank in self._winner or self.is_dead(rank):
-                return "standdown"
-            if rank in self._gate:
-                return "activate"
-            self.kernel.sleep(self.policy.tick)
+        def standdown() -> bool:
+            return rank in self._winner or self.is_dead(rank)
+
+        self.kernel.poll(lambda: standdown() or rank in self._gate,
+                         self.policy.tick)
+        return "standdown" if standdown() else "activate"
 
     def range_complete(self, rank: int, contender: str) -> bool:
         """First contender to merge ``rank``'s range wins, exactly once."""

@@ -27,6 +27,7 @@ the byte-exact replay contract.
 from __future__ import annotations
 
 import dataclasses
+from math import inf
 from typing import Optional
 
 from repro.errors import FaultError
@@ -61,8 +62,8 @@ class SpeculationPolicy(Document):
     min_progress: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise FaultError("speculation interval must be > 0")
+        if not 0 < self.interval < inf:  # also false for NaN
+            raise FaultError("speculation interval must be finite and > 0")
         if self.patience < 1:
             raise FaultError("speculation patience must be >= 1")
         if not 0 < self.lag_ratio < 1:
@@ -95,8 +96,8 @@ class RecoverPolicy(Document):
     journal_every: int = 8
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
-            raise FaultError("recovery tick must be > 0")
+        if not 0 < self.tick < inf:  # also false for NaN
+            raise FaultError("recovery tick must be finite and > 0")
         if self.journal_every < 1:
             raise FaultError("journal_every must be >= 1")
         if self.reassign and not self.backup_runs:

@@ -5,6 +5,7 @@ a plain Python callable written in blocking style.  Processes interact with
 the kernel only through blocking primitives:
 
 * :meth:`Kernel.sleep` — consume (simulated or real) time;
+* :meth:`Kernel.poll` — sleep in fixed ticks until a condition holds;
 * :meth:`Kernel.block_current` / :meth:`Kernel.make_ready` — park the calling
   process on a wait queue until another process wakes it (used by channels
   and resources);
@@ -51,6 +52,24 @@ the two OS-level operations that would have woken the thread already
 running are skipped.  :attr:`VirtualTimeKernel.handoffs
 <repro.sim.virtual.VirtualTimeKernel.handoffs>` counts the switches that
 did wake another thread.
+
+Polls: ``poll(ready, tick)`` means ``while not ready(): sleep(tick)``, and
+the base class implements it as exactly that loop (so does the real-time
+kernel).  The virtual-time kernel parks the poller once and lets the
+scheduler evaluate ``ready`` each time it pops the poller off the timeline.
+A false tick is then run where it is found: the scheduler records the
+RESUME, counts the switch and records the PARK (same ``sleep until t=…``
+text) that the poller's own ``sleep`` would have, re-queues it one tick
+later with the next sequence number, and picks again; only a true tick
+hands the poller the token.  The clock, ``switches``, every trace event
+and every digest are those of the loop — the self hand-off argument,
+extended from one process to one tick — and no thread is woken to find
+nothing to do.  :attr:`VirtualTimeKernel.polled
+<repro.sim.virtual.VirtualTimeKernel.polled>` counts the ticks the
+scheduler ran itself.  The price is a contract on ``ready``: it runs on
+whichever carrier holds the run token, under the kernel mutex, so it must
+be read-only, must not block, take the mutex or call
+:meth:`Kernel.current_process`, and must record no trace event or metric.
 """
 
 from __future__ import annotations
@@ -58,6 +77,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
 
 from repro.errors import (
@@ -109,6 +129,11 @@ class _Wake:
 
     def clear(self) -> None:
         self._lock.acquire(False)
+
+
+def _check_tick(tick: float) -> None:
+    if not 0 <= tick < inf:  # also false for NaN
+        raise ValueError(f"poll tick must be finite and >= 0: {tick}")
 
 
 class _Carrier(threading.Thread):
@@ -177,6 +202,9 @@ class Process:
         #: the wake primitive of the carrier this process is bound to;
         #: None before it starts and after it retires
         self._resume_event: Optional[_Wake] = None
+        #: ``(ready, tick)`` while parked in a virtual-time poll: the
+        #: scheduler evaluates ``ready`` in place of waking the process
+        self._poll: Optional[tuple[Callable[[], bool], float]] = None
         self._joiners: list[Process] = []
 
     # -- introspection ----------------------------------------------------
@@ -359,6 +387,19 @@ class Kernel:
     def sleep(self, duration: float) -> None:
         """Consume ``duration`` seconds of kernel time."""
         raise NotImplementedError
+
+    def poll(self, ready: Callable[[], bool], tick: float) -> None:
+        """Sleep in steps of ``tick`` until ``ready()`` holds.
+
+        Exactly ``while not ready(): self.sleep(tick)``; a ``ready`` that
+        holds at once costs nothing.  ``tick`` is checked up front like a
+        sleep duration.  ``ready`` must keep the contract in the module
+        docstring ("Polls"), which lets the virtual-time kernel evaluate
+        it without waking the poller.
+        """
+        _check_tick(tick)
+        while not ready():
+            self.sleep(tick)
 
     def block_current(self, *, locked: bool, reason: str = "") -> Any:
         """Park the calling process until another process wakes it.

@@ -28,10 +28,10 @@ import heapq
 import itertools
 from collections import deque
 from math import inf
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import DeadlockError, KernelShutdown, KernelStateError
-from repro.sim.kernel import Kernel, Process, ProcessState, _Wake
+from repro.sim.kernel import Kernel, Process, ProcessState, _check_tick, _Wake
 from repro.sim.trace import FINISH, PARK, RESUME, SPAWN, Tracer
 from repro.sim.waitfor import runtime_wait_cycle
 
@@ -65,6 +65,11 @@ class VirtualTimeKernel(Kernel):
         #: :mod:`repro.sim.kernel`, "Self hand-off").  Exact and
         #: repeatable, a plain attribute like ``switches``, never a metric.
         self.handoffs = 0
+        #: switches that were false poll ticks the scheduler ran itself,
+        #: waking nobody (see :mod:`repro.sim.kernel`, "Polls"); so
+        #: ``switches - handoffs - polled`` parkers kept the token.  A
+        #: plain attribute like ``handoffs``, never a metric.
+        self.polled = 0
         #: optional execution tracer (see :mod:`repro.sim.trace`)
         self.tracer = tracer
 
@@ -95,6 +100,21 @@ class VirtualTimeKernel(Kernel):
         heapq.heappush(self._heap, (until, next(self._seq), me))
         self._park_and_handoff_locked(me)
 
+    def poll(self, ready: Callable[[], bool], tick: float) -> None:
+        """``while not ready(): sleep(tick)``, with the false ticks run by
+        the scheduler (:mod:`repro.sim.kernel`, "Polls").
+
+        The process parks once, marked as a poller; the scheduler hands
+        it the token only at a tick where ``ready()`` holds, and the loop
+        re-checks it then — the same answer at the same instant, or, for
+        a ``ready`` that raised under the scheduler, the exception raised
+        here in the poller's own process.
+        """
+        _check_tick(tick)
+        while not ready():
+            self.current_process()._poll = (ready, tick)
+            self.sleep(tick)
+
     def block_current(self, *, locked: bool, reason: str = "") -> Any:
         if not locked:
             raise KernelStateError("block_current requires the kernel mutex")
@@ -122,12 +142,32 @@ class VirtualTimeKernel(Kernel):
     def _pick_locked(self) -> Optional[Process]:
         if self._ready:
             return self._ready.popleft()
-        if self._heap:
-            t, _, proc = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            t, _, proc = heapq.heappop(heap)
             # The clock never moves backwards: events are scheduled at
             # now+duration with duration >= 0.
             self._now = t
-            return proc
+            poll = proc._poll
+            if poll is None:
+                return proc
+            ready, tick = poll
+            try:
+                due = ready()
+            except Exception:  # noqa: BLE001 - the poller re-raises it
+                due = True
+            if due:
+                proc._poll = None
+                return proc
+            # a false tick: record and count what the poller's own
+            # resume and sleep would have, re-queue it, pick again
+            self.switches += 1
+            self.polled += 1
+            proc._waiting_on = until = t + tick
+            if self.tracer is not None:
+                self.tracer.record(t, proc.name, RESUME)
+                self.tracer.record(t, proc.name, PARK, proc.waiting_on)
+            heapq.heappush(heap, (until, next(self._seq), proc))
         return None
 
     def _park_and_handoff_locked(self, me: Process) -> None:
