@@ -2,8 +2,9 @@
 
 A :class:`Disk` wraps a :class:`~repro.cluster.storage.Storage` with the
 cost model of :class:`~repro.cluster.hardware.HardwareModel`: every read or
-write acquires the (capacity-1) disk-arm resource, sleeps
-``seek + nbytes/bandwidth`` kernel seconds, and then performs the real data
+write holds the (capacity-1) disk-arm resource for ``seek +
+nbytes/bandwidth`` kernel seconds (:meth:`Resource.hold
+<repro.sim.resources.Resource.hold>`), and then performs the real data
 movement on the backing store.  Concurrent requests from different pipeline
 stages therefore serialize on the arm — exactly the contention that makes
 "the most heavily used disk in a pass" matter for dsort (paper, Section I).
@@ -73,31 +74,37 @@ class Disk:
         Each attempt holds the arm for the (possibly straggler-stretched)
         modeled duration before the injector rules on it, so failed
         attempts cost real disk time; backoff sleeps happen *outside* the
-        arm hold so other stages can use the disk meanwhile.
+        arm hold so other stages can use the disk meanwhile.  The ruling
+        and the data movement follow the hold at the same instant.
         """
         injector = self.injector
         if injector is None:
-            with self.arm.request():
-                self.kernel.sleep(self.hardware.disk_time(nbytes))
-                return fn()
+            self.arm.hold(self.hardware.disk_time(nbytes))
+            return fn()
         retry = self.retry
         attempts = 0
 
         def attempt() -> Any:
             nonlocal attempts
             attempts += 1
-            with self.arm.request():
+            timeout = retry.op_timeout
+            duration = 0.0
+
+            def service_time() -> float:
+                # the straggler factor in force when the arm is granted
+                nonlocal duration
                 duration = (self.hardware.disk_time(nbytes)
                             * injector.disk_factor(self.rank))
-                timeout = retry.op_timeout
-                if timeout is not None and duration > timeout:
-                    self.kernel.sleep(timeout)
-                    raise FaultInjected(
-                        f"disk {op} exceeded {timeout:g}s op timeout",
-                        site=f"disk.{self.rank}", rank=self.rank)
-                self.kernel.sleep(duration)
-                injector.disk_op(self.rank, op, nbytes)
-                return fn()
+                return duration if timeout is None else min(duration,
+                                                            timeout)
+
+            self.arm.hold(service_time)
+            if timeout is not None and duration > timeout:
+                raise FaultInjected(
+                    f"disk {op} exceeded {timeout:g}s op timeout",
+                    site=f"disk.{self.rank}", rank=self.rank)
+            injector.disk_op(self.rank, op, nbytes)
+            return fn()
 
         registry = self.kernel.metrics
 

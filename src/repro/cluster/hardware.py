@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 __all__ = ["HardwareModel"]
 
@@ -42,8 +43,18 @@ class HardwareModel:
     merge_cost_per_record: float = 25e-9
 
     def __post_init__(self) -> None:
-        if self.cores_per_node < 1:
-            raise ValueError("cores_per_node must be >= 1")
+        cores = self.cores_per_node
+        if (isinstance(cores, bool) or not isinstance(cores, numbers.Integral)
+                or cores < 1):
+            raise ValueError(
+                f"cores_per_node must be an integer >= 1: {cores!r}")
+        for field in ("disk_bandwidth", "net_bandwidth", "disk_seek",
+                      "net_latency", "sort_cost_per_key_log",
+                      "copy_cost_per_byte", "merge_cost_per_record"):
+            value = getattr(self, field)
+            if not (isinstance(value, numbers.Real)
+                    and math.isfinite(value)):
+                raise ValueError(f"{field} must be finite: {value!r}")
         for field in ("disk_bandwidth", "net_bandwidth"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be > 0")

@@ -279,8 +279,7 @@ class Network:
         """Put ``nbytes`` on the wire, retransmitting injected drops."""
         injector = self.injector
         if injector is None:
-            with self.tx[src].request():
-                self.kernel.sleep(self.hardware.wire_time(nbytes))
+            self.tx[src].hold(self.hardware.wire_time(nbytes))
             self.bytes_sent[src] += nbytes
             return
         injector.check_alive(src, f"net.{src}")
@@ -289,9 +288,9 @@ class Network:
         def attempt() -> None:
             nonlocal attempts
             attempts += 1
-            with self.tx[src].request():
-                self.kernel.sleep(self.hardware.wire_time(nbytes)
-                                  * injector.wire_factor(src))
+            # the degradation in force when the NIC is granted
+            self.tx[src].hold(lambda: self.hardware.wire_time(nbytes)
+                              * injector.wire_factor(src))
             self.bytes_sent[src] += nbytes
             if injector.message_fate(src, dst, nbytes) == "drop":
                 raise FaultInjected("message dropped on the wire",
@@ -322,9 +321,7 @@ class Network:
         if msg.src != dst:
             factor = (self.injector.wire_factor(dst)
                       if self.injector is not None else 1.0)
-            with self.rx[dst].request():
-                self.kernel.sleep(self.hardware.wire_time(msg.nbytes)
-                                  * factor)
+            self.rx[dst].hold(self.hardware.wire_time(msg.nbytes) * factor)
             self.bytes_received[dst] += msg.nbytes
         race = self.kernel.race
         if race is not None:

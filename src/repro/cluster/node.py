@@ -61,8 +61,7 @@ class Node:
             self.injector.check_alive(self.rank,
                                       f"node{self.rank}.compute")
             seconds *= self.injector.compute_factor(self.rank)
-        with self.cores.request():
-            self.kernel.sleep(seconds)
+        self.cores.hold(seconds)
         self.compute_time += seconds
 
     def compute_sort(self, nrecords: int) -> None:

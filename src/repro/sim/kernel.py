@@ -6,6 +6,8 @@ the kernel only through blocking primitives:
 
 * :meth:`Kernel.sleep` — consume (simulated or real) time;
 * :meth:`Kernel.poll` — sleep in fixed ticks until a condition holds;
+* :meth:`Kernel.hold` — sleep while holding units of a
+  :class:`~repro.sim.resources.Resource`;
 * :meth:`Kernel.block_current` / :meth:`Kernel.make_ready` — park the calling
   process on a wait queue until another process wakes it (used by channels
   and resources);
@@ -70,12 +72,47 @@ scheduler ran itself.  The price is a contract on ``ready``: it runs on
 whichever carrier holds the run token, under the kernel mutex, so it must
 be read-only, must not block, take the mutex or call
 :meth:`Kernel.current_process`, and must record no trace event or metric.
+
+Holds: ``hold(resource, seconds, units)`` means ``with
+resource.request(units): sleep(seconds)``, and the base class (so the
+real-time kernel) implements it as exactly that bracket.  ``seconds`` may
+be a zero-argument function, called at the instant the units are granted
+(fault injectors read the clock there).  The virtual-time kernel takes the
+mutex once per hold and lets the scheduler run both ends of it.  A holder
+queued behind others is granted its units by a releaser, as with
+``acquire``; when the scheduler pops it off the ready queue it records the
+RESUME, counts the switch, records the PARK (``sleep until t=…``) and
+queues the holder on the timeline — what the holder's own ``sleep`` would
+have done, without waking it.  When the scheduler pops a holder off the
+timeline it releases the units, granting them to whoever waits next, and
+only then wakes the holder.  The grant's sleep is invisible for the poll
+argument's reason.  The release is invisible because in the bracket it is
+the first thing the woken holder does, and in the scheduler it happens at
+the same instant with no process run in between.
+:attr:`VirtualTimeKernel.granted
+<repro.sim.virtual.VirtualTimeKernel.granted>` counts the sleeps the
+scheduler started.  ``seconds`` is checked before any unit is taken, and
+a ``seconds`` function keeps the contract on ``ready``; if it raises or
+returns an invalid time under the scheduler, the holder is woken, and
+then releases its units and raises the error in its own process, as the
+bracket would.
+
+Carrier policy: the virtual-time kernel runs its carriers under Linux's
+``SCHED_BATCH``, set once per carrier thread when it starts (skipped
+silently where the OS lacks the policy or refuses it).  Only one carrier
+ever runs at a time there, and a woken ``SCHED_BATCH`` thread never
+preempts its waker, so a hand-off is one voluntary OS context switch —
+the waker parks at once — instead of a preemption followed by the woken
+thread blocking on the GIL its waker still holds.  Real-time carriers
+run concurrently and keep the default policy.  A fixed hint to the OS,
+not an option: simulated time cannot see it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import os
 import threading
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Union
@@ -88,9 +125,14 @@ from repro.errors import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import Counter, MetricsRegistry
+    from repro.sim.resources import Resource
     from repro.sim.trace import Tracer
 
 __all__ = ["Kernel", "Process", "ProcessState"]
+
+#: a hold's duration: seconds, or a function called when the units are
+#: granted that returns them
+HoldTime = Union[float, Callable[[], float]]
 
 
 class ProcessState(enum.Enum):
@@ -136,23 +178,45 @@ def _check_tick(tick: float) -> None:
         raise ValueError(f"poll tick must be finite and >= 0: {tick}")
 
 
+def _hold_time(seconds: HoldTime) -> float:
+    """A hold's duration: ``seconds``, or what it returns if callable;
+    finite and >= 0 like a sleep's."""
+    duration = seconds() if callable(seconds) else seconds
+    if not 0 <= duration < inf:  # also false for NaN
+        raise ValueError(f"hold time must be finite and >= 0: {duration}")
+    return duration
+
+
+def _batch_policy() -> None:
+    """Put the calling thread under ``SCHED_BATCH`` (module docstring,
+    "Carrier policy"); keep the default where the OS lacks or refuses it."""
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
+
+
 class _Carrier(threading.Thread):
     """A reusable OS thread (see the module docstring, "Carriers").
 
     Parked on :attr:`event` whenever it is idle; woken either with a
     process bound to :attr:`proc`, which it runs to completion, or with
     none, which tells it to exit.  While bound it is named after its
-    process so thread dumps say which stage hung.
+    process so thread dumps say which stage hung.  With ``batch`` it runs
+    under ``SCHED_BATCH`` ("Carrier policy").
     """
 
     IDLE_NAME = "repro-carrier"
 
-    def __init__(self) -> None:
+    def __init__(self, batch: bool) -> None:
         super().__init__(name=self.IDLE_NAME, daemon=True)
         self.event = _Wake()
         self.proc: Optional[Process] = None
+        self.batch = batch
 
     def run(self) -> None:
+        if self.batch:
+            _batch_policy()
         # no local outlives an iteration: a parked carrier must not pin
         # its last process (or, through it, the kernel and its cluster)
         while True:
@@ -202,9 +266,12 @@ class Process:
         #: the wake primitive of the carrier this process is bound to;
         #: None before it starts and after it retires
         self._resume_event: Optional[_Wake] = None
-        #: ``(ready, tick)`` while parked in a virtual-time poll: the
-        #: scheduler evaluates ``ready`` in place of waking the process
-        self._poll: Optional[tuple[Callable[[], bool], float]] = None
+        #: what the virtual-time scheduler runs, in place of waking this
+        #: parked process, when it pops it: a poll's tick or a hold's
+        #: grant or release.  Returns True when the process must be woken
+        #: after all (the scheduler then clears it); a step that does not
+        #: wake it has parked it again itself.
+        self._step: Optional[Callable[[], bool]] = None
         self._joiners: list[Process] = []
 
     # -- introspection ----------------------------------------------------
@@ -254,6 +321,10 @@ class Process:
 
 class Kernel:
     """Base class implementing process bookkeeping shared by both kernels."""
+
+    #: whether carriers run under ``SCHED_BATCH`` (module docstring,
+    #: "Carrier policy"): fixed per kernel class, not per instance
+    _BATCH_CARRIERS = False
 
     def __init__(self) -> None:
         #: global kernel mutex; see module docstring for the locking contract.
@@ -401,6 +472,23 @@ class Kernel:
         while not ready():
             self.sleep(tick)
 
+    def hold(self, resource: "Resource", seconds: HoldTime,
+             units: int = 1) -> None:
+        """Hold ``units`` of ``resource`` for ``seconds`` of kernel time.
+
+        Exactly ``with resource.request(units): self.sleep(seconds)``,
+        with a callable ``seconds`` called once the units are granted.
+        A ``seconds`` that is not callable is checked before any unit is
+        taken.  Callers use :meth:`Resource.hold
+        <repro.sim.resources.Resource.hold>`; the virtual-time kernel
+        runs the grant and the release in its scheduler (module
+        docstring, "Holds").
+        """
+        if not callable(seconds):
+            _hold_time(seconds)
+        with resource.request(units):
+            self.sleep(_hold_time(seconds))
+
     def block_current(self, *, locked: bool, reason: str = "") -> Any:
         """Park the calling process until another process wakes it.
 
@@ -438,7 +526,7 @@ class Kernel:
         if self._idle:
             carrier = self._idle.pop()
         else:
-            carrier = _Carrier()
+            carrier = _Carrier(self._BATCH_CARRIERS)
             carrier.start()
             self.threads_started += 1
         carrier.proc = proc

@@ -5,8 +5,11 @@ disk arm (capacity 1), a NIC (capacity 1 per direction), a node's CPU cores
 (capacity = core count).  Holding a unit while sleeping for a modeled
 service time is how cost models charge for contention::
 
-    with disk_arm.request():
-        kernel.sleep(seek + nbytes / bandwidth)
+    disk_arm.hold(seek + nbytes / bandwidth)
+
+which means ``with disk_arm.request(): kernel.sleep(...)``; the
+virtual-time kernel runs its grant and release in the scheduler
+(:mod:`repro.sim.kernel`, "Holds").
 
 Fairness is strict FIFO with head-of-line blocking: a large request at the
 head of the queue is never overtaken by a smaller one behind it.  This
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.sim.kernel import Kernel, Process
+from repro.sim.kernel import HoldTime, Kernel, Process
 
 __all__ = ["Resource"]
 
@@ -75,36 +78,31 @@ class Resource:
 
     # -- acquire / release ----------------------------------------------------------
 
-    def acquire(self, units: int = 1) -> None:
-        """Take ``units`` of the resource, blocking until available (FIFO)."""
+    def _check_units(self, units: int) -> None:
         if units < 1 or units > self.capacity:
             raise ValueError(
                 f"cannot acquire {units} units of {self.name!r} "
                 f"(capacity {self.capacity})")
-        kernel = self.kernel
-        kernel.mutex.acquire()
-        if not self._waiters and self._available >= units:
-            self._account_locked()
-            self._available -= units
-            self.acquisitions += 1
-            kernel.mutex.release()
-            return
-        me = kernel.current_process()
-        self._waiters.append((me, units))
-        me.wait_info = self._wait_info
-        kernel.block_current(locked=True,
-                             reason=f"acquire {units}x {self.name}")
-        # The releaser already performed the accounting and the decrement
-        # on our behalf before waking us.
 
-    def release(self, units: int = 1) -> None:
-        """Return ``units`` to the resource and admit queued waiters in order."""
-        if units < 1:
-            raise ValueError("units must be >= 1")
-        kernel = self.kernel
-        kernel.mutex.acquire()
+    def _take_locked(self, units: int) -> bool:
+        """Take ``units`` now if FIFO order allows; mutex held."""
+        if self._waiters or self._available < units:
+            return False
+        self._account_locked()
+        self._available -= units
+        self.acquisitions += 1
+        return True
+
+    def _enqueue_locked(self, proc: Process, units: int) -> str:
+        """Queue ``proc`` for ``units``; mutex held.  Returns what it
+        waits on, for its park."""
+        self._waiters.append((proc, units))
+        proc.wait_info = self._wait_info
+        return f"acquire {units}x {self.name}"
+
+    def _release_locked(self, units: int) -> None:
+        """Return ``units`` and grant queued waiters in order; mutex held."""
         if self._available + units > self.capacity:
-            kernel.mutex.release()
             raise ValueError(
                 f"release overflows {self.name!r}: "
                 f"{self._available} + {units} > capacity {self.capacity}")
@@ -114,8 +112,42 @@ class Resource:
             proc, need = self._waiters.popleft()
             self._available -= need
             self.acquisitions += 1
-            kernel.make_ready(proc)
-        kernel.mutex.release()
+            self.kernel.make_ready(proc)
+
+    def acquire(self, units: int = 1) -> None:
+        """Take ``units`` of the resource, blocking until available (FIFO)."""
+        self._check_units(units)
+        kernel = self.kernel
+        kernel.mutex.acquire()
+        if self._take_locked(units):
+            kernel.mutex.release()
+            return
+        reason = self._enqueue_locked(kernel.current_process(), units)
+        kernel.block_current(locked=True, reason=reason)
+        # The releaser already performed the accounting and the decrement
+        # on our behalf before waking us.
+
+    def release(self, units: int = 1) -> None:
+        """Return ``units`` to the resource and admit queued waiters in order."""
+        if units < 1:
+            raise ValueError("units must be >= 1")
+        kernel = self.kernel
+        kernel.mutex.acquire()
+        try:
+            self._release_locked(units)
+        finally:
+            kernel.mutex.release()
+
+    def hold(self, seconds: HoldTime, units: int = 1) -> None:
+        """Hold ``units`` for ``seconds`` of kernel time.
+
+        Exactly ``with self.request(units): kernel.sleep(seconds)``.
+        ``seconds`` may be a zero-argument function: it is called at the
+        instant the units are granted, and must be read-only like a poll's
+        predicate (:mod:`repro.sim.kernel`, "Holds").  An invalid
+        ``seconds`` is refused before any unit is taken.
+        """
+        self.kernel.hold(self, seconds, units)
 
     def request(self, units: int = 1) -> "_Request":
         """``with resource.request(): ...`` — acquire/release bracket."""

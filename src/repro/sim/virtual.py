@@ -20,6 +20,17 @@ Determinism: the ready queue is FIFO, timed events are ordered by
 processes to the ready queue under the kernel mutex), and the single run
 token serializes everything.  Two runs of the same program with the same
 seeds produce identical event timelines.
+
+Stuck runs: when no process is ready and no timed event is pending,
+:meth:`VirtualTimeKernel.run` raises :class:`~repro.errors.DeadlockError`.
+A run can also be stuck while simulated time advances: pollers re-check a
+condition nothing will make true, sleepers tick, and every other process
+waits forever.  The kernel notes the switch count at every wake-up that
+is not timed (a :meth:`~VirtualTimeKernel.make_ready` from a channel,
+mailbox, resource grant or join, or a spawn); when a poll tick finds
+more than :data:`LIVELOCK_SWITCHES` switches since then, ``run()`` raises
+``DeadlockError("livelock: …")`` listing every live process, pollers
+first.
 """
 
 from __future__ import annotations
@@ -28,14 +39,90 @@ import heapq
 import itertools
 from collections import deque
 from math import inf
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import DeadlockError, KernelShutdown, KernelStateError
-from repro.sim.kernel import Kernel, Process, ProcessState, _check_tick, _Wake
+from repro.sim.kernel import (
+    HoldTime,
+    Kernel,
+    Process,
+    ProcessState,
+    _check_tick,
+    _hold_time,
+    _Wake,
+)
 from repro.sim.trace import FINISH, PARK, RESUME, SPAWN, Tracer
 from repro.sim.waitfor import runtime_wait_cycle
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.resources import Resource
+
 __all__ = ["VirtualTimeKernel"]
+
+#: switches without a wake-up that was not timed (a channel, mailbox,
+#: resource grant, join or spawn) after which a poll's tick gives up:
+#: nothing but pollers and sleepers has run for that long
+LIVELOCK_SWITCHES = 100_000
+
+
+class _Poll:
+    """A parked poller's step (:mod:`repro.sim.kernel`, "Polls"): wake it
+    at a true tick, run a false one in its place."""
+
+    __slots__ = ("kernel", "proc", "ready", "tick")
+
+    def __init__(self, kernel: "VirtualTimeKernel", proc: Process,
+                 ready: Callable[[], bool], tick: float) -> None:
+        self.kernel = kernel
+        self.proc = proc
+        self.ready = ready
+        self.tick = tick
+
+    def __call__(self) -> bool:
+        try:
+            if self.ready():
+                return True
+        except Exception:  # noqa: BLE001 - the poller re-raises it
+            return True
+        kernel = self.kernel
+        kernel.polled += 1
+        kernel._repark_locked(self.proc, kernel._now + self.tick)
+        if kernel.switches - kernel._woken_at > LIVELOCK_SWITCHES:
+            kernel._livelock = True
+        return False
+
+
+class _Hold:
+    """A parked holder's step (:mod:`repro.sim.kernel`, "Holds"): off the
+    ready queue it has just been granted its units, and its sleep is
+    started in its place; off the timeline its sleep is over, and its
+    units are released before it is woken."""
+
+    __slots__ = ("kernel", "proc", "resource", "seconds", "units", "until")
+
+    def __init__(self, kernel: "VirtualTimeKernel", proc: Process,
+                 resource: "Resource", seconds: HoldTime,
+                 units: int) -> None:
+        self.kernel = kernel
+        self.proc = proc
+        self.resource = resource
+        self.seconds = seconds
+        self.units = units
+        #: the end of the sleep once it started, None while queued
+        self.until: Optional[float] = None
+
+    def __call__(self) -> bool:
+        if self.until is not None:
+            self.resource._release_locked(self.units)
+            return True
+        kernel = self.kernel
+        try:
+            self.until = kernel._now + _hold_time(self.seconds)
+        except Exception:  # noqa: BLE001 - the holder re-raises it
+            return True
+        kernel.granted += 1
+        kernel._repark_locked(self.proc, self.until)
+        return False
 
 
 class VirtualTimeKernel(Kernel):
@@ -49,6 +136,8 @@ class VirtualTimeKernel(Kernel):
         kernel.run()           # raises on failure or deadlock
         elapsed = kernel.now() # simulated seconds
     """
+
+    _BATCH_CARRIERS = True
 
     def __init__(self, tracer: Optional["Tracer"] = None) -> None:
         super().__init__()
@@ -66,10 +155,18 @@ class VirtualTimeKernel(Kernel):
         #: repeatable, a plain attribute like ``switches``, never a metric.
         self.handoffs = 0
         #: switches that were false poll ticks the scheduler ran itself,
-        #: waking nobody (see :mod:`repro.sim.kernel`, "Polls"); so
-        #: ``switches - handoffs - polled`` parkers kept the token.  A
-        #: plain attribute like ``handoffs``, never a metric.
+        #: waking nobody (see :mod:`repro.sim.kernel`, "Polls").  A plain
+        #: attribute like ``handoffs``, never a metric.
         self.polled = 0
+        #: switches that were a granted holder's sleep, started by the
+        #: scheduler without waking it (:mod:`repro.sim.kernel`,
+        #: "Holds"); so ``switches - handoffs - polled - granted``
+        #: parkers kept the token.  A plain attribute, never a metric.
+        self.granted = 0
+        # the livelock guard: ``switches`` at the last wake-up that was
+        # not timed, and whether a poll tick found it too far back
+        self._woken_at = 0
+        self._livelock = False
         #: optional execution tracer (see :mod:`repro.sim.trace`)
         self.tracer = tracer
 
@@ -111,9 +208,53 @@ class VirtualTimeKernel(Kernel):
         here in the poller's own process.
         """
         _check_tick(tick)
-        while not ready():
-            self.current_process()._poll = (ready, tick)
+        if ready():
+            return
+        me = self.current_process()
+        step = _Poll(self, me, ready, tick)
+        while True:
+            me._step = step
             self.sleep(tick)
+            if ready():
+                return
+
+    def hold(self, resource: "Resource", seconds: HoldTime,
+             units: int = 1) -> None:
+        """``with resource.request(units): sleep(seconds)``, with the
+        grant and the release run by the scheduler (:mod:`repro.sim.kernel`,
+        "Holds"): one park, and one wake at the end of the sleep."""
+        if not callable(seconds):
+            _hold_time(seconds)
+        resource._check_units(units)
+        me = self.current_process()
+        hold = _Hold(self, me, resource, seconds, units)
+        self.mutex.acquire()
+        if resource._take_locked(units):
+            try:
+                hold.until = until = self._now + _hold_time(seconds)
+            except BaseException:
+                resource._release_locked(units)
+                self.mutex.release()
+                raise
+            me._waiting_on = until
+            heapq.heappush(self._heap, (until, next(self._seq), me))
+        else:
+            me._waiting_on = resource._enqueue_locked(me, units)
+        me.state = ProcessState.BLOCKED
+        me._step = hold
+        try:
+            self._park_and_handoff_locked(me)
+        except KernelShutdown:
+            if hold.until is not None:  # the bracket's release
+                resource.release(units)
+            raise
+        if hold.until is None:
+            # granted, but ``seconds`` failed under the scheduler: ask it
+            # here, in the holder's own process, as the bracket does
+            try:
+                self.sleep(_hold_time(seconds))
+            finally:
+                resource.release(units)
 
     def block_current(self, *, locked: bool, reason: str = "") -> Any:
         if not locked:
@@ -136,39 +277,41 @@ class VirtualTimeKernel(Kernel):
         proc._waiting_on = None
         proc.wait_info = None
         self._ready.append(proc)
+        self._woken_at = self.switches
 
     # -- scheduling core -------------------------------------------------------
 
     def _pick_locked(self) -> Optional[Process]:
-        if self._ready:
-            return self._ready.popleft()
-        heap = self._heap
-        while heap:
-            t, _, proc = heapq.heappop(heap)
-            # The clock never moves backwards: events are scheduled at
-            # now+duration with duration >= 0.
-            self._now = t
-            poll = proc._poll
-            if poll is None:
+        ready, heap = self._ready, self._heap
+        while True:
+            if ready:
+                proc = ready.popleft()
+            elif heap:
+                # The clock never moves backwards: events are scheduled at
+                # now+duration with duration >= 0.
+                self._now, _, proc = heapq.heappop(heap)
+            else:
+                return None
+            step = proc._step
+            if step is None:
                 return proc
-            ready, tick = poll
-            try:
-                due = ready()
-            except Exception:  # noqa: BLE001 - the poller re-raises it
-                due = True
-            if due:
-                proc._poll = None
+            if step():
+                proc._step = None
                 return proc
-            # a false tick: record and count what the poller's own
-            # resume and sleep would have, re-queue it, pick again
-            self.switches += 1
-            self.polled += 1
-            proc._waiting_on = until = t + tick
-            if self.tracer is not None:
-                self.tracer.record(t, proc.name, RESUME)
-                self.tracer.record(t, proc.name, PARK, proc.waiting_on)
-            heapq.heappush(heap, (until, next(self._seq), proc))
-        return None
+            if self._livelock:
+                return None
+
+    def _repark_locked(self, proc: Process, until: float) -> None:
+        """Run a parked process's resume and ``sleep`` for it: record and
+        count what the process itself would have, and queue it on the
+        timeline until ``until`` — without waking its thread."""
+        self.switches += 1
+        proc.state = ProcessState.BLOCKED
+        proc._waiting_on = until
+        if self.tracer is not None:
+            self.tracer.record(self._now, proc.name, RESUME)
+            self.tracer.record(self._now, proc.name, PARK, proc.waiting_on)
+        heapq.heappush(self._heap, (until, next(self._seq), proc))
 
     def _park_and_handoff_locked(self, me: Process) -> None:
         """Hand the run token to the next process and wait to be resumed.
@@ -213,6 +356,7 @@ class VirtualTimeKernel(Kernel):
         # parked until the scheduler grants them the token.
         proc.state = ProcessState.READY
         self._ready.append(proc)
+        self._woken_at = self.switches
         if self.tracer is not None:
             self.tracer.record(self._now, proc.name, SPAWN)
 
@@ -277,20 +421,34 @@ class VirtualTimeKernel(Kernel):
                                        unit="s").set(self._now)
                 return
             self._main_event.clear()
-            nxt = self._pick_locked()
+            nxt = None if self._livelock else self._pick_locked()
             if nxt is None:
-                blocked = [p for p in self._processes if p.alive]
-                message = ("deadlock: all live processes are blocked and no "
-                           "timed event is pending\n"
-                           + self._describe_blocked(blocked))
-                cycle = runtime_wait_cycle(blocked)
-                if cycle is not None:
-                    message += f"\n  wait-for cycle: {cycle}"
+                message = self._stuck_message_locked()
                 self._abort_locked()  # releases mutex
                 raise DeadlockError(message)
             self.mutex.release()
             nxt._resume_event.set()
             self._main_event.wait()
+
+    def _stuck_message_locked(self) -> str:
+        """Why the run cannot go on: a deadlock, or the livelock a poll
+        tick found (pollers listed first)."""
+        blocked = [p for p in self._processes if p.alive]
+        if self._livelock:
+            pollers = [p for p in blocked if isinstance(p._step, _Poll)]
+            others = [p for p in blocked if not isinstance(p._step, _Poll)]
+            return (f"livelock: {self.switches - self._woken_at} switches "
+                    "since a process was last woken other than by the "
+                    "clock; only polls and sleeps are running "
+                    f"({len(pollers)} polling, listed first)\n"
+                    + self._describe_blocked(pollers + others))
+        message = ("deadlock: all live processes are blocked and no "
+                   "timed event is pending\n"
+                   + self._describe_blocked(blocked))
+        cycle = runtime_wait_cycle(blocked)
+        if cycle is not None:
+            message += f"\n  wait-for cycle: {cycle}"
+        return message
 
     def _abort_locked(self) -> None:
         """Unwind every parked process.  Caller holds the mutex; released."""

@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 import pytest
 
 from repro.cluster.hardware import HardwareModel
@@ -68,6 +70,26 @@ def test_validation_rejects_nonsense():
         HardwareModel(disk_seek=-1e-9)
     with pytest.raises(ValueError):
         HardwareModel(sort_cost_per_key_log=-1)
+
+
+@pytest.mark.parametrize("field", [
+    "disk_bandwidth", "disk_seek", "net_bandwidth", "net_latency",
+    "sort_cost_per_key_log", "copy_cost_per_byte", "merge_cost_per_record"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validation_refuses_non_finite_costs(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        HardwareModel(**{field: value})
+
+
+@pytest.mark.parametrize("cores", [1.5, 2.0, True, math.nan, "2"])
+def test_validation_refuses_cores_that_are_not_an_integer(cores):
+    with pytest.raises(ValueError, match="^cores_per_node must be an "
+                                         "integer"):
+        HardwareModel(cores_per_node=cores)
+
+
+def test_integer_like_cores_are_accepted():
+    assert HardwareModel(cores_per_node=np.int64(3)).cores_per_node == 3
 
 
 def test_presets_are_valid_and_distinct():

@@ -74,7 +74,7 @@ def matrix():
                 evaluating.pop()
             if (len(kernel.tracer.events), len(manager.decisions)) != before:
                 changed.append(site)
-            if poller._poll is not None:  # parked: the scheduler asks
+            if poller._step is not None:  # parked: the scheduler asks
                 reached[site] += 1
             return result
 

@@ -5,10 +5,13 @@ A kernel process is a blocking callable; the OS thread under it is a
 the process retires (``repro.sim.kernel``, "Carriers").  These tests pin
 what that reuse must not change — identity, order, names, failure
 handling — and what it must guarantee: an exact thread count and no
-thread (or kernel) left behind when ``run()`` ends, however it ends.
+thread (or kernel) left behind when ``run()`` ends, however it ends —
+and that virtual-time carriers run under ``SCHED_BATCH`` where the OS has
+it, which simulated time cannot see ("Carrier policy").
 """
 
 import gc
+import os
 import sys
 import threading
 import time
@@ -414,4 +417,73 @@ def test_tracer_event_order_is_the_parent_commits():
         runs.append(tracer.events)
         assert len(tracer.events) == SPAWN_HEAVY_EVENTS
         assert trace_digest(tracer) == SPAWN_HEAVY_TRACE_DIGEST
+    assert runs[0] == runs[1]
+
+
+# -- carrier policy ------------------------------------------------------
+
+
+def _policy_program(kernel, policies):
+    """Six processes that sleep and hand a channel round, each noting
+    its carrier's scheduling policy at every step."""
+    wire = Channel(kernel, capacity=1, name="wire")
+    policy_of = getattr(os, "sched_getscheduler", None)
+
+    def note():
+        if policy_of is not None:
+            policies.add(policy_of(threading.get_native_id()))
+
+    def worker(i):
+        for step in range(3):
+            note()
+            kernel.sleep(0.001 * ((i + step) % 3))
+            if i % 2:
+                wire.put(i)
+            else:
+                wire.get()
+        return i
+
+    return [kernel.spawn(worker, i, name=f"w{i}") for i in range(6)]
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"),
+                    reason="SCHED_BATCH is a Linux policy")
+def test_virtual_time_carriers_run_under_sched_batch():
+    caller = os.sched_getscheduler(0)
+    seen = {}
+    for make_kernel in (_virtual, _realtime):
+        kernel = make_kernel()
+        policies = set()
+        _policy_program(kernel, policies)
+        _run(kernel)
+        seen[type(kernel).__name__] = policies
+    # real-time carriers inherit the policy of the thread that made them
+    assert seen == {"VirtualTimeKernel": {os.SCHED_BATCH},
+                    "RealTimeKernel": {caller}}
+    assert os.sched_getscheduler(0) == caller
+
+
+def _refuse(*args):
+    raise PermissionError(1, "Operation not permitted")
+
+
+@pytest.mark.parametrize("how", ["refused", "missing"])
+def test_a_run_without_the_policy_is_the_same_run(monkeypatch, how):
+    caller = (os.sched_getscheduler(0)
+              if hasattr(os, "sched_getscheduler") else None)
+    runs = []
+    for without in (False, True):
+        with monkeypatch.context() as mp:
+            if without and how == "refused":
+                mp.setattr(os, "sched_setscheduler", _refuse, raising=False)
+            elif without:
+                mp.delattr(os, "SCHED_BATCH", raising=False)
+            kernel = VirtualTimeKernel(tracer=Tracer())
+            policies = set()
+            procs = _policy_program(kernel, policies)
+            kernel.run()
+        runs.append((kernel.tracer.events, kernel.switches, kernel.handoffs,
+                     kernel.threads_started, [p.result for p in procs]))
+        if caller is not None and without:
+            assert policies == {caller}
     assert runs[0] == runs[1]

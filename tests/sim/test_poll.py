@@ -6,7 +6,8 @@ poller once and evaluates ``ready`` at each pop (``repro.sim.kernel``,
 "Polls").  These tests hold the two against each other — the same trace,
 switch count, clock and results on generated programs — and pin the
 edges: a true-at-once poll, bad ticks, an abort mid-poll, the wait
-report, a predicate that raises, and the real-time kernel.
+report, a predicate that raises, the real-time kernel, and the livelock
+guard that stops a run in which only polls and sleeps are left.
 """
 
 import collections
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProcessFailed
-from repro.sim import Channel, RealTimeKernel, Tracer, VirtualTimeKernel
+from repro.errors import DeadlockError, ProcessFailed
+from repro.sim import Channel, RealTimeKernel, Tracer, VirtualTimeKernel, virtual
 from repro.sim.kernel import Kernel
 from tests.sim.test_carriers import _kernel_threads
 
@@ -291,3 +292,59 @@ def test_real_time_poll_waits_for_the_condition():
     proc = kernel.spawn(poller, name="poller")
     kernel.run(timeout=10.0)
     assert proc.result == 1
+
+
+# -- the livelock guard --------------------------------------------------
+
+
+def test_a_poll_livelock_fails_fast(monkeypatch):
+    """A poller whose condition never comes, a reader nobody writes to
+    and a sleeper ticking forever: nothing but the clock wakes anyone."""
+    monkeypatch.setattr(virtual, "LIVELOCK_SWITCHES", 1000)
+    kernel = VirtualTimeKernel()
+    never = Channel(kernel, name="never")
+
+    def ticker():
+        while True:
+            kernel.sleep(1.0)
+
+    kernel.spawn(never.get, name="reader")
+    kernel.spawn(ticker, name="ticker")
+    kernel.spawn(kernel.poll, lambda: False, 0.25, name="poller")
+    with pytest.raises(DeadlockError) as info:
+        kernel.run()
+    header, *lines = str(info.value).splitlines()
+    assert header == ("livelock: 1001 switches since a process was last "
+                      "woken other than by the clock; only polls and "
+                      "sleeps are running (1 polling, listed first)")
+    assert lines[0].startswith("  - poller: waiting on sleep until t=")
+    assert sorted(lines[1:]) == [
+        "  - reader: waiting on get <- never (occupancy 0/inf)",
+        f"  - ticker: waiting on sleep until t={math.ceil(kernel.now())}"]
+    assert _kernel_threads() == []
+
+
+def test_the_livelock_guard_counts_from_the_last_wake_up(monkeypatch):
+    """Each channel hand-over restarts the count, so a long wait beside
+    a working pipeline never trips the guard."""
+    monkeypatch.setattr(virtual, "LIVELOCK_SWITCHES", 50)
+    kernel = VirtualTimeKernel()
+    channel = Channel(kernel, capacity=1, name="wire")
+    got = []
+
+    def producer():
+        for i in range(40):
+            kernel.sleep(1.0)
+            channel.put(i)
+
+    def consumer():
+        for _ in range(40):
+            got.append(channel.get())
+
+    kernel.spawn(producer, name="producer")
+    kernel.spawn(consumer, name="consumer")
+    poller = kernel.spawn(kernel.poll, lambda: len(got) == 40, 0.25,
+                          name="poller")
+    kernel.run()
+    assert poller.state.value == "done" and kernel.now() == 40.0
+    assert kernel.switches > 4 * virtual.LIVELOCK_SWITCHES
