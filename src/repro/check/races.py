@@ -12,11 +12,11 @@ attempt it replaces) — transfer clocks exactly like message-passing in
 the classical happens-before model:
 
 * a send ticks the sender's own component and snapshots its clock onto
-  the item (channels keep a FIFO deque of snapshots, matching the
-  proven delivery order; cluster messages carry the snapshot as an
-  attribute because MPI-style matching is per ``(source, tag)``, not
-  FIFO);
-* a receive joins the snapshot into the receiver's clock.
+  the item (channels keep a FIFO of snapshots, matching the proven
+  delivery order; cluster messages carry the snapshot as an attribute
+  because MPI-style matching is per ``(source, tag)``, not FIFO);
+* a receive joins the snapshot into the receiver's clock (and drops a
+  message's, which is received once).
 
 When a stage accepts a buffer, the detector ticks the stage's process
 clock and replays the stage's *statically inferred* effect set (the
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import deque
+from itertools import chain
 from typing import Any, Optional
 
 from repro.check.dataflow import Cell, ProgramEffects, cells_conflict
@@ -50,6 +50,15 @@ from repro.env import race_from_env
 from repro.errors import KernelStateError, RaceError
 
 __all__ = ["RaceDetector", "RaceFinding", "race_from_env"]
+
+#: a vector clock frozen for the trip: ``(pid, component, pid, ...)``,
+#: about half a dict's bytes, and there is one per item in flight
+Snapshot = tuple[int, ...]
+
+
+def _freeze(clock: dict[int, int]) -> Snapshot:
+    return tuple(chain.from_iterable(clock.items()))
+
 
 @dataclasses.dataclass(frozen=True)
 class RaceFinding:
@@ -93,11 +102,12 @@ class RaceDetector:
         self._lock = threading.Lock()
         #: pid -> vector clock (pid -> component)
         self._clocks: dict[int, dict[int, int]] = {}
-        #: id(channel) -> FIFO deque of sender clock snapshots, aligned
-        #: with the channel's (proven-FIFO) delivery order
-        self._chan: dict[int, deque[dict[int, int]]] = {}
+        #: id(channel) -> FIFO of sender clock snapshots, aligned with
+        #: the channel's (proven-FIFO) delivery order: a list, as a
+        #: channel holds a few items at most and is empty most of the time
+        self._chan: dict[int, list[Snapshot]] = {}
         #: pid -> snapshots handed to a blocked getter, joined on resume
-        self._pending: dict[int, list[dict[int, int]]] = {}
+        self._pending: dict[int, list[Snapshot]] = {}
         #: id(stage fn) -> (stage name, read cells, write cells) —
         #: resolved cells only, keyed by function identity because stage
         #: *names* collide across the per-node programs of a cluster run
@@ -141,27 +151,27 @@ class RaceDetector:
         return clock
 
     @staticmethod
-    def _join(into: dict[int, int], snapshot: dict[int, int]) -> None:
-        for pid, comp in snapshot.items():
+    def _join(into: dict[int, int], snapshot: Snapshot) -> None:
+        pairs = iter(snapshot)
+        for pid, comp in zip(pairs, pairs):
             if into.get(pid, 0) < comp:
                 into[pid] = comp
 
-    def _snapshot(self) -> dict[int, int]:
+    def _snapshot(self) -> Snapshot:
         """Tick the caller's own component and return a clock copy."""
         pid = self._pid()
         if pid is None:
-            return {}
+            return ()
         clock = self._clock(pid)
         clock[pid] = clock.get(pid, 0) + 1
-        return dict(clock)
+        return _freeze(clock)
 
     # -- channel hooks (see repro.sim.channel) ----------------------------
 
     def on_send(self, channel: Any) -> None:
         """A ``put``/``try_put`` is delivering an item into ``channel``."""
         with self._lock:
-            self._chan.setdefault(id(channel),
-                                  deque()).append(self._snapshot())
+            self._chan.setdefault(id(channel), []).append(self._snapshot())
 
     def on_receive(self, channel: Any) -> None:
         """The caller is consuming the oldest item of ``channel``."""
@@ -169,7 +179,7 @@ class RaceDetector:
             queue = self._chan.get(id(channel))
             if not queue:
                 return
-            snapshot = queue.popleft()
+            snapshot = queue.pop(0)
             pid = self._pid()
             if pid is not None:
                 self._join(self._clock(pid), snapshot)
@@ -181,7 +191,7 @@ class RaceDetector:
             queue = self._chan.get(id(channel))
             if not queue:
                 return
-            self._pending.setdefault(pid, []).append(queue.popleft())
+            self._pending.setdefault(pid, []).append(queue.pop(0))
 
     def on_resume(self) -> None:
         """The caller resumed from a blocked ``get``: join handed clocks."""
@@ -218,7 +228,7 @@ class RaceDetector:
                 return
             dead = self._clocks.get(dead_pid)
             if dead:
-                self._join(self._clock(pid), dead)
+                self._join(self._clock(pid), _freeze(dead))
 
     # -- cluster-message hooks (see repro.cluster.network) ----------------
 
@@ -227,11 +237,18 @@ class RaceDetector:
         with self._lock:
             msg._race_clock = self._snapshot()
 
-    def join_message(self, msg: Any) -> None:
-        """Join a received message's clock into the receiver's."""
+    def join_message(self, msg: Any, *, keep: bool = False) -> None:
+        """Join a received message's clock into the receiver's.
+
+        A message is received once, so its clock is dropped here (its
+        payload may live on in the receiver for a long time); ``keep``
+        leaves it for further readers, as a set
+        :class:`~repro.sim.channel.Flag` needs."""
         snapshot = getattr(msg, "_race_clock", None)
         if snapshot is None:
             return
+        if not keep:
+            msg._race_clock = None
         with self._lock:
             pid = self._pid()
             if pid is not None:

@@ -18,15 +18,16 @@ paper describes — and runs unmodified on either kernel:
   examples that perform real file I/O.
 
 On top of the kernels, :mod:`repro.sim.channel` provides bounded FIFO
-channels (the buffer queues of FG) and :mod:`repro.sim.resources` provides
-counted resources (disk arms, NICs, CPU cores).
+channels (the buffer queues of FG) and one-shot flags, and
+:mod:`repro.sim.resources` provides counted resources (disk arms, NICs,
+CPU cores).
 """
 
 from repro.sim.kernel import Kernel, Process, ProcessState
 from repro.sim.trace import TraceEvent, Tracer
 from repro.sim.virtual import VirtualTimeKernel
 from repro.sim.realtime import RealTimeKernel
-from repro.sim.channel import Channel
+from repro.sim.channel import Channel, Flag
 from repro.sim.resources import Resource
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "VirtualTimeKernel",
     "RealTimeKernel",
     "Channel",
+    "Flag",
     "Resource",
     "Tracer",
     "TraceEvent",

@@ -21,7 +21,7 @@ from typing import Generic, Optional, TypeVar
 from repro.errors import ChannelClosed
 from repro.sim.kernel import Kernel, Process
 
-__all__ = ["Channel"]
+__all__ = ["Channel", "Flag"]
 
 T = TypeVar("T")
 
@@ -45,8 +45,10 @@ class Channel(Generic[T]):
         #: pipeline name); surfaced in deadlock reports
         self.owner: Optional[str] = None
         self._buf: deque[T] = deque()
-        self._getq: deque[Process] = deque()
-        self._putq: deque[tuple[Process, T]] = deque()
+        # parked getters and putters, FIFO: lists, as there are a few at
+        # most and a list costs a tenth of an empty deque's bytes
+        self._getq: list[Process] = []
+        self._putq: list[tuple[Process, T]] = []
         self._closed = False
         #: total items ever delivered through this channel (stats)
         self.delivered = 0
@@ -125,7 +127,7 @@ class Channel(Generic[T]):
             # has returned above and records none.
             race.on_send(self)
         if self._getq:
-            getter = self._getq.popleft()
+            getter = self._getq.pop(0)
             self.delivered += 1
             if self._m_delivered is not None:
                 self._m_delivered.inc()
@@ -165,13 +167,13 @@ class Channel(Generic[T]):
             if self._buf:
                 item = self._buf.popleft()
                 if self._putq:  # a parked putter's item takes the free slot
-                    putter, pending = self._putq.popleft()
+                    putter, pending = self._putq.pop(0)
                     self._buf.append(pending)
                     kernel.make_ready(putter, _ITEM)
                 if self._m_occupancy is not None:
                     self._m_occupancy.set(len(self._buf))
             else:  # capacity == 0 rendezvous
-                putter, item = self._putq.popleft()
+                putter, item = self._putq.pop(0)
                 kernel.make_ready(putter, _ITEM)
             kernel.mutex.release()
             return item
@@ -209,10 +211,38 @@ class Channel(Generic[T]):
             kernel.mutex.release()
             return
         self._closed = True
-        getters, self._getq = self._getq, deque()
-        putters, self._putq = self._putq, deque()
+        getters, self._getq = self._getq, []
+        putters, self._putq = self._putq, []
         for getter in getters:
             kernel.make_ready(getter, (_CLOSED, None))
         for putter, _pending in putters:
             kernel.make_ready(putter, _CLOSED)
         kernel.mutex.release()
+
+
+class Flag:
+    """A one-shot flag: one process sets it, others poll it.
+
+    Neither side blocks, parks or records an event, so a flag moves no
+    timeline.  What it adds over a shared ``bool`` is the happens-before
+    edge: under FGRace, :meth:`set` stamps the setter's clock on the flag
+    and an :meth:`is_set` that finds it set joins that clock, as a
+    cluster message's send and receive do.
+    """
+
+    __slots__ = ("kernel", "_set", "_race_clock")
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self._set = False
+
+    def set(self) -> None:
+        race = self.kernel.race
+        if race is not None:
+            race.stamp_message(self)
+        self._set = True
+
+    def is_set(self) -> bool:
+        if self._set and self.kernel.race is not None:
+            self.kernel.race.join_message(self, keep=True)
+        return self._set

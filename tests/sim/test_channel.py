@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ChannelClosed, DeadlockError
-from repro.sim import Channel, VirtualTimeKernel
+from repro.sim import Channel, Flag, VirtualTimeKernel
 
 
 def run_in_kernel(fn):
@@ -301,3 +301,36 @@ def test_rendezvous_get_joins_the_putters_clock(getter_first):
     kernel.run()
     assert seen["clock"][seen["putter"]] == 1
     assert not race._chan[id(ch)]  # the snapshot was consumed
+
+
+def test_flag_orders_its_setter_before_every_reader_that_sees_it():
+    """A one-shot Flag never parks: the only switches are the sleeps.
+    Under FGRace each reader that finds it set — not just the first —
+    joins the setter's clock; one that finds it unset joins nothing."""
+    kernel = VirtualTimeKernel()
+    race = kernel.enable_race_detection()
+    flag = Flag(kernel)
+    seen = {}
+
+    def setter():
+        seen["setter"] = kernel.current_process().pid
+        kernel.sleep(1.0)
+        flag.set()
+
+    def reader(name, wait):
+        me = kernel.current_process().pid
+        seen[name, "early"] = flag.is_set()
+        seen[name, "early clock"] = dict(race._clock(me))
+        kernel.sleep(wait)
+        seen[name] = (flag.is_set(), dict(race._clocks[me]))
+
+    kernel.spawn(setter, name="setter")
+    kernel.spawn(reader, "a", 2.0, name="a")
+    kernel.spawn(reader, "b", 3.0, name="b")
+    kernel.run()
+    assert kernel.switches == 3
+    for name in ("a", "b"):
+        assert seen[name, "early"] is False
+        assert seen["setter"] not in seen[name, "early clock"]
+        is_set, clock = seen[name]
+        assert is_set and clock[seen["setter"]] == 1

@@ -10,8 +10,8 @@ bytes and one stage-graph fingerprint per program name (a stage that
 reclassifies names its program here instead of surfacing as an opaque
 DIVERGED).
 
-``PINNED`` was recorded at PR 19's parent commit (1b83289) with the two
-exceptions the fixes in that PR make, both marked where they are pinned:
+``PINNED`` was recorded at 1b83289, the commit before that rebuild, with
+the exceptions later fixes made, each marked where it is pinned:
 
 * nowsort's ``trace`` and ``metrics`` digests.  Its merge stage used to
   take an output buffer before it knew a record was left (and stranded
@@ -24,6 +24,12 @@ exceptions the fixes in that PR make, both marked where they are pinned:
   dies — a shared write, so its ``parallel_safety`` goes ``read_shared``
   -> ``write_shared`` as dsort's ``send`` has always been.  Every digest
   of the fault-free run is the parent's.
+* linear dsort's ``stage_graphs``.  Both ``exchange`` stages used to
+  tell their source they were done through a shared dict, a write FGRace
+  found unordered with the source's polls; they now set a one-shot
+  :class:`~repro.sim.channel.Flag`, so ``exchange`` goes
+  ``write_shared`` -> ``read_shared`` in both passes.  ``phases`` and
+  every digest are the parent's.
 
 Recorded under CPython 3.11; the verdicts are meant not to depend on the
 interpreter version (the committed golden records assume the same).
@@ -44,7 +50,6 @@ from repro.bench.harness import (
     default_dsort_config,
     run_sort,
 )
-from repro.check.races import race_from_env
 from repro.cluster import Cluster
 from repro.faults import FaultPlan, run_chaos_csort, run_chaos_dsort
 from repro.pdm.blockfile import RecordFile
@@ -297,12 +302,13 @@ PINNED = {'chaos-csort': {'elapsed': '0.19751211589729262',
                   'digests': {'metrics': '384c77c7ee7666cf',
                               'output': '0e0810d0bb776e83',
                               'trace': 'a7e0bb38c16de7e3'},
-                  'stage_graphs': {'dsortL-p1@0': '6fa90e8c154fa05f',
-                                   'dsortL-p1@1': '48739c25fa0b6700',
-                                   'dsortL-p1@2': '3ec1df774ad67a7e',
-                                   'dsortL-p2@0': '191e4a9dec640561',
-                                   'dsortL-p2@1': '263f284f84b736b0',
-                                   'dsortL-p2@2': 'd089b578fbe42f85'}},
+                  # the one-shot exchange flags (module docstring)
+                  'stage_graphs': {'dsortL-p1@0': 'fe95ae30b437e4df',
+                                   'dsortL-p1@1': '6fa459198752a926',
+                                   'dsortL-p1@2': 'a643e869349c7aaf',
+                                   'dsortL-p2@0': '86df70582747335a',
+                                   'dsortL-p2@1': 'f7870e52b08f7b4e',
+                                   'dsortL-p2@2': 'e1d30359b643d1f6'}},
  'dsort-sort-replicas-2': {'phases': {'sampling': '0.0013927956666666666',
                                       'pass1': '0.0024548375000000015',
                                       'pass2': '0.0038594213333333436'},
@@ -345,16 +351,7 @@ PINNED = {'chaos-csort': {'elapsed': '0.19751211589729262',
                               'nowsort-p2@3': 'dfd83a52bdc03c84'}}}
 
 
-#: linear dsort's ``flags['exchange_done']`` is a known FGRace finding
-#: (ROADMAP 4(0)); its suites are red under REPRO_RACE until that is
-#: settled, and this pin must not add to them
-KNOWN_RACE = pytest.mark.skipif(
-    bool(race_from_env()), reason="linear dsort's exchange_done race")
-
-
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=KNOWN_RACE) if name == "dsort-linear" else name
-    for name in sorted(CASES)])
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_program_is_what_it_was_before_the_stage_library(name):
     observed = CASES[name]()
     pinned = PINNED[name]

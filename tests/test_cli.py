@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.bench.harness import SORTERS, run_sort
-from repro.check.races import race_from_env
 from repro.cli import build_parser, main
 from repro.pdm.records import RecordSchema
 from repro.prov import metrics_digest
@@ -57,16 +56,7 @@ def test_sort_rejects_unknown_sorter():
         main(["sort", "--sorter", "quicksort"])
 
 
-#: linear dsort's ``flags['exchange_done']`` is a known FGRace finding
-#: (ROADMAP 4(0)); its suites are red under REPRO_RACE until that is
-#: settled, and these tests must not add to them
-KNOWN_RACE = pytest.mark.skipif(
-    bool(race_from_env()), reason="linear dsort's exchange_done race")
-
-
-@pytest.mark.parametrize("sorter", [
-    pytest.param(s, marks=KNOWN_RACE) if s == "dsort-linear" else s
-    for s in SORTERS])
+@pytest.mark.parametrize("sorter", SORTERS)
 def test_sort_reaches_every_sorter_the_harness_runs(sorter, capsys):
     """``--sorter``'s choices are the harness's table: csort4 (paper
     Section III) and nowsort (Section VII) were unreachable from any
@@ -78,7 +68,6 @@ def test_sort_reaches_every_sorter_the_harness_runs(sorter, capsys):
     assert "output verified: True" in out
 
 
-@KNOWN_RACE
 def test_tune_reaches_the_linear_dsort_space(capsys):
     """``tune.sorters`` has carried a space for the linear ablation
     since PR 19; the verb refused to name it."""
