@@ -139,7 +139,8 @@ def run_groupby(node: Node, comm: Comm,
 
     def read(ctx, buf):
         start = buf.round * B
-        buf.put(rf_in.read(start, min(B, n_local - start)))
+        rf_in.read_into(start,
+                        buf.fill(schema.dtype, min(B, n_local - start)))
         return buf
 
     markers = EndMarkers(comm, schema, TAG_GROUPBY)

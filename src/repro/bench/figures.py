@@ -122,7 +122,8 @@ def run_block_pipeline(cluster: Cluster, *, nbuffers: int, n_blocks: int,
         prog = FGProgram(node.kernel, env={"node": node}, name=name)
 
         def read(ctx, buf):
-            buf.put(rf_in.read(buf.round * block_records, block_records))
+            rf_in.read_into(buf.round * block_records,
+                            buf.fill(schema.dtype, block_records))
             return buf
 
         def compute(ctx, buf):

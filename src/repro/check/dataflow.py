@@ -513,8 +513,9 @@ class _EffectScan:
         # inside ``shared.append(...)``) pair with *their own* CALL and
         # never launder — or trip — the outer mutator.  Entries are
         # ("mut", label) for a mutating method on a shared base,
-        # ("alias_fn", None) for ``ctx.accept`` / ``buf.view`` whose
-        # result aliases the buffer, ("fn", None) for anything else.
+        # ("alias_fn", None) for ``ctx.accept`` / ``buf.view`` /
+        # ``buf.fill``, whose result aliases the buffer, ("fn", None)
+        # for anything else.
         pending: list[tuple[str, Optional[str]]] = []
         call_made_alias = False
 
@@ -569,7 +570,7 @@ class _EffectScan:
                 elif reg_alias and attr == "data":
                     pass  # buf.data: register stays an alias
                 elif reg_alias:
-                    if is_method and attr == "view":
+                    if is_method and attr in ("view", "fill"):
                         pending.append(("alias_fn", None))
                     elif is_method:
                         pending.append(("fn", None))

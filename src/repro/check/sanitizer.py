@@ -22,11 +22,13 @@ Violations raise :class:`~repro.errors.SanitizerError` from the exact
 operation that broke the discipline and are counted under
 ``sanitizer.<kind>`` metrics through the program observer:
 
-* ``use_after_convey`` — ``data``/``view()``/``put()`` on a conveyed buffer
+* ``use_after_convey`` — ``data``/``view()``/``put()``/``fill()`` on a
+  conveyed buffer
 * ``double_convey`` — conveying a buffer already in flight
 * ``convey_unheld`` — conveying a pooled/dropped buffer never accepted
 * ``cross_pipeline`` — a buffer delivered along a foreign pipeline
-* ``caboose_write`` — ``put()``/``view()`` on the end-of-stream marker
+* ``caboose_write`` — ``put()``/``fill()``/``view()`` on the end-of-stream
+  marker
 * ``stale_round`` — a recycled buffer re-emitted with its previous round
 * ``retired`` — a retired buffer re-emitted, conveyed, or written
 * ``leak`` — buffers still held by a stage after a clean teardown
@@ -52,6 +54,11 @@ IN_FLIGHT = "in-flight"
 HELD = "held"
 DROPPED = "dropped"
 RETIRED = "retired"
+
+#: the Buffer operations that write or view its bytes (``data`` alone
+#: is only an ownership question)
+_WRITES_OR_VIEWS = ("put", "fill", "view")
+
 
 class _Track:
     """Ownership record for one buffer."""
@@ -233,9 +240,10 @@ class Sanitizer:
             track.holder = None
 
     def on_access(self, buf: "Buffer", op: str) -> None:
-        """``data``/``view``/``put`` touched ``buf`` (from Buffer)."""
+        """``data``/``view``/``put``/``fill`` touched ``buf`` (from
+        Buffer)."""
         if buf.is_caboose:
-            if op in ("put", "view"):
+            if op in _WRITES_OR_VIEWS:
                 self.violation(
                     "caboose_write",
                     f"{op}() on the caboose of pipeline "
@@ -245,7 +253,7 @@ class Sanitizer:
         track = self._track(buf)
         if track is None:
             return
-        if track.state == RETIRED and op in ("put", "view"):
+        if track.state == RETIRED and op in _WRITES_OR_VIEWS:
             self.violation(
                 "retired",
                 f"{op}() on {buf!r} after it was retired from its pool; "

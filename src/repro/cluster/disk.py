@@ -125,11 +125,21 @@ class Disk:
         """Read ``nbytes`` at ``offset`` of file ``name``; returns uint8 array."""
         if nbytes < 0:
             raise DiskError(f"negative read length: {nbytes}")
-        data = self._timed_op(
-            "read", nbytes, lambda: self.storage.read(name, offset, nbytes))
+        out = np.empty(nbytes, dtype=np.uint8)
+        self.read_into(name, offset, out)
+        return out
+
+    def read_into(self, name: str, offset: int, out: np.ndarray) -> None:
+        """Read ``out.nbytes`` at ``offset`` of file ``name`` into ``out``
+        (:meth:`Storage.read_into <repro.cluster.storage.Storage.read_into>`):
+        the same timed operation as :meth:`read`, which is this with a
+        fresh array."""
+        nbytes = out.nbytes
+        self._timed_op(
+            "read", nbytes,
+            lambda: self.storage.read_into(name, offset, out))
         self.bytes_read += nbytes
         self.reads += 1
-        return data
 
     def write(self, name: str, offset: int, data: np.ndarray) -> None:
         """Write ``data`` (any dtype, raw bytes) at ``offset`` of ``name``."""

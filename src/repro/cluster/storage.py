@@ -1,7 +1,10 @@
 """Byte-addressed storage backends behind each simulated disk.
 
 A :class:`Storage` is a flat namespace of named files supporting positional
-reads and writes of ``numpy`` byte arrays.  Two backends:
+reads and writes of ``numpy`` byte arrays.  A read lands in memory the
+caller owns (:meth:`Storage.read_into`: an FG buffer, one copy per byte);
+:meth:`Storage.read` wraps it for callers that want a fresh array.  Two
+backends:
 
 * :class:`MemoryStorage` — bytearray-backed; the default for simulations
   (data really moves, nothing touches the host filesystem);
@@ -32,6 +35,19 @@ class Storage:
 
         Reading past the end of a file is an error (files have no holes
         unless written sparsely; see :meth:`truncate`).
+        """
+        self._check(offset, nbytes)
+        out = np.empty(nbytes, dtype=np.uint8)
+        self.read_into(name, offset, out)
+        return out
+
+    def read_into(self, name: str, offset: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the ``out.nbytes`` bytes of file ``name`` at
+        ``offset``: :meth:`read` without the fresh array, under the same
+        checks and errors.
+
+        ``out`` is any writable C-contiguous array (a record view of an
+        FG buffer, say); its bytes are overwritten in place.
         """
         raise NotImplementedError
 
@@ -76,6 +92,15 @@ class Storage:
         arr = np.ascontiguousarray(data)
         return arr.view(np.uint8).reshape(-1)
 
+    @staticmethod
+    def _out_bytes(out: np.ndarray) -> np.ndarray:
+        """``out``'s own bytes as a flat uint8 view (never a copy, which
+        would swallow the read)."""
+        if not (out.flags.c_contiguous and out.flags.writeable):
+            raise StorageError(
+                "read_into needs a writable C-contiguous array")
+        return out.reshape(-1).view(np.uint8)
+
 
 class MemoryStorage(Storage):
     """In-memory backend: one ``bytearray`` per file."""
@@ -83,7 +108,9 @@ class MemoryStorage(Storage):
     def __init__(self) -> None:
         self._files: Dict[str, bytearray] = {}
 
-    def read(self, name: str, offset: int, nbytes: int) -> np.ndarray:
+    def read_into(self, name: str, offset: int, out: np.ndarray) -> None:
+        raw = self._out_bytes(out)
+        nbytes = len(raw)
         self._check(offset, nbytes)
         try:
             buf = self._files[name]
@@ -93,8 +120,10 @@ class MemoryStorage(Storage):
             raise StorageError(
                 f"read past end of {name!r}: offset {offset} + {nbytes} "
                 f"> size {len(buf)}")
-        return np.frombuffer(buf, dtype=np.uint8,
-                             count=nbytes, offset=offset).copy()
+        # one copy, and the view is released on the spot: a bytearray
+        # with a live export cannot be appended to or truncated
+        with memoryview(buf) as view:
+            raw[:] = view[offset:offset + nbytes]
 
     def write(self, name: str, offset: int, data: np.ndarray) -> None:
         raw = self._as_bytes(data)
@@ -149,7 +178,9 @@ class FileStorage(Storage):
             raise StorageError(f"illegal file name: {name!r}")
         return os.path.join(self.directory, name)
 
-    def read(self, name: str, offset: int, nbytes: int) -> np.ndarray:
+    def read_into(self, name: str, offset: int, out: np.ndarray) -> None:
+        raw = self._out_bytes(out)
+        nbytes = len(raw)
         self._check(offset, nbytes)
         path = self._path(name)
         if not os.path.exists(path):
@@ -162,8 +193,10 @@ class FileStorage(Storage):
                     f"read past end of {name!r}: offset {offset} + {nbytes} "
                     f"> size {size}")
             fh.seek(offset)
-            raw = fh.read(nbytes)
-        return np.frombuffer(raw, dtype=np.uint8).copy()
+            got = fh.readinto(raw)
+        if got != nbytes:
+            raise StorageError(
+                f"short read of {name!r}: {got} of {nbytes} bytes")
 
     def write(self, name: str, offset: int, data: np.ndarray) -> None:
         raw = self._as_bytes(data)

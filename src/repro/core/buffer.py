@@ -13,9 +13,9 @@ tells each stage (and finally the sink) that the pipeline is complete.
 
 When the owning program runs with FGSan enabled
 (:mod:`repro.check.sanitizer`), every access to :attr:`Buffer.data`,
-:meth:`Buffer.view`, and :meth:`Buffer.put` is ownership-checked, so a
-stage touching a buffer it already conveyed fails at the exact offending
-line instead of corrupting a block downstream.
+:meth:`Buffer.view`, :meth:`Buffer.put` and :meth:`Buffer.fill` is
+ownership-checked, so a stage touching a buffer it already conveyed fails
+at the exact offending line instead of corrupting a block downstream.
 """
 
 from __future__ import annotations
@@ -156,6 +156,26 @@ class Buffer:
                 f"{self.capacity}")
         self._data[:len(raw)] = raw
         self.size = len(raw)
+
+    def fill(self, dtype: Any, count: int) -> np.ndarray:
+        """Set ``size`` to ``count`` items of ``dtype`` and return a
+        writable view of them, for the caller to fill in place.
+
+        :meth:`put` without the source array: a disk read lands here
+        (``rf.read_into(start, buf.fill(schema.dtype, n))``), one copy
+        per byte.  The view aliases the buffer, as :meth:`view`'s does.
+        """
+        if self._san is not None:
+            self._san.on_access(self, "fill")
+        self._check_data("fill")
+        assert self._data is not None
+        nbytes = count * np.dtype(dtype).itemsize
+        if not 0 <= nbytes <= self.capacity:
+            raise StageError(
+                f"{count} items of {np.dtype(dtype)} ({nbytes} bytes) do "
+                f"not fit buffer capacity {self.capacity}")
+        self.size = nbytes
+        return self._data[:nbytes].view(dtype)
 
     def clear(self) -> None:
         """Reset valid size, round, and metadata (bytes are left as-is).

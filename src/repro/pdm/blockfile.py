@@ -33,6 +33,13 @@ class RecordFile:
                              nrecords * self.schema.record_bytes)
         return self.schema.from_bytes(raw)
 
+    def read_into(self, start_record: int, out: np.ndarray) -> None:
+        """Read ``len(out)`` records starting at record index
+        ``start_record`` into ``out`` (a record view, e.g. from
+        :meth:`Buffer.fill <repro.core.buffer.Buffer.fill>`)."""
+        self.disk.read_into(self.name,
+                            start_record * self.schema.record_bytes, out)
+
     def write(self, start_record: int, records: np.ndarray) -> None:
         """Write ``records`` at record index ``start_record``."""
         self.disk.write(self.name,

@@ -273,6 +273,15 @@ class Process:
         #: wake it has parked it again itself.
         self._step: Optional[Callable[[], bool]] = None
         self._joiners: list[Process] = []
+        #: host nanoseconds this process held the run token, on the
+        #: virtual-time kernel (0 under the real-time one): one
+        #: ``perf_counter_ns()`` per owner change — when it starts, when
+        #: it hands the token to another process, when it finishes.  The
+        #: steps the scheduler runs inline while it parks (poll ticks,
+        #: hold grants and releases) count toward the parking process;
+        #: a sleeper that keeps the token keeps counting.  A plain
+        #: attribute like ``handoffs``, never a metric.
+        self.host_ns = 0
 
     # -- introspection ----------------------------------------------------
 

@@ -39,6 +39,7 @@ import heapq
 import itertools
 from collections import deque
 from math import inf
+from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import DeadlockError, KernelShutdown, KernelStateError
@@ -167,6 +168,8 @@ class VirtualTimeKernel(Kernel):
         # not timed, and whether a poll tick found it too far back
         self._woken_at = 0
         self._livelock = False
+        # perf_counter_ns() at the current owner's last change of hands
+        self._host_mark = 0
         #: optional execution tracer (see :mod:`repro.sim.trace`)
         self.tracer = tracer
 
@@ -333,6 +336,11 @@ class VirtualTimeKernel(Kernel):
         self.mutex.release()
         if nxt is not me:
             self.handoffs += 1  # still serialised: we hold the run token
+            # me's hold of the token ends here (Process.host_ns), inline:
+            # this is the hottest line of the kernel
+            now_ns = perf_counter_ns()
+            me.host_ns += now_ns - self._host_mark
+            self._host_mark = now_ns
             (self._main_event if nxt is None else nxt._resume_event).set()
             me._resume_event.wait()
         if self._aborting:
@@ -361,11 +369,15 @@ class VirtualTimeKernel(Kernel):
             self.tracer.record(self._now, proc.name, SPAWN)
 
     def _admit(self, proc: Process) -> None:
+        self._host_mark = perf_counter_ns()
         if self.tracer is not None:
             self.tracer.record(self._now, proc.name, RESUME)
 
     def _retire(self, proc: Process) -> None:
         self.mutex.acquire()
+        now_ns = perf_counter_ns()
+        proc.host_ns += now_ns - self._host_mark
+        self._host_mark = now_ns
         if self.tracer is not None:
             self.tracer.record(self._now, proc.name, FINISH)
         self._live -= 1

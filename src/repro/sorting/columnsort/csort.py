@@ -119,8 +119,11 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
 
     def read(ctx, buf):
         t = buf.round
-        buf.put(_read_column(rf_in, plan, t, schema) if in_fragmented
-                else rf_in.read(t * r, r))
+        column = buf.fill(schema.dtype, r)
+        if in_fragmented:
+            _read_column(rf_in, plan, t, column)
+        else:
+            rf_in.read_into(t * r, column)
         buf.tags["column"] = t * P + comm.rank
         return buf
 
@@ -164,14 +167,14 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
 
 
 def _read_column(rf_in: RecordFile, plan: ColumnsortPlan, t: int,
-                 schema: RecordSchema) -> np.ndarray:
-    """This node's round-``t`` column of a fragmented file: s/P
-    contiguous chunks, one per round block."""
+                 out: np.ndarray) -> None:
+    """Read this node's round-``t`` column of a fragmented file into
+    ``out`` (``r`` records): s/P contiguous chunks, one per round block,
+    each landing at its place in the column."""
     span = plan.n_nodes * plan.frag_records
-    parts = [rf_in.read(tp * plan.r + t * span, span)
-             for tp in range(plan.cols_per_node)]
-    return (np.concatenate(parts, dtype=schema.dtype)
-            if len(parts) > 1 else parts[0])
+    for tp in range(plan.cols_per_node):
+        rf_in.read_into(tp * plan.r + t * span,
+                        out[tp * span:(tp + 1) * span])
 
 
 def _column_read_stage(node: Node, comm: Comm, schema: RecordSchema,
@@ -187,7 +190,7 @@ def _column_read_stage(node: Node, comm: Comm, schema: RecordSchema,
             buf.clear()
             buf.tags["final"] = True
             return buf
-        buf.put(_read_column(rf_in, plan, t, schema))
+        _read_column(rf_in, plan, t, buf.fill(schema.dtype, plan.r))
         buf.tags["column"] = t * comm.size + comm.rank
         return buf
 

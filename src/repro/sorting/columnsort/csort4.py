@@ -144,7 +144,7 @@ def _build_pass4_unshift(prog: FGProgram, node: Node, comm: Comm,
         if t == spp:
             m = s  # node P-1's extra shifted column
         count = _shifted_len(m, s, half, r)
-        buf.put(rf_in.read(t * r, count))
+        rf_in.read_into(t * r, buf.fill(schema.dtype, count))
         # step 8: once sorted, shifted column m occupies the contiguous
         # final positions [m*r - half, m*r - half + len)
         buf.tags["g0"] = 0 if m == 0 else m * r - half

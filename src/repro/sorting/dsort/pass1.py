@@ -84,7 +84,7 @@ def build_pass1(prog: FGProgram, node: Node, comm: Comm,
     def read(ctx, buf):
         start = buf.round * block_records
         count = min(block_records, n_local - start)
-        buf.put(rf_in.read(start, count))
+        rf_in.read_into(start, buf.fill(schema.dtype, count))
         buf.tags["start"] = start
         return buf
 
@@ -192,7 +192,7 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
             return buf
         start = b * block_records
         count = min(block_records, n_local - start)
-        buf.put(rf_in.read(start, count))
+        rf_in.read_into(start, buf.fill(schema.dtype, count))
         buf.tags["start"] = start
         return buf
 

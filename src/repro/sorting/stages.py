@@ -318,8 +318,8 @@ def add_run_readers(prog: FGProgram, node: Node, schema: RecordSchema,
                 if before_read is not None:
                     before_read()
                 start = buf.round * block_records
-                buf.put(run_file.read(first + start,
-                                      min(block_records, n_run - start)))
+                run_file.read_into(first + start, buf.fill(
+                    schema.dtype, min(block_records, n_run - start)))
                 return buf
             return read
 
