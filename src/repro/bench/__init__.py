@@ -15,7 +15,6 @@ from repro.bench.harness import (
     run_sort,
 )
 from repro.bench.figures import (
-    ablation_linear_experiment,
     buffer_sweep_experiment,
     figure8_experiment,
     overlap_experiment,
@@ -35,7 +34,6 @@ __all__ = [
     "unbalanced_experiment",
     "buffer_sweep_experiment",
     "pool_size_experiment",
-    "ablation_linear_experiment",
     "overlap_experiment",
     "virtual_stage_experiment",
     "render_table",

@@ -25,7 +25,6 @@ __all__ = [
     "buffer_sweep_experiment",
     "pool_size_experiment",
     "run_block_pipeline",
-    "ablation_linear_experiment",
     "overlap_experiment",
     "virtual_stage_experiment",
 ]
@@ -161,21 +160,6 @@ def pool_size_experiment(pool_sizes: Sequence[int] = (1, 2, 3, 4, 8),
                            block_records=block_records)
         results[nbuffers] = cluster.kernel.now()
     return results
-
-
-def ablation_linear_experiment(n_nodes: int = PAPER_NODES,
-                               n_per_node: int = BENCH_RECORDS_16B,
-                               seed: int = 0) -> dict[str, SortRun]:
-    """Section VIII: dsort with multiple pipelines vs dsort restricted to
-    single linear pipelines per node."""
-    schema = RecordSchema.paper_16()
-    return {
-        "multi": run_sort("dsort", "uniform", schema, n_nodes=n_nodes,
-                          n_per_node=n_per_node, seed=seed),
-        "linear": run_sort("dsort-linear", "uniform", schema,
-                           n_nodes=n_nodes, n_per_node=n_per_node,
-                           seed=seed),
-    }
 
 
 def overlap_experiment(n_blocks: int = 32,

@@ -46,8 +46,8 @@ Suppress individual rules per program with
 Every rule reads the program through the shared graph IR
 (:class:`repro.plan.ir.ProgramGraph`) — the same structural view the
 planner reads and the provenance fingerprints hash — so structural
-features added to the runtime (replication, dynamic pools) only need to
-be modelled once.  FG110–FG114 additionally read the per-stage
+features added to the runtime (replication, say) only need to be
+modelled once.  FG110–FG114 additionally read the per-stage
 effect sets inferred by :mod:`repro.check.dataflow`, the same analysis
 that stamps ``parallel_safety`` onto every :class:`StageNode`.
 """

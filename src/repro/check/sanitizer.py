@@ -11,12 +11,6 @@ Enable per program (``FGProgram(sanitize=True)``) or globally
     POOLED -> (source emits) -> IN_FLIGHT -> (stage accepts) -> HELD
     HELD -> (stage conveys) -> IN_FLIGHT -> ... -> (sink recycles) -> POOLED
     HELD -> (map stage returns None) -> DROPPED (legitimate pool shrink)
-    POOLED -> (source retires it) -> RETIRED (dynamic pool shrink;
-    terminal — any later emit/convey/access is a violation)
-
-Buffers grown at runtime (``FGProgram.add_buffers``) are registered via
-:meth:`Sanitizer.track` the moment they are materialized, so dynamic
-pools are checked exactly like static ones.
 
 Violations raise :class:`~repro.errors.SanitizerError` from the exact
 operation that broke the discipline and are counted under
@@ -30,7 +24,6 @@ operation that broke the discipline and are counted under
 * ``caboose_write`` — ``put()``/``fill()``/``view()`` on the end-of-stream
   marker
 * ``stale_round`` — a recycled buffer re-emitted with its previous round
-* ``retired`` — a retired buffer re-emitted, conveyed, or written
 * ``leak`` — buffers still held by a stage after a clean teardown
 """
 
@@ -53,7 +46,6 @@ POOLED = "pooled"
 IN_FLIGHT = "in-flight"
 HELD = "held"
 DROPPED = "dropped"
-RETIRED = "retired"
 
 #: the Buffer operations that write or view its bytes (``data`` alone
 #: is only an ownership question)
@@ -84,14 +76,9 @@ class Sanitizer:
         """Register every pooled buffer; called once from assembly."""
         for p in self.program.pipelines:
             for buf in self.program.buffers_of(p):
-                self.track(buf)
-
-    def track(self, buf: "Buffer") -> None:
-        """Start tracking one buffer (assembly pools and buffers grown at
-        runtime by ``FGProgram.add_buffers`` both come through here)."""
-        self._tracks[id(buf)] = _Track()
-        self._buffers.append(buf)
-        buf._san = self
+                self._tracks[id(buf)] = _Track()
+                self._buffers.append(buf)
+                buf._san = self
 
     def _track(self, buf: "Buffer") -> Optional[_Track]:
         return self._tracks.get(id(buf))
@@ -116,11 +103,6 @@ class Sanitizer:
                 f"{buf!r} re-emitted on {pipeline.name!r} still carrying "
                 f"round {buf.round} from its previous trip; clear() must "
                 "reset round to -1 before the source restamps it")
-        if track.state == RETIRED:
-            self.violation(
-                "retired",
-                f"source of {pipeline.name!r} re-emitted {buf!r}, which "
-                "was retired from its pool")
         if track.state != POOLED:
             self.violation(
                 "cross_pipeline",
@@ -151,33 +133,12 @@ class Sanitizer:
         track.state = HELD
         track.holder = stage.name
 
-    def on_retire(self, pipeline: "Pipeline", buf: "Buffer") -> None:
-        """The source took a recycled buffer out of circulation
-        (``FGProgram.retire_buffers``); the state is terminal."""
-        track = self._track(buf)
-        if track is None:
-            return
-        if track.state != POOLED:
-            self.violation(
-                "retired",
-                f"source of {pipeline.name!r} retired {buf!r} which is "
-                f"{track.state} (holder: {track.holder}); only a pooled "
-                "buffer can leave circulation")
-        track.state = RETIRED
-        track.holder = None
-
     def on_convey(self, stage: "Stage", buf: "Buffer") -> None:
         if buf.is_caboose:
             return
         track = self._track(buf)
         if track is None:
             return
-        if track.state == RETIRED:
-            self.violation(
-                "retired",
-                f"stage {stage.name!r} conveyed {buf!r}, which was "
-                "retired from its pool; retired buffers must never "
-                "re-enter circulation")
         if track.state == IN_FLIGHT:
             self.violation(
                 "double_convey",
@@ -253,11 +214,6 @@ class Sanitizer:
         track = self._track(buf)
         if track is None:
             return
-        if track.state == RETIRED and op in _WRITES_OR_VIEWS:
-            self.violation(
-                "retired",
-                f"{op}() on {buf!r} after it was retired from its pool; "
-                "a retired buffer's storage is considered reclaimed")
         if track.state == IN_FLIGHT and track.holder is not None:
             self.violation(
                 "use_after_convey",

@@ -16,14 +16,12 @@ pipeline description could be assembled repeatedly (one per pass).
   pipelines, whose length depends on what other nodes send).  The sink
   then tells the source to stop.
 
-``replicas`` declares **replicated stages** (the ``repro.tune``
-mechanism): mapping a stage name to N >= 1 makes the program run N
-interchangeable copies of that stage, all consuming from the shared
-inbound channel, with a sequencer process restoring buffer order
-downstream.  Declaring a stage with ``replicas={'sort': 1}`` wires the
-sequencer without extra copies, which lets a
-:class:`~repro.tune.controller.TuneController` add replicas at runtime.
-Replicated stages must be map-style, non-virtual, single-pipeline, and
+``replicas`` declares **replicated stages**: mapping a stage name to
+N >= 1 makes the program run N interchangeable copies of that stage, all
+consuming from the shared inbound channel, with a sequencer process
+restoring buffer order downstream.  The count is fixed before the run
+(``repro tune`` and the planner choose it as ``sort_replicas``);
+``replicas={'sort': 1}`` still wires the sequencer.  Replicated stages must be map-style, non-virtual, single-pipeline, and
 stateless across rounds (lint rule FG109 checks the last point).
 """
 
@@ -130,7 +128,7 @@ class Pipeline:
 
     def is_replicated(self, stage: Stage) -> bool:
         """True when ``stage`` was declared in ``replicas`` (even with
-        count 1, which wires the sequencer for runtime growth)."""
+        count 1, which still wires the sequencer)."""
         return stage.name in self.replicas
 
     def position_of(self, stage: Stage) -> int:

@@ -29,22 +29,14 @@ Typical use, inside a per-node SPMD main::
                       nbuffers=4, buffer_bytes=1 << 20, rounds=16)
     prog.run()
 
-Two runtime mechanisms back the ``repro.tune`` subsystem:
-
-* **stage replication** — a stage declared in a pipeline's ``replicas``
-  mapping runs as N interchangeable copies consuming from the shared
-  inbound channel; every accepted buffer takes a monotonically increasing
-  *ticket*, and a synthetic sequencer process restores ticket order
-  before the successor stage, so downstream observes exactly the
-  single-copy order.  The caboose terminates replicas by a live-counter
-  relay (see ``_run_replica``).  :meth:`FGProgram.add_replica` grows a
-  replica set mid-run.
-
-* **dynamic buffer pools** — :meth:`FGProgram.add_buffers` materializes
-  and circulates extra buffers while the program runs (the recycle
-  channel is unbounded, so this never blocks);
-  :meth:`FGProgram.retire_buffers` asks the source to take buffers out
-  of circulation as they come back around.
+Buffer pools and replica counts are fixed at assembly.  **Stage
+replication**: a stage declared in a pipeline's ``replicas`` mapping
+runs as N interchangeable copies consuming from the shared inbound
+channel; every accepted buffer takes a monotonically increasing
+*ticket*, and a synthetic sequencer process restores ticket order before
+the successor stage, so downstream observes exactly the single-copy
+order.  The caboose terminates replicas by a live-counter relay (see
+``_run_replica``).
 
 Every buffer-lifecycle event (emit, accept, convey, drop, ...) is
 announced to the observer, FGSan and FGRace from exactly one site here;
@@ -112,12 +104,10 @@ class ReplicaSet:
         self.reorder = reorder
         #: replicas currently accepting (the caboose relay counts this down)
         self.live = 0
-        #: total replicas ever spawned (names the next replica process)
+        #: replicas declared (names the replica processes)
         self.total = 0
         #: next acceptance ticket (assigned without blocking after get())
         self.next_ticket = 0
-        #: set once the caboose reached the sequencer; add_replica refuses
-        self.finished = False
         #: per-replica contexts, indexed by replica number
         self.contexts: list[StageContext] = []
 
@@ -169,11 +159,6 @@ class FGProgram:
         #: ``kernel.plan`` or a direct ``plan.apply(program)``); its
         #: digest becomes part of the structural fingerprint
         self.applied_plan: Optional[Any] = None
-        #: dynamic-pool deltas per pipeline id — buffers grown into /
-        #: retired from circulation after construction.  Part of the
-        #: program's structural identity (see repro.plan.ir).
-        self._pool_grown: dict[int, int] = {}
-        self._pool_retired: dict[int, int] = {}
         self._started = False
         self._procs: list[Process] = []
         # graceful-teardown state (see _stage_failed)
@@ -194,8 +179,6 @@ class FGProgram:
         self._buffers: dict[int, list[Buffer]] = {}
         #: replica sets keyed by (id(pipeline), id(stage))
         self._replica_sets: dict[tuple[int, int], ReplicaSet] = {}
-        #: buffers the source still has to take out of circulation
-        self._retire_pending: dict[int, int] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -213,8 +196,7 @@ class FGProgram:
         pipeline (None keeps the historical unbounded queues); the sink
         and recycle channels stay unbounded so the recycling protocol
         never wedges.  ``replicas`` maps stage names to replica counts
-        (see the module docstring; count 1 still wires the sequencer so
-        :meth:`add_replica` can grow the set at runtime).
+        (see the module docstring; count 1 still wires the sequencer).
         """
         if self._started:
             raise PipelineStructureError(
@@ -410,8 +392,16 @@ class FGProgram:
                 reorder.owner = f"{self.name}.{p.name}"
                 rset = ReplicaSet(p, s, seq_stage, reorder)
                 self._replica_sets[(id(p), id(s))] = rset
-                for _ in range(p.replica_count(s)):
-                    self._new_replica_context(rset)
+                rset.total = rset.live = p.replica_count(s)
+                for idx in range(rset.total):
+                    # label each replica on the channels it will use
+                    # (wait-for analysis)
+                    ctx = StageContext(self, s, [p])
+                    ctx.replica = idx
+                    rset.contexts.append(ctx)
+                    name = self._replica_name(rset, idx)
+                    self._in_q[(id(p), id(s))].consumers.add(name)
+                    reorder.producers.add(name)
         self._register_waitfor_labels()
         if self.sanitizer is not None:
             self.sanitizer.install()
@@ -427,25 +417,6 @@ class FGProgram:
 
     def _seq_name(self, rset: ReplicaSet) -> str:
         return f"{self.name}.{rset.stage.name}~seq"
-
-    def _new_replica_context(self, rset: ReplicaSet) -> int:
-        """Allocate the context (and index) for one more replica, and
-        label it on the channels it will use (wait-for analysis)."""
-        idx = rset.total
-        rset.total += 1
-        rset.live += 1
-        ctx = StageContext(self, rset.stage, [rset.pipeline])
-        ctx.replica = idx
-        rset.contexts.append(ctx)
-        name = self._replica_name(rset, idx)
-        self._in_q[(id(rset.pipeline), id(rset.stage))].consumers.add(name)
-        rset.reorder.producers.add(name)
-        return idx
-
-    def _spawn_replica(self, rset: ReplicaSet, idx: int) -> Process:
-        return self.kernel.spawn(
-            self._run, [rset.stage], self._run_replica, rset, idx,
-            name=self._replica_name(rset, idx))
 
     def _register_waitfor_labels(self) -> None:
         """Tell every channel which process names produce into and
@@ -468,8 +439,8 @@ class FGProgram:
 
     # -- buffer lifecycle events: one site each, listeners called by name --------------
     # (observer, then FGSan, then FGRace; table in DESIGN.md.  emit,
-    # recycle, retire, drop and straggler have one caller, so those
-    # sites are inline in the loops below)
+    # recycle, drop and straggler have one caller, so those sites are
+    # inline in the loops below)
 
     def _caboose(self, p: Pipeline) -> Buffer:
         """Mint ``p``'s end-of-stream marker (FGSan reports writes to it)."""
@@ -547,21 +518,6 @@ class FGProgram:
 
     # -- runner loops -------------------------------------------------------------------
 
-    def _maybe_retire(self, p: Pipeline, buf: Buffer) -> bool:
-        """Source-side half of :meth:`retire_buffers`: take ``buf`` out
-        of circulation if a retirement is pending.  Returns True when the
-        buffer was retired (the source must not emit it)."""
-        pending = self._retire_pending.get(id(p), 0)
-        if not pending:
-            return False
-        self._retire_pending[id(p)] = pending - 1
-        p.nbuffers -= 1
-        self._pool_retired[id(p)] = self._pool_retired.get(id(p), 0) + 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_retire(p, buf)
-        self.observer.pool_resized(p, -1, p.nbuffers)
-        return True
-
     def _run_source_group(self, family: Family) -> None:
         pending: dict[int, Pipeline] = {id(p): p for p in family.pipelines}
         emitted: dict[int, int] = {id(p): 0 for p in family.pipelines}
@@ -580,8 +536,6 @@ class FGProgram:
             pid = id(p)
             if pid not in pending:
                 continue  # stale buffer of an already-finished pipeline
-            if self._maybe_retire(p, item):
-                continue
             item.clear()
             if self.sanitizer is not None:
                 self.sanitizer.on_emit(p, item)
@@ -726,7 +680,6 @@ class FGProgram:
                     for ticket in sorted(held):
                         release(held[ticket])
                     held.clear()
-                    rset.finished = True
                     out_q.put(item)
                     return
                 self._accepted(seq, p, item.buffer, wait)
@@ -737,7 +690,6 @@ class FGProgram:
         except KernelShutdown:
             raise
         except BaseException as exc:  # noqa: BLE001 - poison, not abort
-            rset.finished = True
             self._poison(p, seq, exc, out_q)
 
     def _run_virtual_group(self, group: VirtualGroup) -> None:
@@ -837,7 +789,9 @@ class FGProgram:
         for rset in self._replica_sets.values():
             replicated.add(id(rset.stage))
             for idx in range(rset.total):
-                procs.append(self._spawn_replica(rset, idx))
+                procs.append(self.kernel.spawn(
+                    self._run, [rset.stage], self._run_replica, rset, idx,
+                    name=self._replica_name(rset, idx)))
             procs.append(self.kernel.spawn(
                 self._run, [rset.seq_stage], self._run_sequencer, rset,
                 name=self._seq_name(rset)))
@@ -921,115 +875,15 @@ class FGProgram:
         self.start()
         self.wait()
 
-    # -- runtime tuning (repro.tune mechanisms) -------------------------------------------
-
-    def replica_set(self, pipeline: Pipeline,
-                    stage: Union[Stage, str]) -> ReplicaSet:
-        """The replica set of ``stage`` in ``pipeline`` (started programs
-        only; the stage must have been declared in ``replicas``)."""
-        if isinstance(stage, str):
-            matches = [s for s in pipeline.stages if s.name == stage]
-            if not matches:
-                raise PipelineStructureError(
-                    f"pipeline {pipeline.name!r} has no stage {stage!r}")
-            stage = matches[0]
-        rset = self._replica_sets.get((id(pipeline), id(stage)))
-        if rset is None:
-            raise PipelineStructureError(
-                f"stage {stage.name!r} was not declared replicated in "
-                f"pipeline {pipeline.name!r}; pass replicas={{...}} to "
-                "add_pipeline (count 1 wires the sequencer)")
-        return rset
+    # -- introspection -------------------------------------------------------------------------
 
     def replica_sets(self) -> list[ReplicaSet]:
         """Every replica set of this program (assembled at start)."""
         return list(self._replica_sets.values())
 
-    def add_replica(self, pipeline: Pipeline,
-                    stage: Union[Stage, str]) -> bool:
-        """Spawn one more replica of a replicated stage, mid-run.
-
-        Returns False (and spawns nothing) when the replica set already
-        saw its caboose — the new copy could never receive work.
-        """
-        if not self._started:
-            raise PipelineStructureError(
-                "add_replica needs a started program; declare the initial "
-                "count in the pipeline's replicas mapping instead")
-        rset = self.replica_set(pipeline, stage)
-        if rset.finished or rset.live == 0:
-            return False
-        self._procs.append(
-            self._spawn_replica(rset, self._new_replica_context(rset)))
-        self.observer.replica_added(rset.stage, rset.live)
-        return True
-
-    def _check_pool_resize(self, what: str, count: int) -> None:
-        if count < 1:
-            raise PipelineStructureError(
-                f"{what}: count must be >= 1, got {count}")
-        if not self._started:
-            raise PipelineStructureError(
-                f"{what} needs a started program; size the pool with "
-                "nbuffers before start instead")
-
-    def add_buffers(self, pipeline: Pipeline, count: int = 1) -> int:
-        """Grow a started pipeline's buffer pool by ``count`` buffers.
-
-        The new buffers are materialized, registered with the sanitizer,
-        and put straight on the recycle channel (unbounded, so this never
-        blocks); the source picks them up on its next round.  Returns the
-        new pool size.
-        """
-        self._check_pool_resize("add_buffers", count)
-        pool = self._buffers[id(pipeline)]
-        recycle = self._family_of[id(pipeline)].recycle
-        for _ in range(count):
-            # retired buffers stay in ``pool``, so indices never repeat
-            buf = Buffer(pipeline, len(pool), pipeline.buffer_bytes,
-                         with_aux=pipeline.aux_buffers)
-            if self.sanitizer is not None:
-                self.sanitizer.track(buf)
-            pool.append(buf)
-            recycle.put(buf)
-        pipeline.nbuffers += count
-        self._pool_grown[id(pipeline)] = (
-            self._pool_grown.get(id(pipeline), 0) + count)
-        self.observer.pool_resized(pipeline, count, pipeline.nbuffers)
-        return pipeline.nbuffers
-
-    def retire_buffers(self, pipeline: Pipeline, count: int = 1) -> int:
-        """Shrink a started pipeline's pool by up to ``count`` buffers.
-
-        Retirement is cooperative: the source takes the next ``count``
-        recycled buffers out of circulation instead of re-emitting them
-        (a buffer mid-flight cannot be revoked).  At least one buffer
-        always stays in circulation.  Returns how many retirements were
-        actually scheduled.
-        """
-        self._check_pool_resize("retire_buffers", count)
-        pending = self._retire_pending.get(id(pipeline), 0)
-        headroom = pipeline.nbuffers - pending - 1
-        granted = max(0, min(count, headroom))
-        if granted:
-            self._retire_pending[id(pipeline)] = pending + granted
-        return granted
-
-    # -- introspection -------------------------------------------------------------------------
-
-    def pool_deltas(self, pipeline: Pipeline) -> tuple[int, int]:
-        """``(grown, retired)`` buffer counts for a pipeline's dynamic
-        pool since construction — the state
-        :class:`repro.plan.ir.ProgramGraph` folds into the structural
-        fingerprint so a grown pool is not provenance-identical to a
-        declared one."""
-        return (self._pool_grown.get(id(pipeline), 0),
-                self._pool_retired.get(id(pipeline), 0))
-
     @property
     def finished(self) -> bool:
-        """True once every spawned FG process has exited (the feedback
-        controller of :mod:`repro.tune` polls this to stop itself)."""
+        """True once every spawned FG process has exited."""
         return self._started and all(not proc.alive for proc in self._procs)
 
     @property

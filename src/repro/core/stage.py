@@ -49,9 +49,6 @@ class StageStats:
     accept_wait: float = 0.0   #: time spent blocked waiting for buffers
     started_at: float = 0.0
     finished_at: float = 0.0
-    #: copies of this stage that ran (replicated stages aggregate their
-    #: accepts/conveys/waits across all copies into this one record)
-    replicas: int = 1
 
     @property
     def span(self) -> float:

@@ -14,9 +14,8 @@ package is the measurement substrate for every performance question:
   Event Format that ``chrome://tracing`` and https://ui.perfetto.dev load.
 * :mod:`repro.obs.bottleneck` — per-pipeline analysis that names the
   limiting stage and breaks down where every thread's blocked time went.
-* :mod:`repro.obs.timeseries` — binned per-stage accept/queue-wait series
-  and windowed gauge levels, the shared signal layer for the
-  ``repro.tune`` feedback controller and the ``analyze`` wait profiles.
+* :mod:`repro.obs.timeseries` — binned per-stage accept/queue-wait series,
+  the ``analyze`` wait profiles.
 * :mod:`repro.obs.observer` — the single event path through which FG
   programs record per-stage accept/convey/wait activity.
 
@@ -40,13 +39,11 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    window_average,
 )
 from repro.obs.observer import ProgramObserver
 from repro.obs.timeseries import (
     SeriesBin,
     StageSeries,
-    gauge_series,
     instrumented_programs,
     render_stage_series,
     stage_series,
@@ -67,8 +64,6 @@ __all__ = [
     "SeriesBin",
     "StageSeries",
     "stage_series",
-    "gauge_series",
     "instrumented_programs",
     "render_stage_series",
-    "window_average",
 ]

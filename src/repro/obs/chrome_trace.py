@@ -26,7 +26,7 @@ from typing import IO, Optional, Sequence, Union
 
 from repro.obs.bottleneck import normalize_reason
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.trace import FAULT, RECOVER, SCHED, TUNE, Tracer
+from repro.sim.trace import FAULT, RECOVER, SCHED, Tracer
 
 __all__ = ["chrome_trace", "write_chrome_trace", "write_metrics_json"]
 
@@ -70,19 +70,18 @@ def chrome_trace(tracer: Tracer,
             if iv.detail:
                 event["args"] = {"detail": iv.detail}
             events.append(event)
-    # injected faults, tuner decisions, and recovery decisions are
+    # injected faults, recovery and scheduling decisions are
     # instantaneous markers: render each as a thread-scoped instant event
     # on the process it struck, or on a dedicated per-kind row
-    # ("faults" / "tune" / "recovery") when it fired outside any traced
-    # process
+    # ("faults" / "recovery" / "scheduler") when it fired outside any
+    # traced process
     marker_events = [ev for ev in tracer.events
-                     if ev.kind in (FAULT, TUNE, RECOVER, SCHED)]
+                     if ev.kind in (FAULT, RECOVER, SCHED)]
     if marker_events:
         tid_of = {name: tid for tid, name in enumerate(names)}
         extra_tid: dict[str, int] = {}
         next_tid = len(names)
-        row_of = {FAULT: "faults", TUNE: "tune", RECOVER: "recovery",
-                  SCHED: "scheduler"}
+        row_of = {FAULT: "faults", RECOVER: "recovery", SCHED: "scheduler"}
         for ev in marker_events:
             tid = tid_of.get(ev.process)
             if tid is None:

@@ -33,38 +33,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Optional, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "window_average"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: default bucket bounds for gauge level distributions (queue depths)
 DEFAULT_LEVEL_BOUNDS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
-
-def window_average(samples: Sequence[tuple[float, float]], t0: float,
-                   t1: float, initial: float = 0.0) -> float:
-    """Time-weighted average of a step series over ``[t0, t1]``.
-
-    ``samples`` is an ascending ``(time, value)`` list where each entry
-    records the value the series *changed to* at that time; before the
-    first sample the series held ``initial``.  The last known value
-    extends to ``t1``.
-    """
-    if t1 <= t0:
-        raise ValueError(f"empty window [{t0}, {t1}]")
-    value = initial
-    integral = 0.0
-    cursor = t0
-    for st, sv in samples:
-        if st <= t0:
-            value = sv
-            continue
-        if st >= t1:
-            break
-        integral += value * (st - cursor)
-        cursor = st
-        value = sv
-    integral += value * (t1 - cursor)
-    return integral / (t1 - t0)
 
 
 class Metric:
@@ -93,8 +65,7 @@ class Counter(Metric):
     of every increment, which is what turns an aggregate counter into a
     time series: :meth:`value_at` reads the cumulative value at any past
     instant and :meth:`window_delta` the growth over a window (the
-    queue-wait signals of ``repro.tune`` and the per-stage series of
-    :mod:`repro.obs.timeseries` are both built on this).
+    per-stage series of :mod:`repro.obs.timeseries` are built on this).
     """
 
     kind = "counter"
@@ -198,21 +169,6 @@ class Gauge(Metric):
             return self.value
         integral = self._integral + self.value * (now - self._last_change)
         return integral / elapsed
-
-    def window_average(self, t0: float, t1: float) -> float:
-        """Time-weighted average of the gauge over ``[t0, t1]``.
-
-        Needs ``record_samples=True``: the step series is integrated
-        piecewise over the window, so the result is exact however
-        irregularly the level changed (``time_average`` restricted to a
-        window).
-        """
-        if self.samples is None:
-            raise ValueError(f"gauge {self.name!r} records no samples; "
-                             "create it with record_samples=True")
-        if t1 <= t0:
-            return self.value
-        return window_average(self.samples, t0, t1, initial=0.0)
 
     def level_distribution(self) -> Optional["Histogram"]:
         """The time-weighted level histogram, if enabled."""

@@ -166,27 +166,6 @@ class ProgramObserver:
         if gauge is not None:
             gauge.add(-1)
 
-    # -- runtime tuning (repro.tune mechanisms) ----------------------------
-
-    def pool_resized(self, pipeline: "Pipeline", delta: int,
-                     size: int) -> None:
-        """add_buffers / retire_buffers changed the circulating pool."""
-        registry = self.kernel.metrics
-        if registry is not None:
-            prefix = f"fg.{self.program.name}.pipeline.{pipeline.name}"
-            registry.gauge(f"{prefix}.pool_size",
-                           record_samples=True).set(size)
-            which = "buffers_added" if delta > 0 else "buffers_retired"
-            registry.counter(f"{prefix}.{which}").inc(abs(delta))
-
-    def replica_added(self, stage: "Stage", live: int) -> None:
-        """add_replica spawned one more copy of ``stage`` mid-run."""
-        stage.stats.replicas += 1
-        registry = self.kernel.metrics
-        if registry is not None:
-            registry.gauge(f"{self._prefix(stage)}.replicas",
-                           record_samples=True).set(live)
-
     # -- sanitizer (FGSan) ----------------------------------------------------
 
     def sanitizer_violation(self, kind: str, count: int = 1) -> None:

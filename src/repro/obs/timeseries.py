@@ -2,23 +2,15 @@
 
 The metrics registry aggregates by default: ``stage.sort.accepts`` is one
 number for the whole run.  That is fine for totals but useless for the
-questions the auto-tuner and ``repro analyze`` ask — *when* did the stage
-wait, did backpressure build up or drain, was the pool starved early or
-late?  This module answers them by slicing the sampled series that
-instrumented programs already record (stage accept counters, accept-wait
-counters, channel-occupancy and pool gauges) into fixed time bins:
+questions ``repro analyze`` asks — *when* did the stage wait, did
+backpressure build up or drain?  This module answers them by slicing the
+sampled stage accept and accept-wait counters that instrumented programs
+already record into fixed time bins (:meth:`Counter.window_delta`):
 
 * :func:`stage_series` — per-stage bins of accepts, queue-wait seconds,
   and mean wait per accept over the run (or any window);
-* :func:`gauge_series` — window-averaged levels of any sampled gauge
-  (channel occupancy, buffers in flight, pool size, replica count);
 * :func:`render_stage_series` — a monospace table with a sparkline-style
   wait profile, printed by ``python -m repro analyze``.
-
-Everything reads the same primitives the :class:`repro.tune.TuneController`
-polls at round boundaries (:meth:`Counter.window_delta`,
-:meth:`Gauge.window_average`), so what the controller reacts to and what
-the human sees in the report are one signal, not two.
 """
 
 from __future__ import annotations
@@ -26,10 +18,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Sequence
 
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
-__all__ = ["SeriesBin", "StageSeries", "gauge_series",
-           "instrumented_programs", "render_stage_series", "stage_series"]
+__all__ = ["SeriesBin", "StageSeries", "instrumented_programs",
+           "render_stage_series", "stage_series"]
 
 #: glyphs for the wait profile, lightest to heaviest load
 _SPARK = " .:-=+*#%@"
@@ -152,25 +144,6 @@ def stage_series(registry: MetricsRegistry, program: str,
             series.append(SeriesBin(lo, hi, n, w))
         out.append(StageSeries(stage, tuple(series)))
     return out
-
-
-def gauge_series(registry: MetricsRegistry, name: str,
-                 t0: float = 0.0, t1: Optional[float] = None,
-                 bins: int = 12) -> list[float]:
-    """Window-averaged levels of a sampled gauge, one value per bin.
-
-    Works for any ``record_samples=True`` gauge: channel occupancy
-    (``channel.<name>.occupancy``), ``...buffers_in_flight``,
-    ``...pool_size``, ``...replicas``.  Raises KeyError for unknown
-    names and ValueError for unsampled gauges.
-    """
-    metric = registry.get(name)
-    if metric is None:
-        raise KeyError(f"no metric named {name!r}")
-    if not isinstance(metric, Gauge):
-        raise ValueError(f"metric {name!r} is a {metric.kind}, not a gauge")
-    end = registry.clock() if t1 is None else t1
-    return [metric.window_average(lo, hi) for lo, hi in _edges(t0, end, bins)]
 
 
 def render_stage_series(series: Sequence[StageSeries]) -> str:

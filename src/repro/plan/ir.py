@@ -23,9 +23,7 @@ exist because of PR 5:
   the reorder channel behind a replicated stage.
 
 Everything here is pure data over the declared program; nothing reads
-runtime state except the dynamic-pool counters, which the program
-accumulates precisely so that a grown pool fingerprints differently from
-a declared one.  The canonical form (:meth:`ProgramGraph.canonical`) is
+runtime state.  The canonical form (:meth:`ProgramGraph.canonical`) is
 what ``prov.fingerprint.program_graph`` now returns.
 """
 
@@ -95,11 +93,6 @@ class PipelineIR:
     rounds: Optional[int]
     aux_buffers: bool
     channel_capacity: Optional[int]
-    #: buffers added / scheduled out of circulation since start
-    #: (:meth:`FGProgram.add_buffers` / ``retire_buffers``) — dynamic-pool
-    #: state that must be part of the structural identity
-    pool_grown: int = 0
-    pool_retired: int = 0
     #: recovery-manager annotation ("backup" / "adopted"); None for
     #: ordinary pipelines, and omitted from canonical() when None so
     #: pre-recovery fingerprints are unchanged
@@ -178,8 +171,10 @@ class PipelineIR:
             "rounds": self.rounds,
             "aux_buffers": self.aux_buffers,
             "channel_capacity": self.channel_capacity,
-            "pool_grown": self.pool_grown,
-            "pool_retired": self.pool_retired,
+            # constant keys: every stage-graph fingerprint and committed
+            # golden pins them
+            "pool_grown": 0,
+            "pool_retired": 0,
         }
         if self.role is not None:
             doc["role"] = self.role
@@ -217,7 +212,6 @@ class ProgramGraph:
                 if id(s) not in effects:
                     effects[id(s)] = stage_effects(s.fn, s.style)
         pipelines: list[PipelineIR] = []
-        pool_deltas = getattr(program, "pool_deltas", None)
         for p in program.pipelines:
             nodes = [StageNode(
                 name=s.name, style=s.style, virtual=s.virtual,
@@ -226,13 +220,11 @@ class ProgramGraph:
                 replica_count=p.replica_count(s),
                 stage=s, effects=effects[id(s)])
                 for s in p.stages]
-            grown, retired = (0, 0) if pool_deltas is None else pool_deltas(p)
             pipelines.append(PipelineIR(
                 name=p.name, stages=nodes, nbuffers=p.nbuffers,
                 buffer_bytes=p.buffer_bytes, rounds=p.rounds,
                 aux_buffers=p.aux_buffers,
                 channel_capacity=p.channel_capacity,
-                pool_grown=grown, pool_retired=retired,
                 role=getattr(p, "role", None), pipeline=p))
         applied = getattr(program, "applied_plan", None)
         digest = applied.digest() if applied is not None else None

@@ -63,7 +63,7 @@ class ProvenanceCapture:
         The harness passes what is its own — its ``kind``, its ``args``
         and ``seeds``, its serialized fault plan, the digests only it can
         take (``output=``, ``decisions=``).  Everything a kernel can
-        answer is filled in here: the three decision trails (a trail
+        answer is filled in here: the two decision trails (a trail
         nobody emitted is ``[]``), the stage graphs, the metrics and
         trace digests, and the source tree's identity.  ``snapshot`` is
         the metrics snapshot a harness has already taken for its own
@@ -72,14 +72,13 @@ class ProvenanceCapture:
         # the digest helpers are looked up on the package at call time:
         # benchmarks/perf/traced.py times them by patching those names
         from repro import prov
-        from repro.sim.trace import RECOVER, SCHED, TUNE
+        from repro.sim.trace import RECOVER, SCHED
 
         kernel = self.kernel
         if snapshot is None:
             snapshot = kernel.metrics.snapshot()
         return prov.ProvenanceRecord(
             kind=kind, args=args, seeds=seeds, fault_plan=fault_plan,
-            tune_decisions=prov.decision_log(kernel.tracer, TUNE),
             recovery_decisions=prov.decision_log(kernel.tracer, RECOVER),
             sched_decisions=prov.decision_log(kernel.tracer, SCHED),
             stage_graphs=dict(self.stage_graphs),

@@ -12,12 +12,10 @@ Provenance records (:mod:`repro.prov.record`) need two kinds of identity:
   assembled.  Emitted from the shared graph IR
   (:meth:`repro.plan.ir.ProgramGraph.canonical` — the same view the
   linter and planner consume): pipeline names, stage
-  names/styles/virtual groups, pool geometry
-  *including dynamic grow/retire deltas*, rounds, replica declarations,
-  intersecting-stage edges, and the digest of any applied plan.  Two
-  programs that can behave differently must fingerprint differently —
-  including a pool grown mid-run versus one declared at that size.
-  (The plan digest records origin, not behaviour: a planned program
+  names/styles/virtual groups, pool geometry, rounds, replica
+  declarations, intersecting-stage edges, and the digest of any applied
+  plan.  Two programs that can behave differently must fingerprint
+  differently.  (The plan digest records origin, not behaviour: a planned program
   and the same geometry set by hand run identically and fingerprint
   apart.)
 
@@ -100,8 +98,7 @@ def program_graph(program: "FGProgram") -> dict:
     about what a program's structure *is*.  Covers everything
     :meth:`~repro.core.program.FGProgram.start` assembles (pipelines,
     stages, pool geometry, replica declarations, intersections) plus
-    the structural state PR 5 made dynamic — pool grow/retire deltas —
-    and the applied plan's digest.
+    the applied plan's digest.
     """
     from repro.plan.ir import ProgramGraph
 

@@ -14,10 +14,13 @@ later re-execution *did* reproduce it:
 * ``fault_plan`` — the serialized :class:`~repro.faults.plan.FaultPlan`
   (``None`` for fault-free runs), round-trippable via
   :meth:`FaultPlan.to_json` / :meth:`FaultPlan.from_json`;
-* ``tune_decisions`` / ``recovery_decisions`` / ``sched_decisions`` —
-  the in-run tuner, recovery-manager and scheduler decision trails,
-  harvested from the kernel trace's ``tune`` / ``recover`` / ``sched``
-  instants by :func:`decision_log` (zero per-app code);
+* ``recovery_decisions`` / ``sched_decisions`` — the recovery-manager
+  and scheduler decision trails, harvested from the kernel trace's
+  ``recover`` / ``sched`` instants by :func:`decision_log` (zero per-app
+  code);
+* ``tune_decisions`` — always ``[]``: a program's pools and replica
+  counts are fixed before the run, so there is no in-run decision to
+  log.  The field stays so that committed records keep their format;
 * ``stage_graphs`` — fingerprint per assembled FG program, captured
   through the :class:`~repro.obs.observer.ProgramObserver` event path;
 * ``repro_version`` / ``code_fingerprint`` — which source tree ran;
@@ -95,8 +98,6 @@ def trace_digest(tracer: "Tracer") -> str:
 def decision_log(tracer: Optional["Tracer"], kind: str) -> list[dict]:
     """Every decision of one ``kind`` the run recorded, from the trace's
     instants of that kind — the zero-per-app-code capture path for
-    :class:`~repro.tune.controller.TuneController` activity
-    (:data:`~repro.sim.trace.TUNE`), for
     :class:`~repro.recover.RecoveryManager` activity (``RECOVER``:
     checkpoint resume, speculation, partition re-assignment) and for
     :class:`~repro.sched.Scheduler` activity (``SCHED``: admission,

@@ -31,10 +31,6 @@ FINISH = "finish"
 #: transition: interval reconstruction ignores it; the Chrome exporter
 #: renders it as an instant event)
 FAULT = "fault"
-#: instantaneous marker recorded by the repro.tune controller for every
-#: decision it applies (add replica / grow pool / shrink pool); same
-#: rendering rules as FAULT
-TUNE = "tune"
 #: instantaneous marker recorded by the repro.recover manager for every
 #: recovery decision (resume from checkpoint / speculate / reassign /
 #: race winner); same rendering rules as FAULT

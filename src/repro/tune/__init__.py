@@ -2,17 +2,9 @@
 
 FG's performance knobs — buffers per pool, copies per stage, how much
 each pipeline round moves — have always been hand-tuned.  This package
-closes the loop two ways, both deterministic under the virtual-time
-kernel:
+searches them before the run, deterministically under the virtual-time
+kernel; a program's pools and replica counts are then fixed for the run:
 
-* :mod:`repro.tune.controller` — an **in-run feedback controller**: a
-  kernel process sampling per-stage occupancy and queue-wait signals
-  from the metrics registry at round boundaries and applying a pluggable
-  policy through the runtime mechanisms
-  (:meth:`~repro.core.program.FGProgram.add_replica`,
-  :meth:`~repro.core.program.FGProgram.add_buffers`,
-  :meth:`~repro.core.program.FGProgram.retire_buffers`), with hysteresis
-  and caps;
 * :mod:`repro.tune.search` — **offline search**: the exhaustive grid
   over a :class:`TuneSpace` of axes, each evaluation one fresh simulated
   run;
@@ -23,16 +15,6 @@ Surfaced as ``python -m repro tune``, which also reports the compiled
 plan's gap to the grid optimum; the guide is docs/TUNING.md.
 """
 
-from repro.tune.controller import (
-    BacklogPolicy,
-    PoolSignal,
-    StageSignal,
-    TuneAction,
-    TuneController,
-    TuneDecision,
-    TunePolicy,
-    TuneSample,
-)
 from repro.tune.search import (
     Axis,
     Trial,
@@ -49,14 +31,6 @@ from repro.tune.sorters import (
 )
 
 __all__ = [
-    "TuneController",
-    "TunePolicy",
-    "BacklogPolicy",
-    "TuneAction",
-    "TuneDecision",
-    "TuneSample",
-    "StageSignal",
-    "PoolSignal",
     "Axis",
     "TuneSpace",
     "Trial",

@@ -297,25 +297,6 @@ def test_released_buffer_says_its_program_finished():
             assert "caboose" not in message
 
 
-def test_pool_resize_on_a_finished_program_is_what_it_was():
-    """Releasing the pools changed nothing here: as before, a finished
-    program still grants a grow (nothing will ever emit the buffer) and
-    a retirement, and counts them in its pool deltas."""
-    def build(kernel):
-        prog = FGProgram(kernel)
-        prog.add_pipeline("p", [Stage.map("s", lambda ctx, b: b)],
-                          nbuffers=2, buffer_bytes=32, rounds=3)
-        return prog
-
-    _, prog = run_program(build)
-    p = prog.pipelines[0]
-    assert prog.pool_deltas(p) == (0, 0)
-    assert prog.add_buffers(p, 1) == 3
-    assert prog.retire_buffers(p, 1) == 1
-    assert prog.pool_deltas(p) == (1, 0)
-    assert prog.total_buffer_bytes == 96
-
-
 def test_empty_program_rejected():
     kernel = VirtualTimeKernel()
     prog = FGProgram(kernel)
@@ -340,6 +321,34 @@ def test_pipeline_validation_errors():
                           rounds=-1)
     with pytest.raises(PipelineStructureError):
         prog.add_pipeline("p", [stage, stage], nbuffers=1, buffer_bytes=8)
+
+
+def test_rendezvous_with_unknown_rounds_rejected_at_construction():
+    """The capacity-0 + rounds=None combination deadlocks before any
+    buffer is delivered; it must be rejected when the pipeline is built,
+    not discovered mid-run."""
+    kernel = VirtualTimeKernel()
+    prog = FGProgram(kernel, name="rv")
+    with pytest.raises(PipelineStructureError, match="rendezvous"):
+        prog.add_pipeline(
+            "p", [Stage.map("s", lambda ctx, buf: buf)],
+            nbuffers=2, buffer_bytes=8, rounds=None, channel_capacity=0)
+
+
+def test_rendezvous_with_declared_rounds_is_allowed():
+    kernel = VirtualTimeKernel()
+    prog = FGProgram(kernel, name="rv2")
+    seen = []
+
+    def s(ctx, buf):
+        seen.append(buf.round)
+        return buf
+
+    prog.add_pipeline("p", [Stage.map("s", s)], nbuffers=2,
+                      buffer_bytes=8, rounds=3, channel_capacity=1)
+    kernel.spawn(prog.run, name="driver")
+    kernel.run()
+    assert seen == [0, 1, 2]
 
 
 def test_thread_count_linear_pipeline():

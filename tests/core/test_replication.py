@@ -1,5 +1,5 @@
-"""Stage replication tests: sequencer ordering, caboose relay, runtime
-replica growth, and determinism.
+"""Stage replication tests: sequencer ordering, caboose relay, and
+determinism.
 
 The adversarial-timing tests exploit the virtual clock: replicas sleep
 *longer* on earlier rounds, so completion order is the reverse of ticket
@@ -10,12 +10,7 @@ output.
 import pytest
 
 from repro.core import FGProgram, Stage
-from repro.errors import (
-    PipelineFailed,
-    PipelineStructureError,
-    ProcessFailed,
-    StageError,
-)
+from repro.errors import PipelineFailed, ProcessFailed, StageError
 from repro.sim import VirtualTimeKernel
 
 
@@ -79,7 +74,6 @@ def test_caboose_relay_terminates_every_replica():
     assert order == list(range(6))
     assert prog.finished
     (rset,) = prog.replica_sets()
-    assert rset.finished
     assert rset.live == 0
     assert rset.total == 4
 
@@ -99,59 +93,6 @@ def test_replica_dropping_a_buffer_keeps_order():
     kernel.spawn(prog.run, name="driver")
     kernel.run()
     assert order == [0, 2, 4, 6]
-
-
-def test_add_replica_midrun_preserves_order_and_counts():
-    kernel = VirtualTimeKernel()
-    rounds = 10
-
-    def work(ctx, buf):
-        kernel.sleep(0.05)
-        return buf
-
-    prog, order = build_replicated(kernel, replicas=1, rounds=rounds,
-                                   work_fn=work)
-
-    grown = []
-
-    def tuner():
-        kernel.sleep(0.06)
-        p = prog.pipelines[0]
-        grown.append(prog.add_replica(p, "work"))
-        grown.append(prog.add_replica(p, "work"))
-
-    kernel.spawn(prog.run, name="driver")
-    kernel.spawn(tuner, name="tuner")
-    kernel.run()
-    assert grown == [True, True]
-    assert order == list(range(rounds))
-    (rset,) = prog.replica_sets()
-    assert rset.total == 3
-
-
-def test_add_replica_after_finish_is_refused():
-    kernel = VirtualTimeKernel()
-
-    def work(ctx, buf):
-        return buf
-
-    prog, order = build_replicated(kernel, replicas=2, rounds=3,
-                                   work_fn=work)
-    kernel.spawn(prog.run, name="driver")
-    kernel.run()
-    assert prog.finished
-    assert prog.add_replica(prog.pipelines[0], "work") is False
-
-
-def test_add_replica_requires_declared_stage():
-    kernel = VirtualTimeKernel()
-    prog = FGProgram(kernel, name="rep")
-    prog.add_pipeline("p", [Stage.map("only", lambda ctx, buf: buf)],
-                      nbuffers=2, buffer_bytes=8, rounds=1)
-    kernel.spawn(prog.start, name="driver")
-    kernel.run()
-    with pytest.raises(PipelineStructureError):
-        prog.replica_set(prog.pipelines[0], "only")
 
 
 def test_replica_conveying_manually_is_a_stage_error():

@@ -71,33 +71,29 @@ def test_report_contains_stage_rows():
 
 def test_accounting_reads_declarations_not_released_pools():
     """wait() gives the pools back; what the program says about itself —
-    bytes declared, the report, per-stage stats, pool deltas — does not
-    change when the arrays go."""
+    bytes declared, the report, per-stage stats — does not change when
+    the arrays go."""
     kernel = VirtualTimeKernel()
     prog = FGProgram(kernel, name="reportme")
     p = prog.add_pipeline("p", [Stage.map("worker", lambda ctx, buf: buf)],
-                          nbuffers=3, buffer_bytes=100, rounds=4,
+                          nbuffers=4, buffer_bytes=100, rounds=4,
                           aux_buffers=True)
     seen = {}
 
     def driver():
         prog.start()
-        prog.add_buffers(p, 1)
         while not prog.finished:
             kernel.sleep(0.1)
         # every process has exited but wait() has not run: pools intact
         assert all(buf.capacity == 100 for buf in prog.buffers_of(p))
         seen["before"] = (prog.total_buffer_bytes, prog.report(),
-                          prog.stage_stats()["worker"].conveys,
-                          prog.pool_deltas(p))
+                          prog.stage_stats()["worker"].conveys)
         prog.wait()
 
     kernel.spawn(driver, name="driver")
     kernel.run()
     assert all(buf.capacity == 0 for buf in prog.buffers_of(p))
     assert seen["before"] == (prog.total_buffer_bytes, prog.report(),
-                              prog.stage_stats()["worker"].conveys,
-                              prog.pool_deltas(p))
+                              prog.stage_stats()["worker"].conveys)
     assert prog.total_buffer_bytes == 800
-    assert prog.pool_deltas(p) == (1, 0)
     assert "800 buffer byte(s)" in prog.report()

@@ -1,4 +1,4 @@
-"""Time-series tests: binning, discovery, rendering, gauge slicing."""
+"""Time-series tests: binning, discovery, rendering."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core import FGProgram, Stage
 from repro.obs import (
     SeriesBin,
     StageSeries,
-    gauge_series,
     instrumented_programs,
     render_stage_series,
     stage_series,
@@ -89,26 +88,6 @@ def test_sparkline_and_peak_bin():
     never = StageSeries("y", (SeriesBin(0, 1, 2, 0.0),))
     assert never.peak_wait_bin() is None
     assert never.sparkline() == " "
-
-
-def test_gauge_series_slices_sampled_gauges():
-    kernel, registry = run_instrumented()
-    names = [n for n in registry.names()
-             if n.startswith("channel.") and n.endswith(".occupancy")]
-    assert names
-    levels = gauge_series(registry, names[0], bins=5)
-    assert len(levels) == 5
-    assert all(lv >= 0 for lv in levels)
-
-
-def test_gauge_series_rejects_unknown_and_non_gauges():
-    _, registry = run_instrumented()
-    with pytest.raises(KeyError):
-        gauge_series(registry, "no.such.metric")
-    counter_name = next(n for n in registry.names()
-                        if n.endswith(".accepts"))
-    with pytest.raises(ValueError):
-        gauge_series(registry, counter_name)
 
 
 def test_render_stage_series_table():

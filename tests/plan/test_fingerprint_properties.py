@@ -1,7 +1,6 @@
 """Fingerprint properties over the shared IR.
 
-Two programs that can behave differently must fingerprint differently —
-including the PR-5 dynamic structure (pools grown or retired mid-run) —
+Two programs that can behave differently must fingerprint differently,
 and an applied plan is part of the identity too.  And the pipeline
 lint -> plan -> lint must be a fixed point: applying a plan leaves the
 stages as declared, so the linter has nothing new to complain about.
@@ -60,44 +59,6 @@ def test_any_single_geometry_change_changes_the_fingerprint():
 def test_replica_count_is_part_of_the_identity():
     assert (stage_graph_fingerprint(build(replicas={"work": 2}))
             != stage_graph_fingerprint(build(replicas={"work": 3})))
-
-
-def _run_growing(nbuffers, grow):
-    kernel = VirtualTimeKernel()
-    prog = FGProgram(kernel, name="fp-prop")
-
-    def fill(ctx, buf):
-        kernel.sleep(0.01)
-        buf.put(np.zeros(4, dtype=np.uint8))
-        return buf
-
-    prog.add_pipeline("p", [Stage.map("fill", fill),
-                            Stage.map("sink", ok_map)],
-                      nbuffers=nbuffers, buffer_bytes=16, rounds=8)
-
-    def grower():
-        kernel.sleep(0.02)
-        if grow:
-            prog.add_buffers(prog.pipelines[0], grow)
-
-    kernel.spawn(prog.run, name="driver")
-    kernel.spawn(grower, name="grower")
-    kernel.run()
-    return prog
-
-
-def test_grown_pool_is_not_identical_to_a_declared_one():
-    declared = _run_growing(nbuffers=4, grow=0)
-    grown = _run_growing(nbuffers=2, grow=2)
-    assert declared.pipelines[0].nbuffers == grown.pipelines[0].nbuffers
-    assert (stage_graph_fingerprint(declared)
-            != stage_graph_fingerprint(grown))
-
-
-def test_growing_changes_the_fingerprint_of_the_same_declaration():
-    plain = _run_growing(nbuffers=2, grow=0)
-    grown = _run_growing(nbuffers=2, grow=2)
-    assert stage_graph_fingerprint(plain) != stage_graph_fingerprint(grown)
 
 
 def test_lint_plan_lint_is_a_fixed_point():

@@ -33,7 +33,8 @@ def test_from_program_captures_declared_structure():
     assert [n.style for n in p.stages] == ["map", "full"]
     assert (p.nbuffers, p.buffer_bytes, p.rounds) == (3, 64, 5)
     assert p.channel_capacity == 2
-    assert (p.pool_grown, p.pool_retired) == (0, 0)
+    doc = p.canonical()
+    assert (doc["pool_grown"], doc["pool_retired"]) == (0, 0)
 
 
 def test_effective_depth_expands_replicas():

@@ -13,7 +13,7 @@ from repro.prov import (
     trace_digest,
 )
 from repro.sim import Tracer, VirtualTimeKernel
-from repro.sim.trace import PARK, RECOVER, SCHED, TUNE
+from repro.sim.trace import PARK, RECOVER, SCHED
 
 
 def sample_record(**overrides):
@@ -93,28 +93,28 @@ def test_metrics_digest_tracks_snapshot_content():
     assert metrics_digest(registry.snapshot()) != one
 
 
-def test_trace_and_tune_capture():
+def test_trace_and_decision_capture():
     tracer = Tracer()
     kernel = VirtualTimeKernel(tracer=tracer)
 
     def worker():
         kernel.sleep(1.0)
-        tracer.record(kernel.now(), "tuner", TUNE, "grow p.pool +1")
+        tracer.record(kernel.now(), "recovery", RECOVER, "resume p from 1")
         kernel.sleep(1.0)
 
     kernel.spawn(worker, name="worker")
     kernel.run()
     digest = trace_digest(tracer)
     assert len(digest) == 64 and digest == trace_digest(tracer)
-    log = decision_log(tracer, TUNE)
-    assert log == [{"time": 1.0, "process": "tuner",
-                    "detail": "grow p.pool +1"}]
+    log = decision_log(tracer, RECOVER)
+    assert log == [{"time": 1.0, "process": "recovery",
+                    "detail": "resume p from 1"}]
 
 
-@pytest.mark.parametrize("kind", [TUNE, RECOVER, SCHED])
+@pytest.mark.parametrize("kind", [RECOVER, SCHED])
 def test_decision_log_harvests_exactly_one_kind(kind):
     tracer = Tracer()
-    for t, other in enumerate([PARK, TUNE, RECOVER, SCHED, TUNE, SCHED]):
+    for t, other in enumerate([PARK, RECOVER, SCHED, PARK, SCHED]):
         tracer.record(float(t), f"emitter.{other}", other, f"{other} #{t}")
     log = decision_log(tracer, kind)
     assert log == [{"time": ev.time, "process": f"emitter.{kind}",
