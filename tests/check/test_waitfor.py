@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import FGProgram, Stage
 from repro.errors import DeadlockError
-from repro.sim import VirtualTimeKernel
+from repro.sim import Channel, VirtualTimeKernel
 from repro.sim.waitfor import WaitForGraph
 
 
@@ -62,6 +62,37 @@ def test_deadlock_report_names_the_wait_cycle():
     kernel.spawn(prog.run, name="driver")
     with pytest.raises(DeadlockError) as exc_info:
         kernel.run()
-    message = str(exc_info.value)
-    assert "wait-for cycle:" in message
-    assert "dl.greedy" in message
+    assert str(exc_info.value) == (
+        "deadlock: all live processes are blocked and no timed event is "
+        "pending\n"
+        "  - driver: waiting on join(dl.p.source)\n"
+        "  - dl.p.source: waiting on get <- dl.p.recycle "
+        "(occupancy 0/inf, pipeline dl.p)\n"
+        "  - dl.p.sink: waiting on get <- dl.p->sink "
+        "(occupancy 0/inf, pipeline dl.p)\n"
+        "  - dl.greedy: waiting on get <- dl.p->greedy "
+        "(occupancy 0/inf, pipeline dl.p)\n"
+        "  wait-for cycle: dl.greedy -[awaiting data on dl.p->greedy]-> "
+        "dl.p.source -[awaiting data on dl.p.recycle]-> "
+        "dl.p.sink -[awaiting data on dl.p->sink]-> dl.greedy")
+
+
+def test_deadlock_report_names_a_cycle_of_full_channels():
+    """Two processes each putting into a rendezvous channel only the
+    other drains: the cycle's edges wait for space, not data."""
+    kernel = VirtualTimeKernel()
+    ab = Channel(kernel, capacity=0, name="ab")
+    ba = Channel(kernel, capacity=0, name="ba")
+    ab.producers, ab.consumers = {"a"}, {"b"}
+    ba.producers, ba.consumers = {"b"}, {"a"}
+    kernel.spawn(ab.put, 1, name="a")
+    kernel.spawn(ba.put, 2, name="b")
+    with pytest.raises(DeadlockError) as exc_info:
+        kernel.run()
+    assert str(exc_info.value) == (
+        "deadlock: all live processes are blocked and no timed event is "
+        "pending\n"
+        "  - a: waiting on put -> ab (occupancy 0/0)\n"
+        "  - b: waiting on put -> ba (occupancy 0/0)\n"
+        "  wait-for cycle: a -[awaiting space in ab]-> "
+        "b -[awaiting space in ba]-> a")

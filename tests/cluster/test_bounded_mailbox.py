@@ -128,7 +128,14 @@ def test_coupled_send_receive_deadlocks_and_is_diagnosed():
 
     with pytest.raises(DeadlockError) as exc_info:
         cluster.run(main)
-    assert "reserve" in str(exc_info.value)
+    # no wait-for cycle line: mailbox waits name no counterparties
+    assert str(exc_info.value) == (
+        "deadlock: all live processes are blocked and no timed event is "
+        "pending\n"
+        "  - main@0: waiting on reserve 100B in full mailbox1 (cap 100B) "
+        "(1 pending, 100/100 B buffered)\n"
+        "  - main@1: waiting on reserve 100B in full mailbox0 (cap 100B) "
+        "(1 pending, 100/100 B buffered)")
 
 
 def test_disjoint_pipelines_survive_where_coupling_deadlocks():

@@ -78,13 +78,16 @@ def test_report_lists_every_blocked_process():
 
 
 def _one_of_each_park(kernel, reports):
-    """One process parked in each of sleep, get, put, acquire, join and
-    recv, and a monitor that describes them all at t=1."""
+    """One process parked in each of sleep, get, put, acquire, join,
+    recv, a bounded mailbox's reserve and a queued hold, and a monitor
+    that describes them all at t=1."""
     empty = Channel(kernel, capacity=2, name="empty")
     full = Channel(kernel, capacity=1, name="full")
     full.owner = "pass1.send"
     arm = Resource(kernel, capacity=1, name="disk-arm")
+    nic = Resource(kernel, capacity=1, name="nic")
     mailbox = Mailbox(kernel, "mbox[0]")
+    bounded = Mailbox(kernel, "mbox[1]", capacity_bytes=64)
 
     def putter():
         full.put(1)
@@ -92,7 +95,12 @@ def _one_of_each_park(kernel, reports):
 
     def hog(sleeper):
         arm.acquire()  # never released
+        nic.acquire()  # nor this
         sleeper.join()
+
+    def sender():
+        bounded.reserve(64)  # fills the mailbox; never received
+        bounded.reserve(8)
 
     def monitor():
         kernel.sleep(1.0)
@@ -106,6 +114,8 @@ def _one_of_each_park(kernel, reports):
     kernel.spawn(hog, sleeper, name="hog")
     kernel.spawn(arm.acquire, name="waiter")
     kernel.spawn(mailbox.receive, 1, 7, name="receiver")
+    kernel.spawn(sender, name="sender")
+    kernel.spawn(nic.hold, 1.0, name="holder")
     kernel.spawn(monitor, name="monitor")
 
 
@@ -118,7 +128,10 @@ PARKED_REPORT = """\
   - hog: waiting on join(sleeper)
   - waiter: waiting on acquire 1x disk-arm (in use 1/1, 1 queued)
   - receiver: waiting on recv(src=1, tag=7) <- mbox[0] \
-(0 pending, 0/inf B buffered)"""
+(0 pending, 0/inf B buffered)
+  - sender: waiting on reserve 8B in full mbox[1] (cap 64B) \
+(0 pending, 64/64 B buffered)
+  - holder: waiting on acquire 1x nic (in use 1/1, 1 queued)"""
 
 
 def test_report_text_for_every_kind_of_park_is_unchanged():
