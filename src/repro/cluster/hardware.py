@@ -116,16 +116,6 @@ class HardwareModel:
                    net_latency=base.net_latency * scale)
 
     @classmethod
-    def fast_network(cls) -> "HardwareModel":
-        """A variant where the network is never the bottleneck."""
-        return cls(net_bandwidth=2.5e9, net_latency=1e-6)
-
-    @classmethod
-    def slow_disk(cls) -> "HardwareModel":
-        """A variant that exaggerates disk dominance (I/O-bound regime)."""
-        return cls(disk_bandwidth=20e6, disk_seek=10e-3)
-
-    @classmethod
     def uniform(cls, rate: float) -> "HardwareModel":
         """Disk and network at the same rate; useful in analytic tests."""
         return cls(disk_bandwidth=rate, net_bandwidth=rate,

@@ -23,7 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -205,20 +205,6 @@ class Comm:
         self.network.send(self.rank, peer, payload, _TAG_SENDRECV,
                           payload_nbytes(payload))
         return self.network.recv(self.rank, peer, _TAG_SENDRECV).payload
-
-    def allreduce(self, value: Any,
-                  op: Callable[[Any, Any], Any] = None) -> Any:
-        """Reduce with ``op`` (default +) across ranks; all ranks get the result."""
-        if op is None:
-            op = lambda a, b: a + b  # noqa: E731 - tiny default combiner
-        gathered = self.gather(value, root=0)
-        if self.rank == 0:
-            acc = gathered[0]
-            for item in gathered[1:]:
-                acc = op(acc, item)
-        else:
-            acc = None
-        return self.bcast(acc, root=0)
 
     # -- helpers -----------------------------------------------------------------
 

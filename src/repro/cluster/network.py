@@ -101,14 +101,18 @@ class Mailbox:
             self._buffered_bytes += nbytes
             kernel.mutex.release()
             return
-        me = kernel.current_process()
-        self._send_waiters.append((me, nbytes))
-        me.wait_info = self._wait_info
-        kernel.block_current(
-            locked=True,
-            reason=f"reserve {nbytes}B in full {self.name} "
-                   f"(cap {self.capacity_bytes}B)")
+        self._send_waiters.append((kernel.current_process(), nbytes))
+        kernel.block_current(locked=True, on=self, how=nbytes)
         # the receiver that freed space performed our reservation
+
+    def _park_reason(self, how: Any) -> str:
+        """What a process parked here is parked on: a reserve of ``how``
+        bytes, or a receive from ``how = (source, tag)``."""
+        if isinstance(how, tuple):
+            source, tag = how
+            return f"recv(src={source}, tag={tag}) <- {self.name}"
+        return (f"reserve {how}B in full {self.name} "
+                f"(cap {self.capacity_bytes}B)")
 
     def _wait_info(self) -> str:
         """Deadlock-report detail: pending messages and buffered bytes."""
@@ -162,12 +166,8 @@ class Mailbox:
                     self._release_locked(msg.nbytes)
                 kernel.mutex.release()
                 return msg
-        me = kernel.current_process()
-        self._waiters.append((me, source, tag))
-        me.wait_info = self._wait_info
-        return kernel.block_current(
-            locked=True,
-            reason=f"recv(src={source}, tag={tag}) <- {self.name}")
+        self._waiters.append((kernel.current_process(), source, tag))
+        return kernel.block_current(locked=True, on=self, how=(source, tag))
 
     def unreserve(self, nbytes: int) -> None:
         """Return reserved-but-never-deposited space (sender gave up)."""

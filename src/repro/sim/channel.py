@@ -73,6 +73,12 @@ class Channel(Generic[T]):
             self._m_occupancy = None
             self._m_delivered = None
 
+    def _park_reason(self, how: str) -> str:
+        """What a process parked in ``how`` (``"get"``/``"put"``) is
+        parked on."""
+        arrow = "<-" if how == "get" else "->"
+        return f"{how} {arrow} {self.name}"
+
     def _wait_info(self) -> str:
         """Deadlock-report detail: live occupancy, capacity, and owner."""
         cap = "inf" if self.capacity is None else self.capacity
@@ -142,13 +148,8 @@ class Channel(Generic[T]):
                 self._m_occupancy.set(len(self._buf))
             kernel.mutex.release()
             return True
-        me = kernel.current_process()
-        self._putq.append((me, item))
-        me.wait_info = self._wait_info
-        me.waiting_channel = self
-        outcome = kernel.block_current(locked=True,
-                                       reason=f"put -> {self.name}")
-        me.waiting_channel = None
+        self._putq.append((kernel.current_process(), item))
+        outcome = kernel.block_current(locked=True, on=self, how="put")
         if outcome == _CLOSED:
             raise ChannelClosed(f"channel {self.name!r} closed while putting")
         return True
@@ -183,13 +184,8 @@ class Channel(Generic[T]):
         if self._closed:
             kernel.mutex.release()
             raise ChannelClosed(f"get on closed, empty channel {self.name!r}")
-        me = kernel.current_process()
-        self._getq.append(me)
-        me.wait_info = self._wait_info
-        me.waiting_channel = self
-        kind, payload = kernel.block_current(locked=True,
-                                             reason=f"get <- {self.name}")
-        me.waiting_channel = None
+        self._getq.append(kernel.current_process())
+        kind, payload = kernel.block_current(locked=True, on=self, how="get")
         if kind == _CLOSED:
             raise ChannelClosed(f"channel {self.name!r} closed while getting")
         if race is not None:

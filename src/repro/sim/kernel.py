@@ -13,6 +13,19 @@ the kernel only through blocking primitives:
   and resources);
 * :meth:`Process.join` — wait for another process to finish.
 
+What a process is parked on is one field, ``Process._waiting_on``: a
+sleep's deadline (a float, so a sleep formats and allocates nothing), or
+``(on, how)`` for every other park — ``on`` the object parked on (a
+:class:`~repro.sim.channel.Channel`, :class:`~repro.sim.resources.Resource`,
+:class:`~repro.cluster.network.Mailbox` or :class:`Process`), ``how`` that
+object's one argument (``"get"``/``"put"``, units, nbytes, ``(source,
+tag)``, or None for a join).  The class of ``on`` is the wait's type.
+Every parkable object provides the pair that reads it: ``_park_reason(how)``,
+the text :attr:`Process.waiting_on` shows (and a tracer's PARK records),
+and ``_wait_info()``, the live detail a deadlock or watchdog report
+appends (occupancy, units in use, buffered bytes).  Neither is formatted
+until somebody reads it.
+
 The two concrete kernels (:class:`~repro.sim.virtual.VirtualTimeKernel` and
 :class:`~repro.sim.realtime.RealTimeKernel`) implement the same contract, so
 synchronization objects (channels, resources) are written once against this
@@ -248,18 +261,9 @@ class Process:
         self.state = ProcessState.NEW
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        #: what the process is blocked on: a reason string, or the
-        #: simulated deadline of a sleep, which :attr:`waiting_on` spells
-        #: out only when somebody reads it
-        self._waiting_on: Union[str, float, None] = None
-        #: optional zero-arg callable set by the synchronization object the
-        #: process is parked on; resolved at deadlock-report time to append
-        #: live detail (channel occupancy/capacity, owning pipeline, ...).
-        self.wait_info: Optional[Callable[[], str]] = None
-        #: the Channel this process is parked on (set by Channel.put/get,
-        #: cleared on wake); consumed by the deadlock wait-for-graph
-        #: analysis (:mod:`repro.sim.waitfor`).
-        self.waiting_channel: Any = None
+        #: what the process is parked on (module docstring): a sleep's
+        #: simulated deadline, or ``(on, how)``; None while it runs
+        self._waiting_on: Union[float, tuple[Any, Any], None] = None
         #: one-slot mailbox used by wakers to hand data to a parked process
         #: (e.g. a channel item) before making it ready.
         self.wake_value: Any = None
@@ -288,11 +292,22 @@ class Process:
     @property
     def waiting_on(self) -> Optional[str]:
         """Human-readable description of what the process is blocked on;
-        surfaced in traces and deadlock reports."""
+        surfaced in traces and deadlock reports, and formatted only here."""
         what = self._waiting_on
-        if what is None or isinstance(what, str):
-            return what
+        if isinstance(what, tuple):
+            on, how = what
+            return on._park_reason(how)
+        if what is None:
+            return None
         return f"sleep until t={what:.9g}"
+
+    def _park_reason(self, how: None) -> str:
+        """What a joiner of this process is parked on."""
+        return f"join({self.name})"
+
+    def _wait_info(self) -> str:
+        """A join has no live detail to report."""
+        return ""
 
     @property
     def alive(self) -> bool:
@@ -316,7 +331,7 @@ class Process:
         if self.alive:
             self._joiners.append(me)
             # block_current releases the mutex (locking contract).
-            kernel.block_current(locked=True, reason=f"join({self.name})")
+            kernel.block_current(locked=True, on=self)
         else:
             kernel.mutex.release()
         if kernel.race is not None:
@@ -498,11 +513,15 @@ class Kernel:
         with resource.request(units):
             self.sleep(_hold_time(seconds))
 
-    def block_current(self, *, locked: bool, reason: str = "") -> Any:
+    def block_current(self, *, locked: bool, on: Any,
+                      how: Any = None) -> Any:
         """Park the calling process until another process wakes it.
 
         ``locked`` must be True and the caller must hold :attr:`mutex`; the
-        kernel releases the mutex while parked.  Returns the process's
+        kernel releases the mutex while parked.  ``on`` is the object the
+        process parks on and ``how`` its argument: the park is recorded
+        as ``(on, how)``, and ``on._park_reason(how)`` / ``on._wait_info()``
+        describe it when read (module docstring).  Returns the process's
         :attr:`Process.wake_value` (set by the waker) and clears it.
         """
         raise NotImplementedError
@@ -617,9 +636,10 @@ class Kernel:
         lines = []
         for p in procs:
             line = f"  - {p.name}: waiting on {p.waiting_on or '?'}"
-            if p.wait_info is not None:
+            wait = p._waiting_on
+            if isinstance(wait, tuple):
                 try:
-                    detail = p.wait_info()
+                    detail = wait[0]._wait_info()
                 except Exception:  # noqa: BLE001 - report must not fail
                     detail = ""
                 if detail:

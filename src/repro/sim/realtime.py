@@ -63,7 +63,8 @@ class RealTimeKernel(Kernel):
             # asynchrony even when latencies are scaled away.
             time.sleep(0)
 
-    def block_current(self, *, locked: bool, reason: str = "") -> Any:
+    def block_current(self, *, locked: bool, on: Any,
+                      how: Any = None) -> Any:
         if not locked:
             raise KernelStateError("block_current requires the kernel mutex")
         me = self.current_process()
@@ -73,7 +74,7 @@ class RealTimeKernel(Kernel):
             self.mutex.release()
             raise KernelShutdown()
         me.state = ProcessState.BLOCKED
-        me._waiting_on = reason
+        me._waiting_on = (on, how)
         me._resume_event.clear()
         self.mutex.release()
         me._resume_event.wait()
@@ -81,7 +82,6 @@ class RealTimeKernel(Kernel):
             raise KernelShutdown()
         me.state = ProcessState.RUNNING
         me._waiting_on = None
-        me.wait_info = None
         value, me.wake_value = me.wake_value, None
         return value
 
@@ -91,7 +91,6 @@ class RealTimeKernel(Kernel):
         proc.wake_value = wake_value
         proc.state = ProcessState.READY
         proc._waiting_on = None
-        proc.wait_info = None
         proc._resume_event.set()
 
     # -- process lifecycle ---------------------------------------------------------
@@ -139,12 +138,15 @@ class RealTimeKernel(Kernel):
                 finished = self._done.wait_for(lambda: self._live == 0,
                                                timeout=timeout)
                 if not finished:
-                    blocked = [p for p in self._processes if p.alive]
+                    # described before the abort: an unwinding process
+                    # wakes its joiners, which would clear their parks
+                    report = self._describe_blocked(
+                        p for p in self._processes if p.alive)
                     self._begin_abort_locked()
                     self._done.wait_for(lambda: self._live == 0, timeout=5.0)
                     raise KernelStateError(
                         "real-time kernel watchdog expired; live processes:\n"
-                        + self._describe_blocked(blocked))
+                        + report)
             if self._failure is not None:
                 raise self._failure
         finally:

@@ -71,6 +71,10 @@ class Resource:
         self._busy_integral += self.in_use * (now - self._last_change)
         self._last_change = now
 
+    def _park_reason(self, units: int) -> str:
+        """What a process queued for ``units`` is parked on."""
+        return f"acquire {units}x {self.name}"
+
     def _wait_info(self) -> str:
         """Deadlock-report detail: units in use and queue length."""
         return (f"(in use {self.in_use}/{self.capacity}, "
@@ -92,13 +96,6 @@ class Resource:
         self._available -= units
         self.acquisitions += 1
         return True
-
-    def _enqueue_locked(self, proc: Process, units: int) -> str:
-        """Queue ``proc`` for ``units``; mutex held.  Returns what it
-        waits on, for its park."""
-        self._waiters.append((proc, units))
-        proc.wait_info = self._wait_info
-        return f"acquire {units}x {self.name}"
 
     def _release_locked(self, units: int) -> None:
         """Return ``units`` and grant queued waiters in order; mutex held."""
@@ -122,8 +119,8 @@ class Resource:
         if self._take_locked(units):
             kernel.mutex.release()
             return
-        reason = self._enqueue_locked(kernel.current_process(), units)
-        kernel.block_current(locked=True, reason=reason)
+        self._waiters.append((kernel.current_process(), units))
+        kernel.block_current(locked=True, on=self, how=units)
         # The releaser already performed the accounting and the decrement
         # on our behalf before waking us.
 

@@ -160,18 +160,6 @@ class Tracer:
         times = [ev.time for ev in self.events]
         return min(times), max(times)
 
-    def utilization_report(self) -> str:
-        """One line per process: busy seconds and busy fraction of span."""
-        t0, t1 = self.span()
-        total = max(t1 - t0, 1e-12)
-        lines = ["process".ljust(32) + "busy(s)".rjust(10)
-                 + "busy%".rjust(8)]
-        for name in self.process_names():
-            busy = self.busy_time(name)
-            lines.append(name.ljust(32)
-                         + f"{busy:10.4f}" + f"{100 * busy / total:7.1f}%")
-        return "\n".join(lines)
-
     # -- rendering ------------------------------------------------------------------
 
     #: Gantt cell glyph per state, in precedence order on ties

@@ -242,7 +242,8 @@ class VirtualTimeKernel(Kernel):
             me._waiting_on = until
             heapq.heappush(self._heap, (until, next(self._seq), me))
         else:
-            me._waiting_on = resource._enqueue_locked(me, units)
+            resource._waiters.append((me, units))
+            me._waiting_on = (resource, units)
         me.state = ProcessState.BLOCKED
         me._step = hold
         try:
@@ -259,12 +260,13 @@ class VirtualTimeKernel(Kernel):
             finally:
                 resource.release(units)
 
-    def block_current(self, *, locked: bool, reason: str = "") -> Any:
+    def block_current(self, *, locked: bool, on: Any,
+                      how: Any = None) -> Any:
         if not locked:
             raise KernelStateError("block_current requires the kernel mutex")
         me = self.current_process()
         me.state = ProcessState.BLOCKED
-        me._waiting_on = reason
+        me._waiting_on = (on, how)
         self._park_and_handoff_locked(me)
         value, me.wake_value = me.wake_value, None
         return value
@@ -278,7 +280,6 @@ class VirtualTimeKernel(Kernel):
         proc.wake_value = wake_value
         proc.state = ProcessState.READY
         proc._waiting_on = None
-        proc.wait_info = None
         self._ready.append(proc)
         self._woken_at = self.switches
 
@@ -347,7 +348,6 @@ class VirtualTimeKernel(Kernel):
             raise KernelShutdown()
         me.state = ProcessState.RUNNING
         me._waiting_on = None
-        me.wait_info = None
         if self.tracer is not None:
             self.tracer.record(self._now, me.name, RESUME)
 

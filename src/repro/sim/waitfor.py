@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.sim.channel import Channel
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Process
 
@@ -98,24 +100,25 @@ class WaitForGraph:
 def runtime_wait_cycle(blocked: "Iterable[Process]") -> Optional[str]:
     """Extract a concrete wait cycle from blocked kernel processes.
 
-    Each blocked process that is parked on a channel (``waiting_channel``
-    set by :class:`~repro.sim.channel.Channel`) waits on the processes
-    registered as that channel's counterparties: its producers when
-    blocked getting, its consumers when blocked putting on a full
-    channel.  Only edges between *blocked* processes matter — a live
-    runnable counterparty would break the cycle.  Returns the rendered
-    cycle line, or None when the deadlock is not channel-shaped (e.g.
-    unregistered channels, resources, joins).
+    Each blocked process whose park record is ``(channel, how)`` — it is
+    parked on a :class:`~repro.sim.channel.Channel` (:mod:`repro.sim.kernel`,
+    module docstring) — waits on the processes registered as that
+    channel's counterparties: its producers when ``how`` is ``"get"``,
+    its consumers when it is ``"put"`` on a full channel.  Only edges
+    between *blocked* processes matter — a live runnable counterparty
+    would break the cycle.  Returns the rendered cycle line, or None when
+    the deadlock is not channel-shaped (e.g. unregistered channels,
+    resources, mailboxes, joins).
     """
     blocked = list(blocked)
     by_name = {p.name: p for p in blocked}
     graph = WaitForGraph()
     for proc in blocked:
-        channel = getattr(proc, "waiting_channel", None)
-        if channel is None:
+        wait = proc._waiting_on
+        if not (isinstance(wait, tuple) and isinstance(wait[0], Channel)):
             continue
-        waiting_on = proc.waiting_on or ""
-        if waiting_on.startswith("get"):
+        channel, how = wait
+        if how == "get":
             counterparties = channel.producers
             verb = "awaiting data on"
         else:

@@ -93,10 +93,11 @@ def test_integer_like_cores_are_accepted():
 
 
 def test_presets_are_valid_and_distinct():
-    presets = [HardwareModel.paper_cluster(), HardwareModel.fast_network(),
-               HardwareModel.slow_disk(), HardwareModel.uniform(1e6)]
+    presets = [HardwareModel.paper_cluster(),
+               HardwareModel.scaled_paper_cluster(),
+               HardwareModel.uniform(1e6)]
     assert len({(p.disk_bandwidth, p.net_bandwidth, p.disk_seek)
-                for p in presets}) == 4
+                for p in presets}) == 3
 
 
 def test_uniform_preset_equalizes_rates():

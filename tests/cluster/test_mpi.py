@@ -156,18 +156,6 @@ def test_sendrecv_replace_self_is_identity():
     assert cluster.run(main) == ["me"]
 
 
-def test_allreduce_sum_and_custom_op():
-    cluster = fast_cluster(4)
-
-    def main(node, comm):
-        total = comm.allreduce(comm.rank + 1)
-        biggest = comm.allreduce(comm.rank, op=max)
-        return total, biggest
-
-    results = cluster.run(main)
-    assert all(r == (10, 3) for r in results)
-
-
 def test_negative_user_tag_rejected():
     cluster = fast_cluster(2)
 

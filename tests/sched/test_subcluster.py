@@ -82,7 +82,7 @@ def test_collectives_work_inside_a_window():
     sums = []
 
     def main(node, comm):
-        total = comm.allreduce(comm.rank + 1)
+        total = sum(comm.allgather(comm.rank + 1))
         sums.append(total)
 
     sub.spawn_spmd(main, name="coll")

@@ -93,15 +93,6 @@ def test_gantt_width_validation_and_empty():
     assert "zero-duration" in tracer.gantt()
 
 
-def test_utilization_report_lists_processes():
-    kernel, tracer = traced_kernel()
-    kernel.spawn(lambda: kernel.sleep(1.0), name="only")
-    kernel.run()
-    report = tracer.utilization_report()
-    assert "only" in report
-    assert "busy%" in report
-
-
 def test_tracing_does_not_change_timing():
     def run(tracer):
         kernel = VirtualTimeKernel(tracer=tracer)
