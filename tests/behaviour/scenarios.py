@@ -24,7 +24,6 @@ import importlib.util
 import io
 import os
 import re
-import runpy
 import sys
 import tempfile
 
@@ -660,59 +659,71 @@ def _document(name):
     return {"document": canonical_json(document(samples()[name]))}
 
 
-# -- the effect corpus --------------------------------------------------------
+# -- the examples: their lint text and their stage functions ----------------
 #
-# Every stage function of ``examples/``, both sorters and ``repro.apps``
+# One run of ``repro lint --strict --effects`` over the examples and the
+# three check fixtures gives the lint text — every finding, every stage's
+# parallel-safety verdict, each example's own simulated output — and,
+# with both sorters run after it, the effect corpus: every stage function
+# of ``examples/``, both sorters and ``repro.apps``
 # (``examples/beyond_sorting.py`` runs transpose and group-by), captured
-# alive as their programs start; each one's ``Effects`` are written with
-# every ``id()`` replaced by its first-appearance index over the corpus (0
-# stays 0: an unresolved cell), so two stages that share one object still
-# share one index.
+# alive as their programs start.  Each one's ``Effects`` are written with
+# every ``id()`` replaced by its first-appearance index over the corpus
+# (0 stays 0: an unresolved cell), so two stages that share one object
+# still share one index.
 
 EXAMPLES = sorted(glob.glob(os.path.join(REPO, "examples", "*.py")))
+CHECK_FIXTURES = sorted(glob.glob(os.path.join(
+    REPO, "tests", "check", "fixtures", "*.py")))
+#: real_files.py's temp-dir and wall-clock lines differ run to run
+UNSTABLE = re.compile(r"^  data: .* under |^  wall: .*real threads")
 
 
-def capture(workdir):
-    """``([(fn, style)], [hook])``: every stage function and failure hook
-    the corpus starts, in start order; ``workdir`` receives the files
-    some examples write."""
+@functools.cache
+def examples_run():
+    """``(lint text, lint exit status, [(fn, style)], [hook])``: the
+    stage functions and failure hooks the examples and both sorters
+    start, in start order."""
     captured, hooks = {}, {}
     original = FGProgram.start
 
     def start(self):
-        for p in self.pipelines:
-            for s in p.stages:
-                if s.fn is not None:
-                    captured.setdefault(id(s.fn), (s.fn, s.style))
-        if self.on_pipeline_failure is not None:
-            hooks.setdefault(id(self.on_pipeline_failure),
-                             self.on_pipeline_failure)
+        # lint hands each file it runs its own sys.argv
+        if sys.argv[0] not in CHECK_FIXTURES:
+            for p in self.pipelines:
+                for s in p.stages:
+                    if s.fn is not None:
+                        captured.setdefault(id(s.fn), (s.fn, s.style))
+            if self.on_pipeline_failure is not None:
+                hooks.setdefault(id(self.on_pipeline_failure),
+                                 self.on_pipeline_failure)
         return original(self)
 
-    cwd, argv = os.getcwd(), sys.argv
-    os.chdir(workdir)
+    lint = io.StringIO()
+    cwd = os.getcwd()
     FGProgram.start = start
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            for path in EXAMPLES:
-                sys.argv = [path]
-                runpy.run_path(path, run_name="__main__")
-            for sorter in ("dsort", "csort"):
-                run_sort(sorter, "uniform", RecordSchema.paper_16(),
-                         n_nodes=2, n_per_node=2048, seed=3)
+        with tempfile.TemporaryDirectory() as workdir:
+            os.chdir(workdir)  # trace_pipeline.py writes into the cwd
+            try:
+                with contextlib.redirect_stdout(lint):
+                    status = repro_main(["lint", "--strict", "--effects",
+                                         *EXAMPLES, *CHECK_FIXTURES])
+                with contextlib.redirect_stdout(io.StringIO()):
+                    for sorter in ("dsort", "csort"):
+                        run_sort(sorter, "uniform", RecordSchema.paper_16(),
+                                 n_nodes=2, n_per_node=2048, seed=3)
+            finally:
+                os.chdir(cwd)
     finally:
         FGProgram.start = original
-        os.chdir(cwd)
-        sys.argv = argv
-    return list(captured.values()), list(hooks.values())
+    return (lint.getvalue(), status, list(captured.values()),
+            list(hooks.values()))
 
 
-@functools.cache
 def corpus():
-    """The corpus, captured once per process (``test_analysis_once``
-    reads the same functions)."""
-    with tempfile.TemporaryDirectory() as workdir:
-        return capture(workdir)
+    """``([(fn, style)], [hook])`` of the examples and both sorters."""
+    return examples_run()[2:]
 
 
 def canonical(stage_functions):
@@ -754,35 +765,20 @@ def _effects():
     return {"stage_effects": entries}
 
 
-# -- the lint text --------------------------------------------------------------
-
-LINTED = EXAMPLES + sorted(glob.glob(os.path.join(
-    REPO, "tests", "check", "fixtures", "*.py")))
-#: real_files.py's temp-dir and wall-clock lines differ run to run
-UNSTABLE = re.compile(r"^  data: .* under |^  wall: .*real threads")
-
-
 def _lint():
-    """What ``repro lint --strict --effects`` prints over the examples
-    and the three check fixtures — every finding, every stage's
-    parallel-safety verdict, each example's own simulated output — and
-    its exit status, paths relative to the repository."""
-    out = io.StringIO()
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as workdir:
-        os.chdir(workdir)  # trace_pipeline.py writes into the cwd
-        try:
-            with contextlib.redirect_stdout(out):
-                status = repro_main(["lint", "--strict", "--effects",
-                                     *LINTED])
-        finally:
-            os.chdir(cwd)
-    text = out.getvalue().replace(REPO + os.sep, "")
+    """The lint text, its exit status as a last ``exit N`` line, paths
+    relative to the repository."""
+    text, status = examples_run()[:2]
+    text = text.replace(REPO + os.sep, "")
     return {"lines": [line for line in text.splitlines()
                       if not UNSTABLE.match(line)] + [f"exit {status}"]}
 
 
 # -- the table ------------------------------------------------------------------
+#
+# The manifest was recorded at f0a1865, the commit before the old pins
+# moved here, and every line equals the pin it replaced; each comment
+# says where that pin was first taken and which fields moved since.
 
 SCENARIOS = {
     # Recorded at 338d417's parent (PR 28), while every recovery-manager

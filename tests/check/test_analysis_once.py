@@ -6,19 +6,16 @@ memoised per code object; the effect scan is memoised per code object,
 buffer parameter and the *class* of what each captured name holds
 (unknown, immutable, an object); which *object* a name holds is
 resolved per function, per call.  These tests pin the line between the
-three, check the memoised scan against the effects the parent commit's
-per-closure scan produced for the whole corpus
-(``tests/fixtures/parent_effects.json``, written by
-``effects_corpus.py``), and count — not time — the work one ``start()``
-does.
+three, check that the order in which the corpus's closures reach the memo
+changes nothing (the corpus's effects themselves, as the per-closure scan
+produced them, are the behaviour manifest's ``effects/*`` line), and
+count — not time — the work one ``start()`` does.
 """
 
 import dis
 import functools
 import gc
 import inspect
-import json
-import os
 import types
 import weakref
 
@@ -41,11 +38,8 @@ from repro.core import FGProgram, Stage
 from repro.pdm.records import RecordSchema
 from repro.plan.ir import ProgramGraph
 from repro.sim import VirtualTimeKernel
+from tests.behaviour import scenarios
 
-from .effects_corpus import EXAMPLES, canonical, capture
-
-PARENT_EFFECTS = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                              "parent_effects.json")
 MEMOS = (dataflow.instructions, dataflow._scope, dataflow._effect_events)
 
 
@@ -254,25 +248,13 @@ def test_the_memo_pins_nothing_but_code():
     assert [ref() for ref in refs] == [None, None]
 
 
-# -- (c) the memoised scan against the parent commit's per-closure scan ------
+# -- (c) the corpus: whichever closure comes first -------------------------
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
+def corpus():
     """Every stage function and failure hook of examples/, both sorters
     and repro.apps, captured alive as their programs start."""
-    return capture(tmp_path_factory.mktemp("examples"))
-
-
-def test_memoised_scan_equals_the_parent_commits_effects(corpus):
-    stage_functions, _hooks = corpus
-    assert len(stage_functions) > 100
-    assert len(EXAMPLES) >= 8
-    with open(PARENT_EFFECTS) as fh:
-        parent = json.load(fh)
-    assert canonical(stage_functions) == parent
-    # not vacuous: the corpus has readers and writers of shared state
-    assert {e["classification"] for e in parent} >= {dataflow.READ_SHARED,
-                                                    WRITE_SHARED}
+    return scenarios.corpus()
 
 
 def test_which_closure_reached_the_memo_first_changes_nothing(corpus):

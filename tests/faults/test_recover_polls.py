@@ -4,15 +4,15 @@
 drain, the watchdog between ticks with work — are ``Kernel.poll`` calls,
 whose false ticks the virtual-time scheduler runs without waking the
 poller (``repro.sim.kernel``, "Polls").  The committed golden chaos record
-runs no recovery manager, so these tests pin twelve recovery runs
-(``tests/recovery_matrix.py``) against a fixture recorded while every wait
-was still a sleep loop, show that the runs reach each wait, and check the
-predicate contract on every evaluation.
+runs no recovery manager, so these tests run the behaviour manifest's
+twelve ``recovery/*`` scenarios (recorded while every wait was still a
+sleep loop) under spies: each spied run still records its manifest line,
+the runs reach each wait, and every predicate evaluation keeps the
+predicate contract.
 """
 
 import collections
 import json
-import os
 import sys
 
 import pytest
@@ -21,10 +21,8 @@ from repro.errors import FaultError
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.recover import RecoverPolicy, RecoveryManager, SpeculationPolicy
 from repro.sim import VirtualTimeKernel
-from tests.recovery_matrix import RUNS, record
-
-FIXTURE = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "fixtures", "parent_recovery_runs.json")
+from tests.behaviour import as_json, read_manifest
+from tests.behaviour.scenarios import RECOVERY_RUNS, SCENARIOS
 
 
 #: every way an instrument is created or changed; the metrics snapshot is
@@ -117,18 +115,16 @@ def matrix():
         for cls, name in METRIC_WRITES:
             mp.setattr(cls, name, metric_write(getattr(cls, name)))
         records = {}
-        for run in RUNS:
-            records[run] = record(run)
+        for run in RECOVERY_RUNS:
+            records[run] = as_json(SCENARIOS[f"recovery/{run}"]())
             polled[run] = managers[-1].kernel.polled
     return records, reached, changed, polled
 
 
-@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("run", RECOVERY_RUNS)
 def test_recovery_run_reproduces_the_sleep_loop_run(matrix, run):
-    with open(FIXTURE) as fh:
-        recorded = json.load(fh)
     records, _, _, polled = matrix
-    assert records[run] == recorded[run]
+    assert records[run] == read_manifest()[f"recovery/{run}"]
     assert polled[run] > 0  # and the scheduler ran ticks itself
 
 

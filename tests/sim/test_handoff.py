@@ -3,27 +3,22 @@
 The wake primitive is a binary flag on a raw lock (``repro.sim.kernel``,
 "Carriers"), and a parking process that is itself the next pick keeps the
 run token without touching it ("Self hand-off").  These tests pin the
-primitive's contract and that neither shortcut is visible from inside the
-simulation: same counts, same trace, same clock, same abort.
+primitive's contract and a lone sleeper's counts, trace and abort; the
+behaviour manifest's ``handoff/two-pipeline`` and ``perf-workload/*``
+lines pin that neither shortcut is visible from inside the simulation.
 """
 
 import itertools
-import json
-import os
 import sys
 import threading
 
 import pytest
 
-from repro.core import FGProgram, Stage
 from repro.errors import ProcessFailed
-from repro.sim import Channel, Resource, Tracer, VirtualTimeKernel
+from repro.sim import Tracer, VirtualTimeKernel
 from repro.sim.kernel import _Wake
 from repro.sim.trace import PARK, RESUME
 from tests.sim.test_carriers import _kernel_threads
-
-HERE = os.path.dirname(os.path.abspath(__file__))
-REPO = os.path.dirname(os.path.dirname(HERE))
 
 
 # -- the wake primitive --------------------------------------------------
@@ -209,120 +204,3 @@ def test_self_handing_off_sleeper_is_aborted_with_a_failed_sibling():
     assert kernel.switches - kernel.handoffs == 9
     assert _kernel_threads() == []
     assert threading.active_count() == before
-
-
-# -- nothing moves in simulated time -------------------------------------
-
-ROUNDS = 4
-
-
-def _two_pipeline_program(kernel):
-    """A send and a receive pipeline sharing a disk arm and a one-slot
-    wire, then the driver alone on the timeline."""
-    prog = FGProgram(kernel, name="fg")
-    wire = Channel(kernel, capacity=1, name="wire")
-    arm = Resource(kernel, name="arm")
-
-    def read(ctx, buf):
-        with arm.request():
-            kernel.sleep(0.003)
-        return buf
-
-    def send(ctx, buf):
-        kernel.sleep(0.001)
-        wire.put(buf.round)
-        return buf
-
-    def receive(ctx):
-        pipeline = ctx.pipelines[0]
-        for _ in range(ROUNDS):
-            wire.get()
-            buf = ctx.accept()
-            with arm.request():
-                kernel.sleep(0.002)
-            ctx.convey(buf)
-        ctx.convey_caboose(pipeline)
-
-    def save(ctx, buf):
-        kernel.sleep(0.004)
-        return buf
-
-    prog.add_pipeline("send", [Stage.map("read", read),
-                               Stage.map("send", send)],
-                      nbuffers=2, buffer_bytes=8, rounds=ROUNDS)
-    prog.add_pipeline("recv", [Stage.source_driven("receive", receive),
-                               Stage.map("save", save)],
-                      nbuffers=2, buffer_bytes=8)
-
-    def driver():
-        prog.run()
-        for _ in range(3):
-            kernel.sleep(0.5)
-
-    kernel.spawn(driver, name="driver")
-
-
-def test_two_pipeline_trace_is_the_parent_commits():
-    with open(os.path.join(HERE, "fixtures",
-                           "two_pipeline_trace.json")) as fh:
-        golden = json.load(fh)
-    tracer = Tracer()
-    kernel = VirtualTimeKernel(tracer=tracer)
-    _two_pipeline_program(kernel)
-    kernel.run()
-    events = [[e.time, e.process, e.kind, e.detail] for e in tracer.events]
-    assert events == golden["events"]
-    assert kernel.switches == golden["switches"]
-    assert kernel.now() == golden["now"]
-    assert 0 < kernel.handoffs < kernel.switches
-
-
-# -- the ledger's exact count --------------------------------------------
-
-#: workload -> (switches that kept the token, false poll ticks the
-#: scheduler ran itself, holders' sleeps it started, OS threads) at seed 31
-ELIDED_AT_SEED_31 = {
-    "dsort-uniform": (260, 0, 59, 45),
-    "csort-uniform": (45, 0, 684, 36),
-    "groupby-dup": (277, 0, 110, 40),
-    "sched-mixed": (1207, 0, 342, 40),
-    "chaos-recover": (651, 6268, 316, 56),
-}
-
-
-@pytest.fixture
-def benchmark_workloads(monkeypatch):
-    """``benchmarks/perf/workloads.py`` and every kernel a workload makes."""
-    monkeypatch.syspath_prepend(os.path.join(REPO, "benchmarks", "perf"))
-    import workloads
-    kernels = []
-    init = VirtualTimeKernel.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        kernels.append(self)
-
-    monkeypatch.setattr(VirtualTimeKernel, "__init__", recording_init)
-    yield workloads.WORKLOADS, kernels
-    sys.modules.pop("workloads", None)
-
-
-@pytest.mark.parametrize("name", sorted(ELIDED_AT_SEED_31))
-def test_elided_share_of_the_benchmark_workloads(benchmark_workloads, name):
-    workloads, kernels = benchmark_workloads
-    workloads[name](31, False, False)
-    (kernel,) = kernels
-    self_kept, polled, granted, threads = ELIDED_AT_SEED_31[name]
-    assert kernel.polled == polled
-    assert kernel.granted == granted
-    assert kernel.switches - kernel.handoffs == self_kept + polled + granted
-    assert kernel.threads_started == threads
-    if kernel.metrics is not None:  # plain attributes, never metrics
-        snapshot = kernel.metrics.snapshot()
-        names = [metric for kind in ("counters", "gauges", "histograms")
-                 for metric in snapshot[kind]]
-        # ``sched.speculation.granted`` is the job scheduler's own count
-        leaked = [metric for metric in names
-                  if "handoff" in metric or "polled" in metric
-                  or (metric.startswith("kernel.") and "granted" in metric)]
-        assert leaked == []

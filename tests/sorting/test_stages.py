@@ -1,6 +1,6 @@
 """Direct tests for the stage library's protocols (the programs built
-from it are covered by their own suites and pinned by
-test_stage_library_identity.py)."""
+from it are covered by their own suites and pinned by the behaviour
+manifest's ``stage-library/*`` lines)."""
 
 import types
 

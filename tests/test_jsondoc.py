@@ -2,7 +2,7 @@
 
 Every document class answers a malformed document the same way — its
 subsystem's error, the dotted path, the offending field — writes the
-bytes PR 24's parent wrote, and round-trips.  No FG program is
+bytes its ``documents/*`` manifest line holds, and round-trips.  No FG program is
 assembled here, so FGSan / FGRace have nothing to watch.
 """
 
@@ -34,7 +34,8 @@ from repro.prov import ProvenanceRecord, canonical_json
 from repro.recover import RecoverPolicy, SpeculationPolicy
 from repro.sched import Arrival, ArrivalTrace, JobSpec, Quota
 
-from .jsondoc_samples import samples
+from tests.behaviour import read_manifest
+from tests.behaviour.scenarios import samples
 
 HERE = os.path.dirname(__file__)
 GOLDEN = sorted(glob.glob(os.path.join(
@@ -177,11 +178,9 @@ def test_a_newer_record_is_refused_for_its_version_not_its_new_field():
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_the_document_is_spelt_as_the_parent_commit_spelt_it(name):
-    with open(os.path.join(HERE, "fixtures",
-                           "parent_documents.json")) as fh:
-        parent = json.load(fh)
     doc = _document(name)
-    assert canonical_json(doc) == canonical_json(parent[name])
+    assert canonical_json(doc) == (
+        read_manifest()[f"documents/{name}"]["document"])
     reader, _ = READERS[name]
     again = reader(json.loads(json.dumps(doc)))
     if name == "FaultPlan":  # a mutable builder: compared by identity
