@@ -30,8 +30,34 @@ from repro.errors import ReproError
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=``: an integer, refused below ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value"
+    return parse
+
+
+def _block_sizes(text: str) -> list[int]:
+    """``--blocks``: comma-separated block sizes, each >= 1."""
+    try:
+        blocks = [int(b) for b in text.split(",") if b]
+    except ValueError:
+        blocks = []
+    if not blocks or min(blocks) < 1:
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated integers >= 1, got {text!r}")
+    return blocks
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.bench.harness import SORTERS
+    from repro.sim.trace import MIN_GANTT_WIDTH
     from repro.tune.sorters import TUNE_SPACES
 
     parser = argparse.ArgumentParser(
@@ -63,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="sweep dsort's pass-1 buffer size")
     p_sweep.add_argument("--blocks", default="512,1024,2048,4096",
+                         type=_block_sizes,
                          help="comma-separated block sizes in records")
     p_sweep.add_argument("--nodes", type=int, default=16)
 
@@ -74,17 +101,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_apps = sub.add_parser(
         "apps", help="run the beyond-sorting applications "
                      "(out-of-core transpose + group-by)")
-    p_apps.add_argument("--nodes", type=int, default=4)
+    p_apps.add_argument("--nodes", type=_int_at_least(1), default=4)
     p_apps.add_argument("--matrix-side", type=int, default=128)
     p_apps.add_argument("--kv-per-node", type=int, default=10000)
-    p_apps.add_argument("--key-space", type=int, default=500)
+    p_apps.add_argument("--key-space", type=_int_at_least(1), default=500)
 
     p_trace = sub.add_parser(
         "trace", help="run dsort with the tracer and print a Gantt chart")
     p_trace.add_argument("--nodes", type=int, default=2)
     p_trace.add_argument("--records-per-node", type=int, default=16384)
     p_trace.add_argument("--distribution", default="uniform")
-    p_trace.add_argument("--width", type=int, default=100)
+    p_trace.add_argument("--width", type=_int_at_least(MIN_GANTT_WIDTH),
+                         default=100)
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--trace-out", metavar="PATH",
                          help="also write a Chrome-trace JSON "
@@ -308,8 +336,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.figures import buffer_sweep_experiment
     from repro.bench.reporting import render_table
 
-    blocks = [int(b) for b in args.blocks.split(",") if b]
-    results = buffer_sweep_experiment(blocks, n_nodes=args.nodes)
+    results = buffer_sweep_experiment(args.blocks, n_nodes=args.nodes)
     rows = [[block, run.total_time] for block, run in sorted(
         results.items())]
     print(render_table(["block_records", "dsort total (s)"], rows))

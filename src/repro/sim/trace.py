@@ -41,6 +41,9 @@ RECOVER = "recover"
 #: byte-exact decision log
 SCHED = "sched"
 
+#: the narrowest Gantt chart :meth:`Tracer.gantt` draws
+MIN_GANTT_WIDTH = 8
+
 
 class TraceEvent(NamedTuple):
     """One state transition of one process.
@@ -174,8 +177,8 @@ class Tracer:
         Each character cell covers span/width seconds and shows the state
         the process spent the most of that cell in.
         """
-        if width < 8:
-            raise ValueError("width must be >= 8")
+        if width < MIN_GANTT_WIDTH:
+            raise ValueError(f"width must be >= {MIN_GANTT_WIDTH}")
         t0, t1 = self.span()
         total = t1 - t0
         if total <= 0:
