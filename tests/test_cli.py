@@ -179,20 +179,17 @@ def test_apps_rejects_indivisible_matrix():
         main(["apps", "--nodes", "3", "--matrix-side", "8"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--blocks", "512,x"],
-    ["apps", "--nodes", "0"],
-    ["apps", "--key-space", "0"],
-    ["trace", "--width", "0"],
-], ids=" ".join)
-def test_a_bad_number_is_refused_before_anything_runs(argv, capsys):
+@pytest.mark.parametrize("command", [
+    "sweep --blocks 512,x", "apps --nodes 0", "apps --key-space 0",
+    "trace --width 0"])
+def test_a_bad_number_is_refused_before_anything_runs(command, capsys):
+    argv = command.split()
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
     assert exc_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert f"error: argument {argv[1]}: " in err
-    assert "Traceback" not in err
 
 
 def test_parser_structure():
