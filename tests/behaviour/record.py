@@ -18,17 +18,8 @@ import sys
 from tests.behaviour.scenarios import SCENARIOS
 
 
-def manifest_line(name, observed):
-    return json.dumps({"name": name, "observed": observed}, sort_keys=True)
-
-
-def main():
-    with contextlib.redirect_stdout(sys.stderr):  # keep stdout the manifest
-        lines = [manifest_line(name, SCENARIOS[name]())
-                 for name in sorted(SCENARIOS)]
-    for line in lines:
-        print(line)
-
-
 if __name__ == "__main__":
-    main()
+    with contextlib.redirect_stdout(sys.stderr):  # keep stdout the manifest
+        observed = {name: SCENARIOS[name]() for name in sorted(SCENARIOS)}
+    for name, values in observed.items():
+        print(json.dumps({"name": name, "observed": values}, sort_keys=True))

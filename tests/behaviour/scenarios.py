@@ -15,58 +15,40 @@ scenario's history: where it was first pinned and which fields were
 re-recorded since, and why.
 """
 
+import collections
 import contextlib
 import dataclasses
 import functools
 import glob
 import hashlib
-import importlib.util
 import io
 import os
 import re
+import runpy
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
 from repro.apps.groupby import GroupByConfig, KeyValueSchema, run_groupby
-from repro.bench.harness import (
-    benchmark_hardware,
-    default_dsort_config,
-    run_sort,
-)
+from repro.bench.harness import benchmark_hardware, default_dsort_config
+from repro.bench.harness import run_sort
 from repro.check import dataflow
 from repro.cli import main as repro_main
-from repro.cluster import Cluster
 from repro.core import FGProgram, Stage, add_fork_join
 from repro.errors import PipelineFailed
-from repro.faults import (
-    FaultPlan,
-    chaos_plan,
-    run_chaos_csort,
-    run_chaos_dsort,
-)
+from repro.faults import FaultPlan, chaos_plan, run_chaos_csort
+from repro.faults import run_chaos_dsort
 from repro.faults.retry import RetryPolicy
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
 from repro.plan import plan_sort
-from repro.prov import (
-    ProvenanceCapture,
-    ProvenanceRecord,
-    canonical_json,
-    digest_json,
-    metrics_digest,
-    trace_digest,
-)
+from repro.prov import ProvenanceRecord, canonical_json, digest_json
+from repro.prov import metrics_digest, observed_cluster, trace_digest
 from repro.recover import RecoverPolicy, SpeculationPolicy
-from repro.sched import (
-    Arrival,
-    ArrivalTrace,
-    JobSpec,
-    Quota,
-    run_schedule,
-    synthetic_trace,
-)
+from repro.sched import Arrival, ArrivalTrace, JobSpec, Quota
+from repro.sched import run_schedule, synthetic_trace
 from repro.sim import Channel, Resource, Tracer, VirtualTimeKernel
 from repro.sorting.dsort import run_nowsort
 from repro.workloads.generator import generate_input
@@ -77,6 +59,9 @@ SCHEMA = RecordSchema.paper_16()
 #: hex digits kept of a sha256 where a pin was first taken short (64
 #: bits: plenty to catch a change, short enough to read a failure)
 HEX = 16
+#: read-heavy merge geometry, as in tests/faults/test_recover_speculation
+GEOM = dict(block_records=256, vertical_block_records=64,
+            out_block_records=256)
 
 
 def _short(digests: dict) -> dict:
@@ -89,10 +74,8 @@ def _flat(**groups) -> dict:
     first one a failure names is the one listed first."""
     out = {}
     for group, value in groups.items():
-        if isinstance(value, dict):
-            out.update((f"{group}.{key}", v) for key, v in value.items())
-        else:
-            out[group] = value
+        out.update({f"{group}.{key}": v for key, v in value.items()}
+                   if isinstance(value, dict) else {group: value})
     return out
 
 
@@ -106,11 +89,8 @@ def kernels_made():
         init(self, *args, **kwargs)
         made.append(self)
 
-    VirtualTimeKernel.__init__ = recording_init
-    try:
+    with mock.patch.object(VirtualTimeKernel, "__init__", recording_init):
         yield made
-    finally:
-        VirtualTimeKernel.__init__ = init
 
 
 # -- recovery runs that reach every recovery-manager wait ------------------
@@ -124,19 +104,23 @@ def kernels_made():
 
 RECOVERY_SEEDS = (7, 42)
 #: pass 2 runs from ~0.17 to ~0.38-0.40 simulated s at this size
-RECOVERY_SIZE = dict(n_nodes=3, records_per_node=1500, block_records=256,
-                     vertical_block_records=64, out_block_records=256)
+RECOVERY_SIZE = dict(n_nodes=3, records_per_node=1500, **GEOM)
 SPECULATION = SpeculationPolicy(interval=0.01, patience=2, min_progress=0.02)
 REASSIGN = RecoverPolicy(checkpoint=True, backup_runs=True, reassign=True)
+#: the ``chaos-recover`` benchmark workload's policy
+CHAOS_RECOVER = RecoverPolicy(checkpoint=True, backup_runs=True,
+                              speculation=SPECULATION)
+
+
+def _crash(seed):
+    return FaultPlan(seed=seed).with_node_crash(rank=1, at=0.3)
+
 
 #: name -> (fault plan for a seed, recover policy, extra harness args)
 RECOVERY_PLANS = {
-    "crash-reassign": (
-        lambda seed: FaultPlan(seed=seed).with_node_crash(rank=1, at=0.3),
-        REASSIGN, {}),
+    "crash-reassign": (_crash, REASSIGN, {}),
     "crash-reassign-speculate": (
-        lambda seed: FaultPlan(seed=seed).with_node_crash(rank=1, at=0.3),
-        RecoverPolicy(checkpoint=True, backup_runs=True, reassign=True,
+        _crash, RecoverPolicy(checkpoint=True, backup_runs=True, reassign=True,
                       speculation=SPECULATION), {}),
     "straggler-speculate": (
         lambda seed: FaultPlan(seed=seed).with_straggler(
@@ -146,28 +130,24 @@ RECOVERY_PLANS = {
     "benchmark-chaos": (
         lambda seed: chaos_plan(seed, 3, disk_fault_rate=0.02,
                                 drop_rate=0.01, straggler_rank=1),
-        RecoverPolicy(checkpoint=True, backup_runs=True,
-                      speculation=SPECULATION), {}),
+        CHAOS_RECOVER, {}),
     "disk-burst": (
         lambda seed: FaultPlan(seed=seed).with_disk_faults(
             rate=1.0, rank=1, permanent=True, start=0.28, end=0.30),
         RecoverPolicy(), {}),
-    "crash-mailbox-4k": (
-        lambda seed: FaultPlan(seed=seed).with_node_crash(rank=1, at=0.3),
-        REASSIGN, {"mailbox_capacity_bytes": 4096}),
+    "crash-mailbox-4k": (_crash, REASSIGN, {"mailbox_capacity_bytes": 4096}),
 }
 
 RECOVERY_RUNS = [f"{name}@{seed}" for name in RECOVERY_PLANS
                  for seed in RECOVERY_SEEDS]
 
 
-def _recovery(run):
-    """Run ``name@seed``: its digests, makespan, restarts, decision log,
+def _recovery(name, seed):
+    """One recovery run's digests, makespan, restarts, decision log,
     switches and OS threads."""
-    name, seed = run.split("@")
     plan, policy, extra = RECOVERY_PLANS[name]
     with kernels_made() as made:
-        report = run_chaos_dsort(seed=int(seed), plan=plan(int(seed)),
+        report = run_chaos_dsort(seed=seed, plan=plan(seed),
                                  recover=policy, **RECOVERY_SIZE, **extra)
     (kernel,) = made
     assert report.verified
@@ -183,36 +163,25 @@ def _recovery(run):
 
 # -- the benchmark workloads' kernel counters ------------------------------
 
-@functools.cache
-def _perf_workloads():
-    """``benchmarks/perf/workloads.py``'s ``WORKLOADS`` table."""
-    path = os.path.join(REPO, "benchmarks", "perf", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perf_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 def _perf_workload(name):
     """Switches that did not hand the token to another process, the false
     poll ticks and holders' sleeps the scheduler ran itself, OS threads;
     and which kernel counters reached a metrics snapshot (none may: they
     are plain attributes)."""
+    workloads = runpy.run_path(os.path.join(
+        REPO, "benchmarks", "perf", "workloads.py"))["WORKLOADS"]
     with kernels_made() as made:
-        _perf_workloads()[name](31, False, False)
+        workloads[name](31, False, False)
     (kernel,) = made
-    leaked = []
-    if kernel.metrics is not None:
-        snapshot = kernel.metrics.snapshot()
-        # ``sched.speculation.granted`` is the job scheduler's own count
-        leaked = [metric for kind in ("counters", "gauges", "histograms")
-                  for metric in snapshot[kind]
-                  if "handoff" in metric or "polled" in metric
-                  or (metric.startswith("kernel.") and "granted" in metric)]
+    snapshot = ({} if kernel.metrics is None
+                else kernel.metrics.snapshot())
+    # ``sched.speculation.granted`` is the job scheduler's own count
+    leaked = [metric for kind in ("counters", "gauges", "histograms")
+              for metric in snapshot.get(kind, ())
+              if "handoff" in metric or "polled" in metric
+              or (metric.startswith("kernel.") and "granted" in metric)]
     return {"switches_minus_handoffs": kernel.switches - kernel.handoffs,
-            "polled": kernel.polled,
-            "granted": kernel.granted,
+            "polled": kernel.polled, "granted": kernel.granted,
             "threads_started": kernel.threads_started,
             "kernel_counters_in_metrics": leaked}
 
@@ -397,9 +366,8 @@ def hook_sites(**detectors):
     assert failures == [("bad", "boom")]
     counts = {name: [stats.accepts, stats.conveys]
               for name, stats in prog.stage_stats().items()}
-    (rset,) = prog.replica_sets()
-    counts[rset.seq_stage.name] = [rset.seq_stage.stats.accepts,
-                                   rset.seq_stage.stats.conveys]
+    (seq,) = [replicas.seq_stage for replicas in prog.replica_sets()]
+    counts[seq.name] = [seq.stats.accepts, seq.stats.conveys]
     return _flat(trace_digest=trace_digest(tracer),
                  metrics_digest=metrics_digest(kernel.metrics.snapshot()),
                  counts=counts), kernel
@@ -412,20 +380,17 @@ def hook_sites(**detectors):
 # source tree or the wall clock, and the lengths of its (tune, recovery,
 # sched) decision trails.
 
-#: what differs between two recordings of one run: the tree, the clock
-UNPINNED = ("code_fingerprint", "repro_version", "created")
-
-
 def _record(make):
     def observe():
         record = make()
         doc = record.to_json()
-        for field in UNPINNED:
+        # what differs between two recordings of one run: tree, clock
+        for field in ("code_fingerprint", "repro_version", "created"):
             del doc[field]
         return {"record": digest_json(doc)[:HEX],
-                "trails": [len(record.tune_decisions),
-                           len(record.recovery_decisions),
-                           len(record.sched_decisions)]}
+                "trails": [len(trail) for trail in (
+                    record.tune_decisions, record.recovery_decisions,
+                    record.sched_decisions)]}
     return observe
 
 
@@ -441,12 +406,7 @@ def _chaos_recover_record():
         n_nodes=3, records_per_node=600, seed=5,
         plan=chaos_plan(5, 3, disk_fault_rate=0.02, drop_rate=0.01,
                         straggler_rank=1),
-        recover=RecoverPolicy(
-            checkpoint=True, backup_runs=True,
-            speculation=SpeculationPolicy(interval=0.01, patience=2,
-                                          min_progress=0.02)),
-        block_records=256, vertical_block_records=64,
-        out_block_records=256).provenance
+        recover=CHAOS_RECOVER, **GEOM).provenance
 
 
 def _sched_preempted_record():
@@ -475,10 +435,9 @@ def _sched_preempted_record():
 # reclassifies names its program here).  Stage graphs come first: a
 # reclassified stage explains every digest.
 
-def _sort_program(sorter, distribution="uniform", n_nodes=4,
-                  n_per_node=2048, tune=None):
+def _sort_program(sorter, n_nodes=4, n_per_node=2048, tune=None):
     def observe():
-        run = run_sort(sorter, distribution, SCHEMA, n_nodes=n_nodes,
+        run = run_sort(sorter, "uniform", SCHEMA, n_nodes=n_nodes,
                        n_per_node=n_per_node, seed=1, tune=tune,
                        provenance=True)
         record = run.provenance
@@ -487,14 +446,6 @@ def _sort_program(sorter, distribution="uniform", n_nodes=4,
             phases={k: repr(v) for k, v in run.phase_times.items()},
             digests=_short(record.digests))
     return observe
-
-
-def _observed_cluster(n_nodes):
-    kernel = VirtualTimeKernel(tracer=Tracer())
-    kernel.enable_metrics()
-    capture = ProvenanceCapture(kernel)
-    return capture, Cluster(n_nodes=n_nodes, hardware=benchmark_hardware(),
-                            kernel=kernel)
 
 
 def _local_outputs(capture, cluster, reports, name, schema):
@@ -519,7 +470,8 @@ def _nowsort_program():
     shape where a run's head block drains exactly as an output buffer
     fills, which is when the order of "take the next output buffer" and
     "refill" shows in the event stream."""
-    capture, cluster = _observed_cluster(4)
+    cluster, capture = observed_cluster(4, capture=True,
+                                        hardware=benchmark_hardware())
     generate_input(cluster, SCHEMA, 4096, "uniform", seed=1)
     config = default_dsort_config(4 * 4096, 4)
     reports = cluster.run(run_nowsort, SCHEMA, config)
@@ -530,7 +482,8 @@ def _nowsort_program():
 def _groupby_program():
     """2 nodes, 300 keys over 2 x 4000 records."""
     schema = KeyValueSchema()
-    capture, cluster = _observed_cluster(2)
+    cluster, capture = observed_cluster(2, capture=True,
+                                        hardware=benchmark_hardware())
     rng = np.random.default_rng(5)
     for node in cluster.nodes:
         keys = rng.integers(0, 300, size=4000, dtype=np.uint64)
@@ -543,17 +496,12 @@ def _groupby_program():
     return _local_outputs(capture, cluster, reports, "kv-groups", schema)
 
 
-#: read-heavy merge geometry, as in tests/faults/test_recover_speculation
-GEOM = dict(block_records=256, vertical_block_records=64,
-            out_block_records=256)
-#: simulated seconds of the fault-free recovering run at this shape
+#: simulated seconds of the fault-free recovering run at GEOM
 CLEAN_ELAPSED = 0.481
 
 
 def _chaos_program(report):
-    kinds: dict = {}
-    for decision in report.recovery_decisions:
-        kinds[decision["kind"]] = kinds.get(decision["kind"], 0) + 1
+    kinds = collections.Counter(d["kind"] for d in report.recovery_decisions)
     return _flat(
         stage_graphs=_short(report.provenance.stage_graphs),
         elapsed=repr(report.elapsed),
@@ -564,40 +512,33 @@ def _chaos_program(report):
                         "trace": report.trace_digest}))
 
 
-def _chaos_speculate_program():
-    """Every recovery feature at once: rank 1 straggles from mid-run (a
-    backup merge races it), and a burst of permanent disk faults on
-    rank 0 forces a pass-1 restart that resumes from the journals."""
-    plan = (FaultPlan(seed=42)
-            .with_straggler(rank=1, slowdown=3.0, start=0.5 * CLEAN_ELAPSED)
-            .with_disk_faults(rate=1.0, rank=0, permanent=True,
-                              start=0.3 * CLEAN_ELAPSED,
-                              end=0.3 * CLEAN_ELAPSED + 0.01))
-    return _chaos_program(run_chaos_dsort(
-        seed=42, plan=plan, recover=RecoverPolicy(
-            checkpoint=True, backup_runs=True, reassign=True,
-            speculation=SpeculationPolicy()), **GEOM))
-
-
-def _chaos_resume_program():
-    """A pass-2 restart: the retried merge chain resumes mid-run from
-    the merge log (per-run start offsets, ``start_piece > 0``)."""
-    plan = FaultPlan(seed=42).with_disk_faults(
+#: name -> (fault plan, speculation) of a seed-42 recovering dsort
+CHAOS_DSORT = {
+    # every recovery feature at once: rank 1 straggles from mid-run (a
+    # backup merge races it), and a burst of permanent disk faults on
+    # rank 0 forces a pass-1 restart that resumes from the journals
+    "chaos-dsort-speculate": (lambda: FaultPlan(seed=42).with_straggler(
+        rank=1, slowdown=3.0, start=0.5 * CLEAN_ELAPSED).with_disk_faults(
+        rate=1.0, rank=0, permanent=True, start=0.3 * CLEAN_ELAPSED,
+        end=0.3 * CLEAN_ELAPSED + 0.01), SpeculationPolicy()),
+    # a pass-2 restart: the retried merge chain resumes mid-run from the
+    # merge log (per-run start offsets, ``start_piece > 0``)
+    "chaos-dsort-resume": (lambda: FaultPlan(seed=42).with_disk_faults(
         rate=1.0, rank=0, permanent=True, start=0.75 * CLEAN_ELAPSED,
-        end=0.75 * CLEAN_ELAPSED + 0.01)
-    return _chaos_program(run_chaos_dsort(
-        seed=42, plan=plan, recover=RecoverPolicy(
-            checkpoint=True, backup_runs=True, reassign=True), **GEOM))
+        end=0.75 * CLEAN_ELAPSED + 0.01), None),
+    # a node crash mid-pass-2: the buddy merges the dead rank's range
+    # from its backup runs (an ``adopted`` chain)
+    "chaos-dsort-adopt": (lambda: FaultPlan(seed=42).with_node_crash(
+        rank=1, at=0.75 * CLEAN_ELAPSED), None),
+}
 
 
-def _chaos_adopt_program():
-    """A node crash mid-pass-2: the buddy merges the dead rank's range
-    from its backup runs (an ``adopted`` chain)."""
-    plan = FaultPlan(seed=42).with_node_crash(rank=1,
-                                              at=0.75 * CLEAN_ELAPSED)
+def _chaos_dsort_program(name):
+    plan, speculation = CHAOS_DSORT[name]
     return _chaos_program(run_chaos_dsort(
-        seed=42, plan=plan, recover=RecoverPolicy(
-            checkpoint=True, backup_runs=True, reassign=True), **GEOM))
+        seed=42, plan=plan(), recover=RecoverPolicy(
+            checkpoint=True, backup_runs=True, reassign=True,
+            speculation=speculation), **GEOM))
 
 
 def _chaos_csort_program():
@@ -649,17 +590,17 @@ def samples():
 
 
 def document(obj):
-    """What the code under test writes for ``obj``."""
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
-    return dataclasses.asdict(obj)  # RetryPolicy: chaos.py's `args` entry
+    """What the code under test writes for ``obj`` (a ``RetryPolicy`` is
+    chaos.py's ``args`` entry, its fields as they are)."""
+    to_json = getattr(obj, "to_json", None)
+    return to_json() if to_json else dataclasses.asdict(obj)
 
 
 def _document(name):
     return {"document": canonical_json(document(samples()[name]))}
 
 
-# -- the examples: their lint text and their stage functions ----------------
+# -- the examples: their lint text and their stage functions -------------
 #
 # One run of ``repro lint --strict --effects`` over the examples and the
 # three check fixtures gives the lint text — every finding, every stage's
@@ -699,24 +640,20 @@ def examples_run():
                                  self.on_pipeline_failure)
         return original(self)
 
-    lint = io.StringIO()
-    cwd = os.getcwd()
-    FGProgram.start = start
-    try:
-        with tempfile.TemporaryDirectory() as workdir:
-            os.chdir(workdir)  # trace_pipeline.py writes into the cwd
-            try:
-                with contextlib.redirect_stdout(lint):
-                    status = repro_main(["lint", "--strict", "--effects",
-                                         *EXAMPLES, *CHECK_FIXTURES])
-                with contextlib.redirect_stdout(io.StringIO()):
-                    for sorter in ("dsort", "csort"):
-                        run_sort(sorter, "uniform", RecordSchema.paper_16(),
-                                 n_nodes=2, n_per_node=2048, seed=3)
-            finally:
-                os.chdir(cwd)
-    finally:
-        FGProgram.start = original
+    lint, cwd = io.StringIO(), os.getcwd()
+    with mock.patch.object(FGProgram, "start", start), \
+            tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # trace_pipeline.py writes into the cwd
+        try:
+            with contextlib.redirect_stdout(lint):
+                status = repro_main(["lint", "--strict", "--effects",
+                                     *EXAMPLES, *CHECK_FIXTURES])
+            with contextlib.redirect_stdout(io.StringIO()):
+                for sorter in ("dsort", "csort"):
+                    run_sort(sorter, "uniform", RecordSchema.paper_16(),
+                             n_nodes=2, n_per_node=2048, seed=3)
+        finally:
+            os.chdir(cwd)
     return (lint.getvalue(), status, list(captured.values()),
             list(hooks.values()))
 
@@ -755,8 +692,7 @@ def canonical(stage_functions):
 
 
 def _effects():
-    stage_functions, _hooks = corpus()
-    entries = canonical(stage_functions)
+    entries = canonical(corpus()[0])
     # not vacuous: every example ran, and the corpus has readers and
     # writers of shared state
     assert len(EXAMPLES) >= 8 and len(entries) > 100
@@ -769,12 +705,12 @@ def _lint():
     """The lint text, its exit status as a last ``exit N`` line, paths
     relative to the repository."""
     text, status = examples_run()[:2]
-    text = text.replace(REPO + os.sep, "")
-    return {"lines": [line for line in text.splitlines()
-                      if not UNSTABLE.match(line)] + [f"exit {status}"]}
+    lines = text.replace(REPO + os.sep, "").splitlines()
+    return {"lines": [line for line in lines if not UNSTABLE.match(line)]
+            + [f"exit {status}"]}
 
 
-# -- the table ------------------------------------------------------------------
+# -- the table -------------------------------------------------------------
 #
 # The manifest was recorded at f0a1865, the commit before the old pins
 # moved here, and every line equals the pin it replaced; each comment
@@ -783,8 +719,8 @@ def _lint():
 SCENARIOS = {
     # Recorded at 338d417's parent (PR 28), while every recovery-manager
     # wait was still a ``kernel.sleep`` loop; unchanged since.
-    **{f"recovery/{run}": functools.partial(_recovery, run)
-       for run in RECOVERY_RUNS},
+    **{f"recovery/{name}@{seed}": functools.partial(_recovery, name, seed)
+       for name in RECOVERY_PLANS for seed in RECOVERY_SEEDS},
     # First pinned at PR 21 (da1c643), which made a self hand-off keep
     # the token; PR 28 (338d417) added the false poll ticks the scheduler
     # runs itself and PR 29 (f6ccdf1) its hold grants, each pinning the
@@ -838,9 +774,9 @@ SCENARIOS = {
     # when ``route`` dies, a shared write, so its ``parallel_safety`` went
     # ``read_shared`` -> ``write_shared``; every digest is 1b83289's.
     "stage-library/groupby": _groupby_program,
-    "stage-library/chaos-dsort-speculate": _chaos_speculate_program,
-    "stage-library/chaos-dsort-resume": _chaos_resume_program,
-    "stage-library/chaos-dsort-adopt": _chaos_adopt_program,
+    **{f"stage-library/{name}": functools.partial(_chaos_dsort_program,
+                                                  name)
+       for name in CHAOS_DSORT},
     "stage-library/chaos-csort": _chaos_csort_program,
     # Recorded at PR 24's parent (03d73ea), before one reader for
     # documents from outside.
@@ -858,5 +794,5 @@ SCENARIOS = {
 }
 
 #: scenarios whose text comes from one interpreter's bytecode:
-#: name -> the CPython (major, minor) it was recorded under
-INTERPRETER = {"lint/examples-and-fixtures": (3, 11)}
+#: name -> the interpreter and version it was recorded under
+INTERPRETER = {"lint/examples-and-fixtures": "CPython 3.11"}

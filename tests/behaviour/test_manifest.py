@@ -6,6 +6,7 @@ mismatch names the scenario and its first differing field (or list
 index).  Re-recording is ``record.py``'s job, never this test's.
 """
 
+import itertools
 import platform
 import sys
 
@@ -21,17 +22,15 @@ ABSENT = "<absent>"
 def first_difference(name, expected, observed):
     """``None`` when the two flat dicts agree, else one line naming the
     scenario and the first differing field, in the scenario's order."""
-    fields = [*observed, *(f for f in expected if f not in observed)]
-    for field in fields:
+    for field in [*observed, *(f for f in expected if f not in observed)]:
         want, got = expected.get(field, ABSENT), observed.get(field, ABSENT)
         if want == got:
             continue
         if isinstance(want, list) and isinstance(got, list):
-            index = next((i for i, (a, b) in enumerate(zip(want, got))
-                          if a != b), min(len(want), len(got)))
-            field = f"{field}[{index}]"
-            want = want[index] if index < len(want) else ABSENT
-            got = got[index] if index < len(got) else ABSENT
+            i = next(i for i in itertools.count()
+                     if want[i:i + 1] != got[i:i + 1])
+            field = f"{field}[{i}]"
+            want, got = ((s[i:i + 1] or [ABSENT])[0] for s in (want, got))
         return f"{name}: {field}: manifest {want!r}, run {got!r}"
     return None
 
@@ -40,12 +39,11 @@ def check(name, table, manifest):
     assert name in manifest, (
         f"{name}: no manifest line; record it (tests/behaviour/record.py)")
     assert name in table, f"{name}: manifest line with no scenario"
-    recorded_under = INTERPRETER.get(name)
-    running = (platform.python_implementation(), sys.version_info[:2])
-    if recorded_under and running != ("CPython", recorded_under):
-        pytest.skip(f"recorded from CPython {recorded_under[0]}."
-                    f"{recorded_under[1]} bytecode; unverified on "
-                    f"{running[0]} {running[1][0]}.{running[1][1]}")
+    recorded, running = INTERPRETER.get(name), "%s %d.%d" % (
+        platform.python_implementation(), *sys.version_info[:2])
+    if recorded and running != recorded:
+        pytest.skip(f"recorded from {recorded} bytecode; unverified on "
+                    f"{running}")
     difference = first_difference(name, manifest[name],
                                   as_json(table[name]()))
     assert difference is None, difference
@@ -59,21 +57,17 @@ def test_scenario(name):
 
 # -- the test of the test --------------------------------------------------
 
-def test_a_changed_field_names_the_scenario_and_the_field():
-    name = "documents/Quota"
-    manifest = {name: {**read_manifest()[name], "document": "{}"}}
-    with pytest.raises(AssertionError,
-                       match=r"^documents/Quota: document: manifest '\{\}'"):
-        check(name, SCENARIOS, manifest)
-
-
-def test_a_changed_list_item_names_its_index():
-    name = "handoff/two-pipeline"
-    events = [list(event) for event in read_manifest()[name]["events"]]
-    events[5][3] = "tampered"
-    manifest = {name: {**read_manifest()[name], "events": events}}
-    with pytest.raises(AssertionError,
-                       match=r"^handoff/two-pipeline: events\[5\]: "):
+@pytest.mark.parametrize("name, field, tamper, named", [
+    ("documents/Quota", "document", lambda text: "{}", "document"),
+    ("handoff/two-pipeline", "events",
+     lambda events: events[:5] + [[0.0, "x", "spawn", ""]] + events[6:],
+     r"events\[5\]"),
+])
+def test_a_changed_value_names_the_scenario_and_the_field(
+        name, field, tamper, named):
+    line = read_manifest()[name]
+    manifest = {name: {**line, field: tamper(line[field])}}
+    with pytest.raises(AssertionError, match=f"^{name}: {named}: manifest "):
         check(name, SCENARIOS, manifest)
 
 

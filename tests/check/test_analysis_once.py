@@ -248,17 +248,11 @@ def test_the_memo_pins_nothing_but_code():
     assert [ref() for ref in refs] == [None, None]
 
 
-# -- (c) the corpus: whichever closure comes first -------------------------
+# -- (c) the corpus: every stage function and failure hook of examples/,
+# both sorters and repro.apps, captured alive as their programs start -----
 
-@pytest.fixture(scope="module")
-def corpus():
-    """Every stage function and failure hook of examples/, both sorters
-    and repro.apps, captured alive as their programs start."""
-    return scenarios.corpus()
-
-
-def test_which_closure_reached_the_memo_first_changes_nothing(corpus):
-    stage_functions, _hooks = corpus
+def test_which_closure_reached_the_memo_first_changes_nothing():
+    stage_functions, _hooks = scenarios.corpus()
     forward = [exact(dataflow.stage_effects(fn, style))
                for fn, style in stage_functions]
     dataflow._effect_events.cache_clear()
@@ -282,8 +276,8 @@ def signature_bounds(fn):
     return minimum, maximum
 
 
-def test_arity_from_the_code_object_equals_inspect_signature(corpus):
-    stage_functions, hooks = corpus
+def test_arity_from_the_code_object_equals_inspect_signature():
+    stage_functions, hooks = scenarios.corpus()
     callables = [fn for fn, _style in stage_functions] + hooks
     assert hooks
     for fn in callables:

@@ -2,8 +2,8 @@
 
 Every document class answers a malformed document the same way — its
 subsystem's error, the dotted path, the offending field — writes the
-bytes its ``documents/*`` manifest line holds, and round-trips.  No FG program is
-assembled here, so FGSan / FGRace have nothing to watch.
+bytes its ``documents/*`` manifest line holds, and round-trips.  No FG
+program is assembled here, so FGSan / FGRace have nothing to watch.
 """
 
 import copy
@@ -35,7 +35,7 @@ from repro.recover import RecoverPolicy, SpeculationPolicy
 from repro.sched import Arrival, ArrivalTrace, JobSpec, Quota
 
 from tests.behaviour import read_manifest
-from tests.behaviour.scenarios import samples
+from tests.behaviour.scenarios import document, samples
 
 HERE = os.path.dirname(__file__)
 GOLDEN = sorted(glob.glob(os.path.join(
@@ -66,8 +66,7 @@ SPEC_FIELDS = [name for name in SAMPLES["FaultPlan"].to_json()
 
 
 def _document(name):
-    obj = SAMPLES[name]
-    return obj.to_json() if hasattr(obj, "to_json") else to_doc(obj)
+    return document(SAMPLES[name])
 
 
 # -- the one rule -----------------------------------------------------------
