@@ -32,23 +32,42 @@ from unittest import mock
 import numpy as np
 
 from repro.apps.groupby import GroupByConfig, KeyValueSchema, run_groupby
-from repro.bench.harness import benchmark_hardware, default_dsort_config
-from repro.bench.harness import run_sort
+from repro.bench.harness import (
+    benchmark_hardware,
+    default_dsort_config,
+    run_sort,
+)
 from repro.check import dataflow
 from repro.cli import main as repro_main
 from repro.core import FGProgram, Stage, add_fork_join
 from repro.errors import PipelineFailed
-from repro.faults import FaultPlan, chaos_plan, run_chaos_csort
-from repro.faults import run_chaos_dsort
+from repro.faults import (
+    FaultPlan,
+    chaos_plan,
+    run_chaos_csort,
+    run_chaos_dsort,
+)
 from repro.faults.retry import RetryPolicy
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
 from repro.plan import plan_sort
-from repro.prov import ProvenanceRecord, canonical_json, digest_json
-from repro.prov import metrics_digest, observed_cluster, trace_digest
+from repro.prov import (
+    ProvenanceRecord,
+    canonical_json,
+    digest_json,
+    metrics_digest,
+    observed_cluster,
+    trace_digest,
+)
 from repro.recover import RecoverPolicy, SpeculationPolicy
-from repro.sched import Arrival, ArrivalTrace, JobSpec, Quota
-from repro.sched import run_schedule, synthetic_trace
+from repro.sched import (
+    Arrival,
+    ArrivalTrace,
+    JobSpec,
+    Quota,
+    run_schedule,
+    synthetic_trace,
+)
 from repro.sim import Channel, Resource, Tracer, VirtualTimeKernel
 from repro.sorting.dsort import run_nowsort
 from repro.workloads.generator import generate_input
@@ -181,7 +200,8 @@ def _perf_workload(name):
               if "handoff" in metric or "polled" in metric
               or (metric.startswith("kernel.") and "granted" in metric)]
     return {"switches_minus_handoffs": kernel.switches - kernel.handoffs,
-            "polled": kernel.polled, "granted": kernel.granted,
+            "polled": kernel.polled,
+            "granted": kernel.granted,
             "threads_started": kernel.threads_started,
             "kernel_counters_in_metrics": leaked}
 
