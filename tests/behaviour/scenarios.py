@@ -769,8 +769,9 @@ SCENARIOS = {
     "record/chaos-dsort-recover": _record(_chaos_recover_record),
     "record/chaos-csort": _record(lambda: run_chaos_csort().provenance),
     "record/sched-preempted-dsort": _record(_sched_preempted_record),
-    # Recorded at 1b83289, the commit before PR 19 rebuilt every program
-    # from one stage library.
+    # Every stage-library/* line was recorded at 1b83289, the commit
+    # before PR 19 rebuilt every program from one stage library, but for
+    # the fields re-recorded since, marked below.
     "stage-library/csort4": _sort_program("csort4"),
     # ``stage_graphs`` re-recorded at 0afcf52 (PR 31): both ``exchange``
     # stages tell their source they are done through a one-shot ``Flag``

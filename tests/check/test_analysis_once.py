@@ -248,11 +248,20 @@ def test_the_memo_pins_nothing_but_code():
     assert [ref() for ref in refs] == [None, None]
 
 
-# -- (c) the corpus: every stage function and failure hook of examples/,
-# both sorters and repro.apps, captured alive as their programs start -----
+# -- (c) the corpus: whichever closure comes first ---------------------------
 
-def test_which_closure_reached_the_memo_first_changes_nothing():
-    stage_functions, _hooks = scenarios.corpus()
+@pytest.fixture(scope="module")
+def corpus():
+    """Every stage function and failure hook of examples/, both sorters
+    and repro.apps, captured alive as their programs start: the behaviour
+    manifest's corpus, let go after this module (every later full
+    collection would walk its ~30k objects)."""
+    yield scenarios.corpus()
+    scenarios.examples_run.cache_clear()
+
+
+def test_which_closure_reached_the_memo_first_changes_nothing(corpus):
+    stage_functions, _hooks = corpus
     forward = [exact(dataflow.stage_effects(fn, style))
                for fn, style in stage_functions]
     dataflow._effect_events.cache_clear()
@@ -276,8 +285,8 @@ def signature_bounds(fn):
     return minimum, maximum
 
 
-def test_arity_from_the_code_object_equals_inspect_signature():
-    stage_functions, hooks = scenarios.corpus()
+def test_arity_from_the_code_object_equals_inspect_signature(corpus):
+    stage_functions, hooks = corpus
     callables = [fn for fn, _style in stage_functions] + hooks
     assert hooks
     for fn in callables:
