@@ -5,10 +5,10 @@ drain, the watchdog between ticks with work — are ``Kernel.poll`` calls,
 whose false ticks the virtual-time scheduler runs without waking the
 poller (``repro.sim.kernel``, "Polls").  The committed golden chaos record
 runs no recovery manager, so these tests run the behaviour manifest's
-twelve ``recovery/*`` scenarios (recorded while every wait was still a
-sleep loop) under spies: each spied run still records its manifest line,
-the runs reach each wait, and every predicate evaluation keeps the
-predicate contract.
+twelve ``recovery/*`` scenarios (whose lines hold what the runs recorded
+while every wait was still a sleep loop) under spies: each spied run
+still records its manifest line, the runs reach each wait, and every
+predicate evaluation keeps the predicate contract.
 """
 
 import collections
