@@ -78,3 +78,10 @@ def test_a_scenario_and_a_line_must_pair_up(name):
         check(name, SCENARIOS, {})
     with pytest.raises(AssertionError, match="line with no scenario"):
         check(name, {}, read_manifest())
+
+
+def test_a_line_recorded_under_another_interpreter_is_a_skip(monkeypatch):
+    monkeypatch.setitem(INTERPRETER, "documents/Quota", "CPython 2.7")
+    with pytest.raises(pytest.skip.Exception,
+                       match="^recorded from CPython 2.7 bytecode; "):
+        check("documents/Quota", SCENARIOS, read_manifest())
