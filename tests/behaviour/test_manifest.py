@@ -62,7 +62,7 @@ def test_scenario(name):
     ("handoff/two-pipeline", "events",
      lambda events: events[:5] + [[0.0, "x", "spawn", ""]] + events[6:],
      r"events\[5\]"),
-])
+], ids=["field", "list-item"])
 def test_a_changed_value_names_the_scenario_and_the_field(
         name, field, tamper, named):
     line = read_manifest()[name]
