@@ -22,8 +22,3 @@ def read_manifest() -> dict:
     with open(MANIFEST) as fh:
         lines = [json.loads(line) for line in fh]
     return {line["name"]: line["observed"] for line in lines}
-
-
-def as_json(observed):
-    """``observed`` as the manifest spells it (tuples become lists)."""
-    return json.loads(json.dumps(observed))

@@ -7,12 +7,13 @@ index).  Re-recording is ``record.py``'s job, never this test's.
 """
 
 import itertools
+import json
 import platform
 import sys
 
 import pytest
 
-from tests.behaviour import as_json, read_manifest
+from tests.behaviour import read_manifest
 from tests.behaviour.scenarios import INTERPRETER, SCENARIOS
 
 #: stands for a field or list item one side does not have
@@ -44,8 +45,8 @@ def check(name, table, manifest):
     if recorded and running != recorded:
         pytest.skip(f"recorded from {recorded} bytecode; unverified on "
                     f"{running}")
-    difference = first_difference(name, manifest[name],
-                                  as_json(table[name]()))
+    observed = json.loads(json.dumps(table[name]()))  # as the line spells it
+    difference = first_difference(name, manifest[name], observed)
     assert difference is None, difference
 
 

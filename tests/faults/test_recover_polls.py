@@ -21,7 +21,7 @@ from repro.errors import FaultError
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.recover import RecoverPolicy, RecoveryManager, SpeculationPolicy
 from repro.sim import VirtualTimeKernel
-from tests.behaviour import as_json, read_manifest
+from tests.behaviour import read_manifest
 from tests.behaviour.scenarios import RECOVERY_RUNS, SCENARIOS
 
 
@@ -116,7 +116,7 @@ def matrix():
             mp.setattr(cls, name, metric_write(getattr(cls, name)))
         records = {}
         for run in RECOVERY_RUNS:
-            records[run] = as_json(SCENARIOS[f"recovery/{run}"]())
+            records[run] = SCENARIOS[f"recovery/{run}"]()
             polled[run] = managers[-1].kernel.polled
     return records, reached, changed, polled
 
