@@ -45,14 +45,7 @@ def _int_at_least(low: int):
 
 def _block_sizes(text: str) -> list[int]:
     """``--blocks``: comma-separated block sizes, each >= 1."""
-    try:
-        blocks = [int(b) for b in text.split(",") if b]
-    except ValueError:
-        blocks = []
-    if not blocks or min(blocks) < 1:
-        raise argparse.ArgumentTypeError(
-            f"want comma-separated integers >= 1, got {text!r}")
-    return blocks
+    return [_int_at_least(1)(b) for b in text.split(",") if b]
 
 
 def build_parser() -> argparse.ArgumentParser:
