@@ -17,7 +17,6 @@ re-recorded since, and why.
 
 import collections
 import contextlib
-import dataclasses
 import functools
 import glob
 import hashlib
@@ -48,6 +47,7 @@ from repro.faults import (
     run_chaos_dsort,
 )
 from repro.faults.retry import RetryPolicy
+from repro.jsondoc import to_doc
 from repro.pdm.blockfile import RecordFile
 from repro.pdm.records import RecordSchema
 from repro.plan import plan_sort
@@ -611,9 +611,9 @@ def samples():
 
 def document(obj):
     """What the code under test writes for ``obj`` (a ``RetryPolicy`` is
-    chaos.py's ``args`` entry, its fields as they are)."""
+    chaos.py's ``args`` entry, spelt by ``to_doc``)."""
     to_json = getattr(obj, "to_json", None)
-    return to_json() if to_json else dataclasses.asdict(obj)
+    return to_json() if to_json else to_doc(obj)
 
 
 def _document(name):
@@ -813,7 +813,3 @@ SCENARIOS = {
     # scan still ran once per closure; unchanged since.
     "lint/examples-and-fixtures": _lint,
 }
-
-#: scenarios whose text comes from one interpreter's bytecode:
-#: name -> the interpreter and version it was recorded under
-INTERPRETER = {"lint/examples-and-fixtures": "CPython 3.11"}
