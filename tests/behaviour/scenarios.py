@@ -4,8 +4,8 @@ the run shows.
 Every pin of "zero simulated-behaviour change" is one scenario here and
 one line of ``manifest.jsonl``: recovery runs, the benchmark workloads'
 kernel counters, the two-pipeline event list, the hook-site program, the
-provenance record of each harness, each stage-library program, the
-document samples, the effect corpus and the lint text.  A value keeps
+provenance record of each harness, three quota-bound schedules, each
+stage-library program, the document samples, the effect corpus and the lint text.  A value keeps
 the granularity it was first pinned at — a digest stays a (short)
 digest, a verdict a verdict, a document its text, an event list a list.
 
@@ -22,6 +22,7 @@ import glob
 import hashlib
 import io
 import os
+import random
 import re
 import runpy
 import sys
@@ -447,6 +448,47 @@ def _sched_preempted_record():
     return report.provenance
 
 
+# -- quota admission at its boundaries --------------------------------------
+#
+# Three tenants on eight nodes, each held by one bound: ``inflight`` by
+# one running job, ``nodes`` by three nodes, ``bytes`` by 150 000 buffer
+# bytes (a 3-node dsort job demands 122 880).  24 jobs of all four kinds,
+# dealt round-robin over the tenants, on 1-3 nodes (csort and groupby on
+# 1-2: a 3-node csort has no columnsort shape, a 3-node groupby demands
+# more than ``bytes`` may hold).  Every bound refuses jobs that free
+# nodes could have taken under each policy.  No preemption.
+
+QUOTA_BOUNDS = {"inflight": Quota(max_inflight=1),
+                "nodes": Quota(max_nodes=3),
+                "bytes": Quota(max_nodes=6, max_buffer_bytes=150_000)}
+QUOTA_KINDS = ("blocks", "dsort", "csort", "groupby")
+QUOTA_PARAMS = {"blocks": {"blocks": 3, "compute": 0.004,
+                           "block_bytes": 2048},
+                "dsort": {"records_per_node": 512},
+                "csort": {"records_per_node": 512},
+                "groupby": {"records_per_node": 512}}
+
+
+def _quota_bounds(policy, seed):
+    rng = random.Random(seed)
+    tenants = sorted(QUOTA_BOUNDS)
+    arrivals, now = [], 0.0
+    for i in range(24):
+        now += rng.expovariate(1 / 0.004)
+        kind = QUOTA_KINDS[(i // 3) % 4]
+        spec = JobSpec(tenants[i % 3], kind, rng.choice(
+            (1, 2) if kind in ("csort", "groupby") else (1, 2, 3)),
+            params=dict(QUOTA_PARAMS[kind]), priority=rng.choice((0, 1, 2)))
+        arrivals.append(Arrival(round(now, 6), spec))
+    report = run_schedule(ArrivalTrace(arrivals=tuple(arrivals)), n_nodes=8,
+                          quotas=QUOTA_BOUNDS, policy=policy, seed=seed,
+                          provenance=False)
+    assert report.done == 24
+    return _flat(decision_digest=report.decision_digest[:HEX],
+                 metrics_digest=metrics_digest(report.metrics)[:HEX],
+                 makespan=repr(report.makespan), tenants=report.tenants)
+
+
 # -- every program assembled from repro.sorting.stages ----------------------
 #
 # Each program not already pinned at benchmark scale by the committed
@@ -769,6 +811,10 @@ SCENARIOS = {
     "record/chaos-dsort-recover": _record(_chaos_recover_record),
     "record/chaos-csort": _record(lambda: run_chaos_csort().provenance),
     "record/sched-preempted-dsort": _record(_sched_preempted_record),
+    # Recorded at dba080c, the commit before quota admission read one
+    # tally per tenant per scheduling pass.
+    **{f"sched/quota-bounds/{policy}@5": functools.partial(
+        _quota_bounds, policy, 5) for policy in ("fifo", "fair", "priority")},
     # Every stage-library/* line was recorded at 1b83289, the commit
     # before PR 19 rebuilt every program from one stage library, but for
     # the fields re-recorded since, marked below.
