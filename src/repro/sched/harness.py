@@ -110,13 +110,17 @@ def run_schedule(trace: ArrivalTrace, *,
     produce a byte-identical decision log (and identical digests in the
     provenance record, when captured).  Provenance is only captured for
     fully describable runs — default hardware — matching the chaos
-    harness's rule.
+    harness's rule.  The kernel is traced only when the trace is read:
+    written to ``trace_path`` or digested into the provenance record, the
+    rule every harness keeps.  An untraced run has the same timeline,
+    decision log and metrics.
     """
     from repro.prov import observed_cluster
 
+    describable = provenance and hardware is None
     cluster, capture = observed_cluster(
-        n_nodes, capture=provenance and hardware is None,
-        hardware=hardware)
+        n_nodes, trace=describable or trace_path is not None,
+        capture=describable, hardware=hardware)
     kernel = cluster.kernel
     sched = Scheduler(cluster, quotas, policy, preempt=preempt,
                       speculation_slots=speculation_slots,

@@ -35,7 +35,12 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.errors import AdmissionError, JobPreempted, SchedError
+from repro.errors import (
+    AdmissionError,
+    JobPreempted,
+    KernelShutdown,
+    SchedError,
+)
 from repro.prov.fingerprint import canonical_json
 from repro.sched.job import Job, JobSpec, JobState, Quota
 from repro.sched.kinds import JobKind, get_kind
@@ -49,6 +54,9 @@ __all__ = ["JobControl", "Scheduler"]
 #: tag-window stride between jobs; comfortably above every user tag in
 #: the repo (dsort 40s, groupby 51) plus the reserved collective pad
 DEFAULT_TAG_STRIDE = 1024
+
+#: a tenant's (running jobs, nodes, buffer bytes) with nothing running
+_IDLE = (0, 0, 0)
 
 _LATENCY_BOUNDS = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 
@@ -130,6 +138,8 @@ class Scheduler:
         self.seed = seed
 
         self.jobs: dict[int, Job] = {}
+        #: each job's buffer demand in bytes, computed once at submit
+        self._demand: dict[int, int] = {}
         self._next_id = 0
         self._queued: list[Job] = []
         self._running: dict[int, Job] = {}
@@ -211,6 +221,7 @@ class Scheduler:
         job = Job(id=self._next_id, spec=spec,
                   submit_time=self.kernel.now())
         self._next_id += 1
+        self._demand[job.id] = demand
         self.jobs[job.id] = job
         self._queued.append(job)
         if self._m_submitted is not None:
@@ -301,8 +312,11 @@ class Scheduler:
         progressed = True
         while progressed:
             progressed = False
+            # nothing below changes _running until the break, so one
+            # tally per pass answers every queued job's quota check
+            usage = self._tenant_usage()
             for job in self.policy.order(self._queued, self):
-                if not self._quota_ok(job):
+                if not self._quota_ok(job, usage):
                     continue
                 if self._placeable(job):
                     self._start(job)
@@ -321,19 +335,23 @@ class Scheduler:
             return set(job.alloc) <= self._free
         return len(self._free) >= job.spec.n_nodes
 
-    def _quota_ok(self, job: Job) -> bool:
+    def _tenant_usage(self) -> dict[str, tuple[int, int, int]]:
+        """Each tenant's running jobs, nodes and buffer bytes; a tenant
+        with nothing running is absent."""
+        usage: dict[str, tuple[int, int, int]] = {}
+        for job in self._running.values():
+            jobs, nodes, nbytes = usage.get(job.spec.tenant, _IDLE)
+            usage[job.spec.tenant] = (jobs + 1, nodes + job.spec.n_nodes,
+                                      nbytes + self._demand[job.id])
+        return usage
+
+    def _quota_ok(self, job: Job,
+                  usage: Mapping[str, tuple[int, int, int]]) -> bool:
         quota = self.quotas[job.spec.tenant]
-        mine = [j for j in self._running.values()
-                if j.spec.tenant == job.spec.tenant]
-        if len(mine) >= quota.max_inflight:
-            return False
-        nodes_in_use = sum(j.spec.n_nodes for j in mine)
-        if nodes_in_use + job.spec.n_nodes > quota.max_nodes:
-            return False
-        demand = int(get_kind(job.spec.kind).demand(job.spec))
-        in_use = sum(int(get_kind(j.spec.kind).demand(j.spec))
-                     for j in mine)
-        return in_use + demand <= quota.max_buffer_bytes
+        jobs, nodes, nbytes = usage.get(job.spec.tenant, _IDLE)
+        return (jobs < quota.max_inflight
+                and nodes + job.spec.n_nodes <= quota.max_nodes
+                and nbytes + self._demand[job.id] <= quota.max_buffer_bytes)
 
     def _start(self, job: Job) -> None:
         if job.alloc is None:
@@ -392,6 +410,8 @@ class Scheduler:
         for proc in procs:
             try:
                 proc.join()
+            except KernelShutdown:
+                raise  # the kernel is aborting: join nothing more
             except Exception as exc:  # pragma: no cover - wrapper caught it
                 statuses[0] = ("fail", f"{type(exc).__name__}: {exc}")
         self._wakeup.put(("job-exit", job.id, statuses))
