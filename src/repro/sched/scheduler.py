@@ -58,6 +58,10 @@ DEFAULT_TAG_STRIDE = 1024
 #: a tenant's (running jobs, nodes, buffer bytes) with nothing running
 _IDLE = (0, 0, 0)
 
+#: preemptions of one job at one simulated instant after which the
+#: schedule is a livelock (see ``Scheduler._check_churn``)
+PREEMPT_LIVELOCK = 100
+
 _LATENCY_BOUNDS = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 
 
@@ -149,6 +153,8 @@ class Scheduler:
         self._closing = False
         self._spec_used = 0
         self._spec_holders: set[int] = set()
+        #: job id -> (instant of its last preemption, preemptions then)
+        self._preempted_at: dict[int, tuple[float, int]] = {}
 
         #: accrued virtual runtime (weighted node-seconds) per tenant
         self._vruntime: dict[str, float] = {t: 0.0 for t in self.quotas}
@@ -441,6 +447,7 @@ class Scheduler:
             if self._m_failed is not None:
                 self._m_failed.inc()
         elif preempted:
+            self._check_churn(job, now)
             job.state = JobState.PREEMPTED
             job.preemptions += 1
             self._decide("preempt-stop", job,
@@ -500,6 +507,19 @@ class Scheduler:
                     f"(priority {job.spec.priority} > "
                     f"{victim.spec.priority})"):
                 would_free += victim.spec.n_nodes
+
+    def _check_churn(self, job: Job, now: float) -> None:
+        """Refuse a job preempted too often at one instant: re-placed on
+        the nodes it freed and evicted again, it never lets the clock
+        move, and no kernel guard sees a loop of channel wake-ups."""
+        at, count = self._preempted_at.get(job.id, (now, 0))
+        count = count + 1 if at == now else 1
+        self._preempted_at[job.id] = (now, count)
+        if count > PREEMPT_LIVELOCK:
+            raise SchedError(
+                f"livelock: job {job.id} was placed and preempted "
+                f"{count} times at t={now!r} "
+                f"({self._controls[job.id].preempt_reason})")
 
     def _grant_speculation(self, job: Job) -> bool:
         if self._spec_used < self.speculation_slots:

@@ -1,11 +1,28 @@
 """Scheduler behavior: admission, quotas, policies, preemption."""
 
+import threading
+import time
+
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.errors import AdmissionError
+from repro.errors import (
+    AdmissionError,
+    KernelShutdown,
+    ProcessFailed,
+    SchedError,
+)
 from repro.prov.fingerprint import canonical_json
-from repro.sched import JobSpec, JobState, Quota, Scheduler
+from repro.sched import (
+    Arrival,
+    ArrivalTrace,
+    JobSpec,
+    JobState,
+    Quota,
+    Scheduler,
+    run_schedule,
+)
+from repro.sched.scheduler import PREEMPT_LIVELOCK
 from repro.sim.trace import SCHED, Tracer
 from repro.sim.virtual import VirtualTimeKernel
 
@@ -288,6 +305,52 @@ def test_manual_preempt_api():
     kernel.spawn(meddler, name="meddler")
     kernel.run()
     assert job.state is JobState.DONE and job.preemptions == 1
+
+
+@pytest.mark.parametrize("policy", ["priority", "fair"])
+def test_a_job_evicted_again_at_every_placement_is_a_livelock(policy):
+    """X (hi, 2 nodes) arrives while A (hi, 2 nodes), B and C (lo, 1
+    node each) fill the cluster, and evicts B and C.  B stops first and
+    is re-placed on the node it freed, because X still lacks C's; X
+    evicts B again before B's first block, at the same instant, without
+    end: the clock never moves, so C never reaches its safe point."""
+    params = {"blocks": 50, "compute": 0.01, "block_bytes": 2048}
+    lo = JobSpec("lo", "blocks", 1, params=params, priority=0)
+    trace = ArrivalTrace(arrivals=(
+        Arrival(0.0, JobSpec("hi", "blocks", 2, params=params, priority=2)),
+        Arrival(0.001, lo),
+        Arrival(0.002, lo),
+        Arrival(0.05, JobSpec("hi", "blocks", 2, priority=2,
+                              params={**params, "blocks": 1}))))
+    started = time.perf_counter()
+    with pytest.raises(ProcessFailed) as failed:
+        run_schedule(trace, n_nodes=4, policy=policy, preempt=True,
+                     quotas={"hi": Quota(), "lo": Quota()})
+    assert time.perf_counter() - started < 5.0
+    assert isinstance(failed.value.original, SchedError)
+    assert str(failed.value.original) == (
+        f"livelock: job 1 was placed and preempted {PREEMPT_LIVELOCK + 1} "
+        "times at t=0.061103600000000015 (make room for job 3 "
+        "(priority 2 > 0))")
+    # the abort unwound every job's waiter and carrier
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("repro-")]
+
+
+def test_a_job_waiter_unwinds_when_the_kernel_aborts():
+    """A waiter that swallowed the abort would join the next rank and
+    park again, and the aborting kernel would wait for it forever."""
+    _, sched = make_sched()
+    joins = []
+
+    class Rank:
+        def join(self):
+            joins.append(self)
+            raise KernelShutdown()
+
+    with pytest.raises(KernelShutdown):
+        sched._wait_job(None, [Rank(), Rank()], [None, None])
+    assert len(joins) == 1
 
 
 # -- speculation budget ------------------------------------------------------
