@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from typing import Any, Optional
 
 from repro.errors import SchedError
@@ -72,8 +73,9 @@ class Quota(Document):
             raise SchedError("quota max_inflight must be >= 1")
         if self.max_buffer_bytes < 1:
             raise SchedError("quota max_buffer_bytes must be >= 1")
-        if self.weight <= 0:
-            raise SchedError("quota weight must be > 0")
+        if not 0 < self.weight < math.inf:  # also false for NaN
+            raise SchedError(
+                f"quota weight must be finite and > 0, got {self.weight}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -125,6 +125,9 @@ class Scheduler:
                  tag_stride: int = DEFAULT_TAG_STRIDE, seed: int = 0):
         if not quotas:
             raise SchedError("scheduler needs at least one tenant quota")
+        if speculation_slots < 0:
+            raise SchedError(
+                f"speculation_slots must be >= 0, got {speculation_slots}")
         if tag_stride < 64:
             raise SchedError(
                 f"tag_stride must be >= 64 to clear the collective pad "

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -33,8 +34,9 @@ class Arrival:
     spec: JobSpec
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise SchedError(f"arrival time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:  # also false for NaN
+            raise SchedError(
+                f"arrival time must be finite and >= 0, got {self.time}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,6 +97,9 @@ def synthetic_trace(
         raise SchedError("synthetic_trace needs n_jobs >= 1")
     if not tenants:
         raise SchedError("synthetic_trace needs at least one tenant")
+    if not 0 < mean_interarrival < math.inf:  # also false for NaN
+        raise SchedError(f"mean_interarrival must be finite and > 0, "
+                         f"got {mean_interarrival}")
     rng = random.Random(seed)
     weights = [float((tenant_share or {}).get(t, 1.0)) for t in tenants]
     arrivals = []

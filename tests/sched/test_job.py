@@ -1,9 +1,21 @@
 """Unit tests for job specs, lifecycle records, and tenant quotas."""
 
+import json
+
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.errors import SchedError
-from repro.sched import Job, JobSpec, JobState, Quota
+from repro.sched import (
+    Arrival,
+    Job,
+    JobSpec,
+    JobState,
+    Quota,
+    Scheduler,
+    synthetic_trace,
+)
+from repro.sim.virtual import VirtualTimeKernel
 
 
 def test_quota_json_round_trip():
@@ -22,6 +34,29 @@ def test_quota_json_round_trip():
 def test_quota_validation(kwargs):
     with pytest.raises(SchedError):
         Quota(**kwargs)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, message", [
+    *[(lambda w=w: Quota(weight=w), "quota weight must be finite")
+      for w in (NAN, INF)],
+    (lambda: Quota.from_json(json.loads('{"weight": NaN}')),
+     "quota weight must be finite"),
+    *[(lambda t=t: Arrival(t, JobSpec("t", "blocks")),
+       "arrival time must be finite") for t in (NAN, INF)],
+    *[(lambda m=m: synthetic_trace(1, 4, mean_interarrival=m),
+       "mean_interarrival must be finite and > 0") for m in (0.0, INF, NAN)],
+    (lambda: Scheduler(Cluster(n_nodes=1, kernel=VirtualTimeKernel()),
+                       {"t": Quota()}, speculation_slots=-1),
+     "speculation_slots must be >= 0"),
+], ids=["weight-nan", "weight-inf", "weight-nan-document", "arrival-nan",
+        "arrival-inf", "interarrival-0", "interarrival-inf",
+        "interarrival-nan", "speculation-slots-negative"])
+def test_a_nonfinite_or_out_of_range_input_is_refused(make, message):
+    with pytest.raises(SchedError, match=message):
+        make()
 
 
 def test_spec_json_round_trip():

@@ -263,3 +263,42 @@ def test_chaos_command_pass_restart(capsys):
     out = capsys.readouterr().out
     assert "pass restarts    1" in out
     assert "verified         True" in out
+
+
+@pytest.mark.parametrize("options, message", [
+    ("--mean-interarrival 0", "mean_interarrival must be finite and > 0, "
+                              "got 0.0"),
+    ("--mean-interarrival inf", "mean_interarrival must be finite and > 0, "
+                                "got inf"),
+    ("--mean-interarrival nan", "mean_interarrival must be finite and > 0, "
+                                "got nan"),
+    ("--speculation-slots -1", "speculation_slots must be >= 0, got -1"),
+])
+def test_sched_refuses_an_out_of_range_number(options, message, capsys):
+    assert main(["sched", "--jobs", "2", *options.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"repro sched: error: {message}\n"
+
+
+def test_sched_refuses_a_nonfinite_arrival_time_or_quota_weight(
+        tmp_path, capsys):
+    from repro.prov import ProvenanceRecord
+    from repro.sched import synthetic_trace
+
+    doc = synthetic_trace(1, 2, ("solo",)).to_json()
+    doc["arrivals"][1]["time"] = float("nan")
+    (tmp_path / "trace.json").write_text(json.dumps(doc))
+    assert main(["sched", "--trace-in", str(tmp_path / "trace.json")]) == 2
+    record = ProvenanceRecord(kind="sched", args={
+        "trace": synthetic_trace(1, 2, ("solo",)).to_json(),
+        "quotas": {"solo": {"weight": float("inf")}}})
+    (tmp_path / "sched.prov.json").write_text(json.dumps(record.to_json()))
+    assert main(["replay", str(tmp_path / "sched.prov.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "repro sched: error: arrival time must be finite and >= 0, "
+        "got nan\n"
+        "repro replay: error: quota weight must be finite and > 0, "
+        "got inf\n")
