@@ -5,9 +5,10 @@ Every pin of "zero simulated-behaviour change" is one scenario here and
 one line of ``manifest.jsonl``: recovery runs, the benchmark workloads'
 kernel counters, the two-pipeline event list, the hook-site program, the
 provenance record of each harness, three quota-bound schedules, each
-stage-library program, the document samples, the effect corpus and the lint text.  A value keeps
-the granularity it was first pinned at — a digest stays a (short)
-digest, a verdict a verdict, a document its text, an event list a list.
+stage-library program, the document samples, the effect corpus and the
+lint text.  A value keeps the granularity it was first pinned at — a
+digest stays a (short) digest, a verdict a verdict, a document its text,
+an event list a list.
 
 Imports nothing newer than the code under test, so ``record.py`` can run
 it against any checkout.  ``SCENARIOS`` at the bottom carries each

@@ -8,7 +8,8 @@ import pytest
 from repro.bench.harness import SORTERS, run_sort
 from repro.cli import build_parser, main
 from repro.pdm.records import RecordSchema
-from repro.prov import metrics_digest
+from repro.prov import ProvenanceRecord, metrics_digest
+from repro.sched import synthetic_trace
 
 
 def test_version_flag(capsys):
@@ -283,9 +284,6 @@ def test_sched_refuses_an_out_of_range_number(options, message, capsys):
 
 def test_sched_refuses_a_nonfinite_arrival_time_or_quota_weight(
         tmp_path, capsys):
-    from repro.prov import ProvenanceRecord
-    from repro.sched import synthetic_trace
-
     doc = synthetic_trace(1, 2, ("solo",)).to_json()
     doc["arrivals"][1]["time"] = float("nan")
     (tmp_path / "trace.json").write_text(json.dumps(doc))
