@@ -25,6 +25,7 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.retry import RetryPolicy
+    from repro.obs.metrics import Histogram
 
 __all__ = ["Disk"]
 
@@ -64,6 +65,9 @@ class Disk:
         self.bytes_written = 0
         self.reads = 0
         self.writes = 0
+        #: the ``retry.disk.attempts`` histogram, looked up at the first
+        #: faultable operation
+        self._m_attempts: Optional["Histogram"] = None
 
     # -- timed operations (must run inside a kernel process) ----------------
 
@@ -117,8 +121,11 @@ class Disk:
                             rng=injector.rng(f"retry.disk.{self.rank}"),
                             on_retry=on_retry)
         if registry is not None:
-            registry.histogram("retry.disk.attempts",
-                               bounds=_ATTEMPT_BOUNDS).observe(attempts)
+            hist = self._m_attempts
+            if hist is None:
+                hist = self._m_attempts = registry.histogram(
+                    "retry.disk.attempts", bounds=_ATTEMPT_BOUNDS)
+            hist.observe(attempts)
         return result
 
     def read(self, name: str, offset: int, nbytes: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.retry import RetryPolicy
+    from repro.obs.metrics import Histogram
 
 __all__ = ["Message", "Mailbox", "Network"]
 
@@ -231,6 +232,9 @@ class Network:
         self.bytes_sent = [0] * n_nodes
         self.bytes_received = [0] * n_nodes
         self.messages = 0
+        #: the ``retry.net.attempts`` histogram, looked up at the first
+        #: faultable send
+        self._m_attempts: Optional["Histogram"] = None
 
     def _check_rank(self, rank: int, what: str) -> None:
         if not 0 <= rank < self.n_nodes:
@@ -307,8 +311,11 @@ class Network:
                         rng=injector.rng(f"retry.net.{src}"),
                         on_retry=on_retry)
         if registry is not None:
-            registry.histogram("retry.net.attempts",
-                               bounds=_ATTEMPT_BOUNDS).observe(attempts)
+            hist = self._m_attempts
+            if hist is None:
+                hist = self._m_attempts = registry.histogram(
+                    "retry.net.attempts", bounds=_ATTEMPT_BOUNDS)
+            hist.observe(attempts)
 
     def recv(self, dst: int, source: Optional[int] = None,
              tag: Optional[int] = None) -> Message:

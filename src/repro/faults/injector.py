@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from repro.errors import FaultInjected
 from repro.faults.plan import FaultPlan, in_window
 from repro.sim.kernel import Kernel
 from repro.sim.trace import FAULT
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.metrics import Counter
 
 __all__ = ["FaultEvent", "FaultInjector"]
 
@@ -51,6 +55,8 @@ class FaultInjector:
         self.plan = plan
         self.n_nodes = n_nodes
         self.events: list[FaultEvent] = []
+        #: ``faults.<kind>`` counters, each looked up at its first fault
+        self._m_faults: dict[str, "Counter"] = {}
         self._rngs: dict[str, np.random.Generator] = {}
         #: timed-operation counter per disk (drives DiskFaultAt)
         self.disk_ops = [0] * n_nodes
@@ -75,7 +81,11 @@ class FaultInjector:
         self.events.append(FaultEvent(now, kind, site, rank, detail))
         registry = self.kernel.metrics
         if registry is not None:
-            registry.counter(f"faults.{kind}").inc()
+            counter = self._m_faults.get(kind)
+            if counter is None:
+                counter = self._m_faults[kind] = registry.counter(
+                    f"faults.{kind}")
+            counter.inc()
         tracer = getattr(self.kernel, "tracer", None)
         if tracer is not None:
             name = (self.kernel.current_process().name

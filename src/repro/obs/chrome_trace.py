@@ -6,7 +6,9 @@ https://ui.perfetto.dev load directly).  Each FG process becomes one named
 thread row; every run/work/contend/wait interval becomes a complete
 ("X"-phase) slice with its park reason in ``args.detail``; gauges recorded
 with ``record_samples=True`` (queue occupancy, buffers in flight) become
-counter tracks.
+counter tracks.  An observed run keeps those series only when it is
+traced (:func:`repro.prov.observed_cluster`), which every run that
+exports a trace is.
 
 Times are exported in microseconds, as the format requires.  Under the
 virtual-time kernel the export is deterministic: same program, same seed,

@@ -26,6 +26,14 @@ Instruments are get-or-create by dotted name::
     registry.counter("stage.read.accepts").inc()
     registry.gauge("channel.p->read.occupancy").set(3)
     registry.snapshot()   # JSON-able dict of everything
+
+A counter or gauge created with ``record_samples=True`` declares that its
+``(time, value)`` series is worth drawing; the registry keeps it only
+while :attr:`MetricsRegistry.record_samples` is set.  A bare registry
+keeps every declared series; :func:`repro.prov.observed_cluster` sets the
+flag to its ``trace`` argument, so an untraced observed run — which no
+Chrome export or stage series will read — keeps none.  Snapshots never
+include samples, so the flag cannot move a metrics digest.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ class Metric:
     """Base: a named instrument bound to a registry clock."""
 
     kind = "metric"
+    __slots__ = ("name", "unit", "help", "_clock")
 
     def __init__(self, name: str, clock: Callable[[], float],
                  unit: str = "", help: str = ""):
@@ -62,13 +71,15 @@ class Counter(Metric):
     """A monotonically increasing total.
 
     ``record_samples=True`` keeps the ``(time, cumulative_value)`` series
-    of every increment, which is what turns an aggregate counter into a
-    time series: :meth:`value_at` reads the cumulative value at any past
+    of every increment (when the registry keeps series, see
+    :attr:`MetricsRegistry.record_samples`), which is what turns an
+    aggregate counter into a time series: :meth:`value_at` reads the cumulative value at any past
     instant and :meth:`window_delta` the growth over a window (the
     per-stage series of :mod:`repro.obs.timeseries` are built on this).
     """
 
     kind = "counter"
+    __slots__ = ("value", "samples")
 
     def __init__(self, name: str, clock: Callable[[], float],
                  unit: str = "", help: str = "",
@@ -79,9 +90,9 @@ class Counter(Metric):
             [] if record_samples else None)
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease "
-                             f"(inc by {amount})")
+        if not amount >= 0:  # also refuses NaN
+            raise ValueError(f"counter {self.name!r} increment must be "
+                             f">= 0, got {amount}")
         self.value += amount
         if self.samples is not None:
             self.samples.append((self._clock(), self.value))
@@ -117,12 +128,15 @@ class Gauge(Metric):
     one-second visits to occupancy 1.
 
     ``record_samples=True`` keeps the full ``(time, value)`` step series
-    (used by the Chrome-trace exporter to draw counter tracks);
+    when the registry keeps series (the Chrome-trace exporter draws it as
+    a counter track);
     ``level_bounds`` additionally maintains a time-weighted histogram of
     the levels the gauge held.
     """
 
     kind = "gauge"
+    __slots__ = ("value", "max", "min", "_t0", "_last_change", "_integral",
+                 "samples", "_levels")
 
     def __init__(self, name: str, clock: Callable[[], float],
                  unit: str = "", help: str = "",
@@ -170,10 +184,6 @@ class Gauge(Metric):
         integral = self._integral + self.value * (now - self._last_change)
         return integral / elapsed
 
-    def level_distribution(self) -> Optional["Histogram"]:
-        """The time-weighted level histogram, if enabled."""
-        return self._levels
-
     def snapshot(self) -> dict:
         out: dict = {
             "value": self.value,
@@ -198,6 +208,8 @@ class Histogram(Metric):
     """
 
     kind = "histogram"
+    __slots__ = ("bounds", "weights", "count", "total_weight",
+                 "weighted_sum", "min", "max")
 
     def __init__(self, name: str, clock: Callable[[], float],
                  unit: str = "", help: str = "",
@@ -216,8 +228,9 @@ class Histogram(Metric):
         self.max: Optional[float] = None
 
     def observe(self, value: float, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError(f"negative histogram weight: {weight}")
+        if not weight >= 0:  # also refuses NaN
+            raise ValueError(f"histogram {self.name!r} weight must be "
+                             f">= 0, got {weight}")
         # the first bound >= value; NaN is <= no bound, so it overflows
         idx = (bisect_left(self.bounds, value) if value == value
                else len(self.bounds))
@@ -257,6 +270,9 @@ class MetricsRegistry:
 
     def __init__(self, clock: Callable[[], float]):
         self.clock = clock
+        #: whether instruments that declare ``record_samples=True`` keep
+        #: their series; set once, before any instrument is created
+        self.record_samples = True
         self._metrics: dict[str, Metric] = {}
 
     # -- instrument factories (get-or-create) ------------------------------
@@ -275,6 +291,7 @@ class MetricsRegistry:
 
     def counter(self, name: str, unit: str = "", help: str = "",
                 record_samples: bool = False) -> Counter:
+        record_samples = record_samples and self.record_samples
         counter = self._get_or_create(Counter, name, unit=unit, help=help,
                                       record_samples=record_samples)
         # an already-registered aggregate counter can be upgraded to a
@@ -287,7 +304,8 @@ class MetricsRegistry:
               record_samples: bool = False,
               level_bounds: Optional[Sequence[float]] = None) -> Gauge:
         return self._get_or_create(Gauge, name, unit=unit, help=help,
-                                   record_samples=record_samples,
+                                   record_samples=(record_samples
+                                                   and self.record_samples),
                                    level_bounds=level_bounds)
 
     def histogram(self, name: str, unit: str = "", help: str = "",

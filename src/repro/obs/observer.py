@@ -109,8 +109,8 @@ class ProgramObserver:
             accepts, waits = probes.accepts, probes.accept_wait
             if accepts is None or waits is None:
                 prefix = self._prefix(stage)
-                # sampled, so tuning policies and repro.obs.timeseries
-                # can read windowed deltas, not just run-wide aggregates
+                # sampled, so repro.obs.timeseries can read windowed
+                # deltas, not just run-wide aggregates
                 accepts = probes.accepts = registry.counter(
                     f"{prefix}.accepts", record_samples=True)
                 waits = probes.accept_wait = registry.counter(

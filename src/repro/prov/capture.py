@@ -103,7 +103,10 @@ def observed_cluster(n_nodes: int, *, trace: bool = True,
 
     The order is the only legal one: ``enable_metrics()`` before anything
     is constructed on the kernel, because channels, disks and FG programs
-    look the registry up when they are created.  ``cluster_args``
+    look the registry up when they are created.  The registry keeps
+    sample series only on a traced run (``record_samples = trace``): the
+    Chrome exporter and :mod:`repro.obs.timeseries`, their only readers,
+    run only where the trace is kept.  ``cluster_args``
     (``hardware``, ``fault_plan``, ``retry_policy``,
     ``mailbox_capacity_bytes``) go to the cluster untouched; in
     particular a ``hardware`` of None stays None, so each caller keeps
@@ -115,6 +118,6 @@ def observed_cluster(n_nodes: int, *, trace: bool = True,
     from repro.sim.virtual import VirtualTimeKernel
 
     kernel = VirtualTimeKernel(tracer=Tracer() if trace else None)
-    kernel.enable_metrics()
+    kernel.enable_metrics().record_samples = trace
     attached = ProvenanceCapture(kernel) if capture else None
     return Cluster(n_nodes=n_nodes, kernel=kernel, **cluster_args), attached

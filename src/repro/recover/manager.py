@@ -50,12 +50,15 @@ event or metric (:mod:`repro.sim.kernel`, "Polls").
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError, SortError
 from repro.jsondoc import to_doc
 from repro.recover.policy import RecoverPolicy
 from repro.sim.trace import RECOVER
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.metrics import Counter, Gauge
 
 __all__ = ["NodeDied", "RecoveryDecision", "RecoveryManager"]
 
@@ -88,6 +91,10 @@ class RecoveryManager:
         self.injector = cluster.injector
         n = cluster.n_nodes
         self.decisions: list[RecoveryDecision] = []
+        #: ``recovery.<kind>`` counters and ``recovery.progress.<rank>``
+        #: gauges, each looked up at its first use
+        self._m_decisions: dict[str, "Counter"] = {}
+        self._m_progress: dict[int, "Gauge"] = {}
         self._resolved: dict[str, Any] = {}
         #: current epoch's participating ranks, in stripe order
         self.alive: list[int] = list(range(n))
@@ -141,8 +148,11 @@ class RecoveryManager:
         self.decisions.append(RecoveryDecision(t, kind, rank, detail))
         metrics = self.kernel.metrics
         if metrics is not None:
-            metrics.counter(f"recovery.{kind}",
-                            help="recovery decisions by kind").inc()
+            counter = self._m_decisions.get(kind)
+            if counter is None:
+                counter = self._m_decisions[kind] = metrics.counter(
+                    f"recovery.{kind}", help="recovery decisions by kind")
+            counter.inc()
         tracer = self.kernel.tracer
         if tracer is not None:
             text = f"{kind} rank={rank}" + (f": {detail}" if detail else "")
@@ -303,8 +313,13 @@ class RecoveryManager:
         if now < self._next_watch:
             return
         self._next_watch = now + spec.interval
-        progress = {r: metrics.gauge(f"recovery.progress.{r}").value
-                    for r in self.alive_now()}
+        gauges = self._m_progress
+        progress: dict[int, float] = {}
+        for r in self.alive_now():
+            gauge = gauges.get(r)
+            if gauge is None:
+                gauge = gauges[r] = metrics.gauge(f"recovery.progress.{r}")
+            progress[r] = gauge.value
         if not progress:
             return
         levels = sorted(progress.values())

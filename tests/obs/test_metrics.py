@@ -37,6 +37,20 @@ def test_counter_accumulates_and_rejects_decrease():
         c.inc(-1)
 
 
+@pytest.mark.parametrize("amount", [float("nan"), -1.0, -1e-300])
+def test_counter_refuses_nan_and_negative_increments(amount):
+    c = Counter("c", lambda: 0.0, record_samples=True)
+    with pytest.raises(ValueError, match="'c' increment must be >= 0"):
+        c.inc(amount)
+    assert c.value == 0.0 and c.samples == []
+
+
+def test_counter_accepts_a_zero_increment():
+    c = Counter("c", lambda: 1.0, record_samples=True)
+    c.inc(0.0)
+    assert c.value == 0.0 and c.samples == [(1.0, 0.0)]
+
+
 # -- gauges (time-weighted) -------------------------------------------------
 
 def test_gauge_time_average_is_integral_over_kernel_time():
@@ -100,9 +114,9 @@ def test_gauge_level_bounds_accumulate_time_at_level():
 
     kernel.spawn(proc)
     kernel.run()
-    levels = g.level_distribution()
-    assert levels.weights[1] == pytest.approx(2.0)   # <=1 bucket
-    assert levels.weights[3] == pytest.approx(1.0)   # <=4 bucket
+    levels = g.snapshot()["levels"]
+    assert levels["weights"][1] == pytest.approx(2.0)   # <=1 bucket
+    assert levels["weights"][3] == pytest.approx(1.0)   # <=4 bucket
 
 
 def test_gauge_add_is_relative():
@@ -132,6 +146,21 @@ def test_histogram_rejects_bad_input():
     h = Histogram("h", lambda: 0.0)
     with pytest.raises(ValueError):
         h.observe(1.0, weight=-0.5)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), -1.0, -1e-300])
+def test_histogram_refuses_nan_and_negative_weights(weight):
+    h = Histogram("h", lambda: 0.0)
+    with pytest.raises(ValueError, match="'h' weight must be >= 0"):
+        h.observe(1.0, weight=weight)
+    assert h.count == 0 and h.total_weight == 0.0
+
+
+def test_histogram_accepts_a_zero_weight():
+    h = Histogram("h", lambda: 0.0, bounds=(1.0,))
+    h.observe(0.5, weight=0.0)
+    assert h.count == 1 and h.weights == [0.0, 0.0]
+    assert h.mean() == 0.0
 
 
 def test_empty_histogram_mean_is_zero():

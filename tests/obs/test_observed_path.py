@@ -241,10 +241,10 @@ def test_observer_records_what_fresh_lookups_record():
             ref = reference.get(name)
             assert metric._t0 == ref._t0, name
             assert metric.time_average() == ref.time_average(), name
-            levels = metric.level_distribution()
+            levels = metric.snapshot().get("levels")
             if levels is not None:
-                assert levels.weights == \
-                    ref.level_distribution().weights, name
+                assert levels["weights"] == \
+                    ref.snapshot()["levels"]["weights"], name
 
 
 def test_instruments_exist_only_once_recorded_into():
