@@ -676,7 +676,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_sched(args: argparse.Namespace) -> int:
     from repro.jsondoc import read_json
-    from repro.prov import canonical_json
     from repro.sched import ArrivalTrace, Quota, run_schedule, synthetic_trace
 
     tenants = [t for t in args.tenants.split(",") if t]
@@ -701,8 +700,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
     print(report.describe())
     if args.decisions_out:
         with open(args.decisions_out, "w") as fh:
-            for entry in report.decisions:
-                fh.write(canonical_json(entry) + "\n")
+            fh.write(report.decision_text)
         print(f"decision log written to {args.decisions_out}")
     if args.trace_out:
         print(f"chrome trace written to {args.trace_out}")

@@ -137,7 +137,7 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
                   manifest: Any, config: Any, plan: FaultPlan, *,
                   seed: int, args: dict, seeds: dict,
                   rank_times: list, owners: Optional[Any] = None,
-                  pass_restarts: int = 0, recovery_decisions: Sequence = (),
+                  pass_restarts: int = 0, logs: Sequence = (),
                   verify: bool, trace: bool,
                   trace_path: Optional[str]) -> ChaosReport:
     """Everything after ``cluster.run`` — verify, digest, provenance
@@ -171,7 +171,7 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
             # backoff jitter draws from the injector's per-site Philox
             # streams, all derived from the plan seed
             {**seeds, "fault_plan": plan.seed, "retry_jitter": plan.seed},
-            fault_plan=plan.to_json(), snapshot=snapshot,
+            fault_plan=plan.to_json(), snapshot=snapshot, logs=logs,
             output=output_digest)
         digests = provenance.digests
     else:
@@ -194,7 +194,7 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
         metrics_digest=digests["metrics"],
         provenance=provenance,
         sorter=sorter,
-        recovery_decisions=list(recovery_decisions),
+        recovery_decisions=[entry for log in logs for entry in log.entries],
         rank_times=rank_times,
         threads_started=kernel.threads_started)
 
@@ -269,8 +269,7 @@ def run_chaos_dsort(n_nodes: int = 3, records_per_node: int = 2000,
                      "pass1": r.pass1_time, "pass2": r.pass2_time,
                      "dead": getattr(r, "dead", False)}
                     for r in reports],
-        recovery_decisions=(manager.decision_log()
-                            if manager is not None else []),
+        logs=(manager.decisions,) if manager is not None else (),
         verify=verify, trace=trace, trace_path=trace_path)
 
 

@@ -171,10 +171,6 @@ class PipelineIR:
             "rounds": self.rounds,
             "aux_buffers": self.aux_buffers,
             "channel_capacity": self.channel_capacity,
-            # constant keys: every stage-graph fingerprint and committed
-            # golden pins them
-            "pool_grown": 0,
-            "pool_retired": 0,
         }
         if self.role is not None:
             doc["role"] = self.role

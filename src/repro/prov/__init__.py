@@ -11,9 +11,9 @@ and makes it executable again:
   bisectable;
 * :mod:`repro.prov.record` — :class:`ProvenanceRecord`, the per-run JSON
   document: harness entry point + args, seeds, serialized
-  :class:`~repro.faults.plan.FaultPlan`, tune decision log, stage-graph
-  fingerprints, code fingerprint, and sha256 digests of output /
-  metrics / trace;
+  :class:`~repro.faults.plan.FaultPlan`, the run's decision logs
+  (:class:`DecisionLog`), stage-graph fingerprints, code fingerprint,
+  and sha256 digests of output / metrics / trace;
 * :mod:`repro.prov.capture` — :class:`ProvenanceCapture`, the passive
   kernel attachment through which every
   :class:`~repro.core.program.FGProgram` reports its structure via the
@@ -41,8 +41,8 @@ from repro.prov.fingerprint import (
 )
 from repro.prov.record import (
     RECORD_VERSION,
+    DecisionLog,
     ProvenanceRecord,
-    decision_log,
     metrics_digest,
     trace_digest,
 )
@@ -50,12 +50,12 @@ from repro.prov.replay import ReplayResult, emit_script, replay
 
 __all__ = [
     "RECORD_VERSION",
+    "DecisionLog",
     "ProvenanceCapture",
     "ProvenanceRecord",
     "ReplayResult",
     "canonical_json",
     "code_fingerprint",
-    "decision_log",
     "digest_json",
     "emit_script",
     "metrics_digest",

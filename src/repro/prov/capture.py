@@ -22,13 +22,13 @@ being captured.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import Cluster
     from repro.core.program import FGProgram
     from repro.plan.ir import ProgramGraph
-    from repro.prov.record import ProvenanceRecord
+    from repro.prov.record import DecisionLog, ProvenanceRecord
     from repro.sim.kernel import Kernel
 
 __all__ = ["ProvenanceCapture", "observed_cluster"]
@@ -57,14 +57,15 @@ class ProvenanceCapture:
     def record(self, kind: str, args: dict, seeds: dict, *,
                fault_plan: Optional[dict] = None,
                snapshot: Optional[dict] = None,
+               logs: Sequence["DecisionLog"] = (),
                **digests: str) -> "ProvenanceRecord":
         """The finished run's :class:`ProvenanceRecord`.
 
         The harness passes what is its own — its ``kind``, its ``args``
-        and ``seeds``, its serialized fault plan, the digests only it can
+        and ``seeds``, its serialized fault plan, the decision ``logs``
+        of its scheduler or recovery manager, the digests only it can
         take (``output=``, ``decisions=``).  Everything a kernel can
-        answer is filled in here: the two decision trails (a trail
-        nobody emitted is ``[]``), the stage graphs, the metrics and
+        answer is filled in here: the stage graphs, the metrics and
         trace digests, and the source tree's identity.  ``snapshot`` is
         the metrics snapshot a harness has already taken for its own
         report, so that no run takes a second one.
@@ -72,15 +73,14 @@ class ProvenanceCapture:
         # the digest helpers are looked up on the package at call time:
         # benchmarks/perf/traced.py times them by patching those names
         from repro import prov
-        from repro.sim.trace import RECOVER, SCHED
 
         kernel = self.kernel
         if snapshot is None:
             snapshot = kernel.metrics.snapshot()
         return prov.ProvenanceRecord(
             kind=kind, args=args, seeds=seeds, fault_plan=fault_plan,
-            recovery_decisions=prov.decision_log(kernel.tracer, RECOVER),
-            sched_decisions=prov.decision_log(kernel.tracer, SCHED),
+            decisions={log.source: list(log.entries) for log in logs
+                       if log.entries},
             stage_graphs=dict(self.stage_graphs),
             digests={**digests,
                      "metrics": prov.metrics_digest(snapshot),

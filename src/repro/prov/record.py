@@ -14,13 +14,9 @@ later re-execution *did* reproduce it:
 * ``fault_plan`` — the serialized :class:`~repro.faults.plan.FaultPlan`
   (``None`` for fault-free runs), round-trippable via
   :meth:`FaultPlan.to_json` / :meth:`FaultPlan.from_json`;
-* ``recovery_decisions`` / ``sched_decisions`` — the recovery-manager
-  and scheduler decision trails, harvested from the kernel trace's
-  ``recover`` / ``sched`` instants by :func:`decision_log` (zero per-app
-  code);
-* ``tune_decisions`` — always ``[]``: a program's pools and replica
-  counts are fixed before the run, so there is no in-run decision to
-  log.  The field stays so that committed records keep their format;
+* ``decisions`` — ``{source: [entries]}`` of each :class:`DecisionLog`
+  the harness passed (``recover``, ``sched``), never read from the
+  trace; a source that decided nothing is absent;
 * ``stage_graphs`` — fingerprint per assembled FG program, captured
   through the :class:`~repro.obs.observer.ProgramObserver` event path;
 * ``repro_version`` / ``code_fingerprint`` — which source tree ran;
@@ -45,18 +41,19 @@ from repro.jsondoc import Document, read_json, write_json
 from repro.prov.fingerprint import canonical_json, digest_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.kernel import Kernel
     from repro.sim.trace import Tracer
 
 __all__ = [
     "RECORD_VERSION",
+    "DecisionLog",
     "ProvenanceRecord",
-    "decision_log",
     "metrics_digest",
     "trace_digest",
 ]
 
 #: bump when the record format changes incompatibly
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 #: trace lines hashed per sha256 update (one join of a whole trace costs
 #: megabytes of peak memory on a chaos run)
@@ -95,18 +92,47 @@ def trace_digest(tracer: "Tracer") -> str:
     return h.hexdigest()
 
 
-def decision_log(tracer: Optional["Tracer"], kind: str) -> list[dict]:
-    """Every decision of one ``kind`` the run recorded, from the trace's
-    instants of that kind — the zero-per-app-code capture path for
-    :class:`~repro.recover.RecoveryManager` activity (``RECOVER``:
-    checkpoint resume, speculation, partition re-assignment) and for
-    :class:`~repro.sched.Scheduler` activity (``SCHED``: admission,
-    placement, preemption, speculation grants).  A kind nobody emitted
-    is ``[]``."""
-    if tracer is None:
-        return []
-    return [{"time": ev.time, "process": ev.process, "detail": ev.detail}
-            for ev in tracer.events if ev.kind == kind]
+class DecisionLog:
+    """One owner's run-time decisions, kept once: the
+    :class:`~repro.sched.Scheduler`'s and the
+    :class:`~repro.recover.RecoveryManager`'s.  An entry is a JSON object
+    with a ``time`` and a ``kind`` that nothing writes to once appended.
+    Provenance reads the entries, never the trace."""
+
+    def __init__(self, kernel: "Kernel", source: str, process: str, *,
+                 counter: Optional[str] = None) -> None:
+        self.kernel = kernel
+        #: keys the record's entries; the trace instants' kind
+        self.source = source
+        #: the trace instants' process name
+        self.process = process
+        #: prefix of the ``<counter>.<kind>`` counters, if the owner counts
+        self.counter = counter
+        self.entries: list[dict] = []
+        self._lines: list[str] = []
+
+    def append(self, entry: dict, text: Optional[str] = None) -> None:
+        """Log ``entry``: its canonical line, a ``<counter>.<kind>`` count
+        (the counter is created at its kind's first entry; decisions are
+        few, so it is not cached) and, on a traced run, an instant whose
+        text is ``text`` or else the line."""
+        line = canonical_json(entry)
+        self.entries.append(entry)
+        self._lines.append(line)
+        metrics = self.kernel.metrics
+        if self.counter is not None and metrics is not None:
+            metrics.counter(f"{self.counter}.{entry['kind']}").inc()
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            tracer.record(entry["time"], self.process, self.source,
+                          line if text is None else text)
+
+    def text(self) -> str:
+        """The log as canonical JSON, one entry per line."""
+        return "".join(line + "\n" for line in self._lines)
+
+    def digest(self) -> str:
+        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass
@@ -117,13 +143,9 @@ class ProvenanceRecord(Document):
     args: dict = dataclasses.field(default_factory=dict)
     seeds: dict = dataclasses.field(default_factory=dict)
     fault_plan: Optional[dict] = None
-    tune_decisions: list = dataclasses.field(default_factory=list)
-    #: the recovery manager's decision trail (``recover`` trace instants;
-    #: empty for runs without a RecoveryManager)
-    recovery_decisions: list = dataclasses.field(default_factory=list)
-    #: the multi-tenant scheduler's decision trail (``sched`` trace
-    #: instants; empty for single-program runs)
-    sched_decisions: list = dataclasses.field(default_factory=list)
+    #: source -> its :class:`DecisionLog` entries; a source that decided
+    #: nothing is absent
+    decisions: dict = dataclasses.field(default_factory=dict)
     stage_graphs: dict = dataclasses.field(default_factory=dict)
     digests: dict = dataclasses.field(default_factory=dict)
     repro_version: str = ""
@@ -146,17 +168,19 @@ class ProvenanceRecord(Document):
     @classmethod
     def from_json(cls, doc: dict) -> "ProvenanceRecord":
         """On top of the document rule (:mod:`repro.jsondoc`): junk is
-        named as such, and a newer writer's record is refused for its
-        version, not for whichever field that version added."""
+        named as such, and a record of another format version is refused
+        for its version, not for whichever field that version changed."""
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ReproError(
                 "not a provenance record: expected a JSON object with a "
                 f"'kind' field, got {type(doc).__name__}")
         version = doc.get("record_version", RECORD_VERSION)
-        if isinstance(version, int) and version > RECORD_VERSION:
+        if isinstance(version, int) and version != RECORD_VERSION:
+            age = "newer" if version > RECORD_VERSION else "older"
             raise ReproError(
-                f"provenance record version {version} is newer than this "
-                f"code understands ({RECORD_VERSION}); upgrade repro")
+                f"provenance record version {version} is {age} than this "
+                f"code reads ({RECORD_VERSION}); replay it at the commit "
+                "that recorded it, or re-record the run with this code")
         return super().from_json(doc)
 
     def save(self, path_or_file: Union[str, IO[str]]) -> None:
@@ -186,13 +210,9 @@ class ProvenanceRecord(Document):
                                     for k, v in sorted(self.seeds.items())))
         lines.append(f"  fault plan       "
                      f"{'yes' if self.fault_plan else 'none'}")
-        lines.append(f"  tune decisions   {len(self.tune_decisions)}")
-        if self.recovery_decisions:
-            lines.append(f"  recovery log     "
-                         f"{len(self.recovery_decisions)} decisions")
-        if self.sched_decisions:
-            lines.append(f"  scheduler log    "
-                         f"{len(self.sched_decisions)} decisions")
+        for source, entries in sorted(self.decisions.items()):
+            lines.append(f"  {source + ' log':16s} "
+                         f"{len(entries)} decisions")
         lines.append(f"  stage graphs     {len(self.stage_graphs)}")
         for name, value in sorted(self.digests.items()):
             shown = f"{value[:16]}…" if value else "(not captured)"

@@ -5,10 +5,12 @@ under the virtual-time kernel with the recorded arguments (including the
 deserialized fault plan), captures a fresh provenance record, and
 compares digest by digest.  The result distinguishes three situations:
 
-* **reproduced** — every recorded digest matches; the run is byte-exact;
-* **diverged** — a digest differs.  If the code fingerprint also differs
-  the divergence is attributable to a code change (this is the bisection
-  signal: replay the record at each candidate commit);
+* **reproduced** — every recorded digest, stage graph and decision
+  matches; the run is byte-exact;
+* **diverged** — a digest, a stage graph or a decision differs.  If
+  the code fingerprint also differs the divergence is attributable to a
+  code change (this is the bisection signal: replay the record at each
+  candidate commit);
 * **unattributable divergence** — digests differ but the code
   fingerprint matches: the run was not deterministic, which is itself a
   bug worth a report.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+from itertools import zip_longest
 from typing import Any, Callable, Optional
 
 from repro.errors import FaultError, ReproError, SchedError
@@ -44,11 +47,26 @@ class ReplayResult:
     code_match: bool
     #: True when every re-assembled program had the recorded structure
     stage_graphs_match: bool
+    #: True when the re-execution decided exactly the recorded decisions
+    decisions_match: bool
 
     @property
     def ok(self) -> bool:
-        """Byte-exact reproduction: all digests and stage graphs match."""
-        return (all(self.matches.values()) and self.stage_graphs_match)
+        """Byte-exact reproduction: all digests, stage graphs and
+        decisions match."""
+        return (all(self.matches.values()) and self.stage_graphs_match
+                and self.decisions_match)
+
+    def first_divergent_decision(self) -> Optional[tuple[str, int, Any, Any]]:
+        """``(source, index, recorded, replayed)`` of the first differing
+        decision (past a stream's end, None), or None if all match."""
+        recorded, replayed = self.record.decisions, self.replayed.decisions
+        for source in sorted(recorded.keys() | replayed.keys()):
+            for index, (old, new) in enumerate(zip_longest(
+                    recorded.get(source, []), replayed.get(source, []))):
+                if old != new:
+                    return source, index, old, new
+        return None
 
     def to_json(self) -> dict:
         return {
@@ -56,6 +74,7 @@ class ReplayResult:
             "matches": dict(self.matches),
             "code_match": self.code_match,
             "stage_graphs_match": self.stage_graphs_match,
+            "decisions_match": self.decisions_match,
             "recorded_digests": dict(self.record.digests),
             "replayed_digests": dict(self.replayed.digests),
             "recorded_code": self.record.code_fingerprint,
@@ -70,6 +89,13 @@ class ReplayResult:
             lines.append(f"  {name + ' digest':16s} {verdict}")
         lines.append("  stage graphs     "
                      + ("match" if self.stage_graphs_match else "MISMATCH"))
+        lines.append("  decisions        "
+                     + ("match" if self.decisions_match else "MISMATCH"))
+        divergent = self.first_divergent_decision()
+        if divergent is not None:
+            source, index, old, new = divergent
+            lines += [f"    first differs  {source}[{index}]",
+                      f"    recorded       {old}", f"    replayed       {new}"]
         lines.append("  code             "
                      + ("same tree" if self.code_match
                         else "different tree "
@@ -156,7 +182,8 @@ REPLAYABLE_KINDS = tuple(_REPLAYERS)
 
 
 def replay(record: ProvenanceRecord) -> ReplayResult:
-    """Re-execute ``record`` and compare every captured digest."""
+    """Re-execute ``record`` and compare every captured digest, stage
+    graph and decision."""
     if record.kind not in _REPLAYERS:
         raise ReproError(
             f"cannot replay record kind {record.kind!r}; replayable "
@@ -173,6 +200,7 @@ def replay(record: ProvenanceRecord) -> ReplayResult:
         matches=matches,
         code_match=record.code_fingerprint == fresh.code_fingerprint,
         stage_graphs_match=record.stage_graphs == fresh.stage_graphs,
+        decisions_match=record.decisions == fresh.decisions,
     )
 
 

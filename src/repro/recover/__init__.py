@@ -17,17 +17,17 @@ fine-grained, policy-gated mechanisms (:class:`RecoverPolicy`):
   and re-running only blocks that never became durable.
 
 Every decision is a ``recovery.*`` metric, a ``recover`` trace instant,
-and a provenance log entry, so chaos runs replay byte-exactly.  See
+and an entry of the manager's decision log, which provenance records and
+replay compares.  See
 docs/ROBUSTNESS.md.
 """
 
-from repro.recover.manager import NodeDied, RecoveryDecision, RecoveryManager
+from repro.recover.manager import NodeDied, RecoveryManager
 from repro.recover.policy import RecoverPolicy, SpeculationPolicy
 
 __all__ = [
     "NodeDied",
     "RecoverPolicy",
-    "RecoveryDecision",
     "RecoveryManager",
     "SpeculationPolicy",
 ]

@@ -26,10 +26,10 @@ One manager instance is shared by all ranks of a run.  It provides:
 * **re-assignment epochs** — :meth:`enter_epoch` retires dead ranks,
   assigns each dead rank's partition range to its backup buddy, and
   re-stripes the output over the survivors (:meth:`output_owners`);
-* **a decision log** — every recovery decision is a ``recovery.*``
-  counter, a ``recover`` trace instant, and an entry in
-  :meth:`decision_log`, which the chaos harness stores in provenance so
-  faulted runs replay byte-exactly, decisions included.
+* **a decision log** — every recovery decision is an entry of the
+  manager's :class:`~repro.prov.record.DecisionLog`, a ``recovery.*``
+  counter and a ``recover`` trace instant; the chaos harness reports the
+  entries and hands the log to provenance, which replay compares.
 
 Everything the manager does is deterministic: polls advance in fixed
 ticks of virtual time, state transitions depend only on virtual time and
@@ -49,18 +49,17 @@ event or metric (:mod:`repro.sim.kernel`, "Polls").
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError, SortError
-from repro.jsondoc import to_doc
+from repro.prov.record import DecisionLog
 from repro.recover.policy import RecoverPolicy
 from repro.sim.trace import RECOVER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import Counter, Gauge
+    from repro.obs.metrics import Gauge
 
-__all__ = ["NodeDied", "RecoveryDecision", "RecoveryManager"]
+__all__ = ["NodeDied", "RecoveryManager"]
 
 
 class NodeDied(ReproError):
@@ -69,16 +68,6 @@ class NodeDied(ReproError):
     Not a failure of the *run*: the driver catches it and returns a
     ``dead`` report for the rank while the survivors finish.
     """
-
-
-@dataclasses.dataclass(frozen=True)
-class RecoveryDecision:
-    """One recovery decision, as recorded in provenance."""
-
-    time: float
-    kind: str
-    rank: int
-    detail: str = ""
 
 
 class RecoveryManager:
@@ -90,10 +79,10 @@ class RecoveryManager:
         self.kernel = cluster.kernel
         self.injector = cluster.injector
         n = cluster.n_nodes
-        self.decisions: list[RecoveryDecision] = []
-        #: ``recovery.<kind>`` counters and ``recovery.progress.<rank>``
-        #: gauges, each looked up at its first use
-        self._m_decisions: dict[str, "Counter"] = {}
+        #: entries ``{time, kind, rank, detail}``
+        self.decisions = DecisionLog(self.kernel, RECOVER,
+                                     "recover.manager", counter="recovery")
+        #: ``recovery.progress.<rank>`` gauges, looked up at first use
         self._m_progress: dict[int, "Gauge"] = {}
         self._resolved: dict[str, Any] = {}
         #: current epoch's participating ranks, in stripe order
@@ -143,23 +132,11 @@ class RecoveryManager:
     # -- decision log --------------------------------------------------------
 
     def decide(self, kind: str, rank: int, detail: str = "") -> None:
-        """Record one recovery decision (counter + trace instant + log)."""
-        t = self.kernel.now()
-        self.decisions.append(RecoveryDecision(t, kind, rank, detail))
-        metrics = self.kernel.metrics
-        if metrics is not None:
-            counter = self._m_decisions.get(kind)
-            if counter is None:
-                counter = self._m_decisions[kind] = metrics.counter(
-                    f"recovery.{kind}", help="recovery decisions by kind")
-            counter.inc()
-        tracer = self.kernel.tracer
-        if tracer is not None:
-            text = f"{kind} rank={rank}" + (f": {detail}" if detail else "")
-            tracer.record(t, "recover.manager", RECOVER, text)
-
-    def decision_log(self) -> list[dict[str, Any]]:
-        return to_doc(self.decisions)
+        """Record one recovery decision (log + counter + trace instant)."""
+        self.decisions.append(
+            {"time": self.kernel.now(), "kind": kind, "rank": rank,
+             "detail": detail},
+            f"{kind} rank={rank}" + (f": {detail}" if detail else ""))
 
     # -- dead-tolerant synchronization ---------------------------------------
 
@@ -481,4 +458,4 @@ class RecoveryManager:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<RecoveryManager epoch={self.epoch} alive={self.alive} "
-                f"decisions={len(self.decisions)}>")
+                f"decisions={len(self.decisions.entries)}>")

@@ -21,7 +21,7 @@ Layers:
 * :mod:`repro.sched.scheduler` — the control-plane process: admission
   quotas, placement, preemption with checkpoint-aware resume, the
   cross-tenant speculation budget, ``sched.*`` metrics, and a
-  deterministic decision log recorded as ``sched`` trace instants;
+  deterministic decision log (mirrored as ``sched`` trace instants);
 * :mod:`repro.sched.workload` — arrival traces (JSON round-trip) and a
   seeded synthetic generator;
 * :mod:`repro.sched.harness` — :func:`run_schedule`, the one-call

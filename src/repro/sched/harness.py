@@ -49,7 +49,9 @@ class SchedReport:
     #: tenant -> {jobs, done, failed, preemptions, p50, p99, mean}
     tenants: dict[str, dict]
     jobs: list[Job]
+    #: the scheduler's decision log: entries, text, the text's sha256
     decisions: list[dict]
+    decision_text: str
     decision_digest: str
     metrics: dict
     provenance: Optional[Any] = None
@@ -162,7 +164,7 @@ def run_schedule(trace: ArrivalTrace, *,
 
     assert kernel.metrics is not None
     metrics = kernel.metrics.snapshot()
-    decision_digest = sched.decision_digest()
+    decision_digest = sched.decisions.digest()
 
     if trace_path is not None:
         from repro.obs.chrome_trace import write_chrome_trace
@@ -184,7 +186,8 @@ def run_schedule(trace: ArrivalTrace, *,
              "speculation_slots": speculation_slots,
              "tag_stride": tag_stride},
             {"scheduler": seed},
-            snapshot=metrics, decisions=decision_digest)
+            snapshot=metrics, logs=(sched.decisions,),
+            decisions=decision_digest)
         capture.detach()
 
     return SchedReport(
@@ -194,7 +197,8 @@ def run_schedule(trace: ArrivalTrace, *,
         utilization=utilization,
         tenants=tenants,
         jobs=[sched.jobs[i] for i in sorted(sched.jobs)],
-        decisions=list(sched.decisions),
+        decisions=list(sched.decisions.entries),
+        decision_text=sched.decisions.text(),
         decision_digest=decision_digest,
         metrics=metrics,
         provenance=record,

@@ -24,15 +24,14 @@ Design points that the tests pin down:
 * **Nothing escapes to the kernel** — rank wrappers catch
   ``BaseException``: a raw process failure would abort the whole
   virtual-time kernel, i.e. every other tenant's run.
-* **Determinism** — every choice is appended to an ordered decision
-  log (and mirrored as ``sched`` trace instants).  Identical seed +
-  arrival trace ⇒ byte-identical :meth:`~Scheduler.decision_log_text`,
-  which provenance replay verifies by digest.
+* **Determinism** — every choice is appended to an ordered
+  :class:`~repro.prov.record.DecisionLog`.  Identical seed + arrival
+  trace ⇒ byte-identical ``decisions.text()``, which provenance replay
+  verifies by digest and entry by entry.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.errors import (
@@ -41,7 +40,7 @@ from repro.errors import (
     KernelShutdown,
     SchedError,
 )
-from repro.prov.fingerprint import canonical_json
+from repro.prov.record import DecisionLog
 from repro.sched.job import Job, JobSpec, JobState, Quota
 from repro.sched.kinds import JobKind, get_kind
 from repro.sched.policy import PlacementPolicy, make_policy
@@ -165,9 +164,7 @@ class Scheduler:
         self.busy_node_seconds = 0.0
 
         #: the ordered, deterministic decision log
-        self.decisions: list[dict] = []
-        self._decision_lines: list[str] = []
-        self._seq = 0
+        self.decisions = DecisionLog(self.kernel, SCHED, "scheduler")
 
         registry = self.kernel.metrics
         if registry is not None:
@@ -266,31 +263,14 @@ class Scheduler:
 
     def _decide(self, kind: str, job: Optional[Job] = None,
                 detail: str = "") -> None:
-        entry = {
-            "seq": self._seq,
+        self.decisions.append({
+            "seq": len(self.decisions.entries),
             "time": round(self.kernel.now(), 9),
             "kind": kind,
             "job": None if job is None else job.id,
             "tenant": None if job is None else job.spec.tenant,
             "detail": detail,
-        }
-        self._seq += 1
-        self.decisions.append(entry)
-        # nothing writes to an entry after this point, so its canonical
-        # line is serialised once, for the trace and the log alike
-        line = canonical_json(entry)
-        self._decision_lines.append(line)
-        tracer = self.kernel.tracer
-        if tracer is not None:
-            tracer.record(entry["time"], "scheduler", SCHED, line)
-
-    def decision_log_text(self) -> str:
-        """The canonical decision log: one JSON object per line."""
-        return "".join(line + "\n" for line in self._decision_lines)
-
-    def decision_digest(self) -> str:
-        return hashlib.sha256(
-            self.decision_log_text().encode("utf-8")).hexdigest()
+        })
 
     # -- control loop --------------------------------------------------------
 

@@ -31,14 +31,10 @@ FINISH = "finish"
 #: transition: interval reconstruction ignores it; the Chrome exporter
 #: renders it as an instant event)
 FAULT = "fault"
-#: instantaneous marker recorded by the repro.recover manager for every
-#: recovery decision (resume from checkpoint / speculate / reassign /
-#: race winner); same rendering rules as FAULT
+#: instantaneous markers a traced run's recovery manager (RECOVER) and
+#: scheduler (SCHED) record for every decision they log; same rendering
+#: rules as FAULT
 RECOVER = "recover"
-#: instantaneous marker recorded by the repro.sched scheduler for every
-#: scheduling decision (submit / admit / place / preempt / finish);
-#: same rendering rules as FAULT — and the substrate of the scheduler's
-#: byte-exact decision log
 SCHED = "sched"
 
 #: the narrowest Gantt chart :meth:`Tracer.gantt` draws

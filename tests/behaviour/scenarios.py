@@ -399,8 +399,8 @@ def hook_sites(**detectors):
 #
 # Each harness's whole record at a small fixed shape: the sha256 (first 16
 # hex digits) of its canonical JSON minus the three fields that name the
-# source tree or the wall clock, and the lengths of its (tune, recovery,
-# sched) decision trails.
+# source tree or the wall clock, and the length of each decision stream
+# it carries.
 
 def _record(make):
     def observe():
@@ -410,9 +410,8 @@ def _record(make):
         for field in ("code_fingerprint", "repro_version", "created"):
             del doc[field]
         return {"record": digest_json(doc)[:HEX],
-                "trails": [len(trail) for trail in (
-                    record.tune_decisions, record.recovery_decisions,
-                    record.sched_decisions)]}
+                "streams": {source: len(entries) for source, entries
+                            in record.decisions.items()}}
     return observe
 
 
@@ -645,7 +644,8 @@ def samples():
                   "trace": trace.to_json()},
             seeds={"workload": 7, "fault_plan": 7},
             fault_plan=fault_plan.to_json(),
-            tune_decisions=[{"time": 0.5, "process": "tuner", "detail": "x"}],
+            decisions={"recover": [{"time": 0.5, "kind": "resume",
+                                    "rank": 0, "detail": "x"}]},
             stage_graphs={"dsort-pass1@0": "ab" * 32},
             digests={"output": "cd" * 32, "metrics": "", "trace": "ef" * 32},
             repro_version="1.0.0", code_fingerprint="12" * 32),
@@ -798,7 +798,13 @@ SCENARIOS = {
     # commit before in-run pool mutation was deleted (PR 32).
     "hook-sites": lambda: hook_sites(sanitize=False, race_detect=False)[0],
     # Recorded at PR 20's parent (1e8dd2a), before the fold into one
-    # ``ProvenanceCapture.record``.
+    # ``ProvenanceCapture.record``.  Every record/* line re-recorded on
+    # top of 59a47df, when the three decision trails became one
+    # ``decisions`` field read from the owners' logs (record version 2):
+    # ``trails`` became ``streams``, each the parent's nonzero trail
+    # length, and ``record`` moved with the format and with the stage
+    # graphs (below); every output, metrics and trace digest is the
+    # parent's.
     "record/sort-dsort": _record(_sort_record("dsort")),
     "record/sort-csort": _record(_sort_record("csort")),
     "record/sort-nowsort": _record(_sort_record("nowsort")),
@@ -818,7 +824,11 @@ SCENARIOS = {
         _quota_bounds, policy, 5) for policy in ("fifo", "fair", "priority")},
     # Every stage-library/* line was recorded at 1b83289, the commit
     # before PR 19 rebuilt every program from one stage library, but for
-    # the fields re-recorded since, marked below.
+    # the fields re-recorded since, marked below.  Every
+    # ``stage_graphs.*`` key re-recorded on top of 59a47df: the graph
+    # IR's canonical form dropped its constant ``pool_grown`` /
+    # ``pool_retired`` keys, so every fingerprint moved; no phase or
+    # digest did.
     "stage-library/csort4": _sort_program("csort4"),
     # ``stage_graphs`` re-recorded at 0afcf52 (PR 31): both ``exchange``
     # stages tell their source they are done through a one-shot ``Flag``
@@ -847,7 +857,8 @@ SCENARIOS = {
        for name in CHAOS_DSORT},
     "stage-library/chaos-csort": _chaos_csort_program,
     # Recorded at PR 24's parent (03d73ea), before one reader for
-    # documents from outside.
+    # documents from outside; ``documents/ProvenanceRecord``
+    # re-recorded on top of 59a47df for the record's version-2 format.
     **{f"documents/{name}": functools.partial(_document, name)
        for name in samples()},
     # Recorded at cbcaa35, the last commit whose effect scan ran once per

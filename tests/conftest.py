@@ -54,13 +54,15 @@ def recovery_matrix():
         manager = managers[-1]
 
         def checked():
-            before = len(kernel.tracer.events), len(manager.decisions)
+            before = (len(kernel.tracer.events),
+                      len(manager.decisions.entries))
             evaluating.append(site)
             try:
                 result = ready()
             finally:
                 evaluating.pop()
-            if (len(kernel.tracer.events), len(manager.decisions)) != before:
+            if (len(kernel.tracer.events),
+                    len(manager.decisions.entries)) != before:
                 changed.append(site)
             if poller._step is not None:  # parked: the scheduler asks
                 reached[site] += 1
@@ -86,9 +88,10 @@ def recovery_matrix():
         return sync_point(self, name, rank, value, drain=drain)
 
     def spy_compensate(self):
-        before = len(self.decisions)
+        before = len(self.decisions.entries)
         compensate(self)
-        reached["watchdog compensates"] += len(self.decisions) - before
+        reached["watchdog compensates"] += (len(self.decisions.entries)
+                                            - before)
 
     def spy_watch(self):
         before = self._next_watch

@@ -45,7 +45,7 @@ def test_mid_pass2_fault_resumes_from_durable_blocks():
     assert "resume" in kinds, faulted.recovery_decisions
     # the decision trail also landed in provenance
     assert faulted.provenance is not None
-    assert faulted.provenance.recovery_decisions
+    assert faulted.provenance.decisions["recover"]
 
 
 def test_checkpointing_is_deterministic():

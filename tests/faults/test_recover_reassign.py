@@ -35,7 +35,7 @@ def test_crash_mid_pass2_reassigns_and_preserves_bytes():
     assert crashed.pass_restarts >= 1
     # decisions reached provenance, and the record replays byte-exactly
     assert crashed.provenance is not None
-    assert crashed.provenance.recovery_decisions
+    assert crashed.provenance.decisions["recover"]
     assert crashed.recovery_decisions == (
         run_chaos_dsort(seed=SEED, plan=plan,
                         recover=full_policy()).recovery_decisions)

@@ -34,7 +34,7 @@ def test_from_program_captures_declared_structure():
     assert (p.nbuffers, p.buffer_bytes, p.rounds) == (3, 64, 5)
     assert p.channel_capacity == 2
     doc = p.canonical()
-    assert (doc["pool_grown"], doc["pool_retired"]) == (0, 0)
+    assert "pool_grown" not in doc and "pool_retired" not in doc
 
 
 def test_effective_depth_expands_replicas():
@@ -143,8 +143,7 @@ def test_canonical_covers_every_structural_axis():
     assert doc["plan"] is None
     (p,) = doc["pipelines"]
     assert set(p) == {"name", "stages", "nbuffers", "buffer_bytes",
-                      "rounds", "aux_buffers", "channel_capacity",
-                      "pool_grown", "pool_retired"}
+                      "rounds", "aux_buffers", "channel_capacity"}
     assert p["stages"][1] == {"name": "b", "style": "map", "replicas": 2,
                               "parallel_safety": "pure"}
 

@@ -70,3 +70,16 @@ def test_replay_rejects_non_record_files(tmp_path, capsys):
     path.write_text('{"hello": "world"}\n')
     assert main(["replay", str(path)]) == 2
     assert "not a provenance record" in capsys.readouterr().err
+
+
+def test_replay_refuses_a_version_1_record(tmp_path, capsys):
+    path = record_via_sort(tmp_path, capsys)
+    doc = json.loads(path.read_text())
+    del doc["decisions"]
+    doc.update(record_version=1, tune_decisions=[], recovery_decisions=[],
+               sched_decisions=[])
+    path.write_text(json.dumps(doc))
+    assert main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "version 1 is older than this code reads (2)" in captured.err

@@ -7,13 +7,14 @@ import pytest
 from repro.errors import ReproError
 from repro.prov import (
     RECORD_VERSION,
+    DecisionLog,
+    ProvenanceCapture,
     ProvenanceRecord,
-    decision_log,
     metrics_digest,
     trace_digest,
 )
 from repro.sim import Tracer, VirtualTimeKernel
-from repro.sim.trace import PARK, RECOVER, SCHED
+from repro.sim.trace import RECOVER, SCHED
 
 
 def sample_record(**overrides):
@@ -24,7 +25,6 @@ def sample_record(**overrides):
               "block_records": None, "seed": 3, "tune": None},
         seeds={"workload": 3, "config": None},
         fault_plan=None,
-        tune_decisions=[],
         stage_graphs={"dsort-p1@0": "ab" * 32},
         digests={"output": "cd" * 32, "metrics": "ef" * 32,
                  "trace": "01" * 32},
@@ -71,6 +71,20 @@ def test_from_json_rejects_newer_versions_and_junk():
         ProvenanceRecord.from_json([1, 2, 3])
 
 
+def test_from_json_refuses_older_versions_by_version():
+    # a version-1 record carries the three trail fields version 2 folded
+    # into ``decisions``: refused for its version, not a field it lacks
+    doc = sample_record().to_json()
+    del doc["decisions"]
+    doc.update(record_version=1, tune_decisions=[], recovery_decisions=[],
+               sched_decisions=[])
+    with pytest.raises(ReproError,
+                       match=r"version 1 is older than this code reads "
+                             r"\(2\); replay it at the commit that "
+                             r"recorded it, or re-record"):
+        ProvenanceRecord.from_json(doc)
+
+
 def test_from_json_refuses_unknown_fields():
     # a field this version does not declare would be dropped from
     # record_digest() and from the next save(): a writer that adds one
@@ -96,34 +110,31 @@ def test_metrics_digest_tracks_snapshot_content():
 def test_trace_and_decision_capture():
     tracer = Tracer()
     kernel = VirtualTimeKernel(tracer=tracer)
+    kernel.enable_metrics()
+    capture = ProvenanceCapture(kernel)
+    log = DecisionLog(kernel, RECOVER, "recovery", counter="recovery")
+    idle = DecisionLog(kernel, SCHED, "scheduler")
 
     def worker():
         kernel.sleep(1.0)
-        tracer.record(kernel.now(), "recovery", RECOVER, "resume p from 1")
+        log.append({"time": kernel.now(), "kind": "resume",
+                    "detail": "p from 1"}, "resume p from 1")
         kernel.sleep(1.0)
 
     kernel.spawn(worker, name="worker")
     kernel.run()
     digest = trace_digest(tracer)
     assert len(digest) == 64 and digest == trace_digest(tracer)
-    log = decision_log(tracer, RECOVER)
-    assert log == [{"time": 1.0, "process": "recovery",
-                    "detail": "resume p from 1"}]
-
-
-@pytest.mark.parametrize("kind", [RECOVER, SCHED])
-def test_decision_log_harvests_exactly_one_kind(kind):
-    tracer = Tracer()
-    for t, other in enumerate([PARK, RECOVER, SCHED, PARK, SCHED]):
-        tracer.record(float(t), f"emitter.{other}", other, f"{other} #{t}")
-    log = decision_log(tracer, kind)
-    assert log == [{"time": ev.time, "process": f"emitter.{kind}",
-                    "detail": ev.detail}
-                   for ev in tracer.events if ev.kind == kind]
-    assert len(log) == (1 if kind == RECOVER else 2)
-    # a kind nobody emitted, and an untraced run, are empty trails
-    assert decision_log(tracer, "no-such-kind") == []
-    assert decision_log(None, kind) == []
+    # the instant carries the owner's text; the record, the log's entries
+    (instant,) = [ev for ev in tracer.events if ev.kind == RECOVER]
+    assert (instant.time, instant.process, instant.detail) == (
+        1.0, "recovery", "resume p from 1")
+    assert log.text() == '{"detail":"p from 1","kind":"resume","time":1.0}\n'
+    snapshot = kernel.metrics.snapshot()
+    assert snapshot["counters"]["recovery.resume"]["value"] == 1
+    record = capture.record("sort", {}, {}, logs=(log, idle))
+    # a source that decided nothing is absent
+    assert record.decisions == {RECOVER: log.entries}
 
 
 def test_describe_mentions_the_essentials():

@@ -114,7 +114,7 @@ def test_provenance_replays_byte_exactly():
     report = small_run()
     record = report.provenance
     assert record.kind == "sched"
-    assert record.sched_decisions  # decisions captured off the trace
+    assert record.decisions["sched"]  # the scheduler's own log
     result = replay(record)
     assert result.ok, result.describe()
     assert result.matches["decisions"]

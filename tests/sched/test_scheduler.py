@@ -91,7 +91,7 @@ def test_fifo_lifecycle_runs_everything():
     jobs = run_all(kernel, sched, [blocks() for _ in range(6)])
     assert all(j.state is JobState.DONE for j in jobs)
     assert all(j.attempts == 1 for j in jobs)
-    kinds = [d["kind"] for d in sched.decisions]
+    kinds = [d["kind"] for d in sched.decisions.entries]
     # pre-run submits precede the control loop's own start record
     assert "start" in kinds and kinds[-1] == "stop"
     assert kinds.count("finish") == 6
@@ -211,8 +211,9 @@ def test_decision_log_is_the_entries_and_the_trace_instants():
         n_nodes=2, policy="fair",
         quotas={"a": Quota(weight=1.0), "b": Quota(weight=2.0)})
     run_all(kernel, sched, [blocks(tenant=t, blocks=3) for t in "abbab"])
-    lines = sched.decision_log_text().splitlines()
-    assert lines == [canonical_json(entry) for entry in sched.decisions]
+    lines = sched.decisions.text().splitlines()
+    assert lines == [canonical_json(entry)
+                     for entry in sched.decisions.entries]
     assert lines == [ev.detail for ev in kernel.tracer.events
                      if ev.kind == SCHED]
 
@@ -234,7 +235,7 @@ def test_preempting_the_only_running_job():
     kernel.run()
     assert low.state is JobState.DONE
     assert low.preemptions == 1 and low.attempts == 2
-    kinds = [d["kind"] for d in sched.decisions]
+    kinds = [d["kind"] for d in sched.decisions.entries]
     assert "preempt-request" in kinds and "preempt-stop" in kinds
 
 
@@ -268,7 +269,7 @@ def test_twice_preempted_job_resumes_from_durable_blocks():
     victim2, sched2 = scenario()
     assert [victim2.progress[f"worked.r0.a{a}"] for a in (1, 2, 3)] \
         == worked
-    assert sched2.decision_digest() == sched.decision_digest()
+    assert sched2.decisions.digest() == sched.decisions.digest()
 
 
 def test_sticky_replacement_reuses_original_nodes():
@@ -284,7 +285,7 @@ def test_sticky_replacement_reuses_original_nodes():
     kernel.spawn(later, name="later")
     kernel.run()
     assert victim.state is JobState.DONE
-    places = [d for d in sched.decisions
+    places = [d for d in sched.decisions.entries
               if d["kind"] == "place" and d["job"] == victim.id]
     assert len(places) == 2
     # both placements name the same nodes (the journals live there)
@@ -363,7 +364,7 @@ def test_speculation_budget_grants_and_denies():
                            "speculate": True})
     jobs = run_all(kernel, sched, [spec, spec])
     assert all(j.state is JobState.DONE for j in jobs)
-    kinds = [d["kind"] for d in sched.decisions]
+    kinds = [d["kind"] for d in sched.decisions.entries]
     assert "speculate-grant" in kinds
     # second concurrent job found the single slot taken
     assert "speculate-deny" in kinds

@@ -163,4 +163,4 @@ def test_decision_sites_read_tracer_and_metrics_plainly():
     manager = RecoveryManager(Cluster(n_nodes=2, kernel=kernel),
                               RecoverPolicy())
     manager.decide("resume", 0, "from block 3")
-    assert [d["kind"] for d in manager.decision_log()] == ["resume"]
+    assert [d["kind"] for d in manager.decisions.entries] == ["resume"]

@@ -245,8 +245,9 @@ _plan = st.builds(
                                  reason=st.text()), max_size=3).map(tuple))
 _record = st.builds(
     ProvenanceRecord, kind=st.text(), args=_object, seeds=_object,
-    fault_plan=st.none() | _object, tune_decisions=st.lists(_object,
-                                                            max_size=2),
+    fault_plan=st.none() | _object,
+    decisions=st.dictionaries(st.text(), st.lists(_object, max_size=2),
+                              max_size=2),
     stage_graphs=_object, digests=_object, repro_version=st.text(),
     created=st.text())
 
