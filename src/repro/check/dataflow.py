@@ -102,6 +102,11 @@ IMMUTABLE_TYPES = (type(None), bool, int, float, complex, str, bytes,
                    tuple, frozenset, types.FunctionType,
                    types.BuiltinFunctionType, types.ModuleType, type)
 
+#: names of the code objects the compiler makes for a comprehension
+#: (3.11) or generator expression and calls at once
+COMPREHENSIONS = frozenset({"<listcomp>", "<setcomp>", "<dictcomp>",
+                            "<genexpr>"})
+
 _UNKNOWN = object()
 _BUILTINS: dict[str, Any] = vars(builtins)
 
@@ -504,6 +509,8 @@ class _EffectScan:
         reg_alias = False               # register holds a buffer alias
         alias_pending = False           # an alias was loaded and not yet
         #                                 consumed (value side of a store)
+        outer_pending = False           # alias_pending before the register
+        #                                 was last loaded from an alias
         alias_locals: set[str] = set()
         if self.buffer_param is not None \
                 and self.buffer_param in code.co_varnames:
@@ -514,8 +521,9 @@ class _EffectScan:
         # never launder — or trip — the outer mutator.  Entries are
         # ("mut", label) for a mutating method on a shared base,
         # ("alias_fn", None) for ``ctx.accept`` / ``buf.view`` /
-        # ``buf.fill``, whose result aliases the buffer, ("fn", None)
-        # for anything else.
+        # ``buf.fill``, whose result aliases the buffer, ("comp",
+        # "alias" or None) for a comprehension, with whether an alias
+        # was pending before it, ("fn", None) for anything else.
         pending: list[tuple[str, Optional[str]]] = []
         call_made_alias = False
 
@@ -542,11 +550,18 @@ class _EffectScan:
                 base_key = None
                 reg_alias = name in alias_locals
                 if reg_alias:
-                    alias_pending = True
+                    outer_pending, alias_pending = alias_pending, True
             elif op == "LOAD_CONST":
                 if base is not None and base.key is None \
                         and isinstance(argval, (str, int)):
                     base_key = f"[{argval!r}]"
+                elif getattr(argval, "co_name", None) in COMPREHENSIONS:
+                    # made and called at once on its iterable: its CALL
+                    # pairs with this entry, not with an enclosing
+                    # mutator; what it builds is fresh, and an alias
+                    # loaded before it is still pending after it
+                    pending.append(
+                        ("comp", "alias" if alias_pending else None))
                 # const loads never clobber the register (transparent)
             elif op in ("LOAD_METHOD", "LOAD_ATTR"):
                 attr = str(argval)
@@ -572,11 +587,13 @@ class _EffectScan:
                 elif reg_alias:
                     if is_method and attr in ("view", "fill"):
                         pending.append(("alias_fn", None))
-                    elif is_method:
-                        pending.append(("fn", None))
-                        reg_alias = False
                     else:
+                        # ``buf.tags``, ``buf.round``: not the buffer's
+                        # data, so the alias this load began is consumed
+                        if is_method:
+                            pending.append(("fn", None))
                         reg_alias = False
+                        alias_pending = outer_pending
                 elif attr == "accept" and is_method:
                     pending.append(("alias_fn", None))
                 elif is_method:
@@ -672,7 +689,8 @@ class _EffectScan:
                 base_key = None
                 # an alias-producing call leaves an alias on the stack,
                 # still pending as e.g. an argument of an enclosing call
-                alias_pending = call_made_alias
+                alias_pending = call_made_alias or (
+                    kind == "comp" and label is not None)
                 reg_alias = call_made_alias
             elif op in TRANSPARENT_OPS:
                 continue

@@ -347,6 +347,56 @@ def test_storing_alias_into_shared_subscript_escapes():
     assert any("buffer alias" in e for e in eff.buffer_escapes)
 
 
+def test_int_and_copy_results_are_not_aliases():
+    # recovery pass 1's write stage: the pending entry keeps int() copies
+    # of the buffer's fragment tags, the backup a copy of its records
+    pending, backup = [], []
+
+    def stage(ctx, buf):
+        records = buf.view("u1")
+        backup.append((1, records.copy()))
+        pending.append({"n": len(records),
+                        "frags": [[int(s), int(b)]
+                                  for s, b in buf.tags["frags"]]})
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert eff.buffer_escapes == ()
+
+
+def test_a_generator_of_ints_over_a_view_is_not_an_escape():
+    merged = []
+
+    def stage(ctx, buf):
+        merged.extend(int(x) for x in buf.view("<i8"))
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert eff.buffer_escapes == ()
+
+
+def test_a_comprehension_argument_does_not_hide_an_escape():
+    stash = []
+
+    def stage(ctx, buf):
+        stash.append((buf, [i for i in range(2)]))
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert any("buffer alias" in e for e in eff.buffer_escapes)
+
+
+def test_a_tags_read_does_not_hide_a_data_alias():
+    stash = []
+
+    def stage(ctx, buf):
+        stash.append((buf.data, buf.tags))
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert any("buffer alias" in e for e in eff.buffer_escapes)
+
+
 # -- whole-program view -----------------------------------------------------
 
 def test_program_effects_finds_cross_pipeline_conflict():

@@ -572,6 +572,30 @@ def test_fg111_clean_when_the_stage_copies():
     assert findings_for(prog, "FG111") == []
 
 
+def test_fg111_silent_on_recovery_pass1(monkeypatch):
+    """Recovery pass 1's ``write`` stage keeps ``int()`` copies of its
+    buffer's fragment tags and ``records.copy()``: no alias escapes."""
+    from repro.faults import FaultPlan, run_chaos_dsort
+    from repro.recover import RecoverPolicy
+
+    started = []
+    real_start = FGProgram.start
+
+    def start(self):
+        started.append(self)
+        return real_start(self)
+
+    monkeypatch.setattr(FGProgram, "start", start)
+    run_chaos_dsort(n_nodes=2, records_per_node=500, seed=42,
+                    plan=FaultPlan(seed=42), recover=RecoverPolicy(),
+                    trace=False)
+    pass1 = [prog for prog in started if "-p1@" in prog.name]
+    assert pass1
+    for prog in pass1:
+        assert "write" in [s.name for p in prog.pipelines for s in p.stages]
+        assert [f for f in prog.lint() if f.rule_id == "FG111"] == []
+
+
 def test_fg113_flags_eos_declarer_touching_peer_state():
     prog = fresh_prog()
     state = {"done": 0}
