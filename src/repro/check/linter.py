@@ -1,11 +1,14 @@
 """The FG static linter: rule-based analysis of an assembled program.
 
-Run automatically from :meth:`~repro.core.program.FGProgram.start`
-(disable with ``FGProgram(lint=False)``) and standalone via
-``repro lint``.  Error-severity findings abort ``start()``
-with :class:`~repro.errors.LintError` *before* any process is spawned —
-turning what today surfaces as a mid-run ``DeadlockError`` into a fast,
-located diagnostic.
+:meth:`~repro.core.program.FGProgram.start` runs the structural rules
+FG101–FG109 (disable with ``FGProgram(lint=False)``).  Error-severity
+findings abort ``start()`` with :class:`~repro.errors.LintError`
+*before* any process is spawned — turning what would surface as a
+mid-run ``DeadlockError`` into a fast, located diagnostic.  The
+effect-driven warnings FG110–FG114 never stop a run, so they run only on
+request: a direct :meth:`~repro.core.program.FGProgram.lint` or
+:func:`lint_program` call, and every ``start()`` under ``repro lint``
+(which arms :data:`COLLECTOR`).
 
 Rule catalog (see docs/ANALYSIS.md for the long-form description):
 
@@ -48,8 +51,8 @@ Every rule reads the program through the shared graph IR
 planner reads and the provenance fingerprints hash — so structural
 features added to the runtime (replication, say) only need to be
 modelled once.  FG110–FG114 additionally read the per-stage
-effect sets inferred by :mod:`repro.check.dataflow`, the same analysis
-that stamps ``parallel_safety`` onto every :class:`StageNode`.
+effect sets inferred by :mod:`repro.check.dataflow`, the same scan
+FGRace's cross-check reads.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ __all__ = ["RULES", "COLLECTOR", "EFFECTS", "lint_program",
 #: when the ``repro lint`` CLI executes a program file, it points this at
 #: a list and every :meth:`FGProgram.lint` pass appends
 #: ``(program_name, findings)`` — letting the CLI report findings even
-#: from programs that swallow LintError themselves.
+#: from programs that swallow LintError themselves.  While it is armed,
+#: ``start()`` runs every rule, not only the structural ones.
 COLLECTOR: Optional[list[tuple[str, list[Finding]]]] = None
 
 #: companion collector for ``repro lint --effects``: every lint pass
@@ -199,23 +203,35 @@ def _positional_bounds(fn: Callable[..., Any]) -> Optional[tuple[int, float]]:
     return minimum, maximum
 
 
-def _eos_declarers(graph: ProgramGraph) -> set[int]:
-    """``id()`` of every stage of ``graph`` whose function can reach a
-    ``convey_caboose`` call (best effort, static).  One scan per distinct
-    stage per lint pass — FG104/105 and FG113 both ask — and never kept
-    across passes: the walk follows closures and globals."""
-    stages = {id(node.stage): node.stage
-              for p in graph.pipelines for node in p.stages}
-    return {sid for sid, s in stages.items() if s.fn is not None
-            and any("convey_caboose" in code.co_names
-                    for code in _iter_code_objects(s.fn))}
+#: ``eos(stage)``: can the stage's function reach a ``convey_caboose``
+#: call?  One per lint pass (:func:`_eos_scan`)
+EosTest = Callable[[Any], bool]
+
+
+def _eos_scan() -> EosTest:
+    """A fresh :data:`EosTest` (best effort, static).  It scans a stage
+    when a rule first asks about it — FG104/105 ask only about the
+    stages of ``rounds=None`` pipelines, FG113 only about stages that
+    write shared cells — once per distinct stage per pass, and keeps
+    nothing across passes: the walk follows closures and globals."""
+    memo: dict[int, bool] = {}
+
+    def declares(stage: Any) -> bool:
+        found = memo.get(id(stage))
+        if found is None:
+            found = memo[id(stage)] = stage.fn is not None and any(
+                "convey_caboose" in code.co_names
+                for code in _iter_code_objects(stage.fn))
+        return found
+
+    return declares
 
 
 # -- rule implementations ---------------------------------------------------
 
 
 def _check_pool_depth(prog: "FGProgram", graph: ProgramGraph,
-                      eos: set[int]) -> Iterator[Finding]:
+                      eos: EosTest) -> Iterator[Finding]:
     for p in graph.pipelines:
         depth = p.effective_depth
         if p.nbuffers >= depth:
@@ -236,7 +252,13 @@ def _check_pool_depth(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_stage_order_cycle(prog: "FGProgram", graph: ProgramGraph,
-                             eos: set[int]) -> Iterator[Finding]:
+                             eos: EosTest) -> Iterator[Finding]:
+    # paths over disjoint stages cannot close a cycle: only a stage
+    # object that occurs twice in the program can
+    occurrences = [id(node.stage) for p in graph.pipelines
+                   for node in p.stages]
+    if len(set(occurrences)) == len(occurrences):
+        return
     edges: dict[int, set[int]] = {}
     names: dict[int, str] = {}
     edge_pipelines: dict[tuple[int, int], str] = {}
@@ -272,7 +294,7 @@ def _check_stage_order_cycle(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_stage_contract(prog: "FGProgram", graph: ProgramGraph,
-                          eos: set[int]) -> Iterator[Finding]:
+                          eos: EosTest) -> Iterator[Finding]:
     reported: set[int] = set()
     for p in graph.pipelines:
         for node in p.stages:
@@ -305,12 +327,12 @@ def _check_stage_contract(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_eos_declarers(prog: "FGProgram", graph: ProgramGraph,
-                         eos: set[int]) -> Iterator[Finding]:
+                         eos: EosTest) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.rounds is not None:
             continue
         declarers = [i for i, node in enumerate(p.stages)
-                     if id(node.stage) in eos]
+                     if eos(node.stage)]
         if not declarers:
             if any(node.style == "full" for node in p.stages):
                 # a full-control loop could still declare EOS through
@@ -324,7 +346,7 @@ def _check_eos_declarers(prog: "FGProgram", graph: ProgramGraph,
                 program=prog.name, pipeline=p.name)
             continue
         first = min(declarers)
-        if first > 0 and not any(id(node.stage) in eos
+        if first > 0 and not any(eos(node.stage)
                                  or node.style == "full"
                                  for node in p.stages[:first]):
             blind = ", ".join(node.name for node in p.stages[:first])
@@ -339,7 +361,7 @@ def _check_eos_declarers(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_zero_rounds(prog: "FGProgram", graph: ProgramGraph,
-                       eos: set[int]) -> Iterator[Finding]:
+                       eos: EosTest) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.rounds == 0:
             yield Finding(
@@ -350,7 +372,7 @@ def _check_zero_rounds(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_failure_hook(prog: "FGProgram", graph: ProgramGraph,
-                        eos: set[int]) -> Iterator[Finding]:
+                        eos: EosTest) -> Iterator[Finding]:
     hook = prog.on_pipeline_failure
     if hook is None:
         return
@@ -375,7 +397,7 @@ def _check_failure_hook(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_bounded_chains(prog: "FGProgram", graph: ProgramGraph,
-                          eos: set[int]) -> Iterator[Finding]:
+                          eos: EosTest) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.channel_capacity is None:
             continue  # every edge unbounded: nothing to bound
@@ -423,7 +445,7 @@ def _check_bounded_chains(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_replicated_state(prog: "FGProgram", graph: ProgramGraph,
-                            eos: set[int]) -> Iterator[Finding]:
+                            eos: EosTest) -> Iterator[Finding]:
     for p in graph.pipelines:
         for node in p.stages:
             s = node.stage
@@ -451,7 +473,7 @@ def _check_replicated_state(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_effects(prog: "FGProgram", graph: ProgramGraph,
-                   eos: set[int]) -> Iterator[Finding]:
+                   eos: EosTest) -> Iterator[Finding]:
     """FG110/FG111/FG113: the effect-analysis rules, sharing one
     :func:`repro.check.dataflow.program_effects` pass."""
     effects = _dataflow.program_effects(graph)
@@ -488,10 +510,11 @@ def _check_effects(prog: "FGProgram", graph: ProgramGraph,
     # FG113: the EOS declarer's shared writes overlap its pipeline peers
     for p in graph.pipelines:
         for node in p.stages:
-            if node.stage.fn is None or id(node.stage) not in eos:
+            if node.stage.fn is None:
                 continue
             entry = effects.stage(node.name)
-            if entry is None:
+            if (entry is None or not entry.effects.writes
+                    or not eos(node.stage)):
                 continue
             peers: set[str] = set()
             for other in p.stages:
@@ -518,7 +541,7 @@ def _check_effects(prog: "FGProgram", graph: ProgramGraph,
 
 
 def _check_unserializable(prog: "FGProgram", graph: ProgramGraph,
-                          eos: set[int]) -> Iterator[Finding]:
+                          eos: EosTest) -> Iterator[Finding]:
     """FG114: direct captures that cannot cross a process boundary."""
     reported: set[int] = set()
     for p in graph.pipelines:
@@ -536,9 +559,12 @@ def _check_unserializable(prog: "FGProgram", graph: ProgramGraph,
                     program=prog.name, pipeline=p.name, stage=s.name)
 
 
-#: every rule, in report order: ``check(prog, graph, eos)`` yields its
-#: findings; ``eos`` is :func:`_eos_declarers` of the pass
-_CHECKS = (
+Check = Callable[["FGProgram", ProgramGraph, EosTest], Iterator[Finding]]
+
+#: the structural rules FG101–FG109, in report order: what ``start()``
+#: runs.  ``check(prog, graph, eos)`` yields its findings; ``eos`` is
+#: the pass's :func:`_eos_scan`
+STRUCTURAL_CHECKS: tuple[Check, ...] = (
     _check_pool_depth,
     _check_stage_order_cycle,
     _check_stage_contract,
@@ -547,6 +573,11 @@ _CHECKS = (
     _check_failure_hook,
     _check_bounded_chains,
     _check_replicated_state,
+)
+
+#: every rule, in report order: the structural ones, then the
+#: effect-driven warnings FG110–FG114
+CHECKS: tuple[Check, ...] = STRUCTURAL_CHECKS + (
     _check_effects,
     _check_unserializable,
 )
@@ -559,19 +590,28 @@ def lint_program(prog: "FGProgram",
 
     The program does not need to be started; rules operate on the
     declared structure (pipelines, stages, hooks).  ``graph`` is the
-    program's IR when the caller already built it (``FGProgram.start``
-    shares one with FGRace and the provenance fingerprint).
+    program's IR when the caller already built it.
     """
+    return _run_checks(prog, CHECKS, ignore, graph)
+
+
+def _run_checks(prog: "FGProgram", checks: tuple[Check, ...],
+                ignore: Optional[Iterable[str]],
+                graph: Optional[ProgramGraph]) -> LintReport:
+    """:func:`lint_program` restricted to ``checks`` (:data:`CHECKS`, or
+    :data:`STRUCTURAL_CHECKS` for ``start()``)."""
     suppressed = ignored_rules(ignore)
     if graph is None:
         graph = ProgramGraph.from_program(prog)
     report = LintReport()
-    eos = _eos_declarers(graph)
-    for check in _CHECKS:
+    eos = _eos_scan()
+    for check in checks:
         report.extend(f for f in check(prog, graph, eos)
                       if f.rule_id not in suppressed)
     if EFFECTS is not None:
         EFFECTS.append((prog.name, [
-            (p.name, node.name, node.parallel_safety or "unknown")
+            (p.name, node.name,
+             _dataflow.classify_fn(node.stage.fn, style=node.style)
+             or "unknown")
             for p in graph.pipelines for node in p.stages]))
     return report

@@ -2,8 +2,9 @@
 
 FG programs are assembled by running Python code, so the linter lints by
 *executing* each file with the module-level findings collector armed:
-every ``FGProgram.lint`` pass (triggered from ``start()``) appends its
-findings, and an error-severity finding aborts the program with
+every lint pass appends its findings (while the collector is armed,
+``start()`` runs every rule, the effect-driven FG110–FG114 included),
+and an error-severity finding aborts the program with
 :class:`~repro.errors.LintError` before any pipeline process spawns.
 The CLI exit code is 0 (clean), 1 (lint errors — or warnings under
 ``--strict``), or 2 (a file crashed for a non-lint reason).

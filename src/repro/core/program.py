@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from repro.check import linter
 from repro.check.dataflow import program_effects
 from repro.check.linter import normalize_rule_ids
 from repro.check.races import race_from_env
@@ -127,14 +128,14 @@ class FGProgram:
         self.pipelines: list[Pipeline] = []
         #: the single event path for stage stats and metrics (repro.obs)
         self.observer = ProgramObserver(self)
-        # static lint gate: runs in start() unless disabled per program
-        # (lint=False); suppress individual rules with
-        # lint_ignore={"FG101", ...} or REPRO_LINT_IGNORE
+        # static lint gate: start() runs the structural rules unless
+        # disabled per program (lint=False); suppress individual rules
+        # with lint_ignore={"FG101", ...} or REPRO_LINT_IGNORE
         self._lint_enabled = lint
         self._lint_ignore = (normalize_rule_ids(
             lint_ignore, source="FGProgram(lint_ignore=...)")
             if lint_ignore else set())
-        #: findings of the automatic lint pass (errors raise from start())
+        #: findings of the last lint pass (errors raise from start())
         self.lint_findings: list[Any] = []
         # FGSan: opt-in dynamic buffer-ownership sanitizer
         if sanitize is None:
@@ -722,29 +723,33 @@ class FGProgram:
 
     def lint(self, ignore: Optional[Iterable[str]] = None, *,
              graph: Optional[ProgramGraph] = None) -> list[Any]:
-        """Run the static linter over this program's declared structure.
+        """Run every static lint rule over this program's declared
+        structure, the effect-driven FG110–FG114 included.
 
         Returns the findings (also stored on :attr:`lint_findings`).
-        Called automatically from :meth:`start` (which passes the
-        ``graph`` it built) unless linting is disabled; may also be
-        called directly before starting.
+        :meth:`start` runs the structural rules itself.
         """
-        from repro.check import linter as _linter
+        return self._lint(linter.CHECKS, ignore, graph)
+
+    def _lint(self, checks: tuple[linter.Check, ...],
+              ignore: Optional[Iterable[str]],
+              graph: Optional[ProgramGraph]) -> list[Any]:
         merged = set(self._lint_ignore)
         if ignore:
             merged.update(ignore)
-        report = _linter.lint_program(self, ignore=merged, graph=graph)
+        report = linter._run_checks(self, checks, merged, graph)
         self.lint_findings = list(report)
-        if _linter.COLLECTOR is not None:
-            _linter.COLLECTOR.append((self.name, list(report)))
+        if linter.COLLECTOR is not None:
+            linter.COLLECTOR.append((self.name, list(report)))
         return self.lint_findings
 
     def start(self) -> list[Process]:
         """Assemble and spawn every FG thread; returns the processes.
 
-        The static linter (:mod:`repro.check.linter`) runs first;
-        error-severity findings raise :class:`~repro.errors.LintError`
-        before any process is spawned.
+        The static linter's structural rules
+        (:mod:`repro.check.linter`) run first; error-severity findings
+        raise :class:`~repro.errors.LintError` before any process is
+        spawned.
         """
         if self._started:
             raise PipelineStructureError("program already started")
@@ -755,16 +760,20 @@ class FGProgram:
         # declared (a plan's geometry arrives through the sorter config)
         if self.kernel.plan is not None:
             self.kernel.plan.apply(self)
-        # the per-program analysis happens once: one graph of the
-        # declared program, each stage function scanned once, shared by
-        # the linter, FGRace and the provenance fingerprint
+        # one graph of the declared program, shared by the linter,
+        # FGRace and the provenance fingerprint.  The effect scan runs
+        # only where something reads it: FGRace, and the effect rules,
+        # which start() runs only under ``repro lint`` (its collector
+        # is armed); they are warnings and never stop a run
         race = self.kernel.race
         graph = None
         if (self._lint_enabled or race is not None
                 or self.kernel.provenance is not None):
             graph = ProgramGraph.from_program(self)
         if self._lint_enabled:
-            findings = self.lint(graph=graph)
+            findings = self._lint(
+                linter.STRUCTURAL_CHECKS if linter.COLLECTOR is None
+                else linter.CHECKS, None, graph)
             errors = [f for f in findings if f.is_error]
             if errors:
                 raise LintError(findings)
