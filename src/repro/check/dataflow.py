@@ -73,8 +73,8 @@ __all__ = [
     "unserializable_captures",
 ]
 
-#: the three parallel-safety verdicts, as stable strings (they go into
-#: ``ProgramGraph.canonical()`` and therefore the provenance fingerprint)
+#: the three parallel-safety verdicts, as stable strings (``repro lint
+#: --effects`` prints them)
 PURE = "pure"
 READ_SHARED = "read_shared"
 WRITE_SHARED = "write_shared"
@@ -910,11 +910,9 @@ class ProgramEffects:
 def program_effects(graph: Any) -> ProgramEffects:
     """The whole-program view of a :class:`repro.plan.ir.ProgramGraph`.
 
-    Reads the per-stage :class:`Effects` the graph scanned when it was
-    built (``StageNode.effects``) — nothing is re-scanned here — and
-    intersects them.  Duck-typed on the graph (pipelines / stages) so
-    this module imports nothing from :mod:`repro.plan` — the IR imports
-    *us* for ``stage_effects``.
+    Scans each distinct stage object once (:func:`stage_effects`) and
+    intersects the effect sets.  Duck-typed on the graph (pipelines /
+    stages) so this module imports nothing from :mod:`repro.plan`.
     """
     entries: list[StageEffects] = []
     seen: set[int] = set()
@@ -924,10 +922,12 @@ def program_effects(graph: Any) -> ProgramEffects:
             if id(s) in seen:
                 continue
             seen.add(id(s))
+            effects = stage_effects(s.fn, node.style)
             entries.append(StageEffects(
                 name=node.name, pipeline=p.name, style=node.style,
-                effects=node.effects or Effects(frozenset(), frozenset()),
-                classification=node.parallel_safety,
+                effects=effects or Effects(frozenset(), frozenset()),
+                classification=None if effects is None
+                else effects.classification,
                 fn_id=0 if s.fn is None else id(s.fn)))
     conflicts: list[Conflict] = []
     for i, a in enumerate(entries):

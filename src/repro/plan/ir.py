@@ -22,9 +22,12 @@ exist because of PR 5:
   ``0`` for rendezvous, unbounded for virtual-group shared queues and
   the reorder channel behind a replicated stage.
 
-Everything here is pure data over the declared program; nothing reads
-runtime state.  The canonical form (:meth:`ProgramGraph.canonical`) is
-what ``prov.fingerprint.program_graph`` now returns.
+Everything here is pure structure over the declared program: nothing
+reads runtime state or scans stage code (the effect analysis reads the
+graph, :func:`repro.check.dataflow.program_effects`, not the other way
+round).  The canonical form (:meth:`ProgramGraph.canonical`) is what
+``prov.fingerprint.program_graph`` returns, so moving code between a
+stage and a helper moves no fingerprint.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.check.dataflow import Effects
     from repro.core.pipeline import Pipeline
     from repro.core.program import FGProgram
     from repro.core.stage import Stage
@@ -56,20 +58,6 @@ class StageNode:
     #: the underlying Stage object — identity for intersection analysis,
     #: ``fn`` for the linter's bytecode rules; never part of canonical()
     stage: Any = dataclasses.field(compare=False, repr=False)
-    #: effect sets of the stage function
-    #: (:func:`repro.check.dataflow.stage_effects`), scanned once per
-    #: distinct stage object when the graph is built and read — not
-    #: re-scanned — by the effect rules and FGRace; None without a
-    #: function
-    effects: Optional["Effects"] = dataclasses.field(
-        default=None, repr=False)
-
-    @property
-    def parallel_safety(self) -> Optional[str]:
-        """``"pure"`` / ``"read_shared"`` / ``"write_shared"``, or None.
-        Part of canonical(), so the provenance fingerprint pins the
-        verdict a parallel backend would schedule by."""
-        return None if self.effects is None else self.effects.classification
 
     def canonical(self) -> dict[str, Any]:
         entry: dict[str, Any] = {"name": self.name, "style": self.style}
@@ -77,8 +65,6 @@ class StageNode:
             entry["virtual_group"] = self.virtual_group
         if self.replicated:
             entry["replicas"] = self.replica_count
-        if self.effects is not None:
-            entry["parallel_safety"] = self.effects.classification
         return entry
 
 
@@ -195,26 +181,13 @@ class ProgramGraph:
         ``repro.core`` at runtime, so the linter, the planner, and the
         fingerprints can all depend on it without import cycles.
         """
-        # lazy on purpose: dataflow lives in repro.check, which imports
-        # this module — the verdict flows IR <- dataflow, rules flow
-        # linter <- IR
-        from repro.check.dataflow import stage_effects
-
-        # one scan per distinct stage object; id() keys live only for
-        # this call, while ``program`` keeps every stage alive
-        effects: dict[int, Optional["Effects"]] = {}
-        for p in program.pipelines:
-            for s in p.stages:
-                if id(s) not in effects:
-                    effects[id(s)] = stage_effects(s.fn, s.style)
         pipelines: list[PipelineIR] = []
         for p in program.pipelines:
             nodes = [StageNode(
                 name=s.name, style=s.style, virtual=s.virtual,
                 virtual_group=s.virtual_group,
                 replicated=p.is_replicated(s),
-                replica_count=p.replica_count(s),
-                stage=s, effects=effects[id(s)])
+                replica_count=p.replica_count(s), stage=s)
                 for s in p.stages]
             pipelines.append(PipelineIR(
                 name=p.name, stages=nodes, nbuffers=p.nbuffers,

@@ -804,7 +804,8 @@ SCENARIOS = {
     # ``trails`` became ``streams``, each the parent's nonzero trail
     # length, and ``record`` moved with the format and with the stage
     # graphs (below); every output, metrics and trace digest is the
-    # parent's.
+    # parent's.  ``record`` re-recorded again on top of 8d04c5a with the
+    # stage graphs, when they lost ``parallel_safety`` (below).
     "record/sort-dsort": _record(_sort_record("dsort")),
     "record/sort-csort": _record(_sort_record("csort")),
     "record/sort-nowsort": _record(_sort_record("nowsort")),
@@ -828,7 +829,10 @@ SCENARIOS = {
     # ``stage_graphs.*`` key re-recorded on top of 59a47df: the graph
     # IR's canonical form dropped its constant ``pool_grown`` /
     # ``pool_retired`` keys, so every fingerprint moved; no phase or
-    # digest did.
+    # digest did.  Every ``stage_graphs.*`` key re-recorded again on top
+    # of 8d04c5a: the canonical form dropped each stage's
+    # ``parallel_safety`` (the IR became structure only), so every
+    # fingerprint moved; no phase or digest did.
     "stage-library/csort4": _sort_program("csort4"),
     # ``stage_graphs`` re-recorded at 0afcf52 (PR 31): both ``exchange``
     # stages tell their source they are done through a one-shot ``Flag``

@@ -377,7 +377,7 @@ def run_counted(monkeypatch, **kwargs):
     # the run: every miss is still in the (far from full) memo
     for memo in (dataflow.instructions, dataflow._effect_events):
         info = memo.cache_info()
-        assert 0 < info.misses == info.currsize < info.maxsize
+        assert info.misses == info.currsize < info.maxsize
     return rows
 
 
@@ -387,8 +387,10 @@ def test_start_decodes_each_code_object_once_and_builds_one_graph(
     kwargs = {}
     if mode == "race":
         monkeypatch.setenv("REPRO_RACE", "1")
-    elif mode == "provenance":
-        kwargs["provenance"] = True
+    else:
+        monkeypatch.delenv("REPRO_RACE", raising=False)
+        if mode == "provenance":
+            kwargs["provenance"] = True
     rows = run_counted(monkeypatch, **kwargs)
     assert len(rows) == 2  # one pass-2 program per node
     first, second = rows
@@ -405,3 +407,7 @@ def test_start_decodes_each_code_object_once_and_builds_one_graph(
     assert first[4] <= first[3]
     assert second[2] == 0
     assert second[4] == 0
+    # only FGRace reads effects on the run path: without it no stage is
+    # scanned at all
+    scans = dataflow._effect_events.cache_info().misses
+    assert scans > 0 if mode == "race" else scans == 0

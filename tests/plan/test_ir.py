@@ -144,8 +144,7 @@ def test_canonical_covers_every_structural_axis():
     (p,) = doc["pipelines"]
     assert set(p) == {"name", "stages", "nbuffers", "buffer_bytes",
                       "rounds", "aux_buffers", "channel_capacity"}
-    assert p["stages"][1] == {"name": "b", "style": "map", "replicas": 2,
-                              "parallel_safety": "pure"}
+    assert p["stages"][1] == {"name": "b", "style": "map", "replicas": 2}
 
 
 def test_fingerprint_is_deterministic_across_constructions():
