@@ -79,12 +79,6 @@ class BottleneckReport:
         """The process with the most busy time (None if trace is empty)."""
         return self.breakdowns[0] if self.breakdowns else None
 
-    def breakdown_of(self, process: str) -> Optional[StageBreakdown]:
-        for b in self.breakdowns:
-            if b.process == process:
-                return b
-        return None
-
     def render(self, top_reasons: int = 3) -> str:
         """Human-readable report naming the limiting stage."""
         if not self.breakdowns:

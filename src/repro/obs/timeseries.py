@@ -7,8 +7,8 @@ backpressure build up or drain?  This module answers them by slicing the
 sampled stage accept and accept-wait counters that instrumented programs
 already record into fixed time bins (:meth:`Counter.window_delta`):
 
-* :func:`stage_series` — per-stage bins of accepts, queue-wait seconds,
-  and mean wait per accept over the run (or any window);
+* :func:`stage_series` — per-stage bins of accepts and queue-wait
+  seconds over the run (or any window);
 * :func:`render_stage_series` — a monospace table with a sparkline-style
   wait profile, printed by ``python -m repro analyze``.
 """
@@ -36,17 +36,6 @@ class SeriesBin:
     accepts: float        #: buffers accepted during the bin
     wait_seconds: float   #: seconds spent blocked on the inbound channel
 
-    @property
-    def mean_wait(self) -> float:
-        """Average blocked time per accepted buffer (0 when idle)."""
-        return self.wait_seconds / self.accepts if self.accepts else 0.0
-
-    @property
-    def wait_fraction(self) -> float:
-        """Fraction of the bin spent blocked waiting for input."""
-        span = self.t1 - self.t0
-        return self.wait_seconds / span if span > 0 else 0.0
-
 
 @dataclasses.dataclass(frozen=True)
 class StageSeries:
@@ -62,13 +51,6 @@ class StageSeries:
     @property
     def total_wait(self) -> float:
         return sum(b.wait_seconds for b in self.bins)
-
-    def peak_wait_bin(self) -> Optional[SeriesBin]:
-        """The bin with the most blocked time, or None when never blocked."""
-        worst = max(self.bins, key=lambda b: b.wait_seconds, default=None)
-        if worst is None or worst.wait_seconds <= 0:
-            return None
-        return worst
 
     def sparkline(self) -> str:
         """One glyph per bin scaled to the stage's own peak wait."""

@@ -33,8 +33,8 @@ def test_names_the_slow_stage():
     report = run_unbalanced()
     assert report.bottleneck.process == "ub.mid"
     # the slow stage is busiest; the others spend the difference blocked
-    mid = report.breakdown_of("ub.mid")
-    pre = report.breakdown_of("ub.pre")
+    by_process = {b.process: b for b in report.breakdowns}
+    mid, pre = by_process["ub.mid"], by_process["ub.pre"]
     assert mid.busy > 2 * pre.busy
     assert pre.contend + pre.wait > mid.contend + mid.wait
 
@@ -57,7 +57,7 @@ def test_breakdown_totals_and_span():
 
 def test_blocked_reasons_name_queues():
     report = run_unbalanced()
-    pre = report.breakdown_of("ub.pre")
+    (pre,) = [b for b in report.breakdowns if b.process == "ub.pre"]
     # the fast upstream stage blocks conveying into the slow stage's queue
     reasons = dict(pre.top_reasons(5))
     assert any("put" in r or "get" in r for r in reasons)

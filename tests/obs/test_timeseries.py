@@ -33,14 +33,6 @@ def run_instrumented(rounds=8, work_time=0.01):
     return kernel, registry
 
 
-def test_series_bin_derived_quantities():
-    b = SeriesBin(0.0, 2.0, accepts=4, wait_seconds=1.0)
-    assert b.mean_wait == 0.25
-    assert b.wait_fraction == 0.5
-    idle = SeriesBin(0.0, 2.0, accepts=0, wait_seconds=0.0)
-    assert idle.mean_wait == 0.0
-
-
 def test_instrumented_programs_discovered_from_registry():
     _, registry = run_instrumented()
     assert instrumented_programs(registry) == ["ts"]
@@ -74,7 +66,7 @@ def test_stage_series_window_slicing_is_consistent():
                 == pytest.approx(full[name].total_accepts))
 
 
-def test_sparkline_and_peak_bin():
+def test_sparkline_scales_to_the_peak_wait():
     s = StageSeries("x", (
         SeriesBin(0, 1, 2, 0.0),
         SeriesBin(1, 2, 2, 0.5),
@@ -84,9 +76,7 @@ def test_sparkline_and_peak_bin():
     assert len(line) == 3
     assert line[0] == " "                  # no wait -> lightest glyph
     assert line[1] == "@"                  # peak -> heaviest glyph
-    assert s.peak_wait_bin().t0 == 1
     never = StageSeries("y", (SeriesBin(0, 1, 2, 0.0),))
-    assert never.peak_wait_bin() is None
     assert never.sparkline() == " "
 
 
