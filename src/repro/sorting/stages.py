@@ -28,8 +28,8 @@ Two constraints shape the code.  State that lives for one invocation of
 a stage (a :class:`RunMerge`, counters) is created *inside* the stage
 function, never captured: the effect analysis
 (:mod:`repro.check.dataflow`) classifies a stage by the shared cells its
-own bytecode touches, FGRace keys its frontiers by the captured objects,
-and the verdict is part of every stage-graph fingerprint.  And nothing
+own bytecode touches, and FGRace keys its frontiers by the captured
+objects.  And nothing
 here branches on which program is calling; what recovery weaves into
 its variants (block metadata, journals, gates) stays in
 :mod:`repro.sorting.dsort.pass1` / :mod:`~repro.sorting.dsort.pass2`
