@@ -861,9 +861,8 @@ class StageEffects:
 
     name: str
     pipeline: str
-    style: str
+    #: empty for a stage without a function
     effects: Effects
-    classification: Optional[str]
     #: ``id()`` of the stage function — the runtime key FGRace uses, so
     #: same-named stages of different programs on one kernel (every node
     #: of a cluster run) never alias each other's effect sets
@@ -922,12 +921,10 @@ def program_effects(graph: Any) -> ProgramEffects:
             if id(s) in seen:
                 continue
             seen.add(id(s))
-            effects = stage_effects(s.fn, node.style)
             entries.append(StageEffects(
-                name=node.name, pipeline=p.name, style=node.style,
-                effects=effects or Effects(frozenset(), frozenset()),
-                classification=None if effects is None
-                else effects.classification,
+                name=node.name, pipeline=p.name,
+                effects=stage_effects(s.fn, node.style)
+                or Effects(frozenset(), frozenset()),
                 fn_id=0 if s.fn is None else id(s.fn)))
     conflicts: list[Conflict] = []
     for i, a in enumerate(entries):

@@ -57,6 +57,7 @@ FGRace's cross-check reads.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import types
 import warnings
@@ -203,28 +204,21 @@ def _positional_bounds(fn: Callable[..., Any]) -> Optional[tuple[int, float]]:
     return minimum, maximum
 
 
-#: ``eos(stage)``: can the stage's function reach a ``convey_caboose``
-#: call?  One per lint pass (:func:`_eos_scan`)
+#: ``eos(stage)``: :func:`_declares_eos`, cached for one lint pass
 EosTest = Callable[[Any], bool]
 
 
-def _eos_scan() -> EosTest:
-    """A fresh :data:`EosTest` (best effort, static).  It scans a stage
-    when a rule first asks about it — FG104/105 ask only about the
-    stages of ``rounds=None`` pipelines, FG113 only about stages that
-    write shared cells — once per distinct stage per pass, and keeps
-    nothing across passes: the walk follows closures and globals."""
-    memo: dict[int, bool] = {}
-
-    def declares(stage: Any) -> bool:
-        found = memo.get(id(stage))
-        if found is None:
-            found = memo[id(stage)] = stage.fn is not None and any(
-                "convey_caboose" in code.co_names
-                for code in _iter_code_objects(stage.fn))
-        return found
-
-    return declares
+def _declares_eos(stage: Any) -> bool:
+    """Can ``stage``'s function reach a ``convey_caboose`` call (best
+    effort, static)?  Each lint pass asks through a fresh
+    ``functools.cache`` of this, so a stage is scanned once, when a rule
+    first asks about it — FG104/105 ask only about the stages of
+    ``rounds=None`` pipelines, FG113 only about stages that write shared
+    cells — and nothing is kept across passes: the walk follows closures
+    and globals."""
+    return stage.fn is not None and any(
+        "convey_caboose" in code.co_names
+        for code in _iter_code_objects(stage.fn))
 
 
 # -- rule implementations ---------------------------------------------------
@@ -562,8 +556,7 @@ def _check_unserializable(prog: "FGProgram", graph: ProgramGraph,
 Check = Callable[["FGProgram", ProgramGraph, EosTest], Iterator[Finding]]
 
 #: the structural rules FG101–FG109, in report order: what ``start()``
-#: runs.  ``check(prog, graph, eos)`` yields its findings; ``eos`` is
-#: the pass's :func:`_eos_scan`
+#: runs.  ``check(prog, graph, eos)`` yields its findings
 STRUCTURAL_CHECKS: tuple[Check, ...] = (
     _check_pool_depth,
     _check_stage_order_cycle,
@@ -604,7 +597,7 @@ def _run_checks(prog: "FGProgram", checks: tuple[Check, ...],
     if graph is None:
         graph = ProgramGraph.from_program(prog)
     report = LintReport()
-    eos = _eos_scan()
+    eos = functools.cache(_declares_eos)
     for check in checks:
         report.extend(f for f in check(prog, graph, eos)
                       if f.rule_id not in suppressed)

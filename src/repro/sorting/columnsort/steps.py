@@ -67,10 +67,6 @@ class ColumnsortPlan:
     def owner(self, column: int) -> int:
         return column % self.n_nodes
 
-    def local_round(self, column: int) -> int:
-        """The round in which a column's owner processes it."""
-        return column // self.n_nodes
-
 
 def validate_shape(n_records: int, r: int, s: int,
                    n_nodes: int) -> None:

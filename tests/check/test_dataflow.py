@@ -435,7 +435,7 @@ def test_program_effects_clean_program_has_no_conflicts():
                       nbuffers=2, buffer_bytes=8, rounds=1)
     effects = program_effects(ProgramGraph.from_program(prog))
     assert effects.all_conflicts == []
-    assert effects.stage("fill").classification == PURE
+    assert effects.stage("fill").effects.classification == PURE
 
 
 def test_canonical_form_carries_no_parallel_safety():

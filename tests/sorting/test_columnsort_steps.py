@@ -119,4 +119,3 @@ def test_plan_geometry_helpers():
     assert plan.cols_per_node == 2
     assert plan.frag_records == 16
     assert [plan.owner(j) for j in range(4)] == [0, 1, 0, 1]
-    assert [plan.local_round(j) for j in range(4)] == [0, 0, 1, 1]
