@@ -29,8 +29,7 @@ def load_fixture(name):
     return mod
 
 
-@pytest.fixture
-def no_effect_scan(monkeypatch):
+def refuse_effect_scan(monkeypatch):
     """Make any effect scan fail the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("the effect analysis ran")
@@ -51,7 +50,8 @@ def eos_full(ctx):
         ctx.convey(buf)
 
 
-def test_start_runs_no_effect_scan(no_effect_scan):
+def test_start_runs_no_effect_scan(monkeypatch):
+    refuse_effect_scan(monkeypatch)
     kernel = VirtualTimeKernel()
     prog = FGProgram(kernel, name="plain", race_detect=False)
     seen = []
@@ -165,29 +165,23 @@ STRUCTURAL_ERRORS = {
 
 @pytest.mark.parametrize("case", sorted(STRUCTURAL_ERRORS))
 def test_structural_errors_raise_from_start_without_the_scan(
-        case, no_effect_scan):
-    rule = case.split("/")[0]
-    prog = FGProgram(VirtualTimeKernel(), name="lintee", race_detect=False)
-    STRUCTURAL_ERRORS[case](prog)
-    with pytest.raises(LintError) as exc_info:
-        prog.start()
-    raised = {f.rule_id for f in exc_info.value.findings if f.is_error}
-    assert raised == {rule}
+        case, monkeypatch):
+    def build():
+        prog = FGProgram(VirtualTimeKernel(), name="lintee",
+                         race_detect=False)
+        STRUCTURAL_ERRORS[case](prog)
+        return prog
 
-
-@pytest.mark.parametrize("case", sorted(STRUCTURAL_ERRORS))
-def test_start_raises_every_error_a_full_lint_finds(case):
-    full = FGProgram(VirtualTimeKernel(), name="lintee", race_detect=False)
-    STRUCTURAL_ERRORS[case](full)
-    errors = [f for f in lint_program(full) if f.is_error]
-    prog = FGProgram(VirtualTimeKernel(), name="lintee", race_detect=False)
-    STRUCTURAL_ERRORS[case](prog)
+    errors = [f for f in lint_program(build()) if f.is_error]
+    assert {f.rule_id for f in errors} == {case.split("/")[0]}
+    refuse_effect_scan(monkeypatch)
     with pytest.raises(LintError) as exc_info:
-        prog.start()
+        build().start()
     assert [f for f in exc_info.value.findings if f.is_error] == errors
 
 
-def test_the_lint_defect_fixture_raises_from_start(no_effect_scan):
+def test_the_lint_defect_fixture_raises_from_start(monkeypatch):
+    refuse_effect_scan(monkeypatch)
     with pytest.raises(ProcessFailed) as exc_info:
         load_fixture("lint_defect").main()
     assert isinstance(exc_info.value.original, LintError)
