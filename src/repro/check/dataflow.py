@@ -521,9 +521,10 @@ class _EffectScan:
         # never launder — or trip — the outer mutator.  Entries are
         # ("mut", label) for a mutating method on a shared base,
         # ("alias_fn", None) for ``ctx.accept`` / ``buf.view`` /
-        # ``buf.fill``, whose result aliases the buffer, ("comp",
-        # "alias" or None) for a comprehension, with whether an alias
-        # was pending before it, ("fn", None) for anything else.
+        # ``buf.fill``, whose result aliases the buffer, and ("fn",
+        # "alias" or None) for anything else, a comprehension included,
+        # with whether an alias was pending when its callee was loaded:
+        # it is still pending after the CALL (``(buf.data, len(x))``).
         pending: list[tuple[str, Optional[str]]] = []
         call_made_alias = False
 
@@ -543,7 +544,7 @@ class _EffectScan:
                 # callee position (3.11+): the low oparg bit asks for
                 # the NULL push that precedes a call
                 if arg and arg & 1:
-                    pending.append(("fn", None))
+                    pending.append(("fn", "alias" if alias_pending else None))
             elif op.startswith("LOAD_FAST"):
                 name = str(argval)
                 base = None
@@ -560,8 +561,7 @@ class _EffectScan:
                     # pairs with this entry, not with an enclosing
                     # mutator; what it builds is fresh, and an alias
                     # loaded before it is still pending after it
-                    pending.append(
-                        ("comp", "alias" if alias_pending else None))
+                    pending.append(("fn", "alias" if alias_pending else None))
                 # const loads never clobber the register (transparent)
             elif op in ("LOAD_METHOD", "LOAD_ATTR"):
                 attr = str(argval)
@@ -580,7 +580,8 @@ class _EffectScan:
                         self._read(slot if base.key is None else base)
                         base = slot
                         if is_method:
-                            pending.append(("fn", None))
+                            pending.append(
+                                ("fn", "alias" if alias_pending else None))
                     base_key = None
                 elif reg_alias and attr == "data":
                     pass  # buf.data: register stays an alias
@@ -590,14 +591,15 @@ class _EffectScan:
                     else:
                         # ``buf.tags``, ``buf.round``: not the buffer's
                         # data, so the alias this load began is consumed
-                        if is_method:
-                            pending.append(("fn", None))
                         reg_alias = False
                         alias_pending = outer_pending
+                        if is_method:
+                            pending.append(
+                                ("fn", "alias" if alias_pending else None))
                 elif attr == "accept" and is_method:
                     pending.append(("alias_fn", None))
                 elif is_method:
-                    pending.append(("fn", None))
+                    pending.append(("fn", "alias" if alias_pending else None))
             elif op == "BINARY_SUBSCR":
                 if base is not None:
                     cell = base._replace(
@@ -690,7 +692,7 @@ class _EffectScan:
                 # an alias-producing call leaves an alias on the stack,
                 # still pending as e.g. an argument of an enclosing call
                 alias_pending = call_made_alias or (
-                    kind == "comp" and label is not None)
+                    kind == "fn" and label is not None)
                 reg_alias = call_made_alias
             elif op in TRANSPARENT_OPS:
                 continue

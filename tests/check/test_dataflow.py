@@ -397,6 +397,30 @@ def test_a_tags_read_does_not_hide_a_data_alias():
     assert any("buffer alias" in e for e in eff.buffer_escapes)
 
 
+def test_a_call_beside_the_alias_does_not_hide_it():
+    # len(...) is loaded while buf.data is pending: its CALL must leave
+    # the alias pending for the append
+    stash = []
+
+    def stage(ctx, buf):
+        stash.append((buf.data, len(stash)))
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert any("buffer alias" in e for e in eff.buffer_escapes)
+
+
+def test_a_call_over_the_alias_consumes_it():
+    stash = []
+
+    def stage(ctx, buf):
+        stash.append(len(buf.data))
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert eff.buffer_escapes == ()
+
+
 # -- whole-program view -----------------------------------------------------
 
 def test_program_effects_finds_cross_pipeline_conflict():
