@@ -25,7 +25,7 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.retry import RetryPolicy
-    from repro.obs.metrics import Histogram
+    from repro.obs.metrics import Counter, Histogram
 
 __all__ = ["Disk"]
 
@@ -66,8 +66,10 @@ class Disk:
         self.reads = 0
         self.writes = 0
         #: the ``retry.disk.attempts`` histogram, looked up at the first
-        #: faultable operation
+        #: faultable operation, and the ``retry.disk.retries`` counter,
+        #: at the first retry
         self._m_attempts: Optional["Histogram"] = None
+        self._m_retries: Optional["Counter"] = None
 
     # -- timed operations (must run inside a kernel process) ----------------
 
@@ -114,7 +116,9 @@ class Disk:
 
         def on_retry(_attempt: int, _exc: BaseException) -> None:
             if registry is not None:
-                registry.counter("retry.disk.retries").inc()
+                if self._m_retries is None:
+                    self._m_retries = registry.counter("retry.disk.retries")
+                self._m_retries.inc()
 
         result = retry.call(f"disk.{self.rank}.{op}", attempt,
                             sleep=self.kernel.sleep,

@@ -34,7 +34,7 @@ from repro.sim.resources import Resource
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
     from repro.faults.retry import RetryPolicy
-    from repro.obs.metrics import Histogram
+    from repro.obs.metrics import Counter, Histogram
 
 __all__ = ["Message", "Mailbox", "Network"]
 
@@ -233,8 +233,10 @@ class Network:
         self.bytes_received = [0] * n_nodes
         self.messages = 0
         #: the ``retry.net.attempts`` histogram, looked up at the first
-        #: faultable send
+        #: faultable send, and the ``retry.net.retransmits`` counter, at
+        #: the first retransmission
         self._m_attempts: Optional["Histogram"] = None
+        self._m_retries: Optional["Counter"] = None
 
     def _check_rank(self, rank: int, what: str) -> None:
         if not 0 <= rank < self.n_nodes:
@@ -304,7 +306,10 @@ class Network:
 
         def on_retry(_attempt: int, _exc: BaseException) -> None:
             if registry is not None:
-                registry.counter("retry.net.retransmits").inc()
+                if self._m_retries is None:
+                    self._m_retries = registry.counter(
+                        "retry.net.retransmits")
+                self._m_retries.inc()
 
         self.retry.call(f"net.{src}->{dst}.send", attempt,
                         sleep=self.kernel.sleep,
