@@ -75,6 +75,7 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
     spp = plan.cols_per_node
     half = r // 2
     rf_out = RecordFile(node.disk, out_file, schema)
+    dtype = schema.dtype  # named in concatenate: no field promotion
     state: dict = {}
 
     def shift(ctx):
@@ -104,7 +105,7 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
                 _, prev_bottom = comm.recv(source=(column - 1) % P,
                                            tag=TAG_SHIFT4)
                 node.compute_copy(prev_bottom.nbytes + top.nbytes)
-                buf.put(np.concatenate([prev_bottom, top]))
+                buf.put(np.concatenate([prev_bottom, top], dtype=dtype))
             buf.tags["slot"] = buf.round
             ctx.convey(buf)
 

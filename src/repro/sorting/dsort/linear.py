@@ -66,6 +66,7 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
                         state: dict) -> None:
     P = comm.size
     rec_bytes = schema.record_bytes
+    dtype = schema.dtype  # named in concatenate: no field promotion
     rf_in = RecordFile(node.disk, input_file, schema)
     n_local = rf_in.n_records
     n_blocks = math.ceil(n_local / block_records)
@@ -126,7 +127,8 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
                     have += len(chunk)
             if not parts:
                 return schema.empty(0)
-            return np.concatenate(parts) if len(parts) > 1 else parts[0]
+            return (np.concatenate(parts, dtype=dtype) if len(parts) > 1
+                    else parts[0])
 
         while True:
             buf = ctx.accept()

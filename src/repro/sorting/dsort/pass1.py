@@ -168,6 +168,7 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
     P = comm.size
     policy = manager.policy
     rec_bytes = schema.record_bytes
+    dtype = schema.dtype  # named in concatenate: no field promotion
     rf_in = RecordFile(node.disk, input_file, schema)
     n_local = rf_in.n_records
     n_blocks = math.ceil(n_local / block_records)
@@ -263,7 +264,8 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
                 ctx.forward(buf)
                 return False
             payloads = [p for _, p in parts]
-            records = (np.concatenate(payloads) if len(payloads) > 1
+            records = (np.concatenate(payloads, dtype=dtype)
+                       if len(payloads) > 1
                        else payloads[0] if payloads else schema.empty(0))
             node.compute_copy(len(records) * rec_bytes)
             buf.put(records)

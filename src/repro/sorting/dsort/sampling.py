@@ -125,20 +125,26 @@ def partition_ids(keys: np.ndarray, rank: int, positions: np.ndarray,
     ``keys`` are the records' sort keys, ``positions`` their positions in
     this node's input file, and ``rank`` this node — together forming each
     record's unique extended key ``(key, rank, position)``.  Vectorized:
-    plain keys resolve by binary search; only records whose key collides
-    with a splitter key take the (at most P-1 element) extension loop.
+    one binary search places every key after the splitters at or below
+    it; a key collides only when the splitter just below its slot equals
+    it, and only the colliding keys take the second (``side="left"``)
+    search and the (at most P-1 element) extension loop.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     positions = np.asarray(positions, dtype=np.int64)
     if keys.shape != positions.shape:
         raise SortError("keys and positions must align")
-    base = np.searchsorted(splitters.keys, keys, side="left")
-    upper = np.searchsorted(splitters.keys, keys, side="right")
-    part = base.astype(np.int64)
-    collide = np.nonzero(upper > base)[0]
+    skeys = splitters.keys
+    part = np.searchsorted(skeys, keys, side="right").astype(np.int64,
+                                                            copy=False)
+    if not len(skeys):
+        return part
+    # part - 1 wraps to the last splitter at part 0, where the key is
+    # below every splitter, so it never compares equal there
+    collide = np.nonzero(skeys[part - 1] == keys)[0]
     if len(collide):
-        b = base[collide]
-        u = upper[collide]
+        u = part[collide]
+        b = np.searchsorted(skeys, keys[collide], side="left")
         pos = positions[collide]
         extra = np.zeros(len(collide), dtype=np.int64)
         for bb, uu in set(zip(b.tolist(), u.tolist())):
