@@ -153,7 +153,7 @@ def run_groupby(node: Node, comm: Comm,
             records = buf.view(schema.dtype)
             routed, counts = group_by_partition(
                 node, records, _hash_keys(records["key"], P), P)
-            scatter(comm, routed, counts, TAG_GROUPBY)
+            scatter(comm, schema, routed, counts, TAG_GROUPBY)
             ctx.convey(buf)
         markers.send()
         state["ends_sent"] = True

@@ -4,6 +4,9 @@ The paper evaluates two record sizes — 16 bytes (4 gigarecords in 64 GB)
 and 64 bytes (1 gigarecord) — each carrying an 8-byte sort key plus
 payload.  Records are numpy structured arrays with fields ``key`` and
 (optionally) ``payload``, so whole blocks sort/permute vectorized.
+Records that are only moved, not read, are copied through
+:attr:`RecordSchema.item`, a record as one opaque item: numpy copies a
+structured array field by field, several times slower per byte.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ class RecordSchema:
         else:
             self.dtype = np.dtype([("key", "<u8")])
         assert self.dtype.itemsize == record_bytes
+        #: a record as one opaque ``record_bytes``-byte item: every copy
+        #: on the data plane runs through ``records.view(schema.item)``
+        #: and back through ``.view(schema.dtype)`` (both free)
+        self.item = np.dtype((np.void, record_bytes))
+        #: stamp bytes :meth:`from_keys` writes (the payload's first 8,
+        #: or the whole payload when it is shorter)
+        self._stamp_width = min(self.KEY_BYTES, payload)
         #: the payload's first 8 bytes as one ``<u8`` field, when it has
         #: 8: the key stamp is then one vectorised XOR or copy instead of
         #: a loop over byte columns
@@ -82,11 +92,20 @@ class RecordSchema:
                            out=recs.view(self._stamp_dtype)["stamp"])
         else:
             stamp = (keys ^ _STAMP_MASK).view("<u8")
-            width = min(8, self.dtype["payload"].itemsize)
+            width = self._stamp_width
             raw = recs.view(np.uint8).reshape(len(keys), self.record_bytes)
             raw[:, self.KEY_BYTES:self.KEY_BYTES + width] = (
                 stamp.view(np.uint8).reshape(len(keys), 8)[:, :width])
         return recs
+
+    def payload_stamps(self, keys: np.ndarray) -> np.ndarray:
+        """The tags :meth:`payload_tags` reads back from records that
+        :meth:`from_keys` built with these keys: ``key ^ mask``, cut to
+        the low bytes it has room for when the payload is under 8."""
+        stamps = np.asarray(keys, dtype="<u8") ^ _STAMP_MASK
+        if self._stamp_width < self.KEY_BYTES:
+            stamps &= np.uint64((1 << 8 * self._stamp_width) - 1)
+        return stamps
 
     def payload_tags(self, records: np.ndarray) -> np.ndarray:
         """Recover the key-derived payload stamp written by from_keys."""
@@ -95,7 +114,7 @@ class RecordSchema:
         if self._stamp_dtype is not None:
             return np.ascontiguousarray(records).view(
                 self._stamp_dtype)["stamp"].copy()
-        width = min(8, self.dtype["payload"].itemsize)
+        width = self._stamp_width
         raw = np.ascontiguousarray(records).view(np.uint8)
         raw = raw.reshape(len(records), self.record_bytes)
         out = np.zeros(len(records), dtype="<u8")

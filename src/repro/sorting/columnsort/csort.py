@@ -112,6 +112,7 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
     spp = plan.cols_per_node
     frag = plan.frag_records
     rec_bytes = schema.record_bytes
+    item = schema.item
     rf_in = RecordFile(node.disk, in_file, schema)
     rf_out = RecordFile(node.disk, out_file, schema)
     # sized up front like the output, so each round's block lands in place
@@ -128,29 +129,30 @@ def _build_permute_pass(prog: FGProgram, node: Node, comm: Comm,
         return buf
 
     def communicate(ctx, buf):
-        records = buf.view(schema.dtype)
+        # records are only moved here: copied as opaque items, sent as
+        # records
+        items = buf.view(item)
         column = buf.tags["column"]
         # one gathering copy per destination, in its local round order
         if routing == "transpose":
-            # row i -> column i % s: piece for column j is records[j::s]
-            pieces = records.reshape(r // s, s).T    # (s, frag) view
+            # row i -> column i % s: piece for column j is items[j::s]
+            pieces = items.reshape(r // s, s).T    # (s, frag) view
             chunks = [pieces[dest::P].flatten() for dest in range(P)]
         else:
             # row i -> column (i*s + c) // r: contiguous slices
             starts = [max(0, (j * r - column + s - 1) // s)
                       for j in range(s)] + [r]
-            chunks = [np.concatenate(
-                [records[starts[j]:starts[j + 1]]
-                 for j in range(dest, s, P)], dtype=schema.dtype)
-                for dest in range(P)]
-        node.compute_copy(records.nbytes)
-        received = comm.alltoall(chunks)
+            chunks = [np.concatenate([items[starts[j]:starts[j + 1]]
+                                      for j in range(dest, s, P)])
+                      for dest in range(P)]
+        node.compute_copy(items.nbytes)
+        received = comm.alltoall([c.view(schema.dtype) for c in chunks])
         # assemble the round block in place (every chunk is a copy, so
         # the buffer is free): [my column j_local][sender n][frag]
-        block = records.reshape(spp, P, frag)
+        block = items.reshape(spp, P, frag)
         for sender, chunk in enumerate(received):
-            block[:, sender] = chunk.reshape(spp, frag)
-        node.compute_copy(records.nbytes)
+            block[:, sender] = chunk.view(item).reshape(spp, frag)
+        node.compute_copy(items.nbytes)
         return buf
 
     def write(ctx, buf):
@@ -211,6 +213,7 @@ def _stripe_stage(node: Node, comm: Comm, schema: RecordSchema,
     P = comm.size
     B = block_records
     rec_bytes = schema.record_bytes
+    item = schema.item
 
     def stripe(ctx):
         while True:
@@ -218,10 +221,10 @@ def _stripe_stage(node: Node, comm: Comm, schema: RecordSchema,
             if buf.is_caboose:
                 ctx.forward(buf)
                 return
-            records = (buf.view(schema.dtype) if buf.size else
-                       schema.empty(0))
+            # copied as opaque items, sent as records
+            items = buf.view(item)
             g0 = buf.tags.get("g0", 0)
-            length = len(records)
+            length = len(items)
             # split [g0, g0+length) into per-owner block-aligned groups;
             # an owner's blocks are every P-th, so its group is contiguous
             # in its local file
@@ -234,23 +237,23 @@ def _stripe_stage(node: Node, comm: Comm, schema: RecordSchema,
                     lo = max(gb * B, g0)
                     hi = min((gb + 1) * B, g0 + length)
                     owner = gb % P
-                    groups[owner].append(records[lo - g0:hi - g0])
+                    groups[owner].append(items[lo - g0:hi - g0])
                     if metas[owner] is None:
                         metas[owner] = {"gb": gb, "off": lo - gb * B}
             for dest in range(P):
-                payload = (np.concatenate(groups[dest], dtype=schema.dtype)
+                payload = (np.concatenate(groups[dest]).view(schema.dtype)
                            if groups[dest] else schema.empty(0))
                 comm.send(dest, payload, tag=tag, meta=metas[dest])
             buf.clear()
             placements = []
             fill = 0
-            target = buf.data[:].view(schema.dtype)
+            target = buf.data[:].view(item)
             for _ in range(P):
                 msg = comm.recv_msg(tag=tag)
                 if len(msg.payload) == 0:
                     continue
                 node.compute_copy(msg.payload.nbytes)
-                target[fill:fill + len(msg.payload)] = msg.payload
+                target[fill:fill + len(msg.payload)] = msg.payload.view(item)
                 placements.append((msg.meta["gb"], msg.meta["off"],
                                    fill, len(msg.payload)))
                 fill += len(msg.payload)
@@ -286,10 +289,12 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
     P = comm.size
     r, s = plan.r, plan.s
     half = r // 2
+    item = schema.item
     state: dict = {}
 
     def shift(ctx):
-        """Step 6: form shifted column c from bottom(c-1) + top(c)."""
+        """Step 6: form shifted column c from bottom(c-1) + top(c).
+        Half-columns are copied as opaque items, sent as records."""
         while True:
             buf = ctx.accept()
             if buf.is_caboose:
@@ -305,9 +310,9 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
                 ctx.convey(buf)
                 continue
             column = buf.tags["column"]
-            records = buf.view(schema.dtype)
-            top = records[:half]   # stays in the buffer until the put
-            bottom = records[half:].copy()
+            items = buf.view(item)
+            top = items[:half]   # stays in the buffer until the put
+            bottom = items[half:].copy().view(schema.dtype)
             if column + 1 < s:
                 comm.send((column + 1) % P, bottom, tag=TAG_SHIFT)
             else:
@@ -320,8 +325,7 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
                 _, prev_bottom = comm.recv(source=(column - 1) % P,
                                            tag=TAG_SHIFT)
                 node.compute_copy(prev_bottom.nbytes + top.nbytes)
-                buf.put(np.concatenate([prev_bottom, top],
-                                       dtype=schema.dtype))
+                buf.put(np.concatenate([prev_bottom.view(item), top]))
                 buf.tags["g0"] = column * r - half
             ctx.convey(buf)
 

@@ -75,7 +75,7 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
     spp = plan.cols_per_node
     half = r // 2
     rf_out = RecordFile(node.disk, out_file, schema)
-    dtype = schema.dtype  # named in concatenate: no field promotion
+    item = schema.item  # half-columns are copied as opaque items
     state: dict = {}
 
     def shift(ctx):
@@ -92,9 +92,9 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
                 ctx.convey(buf)
                 continue
             column = buf.tags["column"]
-            records = buf.view(schema.dtype)
-            top = records[:half].copy()
-            bottom = records[half:].copy()
+            items = buf.view(item)
+            top = items[:half].copy()
+            bottom = items[half:].copy().view(schema.dtype)
             if column + 1 < s:
                 comm.send((column + 1) % P, bottom, tag=TAG_SHIFT4)
             else:
@@ -105,7 +105,7 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
                 _, prev_bottom = comm.recv(source=(column - 1) % P,
                                            tag=TAG_SHIFT4)
                 node.compute_copy(prev_bottom.nbytes + top.nbytes)
-                buf.put(np.concatenate([prev_bottom, top], dtype=dtype))
+                buf.put(np.concatenate([prev_bottom.view(item), top]))
             buf.tags["slot"] = buf.round
             ctx.convey(buf)
 

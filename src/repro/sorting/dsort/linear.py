@@ -66,7 +66,7 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
                         state: dict) -> None:
     P = comm.size
     rec_bytes = schema.record_bytes
-    dtype = schema.dtype  # named in concatenate: no field promotion
+    item = schema.item  # records are copied as opaque items
     rf_in = RecordFile(node.disk, input_file, schema)
     n_local = rf_in.n_records
     n_blocks = math.ceil(n_local / block_records)
@@ -127,8 +127,8 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
                     have += len(chunk)
             if not parts:
                 return schema.empty(0)
-            return (np.concatenate(parts, dtype=dtype) if len(parts) > 1
-                    else parts[0])
+            return (np.concatenate([p.view(item) for p in parts])
+                    .view(schema.dtype) if len(parts) > 1 else parts[0])
 
         while True:
             buf = ctx.accept()
@@ -136,8 +136,8 @@ def _build_linear_pass1(prog: FGProgram, node: Node, comm: Comm,
                 ctx.forward(buf)
                 return
             if not buf.tags.get("drain"):
-                scatter(comm, buf.view(schema.dtype), buf.tags["counts"],
-                        TAG_L1)
+                scatter(comm, schema, buf.view(schema.dtype),
+                        buf.tags["counts"], TAG_L1)
                 blocks_sent += 1
                 if blocks_sent == n_blocks:
                     markers.send()
@@ -263,7 +263,9 @@ def _build_linear_pass2(prog: FGProgram, node: Node, comm: Comm,
             if not buf.tags.get("drain"):
                 records = buf.view(schema.dtype)
                 block = buf.tags["global_block"]
-                comm.send(block % P, records.copy(), tag=TAG_L2,
+                comm.send(block % P,
+                          records.view(schema.item).copy().view(schema.dtype),
+                          tag=TAG_L2,
                           meta={"global_block": block,
                                 "offset": buf.tags["offset"]})
                 drain_nonblocking()

@@ -95,8 +95,8 @@ def build_pass1(prog: FGProgram, node: Node, comm: Comm,
             buf = ctx.accept()
             if buf.is_caboose:
                 break
-            scatter(comm, buf.view(schema.dtype), buf.tags["counts"],
-                    TAG_PASS1)
+            scatter(comm, schema, buf.view(schema.dtype),
+                    buf.tags["counts"], TAG_PASS1)
             ctx.convey(buf)
         markers.send()
         state["p1_ends_sent"] = True
@@ -168,7 +168,7 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
     P = comm.size
     policy = manager.policy
     rec_bytes = schema.record_bytes
-    dtype = schema.dtype  # named in concatenate: no field promotion
+    item = schema.item  # records are copied as opaque items
     rf_in = RecordFile(node.disk, input_file, schema)
     n_local = rf_in.n_records
     n_blocks = math.ceil(n_local / block_records)
@@ -218,8 +218,8 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
                 if (manager.is_dead(dest)
                         or (rank, b) in manager.durable_frags(dest)):
                     continue  # durable there already, or nobody home
-                comm.send(dest, part.copy(), tag=TAG_PASS1,
-                          meta={"block": b})
+                comm.send(dest, part.view(item).copy().view(schema.dtype),
+                          tag=TAG_PASS1, meta={"block": b})
             if sendlog is not None and b not in logged:
                 logged.add(b)
                 pending.append([b, dsts])
@@ -263,9 +263,8 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
             if buf.is_caboose:
                 ctx.forward(buf)
                 return False
-            payloads = [p for _, p in parts]
-            records = (np.concatenate(payloads, dtype=dtype)
-                       if len(payloads) > 1
+            payloads = [p.view(item) for _, p in parts]
+            records = (np.concatenate(payloads) if len(payloads) > 1
                        else payloads[0] if payloads else schema.empty(0))
             node.compute_copy(len(records) * rec_bytes)
             buf.put(records)
@@ -309,7 +308,7 @@ def build_pass1_recover(prog: FGProgram, node: Node, comm: Comm,
             run_name = f"{run_prefix}.{k}"
             RecordFile(node.disk, run_name, schema).write(0, records)
             if backup_disk is not None:
-                pending_bak.append((k, records.copy()))
+                pending_bak.append((k, records.view(item).copy()))
             pending_runs.append({"k": k, "name": run_name,
                                  "n": len(records), "bak": None,
                                  "frags": [[int(s), int(b)]

@@ -83,7 +83,6 @@ class BlockMerger:
         if len(self._pending) != len(run_ids):
             raise SortError("duplicate run ids")
         self._by_rank = sorted(run_ids, key=repr)  # tie order, see above
-        self._item = np.dtype((np.void, schema.dtype.itemsize))
         #: last key fed so far, per run
         self._fed_up_to: dict[Hashable, int] = {}
         # the kept pass: the copied prefixes, their sorted order, how much
@@ -114,7 +113,7 @@ class BlockMerger:
         self._fed_up_to[run] = last
         self._pending.discard(run)
         self._heads[run] = _Head(
-            run, records.view(self._item), keys, first, last)
+            run, records.view(self.schema.item), keys, first, last)
 
     def finish_run(self, run: Hashable) -> None:
         """Declare that ``run`` has no more blocks."""

@@ -187,11 +187,13 @@ def partition_slices(records: np.ndarray, counts: np.ndarray
             yield dest, records[lo:hi]
 
 
-def scatter(comm: Comm, records: np.ndarray, counts: np.ndarray,
-            tag: int) -> None:
-    """Dole a grouped block out: one message per non-empty partition."""
+def scatter(comm: Comm, schema: RecordSchema, records: np.ndarray,
+            counts: np.ndarray, tag: int) -> None:
+    """Dole a grouped block out: one message per non-empty partition,
+    copied as opaque items and sent as records."""
     for dest, part in partition_slices(records, counts):
-        comm.send(dest, part.copy(), tag=tag)
+        comm.send(dest, part.view(schema.item).copy().view(schema.dtype),
+                  tag=tag)
 
 
 class EndMarkers:
@@ -255,7 +257,7 @@ def packing_receive_stage(node: Node, comm: Comm, schema: RecordSchema,
     """
     P = comm.size
     rec_bytes = schema.record_bytes
-    raw = np.dtype((np.void, rec_bytes))  # a record as opaque bytes
+    item = schema.item
 
     def receive(ctx):
         pipeline = ctx.pipelines[0]
@@ -283,14 +285,14 @@ def packing_receive_stage(node: Node, comm: Comm, schema: RecordSchema,
                 ctx.forward(buf)
                 return
             node.compute_copy(take * rec_bytes)  # pack into pipeline buffer
-            out = buf.fill(raw, take)
+            out = buf.fill(item, take)
             at = 0
             # every part but the last fits whole; the last one's tail is
             # the next buffer's first part.  Copied as opaque records:
             # numpy's structured copy is ~4x slower
             for payload in parts:
                 n = min(len(payload), take - at)
-                out[at:at + n] = payload[:n].view(raw)
+                out[at:at + n] = payload[:n].view(item)
                 at += n
             leftover = payload[n:] if n < len(payload) else None
             ctx.convey(buf)

@@ -140,7 +140,7 @@ def verify_striped_output(cluster: Cluster, manifest: DatasetManifest,
                 f"mismatch at global position {start + i}: got "
                 f"{keys[i]}, expected {expected[i]}")
         if has_payload and lost is None:
-            stamps = keys ^ np.uint64(0x9E3779B97F4A7C15)
+            stamps = schema.payload_stamps(keys)
             tags = schema.payload_tags(chunk)
             if not np.array_equal(tags, stamps):
                 lost = start + int(np.nonzero(tags != stamps)[0][0])

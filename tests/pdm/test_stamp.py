@@ -79,3 +79,16 @@ def test_narrow_payloads_keep_the_byte_path_and_no_payload_refuses():
     assert RecordSchema(16)._stamp_dtype is not None
     with pytest.raises(SortError, match="no payload"):
         RecordSchema(8).payload_tags(RecordSchema(8).empty(2))
+
+
+@pytest.mark.parametrize("width", range(9, 81))
+def test_payload_stamps_are_what_payload_tags_reads_back(width):
+    """The verifier's expectation: ``key ^ mask`` cut to the stamp bytes
+    the payload holds (its low 1-7 bytes under 15-byte records)."""
+    schema = RecordSchema(width)
+    keys = _keys(width)
+    stamps = schema.payload_stamps(keys)
+    assert stamps.tobytes() == oracle_payload_tags(
+        schema, oracle_from_keys(schema, keys)).tobytes()
+    if width >= 16:
+        assert stamps.tobytes() == (keys ^ MASK).tobytes()

@@ -39,7 +39,7 @@ def test_partition_slices_skips_empty_partitions():
     assert [(d, part["key"].tolist()) for d, part in slices] == [
         (0, [0, 1]), (2, [2, 3, 4]), (3, [5])]
     comm = RecordingComm()
-    scatter(comm, records, np.array([2, 0, 3, 1]), tag=9)
+    scatter(comm, SCHEMA, records, np.array([2, 0, 3, 1]), tag=9)
     assert comm.sent == [(0, 2, 9, None), (2, 3, 9, None), (3, 1, 9, None)]
 
 

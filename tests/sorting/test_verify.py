@@ -4,6 +4,7 @@ with a precise diagnosis (a verifier that cannot fail proves nothing)."""
 import numpy as np
 import pytest
 
+from repro.bench.harness import run_sort
 from repro.cluster import Cluster, HardwareModel
 from repro.errors import VerificationError
 from repro.pdm import striped as striped_module
@@ -21,14 +22,15 @@ SCHEMA = RecordSchema.paper_16()
 BLOCK = 8
 
 
-def make_correct_output(n_nodes=2, n_per_node=32, seed=0, owners=None):
+def make_correct_output(n_nodes=2, n_per_node=32, seed=0, owners=None,
+                        schema=SCHEMA):
     """A cluster whose striped 'output' file is the correct sort of its
     generated input."""
     cluster = Cluster(n_nodes=n_nodes, hardware=HardwareModel())
-    manifest = generate_input(cluster, SCHEMA, n_per_node, "uniform",
+    manifest = generate_input(cluster, schema, n_per_node, "uniform",
                               seed=seed)
-    striped = StripedFile(cluster, "output", SCHEMA, BLOCK, owners=owners)
-    records = SCHEMA.from_keys(manifest.sorted_keys)
+    striped = StripedFile(cluster, "output", schema, BLOCK, owners=owners)
+    records = schema.from_keys(manifest.sorted_keys)
     total = len(records)
     for b in range(-(-total // BLOCK)):
         lo, hi = b * BLOCK, min((b + 1) * BLOCK, total)
@@ -88,6 +90,35 @@ def test_detects_corrupted_payload():
     with pytest.raises(VerificationError) as exc_info:
         verify_striped_output(cluster, manifest, "output", BLOCK)
     assert "payload" in str(exc_info.value)
+
+
+#: every sorter that writes PDM-striped output (nowsort partitions)
+STRIPED_SORTERS = ("dsort", "dsort-linear", "csort", "csort4")
+
+
+@pytest.mark.parametrize("record_bytes", [9, 12, 15])
+@pytest.mark.parametrize("sorter", STRIPED_SORTERS)
+def test_a_payload_under_the_stamp_verifies(sorter, record_bytes):
+    """With 1-7 payload bytes ``from_keys`` writes only that many stamp
+    bytes; the verifier compares exactly those (``payload_stamps``)."""
+    run = run_sort(sorter, "uniform", RecordSchema(record_bytes),
+                   n_nodes=2, n_per_node=1024)
+    assert run.verified
+
+
+def test_a_flipped_byte_of_a_short_payload_is_still_lost():
+    schema = RecordSchema(12)
+    cluster, manifest, striped = make_correct_output(seed=3, schema=schema)
+    verify_striped_output(cluster, manifest, "output", BLOCK)
+    # the last payload byte of global record 9 (node 1, local record 1)
+    node, local = striped.locate(9)
+    storage = striped.locals[node].disk.storage
+    offset = local * schema.record_bytes + schema.record_bytes - 1
+    storage.write("output", offset, storage.read("output", offset, 1) ^ 0xFF)
+    with pytest.raises(VerificationError) as exc_info:
+        verify_striped_output(cluster, manifest, "output", BLOCK)
+    assert "record at global position 9 lost its payload" in str(
+        exc_info.value)
 
 
 def test_detects_misplaced_striping():

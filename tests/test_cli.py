@@ -52,6 +52,15 @@ def test_sort_csort_small_run(capsys):
     assert "6.00x data volume" in out
 
 
+def test_sort_verifies_records_whose_payload_is_under_the_stamp(capsys):
+    """A 12-byte record has 4 payload bytes, so only 4 stamp bytes:
+    the verifier used to compare them with all 8 and refuse every
+    correct sort ("record at global position 0 lost its payload")."""
+    assert main(["sort", "--sorter", "dsort", "--nodes", "2",
+                 "--records-per-node", "1024", "--record-bytes", "12"]) == 0
+    assert "output verified: True" in capsys.readouterr().out
+
+
 def test_sort_rejects_unknown_sorter():
     with pytest.raises(SystemExit):
         main(["sort", "--sorter", "quicksort"])
