@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.errors import VerificationError
+from repro.pdm.records import RecordSchema
 from repro.pdm.striped import StripedFile
 from repro.workloads.generator import DatasetManifest
 
@@ -45,21 +46,41 @@ def verify_records_sorted(records: np.ndarray, what: str = "output",
                 f"key[{start + i + 1}]={keys[i + 1]}")
 
 
+def _first_lost_payload(schema: RecordSchema, records: np.ndarray,
+                        start: int) -> "int | None":
+    """Global position of the first record whose payload stamp is not
+    its key's, ``records[0]`` being at ``start`` (None if every stamp
+    matches, or the schema has no payload)."""
+    if "payload" not in schema.dtype.names:
+        return None
+    lost = np.nonzero(schema.payload_tags(records)
+                      != schema.payload_stamps(records["key"]))[0]
+    return start + int(lost[0]) if len(lost) else None
+
+
+def _lost_payload_error(position: int) -> VerificationError:
+    return VerificationError(
+        f"record at global position {position} lost its payload "
+        "(key and payload stamp disagree)")
+
+
 def verify_partitioned_output(cluster: Cluster, manifest: DatasetManifest,
                               output_name: str) -> None:
     """Check a *non-striped* sorted output (NOW-Sort style): node i's
     local file is sorted, keys on node i precede keys on node i+1, and
-    the concatenation is the sorted input multiset.
+    the concatenation is the sorted input multiset, every payload intact.
 
     One node's file is held at a time, compared with its slice of
     ``manifest.sorted_keys``; diagnoses keep their order of precedence
-    (any unsorted file, then partition order, then count, then multiset).
+    (any unsorted file, then partition order, then count, then multiset,
+    then the first lost payload).
     """
     from repro.pdm.blockfile import RecordFile
 
     schema = manifest.schema
     disorder = None
     is_multiset = True
+    lost = None
     seen = 0
     last = None  # the previous node's last key; None if it holds nothing
     for rank, node in enumerate(cluster.nodes):
@@ -72,6 +93,8 @@ def verify_partitioned_output(cluster: Cluster, manifest: DatasetManifest,
                         f"{rank - 1} and {rank}: {last} > {keys[0]}")
         is_multiset = is_multiset and np.array_equal(
             keys, manifest.sorted_keys[seen:seen + len(keys)])
+        if lost is None:
+            lost = _first_lost_payload(schema, local, seen)
         seen += len(keys)
         last = keys[-1] if len(keys) else None
     if disorder is not None:
@@ -83,6 +106,8 @@ def verify_partitioned_output(cluster: Cluster, manifest: DatasetManifest,
     if not is_multiset:
         raise VerificationError(
             "concatenated local outputs are not the sorted input multiset")
+    if lost is not None:
+        raise _lost_payload_error(lost)
 
 
 def verify_striped_output(cluster: Cluster, manifest: DatasetManifest,
@@ -126,7 +151,6 @@ def verify_striped_output(cluster: Cluster, manifest: DatasetManifest,
             f"output has {total} records, expected "
             f"{manifest.total_records}")
 
-    has_payload = "payload" in schema.dtype.names
     mismatch = lost = before = None
     start = 0
     for chunk in striped.iter_chunks():
@@ -139,16 +163,11 @@ def verify_striped_output(cluster: Cluster, manifest: DatasetManifest,
                 f"output keys are not the sorted input multiset: first "
                 f"mismatch at global position {start + i}: got "
                 f"{keys[i]}, expected {expected[i]}")
-        if has_payload and lost is None:
-            stamps = schema.payload_stamps(keys)
-            tags = schema.payload_tags(chunk)
-            if not np.array_equal(tags, stamps):
-                lost = start + int(np.nonzero(tags != stamps)[0][0])
+        if lost is None:
+            lost = _first_lost_payload(schema, chunk, start)
         before = keys[-1]
         start += len(chunk)
     if mismatch is not None:
         raise VerificationError(mismatch)
     if lost is not None:
-        raise VerificationError(
-            f"record at global position {lost} lost its payload "
-            "(key and payload stamp disagree)")
+        raise _lost_payload_error(lost)

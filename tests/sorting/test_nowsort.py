@@ -57,6 +57,31 @@ def test_nowsort_skewed_input_is_correct_but_unbalanced():
     assert max(sizes) > 1.5 * (sum(sizes) / len(sizes))
 
 
+@pytest.mark.parametrize("record_bytes", [12, 16])
+def test_nowsort_output_keeps_every_payload(record_bytes):
+    """The partitioned verifier reads the payload stamp, as the striped
+    one does: one flipped payload byte on one node is a lost payload."""
+    schema = RecordSchema(record_bytes)
+    cluster = Cluster(n_nodes=3, hardware=fast_hw())
+    manifest = generate_input(cluster, schema, 1000, "uniform", seed=0)
+    config = DsortConfig(block_records=256, vertical_block_records=64,
+                         out_block_records=256)
+    reports = cluster.run(run_nowsort, schema, config)
+    verify_partitioned_output(cluster, manifest, config.output_file)
+    # the last payload byte of node 1's record 5, which follows all of
+    # node 0's records in the global order
+    storage = cluster.node(1).disk.storage
+    offset = 5 * record_bytes + record_bytes - 1
+    storage.write(config.output_file, offset,
+                  storage.read(config.output_file, offset, 1) ^ 0xFF)
+    with pytest.raises(VerificationError) as exc_info:
+        verify_partitioned_output(cluster, manifest, config.output_file)
+    position = reports[0].partition_records + 5
+    assert str(exc_info.value) == (
+        f"record at global position {position} lost its payload "
+        "(key and payload stamp disagree)")
+
+
 def test_nowsort_custom_splitters():
     keys = np.array([100, 200, 300], dtype=np.uint64)
     splitters = Splitters(keys=keys,
