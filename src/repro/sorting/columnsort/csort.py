@@ -325,7 +325,12 @@ def _build_pass3(prog: FGProgram, node: Node, comm: Comm,
                 _, prev_bottom = comm.recv(source=(column - 1) % P,
                                            tag=TAG_SHIFT)
                 node.compute_copy(prev_bottom.nbytes + top.nbytes)
-                buf.put(np.concatenate([prev_bottom.view(item), top]))
+                # top moves behind prev_bottom before prev_bottom lands in
+                # front of it: len(prev_bottom) >= half, so the two ranges
+                # never overlap
+                shifted = buf.fill(item, len(prev_bottom) + half)
+                shifted[len(prev_bottom):] = top
+                shifted[:len(prev_bottom)] = prev_bottom.view(item)
                 buf.tags["g0"] = column * r - half
             ctx.convey(buf)
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-import numpy as np
-
 from repro.cluster.mpi import Comm
 from repro.cluster.node import Node
 from repro.core import FGProgram, Stage
@@ -93,7 +91,7 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
                 continue
             column = buf.tags["column"]
             items = buf.view(item)
-            top = items[:half].copy()
+            top = items[:half]   # stays in the buffer until it moves
             bottom = items[half:].copy().view(schema.dtype)
             if column + 1 < s:
                 comm.send((column + 1) % P, bottom, tag=TAG_SHIFT4)
@@ -105,7 +103,10 @@ def _build_pass3_shift(prog: FGProgram, node: Node, comm: Comm,
                 _, prev_bottom = comm.recv(source=(column - 1) % P,
                                            tag=TAG_SHIFT4)
                 node.compute_copy(prev_bottom.nbytes + top.nbytes)
-                buf.put(np.concatenate([prev_bottom.view(item), top]))
+                # as csort's shift: top behind, then prev_bottom in front
+                shifted = buf.fill(item, len(prev_bottom) + half)
+                shifted[len(prev_bottom):] = top
+                shifted[:len(prev_bottom)] = prev_bottom.view(item)
             buf.tags["slot"] = buf.round
             ctx.convey(buf)
 
