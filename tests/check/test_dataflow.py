@@ -421,6 +421,35 @@ def test_a_call_over_the_alias_consumes_it():
     assert eff.buffer_escapes == ()
 
 
+def test_a_closure_callee_over_the_alias_consumes_it():
+    # ``helper`` is neither a global nor a method: its CALL must pair
+    # with its own entry, not with the enclosing append's
+    stash = []
+
+    def helper(data):
+        return len(data)
+
+    def stage(ctx, buf):
+        stash.append(helper(buf.data))
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert eff.buffer_escapes == ()
+
+
+def test_a_local_callee_beside_the_alias_does_not_hide_it():
+    stash = []
+
+    def stage(ctx, buf):
+        size = len
+        stash.append((buf.data, size(stash)))
+        return buf
+
+    eff = fn_effects(stage, buffer_param="buf")
+    assert eff.buffer_escapes == (
+        "passes a buffer alias into shared 'stash'",)
+
+
 # -- whole-program view -----------------------------------------------------
 
 def test_program_effects_finds_cross_pipeline_conflict():
