@@ -558,13 +558,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"(verify with `repro replay {args.prov_out}`)")
     if args.check_determinism:
         again = run()
-        identical = (report.output_digest == again.output_digest
-                     and report.trace_digest == again.trace_digest
-                     and report.metrics_digest == again.metrics_digest
-                     and report.fault_events == again.fault_events)
+        identical = all(
+            getattr(report, name) == getattr(again, name)
+            for name in ("output_digest", "trace_digest", "metrics_digest",
+                         "fault_events", "recovery_decisions"))
         print("determinism check: "
-              + ("PASS (outputs, fault timelines, metrics, and event "
-                 "traces identical)" if identical else "FAIL"))
+              + ("PASS (outputs, fault and recovery decisions, metrics, "
+                 "and event traces identical)" if identical else "FAIL"))
         if not identical:
             return 1
     return 0

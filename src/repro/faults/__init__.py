@@ -16,7 +16,7 @@ semantics.
 """
 
 from repro.faults.chaos import ChaosReport, run_chaos_csort, run_chaos_dsort
-from repro.faults.injector import FaultEvent, FaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     DiskFaultAt,
     DiskFaults,
@@ -33,7 +33,6 @@ __all__ = [
     "ChaosReport",
     "DiskFaultAt",
     "DiskFaults",
-    "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "MessageDrops",

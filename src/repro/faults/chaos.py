@@ -4,27 +4,28 @@
 cluster, sort a generated dataset, verify the striped output against the
 dataset manifest, and return a :class:`ChaosReport` with everything a
 caller needs to assert determinism: a digest of the output bytes, a
-digest of the full scheduler event timeline, the fired fault events, and
-the metrics snapshot.  Two calls with the same arguments must produce
+digest of the full scheduler event timeline, the fired faults, and the
+metrics snapshot.  Two calls with the same arguments must produce
 byte-identical reports — that property is what the CLI's ``repro chaos
 --check-determinism`` and the chaos property tests assert.
 
 The dsort harness optionally runs under the fine-grained recovery
 manager (``recover=RecoverPolicy(...)``): block-level checkpoints,
 speculative backups, and partition re-assignment then absorb faults
-below the pass-restart level, and every recovery decision lands in the
-report and in the provenance record.  csort has no in-run recovery
-machinery — its chaos coverage is the transient fault model absorbed by
-the disk/NIC retry layer — so ``run_chaos_csort`` takes no ``recover``.
+below the pass-restart level.  Every fired fault and every recovery
+decision lands in the report and in the provenance record.  csort has
+no in-run recovery machinery — its chaos coverage is the transient
+fault model absorbed by the disk/NIC retry layer — so
+``run_chaos_csort`` takes no ``recover``.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Any, Optional, Sequence
 
 from repro.errors import FaultError
-from repro.faults.injector import FaultEvent
 from repro.faults.plan import FaultPlan, chaos_plan
 from repro.jsondoc import to_doc
 
@@ -48,10 +49,9 @@ class ChaosReport:
     output_digest: str
     #: sha256 over the scheduler event timeline ("" when tracing was off)
     trace_digest: str
-    #: every fault the injector fired, in virtual-time order
-    fault_events: list[FaultEvent]
-    #: fault counts by kind (injector summary)
-    fault_summary: dict
+    #: every fault the injector fired, in virtual-time order: its
+    #: decision log's entries ``{time, kind, site, rank, detail}``
+    fault_events: list
     #: full metrics snapshot (counters/gauges/histograms)
     metrics: dict
     #: sha256 over the metrics snapshot in canonical JSON
@@ -69,6 +69,12 @@ class ChaosReport:
     #: OS threads that carried the run's processes
     #: (``Kernel.threads_started``); repeats exactly
     threads_started: int = 0
+
+    @property
+    def fault_summary(self) -> dict:
+        """Fired faults, in total and by kind (JSON-able)."""
+        return {"total": len(self.fault_events),
+                "by_kind": _by_kind(self.fault_events)}
 
     @property
     def processes(self) -> int:
@@ -90,12 +96,9 @@ class ChaosReport:
             f"{self.fault_summary.get('by_kind', {})}",
         ]
         if self.recovery_decisions:
-            by_kind: dict[str, int] = {}
-            for d in self.recovery_decisions:
-                by_kind[d["kind"]] = by_kind.get(d["kind"], 0) + 1
             lines.append(f"  recovery         "
                          f"{len(self.recovery_decisions)} decisions "
-                         f"{by_kind}")
+                         f"{_by_kind(self.recovery_decisions)}")
         counters = self.metrics.get("counters", {})
         for key in ("retry.disk.retries", "retry.net.retransmits",
                     "recovery.pass_restarts"):
@@ -108,6 +111,11 @@ class ChaosReport:
         if self.trace_digest:
             lines.append(f"  trace sha256     {self.trace_digest[:16]}…")
         return "\n".join(lines)
+
+
+def _by_kind(entries: list) -> dict:
+    """Decision-log entries counted by kind, in first-seen order."""
+    return dict(collections.Counter(entry["kind"] for entry in entries))
 
 
 def _chaos_cluster(n_nodes: int, records_per_node: int, seed: int,
@@ -142,7 +150,8 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
                   trace_path: Optional[str]) -> ChaosReport:
     """Everything after ``cluster.run`` — verify, digest, provenance
     record, report — for both harnesses; the arguments are what differs
-    between them."""
+    between them.  ``logs`` are the recovery manager's; the injector's
+    joins them in the record only."""
     # Imports are local so that ``import repro.faults`` stays light and
     # free of cycles (the cluster layer itself imports repro.faults).
     from repro import prov
@@ -150,6 +159,8 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
     from repro.sorting.verify import verify_striped_output
 
     kernel = cluster.kernel
+    # a chaos cluster always has a plan, hence an injector
+    faults = cluster.injector.decisions
     if verify:
         verify_striped_output(cluster, manifest, config.output_file,
                               config.out_block_records, owners=owners)
@@ -171,7 +182,8 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
             # backoff jitter draws from the injector's per-site Philox
             # streams, all derived from the plan seed
             {**seeds, "fault_plan": plan.seed, "retry_jitter": plan.seed},
-            fault_plan=plan.to_json(), snapshot=snapshot, logs=logs,
+            fault_plan=plan.to_json(), snapshot=snapshot,
+            logs=(faults, *logs),
             output=output_digest)
         digests = provenance.digests
     else:
@@ -187,9 +199,7 @@ def _chaos_report(sorter: str, cluster: Any, capture: Optional[Any],
         verified=verify,
         output_digest=output_digest,
         trace_digest=digests["trace"],
-        # a chaos cluster always has a plan, hence an injector
-        fault_events=list(cluster.injector.events),
-        fault_summary=cluster.injector.summary(),
+        fault_events=list(faults.entries),
         metrics=snapshot,
         metrics_digest=digests["metrics"],
         provenance=provenance,

@@ -11,40 +11,25 @@ per compute charge — and answers deterministically:
   kernel serializes, so two runs of the same program with the same plan
   see identical faults at identical virtual times.
 
-Every decision that fires is recorded as a :class:`FaultEvent` (and, when
-the kernel carries a metrics registry or tracer, as ``faults.*`` counters
-and ``fault`` trace events that the Chrome exporter renders as instant
-markers).
+Every decision that fires is one entry of the injector's
+:class:`~repro.prov.record.DecisionLog` (and, when the kernel carries a
+metrics registry or tracer, a ``faults.<kind>`` count and a ``fault``
+trace instant that the Chrome exporter renders as a marker).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import FaultInjected
 from repro.faults.plan import FaultPlan, in_window
+from repro.prov.record import DecisionLog
 from repro.sim.kernel import Kernel
 from repro.sim.trace import FAULT
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import Counter
-
-__all__ = ["FaultEvent", "FaultInjector"]
-
-
-@dataclasses.dataclass(frozen=True)
-class FaultEvent:
-    """One fault decision that fired, stamped in virtual time."""
-
-    time: float
-    kind: str     #: "disk" | "disk.permanent" | "net.drop" | "node.crash"
-    site: str     #: e.g. "disk.3", "net.0->2"
-    rank: int
-    detail: str
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -54,9 +39,10 @@ class FaultInjector:
         self.kernel = kernel
         self.plan = plan
         self.n_nodes = n_nodes
-        self.events: list[FaultEvent] = []
-        #: ``faults.<kind>`` counters, each looked up at its first fault
-        self._m_faults: dict[str, "Counter"] = {}
+        #: entries ``{time, kind, site, rank, detail}``, one per fired
+        #: fault; ``kind`` is "disk", "disk.permanent", "net.drop" or
+        #: "node.crash", ``site`` e.g. "disk.3" or "net.0->2"
+        self.decisions = DecisionLog(kernel, FAULT, counter="faults")
         self._rngs: dict[str, np.random.Generator] = {}
         #: timed-operation counter per disk (drives DiskFaultAt)
         self.disk_ops = [0] * n_nodes
@@ -77,20 +63,13 @@ class FaultInjector:
     # -- recording ----------------------------------------------------------
 
     def _record(self, kind: str, site: str, rank: int, detail: str) -> None:
-        now = self.kernel.now()
-        self.events.append(FaultEvent(now, kind, site, rank, detail))
-        registry = self.kernel.metrics
-        if registry is not None:
-            counter = self._m_faults.get(kind)
-            if counter is None:
-                counter = self._m_faults[kind] = registry.counter(
-                    f"faults.{kind}")
-            counter.inc()
-        tracer = getattr(self.kernel, "tracer", None)
-        if tracer is not None:
-            name = (self.kernel.current_process().name
-                    if self.kernel.in_process() else site)
-            tracer.record(now, name, FAULT, f"{kind} @ {site}: {detail}")
+        kernel = self.kernel
+        self.decisions.append(
+            {"time": kernel.now(), "kind": kind, "site": site, "rank": rank,
+             "detail": detail},
+            text=f"{kind} @ {site}: {detail}",
+            process=(kernel.current_process().name if kernel.in_process()
+                     else site))
 
     # -- node liveness ------------------------------------------------------
 
@@ -200,15 +179,6 @@ class FaultInjector:
                 factor *= spec.slowdown
         return factor
 
-    # -- reporting -----------------------------------------------------------
-
-    def summary(self) -> dict:
-        """Counts of fired faults by kind (JSON-able)."""
-        by_kind: dict[str, int] = {}
-        for ev in self.events:
-            by_kind[ev.kind] = by_kind.get(ev.kind, 0) + 1
-        return {"total": len(self.events), "by_kind": by_kind}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<FaultInjector seed={self.plan.seed} "
-                f"fired={len(self.events)}>")
+                f"fired={len(self.decisions.entries)}>")

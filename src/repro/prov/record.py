@@ -15,8 +15,8 @@ later re-execution *did* reproduce it:
   (``None`` for fault-free runs), round-trippable via
   :meth:`FaultPlan.to_json` / :meth:`FaultPlan.from_json`;
 * ``decisions`` — ``{source: [entries]}`` of each :class:`DecisionLog`
-  the harness passed (``recover``, ``sched``), never read from the
-  trace; a source that decided nothing is absent;
+  the harness passed (``fault``, ``recover``, ``sched``), never read
+  from the trace; a source that decided nothing is absent;
 * ``stage_graphs`` — fingerprint per assembled FG program, captured
   through the :class:`~repro.obs.observer.ProgramObserver` event path;
 * ``repro_version`` / ``code_fingerprint`` — which source tree ran;
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: bump when the record format changes incompatibly
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 
 #: trace lines hashed per sha256 update (one join of a whole trace costs
 #: megabytes of peak memory on a chaos run)
@@ -94,28 +94,32 @@ def trace_digest(tracer: "Tracer") -> str:
 
 class DecisionLog:
     """One owner's run-time decisions, kept once: the
-    :class:`~repro.sched.Scheduler`'s and the
-    :class:`~repro.recover.RecoveryManager`'s.  An entry is a JSON object
+    :class:`~repro.sched.Scheduler`'s, the
+    :class:`~repro.recover.RecoveryManager`'s and the
+    :class:`~repro.faults.FaultInjector`'s.  An entry is a JSON object
     with a ``time`` and a ``kind`` that nothing writes to once appended.
     Provenance reads the entries, never the trace."""
 
-    def __init__(self, kernel: "Kernel", source: str, process: str, *,
+    def __init__(self, kernel: "Kernel", source: str,
+                 process: Optional[str] = None, *,
                  counter: Optional[str] = None) -> None:
         self.kernel = kernel
         #: keys the record's entries; the trace instants' kind
         self.source = source
-        #: the trace instants' process name
+        #: the trace instants' process name, unless an entry names its own
         self.process = process
         #: prefix of the ``<counter>.<kind>`` counters, if the owner counts
         self.counter = counter
         self.entries: list[dict] = []
         self._lines: list[str] = []
 
-    def append(self, entry: dict, text: Optional[str] = None) -> None:
+    def append(self, entry: dict, text: Optional[str] = None,
+               process: Optional[str] = None) -> None:
         """Log ``entry``: its canonical line, a ``<counter>.<kind>`` count
         (the counter is created at its kind's first entry; decisions are
         few, so it is not cached) and, on a traced run, an instant whose
-        text is ``text`` or else the line."""
+        text is ``text`` or else the line, from ``process`` or else the
+        log's process."""
         line = canonical_json(entry)
         self.entries.append(entry)
         self._lines.append(line)
@@ -124,8 +128,8 @@ class DecisionLog:
             metrics.counter(f"{self.counter}.{entry['kind']}").inc()
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.record(entry["time"], self.process, self.source,
-                          line if text is None else text)
+            tracer.record(entry["time"], process or self.process,
+                          self.source, line if text is None else text)
 
     def text(self) -> str:
         """The log as canonical JSON, one entry per line."""

@@ -4,7 +4,16 @@ import pytest
 
 from repro.errors import FaultInjected
 from repro.faults import FaultInjector, FaultPlan
+from repro.prov import metrics_digest, trace_digest
 from repro.sim import VirtualTimeKernel
+from repro.sim.trace import FAULT, Tracer
+
+#: the pinned run's digests (last test), as the injector wrote them when it
+#: kept its own ``FaultEvent`` list, counters and instants
+TRACE_DIGEST = (
+    "ac875b6e0d834896b70c9372373f5870bb7b3835fd4c4ad19830e5ed4b0714b8")
+METRICS_DIGEST = (
+    "a3c67e109ba9d33a871e88e2220b66842f209d39d328964625e90055ad29f7ff")
 
 
 def make(plan, n_nodes=3):
@@ -37,8 +46,9 @@ def test_disk_fault_at_fires_exactly_once_at_the_indexed_op():
     assert inj.disk_ops[1] == 4
     # other disks are untouched
     inj.disk_op(0, "read", 512)
-    assert inj.summary() == {"total": 1,
-                             "by_kind": {"disk.permanent": 1}}
+    assert inj.decisions.entries == [
+        {"time": 0.0, "kind": "disk.permanent", "site": "disk.1",
+         "rank": 1, "detail": "write op #2 (512 B)"}]
 
 
 def test_disk_fault_rate_extremes():
@@ -49,22 +59,22 @@ def test_disk_fault_rate_extremes():
     never = make(FaultPlan(seed=0).with_disk_faults(rate=0.0))
     for _ in range(50):
         never.disk_op(0, "read", 64)
-    assert never.events == []
+    assert never.decisions.entries == []
 
 
 def test_disk_fault_window_not_yet_open():
     inj = make(FaultPlan(seed=0).with_disk_faults(rate=1.0, start=100.0))
     inj.disk_op(0, "read", 64)  # virtual time is 0 < window start
-    assert inj.events == []
+    assert inj.decisions.entries == []
 
 
 def test_message_fate_drop_and_deliver():
     dropper = make(FaultPlan(seed=0).with_message_drops(rate=1.0))
     assert dropper.message_fate(0, 1, 1024) == "drop"
-    assert dropper.events[0].kind == "net.drop"
+    assert dropper.decisions.entries[0]["kind"] == "net.drop"
     clean = make(FaultPlan(seed=0))
     assert clean.message_fate(0, 1, 1024) == "deliver"
-    assert clean.events == []
+    assert clean.decisions.entries == []
 
 
 def test_message_drops_respect_src_dst_filters():
@@ -85,7 +95,8 @@ def test_crashed_node_black_holes_and_fails_fast():
         inj.check_alive(1, "disk.1")
     assert exc_info.value.permanent
     inj.check_alive(0, "disk.0")  # healthy node passes
-    assert inj.summary()["by_kind"] == {"net.drop": 1, "node.crash": 1}
+    assert [e["kind"] for e in inj.decisions.entries] == [
+        "net.drop", "node.crash"]
 
 
 def test_straggler_and_nic_factors():
@@ -98,7 +109,7 @@ def test_straggler_and_nic_factors():
     assert inj.compute_factor(0) == 1.0
     assert inj.wire_factor(0) == 1.0
     # factors never fire fault events
-    assert inj.events == []
+    assert inj.decisions.entries == []
 
 
 def test_identical_call_sequences_fire_identical_events():
@@ -120,3 +131,40 @@ def test_identical_call_sequences_fire_identical_events():
     first = drive(make(plan))
     second = drive(make(plan))
     assert first and first == second
+
+
+def test_fired_faults_keep_their_trace_instants_and_counters():
+    """One fired fault is one ``<kind> @ <site>: <detail>`` instant, from
+    the running process or else from the site, and one ``faults.<kind>``
+    count, exactly as the injector wrote them before it owned a decision
+    log: the digests below are that injector's, and every chaos run's
+    trace and metrics digests rest on them."""
+    kernel = VirtualTimeKernel(tracer=Tracer())
+    kernel.enable_metrics()
+    inj = FaultInjector(kernel, (FaultPlan(seed=0)
+                                 .with_disk_fault_at(rank=1, op_index=0)
+                                 .with_message_drops(rate=1.0)), 3)
+    with pytest.raises(FaultInjected):
+        inj.disk_op(1, "read", 512)
+
+    def sender():
+        kernel.sleep(0.5)
+        assert inj.message_fate(0, 2, 64) == "drop"
+        assert inj.message_fate(0, 2, 64) == "drop"
+
+    kernel.spawn(sender, name="rank0.send")
+    kernel.run()
+    assert [tuple(ev) for ev in kernel.tracer.events
+            if ev.kind == FAULT] == [
+        (0.0, "disk.1", FAULT, "disk.permanent @ disk.1: read op #0 (512 B)"),
+        (0.5, "rank0.send", FAULT,
+         "net.drop @ net.0->2: 64 B dropped on the wire"),
+        (0.5, "rank0.send", FAULT,
+         "net.drop @ net.0->2: 64 B dropped on the wire")]
+    snapshot = kernel.metrics.snapshot()
+    assert {name: counter["value"]
+            for name, counter in snapshot["counters"].items()
+            if name.startswith("faults.")} == {
+        "faults.disk.permanent": 1, "faults.net.drop": 2}
+    assert trace_digest(kernel.tracer) == TRACE_DIGEST
+    assert metrics_digest(snapshot) == METRICS_DIGEST

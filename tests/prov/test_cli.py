@@ -82,4 +82,4 @@ def test_replay_refuses_a_version_1_record(tmp_path, capsys):
     assert main(["replay", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "version 1 is older than this code reads (2)" in captured.err
+    assert "version 1 is older than this code reads (3)" in captured.err

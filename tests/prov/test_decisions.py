@@ -1,9 +1,9 @@
 """One decision stream: a record carries its owners' logs, not the trace.
 
-The scheduler and the recovery manager each keep one
-:class:`~repro.prov.DecisionLog`; the harness hands it to the capture,
-so a record's ``decisions`` are the report's entries, and replay
-compares them entry by entry.
+The scheduler, the recovery manager and the fault injector each keep
+one :class:`~repro.prov.DecisionLog`; the harness hands it to the
+capture, so a record's ``decisions`` are the report's entries, and
+replay compares them entry by entry.
 """
 
 import hashlib
@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from repro.bench.harness import run_sort
+from repro.errors import ReproError
 from repro.faults import chaos_plan, run_chaos_dsort
 from repro.pdm.records import RecordSchema
 from repro.prov import ProvenanceRecord, canonical_json, replay
@@ -35,7 +36,8 @@ def speculating():
 def test_a_speculating_chaos_record_carries_the_managers_entries(
         speculating):
     record = speculating.provenance
-    assert record.decisions == {"recover": speculating.recovery_decisions}
+    assert record.decisions == {"fault": speculating.fault_events,
+                                "recover": speculating.recovery_decisions}
     kinds = [d["kind"] for d in record.decisions["recover"]]
     assert "speculate" in kinds and "winner" in kinds, kinds
     assert set(record.decisions["recover"][0]) == {
@@ -86,3 +88,43 @@ def test_replay_names_the_first_divergent_decision(speculating):
     assert f"replayed       {new}" in text
     assert "DIVERGED" in text
     assert result.to_json()["decisions_match"] is False
+
+
+def test_a_chaos_record_carries_every_fired_fault(speculating):
+    record = speculating.provenance
+    faults = record.decisions["fault"]
+    assert len(faults) == speculating.fault_summary["total"] > 0
+    assert set(faults[0]) == {"time", "kind", "site", "rank", "detail"}
+    # the report's count by kind is the stream's
+    kinds = [entry["kind"] for entry in faults]
+    assert speculating.fault_summary["by_kind"] == {
+        kind: kinds.count(kind) for kind in kinds}
+
+
+def test_replay_names_the_first_fault_that_fired_differently(speculating):
+    record = speculating.provenance
+    assert "REPRODUCED" in replay(record).describe()
+    doc = record.to_json()
+    doc["decisions"]["fault"][1]["rank"] += 1
+    result = replay(ProvenanceRecord.from_json(doc))
+    assert not result.ok and not result.decisions_match
+    assert all(result.matches.values()) and result.stage_graphs_match
+    source, index, old, new = result.first_divergent_decision()
+    assert (source, index) == ("fault", 1)
+    assert (old, new) == (doc["decisions"]["fault"][1],
+                          record.decisions["fault"][1])
+    text = result.describe()
+    assert "decisions        MISMATCH\n    first differs  fault[1]" in text
+    assert "DIVERGED" in text
+
+
+def test_a_version_2_record_is_refused_by_its_version(speculating):
+    # version 2 carried no fault stream: refused for its version, not
+    # read as a run that fired no faults
+    doc = speculating.provenance.to_json()
+    del doc["decisions"]["fault"]
+    doc["record_version"] = 2
+    with pytest.raises(ReproError,
+                       match=r"^provenance record version 2 is older than "
+                             r"this code reads \(3\)"):
+        ProvenanceRecord.from_json(doc)

@@ -80,7 +80,7 @@ def test_from_json_refuses_older_versions_by_version():
                sched_decisions=[])
     with pytest.raises(ReproError,
                        match=r"version 1 is older than this code reads "
-                             r"\(2\); replay it at the commit that "
+                             r"\(3\); replay it at the commit that "
                              r"recorded it, or re-record"):
         ProvenanceRecord.from_json(doc)
 

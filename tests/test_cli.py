@@ -264,6 +264,34 @@ def test_chaos_determinism_check_compares_metrics(monkeypatch, capsys):
     assert "determinism check: FAIL" in capsys.readouterr().out
 
 
+def test_chaos_determinism_check_compares_recovery_decisions(
+        capsys, monkeypatch):
+    """Two runs that differ only in one recovery decision fail the gate."""
+    import repro.faults
+
+    real = repro.faults.run_chaos_dsort
+    calls = []
+
+    def deciding_otherwise(**kwargs):
+        report = real(**kwargs)
+        calls.append(report)
+        if len(calls) == 2:
+            first, *rest = report.recovery_decisions
+            report = dataclasses.replace(report, recovery_decisions=[
+                dict(first, rank=first["rank"] + 1), *rest])
+        return report
+
+    monkeypatch.setattr(repro.faults, "run_chaos_dsort", deciding_otherwise)
+    code = main(["chaos", "--nodes", "3", "--records-per-node", "600",
+                 "--seed", "7", "--straggler", "1", "--block-records", "64",
+                 "--recover", "--speculate", "--check-determinism"])
+    assert len(calls) == 2 and calls[0].recovery_decisions
+    assert calls[0].fault_events == calls[1].fault_events
+    assert calls[0].metrics_digest == calls[1].metrics_digest
+    assert code == 1
+    assert "determinism check: FAIL" in capsys.readouterr().out
+
+
 def test_chaos_command_pass_restart(capsys):
     code = main(["chaos", "--nodes", "2", "--records-per-node", "360",
                  "--seed", "5", "--disk-fault-rate", "0",
