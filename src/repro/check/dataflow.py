@@ -552,14 +552,6 @@ class _EffectScan:
                 reg_alias = name in alias_locals
                 if reg_alias:
                     outer_pending, alias_pending = alias_pending, True
-            elif op == "PUSH_NULL":
-                # a callee that is neither a global nor a method (one
-                # held in a local or closure variable) gets its own
-                # entry, so its CALL never takes an enclosing mutator's
-                pending.append(("fn", "alias" if alias_pending else None))
-                base = None
-                base_key = None
-                reg_alias = False
             elif op == "LOAD_CONST":
                 if base is not None and base.key is None \
                         and isinstance(argval, (str, int)):
@@ -705,6 +697,11 @@ class _EffectScan:
             elif op in TRANSPARENT_OPS:
                 continue
             else:
+                if op == "PUSH_NULL":
+                    # a callee that is neither a global nor a method (one
+                    # held in a local or closure variable) gets its own
+                    # entry, so its CALL never takes an enclosing mutator's
+                    pending.append(("fn", "alias" if alias_pending else None))
                 base = None
                 base_key = None
                 reg_alias = False
