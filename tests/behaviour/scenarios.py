@@ -644,7 +644,10 @@ def samples():
                   "trace": trace.to_json()},
             seeds={"workload": 7, "fault_plan": 7},
             fault_plan=fault_plan.to_json(),
-            decisions={"recover": [{"time": 0.5, "kind": "resume",
+            decisions={"fault": [{"time": 0.25, "kind": "disk",
+                                  "site": "disk.1", "rank": 1,
+                                  "detail": "read op #3 (512 B)"}],
+                       "recover": [{"time": 0.5, "kind": "resume",
                                     "rank": 0, "detail": "x"}]},
             stage_graphs={"dsort-pass1@0": "ab" * 32},
             digests={"output": "cd" * 32, "metrics": "", "trace": "ef" * 32},
@@ -805,7 +808,11 @@ SCENARIOS = {
     # length, and ``record`` moved with the format and with the stage
     # graphs (below); every output, metrics and trace digest is the
     # parent's.  ``record`` re-recorded again on top of 8d04c5a with the
-    # stage graphs, when they lost ``parallel_safety`` (below).
+    # stage graphs, when they lost ``parallel_safety`` (below).  Every
+    # ``record`` re-recorded on top of 22f250a, when the fault injector's
+    # log joined ``decisions`` (record version 3): the two chaos records
+    # gained a ``fault`` stream, and every other field of every record,
+    # each digest included, is 8c3d482's.
     "record/sort-dsort": _record(_sort_record("dsort")),
     "record/sort-csort": _record(_sort_record("csort")),
     "record/sort-nowsort": _record(_sort_record("nowsort")),
@@ -862,7 +869,9 @@ SCENARIOS = {
     "stage-library/chaos-csort": _chaos_csort_program,
     # Recorded at PR 24's parent (03d73ea), before one reader for
     # documents from outside; ``documents/ProvenanceRecord``
-    # re-recorded on top of 59a47df for the record's version-2 format.
+    # re-recorded on top of 59a47df for the record's version-2 format,
+    # and on top of 22f250a for version 3, its sample given a ``fault``
+    # stream.
     **{f"documents/{name}": functools.partial(_document, name)
        for name in samples()},
     # Recorded at cbcaa35, the last commit whose effect scan ran once per
