@@ -76,6 +76,8 @@ def test_golden_runs_record_and_replay(once):
     for name, result in results.items():
         assert result.ok, f"{name} diverged: {result.to_json()}"
         assert result.code_match
-    # the chaos record really captured the injected faults
+    # the chaos record really captured the injected faults: the plan,
+    # and every fault that fired
     assert records["chaos"].fault_plan is not None
+    assert records["chaos"].decisions["fault"]
     assert records["chaos"].digests["output"]
