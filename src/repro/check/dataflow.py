@@ -53,7 +53,7 @@ import io
 import sys
 import threading
 import types
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
 
 __all__ = [
     "PURE",
@@ -357,8 +357,9 @@ class Cell:
 
     #: ``id()`` of the resolved base object; 0 for unresolvable cells
     obj_id: int
-    #: ``"['k']"`` for a const-key subscript slot, ``".attr"`` for an
-    #: attribute slot, None for the whole object
+    #: ``"['k']"`` for a subscript slot whose key is a const or an
+    #: immutable closure value, ``".attr"`` for an attribute slot, None
+    #: for the whole object
     key: Optional[str]
     label: str = dataclasses.field(compare=False, hash=False, default="")
 
@@ -434,7 +435,10 @@ class _Ref(NamedTuple):
     symbol is resolved to an object."""
 
     sym: Symbol
-    key: Optional[str]
+    #: a :attr:`Cell.key`, or for a subscript whose key is an immutable
+    #: closure value the ``("free", name)`` symbol holding it, resolved
+    #: per closure like ``sym``
+    key: Union[str, Symbol, None]
     label: str
 
 
@@ -505,7 +509,8 @@ class _EffectScan:
         # provenance register: the shared cell (if any) of the value
         # most recently constructed, plus the alias flags FG111 needs
         base: Optional[_Ref] = None
-        base_key: Optional[str] = None  # const key loaded after base
+        # key loaded after base: a const, or an immutable closure value
+        base_key: Union[str, Symbol, None] = None
         reg_alias = False               # register holds a buffer alias
         alias_pending = False           # an alias was loaded and not yet
         #                                 consumed (value side of a store)
@@ -531,10 +536,15 @@ class _EffectScan:
         for op, argval, arg in instructions(code):
             if op in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
                 name = str(argval)
+                sym = ("free", name)
+                if base is not None and base.key is None \
+                        and name in self.own_free and sym not in self.shared:
+                    base_key = sym  # a subscript key, as a const is
+                    continue
                 base_key = None
                 reg_alias = False
                 if name in self.own_free:
-                    base = self._base(("free", name))
+                    base = self._base(sym)
                 else:
                     base = None  # interior (stage-private) variable
             elif op == "LOAD_GLOBAL":
@@ -707,9 +717,11 @@ class _EffectScan:
                 reg_alias = False
 
     @staticmethod
-    def _slot_label(base: _Ref, base_key: Optional[str]) -> str:
+    def _slot_label(base: _Ref, base_key: Union[str, Symbol, None]) -> str:
         if base.key is not None or base_key is None:
             return base.label
+        if isinstance(base_key, tuple):
+            return f"{base.label}[{base_key[1]}]"
         return f"{base.label}{base_key}"
 
 
@@ -775,6 +787,8 @@ def fn_effects(fn: Callable[..., Any], *,
         events = _effect_events(*key)
         for write, ((kind, name), slot, label) in events.cells:
             obj = held[kind].get(name, _UNKNOWN)
+            if isinstance(slot, tuple):  # the key a closure value holds
+                slot = f"[{held[slot[0]][slot[1]]!r}]"
             cell = Cell(0 if obj is _UNKNOWN else id(obj), slot, label)
             if not write:
                 reads.add(cell)

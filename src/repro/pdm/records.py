@@ -151,29 +151,36 @@ class RecordSchema:
         """Stable sort by key (returns a new array).
 
         Byte-identical to ``records[np.argsort(keys, kind="stable")]`` on
-        every input and numpy build: small blocks and a few ascending runs
-        go to that adaptive sort (it merges runs in linear time); the rest
-        to numpy's default, SIMD-dispatched ``argsort``, whose order among
-        equal keys is then repaired.
+        every input and numpy build.  Small blocks and a few ascending
+        runs go to that adaptive sort (it merges runs in linear time).
+        The rest are ranked by one SIMD-dispatched *value* sort of
+        ``(key - min) << b | position``, ``b`` the bits a position
+        needs: the order is ``(key, position)``, stable by construction.
+        Keys spanning more than ``64 - b`` bits lose their low bits
+        first; if two keys that share the kept bits then come out
+        descending, the block goes to the stable sort instead.
         """
         keys = records["key"]
         probe = keys[::_PROBE_STRIDE]
         if (len(probe) <= _ADAPTIVE_DESCENTS or np.count_nonzero(
                 probe[1:] < probe[:-1]) < _ADAPTIVE_DESCENTS):
             return records[np.argsort(keys, kind="stable")]
-        keys = np.ascontiguousarray(keys)
-        order = np.argsort(keys)
-        ranked = keys[order]
-        first = ranked[1:] != ranked[:-1]   # position starts a new key
-        if not first.all():
-            # re-rank each group of tied keys by input index: one value
-            # sort of group_id * n + index, which never leaves the group
-            base = np.zeros(len(order), dtype=order.dtype)
-            np.cumsum(first, out=base[1:])
-            base *= len(order)
-            order += base
-            order.sort()
-            order -= base
+        n = len(keys)
+        b = (n - 1).bit_length()
+        packed = np.array(keys)             # a fresh contiguous copy
+        low = packed.min()
+        drop = max(0, int(packed.max() - low).bit_length() - (64 - b))
+        packed -= low
+        packed >>= drop
+        packed <<= b
+        packed |= np.arange(n, dtype=packed.dtype)
+        packed.sort()
+        packed &= (1 << b) - 1
+        order = packed.view(np.int64)
+        if drop:
+            ranked = keys[order]
+            if np.any(ranked[1:] < ranked[:-1]):
+                order = np.argsort(keys, kind="stable")
         return records[order]
 
     def is_sorted(self, records: np.ndarray) -> bool:

@@ -3,7 +3,7 @@
 :func:`replay` dispatches on a record's ``kind``, re-executes the run
 under the virtual-time kernel with the recorded arguments (including the
 deserialized fault plan), captures a fresh provenance record, and
-compares digest by digest.  The result distinguishes three situations:
+compares digest by digest.  The result distinguishes four situations:
 
 * **reproduced** — every recorded digest, stage graph and decision
   matches; the run is byte-exact;
@@ -13,7 +13,10 @@ compares digest by digest.  The result distinguishes three situations:
   candidate commit);
 * **unattributable divergence** — digests differ but the code
   fingerprint matches: the run was not deterministic, which is itself a
-  bug worth a report.
+  bug worth a report;
+* **decisions alone** — the code, every digest and every stage graph
+  match and only decision entries differ: the run reproduced, so the
+  record was edited or differs in a field no digest covers.
 
 :func:`emit_script` turns a record into a standalone Python script that
 embeds the record JSON and performs the same replay — the shareable form
@@ -103,6 +106,12 @@ class ReplayResult:
                              f"now {self.replayed.code_fingerprint[:12]}…)"))
         if self.ok:
             lines.append("result: REPRODUCED byte-exactly")
+        elif (self.code_match and all(self.matches.values())
+                and self.stage_graphs_match):
+            lines.append("result: DIVERGED in the decisions alone — the "
+                         "run reproduced every digest; only the record's "
+                         "decision entries differ (an edited record, or a "
+                         "field no digest covers)")
         elif self.code_match:
             lines.append("result: DIVERGED under the *same* code — the "
                          "run is nondeterministic (file a bug)")

@@ -143,6 +143,28 @@ def test_variable_key_subscript_is_documented_false_negative():
     assert eff.classification == PURE
 
 
+def test_closure_value_key_subscript_is_a_keyed_write():
+    # dsort pass 2's ``state[ends_key] = True``: the key is an immutable
+    # closure value, a subscript key as a const is
+    def make(state, ends_key):
+        def send(ctx):
+            state[ends_key] = True
+        return send
+
+    state = {}
+    writes = [fn_effects(make(state, key)).writes for key in
+              ("ends:0", "ends:1", "ends:0")]
+    assert [[(c.key, str(c)) for c in w] for w in writes] == [
+        [("['ends:0']", "state[ends_key]")],
+        [("['ends:1']", "state[ends_key]")],
+        [("['ends:0']", "state[ends_key]")]]
+    (a,), (b,), (c,) = writes
+    # the key is each closure's own value: two ranks' markers do not
+    # conflict, one rank's twice does
+    assert not cells_conflict(a, b, a_writes=True, b_writes=True)
+    assert cells_conflict(a, c, a_writes=True, b_writes=True)
+
+
 # -- state that arrives outside closure cells and globals -------------------
 #
 # A partial's arguments, a bound method's ``self`` and a callable

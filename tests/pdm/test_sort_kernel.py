@@ -1,12 +1,13 @@
 """Differential test for ``RecordSchema.sort``, the one block-sort kernel.
 
-The kernel ranks most inputs with numpy's default (SIMD-dispatched,
-unstable) ``argsort`` and repairs the order of tied keys; a few ascending
-runs, and small blocks, go to the adaptive stable sort.  Whatever it
-picks, the result must equal ``records[np.argsort(keys, kind="stable")]``
-byte for byte.  Payloads carry a *serial number* here: with
-``from_keys`` payloads equal keys are byte-identical records, and a
-kernel that shuffled ties would pass unnoticed.
+The kernel ranks most inputs with one SIMD-dispatched value sort of
+``(key, position)`` packed into a ``uint64``; a few ascending runs, small
+blocks, and keys too wide to pack whose dropped low bits would misorder
+them go to the adaptive stable sort.  Whatever it picks, the result must
+equal ``records[np.argsort(keys, kind="stable")]`` byte for byte.
+Payloads carry a *serial number* here: with ``from_keys`` payloads equal
+keys are byte-identical records, and a kernel that shuffled ties would
+pass unnoticed.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.pdm import records as records_module
 from repro.pdm.records import RecordSchema
 
 SHAPES = ("distinct", "few_values", "all_equal", "presorted", "reversed",
-          "two_runs", "k_runs", "ties_across_runs")
+          "two_runs", "k_runs", "ties_across_runs", "collide")
 
 
 def make_keys(shape: str, n: int, k: int, seed: int) -> np.ndarray:
@@ -45,6 +46,16 @@ def make_keys(shape: str, n: int, k: int, seed: int) -> np.ndarray:
         return runs(wide, 2)
     if shape == "k_runs":
         return runs(wide, k)
+    if shape == "collide":
+        # pairs of keys that differ only in their low 9 bits, the later
+        # one lower, over a 64-bit span: a packed sort keeps 64 - b of
+        # those bits (b >= 10 past the probe), so the pair shares its
+        # kept bits and ranks by position, descending
+        keys = np.repeat(wide[:(n + 1) // 2] >> 9 << 9, 2)[:n]
+        keys[0::2] |= 0x100
+        keys[1::2] |= 0x001
+        keys[n // 2:n // 2 + 1] = 0          # the span starts at 0
+        return keys
     # every run draws from the same k values, so each value's ties end
     # one run and start the next
     return runs(narrow, max(2, k // 3))
@@ -101,26 +112,49 @@ def test_sort_of_a_strided_view():
     assert schema.sort(recs).tobytes() == stable_reference(recs).tobytes()
 
 
+class _NumpySpy:
+    """``np`` as the kernel sees it, logging each ``argsort`` (with its
+    kind) and ``arange`` call: the packed value sort is the one caller
+    of ``arange``, so the log names the path an input took."""
+
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if name not in ("argsort", "arange"):
+            return real
+
+        def spy(*args, **kwargs):
+            self.calls.append(f"argsort:{kwargs.get('kind')}"
+                              if name == "argsort" else name)
+            return real(*args, **kwargs)
+        return spy
+
+
+ADAPTIVE = ["argsort:stable"]
+PACKED = ["arange"]
+FALLBACK = ["arange", "argsort:stable"]
+
+
 def test_both_kernels_are_reached(monkeypatch):
-    """Random blocks go to the default argsort, a handful of runs and
-    small blocks to the stable one — so the differential tests above
-    cover the tie repair and not only numpy's own stable sort."""
-    kinds = []
-    real = np.argsort
-
-    def spy(a, *args, **kwargs):
-        kinds.append(kwargs.get("kind"))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(records_module.np, "argsort", spy)
+    """Small blocks and a few runs go to the adaptive stable sort,
+    everything else to the packed value sort with no ``argsort`` at
+    all, and a prefix collision on to the stable fallback — so the
+    differential tests above cover all three paths."""
+    spy = _NumpySpy()
+    monkeypatch.setattr(records_module, "np", spy)
     schema = RecordSchema.paper_16()
-    for shape, n, expected in (("few_values", 16384, None),
-                               ("distinct", 16384, None),
-                               ("k_runs", 16384, None),       # 64 runs
-                               ("two_runs", 16384, "stable"),
-                               ("presorted", 16384, "stable"),
-                               ("all_equal", 16384, "stable"),
-                               ("few_values", 256, "stable")):
-        kinds.clear()
-        schema.sort(numbered(schema, make_keys(shape, n, 64, seed=3)))
-        assert kinds == [expected], (shape, n)
+    for shape, n, path in (("few_values", 256, ADAPTIVE),
+                           ("two_runs", 16384, ADAPTIVE),
+                           ("presorted", 16384, ADAPTIVE),
+                           ("all_equal", 16384, ADAPTIVE),
+                           ("distinct", 16384, PACKED),
+                           ("k_runs", 16384, PACKED),       # 64 runs
+                           ("few_values", 16384, PACKED),
+                           ("collide", 16384, FALLBACK)):
+        spy.calls.clear()
+        recs = numbered(schema, make_keys(shape, n, 64, seed=3))
+        out = schema.sort(recs)
+        assert spy.calls == path, (shape, n)
+        assert out.tobytes() == stable_reference(recs).tobytes()

@@ -6,11 +6,13 @@ capture, so a record's ``decisions`` are the report's entries, and
 replay compares them entry by entry.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.bench.harness import run_sort
+from repro.cli import main
 from repro.errors import ReproError
 from repro.faults import chaos_plan, run_chaos_dsort
 from repro.pdm.records import RecordSchema
@@ -116,6 +118,26 @@ def test_replay_names_the_first_fault_that_fired_differently(speculating):
     text = result.describe()
     assert "decisions        MISMATCH\n    first differs  fault[1]" in text
     assert "DIVERGED" in text
+
+
+def test_an_edited_decision_entry_reads_as_an_edited_record(speculating,
+                                                           tmp_path):
+    # CI's edit: every digest reproduces, only the decisions differ
+    doc = speculating.provenance.to_json()
+    doc["decisions"]["fault"][0]["rank"] += 1
+    result = replay(ProvenanceRecord.from_json(doc))
+    text = result.describe()
+    assert "only the record's decision entries differ" in text
+    assert "nondeterministic" not in text
+    # a digest mismatch under the same code is still nondeterminism
+    moved = dataclasses.replace(
+        result, matches={**result.matches, "output": False})
+    assert "nondeterministic" in moved.describe()
+    assert "decision entries differ" not in moved.describe()
+    # and the edited record still fails the replay command
+    path = tmp_path / "edited.json"
+    ProvenanceRecord.from_json(doc).save(str(path))
+    assert main(["replay", str(path)]) == 1
 
 
 def test_a_version_2_record_is_refused_by_its_version(speculating):
