@@ -38,7 +38,7 @@ from repro.bench.harness import (
     default_dsort_config,
     run_sort,
 )
-from repro.check import dataflow
+from repro.check import dataflow, lint_program
 from repro.cli import main as repro_main
 from repro.core import FGProgram, Stage, add_fork_join
 from repro.errors import PipelineFailed
@@ -752,9 +752,20 @@ def canonical(stage_functions):
             "unresolved_writes": list(eff.unresolved_writes),
             "buffer_escapes": list(eff.buffer_escapes),
             "classification": eff.classification,
-            "evidence": dataflow.shared_state_evidence(fn),
+            "fg109": _fg109(fn) if style == "map" else None,
         })
     return entries
+
+
+def _fg109(fn):
+    """Does ``lint_program`` report FG109 on a two-replica pipeline of
+    the map-style stage function ``fn``?"""
+    prog = FGProgram(VirtualTimeKernel(), name="fg109")
+    prog.add_pipeline("p", [Stage.map("work", fn),
+                            Stage.map("sink", lambda ctx, buf: buf)],
+                      nbuffers=4, buffer_bytes=8, rounds=4,
+                      replicas={"work": 2})
+    return any(f.rule_id == "FG109" for f in lint_program(prog))
 
 
 def _effects():
@@ -878,7 +889,11 @@ SCENARIOS = {
     # closure (PR 25); re-recorded at fcffbc6 (PR 31) with cbcaa35's scan
     # over that tree: the five read-stage functions read with
     # ``rf.read_into`` and ``schema.dtype``, so only their ``reads``
-    # (and later ids) moved, every classification stayed.
+    # (and later ids) moved, every classification stayed.  Re-recorded
+    # at 519a9c0 with that commit's ``src/``: each entry's
+    # ``evidence`` (the old FG109 walk's strings) became ``fg109``, the
+    # rule's verdict on a two-replica pipeline of the function, so the
+    # same line pins FG109 across a change of how it collects evidence.
     "effects/examples-and-sorters": _effects,
     # Recorded at PR 25's parent under CPython 3.11, while the effect
     # scan still ran once per closure; unchanged since.
