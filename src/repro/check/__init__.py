@@ -2,15 +2,15 @@
 
 Three layers of correctness analysis over FG programs (docs/ANALYSIS.md):
 
-* :mod:`repro.check.linter` — rule-based static analysis (FG101–FG114)
+* :mod:`repro.check.linter` — rule-based static analysis (FG101–FG111)
   of an assembled :class:`~repro.core.program.FGProgram`; ``start()``
   runs its structural rules, ``lint()`` and ``repro lint`` every rule.
-* :mod:`repro.check.dataflow` — the shared bytecode walker behind the
-  linter's provenance rules and the planner's resource signatures, plus
-  FGPar: per-stage read/write effect sets and the
-  ``pure`` / ``read_shared`` / ``write_shared`` parallel-safety verdict,
-  computed on request (the effect lint rules, ``repro lint --effects``
-  and FGRace), never at ``start()``.
+* :mod:`repro.check.dataflow` — the one interpreter of stage bytecode,
+  behind the linter's EOS scan and FG109, plus FGPar: per-stage
+  read/write effect sets and the ``pure`` / ``read_shared`` /
+  ``write_shared`` parallel-safety verdict, computed on request (the
+  effect lint rules, ``repro lint --effects`` and FGRace); ``start()``
+  scans only replicated stages, for FG109.
 * :mod:`repro.check.sanitizer` / :mod:`repro.check.races` — the opt-in
   runtime checkers: FGSan tracks buffer ownership
   (``FGProgram(sanitize=True)`` / ``REPRO_SANITIZE=1``), FGRace checks

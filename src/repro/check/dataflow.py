@@ -1,24 +1,24 @@
 """FGPar: static parallel-safety effect analysis over stage bytecode.
 
-This module is the *one* bytecode walker behind every static analysis in
-the repo: the linter's EOS scan and FG109 provenance scan
-(:mod:`repro.check.linter`) delegate here, so a newly learned opcode is
-learned once.  On top of the shared walk this module adds what the
-true-parallel backend (ROADMAP item 2) needs: per-stage *effect sets*
-and a ``parallel_safety`` classification.
+This module is the *one* interpreter of stage bytecode behind every
+static analysis in the repo: the linter's EOS scan and FG109
+(:mod:`repro.check.linter`) read it, so a newly learned opcode is
+learned once.  On top of it this module adds what the true-parallel
+backend (ROADMAP item 2) needs: per-stage *effect sets* and a
+``parallel_safety`` classification.
 
 Three layers, bottom to top:
 
-* :func:`iter_code_objects` — the walk itself.  ``follow_callables=True``
-  reproduces the historical closure-/global-following frontier (used by
-  the EOS scan and FG109 evidence, which must see helper functions a
-  stage calls); ``follow_callables=False`` restricts
-  the walk to the function's own code plus nested code constants, which
-  is the right scope for *effects*: a sibling closure shared between two
+* two walks.  :func:`iter_code_objects` yields a code object and its
+  nested code constants (inner functions, comprehensions): the scope of
+  one function's *effects*, since a sibling closure shared between two
   stage functions acts on behalf of whichever stage calls it, and
   attributing its writes to both would fabricate cross-stage races.
-* :func:`fn_effects` — an abstract interpretation of the restricted walk
-  that infers which *cells* (closure variables, module globals, and
+  :func:`reachable_functions` yields a stage function and the helper
+  functions it can call (closure cells and module globals): what the EOS
+  scan and FG109 follow, each helper scanned as its own function.
+* :func:`fn_effects` — an abstract interpretation of one function's
+  scope that infers which *cells* (closure variables, module globals, and
   attribute/const-key-subscript slots of objects reached through them) a
   stage function reads and writes.  Names defined inside the stage
   function (cellvars of its own nested functions) are invocation-local
@@ -39,7 +39,7 @@ access of the same object; a keyed write conflicts with same-key
 accesses and whole-object *writes* (a whole-object *read* is usually a
 method call the scan could not classify — weak evidence, deliberately
 not a conflict).  Variable-key subscripts are a known false negative,
-exactly as documented for FG109.
+for FG109 as for every reader of the scan.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ import dataclasses
 import dis
 import functools
 import inspect
-import io
 import sys
-import threading
 import types
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Union
 
@@ -68,9 +66,8 @@ __all__ = [
     "fn_effects",
     "iter_code_objects",
     "program_effects",
-    "shared_state_evidence",
+    "reachable_functions",
     "stage_effects",
-    "unserializable_captures",
 ]
 
 #: the three parallel-safety verdicts, as stable strings (``repro lint
@@ -110,6 +107,10 @@ COMPREHENSIONS = frozenset({"<listcomp>", "<setcomp>", "<dictcomp>",
 _UNKNOWN = object()
 _BUILTINS: dict[str, Any] = vars(builtins)
 
+#: how deep either walk goes: nesting levels of code constants, or calls
+#: from a stage function to the helpers it reaches
+_MAX_DEPTH = 4
+
 
 #: one decoded instruction: ``(opname, argval, arg)`` — the only three
 #: fields any scan here reads
@@ -127,12 +128,6 @@ def instructions(code: types.CodeType) -> tuple[Instr, ...]:
     """
     return tuple((i.opname, i.argval, i.arg)
                  for i in dis.get_instructions(code))
-
-
-@functools.lru_cache(maxsize=1024)
-def _sorted_names(code: types.CodeType) -> tuple[str, ...]:
-    """``sorted(set(code.co_names))``, once per code object."""
-    return tuple(sorted(set(code.co_names)))
 
 
 def _is_method_load(op: str, arg: Optional[int]) -> bool:
@@ -198,46 +193,42 @@ def _unbind(fn: Any) -> tuple[Any, int, list[str]]:
     return fn, bound, carriers
 
 
-def iter_code_objects(fn: Callable[..., Any] | types.CodeType, *,
-                      follow_callables: bool = True,
-                      max_depth: int = 4) -> Iterator[types.CodeType]:
-    """Yield ``fn``'s code object and those reachable from it.
+def iter_code_objects(code: types.CodeType,
+                      depth: int = 0) -> Iterator[types.CodeType]:
+    """Yield ``code`` and its nested code constants (inner functions and
+    comprehensions), depth first, to ``_MAX_DEPTH`` levels."""
+    yield code
+    if depth < _MAX_DEPTH:
+        for const in reversed(code.co_consts):
+            if isinstance(const, types.CodeType):
+                yield from iter_code_objects(const, depth + 1)
 
-    Always recurses through nested code constants (inner functions and
-    comprehensions).  With ``follow_callables`` it additionally follows
-    closure cells holding functions and module-global functions the code
-    references by name — the historical FG104/FG109 frontier.  Bounded
-    by ``max_depth`` and a seen-set, so arbitrary user code cannot loop
-    the scan.  Only ``fn`` itself is unbound (:func:`_unbind`); callables
-    met on the way are followed as before.  ``fn`` may be a code object,
-    whose walk is then a function of the code alone.
+
+def reachable_functions(fn: Callable[..., Any]) -> Iterator[Any]:
+    """Yield ``fn`` (unbound, :func:`_unbind`) and the functions it can
+    reach: callables held in a reached function's closure cells and
+    module-global functions its own code names, to ``_MAX_DEPTH`` calls
+    deep.  Each function's code is yielded once, so arbitrary user code
+    cannot loop the walk; a bound method met on the way is yielded as
+    its function.
     """
     seen: set[int] = set()
     frontier: list[tuple[Any, int]] = [(_unbind(fn)[0], 0)]
     while frontier:
         obj, depth = frontier.pop()
-        func = inspect.unwrap(obj) if callable(obj) else obj
+        func = inspect.unwrap(obj)
+        func = getattr(func, "__func__", func)
         code = getattr(func, "__code__", None)
-        if isinstance(obj, types.CodeType):
-            code = obj
-        if code is None or id(code) in seen or depth > max_depth:
+        if not isinstance(code, types.CodeType) or id(code) in seen \
+                or depth > _MAX_DEPTH:
             continue
         seen.add(id(code))
-        yield code
-        for const in code.co_consts:
-            if isinstance(const, types.CodeType):
-                frontier.append((const, depth + 1))
-        if not follow_callables:
-            continue
-        closure = getattr(func, "__closure__", None) or ()
-        globals_ns = getattr(func, "__globals__", {})
-        for cell in closure:
-            try:
-                value = cell.cell_contents
-            except ValueError:  # pragma: no cover - empty cell
-                continue
+        yield func
+        for cell in getattr(func, "__closure__", None) or ():
+            value = _cell_contents(cell)
             if callable(value):
                 frontier.append((value, depth + 1))
+        globals_ns = getattr(func, "__globals__", {})
         for name in code.co_names:
             value = globals_ns.get(name)
             if isinstance(value, types.FunctionType):
@@ -250,97 +241,6 @@ def _cell_contents(cell: Any) -> Any:
         return cell.cell_contents
     except ValueError:
         return _UNKNOWN
-
-
-def _closure_value(fn: Callable[..., Any], name: str) -> Any:
-    """The object a free variable of ``fn`` is bound to, or ``_UNKNOWN``."""
-    code = getattr(fn, "__code__", None)
-    closure = getattr(fn, "__closure__", None)
-    if code is None or closure is None:
-        return _UNKNOWN
-    try:
-        return _cell_contents(closure[code.co_freevars.index(name)])
-    except (ValueError, IndexError):
-        return _UNKNOWN
-
-
-# -- FG109 parity layer -----------------------------------------------------
-
-
-def shared_state_evidence(fn: Callable[..., Any]) -> list[str]:
-    """Evidence strings that ``fn`` mutates state its replicas share.
-
-    A linear bytecode walk tracking coarse provenance of the object under
-    construction: a load from a free variable or a module global marks it
-    *shared*, a load from a local marks it *private*, and subscript /
-    attribute / stack ops preserve the mark.  Mutation evidence is then
-
-    * a mutating method (``append``, ``update``, ...) looked up on a
-      shared object,
-    * ``STORE_SUBSCR`` / ``STORE_ATTR`` whose target is shared,
-    * rebinding a free variable (``STORE_DEREF``) or a global.
-
-    Heuristic by design: it follows only straight-line provenance, so
-    aliasing through locals escapes it — but that is exactly the
-    contract FG109 documents (it catches the idiomatic per-round
-    accumulator, not adversarial code).
-    """
-    fn, _bound, carriers = _unbind(fn)
-    globals_ns = getattr(fn, "__globals__", {})
-    evidence = [f"carries state in through {c}" for c in carriers]
-
-    def shared_global(name: str) -> bool:
-        value = globals_ns.get(name, getattr(builtins, name, _UNKNOWN))
-        if value is _UNKNOWN:
-            return False
-        return not isinstance(value, IMMUTABLE_TYPES)
-
-    def shared_free(name: str) -> bool:
-        value = _closure_value(fn, name)
-        if value is _UNKNOWN:
-            return True  # unresolvable cell: assume shared
-        return not isinstance(value, IMMUTABLE_TYPES)
-
-    for code in iter_code_objects(fn):
-        base_shared = False
-        base_name = ""
-        for op, argval, arg in instructions(code):
-            if op in ("LOAD_DEREF", "LOAD_CLASSDEREF"):
-                base_name = str(argval)
-                base_shared = (base_name in code.co_freevars
-                               and shared_free(base_name))
-            elif op == "LOAD_GLOBAL":
-                base_name = str(argval)
-                base_shared = shared_global(base_name)
-            elif op in ("LOAD_METHOD", "LOAD_ATTR"):
-                if base_shared and argval in MUTATING_METHODS:
-                    evidence.append(
-                        f"calls .{argval}() on shared {base_name!r}")
-                    base_shared = False
-            elif op == "STORE_SUBSCR":
-                if base_shared:
-                    evidence.append(
-                        f"assigns into shared {base_name!r}")
-                base_shared = False
-            elif op == "STORE_ATTR":
-                if base_shared:
-                    evidence.append(
-                        f"sets .{argval} on shared {base_name!r}")
-                base_shared = False
-            elif op == "STORE_DEREF":
-                if argval in code.co_freevars:
-                    evidence.append(
-                        f"rebinds closure variable {argval!r}")
-                base_shared = False
-            elif op == "STORE_GLOBAL":
-                evidence.append(f"rebinds global {argval!r}")
-                base_shared = False
-            elif op.startswith("LOAD_FAST"):
-                base_shared = False
-                base_name = str(argval)
-            elif op not in TRANSPARENT_OPS:
-                base_shared = False
-    return evidence
 
 
 # -- effect extraction ------------------------------------------------------
@@ -463,7 +363,7 @@ def _scope(code: types.CodeType) -> tuple[tuple[types.CodeType, ...],
                                           tuple[str, ...]]:
     """The effect scan's scope — ``code`` and its nested code constants
     — and the ``LOAD_GLOBAL`` names read there, in order of first use."""
-    codes = tuple(iter_code_objects(code, follow_callables=False))
+    codes = tuple(iter_code_objects(code))
     loads = dict.fromkeys(str(argval) for c in codes
                           for op, argval, _arg in instructions(c)
                           if op == "LOAD_GLOBAL")
@@ -827,50 +727,6 @@ def classify_fn(fn: Optional[Callable[..., Any]], *,
     function; None when there is no function to classify."""
     effects = stage_effects(fn, style)
     return None if effects is None else effects.classification
-
-
-# -- FG114: unserializable captures ----------------------------------------
-
-
-#: types a stage closure cannot carry across a process boundary.
-#: Deliberately *excludes* FG-native objects (Kernel, Process, Channel):
-#: those have kernel-level identity a multiprocessing backend proxies
-#: itself, and control channels are idiomatic FG (fork/join gating) —
-#: flagging them would warn on every coordinating stage.
-_UNSERIALIZABLE_TYPES: tuple[type, ...] = (
-    io.IOBase, types.GeneratorType, type(threading.Lock()),
-    type(threading.RLock()), threading.Thread, threading.Event,
-    threading.Condition)
-
-
-def unserializable_captures(fn: Callable[..., Any]) -> list[str]:
-    """Names of closure cells / globals of ``fn`` directly holding a
-    value that cannot cross a process boundary (raw lock, open file
-    handle, generator, thread).
-
-    Direct captures only: an object that merely *contains* a lock (every
-    cluster node does) serializes via its own reduction, so transitive
-    reachability would flag the entire runtime.
-    """
-    fn = _unbind(fn)[0]
-    bad = _UNSERIALIZABLE_TYPES
-    found: list[str] = []
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return found
-    for name in code.co_freevars:
-        value = _closure_value(fn, name)
-        if value is not _UNKNOWN and isinstance(value, bad):
-            found.append(
-                f"closure variable {name!r} holds a "
-                f"{type(value).__name__}")
-    globals_ns = getattr(fn, "__globals__", {})
-    for name in _sorted_names(code):
-        value = globals_ns.get(name, _UNKNOWN)
-        if value is not _UNKNOWN and isinstance(value, bad):
-            found.append(f"global {name!r} holds a "
-                         f"{type(value).__name__}")
-    return found
 
 
 # -- whole-program view -----------------------------------------------------

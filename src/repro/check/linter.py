@@ -5,7 +5,7 @@ FG101–FG109 (disable with ``FGProgram(lint=False)``).  Error-severity
 findings abort ``start()`` with :class:`~repro.errors.LintError`
 *before* any process is spawned — turning what would surface as a
 mid-run ``DeadlockError`` into a fast, located diagnostic.  The
-effect-driven warnings FG110–FG114 never stop a run, so they run only on
+effect-driven warnings FG110 and FG111 never stop a run, so they run only on
 request: a direct :meth:`~repro.core.program.FGProgram.lint` or
 :func:`lint_program` call, and every ``start()`` under ``repro lint``
 (which arms :data:`COLLECTOR`).
@@ -30,17 +30,15 @@ FG107     error     dangling ``on_pipeline_failure`` hook (not callable,
 FG108     error     bounded channel chain provably deadlock-prone
                     (wait-for-graph analysis over intersecting stages)
 FG109     error     replicated stage carries per-round mutable state
-                    (closure/global/attribute-write heuristic over the
-                    stage function's bytecode)
+                    (the shared writes the effect scan finds in the
+                    stage function and the helpers it calls)
 FG110     warning   two concurrently-runnable stages (same or
                     intersecting pipelines) write the same shared cell
 FG111     warning   an alias of an accepted buffer's data escapes the
                     stage and outlives the convey
-FG113     warning   the end-of-stream declarer writes shared state
-                    other stages of its pipeline also use
-FG114     warning   a stage closes over a kernel/channel/lock/open
-                    file that cannot cross a process boundary
 ========  ========  =====================================================
+
+FG112, FG113 and FG114 are retired and their numbers not reused.
 
 Suppress individual rules per program with
 ``FGProgram(lint_ignore={"FG101"})`` or globally with
@@ -50,9 +48,9 @@ Every rule reads the program through the shared graph IR
 (:class:`repro.plan.ir.ProgramGraph`) — the same structural view the
 planner reads and the provenance fingerprints hash — so structural
 features added to the runtime (replication, say) only need to be
-modelled once.  FG110–FG114 additionally read the per-stage
+modelled once.  FG109–FG111 additionally read the per-stage
 effect sets inferred by :mod:`repro.check.dataflow`, the same scan
-FGRace's cross-check reads.
+FGRace's cross-check reads; ``start()`` scans only replicated stages.
 """
 
 from __future__ import annotations
@@ -64,10 +62,6 @@ import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional
 
 from repro.check import dataflow as _dataflow
-from repro.check.dataflow import (
-    iter_code_objects as _iter_code_objects,
-    shared_state_evidence as _shared_state_evidence,
-)
 from repro.check.findings import Finding, LintReport, Rule, Severity
 from repro.env import lint_ignore_from_env
 from repro.plan.ir import ProgramGraph
@@ -130,14 +124,6 @@ RULES: dict[str, Rule] = {r.rule_id: r for r in [
          "a stage stores an alias of its accepted buffer's data where "
          "it outlives the convey; the next owner's writes stay visible "
          "through the stale alias (FGSan only catches this at runtime)"),
-    Rule("FG113", "caboose-shared-state", Severity.WARNING,
-         "the end-of-stream declarer writes shared state that other "
-         "stages of the same pipeline also use; teardown order between "
-         "the caboose and in-flight buffers is not guaranteed"),
-    Rule("FG114", "unserializable-capture", Severity.WARNING,
-         "a stage function directly captures a kernel, channel, raw "
-         "lock, open file, or generator; the stage cannot cross a "
-         "process boundary on a multiprocessing backend"),
 ]}
 
 
@@ -204,28 +190,29 @@ def _positional_bounds(fn: Callable[..., Any]) -> Optional[tuple[int, float]]:
     return minimum, maximum
 
 
-#: ``eos(stage)``: :func:`_declares_eos`, cached for one lint pass
-EosTest = Callable[[Any], bool]
+def _names_any(funcs: Iterable[Any], names: tuple[str, ...]) -> bool:
+    """Does the code of one of ``funcs`` name one of ``names`` (best
+    effort, static)?"""
+    return any(name in code.co_names for func in funcs
+               for code in _dataflow.iter_code_objects(func.__code__)
+               for name in names)
 
 
 def _declares_eos(stage: Any) -> bool:
-    """Can ``stage``'s function reach a ``convey_caboose`` call (best
-    effort, static)?  Each lint pass asks through a fresh
-    ``functools.cache`` of this, so a stage is scanned once, when a rule
-    first asks about it — FG104/105 ask only about the stages of
-    ``rounds=None`` pipelines, FG113 only about stages that write shared
-    cells — and nothing is kept across passes: the walk follows closures
-    and globals."""
-    return stage.fn is not None and any(
-        "convey_caboose" in code.co_names
-        for code in _iter_code_objects(stage.fn))
+    """Can ``stage``'s function reach a ``convey_caboose`` call?  Only
+    FG104/FG105 ask, about the stages of ``rounds=None`` pipelines,
+    through a ``functools.cache`` of this that lives for one pass: the
+    walk follows closures and globals, so nothing is kept across
+    passes."""
+    return stage.fn is not None and _names_any(
+        _dataflow.reachable_functions(stage.fn), ("convey_caboose",))
 
 
 # -- rule implementations ---------------------------------------------------
 
 
-def _check_pool_depth(prog: "FGProgram", graph: ProgramGraph,
-                      eos: EosTest) -> Iterator[Finding]:
+def _check_pool_depth(prog: "FGProgram",
+                      graph: ProgramGraph) -> Iterator[Finding]:
     for p in graph.pipelines:
         depth = p.effective_depth
         if p.nbuffers >= depth:
@@ -245,8 +232,8 @@ def _check_pool_depth(prog: "FGProgram", graph: ProgramGraph,
             program=prog.name, pipeline=p.name)
 
 
-def _check_stage_order_cycle(prog: "FGProgram", graph: ProgramGraph,
-                             eos: EosTest) -> Iterator[Finding]:
+def _check_stage_order_cycle(prog: "FGProgram",
+                             graph: ProgramGraph) -> Iterator[Finding]:
     # paths over disjoint stages cannot close a cycle: only a stage
     # object that occurs twice in the program can
     occurrences = [id(node.stage) for p in graph.pipelines
@@ -287,8 +274,8 @@ def _check_stage_order_cycle(prog: "FGProgram", graph: ProgramGraph,
         stage=display[0])
 
 
-def _check_stage_contract(prog: "FGProgram", graph: ProgramGraph,
-                          eos: EosTest) -> Iterator[Finding]:
+def _check_stage_contract(prog: "FGProgram",
+                          graph: ProgramGraph) -> Iterator[Finding]:
     reported: set[int] = set()
     for p in graph.pipelines:
         for node in p.stages:
@@ -320,8 +307,9 @@ def _check_stage_contract(prog: "FGProgram", graph: ProgramGraph,
                     program=prog.name, pipeline=p.name, stage=s.name)
 
 
-def _check_eos_declarers(prog: "FGProgram", graph: ProgramGraph,
-                         eos: EosTest) -> Iterator[Finding]:
+def _check_eos_declarers(prog: "FGProgram",
+                         graph: ProgramGraph) -> Iterator[Finding]:
+    eos = functools.cache(_declares_eos)
     for p in graph.pipelines:
         if p.rounds is not None:
             continue
@@ -354,8 +342,8 @@ def _check_eos_declarers(prog: "FGProgram", graph: ProgramGraph,
                 stage=p.stages[first].name)
 
 
-def _check_zero_rounds(prog: "FGProgram", graph: ProgramGraph,
-                       eos: EosTest) -> Iterator[Finding]:
+def _check_zero_rounds(prog: "FGProgram",
+                       graph: ProgramGraph) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.rounds == 0:
             yield Finding(
@@ -365,8 +353,8 @@ def _check_zero_rounds(prog: "FGProgram", graph: ProgramGraph,
                 program=prog.name, pipeline=p.name)
 
 
-def _check_failure_hook(prog: "FGProgram", graph: ProgramGraph,
-                        eos: EosTest) -> Iterator[Finding]:
+def _check_failure_hook(prog: "FGProgram",
+                        graph: ProgramGraph) -> Iterator[Finding]:
     hook = prog.on_pipeline_failure
     if hook is None:
         return
@@ -390,8 +378,8 @@ def _check_failure_hook(prog: "FGProgram", graph: ProgramGraph,
             program=prog.name)
 
 
-def _check_bounded_chains(prog: "FGProgram", graph: ProgramGraph,
-                          eos: EosTest) -> Iterator[Finding]:
+def _check_bounded_chains(prog: "FGProgram",
+                          graph: ProgramGraph) -> Iterator[Finding]:
     for p in graph.pipelines:
         if p.channel_capacity is None:
             continue  # every edge unbounded: nothing to bound
@@ -438,17 +426,23 @@ def _check_bounded_chains(prog: "FGProgram", graph: ProgramGraph,
                         program=prog.name, pipeline=p.name, stage=s.name)
 
 
-def _check_replicated_state(prog: "FGProgram", graph: ProgramGraph,
-                            eos: EosTest) -> Iterator[Finding]:
+def _check_replicated_state(prog: "FGProgram",
+                            graph: ProgramGraph) -> Iterator[Finding]:
     for p in graph.pipelines:
         for node in p.stages:
             s = node.stage
             if not node.replicated or s.fn is None:
                 continue
-            evidence = _shared_state_evidence(s.fn)
-            if any(n in ("convey", "convey_caboose")
-                   for code in _iter_code_objects(s.fn)
-                   for n in code.co_names):
+            funcs = list(_dataflow.reachable_functions(s.fn))
+            # the stage itself (what a partial or bound method carries
+            # in included), then each helper it reaches, scanned as its
+            # own function
+            evidence = list(dict.fromkeys(
+                f"writes shared {label}"
+                for e in map(_dataflow.fn_effects, [s.fn, *funcs[1:]])
+                for label in [*sorted(map(str, e.writes)),
+                              *e.unresolved_writes]))
+            if _names_any(funcs, ("convey", "convey_caboose")):
                 evidence.append(
                     "references convey (the replica sequencer owns "
                     "conveyance; replicated stages must only return "
@@ -466,9 +460,9 @@ def _check_replicated_state(prog: "FGProgram", graph: ProgramGraph,
                     program=prog.name, pipeline=p.name, stage=s.name)
 
 
-def _check_effects(prog: "FGProgram", graph: ProgramGraph,
-                   eos: EosTest) -> Iterator[Finding]:
-    """FG110/FG111/FG113: the effect-analysis rules, sharing one
+def _check_effects(prog: "FGProgram",
+                   graph: ProgramGraph) -> Iterator[Finding]:
+    """FG110/FG111: the effect-analysis rules, sharing one
     :func:`repro.check.dataflow.program_effects` pass."""
     effects = _dataflow.program_effects(graph)
     # FG110: concurrently-runnable stages writing one shared cell.
@@ -501,62 +495,12 @@ def _check_effects(prog: "FGProgram", graph: ProgramGraph,
                 "through it (copy the data instead)",
                 program=prog.name, pipeline=entry.pipeline,
                 stage=entry.name)
-    # FG113: the EOS declarer's shared writes overlap its pipeline peers
-    for p in graph.pipelines:
-        for node in p.stages:
-            if node.stage.fn is None:
-                continue
-            entry = effects.stage(node.name)
-            if (entry is None or not entry.effects.writes
-                    or not eos(node.stage)):
-                continue
-            peers: set[str] = set()
-            for other in p.stages:
-                if other.stage is node.stage:
-                    continue
-                other_entry = effects.stage(other.name)
-                if other_entry is None:
-                    continue
-                for wa in entry.effects.writes:
-                    for cb in (other_entry.effects.writes
-                               | other_entry.effects.reads):
-                        if _dataflow.cells_conflict(
-                                wa, cb, a_writes=True,
-                                b_writes=cb in other_entry.effects.writes):
-                            peers.add(other.name)
-            if peers:
-                yield Finding(
-                    "FG113", Severity.WARNING,
-                    f"stage {node.name!r} declares end-of-stream and "
-                    f"writes shared state also used by "
-                    f"{', '.join(sorted(peers))}; nothing orders those "
-                    "accesses against the caboose at teardown",
-                    program=prog.name, pipeline=p.name, stage=node.name)
 
 
-def _check_unserializable(prog: "FGProgram", graph: ProgramGraph,
-                          eos: EosTest) -> Iterator[Finding]:
-    """FG114: direct captures that cannot cross a process boundary."""
-    reported: set[int] = set()
-    for p in graph.pipelines:
-        for node in p.stages:
-            s = node.stage
-            if s.fn is None or id(s) in reported:
-                continue
-            reported.add(id(s))
-            captured = _dataflow.unserializable_captures(s.fn)
-            if captured:
-                yield Finding(
-                    "FG114", Severity.WARNING,
-                    f"stage {s.name!r} cannot cross a process "
-                    f"boundary: {'; '.join(captured)}",
-                    program=prog.name, pipeline=p.name, stage=s.name)
-
-
-Check = Callable[["FGProgram", ProgramGraph, EosTest], Iterator[Finding]]
+Check = Callable[["FGProgram", ProgramGraph], Iterator[Finding]]
 
 #: the structural rules FG101–FG109, in report order: what ``start()``
-#: runs.  ``check(prog, graph, eos)`` yields its findings
+#: runs.  ``check(prog, graph)`` yields its findings
 STRUCTURAL_CHECKS: tuple[Check, ...] = (
     _check_pool_depth,
     _check_stage_order_cycle,
@@ -569,11 +513,8 @@ STRUCTURAL_CHECKS: tuple[Check, ...] = (
 )
 
 #: every rule, in report order: the structural ones, then the
-#: effect-driven warnings FG110–FG114
-CHECKS: tuple[Check, ...] = STRUCTURAL_CHECKS + (
-    _check_effects,
-    _check_unserializable,
-)
+#: effect-driven warnings FG110 and FG111
+CHECKS: tuple[Check, ...] = STRUCTURAL_CHECKS + (_check_effects,)
 
 
 def lint_program(prog: "FGProgram",
@@ -597,9 +538,8 @@ def _run_checks(prog: "FGProgram", checks: tuple[Check, ...],
     if graph is None:
         graph = ProgramGraph.from_program(prog)
     report = LintReport()
-    eos = functools.cache(_declares_eos)
     for check in checks:
-        report.extend(f for f in check(prog, graph, eos)
+        report.extend(f for f in check(prog, graph)
                       if f.rule_id not in suppressed)
     if EFFECTS is not None:
         EFFECTS.append((prog.name, [

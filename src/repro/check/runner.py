@@ -3,7 +3,7 @@
 FG programs are assembled by running Python code, so the linter lints by
 *executing* each file with the module-level findings collector armed:
 every lint pass appends its findings (while the collector is armed,
-``start()`` runs every rule, the effect-driven FG110–FG114 included),
+``start()`` runs every rule, the effect-driven FG110 and FG111 included),
 and an error-severity finding aborts the program with
 :class:`~repro.errors.LintError` before any pipeline process spawns.
 The CLI exit code is 0 (clean), 1 (lint errors — or warnings under

@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "parallel-safety class (pure / read_shared "
                              "/ write_shared)")
     p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog (FG101..FG114) and "
+                        help="print the rule catalog (FG101..FG111) and "
                              "exit")
 
     p_tune = sub.add_parser(

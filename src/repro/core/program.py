@@ -724,7 +724,7 @@ class FGProgram:
     def lint(self, ignore: Optional[Iterable[str]] = None, *,
              graph: Optional[ProgramGraph] = None) -> list[Any]:
         """Run every static lint rule over this program's declared
-        structure, the effect-driven FG110–FG114 included.
+        structure, the effect-driven FG110 and FG111 included.
 
         Returns the findings (also stored on :attr:`lint_findings`).
         :meth:`start` runs the structural rules itself.

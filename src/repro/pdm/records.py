@@ -158,7 +158,9 @@ class RecordSchema:
         needs: the order is ``(key, position)``, stable by construction.
         Keys spanning more than ``64 - b`` bits lose their low bits
         first; if two keys that share the kept bits then come out
-        descending, the block goes to the stable sort instead.
+        descending, the block goes to the stable sort instead.  Only
+        sorted neighbours less than ``2**b`` apart can share them, so
+        the ranked keys are checked only when such a pair exists.
         """
         keys = records["key"]
         probe = keys[::_PROBE_STRIDE]
@@ -175,9 +177,10 @@ class RecordSchema:
         packed <<= b
         packed |= np.arange(n, dtype=packed.dtype)
         packed.sort()
+        shared = drop and np.any(np.diff(packed) < (1 << b))
         packed &= (1 << b) - 1
         order = packed.view(np.int64)
-        if drop:
+        if shared:
             ranked = keys[order]
             if np.any(ranked[1:] < ranked[:-1]):
                 order = np.argsort(keys, kind="stable")

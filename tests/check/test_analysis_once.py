@@ -31,7 +31,6 @@ from repro.check.dataflow import (
     Cell,
     classify_fn,
     fn_effects,
-    shared_state_evidence,
 )
 from repro.check.linter import _positional_bounds
 from repro.core import FGProgram, Stage
@@ -85,7 +84,6 @@ def test_two_closures_of_one_def_get_their_own_verdicts(list_first):
     # and again, now that the code object is certainly in the memo
     assert classify_fn(on_list) == WRITE_SHARED
     assert classify_fn(on_int) == PURE
-    assert shared_state_evidence(on_list) and not shared_state_evidence(on_int)
 
 
 def test_rebinding_cell_contents_changes_the_verdict():
@@ -357,7 +355,7 @@ def run_counted(monkeypatch, **kwargs):
                       if s.fn is not None}.values()
             codes = {code for s in stages
                      for code in dataflow.iter_code_objects(
-                         s.fn, follow_callables=False)}
+                         dataflow._unbind(s.fn)[0].__code__)}
             keys = {scan_key(s.fn, s.style) for s in stages}
             rows.append((len(self.pipelines), len(codes),
                          misses()[0] - decoded, len(keys),

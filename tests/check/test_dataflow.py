@@ -1,13 +1,11 @@
 """FGPar effect analysis: cells, classifications, conflicts, aliases.
 
-Also the satellite regressions for the shared-walker refactor: FG109's
-evidence scan and the linter's EOS scan both ride
-:func:`repro.check.dataflow.iter_code_objects`, and these tests pin that
-their verdicts on the pre-refactor fixtures did not move.
+FG109's evidence and the linter's EOS scan read the same scan through
+:func:`repro.check.dataflow.reachable_functions`; their own tests are in
+``test_linter.py``.
 """
 
 import functools
-import threading
 
 from repro.check import lint_program
 from repro.check.dataflow import (
@@ -19,8 +17,6 @@ from repro.check.dataflow import (
     classify_fn,
     fn_effects,
     program_effects,
-    shared_state_evidence,
-    unserializable_captures,
 )
 from repro.core import FGProgram, Stage
 from repro.plan.ir import ProgramGraph
@@ -274,10 +270,36 @@ def test_wrapped_stage_callables_are_seen_through_by_every_scan():
     prog.add_pipeline("p", [Stage.map("declare", stage)],
                       nbuffers=1, buffer_bytes=8, rounds=None)
     assert "FG104" not in {f.rule_id for f in lint_program(prog)}
-    assert shared_state_evidence(stage) == [
-        "calls .append() on shared 'shared'"]
-    assert shared_state_evidence(functools.partial(_accumulate, [])) == [
-        "carries state in through partial argument 0 (list)"]
+    # and FG109 finds the write behind it, and what a partial carries
+    assert "writes shared shared;" in fg109_message(stage)
+    assert "writes shared partial argument 0 (list)." in fg109_message(
+        functools.partial(_accumulate, []))
+
+
+def fg109_message(fn):
+    """FG109's message on a two-replica pipeline of ``fn``."""
+    prog = fresh_prog()
+    prog.add_pipeline("p", [Stage.map("work", fn)], nbuffers=4,
+                      buffer_bytes=8, rounds=4, replicas={"work": 2})
+    (f,) = [f for f in lint_program(prog) if f.rule_id == "FG109"]
+    return f.message
+
+
+def test_fg109_evidence_follows_helper_closures():
+    # FG109 scans each helper a stage reaches through its closure or
+    # globals as its own function; the effect scan of the stage alone
+    # deliberately attributes nothing to it
+    state = {"n": 0}
+
+    def helper():
+        state["n"] += 1
+
+    def stage(ctx, buf):
+        helper()
+        return buf
+
+    assert "state: writes shared state['n']." in fg109_message(stage)
+    assert classify_fn(stage) == PURE  # own-code scope: no attribution
 
 
 
@@ -533,91 +555,3 @@ def test_canonical_form_carries_no_parallel_safety():
     assert doc["pipelines"][0]["stages"][0] == {"name": "s", "style": "map"}
     assert build(writer).fingerprint() == build(
         lambda ctx, buf: buf).fingerprint()
-
-
-# -- FG114 captures ---------------------------------------------------------
-
-def test_unserializable_captures_flags_foreign_state():
-    lock = threading.Lock()
-
-    def locked(ctx, buf):
-        with lock:
-            return buf
-
-    gen = (i for i in range(3))
-
-    def generating(ctx, buf):
-        next(gen)
-        return buf
-
-    assert any("Lock" in c or "lock" in c
-               for c in unserializable_captures(locked))
-    assert any("generator" in c
-               for c in unserializable_captures(generating))
-
-
-def test_unserializable_captures_exempts_fg_native_objects():
-    # control channels are idiomatic FG (fork/join gating); the runtime
-    # proxies its own objects across a process boundary
-    kernel = VirtualTimeKernel()
-    from repro.sim.channel import Channel
-    control = Channel(kernel, capacity=1)
-
-    def gated(ctx, buf):
-        control.put(1)
-        return buf
-
-    assert unserializable_captures(gated) == []
-
-
-def test_containing_object_is_not_transitively_flagged():
-    class Holder:
-        def __init__(self):
-            self.lock = threading.Lock()
-
-    holder = Holder()
-
-    def stage(ctx, buf):
-        with holder.lock:
-            return buf
-
-    assert unserializable_captures(stage) == []
-
-
-# -- shared-walker parity (satellite 1) -------------------------------------
-
-def test_fg109_evidence_phrasing_is_unchanged():
-    state = {"acc": []}
-
-    def appender(ctx, buf):
-        state["acc"].append(1)
-        return buf
-
-    count = 0
-
-    def rebinder(ctx, buf):
-        nonlocal count
-        count += 1
-        return buf
-
-    assert shared_state_evidence(appender) \
-        == ["calls .append() on shared 'state'"]
-    assert shared_state_evidence(rebinder) \
-        == ["rebinds closure variable 'count'"]
-
-
-def test_fg109_evidence_follows_helper_closures():
-    # the evidence walk keeps the full closure-following frontier the
-    # old linter-local walker had; the effect scan deliberately does not
-    state = {"n": 0}
-
-    def helper():
-        state["n"] += 1
-
-    def stage(ctx, buf):
-        helper()
-        return buf
-
-    assert any("assigns into shared 'state'" in e
-               for e in shared_state_evidence(stage))
-    assert classify_fn(stage) == PURE  # own-code scope: no attribution

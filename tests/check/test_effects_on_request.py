@@ -1,11 +1,12 @@
 """``start()`` runs the structural lint rules only; the effect analysis
 runs on request.
 
-The effect scan (``dataflow.fn_effects``) and the rules that read it,
-FG110–FG114, are warnings that never stop a run.  ``start()`` skips
-them unless FGRace is on; a direct ``lint()`` call and ``repro lint``
-still run every rule.  Each error a structural rule finds still raises
-:class:`~repro.errors.LintError` from ``start()``.
+The rules that read the effect scan (``dataflow.fn_effects``) for the
+whole program, FG110 and FG111, are warnings that never stop a run.
+``start()`` skips them unless FGRace is on; a direct ``lint()`` call and
+``repro lint`` still run every rule.  Each error a structural rule finds
+still raises :class:`~repro.errors.LintError` from ``start()``; FG109
+scans a replicated stage and the functions it reaches, and nothing else.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ import pytest
 from repro.check import dataflow, lint_program
 from repro.core import FGProgram, Stage
 from repro.errors import LintError, ProcessFailed, RaceError
+from repro.plan.ir import ProgramGraph
 from repro.sim import VirtualTimeKernel
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -29,10 +31,15 @@ def load_fixture(name):
     return mod
 
 
-def refuse_effect_scan(monkeypatch):
-    """Make any effect scan fail the test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the effect analysis ran")
+def refuse_effect_scan(monkeypatch, allow=()):
+    """Make any effect scan fail the test, but one of a function in
+    ``allow``."""
+    scan, allowed = dataflow.fn_effects, {id(fn) for fn in allow}
+
+    def refuse(fn, *args, **kwargs):
+        if id(fn) not in allowed:
+            raise AssertionError("the effect analysis ran")
+        return scan(fn, *args, **kwargs)
 
     monkeypatch.setattr(dataflow, "fn_effects", refuse)
 
@@ -174,9 +181,14 @@ def test_structural_errors_raise_from_start_without_the_scan(
 
     errors = [f for f in lint_program(build()) if f.is_error]
     assert {f.rule_id for f in errors} == {case.split("/")[0]}
-    refuse_effect_scan(monkeypatch)
+    prog = build()
+    # FG109 scans what a replicated stage reaches; nothing else is scanned
+    refuse_effect_scan(monkeypatch, allow=[
+        fn for p in ProgramGraph.from_program(prog).pipelines
+        for node in p.stages if node.replicated
+        for fn in dataflow.reachable_functions(node.stage.fn)])
     with pytest.raises(LintError) as exc_info:
-        build().start()
+        prog.start()
     assert [f for f in exc_info.value.findings if f.is_error] == errors
 
 

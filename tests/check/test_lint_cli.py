@@ -105,8 +105,8 @@ def test_list_rules_prints_the_full_catalog():
     from repro.check.runner import rules_table
     lines = rules_table()
     ids = [line.split()[0] for line in lines]
-    # FG112 is retired; FG113/FG114 keep their numbers
-    assert ids == [f"FG{n}" for n in range(101, 115) if n != 112]
+    # FG112, FG113 and FG114 are retired, their numbers not reused
+    assert ids == [f"FG{n}" for n in range(101, 112)]
     assert any("cross-stage-write-race" in line for line in lines)
 
 
@@ -118,7 +118,7 @@ def test_cli_list_rules_flag():
         [sys.executable, "-m", "repro", "lint", "--list-rules"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
-    assert "FG114" in proc.stdout
+    assert "FG111" in proc.stdout
 
 
 def test_effects_reports_stage_classifications():

@@ -4,6 +4,8 @@ Every fixture builds a small FGProgram and lints it without running;
 rules operate on declared structure only.
 """
 
+import functools
+
 import pytest
 
 from repro.check import RULES, Severity, lint_program
@@ -40,7 +42,7 @@ def declares(ctx):
 def test_rule_catalog_is_complete():
     assert sorted(RULES) == [
         "FG101", "FG102", "FG103", "FG104", "FG105", "FG106", "FG107",
-        "FG108", "FG109", "FG110", "FG111", "FG113", "FG114",
+        "FG108", "FG109", "FG110", "FG111",
     ]
     for rule_id, rule in RULES.items():
         assert rule.rule_id == rule_id
@@ -378,6 +380,17 @@ def replicated_prog(fn, *, replicas=2, extra_stage=True):
     return prog
 
 
+def fg109_evidence(fn):
+    """FG109's evidence on a two-replica pipeline of ``fn``, as its one
+    finding lists it (``[]`` when FG109 is silent)."""
+    findings = findings_for(replicated_prog(fn), "FG109")
+    if not findings:
+        return []
+    (f,) = findings
+    listed = f.message.split("mutable state: ", 1)[1]
+    return listed.split(". Interchangeable", 1)[0].split("; ")
+
+
 def test_fg109_flags_closure_dict_mutation():
     state = {"next_run": 0, "runs": []}
 
@@ -446,6 +459,104 @@ def test_fg109_flags_manual_convey():
     assert "convey" in findings[0].message
 
 
+def test_fg109_evidence_names_each_written_cell():
+    state = {"acc": []}
+
+    def appender(ctx, buf):
+        state["acc"].append(1)
+        return buf
+
+    count = 0
+
+    def rebinder(ctx, buf):
+        nonlocal count
+        count += 1
+        return buf
+
+    assert fg109_evidence(appender) == ["writes shared state['acc']"]
+    assert fg109_evidence(rebinder) == ["writes shared count"]
+
+
+def _accumulate(acc, ctx, buf):
+    acc.append(buf.round)
+    return buf
+
+
+def _closure_helper_stage():
+    state = {"n": 0}
+
+    def helper():
+        state["n"] += 1
+
+    def work(ctx, buf):
+        helper()
+        return buf
+
+    return work
+
+
+def _global_helper(ctx, buf):
+    _FG109_GLOBAL_STATE.append(buf.round)
+
+
+def _writes_through_global_helper(ctx, buf):
+    _global_helper(ctx, buf)
+    return buf
+
+
+def _manual_convey(ctx, buf):
+    ctx.convey(buf)
+
+
+@pytest.mark.parametrize("work, evidence", [
+    (_closure_helper_stage(), "writes shared state['n']"),
+    (_writes_through_global_helper, "writes shared _FG109_GLOBAL_STATE"),
+    (functools.partial(_accumulate, []),
+     "writes shared partial argument 0 (list)"),
+    (_manual_convey, "references convey"),
+], ids=["closure-helper", "global-helper", "partial", "convey"])
+def test_fg109_errors_still_raise_from_start(work, evidence):
+    prog = replicated_prog(work)
+    with pytest.raises(LintError) as exc_info:
+        prog.start()
+    (f,) = [f for f in exc_info.value.findings if f.is_error]
+    assert f.rule_id == "FG109" and evidence in f.message
+
+
+def _local_behind_helper(ctx, buf):
+    acc = []
+
+    def add(x):
+        acc.append(x)
+
+    add(buf.round)
+    return buf
+
+
+def _local_behind_comprehension(ctx, buf):
+    seen = []
+    [seen.append(i) for i in range(buf.round)]
+    return buf
+
+
+@pytest.mark.parametrize("work", [_local_behind_helper,
+                                  _local_behind_comprehension],
+                         ids=["helper", "comprehension"])
+def test_fg109_lets_replicas_keep_invocation_local_state(work):
+    """A local captured by an inner helper or a comprehension is made
+    afresh per call: no replica shares it, so the stage starts."""
+    kernel = VirtualTimeKernel()
+    prog = FGProgram(kernel, name="lintee")
+    prog.add_pipeline("p", [Stage.map("work", work),
+                            Stage.map("sink", ok_map)],
+                      nbuffers=4, buffer_bytes=8, rounds=4,
+                      replicas={"work": 2})
+    kernel.spawn(prog.run, name="driver")
+    kernel.run()
+    assert [f for f in prog.lint_findings if f.rule_id == "FG109"] == []
+    assert fg109_evidence(work) == []
+
+
 def test_fg109_clean_stateless_stage():
     """The dsort/csort idiom: read via closure, mutate only the buffer."""
     class Schema:
@@ -490,7 +601,7 @@ def test_fg109_real_sorter_sort_stages_are_clean():
     assert run.verified
 
 
-# -- FG110..FG114: the effect-analysis rules --------------------------------
+# -- FG110, FG111: the effect-analysis rules --------------------------------
 
 def shared_counter_prog(**kwargs):
     prog = fresh_prog(**kwargs)
@@ -596,7 +707,9 @@ def test_fg111_silent_on_recovery_pass1(monkeypatch):
         assert [f for f in prog.lint() if f.rule_id == "FG111"] == []
 
 
-def test_fg113_flags_eos_declarer_touching_peer_state():
+def test_fg110_flags_eos_declarer_touching_peer_state():
+    # what the retired FG113 reported: the end-of-stream declarer's
+    # shared write against a pipeline peer's read is an FG110 pair
     prog = fresh_prog()
     state = {"done": 0}
 
@@ -612,12 +725,13 @@ def test_fg113_flags_eos_declarer_touching_peer_state():
     prog.add_pipeline("p", [Stage.source_driven("recv", recv),
                             Stage.map("consume", consume)],
                       nbuffers=2, buffer_bytes=16, rounds=None)
-    found = findings_for(prog, "FG113")
-    assert found and found[0].stage == "recv"
-    assert "consume" in found[0].message
+    (found,) = findings_for(prog, "FG110")
+    assert found.stage == "recv"
+    assert "'recv'" in found.message and "'consume'" in found.message
+    assert "state['done']" in found.message
 
 
-def test_fg113_clean_when_the_declarer_keeps_state_private():
+def test_fg110_clean_when_the_declarer_keeps_state_private():
     prog = fresh_prog()
     state = {"done": 0}
 
@@ -628,22 +742,7 @@ def test_fg113_clean_when_the_declarer_keeps_state_private():
     prog.add_pipeline("p", [Stage.source_driven("recv", recv),
                             Stage.map("consume", ok_map)],
                       nbuffers=2, buffer_bytes=16, rounds=None)
-    assert findings_for(prog, "FG113") == []
-
-
-def test_fg114_flags_captured_lock():
-    import threading
-    lock = threading.Lock()
-
-    def locked(ctx, buf):
-        with lock:
-            return buf
-
-    prog = fresh_prog()
-    prog.add_pipeline("p", [Stage.map("locked", locked)],
-                      nbuffers=2, buffer_bytes=16, rounds=4)
-    found = findings_for(prog, "FG114")
-    assert found and "cannot cross a process boundary" in found[0].message
+    assert findings_for(prog, "FG110") == []
 
 
 # -- suppression-list hygiene ------------------------------------------------
